@@ -13,6 +13,7 @@ structural validation.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -89,7 +90,8 @@ class WorkflowDAG:
                         f"node {node.name!r} references undeclared parent {parent!r}"
                     )
                 self._children[parent].append(node.name)
-        self._order = self._topological_sort()
+        self._order: Tuple[str, ...] = self._topological_sort()
+        self._edges: Optional[Tuple[Tuple[str, str], ...]] = None
 
     # -- container protocol --------------------------------------------------
     def __len__(self) -> int:
@@ -109,7 +111,7 @@ class WorkflowDAG:
 
     @property
     def node_names(self) -> Tuple[str, ...]:
-        return tuple(self._order)
+        return self._order
 
     @property
     def nodes(self) -> Mapping[str, Node]:
@@ -121,12 +123,12 @@ class WorkflowDAG:
 
     @property
     def edges(self) -> Tuple[Tuple[str, str], ...]:
-        """All ``(parent, child)`` edges."""
-        result: List[Tuple[str, str]] = []
-        for node in self._nodes.values():
-            for parent in node.parents:
-                result.append((parent, node.name))
-        return tuple(sorted(result))
+        """All ``(parent, child)`` edges, sorted (built on first use)."""
+        if self._edges is None:
+            self._edges = tuple(sorted(
+                (parent, node.name) for node in self._nodes.values() for parent in node.parents
+            ))
+        return self._edges
 
     # -- graph queries ---------------------------------------------------------
     def parents(self, name: str) -> Tuple[str, ...]:
@@ -169,26 +171,25 @@ class WorkflowDAG:
 
     def topological_order(self) -> Tuple[str, ...]:
         """Node names in a deterministic topological order."""
-        return tuple(self._order)
+        return self._order
 
-    def _topological_sort(self) -> List[str]:
+    def _topological_sort(self) -> Tuple[str, ...]:
+        """Kahn's algorithm, always taking the smallest ready name."""
         in_degree = {name: len(node.parents) for name, node in self._nodes.items()}
-        ready = sorted(name for name, degree in in_degree.items() if degree == 0)
+        ready = [name for name, degree in in_degree.items() if degree == 0]
+        heapq.heapify(ready)
         order: List[str] = []
         while ready:
-            current = ready.pop(0)
+            current = heapq.heappop(ready)
             order.append(current)
-            newly_ready = []
             for child in self._children[current]:
                 in_degree[child] -= 1
                 if in_degree[child] == 0:
-                    newly_ready.append(child)
-            if newly_ready:
-                ready = sorted(ready + newly_ready)
+                    heapq.heappush(ready, child)
         if len(order) != len(self._nodes):
             remaining = sorted(set(self._nodes) - set(order))
             raise CycleError(f"workflow DAG contains a cycle involving {remaining}")
-        return order
+        return tuple(order)
 
     # -- transformations -------------------------------------------------------
     def sliced_to_outputs(self, outputs: Optional[Sequence[str]] = None) -> "WorkflowDAG":

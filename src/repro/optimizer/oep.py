@@ -12,8 +12,8 @@ exists) and the set of *original* nodes that must be recomputed (Constraint
 minimizing total run time subject to the execution-state constraint
 (Constraint 2: a computed node's parents may not be pruned).
 
-The problem is solved exactly in polynomial time by the reduction of
-Algorithm 1 to the Project Selection Problem:
+The problem is solved exactly by the reduction of Algorithm 1 to the Project
+Selection Problem:
 
 * for every node ``n_i`` create project ``a_i`` with profit ``-l_i`` and
   project ``b_i`` with profit ``l_i - c_i``;
@@ -22,12 +22,32 @@ Algorithm 1 to the Project Selection Problem:
   (computing a child requires every parent to be loaded or computed).
 
 Selecting ``{a_i, b_i}`` maps to ``Sc``, selecting only ``a_i`` maps to
-``Sl``, and selecting neither maps to ``Sp``.
+``Sl``, and selecting neither maps to ``Sp``.  Of all optimal selections the
+minimum cut yields the smallest, so ties go to the lesser state: never ``Sc``
+where ``Sl`` costs the same, never ``Sl`` where ``Sp`` does.
 
-Constraint 1 (original nodes must be recomputed) is enforced the same way the
-paper's ILP formulation does: original nodes get an effectively infinite load
-cost and a large negative compute cost, which makes ``Sc`` the unique optimal
-choice for them.  A brute-force reference solver is provided for testing.
+Most of that selection is settled by the DAG's structure, and a linear
+*presolve* (one sweep, children before parents) settles it before any
+network is built:
+
+* ``forced`` — an original node is computed (Constraint 1), which makes its
+  parents *must-produce*; so is every ``required`` node;
+* ``no_materialization`` — a must-produce node with ``l = inf`` is computed,
+  which passes must-produce on to its parents;
+* ``dominated_load`` — ``b_i`` has no dependants, so with ``c_i >= l_i`` it
+  is never selected: such a node is loaded if must-produce, and otherwise
+  loaded or pruned; either way it asks nothing of its parents;
+* ``unreachable_prune`` — a node that no must-produce node reaches upward
+  through nodes that may be computed (``c < l``) is in no minimal optimal
+  selection: it is pruned.
+
+Only the residue (``min_cut``) goes through the reduction, with the settled
+projects left out, so neither Constraint 1 nor an infinite load cost needs a
+big-M stand-in, and a rerun solves the cone above its change rather than the
+whole DAG: ``O(V + E)`` for the sweep plus Dinic's algorithm on the residue
+(see :mod:`repro.optimizer.maxflow`).  :class:`ExecutionPlan` reports how many
+nodes each rule decided and how large the network was.  A brute-force
+reference solver is provided for testing.
 """
 
 from __future__ import annotations
@@ -35,11 +55,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
-from ..core.dag import WorkflowDAG
+from ..core.dag import Node, WorkflowDAG
 from ..exceptions import OptimizationError
-from .psp import ProjectSelectionProblem
+from .maxflow import INFINITY, FlowNetwork
 
 __all__ = ["NodeState", "ExecutionPlan", "solve_oep", "brute_force_oep", "plan_run_time"]
 
@@ -54,11 +74,22 @@ class NodeState(str, Enum):
 
 @dataclass(frozen=True)
 class ExecutionPlan:
-    """A state assignment for every node plus its estimated run time."""
+    """A state assignment for every node plus its estimated run time.
+
+    ``decided_by`` counts the nodes each rule of the solver settled
+    (``forced``, ``no_materialization``, ``dominated_load``,
+    ``unreachable_prune``, ``min_cut``; see the module docstring) and
+    ``flow_nodes`` / ``flow_edges`` give the size of the min-cut network that
+    was built, 0 when the presolve settled everything.  They describe how the
+    plan was found, not the plan: two plans with the same states are equal.
+    """
 
     states: Mapping[str, NodeState]
     estimated_time: float
     forced: FrozenSet[str] = frozenset()
+    decided_by: Mapping[str, int] = field(default_factory=dict, compare=False)
+    flow_nodes: int = field(default=0, compare=False)
+    flow_edges: int = field(default=0, compare=False)
 
     def state(self, name: str) -> NodeState:
         return self.states[name]
@@ -99,18 +130,21 @@ def _validate_inputs(
 ) -> Tuple[Set[str], Set[str]]:
     forced = set(forced_compute)
     needed = set(required)
-    for name in dag.node_names:
-        if name not in compute_time:
-            raise OptimizationError(f"missing compute time for node {name!r}")
-        if name not in load_time:
-            raise OptimizationError(f"missing load time for node {name!r}")
-        if compute_time[name] < 0:
-            raise OptimizationError(f"negative compute time for node {name!r}")
-        if load_time[name] < 0:
-            raise OptimizationError(f"negative load time for node {name!r}")
-    unknown = (forced | needed) - set(dag.node_names)
+    names = dag.node_names
+    for kind, times in (("compute", compute_time), ("load", load_time)):
+        try:
+            lowest = min(map(times.__getitem__, names), default=0.0)
+        except KeyError as error:
+            raise OptimizationError(f"missing {kind} time for node {error.args[0]!r}") from None
+        if lowest < 0:
+            name = next(name for name in names if times[name] < 0)
+            raise OptimizationError(f"negative {kind} time for node {name!r}")
+    if max(map(compute_time.__getitem__, names), default=0.0) == INFINITY:
+        name = next(name for name in names if compute_time[name] == INFINITY)
+        raise OptimizationError(f"infinite compute time for node {name!r}")
+    unknown = sorted(name for name in forced | needed if name not in dag)
     if unknown:
-        raise OptimizationError(f"forced/required nodes not in DAG: {sorted(unknown)}")
+        raise OptimizationError(f"forced/required nodes not in DAG: {unknown}")
     return forced, needed
 
 
@@ -121,7 +155,7 @@ def solve_oep(
     forced_compute: Iterable[str] = (),
     required: Iterable[str] = (),
 ) -> ExecutionPlan:
-    """Solve OPT-EXEC-PLAN exactly via the PSP/min-cut reduction (Algorithm 1).
+    """Solve OPT-EXEC-PLAN exactly: linear presolve, then Algorithm 1 on the rest.
 
     Parameters
     ----------
@@ -140,95 +174,111 @@ def solve_oep(
         its outputs".
     """
     forced, needed = _validate_inputs(dag, compute_time, load_time, forced_compute, required)
+    computed, loaded = NodeState.COMPUTE, NodeState.LOAD
 
-    finite_costs = [v for v in compute_time.values() if v != float("inf")]
-    finite_costs += [v for v in load_time.values() if v != float("inf")]
-    big = sum(finite_costs) + 1.0
-
-    adjusted_compute: Dict[str, float] = {}
-    adjusted_load: Dict[str, float] = {}
-    for name in dag.node_names:
-        c = compute_time[name]
-        l = load_time[name]
+    # Presolve, children before parents, so that by the time a node is visited
+    # every computed child has already put it in ``must``.
+    states: Dict[str, NodeState] = dict.fromkeys(dag.node_names, NodeState.PRUNE)
+    must = forced | needed  # produced (Sc or Sl) in every feasible plan
+    reach: Set[str] = set()  # produced only if the cut computes a descendant
+    residue: List[Node] = []
+    unloadable = dominated = 0
+    for node in reversed(list(dag)):
+        name = node.name
         if name in forced:
-            # Constraint 1: make Sc the unique optimal choice for this node by
-            # making loading prohibitively expensive and computing "profitable"
-            # enough to outweigh any cascading parent costs.
-            c = -big
-            l = big * 2.0
-        else:
-            if l == float("inf"):
-                l = big * 2.0
-            if c == float("inf"):
-                c = big * 2.0
-        adjusted_compute[name] = c
-        adjusted_load[name] = l
+            states[name] = computed
+            must.update(node.parents)
+        elif name in must:
+            if load_time[name] == INFINITY:
+                states[name] = computed
+                unloadable += 1
+                must.update(node.parents)
+            elif compute_time[name] >= load_time[name]:
+                states[name] = loaded
+                dominated += 1
+            else:
+                residue.append(node)
+                reach.update(node.parents)
+        elif name in reach:
+            residue.append(node)
+            if compute_time[name] < load_time[name]:
+                reach.update(node.parents)
 
-    psp = ProjectSelectionProblem()
-    for name in dag.node_names:
-        # A required node gets a selection bonus on its "a" project large
-        # enough that every optimal solution selects it (i.e. does not prune
-        # it); the load-vs-compute trade-off via the "b" project is unchanged.
-        bonus = big * 4.0 if name in needed and name not in forced else 0.0
-        psp.add_project(("a", name), bonus - adjusted_load[name])
-        psp.add_project(("b", name), adjusted_load[name] - adjusted_compute[name],
-                        prerequisites=[("a", name)])
-    for parent, child in dag.edges:
-        psp.add_prerequisite(("b", child), ("a", parent))
-
-    solution = psp.solve()
-
-    states: Dict[str, NodeState] = {}
-    for name in dag.node_names:
-        picked_a = ("a", name) in solution.selected
-        picked_b = ("b", name) in solution.selected
-        if picked_a and picked_b:
-            states[name] = NodeState.COMPUTE
-        elif picked_a:
-            states[name] = NodeState.LOAD
-        else:
-            states[name] = NodeState.PRUNE
-
-    _repair_plan(dag, states, compute_time, load_time, forced, needed)
-    estimated = plan_run_time(states, compute_time, load_time)
-    return ExecutionPlan(states=states, estimated_time=estimated, forced=frozenset(forced))
+    flow_nodes = flow_edges = 0
+    if residue:
+        flow_nodes, flow_edges = _cut_residue(residue, must, compute_time, load_time, states)
+    decided_by = {
+        "forced": len(forced),
+        "no_materialization": unloadable,
+        "dominated_load": dominated,
+        "unreachable_prune": len(states) - len(forced) - unloadable - dominated - len(residue),
+        "min_cut": len(residue),
+    }
+    return ExecutionPlan(
+        states=states,
+        estimated_time=plan_run_time(states, compute_time, load_time),
+        forced=frozenset(forced),
+        decided_by=decided_by,
+        flow_nodes=flow_nodes,
+        flow_edges=flow_edges,
+    )
 
 
-def _repair_plan(
-    dag: WorkflowDAG,
-    states: Dict[str, NodeState],
+def _cut_residue(
+    residue: List[Node],
+    must: Set[str],
     compute_time: Mapping[str, float],
     load_time: Mapping[str, float],
-    forced: Set[str],
-    required: Set[str] = frozenset(),
-) -> None:
-    """Defensively enforce feasibility on the mapped PSP solution.
+    states: Dict[str, NodeState],
+) -> Tuple[int, int]:
+    """Algorithm 1 on the nodes the presolve left open; fills in ``states``.
 
-    With exact arithmetic the mapped solution always satisfies Constraints 1
-    and 2 (see Theorem 2); tiny floating-point slack in the max-flow solver
-    can in principle flip a zero-profit project, so we repair rather than
-    fail: forced nodes are set to compute, required nodes are promoted out of
-    the pruned state, and pruned parents of computed nodes are promoted to
-    the cheaper of load/compute (in reverse topological order so promotions
-    cascade correctly).
+    Node ``k`` of the residue owns network node ``2k + 2`` for its project
+    ``a`` (produce it) and ``2k + 3`` for ``b`` (compute it); 0 is the source
+    and 1 the sink.  A project the presolve settled is left out: ``a`` of a
+    ``must`` node is selected, ``b`` of a node with ``c >= l`` is not.  A node
+    that cannot be loaded has the single project ``b``, worth ``-c``, which
+    stands for both.  Returns the network's node and edge counts.
     """
-    for name in forced:
-        states[name] = NodeState.COMPUTE
-    for name in required:
-        if states[name] is NodeState.PRUNE:
-            if load_time[name] <= compute_time[name]:
-                states[name] = NodeState.LOAD
-            else:
-                states[name] = NodeState.COMPUTE
-    for name in reversed(dag.topological_order()):
-        if states[name] is not NodeState.COMPUTE:
+    source, sink = 0, 1
+    network = FlowNetwork()
+    network.add_node(source)
+    network.add_node(sink)
+    add_edge = network.add_edge
+    # Network node whose selection means "this node is produced", for the
+    # nodes where that is still open.
+    produced: Dict[str, int] = {}
+    for k, node in enumerate(residue):
+        if node.name not in must:
+            produced[node.name] = 2 * k + 2 + (load_time[node.name] == INFINITY)
+    for k, node in enumerate(residue):
+        name = node.name
+        c, l = compute_time[name], load_time[name]
+        a = 2 * k + 2
+        b = a + 1
+        if c >= l:
+            add_edge(a, sink, l)
             continue
-        for parent in dag.parents(name):
-            if states[parent] is NodeState.PRUNE:
-                if load_time[parent] <= compute_time[parent]:
-                    states[parent] = NodeState.LOAD
-                else:
-                    states[parent] = NodeState.COMPUTE
+        if l == INFINITY:
+            add_edge(b, sink, c)
+        else:
+            add_edge(source, b, l - c)
+            if name not in must:
+                add_edge(b, a, INFINITY)
+                add_edge(a, sink, l)
+        for parent in node.parents:
+            target = produced.get(parent)
+            if target is not None:
+                add_edge(b, target, INFINITY)
+
+    _value, selected, _rest = network.min_cut(source, sink)
+    for k, node in enumerate(residue):
+        a = 2 * k + 2
+        if a + 1 in selected:
+            states[node.name] = NodeState.COMPUTE
+        elif a in selected or node.name in must:
+            states[node.name] = NodeState.LOAD
+    return len(network.nodes), network.num_edges
 
 
 def brute_force_oep(

@@ -59,6 +59,9 @@ class Catalog:
 
     def __init__(self, path: Optional[Path] = None):
         self._records: Dict[str, ArtifactRecord] = {}
+        #: node name -> signatures stored for it, in insertion order, so the
+        #: per-node purge before each iteration does not scan every record.
+        self._by_node: Dict[str, Dict[str, None]] = {}
         self._path = Path(path) if path is not None else None
         if self._path is not None and self._path.exists():
             self._load()
@@ -74,10 +77,23 @@ class Catalog:
         return self._records.get(signature)
 
     def add(self, record: ArtifactRecord) -> None:
+        previous = self._records.get(record.signature)
+        if previous is not None and previous.node_name != record.node_name:
+            self._unindex(previous)
         self._records[record.signature] = record
+        self._by_node.setdefault(record.node_name, {})[record.signature] = None
 
     def remove(self, signature: str) -> Optional[ArtifactRecord]:
-        return self._records.pop(signature, None)
+        record = self._records.pop(signature, None)
+        if record is not None:
+            self._unindex(record)
+        return record
+
+    def _unindex(self, record: ArtifactRecord) -> None:
+        signatures = self._by_node[record.node_name]
+        del signatures[record.signature]
+        if not signatures:
+            del self._by_node[record.node_name]
 
     def records(self) -> List[ArtifactRecord]:
         return sorted(self._records.values(), key=lambda r: (r.node_name, r.signature))
@@ -87,10 +103,10 @@ class Catalog:
         return sum(record.size_bytes for record in self._records.values())
 
     def by_node(self, node_name: str) -> List[ArtifactRecord]:
-        return [r for r in self._records.values() if r.node_name == node_name]
+        return [self._records[signature] for signature in self._by_node.get(node_name, ())]
 
     def signatures_for_node(self, node_name: str) -> List[str]:
-        return [r.signature for r in self.by_node(node_name)]
+        return list(self._by_node.get(node_name, ()))
 
     def stale_signatures(self, node_name: str, current_signature: str) -> List[str]:
         """Signatures stored for ``node_name`` that differ from the current one.
@@ -100,9 +116,9 @@ class Catalog:
         monotonic); the store uses this query to find what to purge.
         """
         return [
-            record.signature
-            for record in self.by_node(node_name)
-            if record.signature != current_signature
+            signature
+            for signature in self._by_node.get(node_name, ())
+            if signature != current_signature
         ]
 
     # ------------------------------------------------------------------ persistence
@@ -116,5 +132,4 @@ class Catalog:
     def _load(self) -> None:
         payload = json.loads(self._path.read_text())
         for entry in payload:
-            record = ArtifactRecord.from_dict(entry)
-            self._records[record.signature] = record
+            self.add(ArtifactRecord.from_dict(entry))

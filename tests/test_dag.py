@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dag import Node, WorkflowDAG
 from repro.core.operators import Component
 from repro.exceptions import CycleError, DAGError
+from repro.workloads import get_workload
 
 from conftest import ConstOperator, SumOperator, make_chain_dag, make_diamond_dag
 
@@ -119,3 +122,49 @@ class TestTransformations:
         chain = make_chain_dag(5)
         assert chain.topological_order() == ("n0", "n1", "n2", "n3", "n4")
         assert chain.ancestors("n4") == frozenset({"n0", "n1", "n2", "n3"})
+
+
+def _sorted_list_order(dag):
+    """The ordering rule as first written: keep the ready names in a sorted
+    list, take the first, merge in the children that became ready."""
+    in_degree = {name: len(dag.parents(name)) for name in dag.nodes}
+    ready = sorted(name for name, degree in in_degree.items() if degree == 0)
+    order = []
+    while ready:
+        current = ready.pop(0)
+        order.append(current)
+        newly_ready = []
+        for child in dag.children(current):
+            in_degree[child] -= 1
+            if in_degree[child] == 0:
+                newly_ready.append(child)
+        ready = sorted(ready + newly_ready)
+    return tuple(order)
+
+
+class TestImmutableViews:
+    @pytest.mark.parametrize("workload", ["census", "mnist", "genomics", "nlp"])
+    def test_order_of_paper_workloads(self, workload):
+        workload = get_workload(workload)
+        dag = workload.build(workload.initial_config(scale=0.1, seed=7)).compile()
+        assert dag.topological_order() == _sorted_list_order(dag)
+        assert dag.sliced_to_outputs().node_names == _sorted_list_order(dag.sliced_to_outputs())
+
+    @given(st.lists(st.lists(st.booleans(), max_size=12), min_size=1, max_size=12), st.randoms())
+    @settings(max_examples=100, deadline=None)
+    def test_order_of_random_dags(self, picks, rng):
+        # Shuffled labels, so that name order and declaration order disagree.
+        labels = [f"n{i}" for i in range(len(picks))]
+        rng.shuffle(labels)
+        nodes = [
+            Node.create(labels[i], SumOperator(), parents=[labels[j] for j, take in enumerate(row[:i]) if take])
+            for i, row in enumerate(picks)
+        ]
+        rng.shuffle(nodes)
+        dag = WorkflowDAG(nodes)
+        assert dag.topological_order() == _sorted_list_order(dag)
+
+    def test_views_are_built_once(self, diamond_dag):
+        assert diamond_dag.edges is diamond_dag.edges
+        assert diamond_dag.node_names is diamond_dag.topological_order()
+        assert isinstance(diamond_dag.node_names, tuple)

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dag import Node, WorkflowDAG
 from repro.exceptions import OptimizationError
-from repro.optimizer.oep import NodeState, brute_force_oep, plan_run_time, solve_oep
+from repro.optimizer.oep import (
+    ExecutionPlan,
+    NodeState,
+    _is_feasible,
+    brute_force_oep,
+    plan_run_time,
+    solve_oep,
+)
 
 from conftest import ConstOperator, SumOperator, make_chain_dag, make_diamond_dag
 
@@ -118,6 +127,12 @@ class TestValidation:
         with pytest.raises(OptimizationError):
             solve_oep(diamond_dag, compute, load)
 
+    def test_infinite_compute_time_rejected(self, diamond_dag):
+        compute, load = _costs(diamond_dag)
+        compute["a"] = INF
+        with pytest.raises(OptimizationError, match="infinite compute time for node 'a'"):
+            solve_oep(diamond_dag, compute, load)
+
     def test_unknown_forced_node_rejected(self, diamond_dag):
         compute, load = _costs(diamond_dag)
         with pytest.raises(OptimizationError):
@@ -201,3 +216,94 @@ class TestOptimality:
             if state is NodeState.COMPUTE:
                 for parent in dag.parents(name):
                     assert plan.states[parent] is not NodeState.PRUNE
+
+
+_RANK = {NodeState.PRUNE: 0, NodeState.LOAD: 1, NodeState.COMPUTE: 2}
+
+
+@st.composite
+def tied_oep_instances(draw, max_nodes=10):
+    """Random DAGs with small integer costs, so that zero costs and exact ties
+    (``c == l``, a profit equal to a prerequisite's cost) are common."""
+    n = draw(st.integers(1, max_nodes))
+    parents = [
+        [j for j in range(i) if draw(st.integers(0, max(i, 2))) < 2] for i in range(n)
+    ]
+    cost = st.sampled_from([0.0, 0.0, 1.0, 1.0, 2.0, 3.0, 5.0])
+    compute = {f"n{i}": draw(cost) for i in range(n)}
+    load = {f"n{i}": INF if draw(st.integers(0, 2)) == 0 else draw(cost) for i in range(n)}
+    forced = [f"n{i}" for i in range(n) if draw(st.integers(0, 5)) == 0]
+    required = [f"n{i}" for i in range(n) if draw(st.integers(0, 5)) == 0]
+    return _build_dag(parents), compute, load, forced, required
+
+
+class TestPlanIdentity:
+    """The solver returns the optimum, and of all optima the least one."""
+
+    @given(tied_oep_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_cost_is_the_brute_force_optimum_and_the_plan_is_feasible(self, instance):
+        dag, compute, load, forced, required = instance
+        plan = solve_oep(dag, compute, load, forced_compute=forced, required=required)
+        exact = brute_force_oep(dag, compute, load, forced_compute=forced, required=required)
+        assert plan.estimated_time == exact.estimated_time
+        # Constraints 1 and 2 hold as returned: there is nothing to repair.
+        assert _is_feasible(dag, plan.states, load, set(forced), set(required))
+        assert list(plan.states) == list(dag.node_names)
+        assert sum(plan.decided_by.values()) == len(dag)
+
+    @given(tied_oep_instances(max_nodes=7))
+    @settings(max_examples=60, deadline=None)
+    def test_ties_go_to_the_lesser_state(self, instance):
+        """Never Sc where Sl ties, never Sl where Sp ties: the plan is
+        pointwise below every other optimal plan."""
+        dag, compute, load, forced, required = instance
+        plan = solve_oep(dag, compute, load, forced_compute=forced, required=required)
+        names = dag.node_names
+        for assignment in itertools.product(list(NodeState), repeat=len(names)):
+            other = dict(zip(names, assignment))
+            if not _is_feasible(dag, other, load, set(forced), set(required)):
+                continue
+            if plan_run_time(other, compute, load) != plan.estimated_time:
+                continue
+            assert all(_RANK[plan.states[name]] <= _RANK[other[name]] for name in names)
+
+
+class TestDecidedBy:
+    def test_all_forced_builds_no_network(self, diamond_dag):
+        compute, load = _costs(diamond_dag, load=0.5)
+        plan = solve_oep(diamond_dag, compute, load, forced_compute=diamond_dag.node_names)
+        assert plan.decided_by["forced"] == len(diamond_dag)
+        assert (plan.flow_nodes, plan.flow_edges) == (0, 0)
+
+    def test_nothing_stored_rerun_builds_no_network(self):
+        dag = make_chain_dag(5)
+        compute, load = _costs(dag)
+        plan = solve_oep(dag, compute, load, forced_compute=["n2"])
+        assert plan.decided_by == {
+            "forced": 1, "no_materialization": 2, "dominated_load": 0,
+            "unreachable_prune": 2, "min_cut": 0,
+        }
+        assert (plan.flow_nodes, plan.flow_edges) == (0, 0)
+
+    def test_dominated_load_needs_no_network(self):
+        dag = make_chain_dag(3)
+        compute, load = _costs(dag, compute=2.0, load=1.0)
+        plan = solve_oep(dag, compute, load, forced_compute=["n2"])
+        assert plan.states == {"n0": NodeState.PRUNE, "n1": NodeState.LOAD, "n2": NodeState.COMPUTE}
+        assert plan.decided_by["dominated_load"] == 1
+        assert plan.decided_by["unreachable_prune"] == 1
+        assert plan.flow_nodes == 0
+
+    def test_open_choices_go_to_the_min_cut(self):
+        dag = make_chain_dag(3)
+        compute, load = _costs(dag, compute=1.0, load=3.0)
+        plan = solve_oep(dag, compute, load, forced_compute=["n2"])
+        # Computing n1 (1) from a computed n0 (1) beats loading n1 (3).
+        assert all(state is NodeState.COMPUTE for state in plan.states.values())
+        assert plan.decided_by["min_cut"] == 2
+        assert plan.flow_nodes > 0 and plan.flow_edges > 0
+
+    def test_provenance_does_not_enter_plan_equality(self):
+        states = {"a": NodeState.COMPUTE}
+        assert ExecutionPlan(states, 1.0, decided_by={"forced": 1}, flow_nodes=4) == ExecutionPlan(states, 1.0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,31 @@ class TestCatalog:
         catalog.add(self._record("old", "a"))
         catalog.add(self._record("new", "a"))
         assert catalog.stale_signatures("a", "new") == ["old"]
+
+    def test_node_index_matches_a_scan_of_the_records(self, tmp_path):
+        """by_node / stale_signatures answer from the node index; a scan of
+        every record is the reference, across add, replace, remove and reload."""
+        rng = random.Random(13)
+        path = tmp_path / "catalog.json"
+        catalog = Catalog(path=path)
+        nodes = [f"n{i}" for i in range(5)]
+        for step in range(600):
+            signature = f"s{rng.randrange(30)}"
+            if rng.random() < 0.6:
+                catalog.add(self._record(signature, rng.choice(nodes), size=step))
+            else:
+                catalog.remove(signature)
+            if step % 100 == 99:
+                catalog.save()
+                catalog = Catalog(path=path)
+            for node in nodes:
+                scanned = [r for r in catalog.records() if r.node_name == node]
+                assert sorted(catalog.by_node(node), key=lambda r: r.signature) == scanned
+                assert sorted(catalog.signatures_for_node(node)) == [r.signature for r in scanned]
+                assert sorted(catalog.stale_signatures(node, "s7")) == [
+                    r.signature for r in scanned if r.signature != "s7"
+                ]
+        assert catalog.by_node("ghost") == []
 
     def test_persistence(self, tmp_path):
         path = tmp_path / "catalog.json"
@@ -142,6 +169,19 @@ class TestInMemoryStore:
         removed = store.purge_node("node", keep_signature="new_sig")
         assert removed == ["old_sig"]
         assert store.has("new_sig") and store.has("other_sig")
+
+    def test_purge_node_removes_in_insertion_order_and_clear_forgets_nodes(self):
+        store = InMemoryStore()
+        for index in range(6):
+            store.put("node", f"sig{index}", index)
+            store.put(f"other{index}", f"other_sig{index}", index)
+        store.delete("sig2")
+        assert store.purge_node("node", keep_signature="sig4") == ["sig0", "sig1", "sig3", "sig5"]
+        assert store.purge_node("node", keep_signature="sig4") == []
+        assert store.purge_node("never_stored") == []
+        assert len(store.artifacts()) == 7
+        store.clear()
+        assert store.catalog.by_node("node") == [] and store.purge_node("other0") == []
 
     def test_modelled_io_time_scales_with_size(self):
         store = InMemoryStore(disk_bandwidth=1e6)

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
+from repro.core.workflow import Workflow
+from repro.execution.clock import SimulatedCostModel
+from repro.experiments.runner import run_lifecycle
 from repro.optimizer.oep import NodeState
 from repro.systems.deepdive import DeepDiveSystem
 from repro.systems.helix import HelixSystem
 from repro.systems.keystoneml import KeystoneMLSystem
 from repro.workloads import IterationSpec, IterationType, get_workload
 from repro.workloads.census import CensusConfig
+from repro.workloads.synthetic import LatencyOperator
 
 
 WORKLOAD = get_workload("census")
@@ -170,3 +176,99 @@ class TestDeepDive:
         fast_stats = fast.run_iteration(WORKLOAD.build(SMALL), iteration=0)
         slow_stats = slow.run_iteration(WORKLOAD.build(SMALL), iteration=0)
         assert slow_stats.component_breakdown()["DPR"] > fast_stats.component_breakdown()["DPR"]
+
+
+def _state_counts(stats):
+    return tuple(len(stats.nodes_in_state(state)) for state in NodeState)
+
+
+#: Per-iteration (Sc, Sl, Sp) node counts of ``HelixSystem.opt`` lifecycles
+#: under the simulated clock (seed 7, scale 0.1), captured with the
+#: Edmonds-Karp / big-M solver this one replaced: the plans must not move.
+GOLDEN_STATE_COUNTS = {
+    "census": [(12, 0, 0), (1, 2, 9), (1, 2, 9), (1, 2, 9), (4, 7, 1), (2, 2, 8), (1, 2, 9),
+               (4, 7, 2), (1, 2, 10), (1, 2, 10)],
+    "mnist": [(6, 0, 0), (2, 1, 3), (1, 1, 4), (2, 1, 3), (5, 1, 0), (5, 1, 0), (1, 1, 4),
+              (5, 1, 0), (1, 1, 4), (2, 1, 3)],
+    "genomics": [(7, 0, 0), (1, 1, 5), (1, 1, 5), (1, 1, 5), (3, 2, 2), (3, 2, 2), (1, 1, 5),
+                 (7, 0, 0), (1, 1, 5), (1, 1, 5)],
+    "nlp": [(12, 0, 0), (4, 4, 4), (3, 4, 4), (4, 4, 4), (10, 1, 1), (3, 4, 4)],
+}
+
+
+def _grid_workflow(layers, width, edits):
+    """``layers x width`` ring-connected grid joined by one output sink: node
+    ``(l, j)`` reads ``(l-1, j)`` and ``(l-1, j+1 mod width)``.  50 us of
+    declared compute against a modelled load of 100 us, so that loading a node
+    is dearer than computing it but cheaper than computing its ancestors."""
+    wf = Workflow("grid")
+    for layer in range(layers):
+        for column in range(width):
+            name = f"n{layer}_{column}"
+            parents = [f"n{layer - 1}_{column}", f"n{layer - 1}_{(column + 1) % width}"] if layer else []
+            offset = edits.get((layer, column), 1.0 + 0.001 * column)
+            wf.node(name, LatencyOperator(offset=offset, scale=0.5, cost=5e-5, tag=name), parents)
+    tails = [f"n{layers - 1}_{column}" for column in range(width)]
+    wf.node("sink", LatencyOperator(scale=1.0 / width, cost=5e-5, tag="sink"), tails, is_output=True)
+    return wf
+
+
+class TestGoldenPlans:
+    @pytest.mark.parametrize("workload", sorted(GOLDEN_STATE_COUNTS))
+    def test_paper_lifecycle_plans_are_unchanged(self, workload):
+        system = HelixSystem.opt(cost_model=SimulatedCostModel())
+        result = run_lifecycle(system, workload, seed=7, scale=0.1)
+        assert [_state_counts(stats) for stats in result.iterations] == GOLDEN_STATE_COUNTS[workload]
+
+    def test_grid_rerun_plans_are_unchanged(self):
+        """15 x 50 grid, one mid-layer edit per rerun: the edit's cone is
+        recomputed from a loaded frontier and everything else is pruned."""
+        system = HelixSystem.opt(cost_model=SimulatedCostModel())
+        edits = {}
+        counts = []
+        for iteration, column in enumerate((None, 17, 42)):
+            if column is not None:
+                edits[(7, column)] = 1.0 + iteration
+            counts.append(_state_counts(system.run_iteration(_grid_workflow(15, 50, edits), iteration)))
+        assert counts == [(751, 0, 0), (37, 58, 656), (37, 58, 656)]
+        assert [sum(column) for column in zip(*counts)] == [825, 116, 1312]
+
+
+class TestSettledWithoutANetwork:
+    """Iterations the presolve decides outright never build a flow network."""
+
+    @staticmethod
+    def _recorded_plans(monkeypatch, system_class):
+        """Every plan the system's module gets back from ``solve_oep``."""
+        module = sys.modules[system_class.__module__]
+        plans = []
+        solve = module.solve_oep
+
+        def recording(*args, **kwargs):
+            plans.append(solve(*args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(module, "solve_oep", recording)
+        return plans
+
+    @pytest.mark.parametrize("system_class", [KeystoneMLSystem, DeepDiveSystem])
+    def test_comparator_systems_force_every_node(self, monkeypatch, system_class):
+        plans = self._recorded_plans(monkeypatch, system_class)
+        system = system_class(seed=0)
+        system.run_iteration(WORKLOAD.build(SMALL), iteration=0)
+        system.run_iteration(WORKLOAD.build(_modified(SMALL, IterationType.PPR)), iteration=1)
+        assert len(plans) == 2
+        for plan in plans:
+            assert plan.decided_by["forced"] == len(plan.states)
+            assert (plan.flow_nodes, plan.flow_edges) == (0, 0)
+
+    def test_helix_first_iteration_and_nothing_stored_rerun(self, monkeypatch):
+        plans = self._recorded_plans(monkeypatch, HelixSystem)
+        system = HelixSystem.never_materialize(seed=0)
+        system.run_iteration(WORKLOAD.build(SMALL), iteration=0)
+        system.run_iteration(WORKLOAD.build(_modified(SMALL, IterationType.PPR)), iteration=1)
+        first, rerun = plans
+        assert first.decided_by["forced"] == len(first.states)
+        assert 0 < rerun.decided_by["forced"] < len(rerun.states)
+        assert rerun.decided_by["min_cut"] == rerun.decided_by["dominated_load"] == 0
+        assert first.flow_nodes == rerun.flow_nodes == 0

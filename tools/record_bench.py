@@ -13,6 +13,11 @@ Usage::
     python tools/record_bench.py --list
     python tools/record_bench.py fig7_distributed
     python tools/record_bench.py all            # every registered snapshot
+    python tools/record_bench.py optimizer_micro --before parent.json
+
+``--before PATH`` is for a change that claims a speed-up: PATH is the same
+benchmark's ``--json`` dump measured on the parent commit, and the snapshot
+then keeps both, as ``measurements.before`` and ``measurements.after``.
 
 Absolute timings in a snapshot are machine-specific — the stable parts are
 the structure, the speedup ratios and the pass/fail ``failures`` list (a
@@ -46,15 +51,21 @@ SNAPSHOTS: Dict[str, Dict[str, List[str]]] = {
         "script": ["benchmarks/bench_serialization_micro.py"],
         "args": ["--smoke"],
     },
+    # The full sweep (up to 10^4 nodes) takes under ten seconds.
+    "optimizer_micro": {
+        "script": ["benchmarks/bench_optimizer_micro.py"],
+        "args": [],
+    },
 }
 
 
-def record(name: str, output: Optional[Path] = None) -> Path:
+def record(name: str, output: Optional[Path] = None, before: Optional[Path] = None) -> Path:
     """Run one registered benchmark and write its tracked snapshot.
 
     Returns the snapshot path.  Raises ``RuntimeError`` if the benchmark
     exits non-zero or reports bar failures — a failing measurement must
-    not become the committed reference.
+    not become the committed reference.  ``before`` names a dump of the same
+    benchmark measured on the parent commit, kept beside the fresh one.
     """
     config = SNAPSHOTS[name]
     destination = output or (REPO_ROOT / f"BENCH_{name}.json")
@@ -80,6 +91,11 @@ def record(name: str, output: Optional[Path] = None) -> Path:
         raise RuntimeError(
             f"{name}: refusing to snapshot a failing run: {measurements['failures']}"
         )
+    if before is not None:
+        measurements = {
+            "before": json.loads(before.read_text(encoding="utf-8")),
+            "after": measurements,
+        }
     snapshot = {
         "benchmark": name,
         "command": [*config["script"], *config["args"]],
@@ -115,6 +131,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="write the snapshot somewhere other than BENCH_<name>.json "
         "(single snapshot only)",
     )
+    parser.add_argument(
+        "--before",
+        type=Path,
+        default=None,
+        metavar="PATH",
+        help="--json dump of the same benchmark measured on the parent commit; "
+        "the snapshot keeps it as 'before' and the fresh run as 'after' "
+        "(single snapshot only)",
+    )
     args = parser.parse_args(argv)
     if args.list:
         for name, config in sorted(SNAPSHOTS.items()):
@@ -126,10 +151,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     unknown = [name for name in names if name not in SNAPSHOTS]
     if unknown:
         parser.error(f"unknown snapshot(s): {unknown}; --list shows the registry")
-    if args.output is not None and len(names) != 1:
-        parser.error("--output only applies to a single snapshot")
+    if (args.output is not None or args.before is not None) and len(names) != 1:
+        parser.error("--output and --before only apply to a single snapshot")
     for name in names:
-        record(name, output=args.output)
+        record(name, output=args.output, before=args.before)
     return 0
 
 
