@@ -1,7 +1,7 @@
 """Micro-benchmark for the canonical wire serialization layer.
 
-Measures the three quantities protocol v4 was built around, against a plain
-``pickle.dumps``/``loads`` baseline:
+Measures four quantities against a plain ``pickle.dumps``/``loads``
+baseline (protocol 5):
 
 * **bytes on the wire** for a numpy-backed artifact — canonical encoding
   must be no larger than pickle for the payloads the executors actually
@@ -12,14 +12,21 @@ Measures the three quantities protocol v4 was built around, against a plain
   ``encode_segments`` as out-of-band memoryviews sharing the source arrays'
   memory (the gather-write dispatch path never copies them);
 * **round-trip throughput** for the small control messages the coordinator
-  and workers exchange per task (encode + decode, messages/second).
+  and workers exchange per task (encode + decode, messages/second);
+* **the data model** — the six artifact kinds the paper workloads store
+  (census ``predictions``, ``income``, ``eduExt`` and ``rows``; mnist
+  ``digits`` and ``rffFeatures``), built deterministically by running the
+  first iteration of each workload with every node materialized: canonical
+  vs pickle bytes and best-of-N encode/decode milliseconds per artifact.
 
 Running this file as a script (``python benchmarks/bench_serialization_micro.py
 [--smoke] [--json PATH]``) executes all sections standalone, without
-pytest-benchmark, and enforces the size and zero-copy bars; throughput is
-report-only (absolute rates are machine-specific).  ``--json`` dumps every
-section's measurements for the CI artifact upload; CI runs the smoke variant
-on every push (see ``.github/workflows/ci.yml``).
+pytest-benchmark, and enforces the size and zero-copy bars — including
+canonical <= 1.10x pickle bytes on every data-model artifact; throughput
+and the data-model speed ratios are report-only (absolute rates are
+machine-specific).  ``--json`` dumps every section's measurements for the
+CI artifact upload; CI runs the smoke variant on every push (see
+``.github/workflows/ci.yml``).
 """
 
 from __future__ import annotations
@@ -33,15 +40,32 @@ from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
+from repro.execution.clock import SimulatedCostModel
 from repro.storage.canonical import decode, encode, encode_segments
 from repro.storage.serialization import deserialize, serialize
+from repro.storage.store import InMemoryStore
+from repro.systems import HelixSystem
+from repro.workloads.base import get_workload
 
-from _bench_helpers import emit, run_once
+from _bench_helpers import SEED, emit, run_once
 
 #: The canonical header/tag overhead allowance vs pickle: the acceptance bar
 #: is "no worse than pickle" on array-dominated artifacts, with 1% slack for
 #: payloads small enough that header bytes are visible at all.
 SIZE_RATIO_BAR = 1.01
+
+#: Bytes bar on every data-model artifact: canonical <= 1.10x pickle.
+DATA_MODEL_SIZE_BAR = 1.10
+
+#: Stored artifact kinds measured by the data-model section, per workload.
+DATA_MODEL_ARTIFACTS: Dict[str, Tuple[str, ...]] = {
+    "census": ("predictions", "income", "eduExt", "rows"),
+    "mnist": ("digits", "rffFeatures"),
+}
+
+#: Workload scales of the full run: those of the ``census_reuse`` and
+#: ``mnist_churn`` lifecycles in ``benchmarks/e2e``.
+DATA_MODEL_SCALES = {"census": 0.5, "mnist": 0.25}
 
 
 def _numpy_artifact(scale: int) -> Dict[str, Any]:
@@ -120,7 +144,94 @@ def measure_throughput(message_count: int, repeats: int = 3) -> Dict[str, float]
     }
 
 
-def _format_sections(sections: Dict[str, Dict[str, float]]) -> str:
+class _RecordingStore(InMemoryStore):
+    """An in-memory store that also keeps each value as its producer built it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.values: Dict[str, Any] = {}
+
+    def put(self, node_name: str, signature: str, value: Any, iteration: int = 0):
+        self.values[node_name] = value
+        return super().put(node_name, signature, value, iteration=iteration)
+
+
+def data_model_artifacts(scale: float) -> Dict[str, Any]:
+    """The six stored artifact kinds, from one fully materialized iteration 0.
+
+    ``scale`` multiplies :data:`DATA_MODEL_SCALES`; the data seed is fixed,
+    so the artifacts are the same on every run.
+    """
+    artifacts: Dict[str, Any] = {}
+    for workload, nodes in DATA_MODEL_ARTIFACTS.items():
+        store = _RecordingStore()
+        system = HelixSystem.always_materialize(store=store, cost_model=SimulatedCostModel())
+        spec = get_workload(workload)
+        config = spec.initial_config(scale=DATA_MODEL_SCALES[workload] * scale, seed=SEED)
+        system.run_iteration(spec.build(config), iteration=0)
+        for node in nodes:
+            artifacts[f"{workload}.{node}"] = store.values[node]
+    return artifacts
+
+
+def _best_ms(fn, repeats: int) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - started)
+    return best * 1e3
+
+
+def measure_data_model(scale: float, repeats: int = 7) -> Dict[str, Dict[str, float]]:
+    """Per artifact: canonical vs pickle-5 bytes and best-of-N milliseconds."""
+    rows: Dict[str, Dict[str, float]] = {}
+    for name, value in data_model_artifacts(scale).items():
+        payload = encode(value)
+        pickled = pickle.dumps(value, protocol=5)
+        rows[name] = {
+            "canonical_bytes": len(payload),
+            "pickle_bytes": len(pickled),
+            "size_ratio": len(payload) / len(pickled),
+            "encode_ms": _best_ms(lambda: encode(value), repeats),
+            "decode_ms": _best_ms(lambda: decode(payload), repeats),
+            "pickle_dumps_ms": _best_ms(lambda: pickle.dumps(value, protocol=5), repeats),
+            "pickle_loads_ms": _best_ms(lambda: pickle.loads(pickled), repeats),
+            "round_trip_exact": encode(decode(payload)) == payload,
+        }
+    return rows
+
+
+def _format_data_model(rows: Dict[str, Dict[str, float]]) -> List[str]:
+    lines = [
+        "data model (canonical / pickle-5):",
+        f"  {'artifact':<20} {'bytes':>17} {'ratio':>6} "
+        f"{'encode ms':>16} {'decode ms':>16}",
+    ]
+    for name, row in rows.items():
+        lines.append(
+            f"  {name:<20} {int(row['canonical_bytes']):>8}/{int(row['pickle_bytes']):<8} "
+            f"{row['size_ratio']:>6.2f} "
+            f"{row['encode_ms']:>7.2f}/{row['pickle_dumps_ms']:<8.2f} "
+            f"{row['decode_ms']:>7.2f}/{row['pickle_loads_ms']:<8.2f}"
+        )
+    return lines
+
+
+def _data_model_failures(rows: Dict[str, Dict[str, float]]) -> List[str]:
+    failures = []
+    for name, row in rows.items():
+        if not row["round_trip_exact"]:
+            failures.append(f"{name}: decode does not re-encode to the same bytes")
+        if row["size_ratio"] > DATA_MODEL_SIZE_BAR:
+            failures.append(
+                f"{name}: canonical payload is {row['size_ratio']:.2f}x pickle — above "
+                f"the {DATA_MODEL_SIZE_BAR:g}x data-model bytes bar"
+            )
+    return failures
+
+
+def _format_sections(sections: Dict[str, Any]) -> str:
     size = sections["artifact_size"]
     rate = sections["throughput"]
     return "\n".join(
@@ -135,6 +246,7 @@ def _format_sections(sections: Dict[str, Dict[str, float]]) -> str:
             f"  canonical: {rate['canonical_msgs_per_s']:.0f} msg/s, "
             f"pickle: {rate['pickle_msgs_per_s']:.0f} msg/s "
             f"({rate['relative_throughput']:.2f}x relative)",
+            *_format_data_model(sections["data_model"]),
         ]
     )
 
@@ -165,10 +277,12 @@ def test_serialization_micro_report(benchmark):
         lambda: {
             "artifact_size": measure_artifact_size(128),
             "throughput": measure_throughput(500),
+            "data_model": measure_data_model(0.2, repeats=3),
         },
     )
     emit("Serialization micro — canonical vs pickle", _format_sections(sections))
     assert sections["artifact_size"]["round_trip_exact"]
+    assert not _data_model_failures(sections["data_model"])
 
 
 def main(argv=None) -> int:
@@ -192,9 +306,10 @@ def main(argv=None) -> int:
     message_count = 200 if args.smoke else 2000
 
     failures: List[str] = []
-    sections: Dict[str, Dict[str, float]] = {
+    sections: Dict[str, Any] = {
         "artifact_size": measure_artifact_size(scale),
         "throughput": measure_throughput(message_count),
+        "data_model": measure_data_model(0.2 if args.smoke else 1.0),
     }
     print(_format_sections(sections))
 
@@ -225,6 +340,14 @@ def main(argv=None) -> int:
         f"INFO: control-message throughput {sections['throughput']['relative_throughput']:.2f}x "
         f"relative to pickle (report-only)"
     )
+    model_failures = _data_model_failures(sections["data_model"])
+    failures.extend(model_failures)
+    if not model_failures:
+        worst = max(row["size_ratio"] for row in sections["data_model"].values())
+        print(
+            f"OK: data-model artifacts at most {worst:.2f}x pickle bytes "
+            f"(bar {DATA_MODEL_SIZE_BAR:g}x); speed ratios are report-only"
+        )
 
     if args.json:
         with open(args.json, "w") as handle:

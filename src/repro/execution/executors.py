@@ -2266,11 +2266,12 @@ class DistributedExecutor(_OutOfProcessExecutor):
 
         Failed dials back off exponentially from ``redial_backoff`` seconds
         (doubling per consecutive failure, capped at ``max(5, 2 *
-        connect_timeout)``) and the counter resets on a successful dial — a
-        worker that merely restarted between lifecycle iterations is picked
-        back up on the next healing pass, while a host that stays dead
-        quickly escalates to the cap instead of costing a connect_timeout
-        probe per start().
+        connect_timeout)``) and the counter resets on a successful dial whose
+        worker is still registered when the pass ends — a worker that merely
+        restarted between lifecycle iterations is picked back up on the next
+        healing pass, while a host that stays dead (or a worker that
+        registers and immediately dies) quickly escalates to the cap instead
+        of costing a connect_timeout probe per start().
         """
         deadline = time.monotonic() + (self.start_timeout if strict else 0.0)
         backoff_cap = max(5.0, 2.0 * self.connect_timeout)
@@ -2304,19 +2305,26 @@ class DistributedExecutor(_OutOfProcessExecutor):
                     ]
                     if not missing:
                         return
-            progress = False
+            dialed = []
             for address in missing:
                 label = f"{address[0]}:{address[1]}"
                 try:
                     self._connect_remote(address)
                 except (OSError, ExecutionError) as exc:
                     failures[label] = exc
-                    count = self._remote_dial_failures.get(address, 0) + 1
-                    self._remote_dial_failures[address] = count
-                    backoff = min(backoff_cap, self.redial_backoff * 2.0 ** (count - 1))
-                    self._remote_retry_at[address] = time.monotonic() + backoff
+                    self._note_dial_failure(address, backoff_cap)
                 else:
                     failures.pop(label, None)
+                    dialed.append(address)
+            # A dial only resets the backoff if its worker is still
+            # registered at the end of the pass: one that registered and
+            # died straight away is a crash loop and must keep escalating.
+            still_missing = set(self._missing_remote_addresses())
+            progress = False
+            for address in dialed:
+                if address in still_missing:
+                    self._note_dial_failure(address, backoff_cap)
+                else:
                     self._remote_retry_at.pop(address, None)
                     self._remote_dial_failures.pop(address, None)
                     progress = True
@@ -2349,6 +2357,13 @@ class DistributedExecutor(_OutOfProcessExecutor):
             RuntimeWarning,
             stacklevel=3,
         )
+
+    def _note_dial_failure(self, address: Tuple[str, int], backoff_cap: float) -> None:
+        """Count one more consecutive failure and arm its exponential backoff."""
+        count = self._remote_dial_failures.get(address, 0) + 1
+        self._remote_dial_failures[address] = count
+        backoff = min(backoff_cap, self.redial_backoff * 2.0 ** (count - 1))
+        self._remote_retry_at[address] = time.monotonic() + backoff
 
     def _missing_remote_addresses(self) -> List[Tuple[str, int]]:
         """Configured addresses without a live, registered connection."""
@@ -2703,7 +2718,7 @@ class DistributedExecutor(_OutOfProcessExecutor):
             try:
                 loader = getattr(store, "load_serialized", None)
                 if loader is not None:
-                    # MaterializationStores hold pickled bytes already:
+                    # MaterializationStores hold serialized bytes already:
                     # forward them instead of deserializing + re-serializing
                     # a potentially large value per fetch.
                     blob = loader(signature)

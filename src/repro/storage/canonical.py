@@ -4,7 +4,7 @@ This module is the value-encoding layer underneath
 :func:`repro.storage.serialization.serialize`.  Its contract is *canonical
 form*: for every value built from the covered types, ``encode(x)`` yields the
 same bytes in every process and on every Python version of the CI matrix —
-dict entries are sorted by their encoded keys (insertion order never leaks
+dict entries are written in a sorted key order (insertion order never leaks
 into the bytes), sets are sorted by their encoded elements, integers use a
 minimal zigzag varint, floats are raw IEEE-754 bits, and NumPy arrays are a
 dtype descriptor plus their contiguous buffer.  Deterministic bytes are what
@@ -21,16 +21,64 @@ Covered types (explicit tags)
 ``str``, ``bytes``/``bytearray``, ``list``/``tuple``, ``set``/``frozenset``
 (element-sorted), ``dict`` (key-sorted), :class:`enum.Enum` members (by
 class + name), NumPy arrays (dtype descriptor + shape + order + raw buffer)
-and NumPy scalars, dataclass instances (class reference + field-name-sorted
-values), pandas ``Series``/``DataFrame`` when pandas is importable, and two
+and NumPy scalars, dataclass instances (their declared fields), and two
 generic object forms: classes with a ``__getstate__``/``__setstate__`` pair
 (e.g. :class:`~repro.storage.serialization.ArtifactRef`) and plain classes
 whose state is just ``__dict__``/``__slots__`` (feature vectors, data
 collections, fitted models).  Everything else — functions, exceptions,
-classes-as-values, objects with a custom ``__reduce__`` — falls back to an
-embedded pickle (protocol 5); fallback bytes round-trip correctly but are
-*not* guaranteed canonical, which is acceptable because materialized
-workflow artifacts are built from the covered types.
+classes-as-values, objects with a custom ``__reduce__``, subclasses of the
+builtin containers, cyclic values — falls back to an embedded pickle
+(protocol 5); fallback bytes round-trip correctly but are *not* guaranteed
+canonical, which is acceptable because materialized workflow artifacts are
+built from the covered types.
+
+Format version 2
+----------------
+Version 2 is built around what the workflow artifacts actually are: tens of
+thousands of small objects (records, semantic units, examples, feature
+vectors) that repeat a few hundred distinct strings and a handful of
+classes.  Three mechanisms keep such payloads small and fast:
+
+* **Per-payload intern table.**  Every ``str`` is written in full the first
+  time it occurs and as a varint reference afterwards: a string slot is one
+  varint whose low bit is the define/ref tag — ``len << 1`` followed by the
+  UTF-8 bytes defines the next string id, ``id << 1 | 1`` refers back to
+  one.  Object layouts (class + sorted attribute names), enum members,
+  state-object classes and dict *shapes* (the sorted key tuple of a
+  str-keyed dict) are interned the same way in their own tables: a slot is
+  the varint id, and an id equal to the table's current size *defines* the
+  next entry, its definition following inline.  Ids number first
+  occurrences in traversal order, and the tables live for exactly one
+  ``encode`` call — so the bytes remain a pure function of the value (no
+  table state survives between payloads, and entries are keyed by value,
+  never by object identity).  Per payload, not per process: a table shared
+  across calls would make a value's bytes depend on what was encoded
+  before it, and a decoder could no longer read a payload on its own.
+* **Per-class compiled codecs.**  The first time ``encode`` meets a class it
+  classifies it once — dataclass, enum, ``__getstate__``/``__setstate__``
+  pair, plain ``__dict__``/``__slots__`` object, or pickle — and caches an
+  encode closure in a module-level dict keyed by the class.  The closure
+  carries the sorted field or slot order, the result of the importability
+  check and the prebuilt definition bytes of the class's layout, so an
+  instance costs one attribute fetch and its values.  Only the per-instance
+  facts are still checked per instance: a dataclass carrying attributes
+  beyond its declared fields, or a ``__dict__`` object's current attribute
+  set.  Decoding mirrors it: a layout definition resolves its class once per
+  payload and fetches a cached constructor keyed by ``(class, names)``.
+* **Packed homogeneous sequences.**  A non-empty list or tuple whose
+  elements are all exactly ``float`` is one big-endian float64 segment; one
+  whose elements are all exactly ``int`` and fit in 64 bits is one
+  big-endian segment of the narrowest signed width (1, 2, 4 or 8 bytes)
+  that holds them; one whose elements are all exactly ``str`` is an array
+  of intern ids (width implied by the table size) followed by the
+  definitions of the strings it introduces.  ``bool`` is not ``int`` here,
+  so mixed sequences take the generic per-element form and nothing is
+  coerced.  A dict whose keys are all exactly ``str`` is its shape slot —
+  keys in UTF-8 byte order, which is code point order, so no sub-encoding —
+  followed by its values as one tuple in key order, which packs like any
+  other (a feature vector's floats are one segment).  Other dicts and sets
+  sort by each element's standalone encoding, computed in a scratch
+  encoder whose intern table is its own.
 
 Out-of-band buffers (zero-copy)
 -------------------------------
@@ -53,15 +101,15 @@ Packed layout::
     | HC | version | nbufs varint | buffer-length varints| body len  | body | buffers |
     +----+---------+--------------+----------------------+-----------+------+---------+
 
-Dict keys and set elements are always encoded *inline* (no out-of-band
-hoisting) so their sort order is a pure function of the value; buffer
-indices appear only in body positions whose order is already determined.
+Buffer indices are assigned in traversal order, which the sorted dict and
+set orders already pin down.
 
 Decoding untrusted data: the format embeds class references (imported on
 decode) and pickle fallbacks, so it inherits pickle's trust model — only
 decode payloads from the same trust domain, exactly like the store and the
 executor transport already require.  Malformed payloads (truncated body,
-unknown tag bytes, out-of-range buffer indices) raise a typed
+unknown tag bytes, dangling intern references, out-of-range buffer indices)
+and payloads of another format version raise a typed
 :class:`~repro.exceptions.ProtocolError` rather than crashing the consumer.
 """
 
@@ -71,20 +119,17 @@ import ast
 import dataclasses
 import hashlib
 import importlib
+import operator
 import pickle
 import struct
+import threading
 import types
 from enum import Enum
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..exceptions import ProtocolError
-
-try:  # pragma: no cover - exercised only where pandas is installed
-    import pandas as _pd
-except Exception:  # noqa: BLE001 - pandas is an optional dependency
-    _pd = None
 
 __all__ = [
     "CANONICAL_MAGIC",
@@ -103,7 +148,7 @@ CANONICAL_MAGIC = b"HC"
 
 #: Version byte of the canonical value encoding.  Bump on any change to the
 #: tag set or their byte layouts.
-CANONICAL_VERSION = 1
+CANONICAL_VERSION = 2
 
 #: Buffers at or above this many bytes are hoisted out of the tag body into
 #: the out-of-band buffer section (one segment each, shipped zero-copy).
@@ -115,8 +160,8 @@ _FLOAT = struct.Struct(">d")
 _COMPLEX = struct.Struct(">dd")
 _PICKLE_PROTOCOL = 5
 
-# Tag bytes.  Grouped by kind; values are arbitrary but frozen forever
-# (they are the wire format).
+# Tag bytes.  Grouped by kind; values are arbitrary but frozen for the
+# format version (they are the wire format).
 _T_NONE = b"N"
 _T_TRUE = b"T"
 _T_FALSE = b"F"
@@ -128,21 +173,34 @@ _T_BYTES = b"b"
 _T_BYTEARRAY = b"y"
 _T_LIST = b"l"
 _T_TUPLE = b"t"
+_T_FLOAT_LIST = b"w"
+_T_FLOAT_TUPLE = b"W"
+_T_INT_LIST = b"k"
+_T_INT_TUPLE = b"K"
+_T_STR_LIST = b"x"
+_T_STR_TUPLE = b"X"
 _T_SET = b"e"
 _T_FROZENSET = b"z"
 _T_DICT = b"d"
+_T_STR_DICT = b"m"
 _T_NDARRAY = b"a"
 _T_NPSCALAR = b"g"
 _T_ENUM = b"E"
-_T_DATACLASS = b"D"
+_T_OBJECT = b"o"
 _T_OBJ_STATE = b"O"
-_T_OBJ_DICT = b"o"
-_T_SERIES = b"S"
-_T_DATAFRAME = b"R"
 _T_PICKLE = b"P"
 
 _BLOB_INLINE = b"\x00"
 _BLOB_OOB = b"\x01"
+
+#: Packed-int element widths: struct code -> (lowest, highest) value held.
+_INT_WIDTHS = (
+    ("b", -(1 << 7), (1 << 7) - 1),
+    ("h", -(1 << 15), (1 << 15) - 1),
+    ("i", -(1 << 31), (1 << 31) - 1),
+    ("q", -(1 << 63), (1 << 63) - 1),
+)
+_INT_ITEMSIZE = {ord(code): struct.calcsize(code) for code, _lo, _hi in _INT_WIDTHS}
 
 
 class _Cyclic(Exception):
@@ -150,10 +208,13 @@ class _Cyclic(Exception):
 
 
 # ---------------------------------------------------------------------------
-# varints
+# varints and raw strings
 # ---------------------------------------------------------------------------
 def _write_uvarint(out: bytearray, value: int) -> None:
     """Unsigned LEB128."""
+    if value < 0x80:
+        out.append(value)
+        return
     while True:
         byte = value & 0x7F
         value >>= 7
@@ -164,65 +225,96 @@ def _write_uvarint(out: bytearray, value: int) -> None:
             return
 
 
-def _zigzag(value: int) -> int:
-    """Arbitrary-precision zigzag fold: sign moves into the low bit."""
-    return (value << 1) if value >= 0 else ((-value << 1) - 1)
+def _uvarint_at(data: Any, pos: int) -> Tuple[int, int]:
+    """Read an unsigned LEB128 at ``pos``; ``(value, next_pos)``.
+
+    Running off the end raises ``IndexError``, which :func:`decode` reports
+    as a truncated payload.
+    """
+    result = 0
+    shift = 0
+    while True:
+        byte = data[pos]
+        pos += 1
+        result |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            return result, pos
+        shift += 7
 
 
-class _Reader:
-    """Bounds-checked cursor over the packed body."""
+def _raw_str(out: bytearray, text: str) -> None:
+    """A length-prefixed UTF-8 string outside the intern table."""
+    data = text.encode("utf-8", "surrogatepass")
+    _write_uvarint(out, len(data))
+    out += data
 
-    __slots__ = ("data", "pos", "end")
 
-    def __init__(self, data: memoryview, start: int, end: int):
-        self.data = data
-        self.pos = start
-        self.end = end
+def _put_str(out: bytearray, strings: Dict[str, int], text: str) -> None:
+    """A string slot: define (``len << 1`` + UTF-8) or ref (``id << 1 | 1``)."""
+    index = strings.get(text)
+    if index is None:
+        strings[text] = len(strings)
+        data = text.encode("utf-8", "surrogatepass")
+        _write_uvarint(out, len(data) << 1)
+        out += data
+    else:
+        _write_uvarint(out, (index << 1) | 1)
 
-    def take(self, n: int) -> memoryview:
-        if n < 0 or self.pos + n > self.end:
-            raise ProtocolError(
-                f"canonical payload truncated: needed {n} bytes at offset "
-                f"{self.pos}, body ends at {self.end}"
-            )
-        view = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return view
 
-    def byte(self) -> int:
-        return self.take(1)[0]
+def _definition(cls: type, names: Tuple[str, ...] = ()) -> bytes:
+    """Context-free bytes naming a class plus attribute or member names.
 
-    def uvarint(self) -> int:
-        # Termination is bounded by take(): a run of continuation bytes
-        # cannot outlive the body without raising a truncation error.
-        shift = 0
-        result = 0
-        while True:
-            byte = self.byte()
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return result
-            shift += 7
+    Built once per class (and attribute-name tuple, or enum member) by the
+    compiled codecs; the per-payload tables intern these bytes by value.
+    """
+    out = bytearray()
+    _raw_str(out, cls.__module__)
+    _raw_str(out, cls.__qualname__)
+    _write_uvarint(out, len(names))
+    for name in names:
+        _raw_str(out, name)
+    return bytes(out)
 
-    def svarint(self) -> int:
-        raw = self.uvarint()
-        return (raw >> 1) if not raw & 1 else -((raw + 1) >> 1)
+
+def _put_def(out: bytearray, table: Dict[bytes, int], definition: bytes) -> None:
+    """A definition slot: the id, followed by the definition on first use."""
+    index = table.get(definition)
+    if index is None:
+        index = table[definition] = len(table)
+        _write_uvarint(out, index)
+        out += definition
+    else:
+        _write_uvarint(out, index)
 
 
 # ---------------------------------------------------------------------------
 # encoding
 # ---------------------------------------------------------------------------
 class _Encoder:
-    __slots__ = ("buffers", "allow_oob", "_stack")
+    """One payload's output buffer, out-of-band buffers and intern tables."""
+
+    __slots__ = (
+        "out", "buffers", "allow_oob", "strings", "shapes", "layouts", "members", "classes", "stack",
+    )
 
     def __init__(self, allow_oob: bool):
+        self.out = bytearray()
         self.buffers: List[Union[bytes, memoryview]] = []
         self.allow_oob = allow_oob
-        self._stack: set = set()
+        self.strings: Dict[str, int] = {}
+        self.shapes: Dict[Tuple[str, ...], int] = {}
+        self.layouts: Dict[bytes, int] = {}
+        self.members: Dict[bytes, int] = {}
+        self.classes: Dict[bytes, int] = {}
+        self.stack: set = set()
 
-    # -- helpers -----------------------------------------------------------
-    def _blob(self, out: bytearray, data: Union[bytes, memoryview], inline_only: bool = False) -> None:
+    def value(self, value: Any) -> None:
+        kind = type(value)
+        (_CODECS.get(kind) or _compile(kind))(self, value)
+
+    def blob(self, data: Union[bytes, memoryview], inline_only: bool = False) -> None:
         """A length-delimited byte blob, inline or hoisted out-of-band."""
+        out = self.out
         if self.allow_oob and not inline_only and len(data) >= OOB_MIN_BYTES:
             out += _BLOB_OOB
             _write_uvarint(out, len(self.buffers))
@@ -232,227 +324,306 @@ class _Encoder:
             _write_uvarint(out, len(data))
             out += data
 
-    def _str(self, out: bytearray, text: str) -> None:
-        data = text.encode("utf-8", "surrogatepass")
-        _write_uvarint(out, len(data))
-        out += data
+    def enter(self, value: Any) -> int:
+        """Cycle guard for a container whose encoding recurses.
 
-    def _classref(self, out: bytearray, cls: type) -> None:
-        self._str(out, cls.__module__)
-        self._str(out, cls.__qualname__)
-
-    def _inline_bytes(self, value: Any) -> bytes:
-        """Encode ``value`` with out-of-band hoisting disabled (sort keys)."""
-        sub = _Encoder(allow_oob=False)
-        sub._stack = self._stack  # share cycle detection across the nesting
-        out = bytearray()
-        sub.encode_value(out, value)
-        return bytes(out)
-
-    def _pickle(self, out: bytearray, value: Any) -> None:
-        """Protocol-5 pickle fallback with out-of-band ``PickleBuffer``\\s."""
-        picked: List[Union[bytes, memoryview]] = []
-
-        def _grab(pb: "pickle.PickleBuffer") -> bool:
-            try:
-                picked.append(pb.raw())
-            except BufferError:  # non-contiguous buffer: materialize it
-                picked.append(bytes(pb))
-            return False  # False = do not also serialize it in-band
-
-        if self.allow_oob:
-            body = pickle.dumps(value, protocol=_PICKLE_PROTOCOL, buffer_callback=_grab)
-        else:
-            body = pickle.dumps(value, protocol=_PICKLE_PROTOCOL)
-        out += _T_PICKLE
-        _write_uvarint(out, len(picked))
-        for chunk in picked:
-            self._blob(out, chunk)
-        self._blob(out, body)
-
-    # -- main dispatch -----------------------------------------------------
-    def encode_value(self, out: bytearray, value: Any) -> None:  # noqa: C901
-        kind = type(value)
-        if value is None:
-            out += _T_NONE
-        elif kind is bool:
-            out += _T_TRUE if value else _T_FALSE
-        elif kind is int:
-            out += _T_INT
-            _write_uvarint(out, _zigzag(value))
-        elif kind is float:
-            out += _T_FLOAT
-            out += _FLOAT.pack(value)
-        elif kind is complex:
-            out += _T_COMPLEX
-            out += _COMPLEX.pack(value.real, value.imag)
-        elif kind is str:
-            out += _T_STR
-            self._str(out, value)
-        elif kind is bytes:
-            out += _T_BYTES
-            self._blob(out, value)
-        elif kind is bytearray:
-            out += _T_BYTEARRAY
-            self._blob(out, bytes(value))
-        elif kind is list or kind is tuple:
-            self._container(out, _T_LIST if kind is list else _T_TUPLE, value)
-        elif kind is set or kind is frozenset:
-            out += _T_SET if kind is set else _T_FROZENSET
-            encoded = sorted(self._inline_bytes(item) for item in value)
-            _write_uvarint(out, len(encoded))
-            for item in encoded:
-                out += item
-        elif kind is dict:
-            self._dict(out, value)
-        elif isinstance(value, np.ndarray):
-            self._ndarray(out, value)
-        elif isinstance(value, np.generic):
-            out += _T_NPSCALAR
-            self._str(out, _dtype_descr(value.dtype))
-            self._blob(out, value.tobytes(), inline_only=True)
-        elif isinstance(value, Enum):
-            if _importable(kind):
-                out += _T_ENUM
-                self._classref(out, kind)
-                self._str(out, value.name)
-            else:
-                self._pickle(out, value)
-        elif dataclasses.is_dataclass(value) and not isinstance(value, type):
-            self._dataclass(out, value)
-        elif _pd is not None and isinstance(value, _pd.Series):
-            self._series(out, value)
-        elif _pd is not None and isinstance(value, _pd.DataFrame):
-            self._dataframe(out, value)
-        else:
-            state = _object_form(value)
-            if state is None:
-                self._pickle(out, value)
-            else:
-                self._object(out, value, state)
-
-    # -- composite forms ---------------------------------------------------
-    def _guard(self, value: Any) -> int:
+        Callers discard the marker when done, without ``try``/``finally``:
+        any exception abandons the whole encoder (a cycle restarts the value
+        as a pickle in a fresh one), so a stale marker is never consulted.
+        """
         marker = id(value)
-        if marker in self._stack:
+        if marker in self.stack:
             raise _Cyclic()
-        self._stack.add(marker)
+        self.stack.add(marker)
         return marker
 
-    def _container(self, out: bytearray, tag: bytes, value: Any) -> None:
-        marker = self._guard(value)
-        try:
-            out += tag
-            _write_uvarint(out, len(value))
-            for item in value:
-                self.encode_value(out, item)
-        finally:
-            self._stack.discard(marker)
+    def sort_key(self, value: Any) -> bytes:
+        """``value``'s standalone encoding: a pure function of the value.
 
-    def _dict(self, out: bytearray, value: Dict[Any, Any]) -> None:
-        marker = self._guard(value)
-        try:
-            out += _T_DICT
-            _write_uvarint(out, len(value))
-            # Keys encode inline (never out-of-band) so the sort order is a
-            # pure function of the key values; the values are then encoded
-            # in that order, which pins buffer indices deterministically.
-            pairs = sorted(
-                (self._inline_bytes(key), key) for key in value
-            )
-            for key_bytes, key in pairs:
-                out += key_bytes
-                self.encode_value(out, value[key])
-        finally:
-            self._stack.discard(marker)
+        Encoded with a scratch intern table and no out-of-band hoisting, so
+        the order it induces does not depend on what the payload interned
+        before; the cycle guard is shared with the outer traversal.
+        """
+        scratch = _Encoder(allow_oob=False)
+        scratch.stack = self.stack
+        scratch.value(value)
+        return bytes(scratch.out)
 
-    def _ndarray(self, out: bytearray, value: np.ndarray) -> None:
-        if value.dtype.hasobject:
-            # Object arrays have no raw-buffer form; their elements are
-            # arbitrary Python objects, so the whole array rides the
-            # pickle fallback.
-            self._pickle(out, value)
-            return
-        if value.flags.c_contiguous:
-            array, order = value, b"C"
-        elif value.flags.f_contiguous:
-            array, order = value, b"F"
+
+def _enc_none(enc: _Encoder, value: None) -> None:
+    enc.out += _T_NONE
+
+
+def _enc_bool(enc: _Encoder, value: bool) -> None:
+    enc.out += _T_TRUE if value else _T_FALSE
+
+
+def _enc_int(enc: _Encoder, value: int) -> None:
+    out = enc.out
+    out += _T_INT
+    _write_uvarint(out, (value << 1) if value >= 0 else ((-value << 1) - 1))
+
+
+def _enc_float(enc: _Encoder, value: float) -> None:
+    out = enc.out
+    out += _T_FLOAT
+    out += _FLOAT.pack(value)
+
+
+def _enc_complex(enc: _Encoder, value: complex) -> None:
+    out = enc.out
+    out += _T_COMPLEX
+    out += _COMPLEX.pack(value.real, value.imag)
+
+
+def _enc_str(enc: _Encoder, value: str) -> None:
+    out = enc.out
+    out += _T_STR
+    _put_str(out, enc.strings, value)
+
+
+def _enc_bytes(enc: _Encoder, value: bytes) -> None:
+    enc.out += _T_BYTES
+    enc.blob(value)
+
+
+def _enc_bytearray(enc: _Encoder, value: bytearray) -> None:
+    enc.out += _T_BYTEARRAY
+    enc.blob(bytes(value))
+
+
+def _int_width(values: Any) -> Optional[str]:
+    """Struct code of the narrowest signed width holding every value."""
+    low, high = min(values), max(values)
+    for code, lowest, highest in _INT_WIDTHS:
+        if lowest <= low and high <= highest:
+            return code
+    return None  # beyond 64 bits
+
+
+def _id_code(limit: int) -> str:
+    """Struct code of the narrowest unsigned width holding ids below ``limit``."""
+    if limit <= 1 << 8:
+        return "B"
+    if limit <= 1 << 16:
+        return "H"
+    return "I" if limit <= 1 << 32 else "Q"
+
+
+def _packed(enc: _Encoder, value: Any, tags: Tuple[bytes, bytes, bytes]) -> bool:
+    """Write a homogeneous float/int64/str sequence as one packed segment.
+
+    ``tags`` are the (float, int, str) tags of the sequence's kind; callers
+    only pass sequences whose first element's type is in :data:`_PACKABLE`.
+    Ints carry a width code (:func:`_int_width`).  A str sequence is an
+    array of intern ids — new strings take the next ids, in order —
+    followed by the new strings' definitions; its id width is implied by
+    the table size, which the decoder knows too.  Returns False (nothing
+    written) when the types are mixed or an int exceeds 64 bits.
+    """
+    kinds = set(map(type, value))
+    if len(kinds) != 1:
+        return False
+    kind = kinds.pop()
+    count = len(value)
+    out = enc.out
+    if kind is float:
+        out += tags[0]
+        _write_uvarint(out, count)
+        out += struct.pack(">%dd" % count, *value)
+    elif kind is int:
+        code = _int_width(value)
+        if code is None:
+            return False
+        out += tags[1]
+        _write_uvarint(out, count)
+        out += code.encode()
+        out += struct.pack(">%d%s" % (count, code), *value)
+    else:  # str
+        strings = enc.strings
+        code = _id_code(len(strings) + count)
+        fresh = []
+        ids = []
+        for text in value:
+            index = strings.get(text)
+            if index is None:
+                index = strings[text] = len(strings)
+                fresh.append(text)
+            ids.append(index)
+        out += tags[2]
+        _write_uvarint(out, count)
+        out += struct.pack(">%d%s" % (count, code), *ids)
+        for text in fresh:
+            _raw_str(out, text)
+    return True
+
+
+_LIST_TAGS = (_T_FLOAT_LIST, _T_INT_LIST, _T_STR_LIST)
+_TUPLE_TAGS = (_T_FLOAT_TUPLE, _T_INT_TUPLE, _T_STR_TUPLE)
+
+
+def _enc_items(enc: _Encoder, items: Any) -> None:
+    codecs = _CODECS
+    for item in items:
+        kind = type(item)
+        (codecs.get(kind) or _compile(kind))(enc, item)
+
+
+def _enc_list(enc: _Encoder, value: list) -> None:
+    out = enc.out
+    if value and type(value[0]) in _PACKABLE and _packed(enc, value, _LIST_TAGS):
+        return
+    marker = enc.enter(value)
+    out += _T_LIST
+    _write_uvarint(out, len(value))
+    _enc_items(enc, value)
+    enc.stack.discard(marker)
+
+
+def _enc_tuple(enc: _Encoder, value: tuple) -> None:
+    # No cycle guard: a cycle through a tuple always passes through a
+    # mutable container (list, dict, object), which is guarded.
+    out = enc.out
+    if value and type(value[0]) in _PACKABLE and _packed(enc, value, _TUPLE_TAGS):
+        return
+    out += _T_TUPLE
+    _write_uvarint(out, len(value))
+    _enc_items(enc, value)
+
+
+def _enc_sorted(enc: _Encoder, tag: bytes, items: Any) -> None:
+    """Elements in the order of their standalone encodings (sets, dict keys)."""
+    keyed = sorted(((enc.sort_key(item), item) for item in items), key=_first)
+    out = enc.out
+    out += tag
+    _write_uvarint(out, len(keyed))
+    for _key, item in keyed:
+        enc.value(item)
+
+
+def _enc_set(enc: _Encoder, value: set) -> None:
+    marker = enc.enter(value)
+    _enc_sorted(enc, _T_SET, value)
+    enc.stack.discard(marker)
+
+
+def _enc_frozenset(enc: _Encoder, value: frozenset) -> None:
+    _enc_sorted(enc, _T_FROZENSET, value)
+
+
+def _enc_dict(enc: _Encoder, value: dict) -> None:
+    marker = enc.enter(value)
+    out = enc.out
+    for key in value:
+        if type(key) is not str:
+            break
+    else:
+        # All-str keys: Python orders str by code point, which is also the
+        # UTF-8 (surrogatepass) byte order — no sub-encoding needed.  The
+        # sorted key tuple is the dict's interned shape; the values follow
+        # as one tuple in key order (packed when homogeneous).
+        keys = tuple(sorted(value))
+        out += _T_STR_DICT
+        shapes = enc.shapes
+        index = shapes.get(keys)
+        if index is None:
+            index = shapes[keys] = len(shapes)
+            _write_uvarint(out, index)
+            _write_uvarint(out, len(keys))
+            strings = enc.strings
+            for key in keys:
+                _put_str(out, strings, key)
         else:
-            # One unavoidable copy for strided views; note ascontiguousarray
-            # would also promote 0-d arrays to 1-d, hence the ordering above.
-            array, order = np.ascontiguousarray(value), b"C"
-        out += _T_NDARRAY
-        self._str(out, _dtype_descr(array.dtype))
-        out += order
-        _write_uvarint(out, array.ndim)
-        for dim in array.shape:
-            _write_uvarint(out, dim)
-        # reshape(-1) flattens without copying (the source is contiguous in
-        # the stored order), and a 1-D memoryview casts to bytes cleanly —
-        # including for 0-d arrays, which reshape to one element.
-        flat = (array if order == b"C" else array.T).reshape(-1)
-        view = memoryview(flat).cast("B") if array.nbytes else b""
-        self._blob(out, view)
+            _write_uvarint(out, index)
+        _enc_tuple(enc, tuple(map(value.__getitem__, keys)))
+        enc.stack.discard(marker)
+        return
+    # Mixed keys: order by each key's standalone encoding, then write the
+    # entries through this encoder (which pins buffer indices too).
+    keyed = sorted(((enc.sort_key(key), key) for key in value), key=_first)
+    out += _T_DICT
+    _write_uvarint(out, len(keyed))
+    for _sort, key in keyed:
+        enc.value(key)
+        enc.value(value[key])
+    enc.stack.discard(marker)
 
-    def _dataclass(self, out: bytearray, value: Any) -> None:
-        cls = type(value)
-        fields = dataclasses.fields(value)
-        extra = getattr(value, "__dict__", None)
-        clean = extra is None or set(extra) <= {f.name for f in fields}
-        if not (_importable(cls) and clean):
-            # Ad-hoc attributes beyond the declared fields (or a locally
-            # defined class) would be dropped by field-wise reconstruction.
-            self._pickle(out, value)
-            return
-        marker = self._guard(value)
+
+def _first(pair: Tuple[bytes, Any]) -> bytes:
+    return pair[0]
+
+
+def _enc_ndarray(enc: _Encoder, value: np.ndarray) -> None:
+    if value.dtype.hasobject:
+        # Object arrays have no raw-buffer form; their elements are
+        # arbitrary Python objects, so the whole array rides the
+        # pickle fallback.
+        _enc_pickle(enc, value)
+        return
+    if value.flags.c_contiguous:
+        array, order = value, b"C"
+    elif value.flags.f_contiguous:
+        array, order = value, b"F"
+    else:
+        # One unavoidable copy for strided views; note ascontiguousarray
+        # would also promote 0-d arrays to 1-d, hence the ordering above.
+        array, order = np.ascontiguousarray(value), b"C"
+    out = enc.out
+    out += _T_NDARRAY
+    _put_str(out, enc.strings, _dtype_descr(array.dtype))
+    out += order
+    _write_uvarint(out, array.ndim)
+    for dim in array.shape:
+        _write_uvarint(out, dim)
+    # reshape(-1) flattens without copying (the source is contiguous in
+    # the stored order), and a 1-D memoryview casts to bytes cleanly —
+    # including for 0-d arrays, which reshape to one element.
+    flat = (array if order == b"C" else array.T).reshape(-1)
+    view = memoryview(flat).cast("B") if array.nbytes else b""
+    enc.blob(view)
+
+
+def _enc_npscalar(enc: _Encoder, value: np.generic) -> None:
+    out = enc.out
+    out += _T_NPSCALAR
+    _put_str(out, enc.strings, _dtype_descr(value.dtype))
+    enc.blob(value.tobytes(), inline_only=True)
+
+
+def _enc_pickle(enc: _Encoder, value: Any) -> None:
+    """Protocol-5 pickle fallback with out-of-band ``PickleBuffer``\\s."""
+    picked: List[Union[bytes, memoryview]] = []
+
+    def _grab(pb: "pickle.PickleBuffer") -> bool:
         try:
-            out += _T_DATACLASS
-            self._classref(out, cls)
-            _write_uvarint(out, len(fields))
-            for spec in sorted(fields, key=lambda f: f.name):
-                self._str(out, spec.name)
-                self.encode_value(out, getattr(value, spec.name))
-        finally:
-            self._stack.discard(marker)
+            picked.append(pb.raw())
+        except BufferError:  # non-contiguous buffer: materialize it
+            picked.append(bytes(pb))
+        return False  # False = do not also serialize it in-band
 
-    def _object(self, out: bytearray, value: Any, state: Tuple[bytes, Any]) -> None:
-        tag, payload = state
-        marker = self._guard(value)
-        try:
-            out += tag
-            self._classref(out, type(value))
-            self.encode_value(out, payload)
-        finally:
-            self._stack.discard(marker)
+    if enc.allow_oob:
+        body = pickle.dumps(value, protocol=_PICKLE_PROTOCOL, buffer_callback=_grab)
+    else:
+        body = pickle.dumps(value, protocol=_PICKLE_PROTOCOL)
+    out = enc.out
+    out += _T_PICKLE
+    _write_uvarint(out, len(picked))
+    for chunk in picked:
+        enc.blob(chunk)
+    enc.blob(body)
 
-    def _series(self, out: bytearray, value: Any) -> None:  # pragma: no cover
-        plain = _plain_pandas_index(value.index)
-        if plain is None or value.dtype.hasobject and _has_exotic_objects(value.to_numpy()):
-            self._pickle(out, value)
-            return
-        out += _T_SERIES
-        self.encode_value(out, value.name)
-        self.encode_value(out, plain)
-        self.encode_value(out, str(value.dtype))
-        self.encode_value(out, np.asarray(value.to_numpy()))
 
-    def _dataframe(self, out: bytearray, value: Any) -> None:  # pragma: no cover
-        plain = _plain_pandas_index(value.index)
-        if plain is None or _plain_pandas_index(value.columns) is None:
-            self._pickle(out, value)
-            return
-        out += _T_DATAFRAME
-        self.encode_value(out, plain)
-        marker = self._guard(value)
-        try:
-            columns = list(value.columns)
-            _write_uvarint(out, len(columns))
-            for column in columns:
-                self.encode_value(out, column)
-                self.encode_value(out, str(value[column].dtype))
-                self.encode_value(out, np.asarray(value[column].to_numpy()))
-        finally:
-            self._stack.discard(marker)
+def _enc_object(enc: _Encoder, value: Any, layout: bytes, values: Any) -> None:
+    """An object by layout: layout slot, then one value per attribute name."""
+    marker = enc.enter(value)
+    out = enc.out
+    out += _T_OBJECT
+    _put_def(out, enc.layouts, layout)
+    codecs = _CODECS
+    for item in values:
+        kind = type(item)
+        (codecs.get(kind) or _compile(kind))(enc, item)
+    enc.stack.discard(marker)
 
 
 def _dtype_descr(dtype: np.dtype) -> str:
@@ -461,32 +632,218 @@ def _dtype_descr(dtype: np.dtype) -> str:
     return descr if isinstance(descr, str) else repr(descr)
 
 
-def _has_exotic_objects(array: np.ndarray) -> bool:  # pragma: no cover
-    return any(not isinstance(item, (str, bytes, int, float, bool, type(None))) for item in array.flat)
+#: Exact type -> encode function; per-class codecs are added by _compile.
+_CODECS: Dict[type, Callable[[_Encoder, Any], None]] = {
+    type(None): _enc_none,
+    bool: _enc_bool,
+    int: _enc_int,
+    float: _enc_float,
+    complex: _enc_complex,
+    str: _enc_str,
+    bytes: _enc_bytes,
+    bytearray: _enc_bytearray,
+    list: _enc_list,
+    tuple: _enc_tuple,
+    set: _enc_set,
+    frozenset: _enc_frozenset,
+    dict: _enc_dict,
+}
+_PACKABLE = frozenset((float, int, str))
+_COMPILE_LOCK = threading.Lock()
 
 
-def _plain_pandas_index(index: Any) -> Optional[list]:  # pragma: no cover
-    """A pandas index reduced to a plain list, or ``None`` when it is exotic."""
-    if _pd is None or isinstance(index, _pd.MultiIndex):
-        return None
-    try:
-        return [item for item in index]
-    except Exception:  # noqa: BLE001 - anything unexpected -> pickle fallback
-        return None
-
-
-_DISPATCH_BLOCKLIST = (
+# ---------------------------------------------------------------------------
+# per-class codec compilation
+# ---------------------------------------------------------------------------
+_NEVER_BY_STATE = (
     type,
     types.FunctionType,
     types.BuiltinFunctionType,
     types.MethodType,
     types.ModuleType,
     type(np.ndarray.sum),  # method descriptors
+    BaseException,
+    # Subclasses of the builtin containers keep their items outside
+    # __dict__; only pickle's reduce protocol captures both.
+    list,
+    dict,
+    set,
+    bytearray,
 )
+
+
+def _compile(cls: type) -> Callable[[_Encoder, Any], None]:
+    """Classify ``cls`` once and cache its encode closure (thread-safe)."""
+    with _COMPILE_LOCK:
+        codec = _CODECS.get(cls)
+        if codec is None:
+            codec = _CODECS[cls] = _build_codec(cls)
+    return codec
+
+
+def _build_codec(cls: type) -> Callable[[_Encoder, Any], None]:
+    if issubclass(cls, np.ndarray):
+        return _enc_ndarray
+    if issubclass(cls, np.generic):
+        return _enc_npscalar
+    if issubclass(cls, Enum):
+        return _enum_codec(cls) if _importable(cls) else _enc_pickle
+    if dataclasses.is_dataclass(cls):
+        return _dataclass_codec(cls) if _importable(cls) else _enc_pickle
+    return _object_codec(cls)
+
+
+def _enum_codec(cls: type) -> Callable[[_Encoder, Any], None]:
+    members = {
+        member._name_: _definition(cls, (member._name_,))
+        for member in cls.__members__.values()
+    }
+
+    def encode(enc: _Encoder, value: Enum) -> None:
+        out = enc.out
+        out += _T_ENUM
+        _put_def(out, enc.members, members[value._name_])
+
+    return encode
+
+
+def _getter(names: Tuple[str, ...]) -> Callable[[Any], Tuple[Any, ...]]:
+    """Fetch ``names`` from an instance as a tuple (C-level attrgetter)."""
+    if not names:
+        return lambda _value: ()
+    if len(names) == 1:
+        single = operator.attrgetter(names[0])
+        return lambda value: (single(value),)
+    return operator.attrgetter(*names)
+
+
+def _dataclass_codec(cls: type) -> Callable[[_Encoder, Any], None]:
+    names = tuple(sorted(spec.name for spec in dataclasses.fields(cls)))
+    declared = frozenset(names)
+    layout = _definition(cls, names)
+    fetch = _getter(names)
+
+    def encode(enc: _Encoder, value: Any) -> None:
+        extra = getattr(value, "__dict__", None)
+        # Per instance: ad-hoc attributes beyond the declared fields would
+        # be dropped by field-wise reconstruction, so they keep pickle.
+        if extra is not None and not declared.issuperset(extra):
+            _enc_pickle(enc, value)
+            return
+        try:
+            values = fetch(value)
+        except AttributeError:  # a declared field never assigned
+            _enc_pickle(enc, value)
+            return
+        _enc_object(enc, value, layout, values)
+
+    return encode
 
 
 def _overrides(cls: type, name: str) -> bool:
     return getattr(cls, name, None) is not getattr(object, name, None)
+
+
+def _object_codec(cls: type) -> Callable[[_Encoder, Any], None]:
+    """Generic object encoding: state pair, attribute layout, or pickle.
+
+    Two safe shapes:
+
+    * a ``__getstate__``/``__setstate__`` pair with no custom reduce — the
+      class manages its own state contract (:class:`ArtifactRef`);
+    * a plain class with no pickle customization at all, whose state is
+      exactly ``__dict__`` plus set ``__slots__`` — encoded as an attribute
+      layout (feature vectors, data collections, fitted models).
+
+    Anything with a custom ``__reduce__``/``__reduce_ex__``/
+    ``__getnewargs__`` (exceptions, functions, rngs) keeps pickle's exact
+    semantics via the fallback.
+    """
+    if issubclass(cls, _NEVER_BY_STATE):
+        return _enc_pickle
+    if any(
+        _overrides(cls, name)
+        for name in ("__reduce__", "__reduce_ex__", "__getnewargs__", "__getnewargs_ex__")
+    ):
+        return _enc_pickle
+    if not _importable(cls):
+        return _enc_pickle
+    has_getstate = _overrides(cls, "__getstate__")
+    has_setstate = _overrides(cls, "__setstate__")
+    if has_getstate or has_setstate:
+        if not (has_getstate and has_setstate):
+            return _enc_pickle  # half a state contract: let pickle sort it out
+        return _state_codec(cls)
+    return _attribute_codec(cls)
+
+
+def _state_codec(cls: type) -> Callable[[_Encoder, Any], None]:
+    definition = _definition(cls)
+
+    def encode(enc: _Encoder, value: Any) -> None:
+        marker = enc.enter(value)
+        out = enc.out
+        out += _T_OBJ_STATE
+        _put_def(out, enc.classes, definition)
+        enc.value(value.__getstate__())
+        enc.stack.discard(marker)
+
+    return encode
+
+
+def _slot_names(cls: type) -> Tuple[str, ...]:
+    """Sorted attribute names of every slot in the MRO (private ones mangled)."""
+    names = set()
+    for klass in cls.__mro__:
+        declared = vars(klass).get("__slots__", ())
+        for slot in (declared,) if isinstance(declared, str) else declared:
+            if slot in ("__dict__", "__weakref__"):
+                continue
+            if slot.startswith("__") and not slot.endswith("__"):
+                slot = f"_{klass.__name__.lstrip('_')}{slot}"
+            names.add(slot)
+    return tuple(sorted(names))
+
+
+def _attribute_codec(cls: type) -> Callable[[_Encoder, Any], None]:
+    slot_names = _slot_names(cls)
+    # Layout per attribute-name tuple: fixed for a fully set slotted class,
+    # one per distinct attribute set for __dict__ classes.
+    layouts: Dict[Tuple[str, ...], bytes] = {}
+    all_slots = _getter(slot_names) if slot_names else None
+    full = _definition(cls, slot_names) if slot_names else None
+
+    def encode(enc: _Encoder, value: Any) -> None:
+        instance_dict = getattr(value, "__dict__", None)
+        if all_slots is not None and instance_dict is None:
+            try:
+                values = all_slots(value)
+            except AttributeError:
+                pass  # an unset slot: absent from the state, like pickle
+            else:
+                _enc_object(enc, value, full, values)
+                return
+        state: Dict[str, Any] = {}
+        if isinstance(instance_dict, dict):
+            state.update(instance_dict)
+        elif not slot_names:
+            _enc_pickle(enc, value)  # no state to speak of
+            return
+        for slot in slot_names:
+            try:
+                state[slot] = getattr(value, slot)
+            except AttributeError:
+                pass
+        names = tuple(sorted(state, key=str))
+        if not all(type(name) is str for name in names):  # keys planted in __dict__
+            _enc_pickle(enc, value)
+            return
+        layout = layouts.get(names)
+        if layout is None:
+            layout = layouts.setdefault(names, _definition(cls, names))
+        _enc_object(enc, value, layout, [state[name] for name in names])
+
+    return encode
 
 
 def _importable(cls: type) -> bool:
@@ -509,56 +866,6 @@ def _resolve_qualname(module: Any, qualname: str) -> Any:
     return target
 
 
-def _object_form(value: Any) -> Optional[Tuple[bytes, Any]]:
-    """Generic object encoding: ``(tag, state)`` or ``None`` for pickle.
-
-    Two safe shapes:
-
-    * a ``__getstate__``/``__setstate__`` pair with no custom reduce — the
-      class manages its own state contract (:class:`ArtifactRef`);
-    * a plain class with no pickle customization at all, whose state is
-      exactly ``__dict__`` plus set ``__slots__`` — encoded as a sorted
-      attribute dict (feature vectors, data collections, fitted models).
-
-    Anything with a custom ``__reduce__``/``__reduce_ex__``/
-    ``__getnewargs__`` (exceptions, functions, rngs) keeps pickle's exact
-    semantics via the fallback.
-    """
-    cls = type(value)
-    if isinstance(value, _DISPATCH_BLOCKLIST) or isinstance(value, BaseException):
-        return None
-    if _overrides(cls, "__reduce__") or _overrides(cls, "__reduce_ex__"):
-        return None
-    if _overrides(cls, "__getnewargs__") or _overrides(cls, "__getnewargs_ex__"):
-        return None
-    if not _importable(cls):
-        return None
-    has_getstate = _overrides(cls, "__getstate__")
-    has_setstate = _overrides(cls, "__setstate__")
-    if has_getstate or has_setstate:
-        if not (has_getstate and has_setstate):
-            return None  # half a state contract: let pickle sort it out
-        return _T_OBJ_STATE, value.__getstate__()
-    state: Dict[str, Any] = {}
-    found = False
-    instance_dict = getattr(value, "__dict__", None)
-    if isinstance(instance_dict, dict):
-        state.update(instance_dict)
-        found = True
-    for klass in cls.__mro__:
-        for slot in getattr(klass, "__slots__", ()):
-            if slot in ("__dict__", "__weakref__"):
-                continue
-            found = True
-            try:
-                state[slot] = getattr(value, slot)
-            except AttributeError:
-                pass  # unset slot: absent from the state, like pickle
-    if not found:
-        return None
-    return _T_OBJ_DICT, state
-
-
 def encode_segments(value: Any) -> List[Union[bytes, memoryview]]:
     """Encode ``value`` as ``[prefix, body, *buffers]`` byte segments.
 
@@ -569,16 +876,14 @@ def encode_segments(value: Any) -> List[Union[bytes, memoryview]]:
     sending/joining the segments before mutating any source array.
     """
     encoder = _Encoder(allow_oob=True)
-    body = bytearray()
     try:
-        encoder.encode_value(body, value)
+        encoder.value(value)
     except _Cyclic:
         # Self-referential containers need pickle's memo machinery; encode
         # the whole value as one fallback blob (correct, just not canonical
         # — cyclic values do not occur in materialized artifacts).
         encoder = _Encoder(allow_oob=True)
-        body = bytearray()
-        encoder._pickle(body, value)
+        _enc_pickle(encoder, value)
     buffers = [
         buf if isinstance(buf, memoryview) else memoryview(buf)
         for buf in encoder.buffers
@@ -589,8 +894,8 @@ def encode_segments(value: Any) -> List[Union[bytes, memoryview]]:
     _write_uvarint(prefix, len(buffers))
     for buf in buffers:
         _write_uvarint(prefix, len(buf))
-    _write_uvarint(prefix, len(body))
-    return [bytes(prefix), bytes(body), *buffers]
+    _write_uvarint(prefix, len(encoder.out))
+    return [bytes(prefix), bytes(encoder.out), *buffers]
 
 
 def encode(value: Any) -> bytes:
@@ -622,18 +927,93 @@ def content_digest(payload: Union[bytes, bytearray, memoryview]) -> str:
 # decoding
 # ---------------------------------------------------------------------------
 class _Decoder:
-    __slots__ = ("buffers", "copy_buffers")
+    """Integer-offset reader over one payload body (a ``bytes`` copy).
 
-    def __init__(self, buffers: List[memoryview], copy_buffers: bool):
+    ``view``/``base`` address the same body inside the original payload, so
+    blobs are sliced out of it as memoryviews (zero-copy arrays).
+    """
+
+    __slots__ = (
+        "data", "pos", "view", "base", "buffers", "copy_buffers",
+        "strings", "shapes", "layouts", "members", "classes",
+    )
+
+    def __init__(self, view: memoryview, start: int, end: int,
+                 buffers: List[memoryview], copy_buffers: bool):
+        self.data = bytes(view[start:end])
+        self.pos = 0
+        self.view = view
+        self.base = start
         self.buffers = buffers
         self.copy_buffers = copy_buffers
+        self.strings: List[str] = []
+        self.shapes: List[Tuple[str, ...]] = []
+        self.layouts: List[_Layout] = []
+        self.members: List[Enum] = []
+        self.classes: List[type] = []
 
-    def _blob(self, reader: _Reader) -> memoryview:
-        flag = reader.take(1)
-        if flag == _BLOB_INLINE:
-            return reader.take(reader.uvarint())
-        if flag == _BLOB_OOB:
-            index = reader.uvarint()
+    def value(self) -> Any:
+        pos = self.pos
+        self.pos = pos + 1
+        return _DECODERS[self.data[pos]](self)
+
+    def uvarint(self) -> int:
+        data = self.data
+        pos = self.pos
+        byte = data[pos]
+        if byte < 0x80:
+            self.pos = pos + 1
+            return byte
+        second = data[pos + 1]
+        if second < 0x80:
+            self.pos = pos + 2
+            return (byte & 0x7F) | (second << 7)
+        value, self.pos = _uvarint_at(data, pos)
+        return value
+
+    def take(self, count: int) -> int:
+        """Advance past ``count`` body bytes; returns their start offset."""
+        start = self.pos
+        end = start + count
+        if end > len(self.data):
+            raise ProtocolError(
+                f"canonical payload truncated: needed {count} bytes at body "
+                f"offset {start}, body has {len(self.data)}"
+            )
+        self.pos = end
+        return start
+
+    def text(self) -> str:
+        """A string slot (define or ref)."""
+        slot = self.uvarint()
+        if slot & 1:
+            try:
+                return self.strings[slot >> 1]
+            except IndexError:
+                raise ProtocolError(
+                    f"canonical payload references string {slot >> 1} before "
+                    f"defining it"
+                ) from None
+        count = slot >> 1
+        start = self.take(count)
+        text = self.data[start : start + count].decode("utf-8", "surrogatepass")
+        self.strings.append(text)
+        return text
+
+    def raw_text(self) -> str:
+        count = self.uvarint()
+        start = self.take(count)
+        return self.data[start : start + count].decode("utf-8", "surrogatepass")
+
+    def blob(self) -> memoryview:
+        flag = self.data[self.pos]
+        self.pos += 1
+        if flag == 0:
+            count = self.uvarint()
+            start = self.base + self.take(count)
+            return self.view[start : start + count]
+        if flag == 1:
+            index = self.uvarint()
             if index >= len(self.buffers):
                 raise ProtocolError(
                     f"canonical payload references out-of-band buffer "
@@ -641,15 +1021,32 @@ class _Decoder:
                 )
             return self.buffers[index]
         raise ProtocolError(
-            f"canonical payload has an invalid blob flag 0x{flag[0]:02x}"
+            f"canonical payload has an invalid blob flag 0x{flag:02x}"
         )
 
-    def _str(self, reader: _Reader) -> str:
-        return bytes(reader.take(reader.uvarint())).decode("utf-8", "surrogatepass")
+    def slot(self, table: List[Any], define: Callable[["_Decoder"], Any]) -> Any:
+        """A definition slot: a known id, or the next id with its body."""
+        pos = self.pos
+        index = self.data[pos]
+        if index < 0x80:
+            self.pos = pos + 1
+        else:
+            index = self.uvarint()
+        if index < len(table):
+            return table[index]
+        if index != len(table):
+            raise ProtocolError(
+                f"canonical payload references definition {index} of a "
+                f"{len(table)}-entry table"
+            )
+        entry = define(self)
+        table.append(entry)
+        return entry
 
-    def _class(self, reader: _Reader) -> type:
-        module_name = self._str(reader)
-        qualname = self._str(reader)
+    def definition(self) -> Tuple[type, Tuple[str, ...]]:
+        """A class plus its attribute or member names (:func:`_definition`)."""
+        module_name = self.raw_text()
+        qualname = self.raw_text()
         try:
             module = importlib.import_module(module_name)
         except Exception as exc:  # noqa: BLE001 - typed decode failure
@@ -663,170 +1060,325 @@ class _Decoder:
                 f"canonical payload references {module_name}:{qualname}, "
                 f"which does not resolve to a class"
             )
-        return target
+        return target, tuple([self.raw_text() for _ in range(self.uvarint())])
 
-    def decode_value(self, reader: _Reader) -> Any:  # noqa: C901
-        tag = bytes(reader.take(1))
-        if tag == _T_NONE:
-            return None
-        if tag == _T_TRUE:
-            return True
-        if tag == _T_FALSE:
-            return False
-        if tag == _T_INT:
-            return reader.svarint()
-        if tag == _T_FLOAT:
-            return _FLOAT.unpack(reader.take(_FLOAT.size))[0]
-        if tag == _T_COMPLEX:
-            real, imag = _COMPLEX.unpack(reader.take(_COMPLEX.size))
-            return complex(real, imag)
-        if tag == _T_STR:
-            return self._str(reader)
-        if tag == _T_BYTES:
-            return bytes(self._blob(reader))
-        if tag == _T_BYTEARRAY:
-            return bytearray(self._blob(reader))
-        if tag == _T_LIST:
-            return [self.decode_value(reader) for _ in range(reader.uvarint())]
-        if tag == _T_TUPLE:
-            return tuple(self.decode_value(reader) for _ in range(reader.uvarint()))
-        if tag == _T_SET:
-            return {self.decode_value(reader) for _ in range(reader.uvarint())}
-        if tag == _T_FROZENSET:
-            return frozenset(
-                self.decode_value(reader) for _ in range(reader.uvarint())
-            )
-        if tag == _T_DICT:
-            return {
-                self.decode_value(reader): self.decode_value(reader)
-                for _ in range(reader.uvarint())
-            }
-        if tag == _T_NDARRAY:
-            return self._ndarray(reader)
-        if tag == _T_NPSCALAR:
-            dtype = self._dtype(self._str(reader))
-            data = self._blob(reader)
-            return np.frombuffer(data, dtype=dtype)[0]
-        if tag == _T_ENUM:
-            cls = self._class(reader)
-            name = self._str(reader)
-            try:
-                return cls[name]
-            except KeyError as exc:
-                raise ProtocolError(
-                    f"canonical payload names unknown enum member "
-                    f"{cls.__qualname__}.{name}"
-                ) from exc
-        if tag == _T_DATACLASS:
-            return self._dataclass(reader)
-        if tag == _T_OBJ_STATE:
-            cls = self._class(reader)
-            state = self.decode_value(reader)
-            instance = cls.__new__(cls)
-            instance.__setstate__(state)
-            return instance
-        if tag == _T_OBJ_DICT:
-            cls = self._class(reader)
-            state = self.decode_value(reader)
-            instance = cls.__new__(cls)
-            for name, attr in state.items():
-                object.__setattr__(instance, name, attr)
-            return instance
-        if tag == _T_SERIES:
-            return self._series(reader)
-        if tag == _T_DATAFRAME:
-            return self._dataframe(reader)
-        if tag == _T_PICKLE:
-            count = reader.uvarint()
-            picked = [self._blob(reader) for _ in range(count)]
-            body = self._blob(reader)
-            return pickle.loads(bytes(body), buffers=picked)
+
+def _define_layout(dec: _Decoder) -> "_Layout":
+    return _builder(*dec.definition())
+
+
+def _define_member(dec: _Decoder) -> Enum:
+    cls, names = dec.definition()
+    if not (issubclass(cls, Enum) and len(names) == 1):
         raise ProtocolError(
-            f"canonical payload has unknown type tag 0x{tag[0]:02x} "
-            f"(version skew or corruption)"
+            f"canonical payload names {cls.__qualname__}{list(names)} as an enum member"
         )
+    try:
+        return cls[names[0]]
+    except KeyError as exc:
+        raise ProtocolError(
+            f"canonical payload names unknown enum member "
+            f"{cls.__qualname__}.{names[0]}"
+        ) from exc
 
-    def _dtype(self, descr: str) -> np.dtype:
-        try:
-            if descr.startswith("["):
-                # Structured dtype descriptor stored as its list repr;
-                # literal_eval only admits constants/lists/tuples.
-                return np.dtype(ast.literal_eval(descr))
-            return np.dtype(descr)
-        except Exception as exc:  # noqa: BLE001 - typed decode failure
-            raise ProtocolError(
-                f"canonical payload carries invalid dtype descriptor {descr!r}"
-            ) from exc
 
-    def _ndarray(self, reader: _Reader) -> np.ndarray:
-        dtype = self._dtype(self._str(reader))
-        order = bytes(reader.take(1))
-        if order not in (b"C", b"F"):
-            raise ProtocolError(
-                f"canonical ndarray has invalid order byte {order!r}"
-            )
-        ndim = reader.uvarint()
-        shape = tuple(reader.uvarint() for _ in range(ndim))
-        data = self._blob(reader)
-        count = 1
-        for dim in shape:
-            count *= dim
-        if dtype.itemsize and len(data) != count * dtype.itemsize:
-            raise ProtocolError(
-                f"canonical ndarray of shape {shape} dtype {dtype} expects "
-                f"{count * dtype.itemsize} buffer bytes, got {len(data)}"
-            )
-        flat = np.frombuffer(data, dtype=dtype)
-        if order == b"C":
-            array = flat.reshape(shape)
-        else:
-            array = flat.reshape(tuple(reversed(shape))).T
-        if self.copy_buffers:
-            # order="K" keeps the C/F memory layout, so a decoded value
-            # re-encodes to the same bytes (round-trip stability).
-            return array.copy(order="K")
-        return array  # zero-copy read-only view into the payload
+def _define_class(dec: _Decoder) -> type:
+    cls, names = dec.definition()
+    if names:
+        raise ProtocolError(
+            f"canonical state-object class {cls.__qualname__} carries names {list(names)}"
+        )
+    return cls
 
-    def _dataclass(self, reader: _Reader) -> Any:
-        cls = self._class(reader)
-        count = reader.uvarint()
-        instance = cls.__new__(cls)
-        for _ in range(count):
-            name = self._str(reader)
-            # object.__setattr__ also serves frozen and slotted dataclasses.
-            object.__setattr__(instance, name, self.decode_value(reader))
-        return instance
 
-    def _series(self, reader: _Reader) -> Any:
-        if _pd is None:
-            raise ProtocolError(
-                "canonical payload carries a pandas Series but pandas is "
-                "not installed in this process"
-            )
-        name = self.decode_value(reader)
-        index = self.decode_value(reader)
-        dtype = self.decode_value(reader)
-        values = self.decode_value(reader)
-        return _pd.Series(values, index=index, name=name, dtype=dtype)
+#: A decoded layout: ``(attribute count, build(values) -> instance)``.
+_Layout = Tuple[int, Callable[[List[Any]], Any]]
+_BUILDERS: Dict[Tuple[type, Tuple[str, ...]], _Layout] = {}
 
-    def _dataframe(self, reader: _Reader) -> Any:
-        if _pd is None:
-            raise ProtocolError(
-                "canonical payload carries a pandas DataFrame but pandas is "
-                "not installed in this process"
-            )
-        index = self.decode_value(reader)
-        count = reader.uvarint()
-        columns = {}
-        order = []
-        for _ in range(count):
-            column = self.decode_value(reader)
-            dtype = self.decode_value(reader)
-            values = self.decode_value(reader)
-            columns[column] = _pd.Series(values, index=index, dtype=dtype)
-            order.append(column)
-        frame = _pd.DataFrame(columns, index=index)
-        return frame[order] if order else frame
+
+def _builder(cls: type, names: Tuple[str, ...]) -> _Layout:
+    """Cached constructor: a bare instance with ``names`` set to the values."""
+    key = (cls, names)
+    layout = _BUILDERS.get(key)
+    if layout is None:
+        layout = _BUILDERS.setdefault(key, (len(names), _make_builder(cls, names)))
+    return layout
+
+
+def _make_builder(cls: type, names: Tuple[str, ...]) -> Callable[[List[Any]], Any]:
+    new = cls.__new__
+    has_dict = any("__dict__" in vars(klass) for klass in cls.__mro__)
+
+    def descriptor(name: str) -> Any:
+        for klass in cls.__mro__:
+            if name in vars(klass):
+                return vars(klass)[name]
+        return None
+
+    plain = has_dict and not any(
+        hasattr(type(descriptor(name)), "__set__") for name in names
+    )
+    if plain:
+        # Straight into the instance dict (also serves frozen dataclasses).
+        def build(values: List[Any]) -> Any:
+            instance = new(cls)
+            instance.__dict__.update(zip(names, values))
+            return instance
+    else:
+        setattr_ = object.__setattr__  # slots, frozen and slotted dataclasses
+
+        def build(values: List[Any]) -> Any:
+            instance = new(cls)
+            for name, item in zip(names, values):
+                setattr_(instance, name, item)
+            return instance
+
+    return build
+
+
+def _d_none(dec: _Decoder) -> None:
+    return None
+
+
+def _d_true(dec: _Decoder) -> bool:
+    return True
+
+
+def _d_false(dec: _Decoder) -> bool:
+    return False
+
+
+def _d_int(dec: _Decoder) -> int:
+    raw = dec.uvarint()
+    return (raw >> 1) if not raw & 1 else -((raw + 1) >> 1)
+
+
+def _d_float(dec: _Decoder) -> float:
+    pos = dec.pos
+    dec.pos = pos + 8
+    return _FLOAT.unpack_from(dec.data, pos)[0]
+
+
+def _d_complex(dec: _Decoder) -> complex:
+    pos = dec.pos
+    dec.pos = pos + 16
+    real, imag = _COMPLEX.unpack_from(dec.data, pos)
+    return complex(real, imag)
+
+
+def _d_bytes(dec: _Decoder) -> bytes:
+    return bytes(dec.blob())
+
+
+def _d_bytearray(dec: _Decoder) -> bytearray:
+    return bytearray(dec.blob())
+
+
+def _d_list(dec: _Decoder) -> list:
+    value = dec.value
+    return [value() for _ in range(dec.uvarint())]
+
+
+def _d_tuple(dec: _Decoder) -> tuple:
+    value = dec.value
+    return tuple([value() for _ in range(dec.uvarint())])
+
+
+def _packed_floats(dec: _Decoder) -> Tuple[float, ...]:
+    count = dec.uvarint()
+    return struct.unpack_from(">%dd" % count, dec.data, dec.take(8 * count))
+
+
+def _packed_ints(dec: _Decoder) -> Tuple[int, ...]:
+    count = dec.uvarint()
+    code = dec.data[dec.take(1)]
+    width = _INT_ITEMSIZE.get(code)
+    if width is None:
+        raise ProtocolError(f"canonical packed ints have an invalid width code 0x{code:02x}")
+    return struct.unpack_from(">%d%s" % (count, chr(code)), dec.data, dec.take(width * count))
+
+
+def _packed_strs(dec: _Decoder) -> Any:
+    """A packed str sequence: its id array, then the strings it introduces."""
+    strings = dec.strings
+    count = dec.uvarint()
+    code = _id_code(len(strings) + count)
+    ids = struct.unpack_from(
+        ">%d%s" % (count, code), dec.data, dec.take(struct.calcsize(code) * count)
+    )
+    if ids:
+        for _ in range(max(ids) + 1 - len(strings)):
+            strings.append(dec.raw_text())
+    return map(strings.__getitem__, ids)
+
+
+def _d_float_list(dec: _Decoder) -> list:
+    return list(_packed_floats(dec))
+
+
+def _d_float_tuple(dec: _Decoder) -> tuple:
+    return _packed_floats(dec)
+
+
+def _d_int_list(dec: _Decoder) -> list:
+    return list(_packed_ints(dec))
+
+
+def _d_int_tuple(dec: _Decoder) -> tuple:
+    return _packed_ints(dec)
+
+
+def _d_str_list(dec: _Decoder) -> list:
+    return list(_packed_strs(dec))
+
+
+def _d_str_tuple(dec: _Decoder) -> tuple:
+    return tuple(_packed_strs(dec))
+
+
+def _d_set(dec: _Decoder) -> set:
+    value = dec.value
+    return {value() for _ in range(dec.uvarint())}
+
+
+def _d_frozenset(dec: _Decoder) -> frozenset:
+    value = dec.value
+    return frozenset([value() for _ in range(dec.uvarint())])
+
+
+def _d_dict(dec: _Decoder) -> dict:
+    value = dec.value
+    # Dict comprehensions evaluate the key before the value (3.8+).
+    return {value(): value() for _ in range(dec.uvarint())}
+
+
+def _define_shape(dec: _Decoder) -> Tuple[str, ...]:
+    text = dec.text
+    return tuple([text() for _ in range(dec.uvarint())])
+
+
+def _d_str_dict(dec: _Decoder) -> dict:
+    keys = dec.slot(dec.shapes, _define_shape)
+    values = dec.value()
+    if type(values) is not tuple or len(values) != len(keys):
+        raise ProtocolError(
+            f"canonical dict of {len(keys)} keys carries a value of type "
+            f"{type(values).__name__} instead of its value tuple"
+        )
+    return dict(zip(keys, values))
+
+
+def _d_ndarray(dec: _Decoder) -> np.ndarray:
+    dtype = _dtype(dec.text())
+    order = dec.data[dec.take(1)]
+    if order not in b"CF":
+        raise ProtocolError(
+            f"canonical ndarray has invalid order byte {bytes([order])!r}"
+        )
+    shape = tuple(dec.uvarint() for _ in range(dec.uvarint()))
+    data = dec.blob()
+    count = 1
+    for dim in shape:
+        count *= dim
+    if dtype.itemsize and len(data) != count * dtype.itemsize:
+        raise ProtocolError(
+            f"canonical ndarray of shape {shape} dtype {dtype} expects "
+            f"{count * dtype.itemsize} buffer bytes, got {len(data)}"
+        )
+    flat = np.frombuffer(data, dtype=dtype)
+    if order == ord("C"):
+        array = flat.reshape(shape)
+    else:
+        array = flat.reshape(tuple(reversed(shape))).T
+    if dec.copy_buffers:
+        # order="K" keeps the C/F memory layout, so a decoded value
+        # re-encodes to the same bytes (round-trip stability).
+        return array.copy(order="K")
+    return array  # zero-copy read-only view into the payload
+
+
+def _d_npscalar(dec: _Decoder) -> np.generic:
+    dtype = _dtype(dec.text())
+    return np.frombuffer(dec.blob(), dtype=dtype)[0]
+
+
+def _dtype(descr: str) -> np.dtype:
+    try:
+        if descr.startswith("["):
+            # Structured dtype descriptor stored as its list repr;
+            # literal_eval only admits constants/lists/tuples.
+            return np.dtype(ast.literal_eval(descr))
+        return np.dtype(descr)
+    except Exception as exc:  # noqa: BLE001 - typed decode failure
+        raise ProtocolError(
+            f"canonical payload carries invalid dtype descriptor {descr!r}"
+        ) from exc
+
+
+def _d_enum(dec: _Decoder) -> Enum:
+    return dec.slot(dec.members, _define_member)
+
+
+def _d_object(dec: _Decoder) -> Any:
+    count, build = dec.slot(dec.layouts, _define_layout)
+    value = dec.value
+    return build([value() for _ in range(count)])
+
+
+def _d_obj_state(dec: _Decoder) -> Any:
+    cls = dec.slot(dec.classes, _define_class)
+    state = dec.value()
+    instance = cls.__new__(cls)
+    instance.__setstate__(state)
+    return instance
+
+
+def _d_pickle(dec: _Decoder) -> Any:
+    picked = [dec.blob() for _ in range(dec.uvarint())]
+    body = dec.blob()
+    return pickle.loads(bytes(body), buffers=picked)
+
+
+def _d_unknown(dec: _Decoder) -> Any:
+    tag = dec.data[dec.pos - 1]
+    raise ProtocolError(
+        f"canonical payload has unknown type tag 0x{tag:02x} "
+        f"(version skew or corruption)"
+    )
+
+
+_DECODERS: List[Callable[[_Decoder], Any]] = [_d_unknown] * 256
+for _tag, _decoder in (
+    (_T_NONE, _d_none),
+    (_T_TRUE, _d_true),
+    (_T_FALSE, _d_false),
+    (_T_INT, _d_int),
+    (_T_FLOAT, _d_float),
+    (_T_COMPLEX, _d_complex),
+    (_T_STR, _Decoder.text),
+    (_T_BYTES, _d_bytes),
+    (_T_BYTEARRAY, _d_bytearray),
+    (_T_LIST, _d_list),
+    (_T_TUPLE, _d_tuple),
+    (_T_FLOAT_LIST, _d_float_list),
+    (_T_FLOAT_TUPLE, _d_float_tuple),
+    (_T_INT_LIST, _d_int_list),
+    (_T_INT_TUPLE, _d_int_tuple),
+    (_T_STR_LIST, _d_str_list),
+    (_T_STR_TUPLE, _d_str_tuple),
+    (_T_SET, _d_set),
+    (_T_FROZENSET, _d_frozenset),
+    (_T_DICT, _d_dict),
+    (_T_STR_DICT, _d_str_dict),
+    (_T_NDARRAY, _d_ndarray),
+    (_T_NPSCALAR, _d_npscalar),
+    (_T_ENUM, _d_enum),
+    (_T_OBJECT, _d_object),
+    (_T_OBJ_STATE, _d_obj_state),
+    (_T_PICKLE, _d_pickle),
+):
+    _DECODERS[_tag[0]] = _decoder
+del _tag, _decoder
 
 
 def decode(
@@ -841,8 +1393,8 @@ def decode(
     a decoded value reproduces the original bytes.
 
     Raises :class:`~repro.exceptions.ProtocolError` on truncated payloads,
-    unknown type tags, invalid buffer references, or a bad magic/version
-    prefix.
+    unknown type tags, dangling intern references, invalid buffer
+    references, or a bad magic/version prefix.
     """
     view = memoryview(payload)
     if view.ndim != 1 or view.format != "B":
@@ -862,29 +1414,34 @@ def decode(
             f"canonical encoding version mismatch: payload is version "
             f"{view[2]}, this process decodes version {CANONICAL_VERSION}"
         )
-    reader = _Reader(view, 3, len(view))
-    buffer_count = reader.uvarint()
-    lengths = [reader.uvarint() for _ in range(buffer_count)]
-    body_len = reader.uvarint()
-    body_start = reader.pos
-    body_end = body_start + body_len
-    expected = body_end + sum(lengths)
-    if expected != len(view):
+    try:
+        buffer_count, pos = _uvarint_at(view, 3)
+        lengths = []
+        for _ in range(buffer_count):
+            length, pos = _uvarint_at(view, pos)
+            lengths.append(length)
+        body_len, body_start = _uvarint_at(view, pos)
+        body_end = body_start + body_len
+        expected = body_end + sum(lengths)
+        if expected != len(view):
+            raise ProtocolError(
+                f"canonical payload declares {expected} bytes but carries "
+                f"{len(view)}"
+            )
+        buffers: List[memoryview] = []
+        offset = body_end
+        for length in lengths:
+            buffers.append(view[offset : offset + length])
+            offset += length
+        decoder = _Decoder(view, body_start, body_end, buffers, copy_buffers)
+        value = decoder.value()
+    except (IndexError, struct.error) as exc:
+        raise ProtocolError(f"canonical payload truncated or malformed: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"canonical payload carries invalid UTF-8: {exc}") from exc
+    if decoder.pos != len(decoder.data):
         raise ProtocolError(
-            f"canonical payload declares {expected} bytes but carries "
-            f"{len(view)}"
-        )
-    buffers: List[memoryview] = []
-    offset = body_end
-    for length in lengths:
-        buffers.append(view[offset : offset + length])
-        offset += length
-    decoder = _Decoder(buffers, copy_buffers=copy_buffers)
-    body = _Reader(view, body_start, body_end)
-    value = decoder.decode_value(body)
-    if body.pos != body_end:
-        raise ProtocolError(
-            f"canonical payload has {body_end - body.pos} trailing body "
-            f"bytes after the value"
+            f"canonical payload has {len(decoder.data) - decoder.pos} trailing "
+            f"body bytes after the value"
         )
     return value

@@ -2,12 +2,14 @@
 
 Artifacts are serialized with the **canonical binary encoding** of
 :mod:`repro.storage.canonical`: deterministic (sorted dict keys, explicit
-type tags, minimal varints), versioned (a ``b"HC"`` magic + version prefix),
-and zero-copy capable (NumPy buffers ship as out-of-band ``memoryview``
-segments).  Deterministic bytes make serialized artifact *sizes* — and
-content digests — bit-identical across processes, which is what lets the
-executor-equivalence harness compare storage statistics with exact equality
-across the inline/thread/process/distributed strategies.  Values outside
+type tags, minimal varints, per-payload string/class intern tables, packed
+homogeneous sequences), versioned (a ``b"HC"`` magic + format version byte,
+refused on mismatch), and zero-copy capable (NumPy buffers ship as
+out-of-band ``memoryview`` segments).  Deterministic bytes make serialized
+artifact *sizes* — and content digests — bit-identical across processes,
+which is what lets the executor-equivalence harness compare storage
+statistics with exact equality across the inline/thread/process/distributed
+strategies.  Values outside
 the canonical type set fall back to an embedded pickle (protocol 5), so
 :func:`serialize`/:func:`deserialize` accept everything pickle does;
 :func:`deserialize` additionally accepts legacy plain-pickle payloads

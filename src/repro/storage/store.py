@@ -2,9 +2,10 @@
 
 Two implementations share the :class:`MaterializationStore` interface:
 
-* :class:`DiskStore` pickles artifacts into a directory and measures real
-  read/write times — used by the benchmark harness so that load costs are
-  genuine I/O costs.
+* :class:`DiskStore` writes each artifact's canonical encoding
+  (:mod:`repro.storage.canonical`) to a ``<signature>.hc`` file in a
+  directory and measures real read/write times — used by the benchmark
+  harness so that load costs are genuine I/O costs.
 * :class:`InMemoryStore` keeps serialized bytes in memory and *models* the
   read/write times from a configurable disk bandwidth — used by unit tests
   and the simulated-cost experiments where determinism matters.
@@ -128,7 +129,7 @@ class MaterializationStore(ABC):
         """Serialized bytes of a materialized artifact; ``None`` when absent.
 
         Serves the distributed executor's artifact FETCH lane: both
-        built-in stores already hold pickled bytes, so their overrides of
+        built-in stores already hold serialized bytes, so their overrides of
         :meth:`_read_serialized` forward them without a deserialize +
         re-serialize round trip.  Backends without raw-bytes access fall
         back to ``serialize(load(...))``.
@@ -180,7 +181,7 @@ class MaterializationStore(ABC):
 
 
 class DiskStore(MaterializationStore):
-    """Pickle-per-artifact store rooted at a directory, with measured I/O times."""
+    """One canonical-encoding file per artifact under a directory, with measured I/O times."""
 
     def __init__(self, root: Path, budget_bytes: Optional[int] = None):
         super().__init__(budget_bytes=budget_bytes)
@@ -188,7 +189,7 @@ class DiskStore(MaterializationStore):
         self.root.mkdir(parents=True, exist_ok=True)
 
     def _path_for(self, signature: str) -> Path:
-        return self.root / f"{signature}.pkl"
+        return self.root / f"{signature}.hc"
 
     def _write(self, signature: str, value: Any) -> Tuple[int, float, str, str]:
         path = self._path_for(signature)

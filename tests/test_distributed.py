@@ -148,15 +148,22 @@ def _listen_worker_main(port_queue, worker_id=None, heartbeat_interval=0.5, port
 
 
 def _start_listening_workers(count):
-    """Start ``count`` listening worker processes; return (processes, addresses)."""
+    """Start ``count`` listening worker processes; return (processes, addresses).
+
+    ``addresses[i]`` is the listener of ``processes[i]``: each worker's port
+    is read before the next one starts.  (Reading them after starting all
+    of them pairs ports in readiness order, which under load is not start
+    order — a test would then kill one worker and watch another's address.)
+    """
     ctx = multiprocessing.get_context()
     port_queue = ctx.Queue()
     processes = []
+    addresses = []
     for _ in range(count):
         process = ctx.Process(target=_listen_worker_main, args=(port_queue,), daemon=True)
         process.start()
         processes.append(process)
-    addresses = [f"127.0.0.1:{port_queue.get(timeout=10)}" for _ in processes]
+        addresses.append(f"127.0.0.1:{port_queue.get(timeout=10)}")
     return processes, addresses
 
 
@@ -1788,6 +1795,14 @@ def _await_worker_count(executor, count, timeout=5.0):
     assert len(executor.worker_pids()) == count
 
 
+def _await_backoff_expiry(executor, address, timeout=5.0):
+    """Wait until ``address``'s armed re-dial backoff window has passed."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < min(executor._remote_retry_at.get(address, 0.0), deadline):
+        time.sleep(0.01)
+    assert time.monotonic() >= executor._remote_retry_at.get(address, 0.0)
+
+
 class TestRedialBackoff:
     def test_redial_backoff_validated(self):
         with pytest.raises(ExecutionError, match="redial_backoff"):
@@ -1835,7 +1850,7 @@ class TestRedialBackoff:
             # (exponential growth is over the *count*, reset on success below)
             with pytest.warns(RuntimeWarning, match="unreachable"):
                 executor.start()
-            time.sleep(0.1)  # past the 0.05s first-failure backoff
+            _await_backoff_expiry(executor, victim_address)
             with pytest.warns(RuntimeWarning, match="unreachable"):
                 executor.start()
             assert executor._remote_dial_failures[victim_address] >= 2
@@ -1850,10 +1865,37 @@ class TestRedialBackoff:
             replacement.start()
             processes.append(replacement)
             assert port_queue.get(timeout=10) == victim_address[1]
-            time.sleep(0.3)  # let the armed backoff window expire
+            _await_backoff_expiry(executor, victim_address)
             executor.start()  # healing dial succeeds: pool back to strength
             assert victim_address not in executor._remote_dial_failures
             assert len(executor.worker_pids()) == 2
+        finally:
+            executor.shutdown()
+            _reap(processes)
+
+    def test_dial_whose_worker_is_gone_by_the_end_of_the_pass_keeps_backing_off(
+        self, monkeypatch
+    ):
+        """A worker that accepts the dial and registers but is no longer
+        registered when the healing pass ends (a crash loop) counts as a
+        failed dial: its counter grows instead of resetting."""
+        processes, addresses = _start_listening_workers(2)
+        executor = DistributedExecutor(
+            workers=addresses, connect_timeout=0.5, redial_backoff=1.0
+        )
+        victim_address = parse_worker_address(addresses[1])
+        try:
+            executor.start()
+            processes[1].kill()
+            _await_worker_count(executor, 1)
+            executor._remote_dial_failures[victim_address] = 2
+            # the dial "succeeds" but leaves no registered worker behind
+            monkeypatch.setattr(executor, "_connect_remote", lambda address: None)
+            with pytest.warns(RuntimeWarning, match="did not stay registered"):
+                executor.start()
+            assert executor._remote_dial_failures[victim_address] == 3
+            # third consecutive failure: 1s * 2**2 backoff armed
+            assert executor._remote_retry_at[victim_address] > time.monotonic() + 3.0
         finally:
             executor.shutdown()
             _reap(processes)

@@ -14,10 +14,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dag import Node, WorkflowDAG
+from repro.core.data import (
+    DataCollection,
+    ElementKind,
+    Example,
+    FeatureVector,
+    Record,
+    SemanticUnit,
+    Split,
+)
+from repro.core.operators import PredictionsResult
 from repro.core.signatures import compute_node_signatures, diff_signatures
+from repro.execution.clock import SimulatedCostModel
+from repro.ml.linear import LogisticRegression
 from repro.optimizer.oep import NodeState, plan_run_time, solve_oep
 from repro.optimizer.omp import cumulative_run_time
 from repro.optimizer.pruning import eviction_schedule, out_of_scope_after
+from repro.storage import canonical
 from repro.storage.canonical import (
     CANONICAL_MAGIC,
     decode,
@@ -25,6 +38,9 @@ from repro.storage.canonical import (
     encode_segments,
 )
 from repro.storage.serialization import deserialize, serialize
+from repro.storage.store import InMemoryStore
+from repro.systems import HelixSystem
+from repro.workloads.base import get_workload
 
 from conftest import ConstOperator, SumOperator
 
@@ -180,6 +196,68 @@ class TestSerializationProperties:
         assert deserialize(serialize(value)) == value
 
 
+def _row(age: str, education: str, split: Split) -> Record:
+    return Record({"age": age, "education": education, "target": "1"}, split=split)
+
+
+def _unit(value: float, split: Split) -> SemanticUnit:
+    return SemanticUnit(
+        input=str(value), source="age", output=FeatureVector({"age": value}), split=split
+    )
+
+
+def _example(education: str, label: float, split: Split) -> Example:
+    features = FeatureVector({f"education={education}": 1.0, "capital_gain": 0.25})
+    return Example(
+        features=features,
+        label=label,
+        split=split,
+        provenance={name: name.split("=")[0] for name in features.names},
+    )
+
+
+_EXAMPLES = DataCollection(
+    "income",
+    [_example("Masters", 1.0, Split.TRAIN), _example("HS-grad", 0.0, Split.TEST)],
+    kind=ElementKind.EXAMPLE,
+)
+
+#: One value of every data-model kind the workloads materialize.
+_DATA_MODEL_CORPUS = [
+    _row("40", "Masters", Split.TRAIN),
+    FeatureVector({"rff_1": -0.5, "rff_0": 0.125, "rff_10": 3.0}),
+    _unit(40.0, Split.TEST),
+    _example("Masters", 1.0, Split.TRAIN),
+    DataCollection(
+        "rows", [_row("40", "Masters", Split.TRAIN), _row("23", "HS-grad", Split.TEST)],
+        kind=ElementKind.RECORD,
+    ),
+    DataCollection(
+        "ageExt", [_unit(40.0, Split.TRAIN), _unit(23.0, Split.TEST)],
+        kind=ElementKind.SEMANTIC_UNIT,
+    ),
+    _EXAMPLES,
+    PredictionsResult(
+        predictions=_EXAMPLES,
+        model=LogisticRegression(max_iter=5),
+        feature_index={"capital_gain": 0, "education=HS-grad": 1, "education=Masters": 2},
+    ),
+]
+
+#: Edge values of the packed-sequence and intern paths.
+_EDGE_CORPUS = [
+    [-0.0, float("inf"), float("-inf"), 1.5],
+    (0.0, -0.0),
+    [2**63, 1, 2],
+    [-(2**63) - 1, 0],
+    [1, True, 0, False],
+    (7, False),
+    "lone surrogate: \ud800",
+    ["\udfff", "\ud800", "ok"],
+    {1: "int", "a": "str", (2, 3): "tuple", None: "none", 2.5: "float"},
+    {f"key{i}": "one string under many keys" for i in range(50)},
+]
+
 #: Values encoded in a fresh interpreter to pin cross-process bit equality.
 #: Deliberately hash-order sensitive (string-keyed dicts, sets) and layout
 #: sensitive (C- and F-ordered arrays): the classic sources of drift.
@@ -193,6 +271,8 @@ _CROSS_PROCESS_CORPUS = [
     np.asfortranarray(np.arange(24, dtype=np.int32).reshape(4, 6)),
     np.array(3.5, dtype=np.float32),
     np.float64(2.25),
+    *_DATA_MODEL_CORPUS,
+    *_EDGE_CORPUS,
 ]
 
 #: Child-process encoder: reads a pickled value list on stdin, writes the
@@ -295,3 +375,166 @@ class TestCanonicalDeterminism:
         copied = decode(payload)
         assert copied.flags.writeable
         assert not np.shares_memory(copied, np.frombuffer(payload, dtype=np.uint8))
+
+
+# ---------------------------------------------------------------------------
+# The data model on the canonical wire
+# ---------------------------------------------------------------------------
+def _structure(value):
+    """``value`` with its identity-compared data-model objects unfolded."""
+    if isinstance(value, DataCollection):
+        return ("DataCollection", value.name, value.kind, tuple(map(_structure, value.elements)))
+    if isinstance(value, PredictionsResult):
+        return ("PredictionsResult", _structure(value.predictions), vars(value.model),
+                value.feature_index)
+    return value
+
+
+def _body_tag(value) -> bytes:
+    """The type tag the canonical body of ``value`` starts with."""
+    return bytes(encode_segments(value)[1][:1])
+
+
+_names = st.text(alphabet="abxyz=_019é", min_size=1, max_size=6)
+_splits = st.sampled_from(list(Split))
+_optional_floats = st.one_of(st.none(), st.floats(allow_nan=False))
+_feature_vectors = st.dictionaries(_names, st.floats(allow_nan=False), max_size=6).map(FeatureVector)
+_records = st.builds(
+    Record, fields=st.dictionaries(_names, _canonical_scalars, max_size=5), split=_splits
+)
+_units = st.builds(
+    SemanticUnit,
+    input=st.one_of(st.none(), _names, _records),
+    source=_names,
+    output=st.one_of(st.none(), _feature_vectors),
+    split=_splits,
+)
+_examples = st.builds(
+    Example,
+    features=_feature_vectors,
+    label=_optional_floats,
+    split=_splits,
+    provenance=st.dictionaries(_names, _names, max_size=4),
+    prediction=_optional_floats,
+    score=_optional_floats,
+)
+_example_collections = st.builds(
+    DataCollection, name=_names, elements=st.lists(_examples, max_size=4),
+    kind=st.just(ElementKind.EXAMPLE),
+)
+
+#: Every data-model kind a workflow materializes, nested the way they nest.
+_data_model_values = st.one_of(
+    _records,
+    _feature_vectors,
+    _units,
+    _examples,
+    st.builds(DataCollection, name=_names, elements=st.lists(_records, max_size=4),
+              kind=st.just(ElementKind.RECORD)),
+    st.builds(DataCollection, name=_names, elements=st.lists(_units, max_size=4),
+              kind=st.just(ElementKind.SEMANTIC_UNIT)),
+    _example_collections,
+    st.builds(
+        PredictionsResult,
+        predictions=_example_collections,
+        model=st.builds(LogisticRegression, max_iter=st.integers(1, 10)),
+        feature_index=st.dictionaries(_names, st.integers(0, 1000), max_size=5),
+    ),
+)
+
+
+def _materialized(workload: str, nodes, scale: float = 0.05):
+    """The decoded artifacts of ``nodes`` after iteration 0 stores everything."""
+    store = InMemoryStore()
+    system = HelixSystem.always_materialize(store=store, cost_model=SimulatedCostModel())
+    spec = get_workload(workload)
+    system.run_iteration(spec.build(spec.initial_config(scale=scale, seed=3)), iteration=0)
+    return {
+        record.node_name: store.load(record.signature)[0]
+        for record in store.artifacts()
+        if record.node_name in nodes
+    }
+
+
+class TestCanonicalDataModel:
+    """Version 2's intern tables, compiled codecs and packed sequences keep
+    the data model canonical, deterministic and exact."""
+
+    @given(_data_model_values)
+    @settings(max_examples=80, deadline=None)
+    def test_round_trip_fixpoint_and_stability(self, value):
+        packed = encode(value)
+        assert encode(value) == packed
+        # identity sharing (the same string or vector object reused) never
+        # reaches the bytes: a deep copy shares nothing and encodes the same
+        assert encode(pickle.loads(pickle.dumps(value))) == packed
+        decoded = decode(packed)
+        assert _structure(decoded) == _structure(value)
+        assert encode(decoded) == packed
+
+    def test_edge_values_round_trip_exactly(self):
+        def types(value):
+            if isinstance(value, dict):
+                return {key: type(item) for key, item in value.items()}
+            return [type(item) for item in value]
+
+        for value in _EDGE_CORPUS:
+            decoded = decode(encode(value))
+            assert decoded == value
+            assert types(decoded) == types(value)  # no bool -> int, no int -> float
+            assert encode(decoded) == encode(value)
+        signs = decode(encode((0.0, -0.0)))
+        assert [np.signbit(item) for item in signs] == [False, True]
+
+    def test_packing_needs_one_exact_type_that_fits(self):
+        assert _body_tag([-0.0, float("inf"), float("-inf")]) == canonical._T_FLOAT_LIST
+        assert _body_tag((1, -(2**63), 2**63 - 1)) == canonical._T_INT_TUPLE
+        assert _body_tag(["a", "b", "a"]) == canonical._T_STR_LIST
+        for unpacked in ([2**63, 1], [1, True], [1.0, 2], [None, 1.0]):
+            assert _body_tag(unpacked) == canonical._T_LIST
+
+    def test_repeated_strings_are_written_once(self):
+        text = "one string under many keys"
+        mapping = {f"key{i}": text for i in range(50)}
+        payload = encode(mapping)
+        assert payload.count(text.encode()) == 1
+        # each repeat costs one id byte, exactly what a None costs
+        assert len(payload) == len(encode(dict.fromkeys(mapping))) + 1 + len(text)
+
+    def test_dataclass_with_an_ad_hoc_attribute_still_takes_pickle(self):
+        clean = _example("Masters", 1.0, Split.TRAIN)
+        assert _body_tag(clean) == canonical._T_OBJECT  # compiles the codec
+        tagged = _example("Masters", 1.0, Split.TRAIN)
+        tagged.note = "kept"
+        assert _body_tag(tagged) == canonical._T_PICKLE
+        assert decode(encode(tagged)).note == "kept"
+        assert _body_tag(clean) == canonical._T_OBJECT
+
+    def test_cyclic_values_still_take_pickle(self):
+        loop = []
+        loop.append(loop)
+        assert _body_tag(loop) == canonical._T_PICKLE
+        decoded = decode(encode(loop))
+        assert decoded[0] is decoded
+
+        members = []
+        collection = DataCollection("loop", [members])
+        members.append(collection)
+        assert _body_tag(collection) == canonical._T_PICKLE
+        decoded = decode(encode(collection))
+        assert decoded.elements[0][0] is decoded
+
+    def test_stored_artifact_kinds_never_fall_back_to_pickle(self, monkeypatch):
+        def refuse(_decoder):
+            raise AssertionError("a stored data-model artifact carries a pickle tag")
+
+        artifacts = {
+            **_materialized("census", ("predictions", "income", "eduExt", "rows")),
+            **_materialized("mnist", ("digits", "rffFeatures")),
+        }
+        assert len(artifacts) == 6
+        decoders = list(canonical._DECODERS)
+        decoders[canonical._T_PICKLE[0]] = refuse
+        monkeypatch.setattr(canonical, "_DECODERS", decoders)
+        for name, value in artifacts.items():
+            assert encode(decode(encode(value))) == encode(value), name

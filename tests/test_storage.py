@@ -213,7 +213,7 @@ class TestDiskStore:
     def test_missing_file_raises(self, tmp_path):
         store = DiskStore(tmp_path)
         store.put("node", "sig", 1)
-        for path in tmp_path.glob("*.pkl"):
+        for path in tmp_path.glob("*.hc"):
             path.unlink()
         with pytest.raises(ArtifactNotFoundError):
             store.load("sig")
@@ -222,4 +222,4 @@ class TestDiskStore:
         store = DiskStore(tmp_path, budget_bytes=16)
         with pytest.raises(BudgetExceededError):
             store.put("node", "sig", list(range(1000)))
-        assert not any(tmp_path.glob("*.pkl"))
+        assert not any(tmp_path.glob("*.hc"))

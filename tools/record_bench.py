@@ -40,16 +40,18 @@ from typing import Dict, List, Optional
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 #: Registered snapshot configurations: name -> (script, extra argv).
-#: Each records to ``BENCH_<name>.json`` at the repository root.  Smoke
-#: variants are deliberate — tracked snapshots must be cheap to refresh.
+#: Each records to ``BENCH_<name>.json`` at the repository root.  Tracked
+#: snapshots must be cheap to refresh: smoke variants where the full run is
+#: long, the full run where it takes seconds.
 SNAPSHOTS: Dict[str, Dict[str, List[str]]] = {
     "fig7_distributed": {
         "script": ["benchmarks/bench_fig7_scalability.py"],
         "args": ["--smoke", "--executor", "distributed"],
     },
+    # The full run (six data-model artifacts at e2e scale) takes ~2 s.
     "serialization_micro": {
         "script": ["benchmarks/bench_serialization_micro.py"],
-        "args": ["--smoke"],
+        "args": [],
     },
     # The full sweep (up to 10^4 nodes) takes under ten seconds.
     "optimizer_micro": {
