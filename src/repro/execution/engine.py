@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import heapq
 import time
-import warnings
 from functools import partial
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -96,8 +95,7 @@ class ExecutionEngine:
     ``executor`` selects the task-dispatch strategy (``"inline"`` — the
     default reference strategy, ``"thread"``, ``"process"``,
     ``"distributed"``, a custom :class:`Executor` subclass, or a ready
-    instance; the deprecated engine names ``"serial"``/``"parallel"`` are
-    accepted as aliases).  ``max_workers`` bounds the worker pool for the
+    instance).  ``max_workers`` bounds the worker pool for the
     pool-backed strategies; ``workers=["host:port", ...]`` selects the
     distributed executor's remote (address-configured) worker pool.  A
     ready executor *instance* is treated as externally owned: the engine
@@ -554,9 +552,8 @@ class ExecutionEngine:
 
 
 def create_engine(
-    executor: Optional[ExecutorSpec] = None,
+    executor: ExecutorSpec = "inline",
     *,
-    engine: Optional[str] = None,
     max_workers: Optional[int] = None,
     workers: Optional[Sequence[str]] = None,
     **kwargs,
@@ -590,24 +587,7 @@ def create_engine(
         On an unknown executor name, an invalid ``max_workers`` or worker
         address, or ``max_workers``/``workers`` combined with an executor
         instance.
-
-    .. deprecated::
-        The ``engine`` keyword and the engine names ``"serial"``/``"parallel"``
-        (aliases for ``"inline"``/``"thread"``) are retained from the PR 2
-        serial/parallel split for backwards compatibility; the explicit
-        keyword warns.
     """
-    if executor is None:
-        if engine is not None:
-            warnings.warn(
-                "create_engine(engine=...) is deprecated; use the executor "
-                'argument ("serial" -> "inline", "parallel" -> "thread")',
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            executor = engine
-        else:
-            executor = "inline"
     return ExecutionEngine(
         executor=executor, max_workers=max_workers, workers=workers, **kwargs
     )

@@ -276,10 +276,9 @@ class ExecutorRig:
     Parameters
     ----------
     executor:
-        A canonical executor name (``"inline"``/``"thread"``/``"process"``/
-        ``"distributed"``), one of the legacy aliases
-        (``"serial"``/``"parallel"``), an :class:`Executor` subclass, or a
-        ready instance — e.g. a ``DistributedExecutor(workers=[...])``
+        An executor name (``"inline"``/``"thread"``/``"process"``/
+        ``"distributed"``), an :class:`Executor` subclass, or a ready
+        instance — e.g. a ``DistributedExecutor(workers=[...])``
         connected to remote workers.  An instance is treated as
         caller-owned: the rig's engines drain it between runs and the
         caller runs the final ``shutdown()``.
@@ -380,7 +379,7 @@ def run_executor_matrix(
             spec,
             policy=policy_factory(),
             budget_bytes=budget_bytes,
-            max_workers=None if spec in ("inline", "serial") else max_workers,
+            max_workers=None if spec == "inline" else max_workers,
         )
         plan0, stats0 = rig.run(dag, signatures, forced=dag.node_names, iteration=0)
         plan1, stats1 = rig.run(dag, signatures, forced=forced_second, iteration=1)

@@ -9,9 +9,9 @@ coordinator reaches through
 serves coordinator *connections* one at a time and survives across them, so
 one long-lived process amortizes interpreter startup over many runs.
 
-Within a single connection the protocol (version 5: canonical zero-copy
-frame payloads, batch envelopes and the worker-to-worker artifact plane;
-older coordinators are answered at their own version — see
+Within a single connection the protocol (canonical zero-copy frame
+payloads, batch envelopes and the worker-to-worker artifact plane; the
+coordinator must run the same library revision — see
 ``repro/storage/serialization.py``) is session-multiplexed: every task,
 fetch and result frame carries the coordinator-side session id, so one
 coordinator — e.g. the ``repro serve`` daemon — can interleave tasks from
@@ -106,7 +106,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         action="store_true",
         help="opt out of the worker-to-worker artifact plane: no "
         "peer-artifact listener is bound and every artifact fetch routes "
-        "through the coordinator (protocol v4 behavior)",
+        "through the coordinator",
     )
     parser.add_argument(
         "--cache-bytes",

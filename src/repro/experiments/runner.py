@@ -11,7 +11,6 @@ under test, and records the per-iteration :class:`RunStats`.  The resulting
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -92,7 +91,6 @@ def run_lifecycle(
     reset: bool = True,
     plan: Optional[Sequence[IterationSpec]] = None,
     executor: Optional[str] = None,
-    engine: Optional[str] = None,
     max_workers: Optional[int] = None,
     workers: Optional[Sequence[str]] = None,
     on_iteration: Optional[Callable[[IterationSpec, RunStats], None]] = None,
@@ -119,12 +117,9 @@ def run_lifecycle(
         ``"distributed"``) are auto-pooled: the system builds one worker
         pool, reuses it across every iteration of the lifecycle, and owns
         its close (``system.close_executor()``; see ``docs/executors.md``).
-    engine:
-        Deprecated alias for ``executor`` accepting the PR 2 engine names
-        (``"serial"`` -> ``"inline"``, ``"parallel"`` -> ``"thread"``).
     max_workers:
         Worker count for pool-backed executors (only used with
-        ``executor``/``engine``).
+        ``executor``).
     workers:
         Remote worker addresses (``"host:port"``) for the distributed
         executor's address-configured mode — pre-started ``python -m
@@ -150,14 +145,6 @@ def run_lifecycle(
     """
     if isinstance(workload, str):
         workload = get_workload(workload)
-    if engine is not None and executor is None:
-        warnings.warn(
-            "run_lifecycle(engine=...) is deprecated; use executor= "
-            '("serial" -> "inline", "parallel" -> "thread")',
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        executor = engine
     if workers is not None and executor is None:
         # Without this the addresses would be silently dropped and the
         # lifecycle would run on the system's existing configuration.
@@ -196,15 +183,14 @@ def run_comparison(
     scale: float = 1.0,
     skip_unsupported: bool = True,
     executor: Optional[str] = None,
-    engine: Optional[str] = None,
     max_workers: Optional[int] = None,
     workers: Optional[Sequence[str]] = None,
 ) -> Dict[str, LifecycleResult]:
     """Run several systems over the identical lifecycle and return results by name.
 
     ``executor``/``max_workers``/``workers`` reconfigure every system's
-    executor strategy for the comparison (``engine`` is the deprecated
-    name-alias form); ``None`` keeps each system's own configuration.
+    executor strategy for the comparison; ``None`` keeps each system's own
+    configuration.
     Address-configured remote workers (``workers``) serve one coordinator
     session at a time, so when addresses are given each system's owned
     coordinator session is closed as soon as its lifecycle ends — the next
@@ -235,7 +221,6 @@ def run_comparison(
                 scale=scale,
                 plan=plan,
                 executor=executor,
-                engine=engine,
                 max_workers=max_workers,
                 workers=workers,
             )

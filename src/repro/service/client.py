@@ -20,7 +20,7 @@ import socket
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from ..exceptions import ExecutionError, ProtocolError
-from ..execution.executors import _recv_message, _send_message
+from ..storage.serialization import recv_message, send_message
 from .daemon import parse_service_address, run_spec, validate_spec
 
 __all__ = [
@@ -96,7 +96,7 @@ class RunHandle:
                     self._finish(error="event stream abandoned before the run finished")
                     return
                 try:
-                    message = _recv_message(self._sock)
+                    message = recv_message(self._sock)
                 except (OSError, ProtocolError) as exc:
                     self._finish(error=f"connection to the service lost: {exc}")
                     return
@@ -185,8 +185,8 @@ class ServiceClient:
         sock = socket.create_connection(self.address, timeout=self.connect_timeout)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            _send_message(sock, ("submit", spec))
-            reply = _recv_message(sock)
+            send_message(sock, ("submit", spec))
+            reply = recv_message(sock)
         except BaseException:
             sock.close()
             raise
@@ -218,21 +218,23 @@ class ServiceClient:
                     f"malformed admission reply from the service: {reply!r}"
                 )
             raise ExecutionError(f"service rejected the submission: {reply[2]}")
-        if reply[0] != "accepted" or len(reply) != 3 or not isinstance(reply[1], str):
+        if (
+            reply[0] != "accepted"
+            or len(reply) != 3
+            or not isinstance(reply[1], str)
+            or not isinstance(reply[2], dict)
+        ):
             raise ExecutionError(f"unexpected admission reply: {reply!r}")
         admission = reply[2]
         try:
-            if isinstance(admission, dict):
-                for key in ("queued", "active", "position", "priority"):
-                    if key in admission:
-                        admission[key] = int(admission[key])
-                return reply[1], admission
-            # Pre-scheduler daemons reported a single queued+active count.
-            return reply[1], {"queued": int(admission), "active": 0}
+            for key in ("queued", "active", "position", "priority"):
+                if key in admission:
+                    admission[key] = int(admission[key])
         except (TypeError, ValueError):
             raise ExecutionError(
                 f"malformed admission reply from the service: {reply!r}"
             ) from None
+        return reply[1], admission
 
 
 def submit_run(

@@ -6,8 +6,8 @@ accepts workflow-run submissions over the same framed wire protocol the
 executor transport uses (:mod:`repro.storage.serialization`).  Each accepted
 run executes a full :func:`~repro.experiments.runner.run_lifecycle` on its
 own :class:`~repro.execution.executors.DistributedSession`, so several runs
-share the warm worker processes concurrently — the session multiplexing of
-protocol version 3 — instead of each run paying worker startup or queuing
+share the warm worker processes concurrently — the executor's session
+multiplexing — instead of each run paying worker startup or queuing
 behind a per-run coordinator.
 
 Admission scheduling is pluggable (:mod:`repro.service.scheduler`): the
@@ -55,12 +55,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from ..exceptions import ExecutionError
 from ..execution.clock import SimulatedCostModel
 from ..execution.equivalence import canonical_lifecycle
-from ..execution.executors import (
-    DistributedExecutor,
-    _send_message,
-    parse_worker_address,
-)
-from ..storage.serialization import PROTOCOL_VERSION, recv_message
+from ..execution.executors import DistributedExecutor, parse_worker_address
+from ..storage.serialization import recv_message, send_message
 from ..experiments.runner import LifecycleResult, run_lifecycle
 from ..systems.helix import HelixSystem
 from ..workloads.base import get_workload
@@ -241,16 +237,10 @@ class _RunRecord:
 
     __slots__ = (
         "run_id", "spec", "sock", "send_lock", "client_gone", "tenant",
-        "priority", "state", "protocol",
+        "priority", "state",
     )
 
-    def __init__(
-        self,
-        run_id: str,
-        spec: Dict[str, Any],
-        sock: socket.socket,
-        protocol: int = PROTOCOL_VERSION,
-    ):
+    def __init__(self, run_id: str, spec: Dict[str, Any], sock: socket.socket):
         self.run_id = run_id
         self.spec = spec
         self.sock = sock
@@ -259,18 +249,13 @@ class _RunRecord:
         self.tenant = spec.get("tenant", DEFAULT_TENANT)
         self.priority = int(spec.get("priority", PRIORITY_RANGE[0]))
         self.state = "queued"
-        #: Protocol version the client stamped on its submit frame; every
-        #: progress/terminal frame back to it is sent at this version (a
-        #: v3 client gets plain-pickle frames — same negotiated fallback
-        #: as the worker wire).
-        self.protocol = protocol
 
     def send(self, message: Tuple[Any, ...]) -> None:
         """Best-effort frame to the submitter; a vanished client is not fatal."""
         if self.client_gone:
             return
         try:
-            _send_message(self.sock, message, self.send_lock, version=self.protocol)
+            send_message(self.sock, message, self.send_lock)
         except Exception:  # noqa: BLE001 - client gone; the run itself continues
             self.client_gone = True
 
@@ -598,21 +583,14 @@ class ServeDaemon:
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn.settimeout(10.0)
         try:
-            received = recv_message(conn)
+            message = recv_message(conn)
             conn.settimeout(None)
         except Exception:  # noqa: BLE001 - reject peers that talk garbage
             conn.close()
             return
-        message, peer_version = (
-            received if received is not None else (None, PROTOCOL_VERSION)
-        )
         if not (isinstance(message, tuple) and len(message) == 2 and message[0] == "submit"):
             try:
-                _send_message(
-                    conn,
-                    ("failed", "", "expected a (submit, spec) frame"),
-                    version=peer_version,
-                )
+                send_message(conn, ("failed", "", "expected a (submit, spec) frame"))
             except Exception:  # noqa: BLE001 - best-effort refusal
                 pass
             conn.close()
@@ -621,14 +599,12 @@ class ServeDaemon:
             spec = validate_spec(message[1])
         except ExecutionError as exc:
             try:
-                _send_message(conn, ("failed", "", str(exc)), version=peer_version)
+                send_message(conn, ("failed", "", str(exc)))
             except Exception:  # noqa: BLE001 - best-effort refusal
                 pass
             conn.close()
             return
-        record = _RunRecord(
-            f"run-{next(self._run_seq)}", spec, conn, protocol=peer_version
-        )
+        record = _RunRecord(f"run-{next(self._run_seq)}", spec, conn)
         # Check-and-queue under the admission lock: once stop() has drained
         # the scheduler (holding this lock), no record can slip in behind
         # the drain and leave its client blocked on a terminal frame that

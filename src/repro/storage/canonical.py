@@ -138,12 +138,10 @@ __all__ = [
     "encode",
     "encode_segments",
     "decode",
-    "is_canonical",
     "content_digest",
 ]
 
-#: Two-byte marker distinguishing canonical payloads from legacy pickles
-#: (pickle protocol >= 2 always starts with ``b"\\x80"``).
+#: Two-byte marker opening every canonical payload; anything else is refused.
 CANONICAL_MAGIC = b"HC"
 
 #: Version byte of the canonical value encoding.  Bump on any change to the
@@ -901,11 +899,6 @@ def encode_segments(value: Any) -> List[Union[bytes, memoryview]]:
 def encode(value: Any) -> bytes:
     """Packed canonical encoding (a single ``bytes`` object)."""
     return b"".join(encode_segments(value))
-
-
-def is_canonical(payload: Union[bytes, bytearray, memoryview]) -> bool:
-    """Whether ``payload`` starts with the canonical magic prefix."""
-    return bytes(payload[:2]) == CANONICAL_MAGIC
 
 
 def content_digest(payload: Union[bytes, bytearray, memoryview]) -> str:

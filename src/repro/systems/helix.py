@@ -38,7 +38,7 @@ from ..optimizer.omp import (
     StreamingMaterializationPolicy,
 )
 from ..storage.store import DiskStore, InMemoryStore, MaterializationStore
-from .base import System, _resolve_executor_arg
+from .base import System
 
 __all__ = ["HelixSystem"]
 
@@ -66,9 +66,6 @@ class HelixSystem(System):
         Executor strategy for iterations: ``"inline"`` (default),
         ``"thread"`` (DAG-level parallelism over a thread pool) or
         ``"process"`` (CPU-bound parallelism over a process pool).
-    engine:
-        Deprecated alias for ``executor`` using the PR 2 engine names
-        (``"serial"`` -> ``"inline"``, ``"parallel"`` -> ``"thread"``).
     max_workers:
         Worker count for pool-backed executors (None = library default).
     workers:
@@ -85,8 +82,7 @@ class HelixSystem(System):
         seed: int = 0,
         storage_budget: Optional[int] = DEFAULT_STORAGE_BUDGET,
         name: Optional[str] = None,
-        executor: Optional[str] = None,
-        engine: Optional[str] = None,
+        executor: str = "inline",
         max_workers: Optional[int] = None,
         workers: Optional[Sequence[str]] = None,
     ):
@@ -98,9 +94,7 @@ class HelixSystem(System):
         self.tracker = ChangeTracker()
         self.estimator = CostEstimator(self.stats)
         self.name = name or f"helix-{self.policy.name}"
-        self.configure_executor(
-            _resolve_executor_arg(executor, engine), max_workers, workers=workers
-        )
+        self.configure_executor(executor, max_workers, workers=workers)
 
     # ------------------------------------------------------------------ variants
     @classmethod

@@ -31,7 +31,7 @@ from ..optimizer.metrics import StatsStore
 from ..optimizer.oep import solve_oep
 from ..optimizer.omp import NeverMaterialize
 from ..storage.store import InMemoryStore
-from .base import System, _resolve_executor_arg
+from .base import System
 
 __all__ = ["KeystoneMLSystem"]
 
@@ -67,8 +67,7 @@ class KeystoneMLSystem(System):
         cost_model: Optional[CostModel] = None,
         seed: int = 0,
         li_overhead_factor: float = 1.0,
-        executor: Optional[str] = None,
-        engine: Optional[str] = None,
+        executor: str = "inline",
         max_workers: Optional[int] = None,
     ):
         base = cost_model if cost_model is not None else MeasuredCostModel()
@@ -76,7 +75,7 @@ class KeystoneMLSystem(System):
             base = _ComponentOverheadCostModel(base, {Component.LI.value: li_overhead_factor})
         self.cost_model = base
         self.seed = seed
-        self.configure_executor(_resolve_executor_arg(executor, engine), max_workers)
+        self.configure_executor(executor, max_workers)
 
     def supports(self, workload_name: str) -> bool:
         return workload_name not in _UNSUPPORTED_WORKLOADS

@@ -67,6 +67,7 @@ from repro.execution.executors import (
     _ArtifactCache,
     _fetch_from_peer,
     _PeerArtifactServer,
+    _parse_registration,
     parse_worker_address,
     run_serialized_task,
 )
@@ -77,7 +78,6 @@ from repro.optimizer.omp import StreamingMaterializationPolicy
 from repro.storage.serialization import (
     ArtifactRef,
     FRAME_MAGIC,
-    MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
     decode_frame,
     deserialize,
@@ -167,6 +167,29 @@ def _start_listening_workers(count):
     return processes, addresses
 
 
+def _frame_at(version, payload):
+    """``payload`` framed under an arbitrary protocol version header — what a
+    peer at another library revision puts on the wire (this process only
+    ever stamps :data:`PROTOCOL_VERSION`)."""
+    frame = bytearray(encode_frame(payload))
+    frame[2:4] = version.to_bytes(2, "big")
+    return bytes(frame)
+
+
+_UNPICKLED = []
+
+
+def _record_unpickle():
+    _UNPICKLED.append(True)
+
+
+class _UnpickleTripwire:
+    """Unpickling this runs code: it records that it ran."""
+
+    def __reduce__(self):
+        return (_record_unpickle, ())
+
+
 def _reap(processes):
     for process in processes:
         if process.is_alive():
@@ -205,7 +228,7 @@ class TestWireFormat:
             right.close()
 
     def test_protocol_version_mismatch_rejected(self):
-        frame = encode_frame(b"payload", version=PROTOCOL_VERSION + 1)
+        frame = _frame_at(PROTOCOL_VERSION + 1, b"payload")
         with pytest.raises(ProtocolError, match="version mismatch"):
             decode_frame(frame)
         left, right = socket.socketpair()
@@ -250,11 +273,11 @@ class TestWireFormat:
 
 
 # ---------------------------------------------------------------------------
-# Protocol v4: canonical payloads, negotiation, batching, fuzz
+# Wire protocol: canonical payloads, one version, batching, fuzz
 # ---------------------------------------------------------------------------
 class TestWireProtocolV4:
-    """Version 4 of the wire protocol: canonical zero-copy payloads, v3
-    fallback negotiation, batch envelopes — and the fuzz contract that every
+    """The wire protocol: canonical zero-copy payloads under exactly one
+    protocol version, batch envelopes — and the fuzz contract that every
     malformed input surfaces as a typed error, never a dead worker."""
 
     def test_v4_frame_is_header_plus_canonical_payload(self):
@@ -265,19 +288,16 @@ class TestWireProtocolV4:
         assert joined[:2] == FRAME_MAGIC
         assert int.from_bytes(joined[2:4], "big") == PROTOCOL_VERSION
 
-    def test_send_and_recv_carry_both_protocol_versions(self):
-        """A v3 frame is a plain-pickle payload under a version-3 header;
-        ``recv_message`` reports which version each frame arrived at."""
+    def test_send_and_recv_round_trip_and_end_of_stream(self):
+        """``recv_message`` returns exactly the message sent, and ``None``
+        once the peer closes at a frame boundary."""
         message = ("ack", "w0", "s0", "n0")
         left, right = socket.socketpair()
         try:
             send_message(left, message)
-            send_message(left, message, version=3)
-            # what a real v3 peer puts on the wire, byte for byte
-            left.sendall(encode_frame(pickle.dumps(message, protocol=4), version=3))
-            assert recv_message(right) == (message, PROTOCOL_VERSION)
-            assert recv_message(right) == (message, 3)
-            assert recv_message(right) == (message, 3)
+            send_message(left, ("heartbeat", "w0", {"cache_hits": 1}))
+            assert recv_message(right) == message
+            assert recv_message(right) == ("heartbeat", "w0", {"cache_hits": 1})
             left.close()
             assert recv_message(right) is None
         finally:
@@ -285,18 +305,39 @@ class TestWireProtocolV4:
             right.close()
 
     def test_versions_outside_the_window_are_typed_errors(self):
-        message = ("heartbeat", "w0")
-        for version in (MIN_PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1):
-            with pytest.raises(ProtocolError, match="version"):
-                message_segments(message, version=version)
+        """The window is one version wide: the previous revision is refused
+        on its first frame exactly like a future one."""
+        for version in (0, 2, PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1):
+            frame = _frame_at(version, b"junk")
+            with pytest.raises(ProtocolError, match="version mismatch"):
+                decode_frame(frame)
+            left, right = socket.socketpair()
+            try:
+                left.sendall(frame)
+                with pytest.raises(ProtocolError, match="version mismatch"):
+                    recv_message(right)
+            finally:
+                left.close()
+                right.close()
+
+    def test_raw_pickle_payloads_are_refused_never_unpickled(self):
+        """A payload without the canonical magic is refused with a typed
+        error before anything is unpickled — as bytes and as a frame."""
+        raw = pickle.dumps(_UnpickleTripwire(), protocol=4)
+        with pytest.raises(ProtocolError):
+            deserialize(raw)
         left, right = socket.socketpair()
         try:
-            left.sendall(encode_frame(b"junk", version=MIN_PROTOCOL_VERSION - 1))
-            with pytest.raises(ProtocolError, match="version mismatch"):
+            left.sendall(encode_frame(raw))
+            with pytest.raises(ProtocolError):
                 recv_message(right)
         finally:
             left.close()
             right.close()
+        assert _UNPICKLED == []
+        pickle.loads(raw)  # the tripwire is live: unpickling does trip it
+        assert _UNPICKLED == [True]
+        _UNPICKLED.clear()
 
     def test_truncated_canonical_payload_is_a_typed_error(self):
         payload = serialize(("result", "s0", "n0", b"x" * 200))
@@ -319,40 +360,6 @@ class TestWireProtocolV4:
         packed[5] = 0x51
         with pytest.raises(ProtocolError, match="unknown type tag"):
             deserialize(bytes(packed))
-
-    def test_worker_answers_a_v3_coordinator_at_v3(self):
-        """The worker registers optimistically at v4 but downgrades every
-        reply to the version the coordinator demonstrably speaks."""
-        from repro.core.operators import RunContext
-        from repro.workloads.synthetic import LatencyOperator
-
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-        coordinator = socket.create_connection(listener.getsockname())
-        worker_side, _ = listener.accept()
-        listener.close()
-        server = WorkerServer(worker_id="v3w", heartbeat_interval=60.0)
-        thread = threading.Thread(
-            target=lambda: server._serve_connection(worker_side), daemon=True
-        )
-        thread.start()
-        try:
-            register, version = recv_message(coordinator)
-            assert register[0] == "register" and version == PROTOCOL_VERSION
-            payload = serialize(("k1", LatencyOperator(offset=1.0), [], RunContext()))
-            send_message(coordinator, ("task", "s0", "k1", payload), version=3)
-            ack, version = recv_message(coordinator)
-            assert ack == ("ack", "v3w", "s0", "k1")
-            assert version == 3
-            result, version = recv_message(coordinator)
-            assert result[0] == "result" and result[2] == "k1"
-            assert version == 3
-            send_message(coordinator, ("shutdown",), version=3)
-            thread.join(timeout=5)
-            assert not thread.is_alive()
-        finally:
-            coordinator.close()
 
     def test_worker_acks_a_batch_with_one_batched_frame(self):
         """A ``("batch", ...)`` dispatch is acked in one batched frame; an
@@ -377,22 +384,22 @@ class TestWireProtocolV4:
             return ("task", "s0", key, payload)
 
         try:
-            register, _ = recv_message(coordinator)
+            register = recv_message(coordinator)
             assert register[0] == "register"
             send_message(coordinator, ("batch", (_task("k1"), _task("k2"))))
-            acks, _ = recv_message(coordinator)
+            acks = recv_message(coordinator)
             assert acks == (
                 "batch",
                 (("ack", "bw", "s0", "k1"), ("ack", "bw", "s0", "k2")),
             )
-            results = [recv_message(coordinator)[0] for _ in range(2)]
+            results = [recv_message(coordinator) for _ in range(2)]
             assert [m[0] for m in results] == ["result", "result"]
             assert [m[2] for m in results] == ["k1", "k2"]  # lane stays FIFO
             send_message(coordinator, ("batch", ()))  # boundary: empty batch
             send_message(coordinator, _task("k3"))
-            ack, _ = recv_message(coordinator)
+            ack = recv_message(coordinator)
             assert ack == ("ack", "bw", "s0", "k3")
-            assert recv_message(coordinator)[0][2] == "k3"
+            assert recv_message(coordinator)[2] == "k3"
             send_message(coordinator, ("shutdown",))
             thread.join(timeout=5)
             assert not thread.is_alive()
@@ -401,16 +408,21 @@ class TestWireProtocolV4:
 
     def test_malformed_frames_end_the_session_never_the_worker(self):
         """Fuzzed inputs — bogus batch envelopes, short message tuples,
-        out-of-window versions, raw garbage, truncated canonical bodies —
-        each close that coordinator session; the listening worker then
-        serves the next coordinator as if nothing happened."""
+        out-of-window versions, raw garbage, truncated canonical bodies, a
+        v4-stamped canonical frame, a v3 pickle frame — each close that
+        coordinator session; the listening worker then serves the next
+        coordinator as if nothing happened."""
         scenarios = [
             lambda s: send_message(s, ("batch", 42)),
             lambda s: send_message(s, ("task", "session-and-nothing-else")),
-            lambda s: s.sendall(encode_frame(b"junk", version=MIN_PROTOCOL_VERSION - 1)),
+            lambda s: s.sendall(_frame_at(2, b"junk")),
             lambda s: s.sendall(b"ZZZZZZZZZZZZ"),
             lambda s: s.sendall(
                 encode_frame(serialize(("task", "s0", "k", b"x" * 100))[:-3])
+            ),
+            lambda s: s.sendall(_frame_at(4, serialize(("task", "s0", "k", b"x")))),
+            lambda s: s.sendall(
+                _frame_at(3, pickle.dumps(("task", "s0", "k", b"x"), protocol=4))
             ),
         ]
         ready: "queue.Queue[int]" = queue.Queue()
@@ -430,7 +442,7 @@ class TestWireProtocolV4:
         for poke in scenarios:
             sock = socket.create_connection(("127.0.0.1", port), timeout=10)
             try:
-                register, _ = recv_message(sock)
+                register = recv_message(sock)
                 assert register[:2] == ("register", "fuzzed")  # alive pre-poke
                 poke(sock)
             finally:
@@ -438,7 +450,7 @@ class TestWireProtocolV4:
         # after every malformed session the worker still serves cleanly
         sock = socket.create_connection(("127.0.0.1", port), timeout=10)
         try:
-            register, _ = recv_message(sock)
+            register = recv_message(sock)
             assert register[:2] == ("register", "fuzzed")
             send_message(sock, ("shutdown",))
         finally:
@@ -447,89 +459,90 @@ class TestWireProtocolV4:
         assert not worker.is_alive()
 
     def test_v3_worker_is_never_sent_batches(self):
-        """A worker that registered at v3 gets plain-pickle v3 task frames,
-        one per dispatch, even when the coordinator could batch."""
+        """An older worker — a v3 pickle-framed registration, or the 3- and
+        4-tuple registrations that predate the peer-address field — is
+        refused at registration, so it is never sent batches (or anything
+        else): the coordinator hangs up and adopts no worker."""
+        first_frames = [
+            _frame_at(3, pickle.dumps(("register", "old", 4242, 60.0), protocol=4)),
+            encode_frame(serialize(("register", "old", 4242))),
+            encode_frame(serialize(("register", "old", 4242, 60.0))),
+        ]
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.bind(("127.0.0.1", 0))
         listener.listen(1)
-        host, port = listener.getsockname()[:2]
-        seen: "queue.Queue[Tuple[tuple, int]]" = queue.Queue()
+        address = listener.getsockname()[:2]
+        received: "queue.Queue[list]" = queue.Queue()
 
-        def _v3_worker():
+        def _old_worker(frame):
             conn, _ = listener.accept()
-            conn.sendall(
-                encode_frame(
-                    pickle.dumps(("register", "old", 4242, 60.0), protocol=4),
-                    version=3,
-                )
-            )
-            try:
-                while True:
-                    received = recv_message(conn)
-                    if received is None:
-                        return
-                    message, version = received
-                    if message[0] == "task":
-                        seen.put((message, version))
-                        # complete the task so the drain in shutdown returns
-                        reply = ("error", message[1], message[2],
-                                 ExecutionError("synthetic v3 failure"))
-                        conn.sendall(
-                            encode_frame(pickle.dumps(
-                                ("ack", "old", message[1], message[2]),
-                                protocol=4), version=3)
-                        )
-                        conn.sendall(
-                            encode_frame(pickle.dumps(reply, protocol=4), version=3)
-                        )
-            except (OSError, ProtocolError):
-                return
+            with conn:
+                conn.sendall(frame)
+                conn.settimeout(10.0)  # fail, don't hang, if never closed
+                frames = []
+                try:
+                    while (payload := recv_frame(conn)) is not None:
+                        frames.append(payload)
+                except (OSError, ProtocolError):
+                    pass
+                received.put(frames)
 
-        fake = threading.Thread(target=_v3_worker, daemon=True)
-        fake.start()
-        executor = DistributedExecutor(
-            workers=[f"{host}:{port}"], pipeline_depth=8, max_task_attempts=1
-        )
+        executor = DistributedExecutor(workers=[f"{address[0]}:{address[1]}"])
         try:
-            executor.start()
-            for index in range(3):
-                executor.submit_payload(f"n{index}", b"tiny-payload")
-            failures = sorted(executor.next_completion()[0] for _ in range(3))
-            assert failures == ["n0", "n1", "n2"]
-            versions = set()
-            kinds = set()
-            while not seen.empty():
-                message, version = seen.get()
-                kinds.add(message[0])
-                versions.add(version)
-            assert kinds == {"task"}  # no batch envelope ever reached v3
-            assert versions == {3}
-            executor.finish_run()
+            for frame in first_frames:
+                fake = threading.Thread(target=_old_worker, args=(frame,), daemon=True)
+                fake.start()
+                with pytest.raises((ExecutionError, ProtocolError)):
+                    executor._connect_remote(address)
+                fake.join(timeout=10)
+                assert received.get(timeout=1) == []  # not a single frame
+                assert executor.worker_pids() == {}
         finally:
-            executor.shutdown()
             listener.close()
 
+    def test_registration_fields_are_type_checked(self):
+        """Registration is input from another process: exactly the 5-tuple
+        with a string id and an integer pid is adopted; a malformed interval
+        or peer address degrades to ``None`` rather than being trusted."""
+        assert _parse_registration(
+            ("register", "w", 42, 0.5, ("127.0.0.1", 4001))
+        ) == ("w", 42, 0.5, ("127.0.0.1", 4001))
+        assert _parse_registration(
+            ("register", "w", 42, "slow", ("host-only",))
+        ) == ("w", 42, None, None)
+        for bad in (
+            ("register", "w", 42),
+            ("register", "w", 42, 0.5),
+            ("register", "w", 42, 0.5, None, "extra"),
+            ("register", ["w"], 42, 0.5, None),
+            ("register", "w", "42", 0.5, None),
+            ("heartbeat", "w", 42, 0.5, None),
+            ["register", "w", 42, 0.5, None],
+            None,
+        ):
+            assert _parse_registration(bad) is None, bad
+
     def test_small_tasks_batch_under_pipelining(self, monkeypatch):
-        """Queued small tasks for the same v4 worker coalesce into a
+        """Queued small tasks for the same worker coalesce into a
         ``("batch", ...)`` frame — and the run still completes exactly."""
         import repro.execution.executors as executors_module
         from repro.core.operators import RunContext
         from repro.workloads.synthetic import LatencyOperator
 
-        original = executors_module._send_message
+        original = executors_module.send_message
         sent = []
 
-        def recording(sock, message, lock=None, version=PROTOCOL_VERSION):
+        def recording(sock, message, lock=None):
             if isinstance(message, tuple) and message[0] in ("task", "batch"):
                 sent.append(message[0])
                 if len(sent) == 1:
                     time.sleep(0.3)  # let the remaining submissions queue up
-            return original(sock, message, lock, version=version)
+            return original(sock, message, lock)
 
         executor = DistributedExecutor(max_workers=1, pipeline_depth=8)
         executor.start()
         try:
-            monkeypatch.setattr(executors_module, "_send_message", recording)
+            monkeypatch.setattr(executors_module, "send_message", recording)
             operator = LatencyOperator(offset=1.0)
             for index in range(4):
                 executor.submit_payload(
@@ -655,17 +668,17 @@ class TestWorkerFailureHandling:
         from repro.core.operators import RunContext
         from repro.workloads.synthetic import LatencyOperator
 
-        original = executors_module._send_message
+        original = executors_module.send_message
 
-        def refusing(sock, message, lock=None, version=PROTOCOL_VERSION):
+        def refusing(sock, message, lock=None):
             if isinstance(message, tuple) and message[0] == "task" and message[2] == "bad":
                 raise ProtocolError("frame payload exceeds the frame limit")
-            return original(sock, message, lock, version=version)
+            return original(sock, message, lock)
 
         executor = DistributedExecutor(max_workers=1)
         executor.start()
         try:
-            monkeypatch.setattr(executors_module, "_send_message", refusing)
+            monkeypatch.setattr(executors_module, "send_message", refusing)
             executor.submit_payload("bad", b"unframeable")
             key, _, error = executor.next_completion()
             assert key == "bad"
@@ -695,14 +708,14 @@ class TestWorkerFailureHandling:
         from repro.exceptions import OperatorError
         from repro.workloads.synthetic import LatencyOperator
 
-        original = executors_module._send_message
+        original = executors_module.send_message
 
-        def refusing(sock, message, lock=None, version=PROTOCOL_VERSION):
+        def refusing(sock, message, lock=None):
             if isinstance(message, tuple) and message[0] == "result" and message[2] == "huge":
                 raise ProtocolError("frame payload exceeds the frame limit")
-            return original(sock, message, lock, version=version)
+            return original(sock, message, lock)
 
-        monkeypatch.setattr(executors_module, "_send_message", refusing)
+        monkeypatch.setattr(executors_module, "send_message", refusing)
         executor = DistributedExecutor(max_workers=1)
         executor.start()  # fork happens with the patch in place
         try:
@@ -1252,7 +1265,7 @@ class TestArtifactPlane:
             register_a = _next_nonbeat(coord_a)
             register_b = _next_nonbeat(coord_b)
             assert register_a[0] == register_b[0] == "register"
-            # v5 registration announces each worker's peer listener address
+            # registration announces each worker's peer listener address
             peer_addr_a = register_a[4]
             assert peer_addr_a == ("127.0.0.1", worker_a._peer_server.port)
 
@@ -1352,9 +1365,9 @@ class TestArtifactPlane:
             thread.join(timeout=5)
 
     def test_v4_coordinator_gets_no_artifact_plane_frames(self):
-        """A worker that negotiated down to v4 must resolve refs exactly as
-        before the plane existed: no ``locate``, no peer dials — straight
-        to the coordinator-streamed fetch."""
+        """A v4-stamped frame is refused, not negotiated down to: the
+        worker ends that session at once — no ack, no ``locate``, no
+        fetch — so a v4 coordinator never sees an artifact-plane frame."""
         from repro.core.operators import RunContext
         from repro.workloads.synthetic import LatencyOperator
 
@@ -1364,26 +1377,16 @@ class TestArtifactPlane:
             payload = serialize(
                 ("k", LatencyOperator(offset=1.0), [ArtifactRef("sigV")], RunContext())
             )
-            # the v4-stamped frame downgrades the connection's peer version
-            send_frame(
-                coordinator, serialize(("task", "s1", "k", payload)), version=4
-            )
-            assert _next_nonbeat(coordinator)[0] == "ack"
-            fetch = _next_nonbeat(coordinator)
-            assert fetch == ("fetch", "pv4", "s1", "sigV")  # no locate first
-            send_frame(
-                coordinator,
-                serialize(("artifact", "s1", "sigV", serialize(3.0))),
-                version=4,
-            )
-            assert _next_nonbeat(coordinator)[0] == "result"
-        finally:
-            try:
-                send_frame(coordinator, serialize(("shutdown",)), version=4)
-            except OSError:
-                pass
-            coordinator.close()
+            coordinator.sendall(_frame_at(4, serialize(("task", "s1", "k", payload))))
+            coordinator.settimeout(10.0)  # fail, don't hang, if never closed
+            frames = []
+            while (frame := recv_frame(coordinator)) is not None:
+                frames.append(deserialize(frame))
+            assert [m for m in frames if m[0] != "heartbeat"] == []
             thread.join(timeout=5)
+            assert not thread.is_alive()
+        finally:
+            coordinator.close()
 
     def test_locate_answers_empty_when_peer_fetch_disabled(self):
         """``DistributedExecutor(peer_fetch=False)`` never hands out peer
@@ -1464,18 +1467,18 @@ class TestArtifactPlane:
         executor._record_site("w-asker", "sigX")
         sent = []
 
-        def _capture(sock, message, lock=None, version=PROTOCOL_VERSION):
+        def _capture(sock, message, lock=None):
             sent.append(message)
 
         import repro.execution.executors as executors_module
 
-        original = executors_module._send_message
-        executors_module._send_message = _capture
+        original = executors_module.send_message
+        executors_module.send_message = _capture
         try:
             executor._answer_locate(asker, "s1", "sigX")
             # the asker never gets itself back, only the other holder
             assert sent[-1] == ("located", "s1", "sigX", (("127.0.0.1", 4001),))
-            # a holder without a peer listener (v4 worker) is not dialable
+            # a holder without a peer listener (peer fetch off) is not dialable
             holder.peer_address = None
             executor._answer_locate(asker, "s1", "sigX")
             assert sent[-1] == ("located", "s1", "sigX", ())
@@ -1489,14 +1492,29 @@ class TestArtifactPlane:
             assert stats["locates_served"] == 3
             assert stats["locates_with_peers"] == 1
         finally:
-            executors_module._send_message = original
+            executors_module.send_message = original
+
+    def test_heartbeat_is_exactly_the_stats_3_tuple(self):
+        """A heartbeat's counters reach the plane stats; a bare 2-tuple beat
+        or non-dict counters are a protocol violation (the receive loop
+        then ends that worker's connection)."""
+        executor = DistributedExecutor(max_workers=1)
+        handle = _make_handle("w-beat")
+        try:
+            executor._handle_worker_message(handle, ("heartbeat", "w-beat", {"cache_hits": 2}))
+            assert executor.artifact_plane_stats()["workers"]["w-beat"] == {"cache_hits": 2}
+            for bad in (("heartbeat", "w-beat"), ("heartbeat", "w-beat", [2])):
+                with pytest.raises((ValueError, ProtocolError)):
+                    executor._handle_worker_message(handle, bad)
+        finally:
+            handle.sock.close()
 
 
 def _make_handle(worker_id):
     from repro.execution.executors import _WorkerHandle
 
     handle = _WorkerHandle(worker_id)
-    handle.sock = socket.socket()  # never written: _send_message is stubbed
+    handle.sock = socket.socket()  # never written: send_message is stubbed
     return handle
 
 
@@ -1665,7 +1683,7 @@ class TestReviewRegressions:
 
         def _next_message():
             # Skip heartbeats: the 60s interval sends none periodically, but
-            # close_session flushes one final stats-carrying beat (v5).
+            # close_session flushes one final stats-carrying beat.
             while True:
                 frame = recv_frame(coordinator)
                 assert frame is not None, "worker closed the connection early"
@@ -1680,7 +1698,7 @@ class TestReviewRegressions:
             send_frame(coordinator, serialize(("task", session, key, payload)))
 
         def _serve_fetch(session="s1"):
-            # v5 worker first asks where the blob lives; an empty peer list
+            # the worker first asks where the blob lives; an empty peer list
             # routes it to the classic coordinator-streamed fetch.
             locate = _next_message()
             assert locate[:1] + locate[2:] == ("locate", session, "sigA"), locate
@@ -1733,7 +1751,7 @@ class TestReviewRegressions:
         def _fake_worker():
             conn, _ = listener.accept()
             # announce a slow heartbeat so silence never kills this worker
-            send_frame(conn, serialize(("register", "fake", 4242, 60.0)))
+            send_frame(conn, serialize(("register", "fake", 4242, 60.0, None)))
             worker_sock["conn"] = conn
 
         acceptor = threading.Thread(target=_fake_worker, daemon=True)
@@ -2056,14 +2074,14 @@ class TestFetchTimeoutAndReplyFraming:
         from repro.exceptions import OperatorError
         from repro.workloads.synthetic import LatencyOperator
 
-        original = executors_module._send_message
+        original = executors_module.send_message
 
-        def refusing(sock, message, lock=None, version=PROTOCOL_VERSION):
+        def refusing(sock, message, lock=None):
             if isinstance(message, tuple) and message[0] == "result" and message[2] == "big":
                 raise ProtocolError("frame payload exceeds the frame limit")
-            return original(sock, message, lock, version=version)
+            return original(sock, message, lock)
 
-        monkeypatch.setattr(executors_module, "_send_message", refusing)
+        monkeypatch.setattr(executors_module, "send_message", refusing)
         executor = DistributedExecutor(max_workers=1)
         executor.start()  # fork happens with the refusing transport in place
         engine = _engine_for(executor)

@@ -114,7 +114,7 @@ class TestSharedExecutorInstance:
         try:
             system = HelixSystem.opt(cost_model=SimulatedCostModel(), seed=0)
             system.configure_executor(executor)
-            assert system.engine == "process"
+            assert system.executor_name is executor
             result = run_lifecycle(system, "census", n_iterations=2, scale=0.25)
             assert len(result.iterations) == 2
             assert executor._pool is not None  # survived both iterations

@@ -25,7 +25,6 @@ import time
 import pytest
 
 from repro.exceptions import ExecutionError
-from repro.execution.executors import _recv_message, _send_message
 from repro.service import (
     ServeDaemon,
     ServiceClient,
@@ -35,6 +34,7 @@ from repro.service import (
     validate_spec,
 )
 from repro.service.cli import submit_main
+from repro.storage.serialization import recv_message, send_message
 
 CENSUS_SPEC = {
     "workload": "census",
@@ -151,8 +151,8 @@ class TestServeDaemon:
             # bypassing the client's local validate with a raw frame
             sock = socket.create_connection(daemon.address, timeout=5)
             try:
-                _send_message(sock, ("submit", {"workload": "nope"}))
-                reply = _recv_message(sock)
+                send_message(sock, ("submit", {"workload": "nope"}))
+                reply = recv_message(sock)
             finally:
                 sock.close()
             assert reply[0] == "failed"
@@ -165,8 +165,8 @@ class TestServeDaemon:
         with ServeDaemon(max_workers=1) as daemon:
             sock = socket.create_connection(daemon.address, timeout=5)
             try:
-                _send_message(sock, ("heartbeat", "w0"))
-                reply = _recv_message(sock)
+                send_message(sock, ("heartbeat", "w0"))
+                reply = recv_message(sock)
             finally:
                 sock.close()
         assert reply[0] == "failed"
@@ -310,10 +310,10 @@ class TestStopSemantics:
         server_side, _ = listener.accept()
         listener.close()
         try:
-            _send_message(client_sock, ("submit", dict(CENSUS_SPEC)))
+            send_message(client_sock, ("submit", dict(CENSUS_SPEC)))
             daemon._handle_submission(server_side)
             client_sock.settimeout(5.0)
-            reply = _recv_message(client_sock)
+            reply = recv_message(client_sock)
             assert reply[0] == "failed"
             assert "stopping" in reply[2]
             assert daemon._scheduler.qsize() == 0  # nothing stranded for a drain
@@ -390,6 +390,7 @@ class TestBugfixes:
             ("failed",),                   # truncated refusal
             "accepted",                    # not a tuple at all
             ("accepted", "run-1", "soon"), # junk position payload
+            ("accepted", "run-1", 3),      # bare count, not an admission dict
         ],
     )
     def test_malformed_admission_reply_raises_typed(self, reply):
@@ -401,8 +402,8 @@ class TestBugfixes:
 
         def _fake_daemon():
             conn, _ = listener.accept()
-            _recv_message(conn)  # the submit frame
-            _send_message(conn, reply)
+            recv_message(conn)  # the submit frame
+            send_message(conn, reply)
             conn.close()
 
         server = threading.Thread(target=_fake_daemon, daemon=True)
@@ -411,30 +412,6 @@ class TestBugfixes:
             client = ServiceClient(listener.getsockname(), connect_timeout=5)
             with pytest.raises(ExecutionError, match="admission reply"):
                 client.submit(dict(CENSUS_SPEC))
-        finally:
-            server.join(timeout=5)
-            listener.close()
-
-    def test_legacy_integer_admission_reply_still_accepted(self):
-        """Pre-scheduler daemons reported a bare queued+active count."""
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-
-        def _fake_daemon():
-            conn, _ = listener.accept()
-            _recv_message(conn)
-            _send_message(conn, ("accepted", "run-1", 3))
-            conn.close()
-
-        server = threading.Thread(target=_fake_daemon, daemon=True)
-        server.start()
-        try:
-            client = ServiceClient(listener.getsockname(), connect_timeout=5)
-            handle = client.submit(dict(CENSUS_SPEC))
-            assert handle.queue_position == 3
-            assert handle.queued_ahead == 3 and handle.active_at_admission == 0
-            handle.close()
         finally:
             server.join(timeout=5)
             listener.close()
