@@ -74,8 +74,10 @@ import time
 import warnings
 from abc import ABC, abstractmethod
 from collections import OrderedDict, deque
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import CancelledError, Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures import wait as wait_futures
+from functools import partial
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple, Type, Union
 
 from ..exceptions import ExecutionError, OperatorError, ProtocolError
@@ -588,17 +590,6 @@ def _picklable_error(key: str, error: BaseException) -> BaseException:
         return OperatorError(key, f"worker failed with unpicklable error: {error!r}")
 
 
-class _FetchSlot:
-    """One outstanding artifact fetch awaiting its ``artifact`` reply."""
-
-    __slots__ = ("event", "blob", "served")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.blob: Optional[bytes] = None
-        self.served = False
-
-
 #: Entry cap on a worker's shared artifact cache.  The cache spans every
 #: session multiplexed onto the worker (and, for a listen-mode worker,
 #: every coordinator connection), so the cap covers the working set of a
@@ -915,15 +906,18 @@ def _fetch_from_peer(
 class WorkerServer:
     """Worker-side loop of the distributed executor.
 
-    A worker serves one coordinator connection at a time with three threads:
-    a **reader** receives frames — acking each ``task`` on receipt (even
-    while a previous task is still executing, so the coordinator's pipelined
-    dispatch window gets prompt acks) and routing ``artifact`` replies to
-    pending fetches — an **executor loop** (the calling thread) pops queued
-    tasks and runs them via :func:`run_serialized_task`, answering with a
-    ``result`` or a picklable ``error``, and a **heartbeat** thread beats
-    every ``heartbeat_interval`` seconds so the coordinator can distinguish
-    a busy worker from a dead one.  Frames use the canonical zero-copy
+    A worker serves one coordinator connection at a time, as a
+    :class:`_WorkerConnection` with three threads: a **reader** receives
+    frames — acking each ``task`` on receipt (even while a previous task is
+    still executing, so the coordinator's pipelined dispatch window gets
+    prompt acks) and dispatching every message through one handler table,
+    which queues tasks and completes pending fetch/locate requests with
+    their ``artifact``/``located`` replies — an **executor loop** (the
+    calling thread) pops queued tasks and runs them via
+    :func:`run_serialized_task`, answering with a ``result`` or a picklable
+    ``error``, and a **heartbeat** thread beats every
+    ``heartbeat_interval`` seconds so the coordinator can distinguish a
+    busy worker from a dead one.  Frames use the canonical zero-copy
     encoding — batched dispatches arrive as one ``("batch", ...)``
     envelope and are acked with one batched frame.  One connection can
     carry several multiplexed run *sessions* (every task-related frame
@@ -939,7 +933,8 @@ class WorkerServer:
     :class:`_PeerArtifactServer` counterpart), then the classic
     coordinator-streamed FETCH lane — peer failures degrade with a single
     ``RuntimeWarning``, never a task failure.  The loop exits on a
-    ``shutdown`` message or when the connection closes.
+    ``shutdown`` message, when the connection closes, or on the first
+    malformed message.
 
     Two launch modes share this loop:
 
@@ -972,10 +967,10 @@ class WorkerServer:
         Interface the peer-artifact listener binds (default loopback —
         right for locally-spawned fleets; :meth:`listen` passes the
         worker's own serving host for remote workers).
-    cache_bytes, cache_entries:
-        Byte budget / entry cap of the shared artifact cache tier
-        (``None`` = the :data:`_WORKER_CACHE_BYTES` /
-        :data:`_WORKER_CACHE_ENTRIES` defaults).
+    cache_bytes:
+        Byte budget of the shared artifact cache tier (``None`` = the
+        :data:`_WORKER_CACHE_BYTES` default); its entry cap is
+        :data:`_WORKER_CACHE_ENTRIES`.
     """
 
     def __init__(
@@ -988,7 +983,6 @@ class WorkerServer:
         peer_fetch: bool = True,
         peer_host: str = "127.0.0.1",
         cache_bytes: Optional[int] = None,
-        cache_entries: Optional[int] = None,
     ) -> None:
         if heartbeat_interval <= 0:
             # Mirrors the coordinator-side check: stop.wait(0) would turn
@@ -998,8 +992,6 @@ class WorkerServer:
             raise ExecutionError("fetch_timeout must be positive")
         if cache_bytes is not None and cache_bytes < 1:
             raise ExecutionError("cache_bytes must be positive")
-        if cache_entries is not None and cache_entries < 1:
-            raise ExecutionError("cache_entries must be positive")
         self.host = host
         self.port = port
         self.worker_id = worker_id if worker_id is not None else f"pid{os.getpid()}"
@@ -1011,7 +1003,6 @@ class WorkerServer:
         #: the connection: a listen-mode worker keeps it warm across
         #: coordinator sessions, which is where cross-run reuse comes from.
         self.cache = _ArtifactCache(
-            max_entries=cache_entries if cache_entries is not None else _WORKER_CACHE_ENTRIES,
             max_bytes=cache_bytes if cache_bytes is not None else _WORKER_CACHE_BYTES,
         )
         self._peer_server: Optional[_PeerArtifactServer] = None
@@ -1087,387 +1078,351 @@ class WorkerServer:
 
     # ------------------------------------------------------------------ session
     def _serve_connection(self, sock: socket.socket) -> None:
-        """Serve one coordinator connection until shutdown or disconnect.
+        """Serve one coordinator connection, as a :class:`_WorkerConnection`,
+        until shutdown, disconnect or a malformed message."""
+        if self.peer_fetch and self._peer_server is None:
+            self._peer_server = _PeerArtifactServer(self.cache, host=self.peer_host)
+            self._peer_server.start()
+        _WorkerConnection(self, sock).serve()
 
-        Task lanes and pending fetch/locate slots are kept per run session
-        and released on the coordinator's ``close_session`` frame; the
-        artifact cache tier is deliberately *not* — it is content-addressed
-        (signature = canonical address, so entries can never go stale) and
-        session-spanning by design, bounded by its own byte/entry LRU
-        budget instead of by session lifetime.  Registration and heartbeats
-        stay per-connection — liveness is a property of the transport, not
-        of any one session.
-        """
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        send_lock = threading.Lock()
-        stop = threading.Event()
-        wake = threading.Condition()
+
+class _WorkerConnection:
+    """One coordinator connection of a :class:`WorkerServer` (threads: see there).
+
+    Task lanes and pending fetch/locate requests are kept per run session
+    and released on the coordinator's ``close_session`` frame; the artifact
+    cache tier is deliberately *not* — it is content-addressed (entries can
+    never go stale), session-spanning, and bounded by its own LRU budget.
+    Registration and heartbeats stay per-connection — liveness is a
+    property of the transport, not of any one session.
+    """
+
+    #: Inbound message kind -> handler method name, looked up per message.
+    #: The reader itself unwraps ``batch`` envelopes and ends the session on
+    #: ``shutdown``; any other kind is a protocol violation that ends it too.
+    _HANDLERS = {
+        "task": "_on_task",
+        "artifact": "_on_reply",
+        "located": "_on_reply",
+        "close_session": "_on_close_session",
+    }
+
+    def __init__(self, server: WorkerServer, sock: socket.socket) -> None:
+        self.server = server
+        self.cache = server.cache
+        self.sock = sock
+        self.send_lock = threading.Lock()
+        self.stop = threading.Event()
+        self.wake = threading.Condition()
         # Per-session FIFO task lanes in round-robin order: the session just
         # served rotates to the back, so with several sessions queued each
         # gets one task per round instead of the first backlog winning.
-        lanes: "OrderedDict[Any, Deque[Tuple[str, bytes]]]" = OrderedDict()
-        fetch_lock = threading.Lock()
-        fetch_slots: Dict[Tuple[Any, str], _FetchSlot] = {}
-        # Pending ``locate`` requests awaiting their ``located`` answer —
-        # same slot mechanics as fetches, separate keyspace (a task may
-        # have both in flight for the same signature).
-        locate_slots: Dict[Tuple[Any, str], _FetchSlot] = {}
-        cache = self.cache
-        if self.peer_fetch and self._peer_server is None:
-            self._peer_server = _PeerArtifactServer(cache, host=self.peer_host)
-            self._peer_server.start()
-        # The peer-listener address announced to the coordinator: a worker
-        # bound to a wildcard interface announces the concrete address this
-        # coordinator connection uses to reach it (what its peers can dial).
+        self.lanes: "OrderedDict[Any, Deque[Tuple[str, bytes]]]" = OrderedDict()
+        # Requests awaiting their reply, keyed by (reply kind, session,
+        # signature): the reply kind keeps fetches ("artifact") and locates
+        # ("located") apart, since one task may have both in flight.
+        self._pending_lock = threading.Lock()
+        self._pending: Dict[Tuple[str, Any, str], Future] = {}
+
+    def _send(self, message: Tuple[Any, ...]) -> None:
+        send_message(self.sock, message, self.send_lock)
+
+    def serve(self) -> None:
+        """Register, then run queued tasks until the session ends."""
+        server = self.server
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         peer_address: Optional[Tuple[str, int]] = None
-        if self._peer_server is not None:
-            announce_host = self._peer_server.host
+        if server._peer_server is not None:
+            # A worker bound to a wildcard interface announces the concrete
+            # address this coordinator connection uses to reach it (what
+            # its peers can dial).
+            announce_host = server._peer_server.host
             if announce_host in ("", "0.0.0.0", "::"):
-                announce_host = sock.getsockname()[0]
-            peer_address = (announce_host, self._peer_server.port)
+                announce_host = self.sock.getsockname()[0]
+            peer_address = (announce_host, server._peer_server.port)
         # Registration announces the worker's own heartbeat interval so a
         # coordinator whose heartbeat_timeout was derived from a *different*
         # interval can widen its silence threshold for this worker instead
         # of declaring a slow-beating (but healthy) remote worker dead, and
         # the peer-artifact listener address, so the coordinator's location
         # index can hand it to other workers.
-        send_message(
-            sock,
-            (
-                "register",
-                self.worker_id,
-                os.getpid(),
-                self.heartbeat_interval,
-                peer_address,
-            ),
-            send_lock,
+        self._send(
+            ("register", server.worker_id, os.getpid(), server.heartbeat_interval, peer_address)
         )
-
-        def _beat() -> None:
-            """One heartbeat; it carries the artifact-cache counters."""
-            send_message(sock, ("heartbeat", self.worker_id, cache.stats()), send_lock)
-
-        def _heartbeat() -> None:
-            while not stop.wait(self.heartbeat_interval):
-                try:
-                    _beat()
-                except OSError:
-                    return
-
-        def _enqueue_task(message: Tuple[Any, ...]) -> None:
-            _, session, key, payload = message
-            with wake:
-                lanes.setdefault(session, deque()).append((key, payload))
-                wake.notify_all()
-
-        def _handle_control(message: Tuple[Any, ...]) -> None:
-            kind = message[0]
-            if kind == "artifact":
-                _, session, signature, blob = message
-                with fetch_lock:
-                    slot = fetch_slots.pop((session, signature), None)
-                if slot is not None:
-                    slot.blob = blob
-                    slot.served = True
-                    slot.event.set()
-            elif kind == "located":
-                _, session, signature, peers = message
-                with fetch_lock:
-                    slot = locate_slots.pop((session, signature), None)
-                if slot is not None:
-                    slot.blob = peers
-                    slot.served = True
-                    slot.event.set()
-            elif kind == "close_session":
-                # The coordinator drained the session and dropped it:
-                # release its lane and pending fetch/locate slots.  The
-                # artifact cache tier survives on purpose — it is content
-                # addressed (entries can never go stale) and bounded by
-                # its own LRU budget, and keeping it warm across sessions
-                # is what lets the next run reuse this one's artifacts.
-                _, session = message
-                with wake:
-                    lanes.pop(session, None)
-                with fetch_lock:
-                    stale = [k for k in fetch_slots if k[0] == session]
-                    closed = [fetch_slots.pop(k) for k in stale]
-                    stale = [k for k in locate_slots if k[0] == session]
-                    closed += [locate_slots.pop(k) for k in stale]
-                for slot in closed:
-                    slot.event.set()  # served stays False -> fetch fails typed
-                # Flush final plane counters while the coordinator still
-                # has this session's stats consumer attached (the periodic
-                # beat may lag the session close by up to an interval).
-                try:
-                    _beat()
-                except OSError:
-                    pass
-
-        def _reader() -> None:
-            # Runs concurrently with task execution so a pipelined task N+1
-            # is acked the moment its frame arrives, not when task N ends.
-            while True:
-                try:
-                    message = recv_message(sock)
-                except Exception:  # noqa: BLE001 - transport error = connection over
-                    message = None
-                if message is None:
-                    break
-                try:
-                    # A batch envelope carries several small messages in
-                    # one frame — typically the pipelined window's task
-                    # dispatches.  Unwrap it, acking every task in one
-                    # (batched) frame first so the coordinator's pipeline
-                    # window refills promptly.
-                    inner = message[1] if message[0] == "batch" else (message,)
-                    if any(m[0] == "shutdown" for m in inner):
-                        break
-                    acks = tuple(
-                        ("ack", self.worker_id, m[1], m[2])
-                        for m in inner
-                        if m[0] == "task"
-                    )
-                except Exception:  # noqa: BLE001 - malformed message shape
-                    # A frame that decoded but does not have a well-formed
-                    # message (or batch) shape means the peer is not speaking
-                    # this protocol: end the session cleanly rather than let
-                    # the reader thread die without releasing the serve loop.
-                    break
-                if acks:
-                    try:
-                        send_message(
-                            sock,
-                            acks[0] if len(acks) == 1 else ("batch", acks),
-                            send_lock,
-                        )
-                    except OSError:
-                        break
-                for m in inner:
-                    if m[0] == "task":
-                        _enqueue_task(m)
-                    else:
-                        _handle_control(m)
-            stop.set()
-            with wake:
-                wake.notify_all()  # unblock the executor loop
-            with fetch_lock:
-                orphaned = list(fetch_slots.values()) + list(locate_slots.values())
-                fetch_slots.clear()
-                locate_slots.clear()
-            for slot in orphaned:
-                slot.event.set()  # served stays False -> fetch fails typed
-
         threading.Thread(
-            target=_heartbeat, daemon=True, name=f"repro-dist-hb-{self.worker_id}"
+            target=self._heartbeat_loop, daemon=True, name=f"repro-dist-hb-{server.worker_id}"
         ).start()
         reader = threading.Thread(
-            target=_reader, daemon=True, name=f"repro-dist-read-{self.worker_id}"
+            target=self._read, daemon=True, name=f"repro-dist-read-{server.worker_id}"
         )
         reader.start()
-
-        def _next_task() -> Optional[Tuple[Any, str, bytes]]:
-            """Pop the next task, rotating fairly across session lanes."""
-            with wake:
-                while True:
-                    for session in list(lanes):
-                        lane = lanes[session]
-                        if lane:
-                            key, payload = lane.popleft()
-                            lanes.move_to_end(session)
-                            return session, key, payload
-                    if stop.is_set():
-                        return None
-                    wake.wait(timeout=0.5)
-
-        def _locate_peers(session: Any, signature: str) -> Tuple[Tuple[str, int], ...]:
-            """Ask the coordinator which peer workers hold a blob.
-
-            Best-effort: an empty answer — including a locate timeout or a
-            closed connection — just routes the resolve to the classic
-            coordinator-streamed path.
-            """
-            slot = _FetchSlot()
-            with fetch_lock:
-                if stop.is_set():
-                    return ()
-                locate_slots[(session, signature)] = slot
-            try:
-                send_message(
-                    sock,
-                    ("locate", self.worker_id, session, signature),
-                    send_lock,
-                )
-            except OSError:
-                with fetch_lock:
-                    locate_slots.pop((session, signature), None)
-                return ()
-            if not slot.event.wait(self.fetch_timeout):
-                with fetch_lock:
-                    locate_slots.pop((session, signature), None)
-                return ()
-            if not slot.served or not slot.blob:
-                return ()
-            try:
-                return tuple((str(host), int(port)) for host, port in slot.blob)
-            except (TypeError, ValueError):
-                return ()
-
-        def _fetch_via_peers(
-            peers: Tuple[Tuple[str, int], ...], signature: str
-        ) -> Optional[bytes]:
-            """Try each located peer in turn; degrade quietly on misses.
-
-            Dial/transfer failures across *all* peers produce exactly one
-            ``RuntimeWarning`` (never a task failure): the caller falls
-            back to the coordinator-streamed path, which owns the bytes.
-            """
-            failures: List[str] = []
-            timeout = min(self.fetch_timeout, _PEER_FETCH_TIMEOUT)
-            for address in peers:
-                try:
-                    blob = _fetch_from_peer(address, signature, timeout=timeout)
-                except (OSError, ProtocolError) as exc:
-                    failures.append(f"{address[0]}:{address[1]}: {exc}")
-                    continue
-                if blob is not None:
-                    cache.count("peer_fetches")
-                    return blob
-            if failures:
-                cache.count("peer_fetch_failures")
-                warnings.warn(
-                    f"peer fetch of artifact {signature!r} failed "
-                    f"({'; '.join(failures)}); falling back to the "
-                    f"coordinator-streamed path",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            return None
-
-        def _resolver_for(session: Any, pinned: List[str]) -> Callable[[str], Any]:
-            def _resolve(signature: str) -> Any:
-                hit, value = cache.get(signature, session=session)
-                if hit:
-                    cache.pin(signature)
-                    pinned.append(signature)
-                    return value
-                blob: Optional[bytes] = None
-                from_peer = False
-                if self.peer_fetch:
-                    peers = _locate_peers(session, signature)
-                    if peers:
-                        blob = _fetch_via_peers(peers, signature)
-                        from_peer = blob is not None
-                if blob is None:
-                    slot = _FetchSlot()
-                    with fetch_lock:
-                        if stop.is_set():
-                            raise ExecutionError(
-                                "connection to the coordinator closed before the fetch"
-                            )
-                        fetch_slots[(session, signature)] = slot
-                    send_message(
-                        sock,
-                        ("fetch", self.worker_id, session, signature),
-                        send_lock,
-                    )
-                    if not slot.event.wait(self.fetch_timeout):
-                        with fetch_lock:
-                            fetch_slots.pop((session, signature), None)
-                        raise ExecutionError(
-                            f"coordinator did not answer the fetch of artifact "
-                            f"{signature!r} within {self.fetch_timeout:g}s"
-                        )
-                    if not slot.served:
-                        raise ExecutionError(
-                            f"connection closed while fetching artifact {signature!r}"
-                        )
-                    if slot.blob is None:
-                        raise ExecutionError(
-                            f"coordinator has no stored artifact for signature {signature!r}"
-                        )
-                    blob = slot.blob
-                    cache.count("coordinator_fetches")
-                value = deserialize(blob)
-                cache.put(signature, value, blob, session=session)
-                cache.pin(signature)
-                pinned.append(signature)
-                if from_peer:
-                    # Tell the location index this worker now holds the
-                    # blob too (the coordinator only learns about holders
-                    # it streamed bytes to itself).  Best-effort: a lost
-                    # announcement just means one fewer known replica.
-                    try:
-                        send_message(
-                            sock,
-                            ("cached", self.worker_id, signature),
-                            send_lock,
-                        )
-                    except OSError:
-                        pass
-                return value
-
-            return _resolve
-
         try:
             while True:
-                item = _next_task()
+                item = self._next_task()
                 if item is None:
                     break
-                session, key, payload = item
-                pinned: List[str] = []
-                try:
-                    reply = run_serialized_task(
-                        payload, resolve=_resolver_for(session, pinned)
-                    )
-                except BaseException as exc:  # noqa: BLE001 - shipped back typed
-                    # Interrupt/exit must still take the worker down: report
-                    # the failure best-effort, then re-raise instead of
-                    # looping — a Ctrl-C (or SystemExit) during task
-                    # execution would otherwise be pickled into a mere task
-                    # error, leaving behind a worker that refuses to die.
-                    fatal = isinstance(exc, (KeyboardInterrupt, SystemExit))
-                    try:
-                        send_message(
-                            sock,
-                            ("error", session, key, _picklable_error(key, exc)),
-                            send_lock,
-                        )
-                    except OSError:
-                        if not fatal:
-                            raise  # coordinator gone; nobody to report to
-                    if fatal:
-                        raise
-                    continue
-                finally:
-                    # Inputs were pinned by the resolver so eviction could
-                    # not drop them mid-task; the task is over either way.
-                    for pinned_signature in pinned:
-                        cache.unpin(pinned_signature)
-                try:
-                    send_message(sock, ("result", session, key, reply), send_lock)
-                except OSError:
-                    raise  # coordinator gone; nobody to report to
-                except Exception as exc:  # noqa: BLE001 - e.g. reply over frame limit
-                    # The reply could not be framed (not a transport problem):
-                    # report it as a task error instead of dying and dragging
-                    # the run through pointless worker-death retries.
-                    send_message(
-                        sock,
-                        ("error", session, key, OperatorError(key, f"result reply could not be framed: {exc}")),
-                        send_lock,
-                    )
+                self._run_task(*item)
         finally:
-            stop.set()
+            self.stop.set()
             try:
                 # close() alone does not wake a reader blocked in recv() (the
                 # in-flight syscall keeps the connection alive), so the peer
                 # would not see EOF until process exit; shutdown() unblocks
                 # the reader and sends FIN immediately.
-                sock.shutdown(socket.SHUT_RDWR)
+                self.sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-            sock.close()
+            self.sock.close()
             reader.join(timeout=2.0)
+
+    def _beat(self) -> None:
+        """One heartbeat; it carries the artifact-cache counters."""
+        self._send(("heartbeat", self.server.worker_id, self.cache.stats()))
+
+    def _heartbeat_loop(self) -> None:
+        while not self.stop.wait(self.server.heartbeat_interval):
+            try:
+                self._beat()
+            except OSError:
+                return
+
+    # ------------------------------------------------------------------ reader
+    def _read(self) -> None:
+        """Receive and dispatch frames until the session ends.
+
+        Runs concurrently with task execution so a pipelined task N+1 is
+        acked the moment its frame arrives, not when task N ends.  A
+        transport error and a malformed message alike end the session
+        below, so the serve loop is always released.
+        """
+        try:
+            while True:
+                message = recv_message(self.sock)
+                if message is None:
+                    break
+                # A batch envelope carries several small messages in one
+                # frame — typically the pipelined window's task dispatches.
+                # Every task in it is acked in one (batched) frame first so
+                # the coordinator's pipeline window refills promptly.
+                inner = message[1] if message[0] == "batch" else (message,)
+                if any(m[0] == "shutdown" for m in inner):
+                    break
+                acks = tuple(
+                    ("ack", self.server.worker_id, m[1], m[2])
+                    for m in inner
+                    if m[0] == "task"
+                )
+                if acks:
+                    self._send(acks[0] if len(acks) == 1 else ("batch", acks))
+                for m in inner:
+                    getattr(self, self._HANDLERS[m[0]])(m)
+        except Exception:  # noqa: BLE001 - transport error or malformed message
+            pass
+        self.stop.set()
+        with self.wake:
+            self.wake.notify_all()  # unblock the executor loop
+        with self._pending_lock:
+            for future in self._pending.values():
+                future.cancel()  # the waiting task fails typed
+            self._pending.clear()
+
+    def _on_task(self, message: Tuple[Any, ...]) -> None:
+        _, session, key, payload = message
+        with self.wake:
+            self.lanes.setdefault(session, deque()).append((key, payload))
+            self.wake.notify_all()
+
+    def _on_reply(self, message: Tuple[Any, ...]) -> None:
+        """Complete the pending fetch (``artifact``) or locate (``located``)."""
+        kind, session, signature, payload = message
+        with self._pending_lock:
+            future = self._pending.pop((kind, session, signature), None)
+        if future is not None:
+            future.set_result(payload)
+
+    def _on_close_session(self, message: Tuple[Any, ...]) -> None:
+        """The coordinator drained the session and dropped it.
+
+        Release its lane and pending requests.  The artifact cache tier
+        survives on purpose — it is content addressed (entries can never go
+        stale) and bounded by its own LRU budget, and keeping it warm across
+        sessions is what lets the next run reuse this one's artifacts.
+        """
+        _, session = message
+        with self.wake:
+            self.lanes.pop(session, None)
+        with self._pending_lock:
+            for key in [k for k in self._pending if k[1] == session]:
+                self._pending.pop(key).cancel()  # the waiting task fails typed
+        # Flush final plane counters while the coordinator still has this
+        # session's stats consumer attached (the periodic beat may lag the
+        # session close by up to an interval).
+        self._beat()
+
+    # ------------------------------------------------------------------ executor loop
+    def _next_task(self) -> Optional[Tuple[Any, str, bytes]]:
+        """Pop the next task, rotating fairly across session lanes."""
+        with self.wake:
+            while True:
+                for session in list(self.lanes):
+                    lane = self.lanes[session]
+                    if lane:
+                        key, payload = lane.popleft()
+                        self.lanes.move_to_end(session)
+                        return session, key, payload
+                if self.stop.is_set():
+                    return None
+                self.wake.wait(timeout=0.5)
+
+    def _run_task(self, session: Any, key: str, payload: bytes) -> None:
+        """Run one task and answer with its ``result`` or ``error``."""
+        pinned: List[str] = []
+        try:
+            reply = run_serialized_task(payload, resolve=partial(self._resolve, session, pinned))
+        except BaseException as exc:  # noqa: BLE001 - shipped back typed
+            # Interrupt/exit must still take the worker down: report the
+            # failure best-effort, then re-raise instead of looping — a
+            # Ctrl-C (or SystemExit) during task execution would otherwise
+            # be pickled into a mere task error, leaving behind a worker
+            # that refuses to die.
+            fatal = isinstance(exc, (KeyboardInterrupt, SystemExit))
+            try:
+                self._send(("error", session, key, _picklable_error(key, exc)))
+            except OSError:
+                if not fatal:
+                    raise  # coordinator gone; nobody to report to
+            if fatal:
+                raise
+            return
+        finally:
+            # Inputs were pinned by the resolver so eviction could not drop
+            # them mid-task; the task is over either way.
+            for pinned_signature in pinned:
+                self.cache.unpin(pinned_signature)
+        try:
+            self._send(("result", session, key, reply))
+        except OSError:
+            raise  # coordinator gone; nobody to report to
+        except Exception as exc:  # noqa: BLE001 - e.g. reply over frame limit
+            # The reply could not be framed (not a transport problem): report
+            # it as a task error instead of dying and dragging the run
+            # through pointless worker-death retries.
+            self._send(
+                ("error", session, key, OperatorError(key, f"result reply could not be framed: {exc}"))
+            )
+
+    # ------------------------------------------------------------------ artifact resolution
+    def _ask(self, reply_kind: str, request: Tuple[Any, ...]) -> Any:
+        """Send a ``fetch``/``locate`` request and wait for its reply payload.
+
+        Raises ``OSError`` when the request cannot be sent,
+        :class:`CancelledError` when the session or the connection ends
+        first, and :class:`FutureTimeoutError` after the server's
+        ``fetch_timeout``; the pending entry never outlives the call.
+        """
+        _, _, session, signature = request
+        key = (reply_kind, session, signature)
+        future: Future = Future()
+        with self._pending_lock:
+            if self.stop.is_set():
+                raise CancelledError
+            self._pending[key] = future
+        try:
+            self._send(request)
+            return future.result(self.server.fetch_timeout)
+        finally:
+            with self._pending_lock:
+                self._pending.pop(key, None)
+
+    def _locate_peers(self, session: Any, signature: str) -> Tuple[Tuple[str, int], ...]:
+        """Ask the coordinator which peer workers hold a blob.
+
+        Best-effort: an empty answer — including a locate timeout, a closed
+        connection or a malformed answer — just routes the resolve to the
+        classic coordinator-streamed path.
+        """
+        try:
+            peers = self._ask("located", ("locate", self.server.worker_id, session, signature))
+            return tuple((str(host), int(port)) for host, port in peers or ())
+        except (OSError, CancelledError, FutureTimeoutError, TypeError, ValueError):
+            return ()
+
+    def _fetch_via_peers(
+        self, peers: Tuple[Tuple[str, int], ...], signature: str
+    ) -> Optional[bytes]:
+        """Try each located peer in turn; degrade quietly on misses.
+
+        Dial/transfer failures across *all* peers produce exactly one
+        ``RuntimeWarning`` (never a task failure): the caller falls back to
+        the coordinator-streamed path, which owns the bytes.
+        """
+        failures: List[str] = []
+        timeout = min(self.server.fetch_timeout, _PEER_FETCH_TIMEOUT)
+        for address in peers:
+            try:
+                blob = _fetch_from_peer(address, signature, timeout=timeout)
+            except (OSError, ProtocolError) as exc:
+                failures.append(f"{address[0]}:{address[1]}: {exc}")
+                continue
+            if blob is not None:
+                self.cache.count("peer_fetches")
+                return blob
+        if failures:
+            self.cache.count("peer_fetch_failures")
+            warnings.warn(
+                f"peer fetch of artifact {signature!r} failed "
+                f"({'; '.join(failures)}); falling back to the "
+                f"coordinator-streamed path",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        return None
+
+    def _resolve(self, session: Any, pinned: List[str], signature: str) -> Any:
+        """Resolve one :class:`ArtifactRef` input — cache tier, located peers,
+        then the coordinator-streamed fetch — pinned for the task."""
+        cache = self.cache
+        hit, value = cache.get(signature, session=session)
+        if not hit:
+            blob: Optional[bytes] = None
+            if self.server.peer_fetch:
+                peers = self._locate_peers(session, signature)
+                if peers:
+                    blob = self._fetch_via_peers(peers, signature)
+            from_peer = blob is not None
+            if blob is None:
+                try:
+                    blob = self._ask(
+                        "artifact", ("fetch", self.server.worker_id, session, signature)
+                    )
+                except FutureTimeoutError:
+                    raise ExecutionError(
+                        f"coordinator did not answer the fetch of artifact "
+                        f"{signature!r} within {self.server.fetch_timeout:g}s"
+                    ) from None
+                except CancelledError:
+                    raise ExecutionError(
+                        f"connection closed while fetching artifact {signature!r}"
+                    ) from None
+                if blob is None:
+                    raise ExecutionError(
+                        f"coordinator has no stored artifact for signature {signature!r}"
+                    )
+                cache.count("coordinator_fetches")
+            value = deserialize(blob)
+            cache.put(signature, value, blob, session=session)
+            if from_peer:
+                # Tell the location index this worker now holds the blob too
+                # (the coordinator only learns about holders it streamed
+                # bytes to itself).  Best-effort: a lost announcement just
+                # means one fewer known replica.
+                try:
+                    self._send(("cached", self.server.worker_id, signature))
+                except OSError:
+                    pass
+        cache.pin(signature)
+        pinned.append(signature)
+        return value
 
 
 def _distributed_worker_main(
@@ -1573,6 +1528,9 @@ class _WorkerHandle:
         #: disabled.  The location index only ever hands out addresses
         #: recorded here.
         self.peer_address: Optional[Tuple[str, int]] = None
+
+    def send(self, message: Tuple[Any, ...]) -> None:
+        send_message(self.sock, message, self.send_lock)
 
 
 class DistributedExecutor(_OutOfProcessExecutor):
@@ -2006,7 +1964,7 @@ class DistributedExecutor(_OutOfProcessExecutor):
         for handle in handles:
             if handle.sock is not None and handle.address is None:
                 try:
-                    send_message(handle.sock, ("shutdown",), handle.send_lock)
+                    handle.send(("shutdown",))
                 except OSError:
                     pass
         for handle in handles:
@@ -2072,11 +2030,7 @@ class DistributedExecutor(_OutOfProcessExecutor):
         # outlives the sessions multiplexed onto it.
         for handle in handles:
             try:
-                send_message(
-                    handle.sock,
-                    ("close_session", state.session_id),
-                    handle.send_lock,
-                )
+                handle.send(("close_session", state.session_id))
             except OSError:
                 pass  # worker vanished; its connection state dies with it
 
@@ -2283,52 +2237,77 @@ class DistributedExecutor(_OutOfProcessExecutor):
         return max(self.heartbeat_timeout, 5.0, 10.0 * announced_interval)
 
     def _connect_remote(self, address: Tuple[str, int]) -> None:
-        """Dial one listening worker and read its registration frame."""
-        host, port = address
-        sock = socket.create_connection((host, port), timeout=self.connect_timeout)
+        """Dial one listening worker and adopt it on its registration."""
+        sock = socket.create_connection(address, timeout=self.connect_timeout)
+        # A peer that accepts but stays silent (e.g. a worker busy serving
+        # another coordinator) must not wedge start() past its own deadline
+        # handling.
+        registration = self._read_registration(sock, self.connect_timeout)
+        handle = _WorkerHandle(f"{address[0]}:{address[1]}")
+        handle.address = address
+        self._attach(handle, sock, registration)
+
+    @staticmethod
+    def _read_registration(sock: socket.socket, timeout: float) -> Tuple[Any, ...]:
+        """Read a worker connection's first frame as its registration.
+
+        The read is bounded by ``timeout``; on any failure — including a
+        frame that is not a registration — the socket is closed and the
+        error raised.
+        """
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            # Bound the registration read: a peer that accepts but stays
-            # silent (e.g. a worker busy serving another coordinator) must
-            # not wedge start() past its own deadline handling.
-            sock.settimeout(self.connect_timeout)
+            sock.settimeout(timeout)
             registration = _parse_registration(recv_message(sock))
+            if registration is None:
+                raise ExecutionError(
+                    "worker did not announce a registration (is it a "
+                    "repro.execution.worker of the same protocol revision?)"
+                )
             sock.settimeout(None)
-        except Exception:
+        except BaseException:
             sock.close()
             raise
-        if registration is None:
-            sock.close()
-            raise ExecutionError(
-                f"worker at {host}:{port} did not announce a registration "
-                f"(is it a repro.execution.worker of the same protocol revision?)"
-            )
-        _announced_id, pid, announced_interval, peer_address = registration
-        worker_id = f"{host}:{port}"
-        handle = _WorkerHandle(worker_id)
-        handle.sock = sock
-        handle.pid = pid
-        handle.address = address
-        if peer_address is not None:
-            peer_host, peer_port = peer_address
+        return registration
+
+    def _attach(
+        self, handle: Optional[_WorkerHandle], sock: socket.socket, registration: Tuple[Any, ...]
+    ) -> None:
+        """Adopt a registered connection as ``handle``'s and start reading it.
+
+        Refused — the socket is closed — when there is no such handle, it is
+        dead or already connected, or the fleet is shutting down.
+        """
+        _, pid, announced_interval, peer_address = registration
+        if handle is not None and handle.address is not None and peer_address is not None:
             # A remote worker that bound its peer listener to loopback is
             # only dialable from its own host; substitute the address the
             # coordinator actually reached it at.
-            if peer_host in ("127.0.0.1", "localhost", "::1") and host not in (
-                "127.0.0.1", "localhost", "::1"
-            ):
-                peer_host = host
-            handle.peer_address = (peer_host, peer_port)
-        handle.silence_timeout = self._silence_timeout_for(announced_interval)
-        handle.last_seen = time.monotonic()
+            loopback = ("127.0.0.1", "localhost", "::1")
+            host = handle.address[0]
+            if peer_address[0] in loopback and host not in loopback:
+                peer_address = (host, peer_address[1])
         with self._cond:
-            self._workers[worker_id] = handle
-            self._cond.notify_all()
+            adopt = (
+                handle is not None and handle.alive and handle.sock is None
+                and not self._stopping
+            )
+            if adopt:
+                handle.sock = sock
+                handle.pid = pid
+                handle.peer_address = peer_address
+                handle.silence_timeout = self._silence_timeout_for(announced_interval)
+                handle.last_seen = time.monotonic()
+                self._workers[handle.worker_id] = handle
+                self._cond.notify_all()
+        if not adopt:
+            sock.close()
+            return
         threading.Thread(
             target=self._receive_loop,
             args=(handle,),
             daemon=True,
-            name=f"repro-dist-recv-{worker_id}",
+            name=f"repro-dist-recv-{handle.worker_id}",
         ).start()
 
     # ------------------------------------------------------------------ coordinator loops
@@ -2350,38 +2329,14 @@ class DistributedExecutor(_OutOfProcessExecutor):
                     conn.close()
                     return  # the wake-up connection from shutdown()
             # Bound the registration read so one silent peer cannot wedge the
-            # accept loop; a registered worker's socket then blocks freely.
-            conn.settimeout(5.0)
+            # accept loop.
             try:
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                registration = _parse_registration(recv_message(conn))
-                conn.settimeout(None)
+                registration = self._read_registration(conn, 5.0)
             except Exception:  # noqa: BLE001 - reject peers that talk garbage
-                conn.close()
                 continue
-            if registration is None:
-                conn.close()
-                continue
-            worker_id, pid, announced_interval, peer_address = registration
             with self._cond:
-                handle = self._workers.get(worker_id)
-                known = handle is not None and handle.alive and handle.sock is None
-                if known:
-                    handle.sock = conn
-                    handle.pid = pid
-                    handle.peer_address = peer_address
-                    handle.silence_timeout = self._silence_timeout_for(announced_interval)
-                    handle.last_seen = time.monotonic()
-                    self._cond.notify_all()
-            if not known:
-                conn.close()
-                continue
-            threading.Thread(
-                target=self._receive_loop,
-                args=(handle,),
-                daemon=True,
-                name=f"repro-dist-recv-{worker_id}",
-            ).start()
+                handle = self._workers.get(registration[0])
+            self._attach(handle, conn, registration)
 
     def _dispatch_loop(self) -> None:
         """Move queued tasks onto workers with spare pipeline capacity.
@@ -2418,7 +2373,7 @@ class DistributedExecutor(_OutOfProcessExecutor):
                 batch = [task]
                 if len(task.payload) <= _BATCH_MAX_TASK_BYTES:
                     while len(worker.inflight) + len(batch) < self.pipeline_depth:
-                        extra = self._next_small_task_locked()
+                        extra = self._next_task_locked(max_bytes=_BATCH_MAX_TASK_BYTES)
                         if extra is None:
                             break
                         batch.append(extra)
@@ -2431,11 +2386,7 @@ class DistributedExecutor(_OutOfProcessExecutor):
                 for item in batch
             )
             try:
-                send_message(
-                    worker.sock,
-                    frames[0] if len(frames) == 1 else ("batch", frames),
-                    worker.send_lock,
-                )
+                worker.send(frames[0] if len(frames) == 1 else ("batch", frames))
             except OSError:
                 self._worker_failed(worker)
             except Exception as exc:  # noqa: BLE001 - e.g. unframeable payload
@@ -2456,26 +2407,19 @@ class DistributedExecutor(_OutOfProcessExecutor):
                         ),
                     )
 
-    def _next_task_locked(self) -> Optional[_DistributedTask]:
-        """Pop the next task round-robin across session lanes (lock held)."""
-        for session_id in list(self._sessions):
-            state = self._sessions[session_id]
-            if state.queue:
-                self._sessions.move_to_end(session_id)
-                return state.queue.popleft()
-        return None
+    def _next_task_locked(
+        self, max_bytes: Optional[int] = None
+    ) -> Optional[_DistributedTask]:
+        """Pop the next task round-robin across session lanes (lock held).
 
-    def _next_small_task_locked(self) -> Optional[_DistributedTask]:
-        """Pop the next task *only if* it is small enough to batch (lock held).
-
-        Follows the same round-robin order as :meth:`_next_task_locked`; a
-        large payload at the head stops the batch instead of being skipped,
-        so coalescing never reorders a session's FIFO lane.
+        With ``max_bytes`` (batch coalescing), a head task whose payload is
+        larger stops the batch instead of being skipped, so coalescing never
+        reorders a session's FIFO lane.
         """
         for session_id in list(self._sessions):
             state = self._sessions[session_id]
             if state.queue:
-                if len(state.queue[0].payload) > _BATCH_MAX_TASK_BYTES:
+                if max_bytes is not None and len(state.queue[0].payload) > max_bytes:
                     return None
                 self._sessions.move_to_end(session_id)
                 return state.queue.popleft()
@@ -2522,79 +2466,96 @@ class DistributedExecutor(_OutOfProcessExecutor):
             # remote worker (no process handle to probe) declared dead.
             worker.last_seen = time.monotonic()
 
-        while True:
-            try:
+        # A transport error and a decodable frame with a nonsense message
+        # shape (the peer is not speaking this protocol) both end the
+        # connection here, never silently kill this receive thread while the
+        # worker keeps looking healthy.
+        try:
+            while True:
                 message = recv_message(worker.sock, on_progress=_alive)
-            except Exception:  # noqa: BLE001 - treat any transport error as death
-                message = None
-            if message is None:
-                break
-            worker.last_seen = time.monotonic()
-            try:
+                if message is None:
+                    break
+                worker.last_seen = time.monotonic()
                 # A worker batches its acks for a batched dispatch into one
                 # ("batch", ...) frame; unwrap and handle each inner message.
                 inner = message[1] if message[0] == "batch" else (message,)
                 for item in inner:
                     self._handle_worker_message(worker, item)
-            except Exception:  # noqa: BLE001 - malformed message shape
-                # A decodable frame with a nonsense message shape means the
-                # peer is not speaking this protocol; treat it like any
-                # other transport failure instead of silently killing this
-                # receive thread and leaving the worker looking healthy.
-                break
+        except Exception:  # noqa: BLE001 - transport error or malformed message
+            pass
         self._worker_failed(worker)
 
+    #: Inbound worker message kind -> handler method name, looked up per
+    #: message so a handler replaced on the class reaches running fleets.
+    #: Registration is read before the receive loop starts; a kind missing
+    #: here is a protocol violation that ends the connection.
+    _WORKER_MESSAGES = {
+        "ack": "_on_ack",
+        "result": "_task_finished",
+        "error": "_task_finished",
+        "fetch": "_on_fetch",
+        "locate": "_on_locate",
+        "cached": "_on_cached",
+        "heartbeat": "_on_heartbeat",
+    }
+
     def _handle_worker_message(self, worker: _WorkerHandle, message: Any) -> None:
-        kind = message[0]
-        if kind == "ack":
-            with self._lock:
-                task = worker.inflight.get((message[2], message[3]))
-                if task is not None:
-                    task.acked = True
-        elif kind == "result":
-            self._task_finished(worker, message[1], message[2], reply=message[3])
-        elif kind == "error":
-            self._task_finished(worker, message[1], message[2], error=message[3])
-        elif kind == "fetch":
-            self._serve_fetch(worker, message[2], message[3])
-        elif kind == "locate":
-            self._serve_locate(worker, message[2], message[3])
-        elif kind == "cached":
-            # The worker pulled the blob from a peer and now holds a copy:
-            # record it so later locates can spread the serving load.
-            self._record_site(worker.worker_id, message[2])
-        elif kind == "heartbeat":
-            # Heartbeats piggyback the worker's artifact-cache counters; the
-            # receive loop already refreshed last_seen.  Anything but the
-            # exact 3-tuple with a dict ends the connection (the caller
-            # treats a raise as a protocol violation).
-            _, _, stats = message
-            if not isinstance(stats, dict):
-                raise ProtocolError("heartbeat stats must be a dict")
-            with self._plane_lock:
-                self._worker_plane[worker.worker_id] = dict(stats)
+        getattr(self, self._WORKER_MESSAGES[message[0]])(worker, message)
 
-    def _serve_fetch(
-        self, worker: _WorkerHandle, session_id: str, signature: str
-    ) -> None:
-        """Answer a worker's artifact fetch from the session's bound store.
+    def _on_ack(self, worker: _WorkerHandle, message: Any) -> None:
+        _, _, session_id, key = message
+        with self._lock:
+            task = worker.inflight.get((session_id, key))
+            if task is not None:
+                task.acked = True
 
-        The store read and the reply run on the coordinator's I/O pool so a
-        slow disk read never stalls this worker's receive loop (which must
-        keep consuming results and heartbeats).  A missing artifact — or an
-        unreadable/unframeable one — answers ``None``, which the worker
-        turns into a typed task error; fetch serving never touches run
-        statistics (it is transport, not a planned LOAD).
+    def _on_fetch(self, worker: _WorkerHandle, message: Any) -> None:
+        _, _, session_id, signature = message
+        self._on_io_pool(self._answer_fetch, worker, session_id, signature)
+
+    def _on_locate(self, worker: _WorkerHandle, message: Any) -> None:
+        _, _, session_id, signature = message
+        self._on_io_pool(self._answer_locate, worker, session_id, signature)
+
+    def _on_cached(self, worker: _WorkerHandle, message: Any) -> None:
+        # The worker pulled the blob from a peer and now holds a copy:
+        # record it so later locates can spread the serving load.
+        _, _, signature = message
+        self._record_site(worker.worker_id, signature)
+
+    def _on_heartbeat(self, worker: _WorkerHandle, message: Any) -> None:
+        # Heartbeats piggyback the worker's artifact-cache counters; the
+        # receive loop already refreshed last_seen.  Anything but the exact
+        # 3-tuple with a dict ends the connection (the caller treats a raise
+        # as a protocol violation).
+        _, _, stats = message
+        if not isinstance(stats, dict):
+            raise ProtocolError("heartbeat stats must be a dict")
+        with self._plane_lock:
+            self._worker_plane[worker.worker_id] = dict(stats)
+
+    def _on_io_pool(self, answer: Callable[..., None], *args: Any) -> None:
+        """Run a fetch/locate answer on the I/O pool (inline without one).
+
+        A slow store read must never stall the worker's receive loop, which
+        has to keep consuming results and heartbeats.
         """
         pool = self._io_pool
         if pool is None:
-            self._answer_fetch(worker, session_id, signature)
+            answer(*args)
         else:
-            pool.submit(self._answer_fetch, worker, session_id, signature)
+            pool.submit(answer, *args)
 
     def _answer_fetch(
         self, worker: _WorkerHandle, session_id: str, signature: str
     ) -> None:
+        """Answer a worker's artifact fetch from the session's bound store.
+
+        A missing artifact — or an unreadable/unframeable one — answers
+        ``None``, which the worker turns into a typed task error; fetch
+        serving never touches run statistics (it is transport, not a
+        planned LOAD).
+        """
         blob: Optional[bytes] = None
         with self._cond:
             state = self._sessions.get(session_id)
@@ -2619,33 +2580,27 @@ class DistributedExecutor(_OutOfProcessExecutor):
                     blob = serialize(value)
             except Exception:  # noqa: BLE001 - report as missing, task errors typed
                 blob = None
-        try:
-            send_message(
-                worker.sock,
-                ("artifact", session_id, signature, blob),
-                worker.send_lock,
-            )
-        except OSError:
-            return  # worker death is handled by its receive loop / monitor
-        except Exception:  # noqa: BLE001 - e.g. artifact above the frame limit
-            try:
-                send_message(
-                    worker.sock,
-                    ("artifact", session_id, signature, None),
-                    worker.send_lock,
-                )
-            except OSError:
-                pass
-            return
         if blob is not None:
+            # Accounted before the reply leaves, as locates are: the task it
+            # unblocks can complete — and its caller read these counters —
+            # before this thread runs again.
             with self._plane_lock:
                 self._plane["fetches_served"] += 1
                 self._plane["fetch_bytes_served"] += len(blob)
-            # The worker's artifact cache now holds this blob: record the
-            # site so later locates can route peers at it (a worker without
-            # a peer listener is not dialable — filtered at answer time by
-            # the peer_address check).
+            # The worker's artifact cache is about to hold this blob: record
+            # the site so later locates can route peers at it (a worker
+            # without a peer listener is not dialable — filtered at answer
+            # time by the peer_address check).
             self._record_site(worker.worker_id, signature)
+        try:
+            worker.send(("artifact", session_id, signature, blob))
+        except OSError:
+            pass  # worker death is handled by its receive loop / monitor
+        except Exception:  # noqa: BLE001 - e.g. artifact above the frame limit
+            try:
+                worker.send(("artifact", session_id, signature, None))
+            except OSError:
+                pass
 
     # ------------------------------------------------------------------ artifact plane
     def _record_site(self, worker_id: str, signature: str) -> None:
@@ -2654,16 +2609,6 @@ class DistributedExecutor(_OutOfProcessExecutor):
             sites = self._artifact_sites.setdefault(signature, OrderedDict())
             sites.setdefault(worker_id, None)
             self._worker_sites.setdefault(worker_id, set()).add(signature)
-
-    def _serve_locate(
-        self, worker: _WorkerHandle, session_id: str, signature: str
-    ) -> None:
-        """Answer a worker's locate on the I/O pool (same lane as fetches)."""
-        pool = self._io_pool
-        if pool is None:
-            self._answer_locate(worker, session_id, signature)
-        else:
-            pool.submit(self._answer_locate, worker, session_id, signature)
 
     def _answer_locate(
         self, worker: _WorkerHandle, session_id: str, signature: str
@@ -2700,11 +2645,7 @@ class DistributedExecutor(_OutOfProcessExecutor):
             if peers:
                 self._plane["locates_with_peers"] += 1
         try:
-            send_message(
-                worker.sock,
-                ("located", session_id, signature, tuple(peers)),
-                worker.send_lock,
-            )
+            worker.send(("located", session_id, signature, tuple(peers)))
         except OSError:
             pass  # worker death is handled by its receive loop / monitor
 
@@ -2762,24 +2703,19 @@ class DistributedExecutor(_OutOfProcessExecutor):
                     self._worker_failed(handle)
 
     # ------------------------------------------------------------------ completion + failure
-    def _task_finished(
-        self,
-        worker: _WorkerHandle,
-        session_id: str,
-        key: str,
-        reply: Optional[bytes] = None,
-        error: Optional[BaseException] = None,
-    ) -> None:
+    def _task_finished(self, worker: _WorkerHandle, message: Any) -> None:
+        """Retire a task on its ``result`` or ``error`` reply."""
+        kind, session_id, key, payload = message
         with self._cond:
             task = worker.inflight.pop((session_id, key), None)
             self._cond.notify_all()  # the worker is idle again
         if task is None:
             return  # replay of a task already requeued elsewhere; first reply won
-        if error is not None:
-            self._complete(task, None, error)
+        if kind == "error":
+            self._complete(task, None, payload)
             return
         try:
-            outcome = deserialize(reply)
+            outcome = deserialize(payload)
         except BaseException as exc:  # noqa: BLE001 - surfaced by the engine
             self._complete(task, None, exc)
         else:

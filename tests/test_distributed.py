@@ -367,17 +367,7 @@ class TestWireProtocolV4:
         from repro.core.operators import RunContext
         from repro.workloads.synthetic import LatencyOperator
 
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-        coordinator = socket.create_connection(listener.getsockname())
-        worker_side, _ = listener.accept()
-        listener.close()
-        server = WorkerServer(worker_id="bw", heartbeat_interval=60.0)
-        thread = threading.Thread(
-            target=lambda: server._serve_connection(worker_side), daemon=True
-        )
-        thread.start()
+        _server, coordinator, thread = _scripted_worker("bw")
 
         def _task(key):
             payload = serialize((key, LatencyOperator(offset=1.0), [], RunContext()))
@@ -415,6 +405,9 @@ class TestWireProtocolV4:
         scenarios = [
             lambda s: send_message(s, ("batch", 42)),
             lambda s: send_message(s, ("task", "session-and-nothing-else")),
+            lambda s: send_message(s, ("task", "s0", "k")),
+            lambda s: send_message(s, ("artifact", "s0", "sig")),
+            lambda s: send_message(s, ("close_session",)),
             lambda s: s.sendall(_frame_at(2, b"junk")),
             lambda s: s.sendall(b"ZZZZZZZZZZZZ"),
             lambda s: s.sendall(
@@ -1654,7 +1647,7 @@ class TestReviewRegressions:
             coordinator.close()
 
     def test_close_session_keeps_artifact_cache_but_drops_session_state(self):
-        """``close_session`` releases the session's lane and pending slots,
+        """``close_session`` releases the session's lane and pending requests,
         but the **content-addressed artifact tier survives** — it is keyed
         on canonical signatures (entries can never go stale) and bounded by
         its own LRU budget, and keeping it warm across run sessions is what
@@ -1665,31 +1658,7 @@ class TestReviewRegressions:
         from repro.core.operators import RunContext
         from repro.workloads.synthetic import LatencyOperator
 
-        # a real TCP pair: the worker loop sets TCP_NODELAY, which an
-        # AF_UNIX socketpair would reject
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-        coordinator = socket.create_connection(listener.getsockname())
-        worker_side, _ = listener.accept()
-        listener.close()
-        server = WorkerServer(
-            worker_id="t1", heartbeat_interval=60.0, fetch_timeout=5.0
-        )
-        thread = threading.Thread(
-            target=lambda: server._serve_connection(worker_side), daemon=True
-        )
-        thread.start()
-
-        def _next_message():
-            # Skip heartbeats: the 60s interval sends none periodically, but
-            # close_session flushes one final stats-carrying beat.
-            while True:
-                frame = recv_frame(coordinator)
-                assert frame is not None, "worker closed the connection early"
-                message = deserialize(frame)
-                if message[0] != "heartbeat":
-                    return message
+        server, coordinator, thread = _scripted_worker("t1")
 
         def _send_task(key, session="s1"):
             payload = serialize(
@@ -1700,10 +1669,10 @@ class TestReviewRegressions:
         def _serve_fetch(session="s1"):
             # the worker first asks where the blob lives; an empty peer list
             # routes it to the classic coordinator-streamed fetch.
-            locate = _next_message()
+            locate = _next_nonbeat(coordinator)
             assert locate[:1] + locate[2:] == ("locate", session, "sigA"), locate
             send_frame(coordinator, serialize(("located", session, "sigA", ())))
-            fetch = _next_message()
+            fetch = _next_nonbeat(coordinator)
             assert fetch[:1] + fetch[2:] == ("fetch", session, "sigA"), fetch
             send_frame(
                 coordinator,
@@ -1711,23 +1680,25 @@ class TestReviewRegressions:
             )
 
         try:
-            assert _next_message()[0] == "register"
+            assert _next_nonbeat(coordinator)[0] == "register"
             # first task populates the artifact tier via a fetch round trip
             _send_task("k1")
-            assert _next_message()[0] == "ack"
+            assert _next_nonbeat(coordinator)[0] == "ack"
             _serve_fetch()
-            assert _next_message()[0] == "result"
+            assert _next_nonbeat(coordinator)[0] == "result"
             # second task is served from the cache: no fetch frame appears
             _send_task("k2")
-            assert _next_message()[0] == "ack"
-            assert _next_message()[0] == "result"
+            assert _next_nonbeat(coordinator)[0] == "ack"
+            assert _next_nonbeat(coordinator)[0] == "result"
             # after close_session the cache survives: still no fetch frame,
             # even from a *different* session (content addressing makes the
             # entry shareable across runs)
+            # (close_session also flushes one final stats-carrying beat,
+            # which _next_nonbeat skips)
             send_frame(coordinator, serialize(("close_session", "s1")))
             _send_task("k3", session="s2")
-            assert _next_message()[0] == "ack"
-            assert _next_message()[0] == "result"
+            assert _next_nonbeat(coordinator)[0] == "ack"
+            assert _next_nonbeat(coordinator)[0] == "result"
             send_frame(coordinator, serialize(("shutdown",)))
             thread.join(timeout=5)
             assert not thread.is_alive()

@@ -1,8 +1,9 @@
-"""Documentation link check as a tier-1 test (doc rot fails the build).
+"""Documentation checks as tier-1 tests (doc rot fails the build).
 
 Runs the same checker CI uses (``tools/check_docs.py``) over README.md,
 ROADMAP.md and docs/*.md: every relative link must point at an existing
-file and every ``#fragment`` at a real heading anchor.
+file and every ``#fragment`` at a real heading anchor.  The distributed
+wire's message-flow diagram is checked against the code's handler tables.
 """
 
 from __future__ import annotations
@@ -31,3 +32,18 @@ def test_docs_tree_exists():
     """The documented entry points stay where README links point."""
     assert (REPO_ROOT / "docs" / "architecture.md").is_file()
     assert (REPO_ROOT / "docs" / "executors.md").is_file()
+
+
+def test_message_flow_diagram_covers_every_message_kind():
+    """Each side of the distributed wire dispatches inbound messages from one
+    handler table: every kind in either table — and the kinds handled
+    outside them — is a ``("kind"`` arrow in architecture.md's diagram."""
+    from repro.execution.executors import DistributedExecutor, _WorkerConnection
+
+    text = (REPO_ROOT / "docs" / "architecture.md").read_text(encoding="utf-8")
+    section = text.split("## Distributed executor message flow", 1)[1]
+    diagram = section.split("```")[1]
+    kinds = set(DistributedExecutor._WORKER_MESSAGES) | set(_WorkerConnection._HANDLERS)
+    kinds |= {"register", "shutdown", "peer_fetch", "peer_artifact"}
+    missing = sorted(kind for kind in kinds if f'("{kind}"' not in diagram)
+    assert not missing, f"message kinds missing from the diagram: {missing}"
