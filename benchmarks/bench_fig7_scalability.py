@@ -30,7 +30,7 @@ selects the latency (thread), CPU (process), distributed, or all sections.
 The distributed section additionally reports depth-2 **pipelined dispatch**
 vs one-task-per-worker on short latency-bound tasks (report-only — the win
 rides on the framing round trip), an **artifact plane** section measuring
-coordinator bytes-on-wire with worker-to-worker transfer on vs off across
+coordinator bytes-on-wire with the worker cache tier on vs off across
 two same-seed served runs (report-only; see ``docs/artifacts.md``) and,
 with ``--workers``, times pre-started remote workers
 (``python -m repro.execution.worker``) instead of the local spawn pool
@@ -317,12 +317,12 @@ def run_artifact_plane_report(smoke: bool = False) -> Dict[str, float]:
 
     Serves the same census spec twice over one two-worker fleet — identical
     seeds produce identical artifact signatures, so the second run can
-    resolve its store-resident inputs from the fleet's cache tier or a peer
-    worker (docs/artifacts.md) — then repeats the pair with the plane off:
-    ``peer_fetch`` disabled and the worker cache tier squeezed to its
-    1-byte floor, so every artifact byte routes through the coordinator on
-    every run.  The difference in the coordinator's ``fetch_bytes_served``
-    is the wire traffic the plane absorbed.  **Report-only**: reuse counts depend on
+    resolve its store-resident inputs from the fleet's cache tier
+    (docs/artifacts.md) — then repeats the pair with the plane off: the
+    worker cache tier squeezed to its 1-byte floor, so every artifact byte
+    routes through the coordinator on every run.  The difference in the
+    coordinator's ``fetch_bytes_served`` is the wire traffic the plane
+    absorbed.  **Report-only**: reuse counts depend on
     which workers the runs' tasks land on, so no bar is enforced (both
     configurations' payloads are still checked equivalent elsewhere — the
     serve smoke and tests/test_service.py).
@@ -337,12 +337,9 @@ def run_artifact_plane_report(smoke: bool = False) -> Dict[str, float]:
         "seed": SEED,
     }
     planes: Dict[str, Dict[str, float]] = {}
-    for label, peer_fetch in (("plane_on", True), ("plane_off", False)):
+    for label, cache_bytes in (("plane_on", None), ("plane_off", 1)):
         with ServeDaemon(
-            max_workers=2,
-            max_concurrent_runs=2,
-            peer_fetch=peer_fetch,
-            worker_cache_bytes=None if peer_fetch else 1,
+            max_workers=2, max_concurrent_runs=2, worker_cache_bytes=cache_bytes
         ) as daemon:
             client = ServiceClient(daemon.address)
             client.submit(dict(spec)).result()
@@ -357,7 +354,6 @@ def run_artifact_plane_report(smoke: bool = False) -> Dict[str, float]:
         ),
         "coordinator_fetches_plane_on": float(on.get("fetches_served", 0)),
         "coordinator_fetches_plane_off": float(off.get("fetches_served", 0)),
-        "peer_fetches": float(on.get("peer_fetches", 0)),
         "cross_session_hits": float(on.get("cross_session_hits", 0)),
         "cache_hits": float(on.get("cache_hits", 0)),
     }
@@ -582,8 +578,8 @@ def main(argv=None) -> int:
                 f"on this run (report-only bar; not enforced)"
             )
 
-        # Artifact plane: coordinator bytes-on-wire with worker-to-worker
-        # transfer + the shared cache tier on vs off (report-only — reuse
+        # Artifact plane: coordinator bytes-on-wire with the shared cache
+        # tier on vs off (report-only — reuse
         # counts depend on task placement; see docs/artifacts.md).  Only
         # meaningful for the local-spawn fleet the service layer drives.
         if not worker_addresses:
@@ -600,9 +596,8 @@ def main(argv=None) -> int:
             )
             print(
                 f"INFO: {plane['coordinator_bytes_saved']:.0f} coordinator "
-                f"bytes-on-wire saved via {plane['peer_fetches']:.0f} peer "
-                f"fetch(es) + {plane['cross_session_hits']:.0f} cross-session "
-                f"cache hit(s) (report-only; not enforced)"
+                f"bytes-on-wire saved via {plane['cross_session_hits']:.0f} "
+                f"cross-session cache hit(s) (report-only; not enforced)"
             )
 
     if args.json:

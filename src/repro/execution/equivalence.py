@@ -169,8 +169,8 @@ def store_snapshot(store: MaterializationStore) -> Dict[str, Any]:
     deterministic per value, so equal stores snapshot equal (module
     docstring).  Including the digest makes the check sensitive to the
     *path* bytes took into the store: a run whose workers resolved inputs
-    via peer fetch or a shared cache tier must leave byte-identical
-    artifacts behind, not merely same-sized ones.
+    via a coordinator fetch or a shared cache tier must leave
+    byte-identical artifacts behind, not merely same-sized ones.
     """
     return {
         record.signature: {

@@ -536,44 +536,32 @@ class ProcessExecutor(_OutOfProcessExecutor):
 _BATCH_MAX_TASK_BYTES = 8192
 
 
-def _parse_registration(
-    message: Any,
-) -> Optional[Tuple[str, int, Optional[float], Optional[Tuple[str, int]]]]:
-    """Split a first frame into ``(worker_id, pid, interval, peer_address)``.
+def _parse_registration(message: Any) -> Optional[Tuple[str, int, Optional[float]]]:
+    """Split a first frame into ``(worker_id, pid, interval)``.
 
     A registration is exactly ``("register", worker_id, pid,
-    heartbeat_interval, peer_address)``: the interval announces the
-    worker's own heartbeat cadence so the coordinator can widen its
-    silence threshold for slow beaters, and the address names the worker's
-    peer-artifact listener (``(host, port)``, or ``None`` when peer fetch
-    is disabled on the worker).  Anything else — another tuple length, a
-    non-string worker id, a non-integer pid — returns ``None`` and the
-    connection is refused.  The fields come from another process, so a
-    malformed interval or address degrades to ``None`` (assumed cadence,
-    no peer serving) rather than being trusted.
+    heartbeat_interval)``: the interval announces the worker's own
+    heartbeat cadence so the coordinator can widen its silence threshold
+    for slow beaters.  Anything else — another tuple length, a non-string
+    worker id, a non-integer pid — returns ``None`` and the connection is
+    refused.  The interval comes from another process, so a malformed one
+    degrades to ``None`` (assumed cadence) rather than being trusted.
     """
     if not (
         isinstance(message, tuple)
-        and len(message) == 5
+        and len(message) == 4
         and message[0] == "register"
         and isinstance(message[1], str)
         and isinstance(message[2], int)
     ):
         return None
-    _, worker_id, pid, interval, announced = message
+    _, worker_id, pid, interval = message
     if interval is not None:
         try:
             interval = float(interval)
         except (TypeError, ValueError):
             interval = None
-    peer_address: Optional[Tuple[str, int]] = None
-    if announced is not None:
-        try:
-            host, port = announced
-            peer_address = (str(host), int(port))
-        except (TypeError, ValueError):
-            peer_address = None  # malformed announcement: no peer serving
-    return worker_id, pid, interval, peer_address
+    return worker_id, pid, interval
 
 
 def _picklable_error(key: str, error: BaseException) -> BaseException:
@@ -605,12 +593,6 @@ _WORKER_CACHE_ENTRIES = 32
 #: — so eviction triggers on whichever bound is exceeded first.
 _WORKER_CACHE_BYTES = 256 * 1024 * 1024
 
-#: Seconds allotted to one worker-to-worker artifact transfer (dial +
-#: request + reply).  Kept short relative to the coordinator fetch
-#: timeout: a dead or wedged peer must degrade to the coordinator path
-#: quickly, not consume the task's whole fetch budget.
-_PEER_FETCH_TIMEOUT = 10.0
-
 
 class _ArtifactCache:
     """The worker's content-addressed artifact tier: a sized LRU with dedup.
@@ -619,14 +601,13 @@ class _ArtifactCache:
     connection) a worker serves, keyed on canonical artifact signatures —
     the signature *is* the content address, so two concurrent served runs
     with overlapping pipelines share one materialized copy per artifact.
-    Each entry keeps both the deserialized value (what task resolution
-    hands to operators) and the canonical blob (what the peer-fetch lane
-    serves to other workers, and what byte accounting charges: the exact
-    ``len()`` of the bytes that crossed the wire, deterministic per
-    value).  Inserting a signature that is already cached is a **dedup
-    hit**: the existing entry is kept, its recency refreshed and nothing
-    re-charged — with a digest check asserting the byte-exactness the
-    canonical encoding guarantees (same signature, same bytes).
+    Each entry keeps the deserialized value (what task resolution hands to
+    operators), charged at the size of its canonical blob: the exact
+    ``len()`` of the bytes that crossed the wire, deterministic per value.
+    Inserting a signature that is already cached is a **dedup hit**: the
+    existing entry is kept, its recency refreshed and nothing re-charged —
+    with a digest check asserting the byte-exactness the canonical
+    encoding guarantees (same signature, same bytes).
 
     Eviction is LRU over whichever bound — entries or bytes — is exceeded
     first, with two protections: the most recently inserted entry is never
@@ -637,8 +618,8 @@ class _ArtifactCache:
     are skipped, so eviction pressure from one session can never pull an
     artifact out from under another session's running task.
 
-    All methods are thread-safe: the executor loop, the peer-artifact
-    listener threads and the heartbeat stats snapshot touch one lock.
+    All methods are thread-safe: the executor loop and the heartbeat
+    stats snapshot touch one lock.
     """
 
     __slots__ = ("max_entries", "max_bytes", "_lock", "_entries", "_bytes", "_pins", "_counters")
@@ -651,8 +632,8 @@ class _ArtifactCache:
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self._lock = threading.Lock()
-        #: signature -> (value, blob, size, digest, inserting_session)
-        self._entries: "OrderedDict[str, Tuple[Any, bytes, int, str, Any]]" = OrderedDict()
+        #: signature -> (value, size, digest, inserting_session)
+        self._entries: "OrderedDict[str, Tuple[Any, int, str, Any]]" = OrderedDict()
         self._bytes = 0
         self._pins: Dict[str, int] = {}
         self._counters: Dict[str, int] = {
@@ -662,9 +643,6 @@ class _ArtifactCache:
             "inserts": 0,
             "dedup_hits": 0,
             "evictions": 0,
-            "peer_serves": 0,
-            "peer_fetches": 0,
-            "peer_fetch_failures": 0,
             "coordinator_fetches": 0,
         }
 
@@ -683,7 +661,7 @@ class _ArtifactCache:
                 return False, None
             self._entries.move_to_end(signature)
             self._counters["cache_hits"] += 1
-            if session is not None and entry[4] is not None and entry[4] != session:
+            if session is not None and entry[3] is not None and entry[3] != session:
                 self._counters["cross_session_hits"] += 1
             return True, entry[0]
 
@@ -703,7 +681,7 @@ class _ArtifactCache:
             existing = self._entries.get(signature)
             if existing is not None:
                 self._counters["dedup_hits"] += 1
-                if existing[3] != digest:  # pragma: no cover - canonical bytes diverged
+                if existing[2] != digest:  # pragma: no cover - canonical bytes diverged
                     warnings.warn(
                         f"artifact {signature!r} arrived with different bytes "
                         f"than the cached copy; keeping the first (content "
@@ -713,7 +691,7 @@ class _ArtifactCache:
                     )
                 self._entries.move_to_end(signature)
                 return
-            self._entries[signature] = (value, blob, size, digest, session)
+            self._entries[signature] = (value, size, digest, session)
             self._bytes += size
             self._counters["inserts"] += 1
             self._evict_over_budget(protect_newest=True)
@@ -736,23 +714,9 @@ class _ArtifactCache:
                     break
             if victim is None:
                 break  # everything evictable is pinned by in-flight tasks
-            _, _, dropped, _, _ = self._entries.pop(victim)
+            _, dropped, _, _ = self._entries.pop(victim)
             self._bytes -= dropped
             self._counters["evictions"] += 1
-
-    def blob(self, signature: str) -> Optional[bytes]:
-        """Canonical bytes for the peer-fetch lane (``None`` = miss).
-
-        Serving a peer counts in ``peer_serves`` and refreshes recency —
-        an artifact other workers keep asking for is worth keeping.
-        """
-        with self._lock:
-            entry = self._entries.get(signature)
-            if entry is None:
-                return None
-            self._entries.move_to_end(signature)
-            self._counters["peer_serves"] += 1
-            return entry[1]
 
     def pin(self, signature: str) -> None:
         """Protect an in-flight task's input from eviction (refcounted)."""
@@ -798,111 +762,6 @@ class _ArtifactCache:
             return len(self._entries)
 
 
-class _PeerArtifactServer:
-    """A worker's peer-artifact listener: serves its cache tier to peers.
-
-    Every :class:`WorkerServer` with peer fetch enabled binds one of these
-    on an ephemeral port and announces the address in its registration.
-    Peers dial in, send ``("peer_fetch", signature)`` frames and receive
-    ``("peer_artifact", signature, blob | None)`` replies straight from the
-    shared :class:`_ArtifactCache` — no store, no coordinator, no task
-    state.  Connections are served one frame at a
-    time on small daemon threads and die with EOF; the listener is
-    separate from a listen-mode worker's coordinator socket, so the
-    one-coordinator-at-a-time accept discipline there is untouched.
-    """
-
-    def __init__(self, cache: _ArtifactCache, host: str = "127.0.0.1") -> None:
-        self._cache = cache
-        self.host = host
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((host, 0))
-        listener.listen(8)
-        listener.settimeout(0.5)  # poll the stop flag; accept() ignores close()
-        self._listener = listener
-        self.port = listener.getsockname()[1]
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def start(self) -> None:
-        self._thread = threading.Thread(
-            target=self._accept_loop, daemon=True, name=f"repro-dist-peer-{self.port}"
-        )
-        self._thread.start()
-
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return  # listener closed
-            threading.Thread(
-                target=self._serve, args=(conn,), daemon=True,
-                name=f"repro-dist-peer-conn-{self.port}",
-            ).start()
-
-    def _serve(self, conn: socket.socket) -> None:
-        try:
-            conn.settimeout(_PEER_FETCH_TIMEOUT)
-            while True:
-                message = recv_message(conn)
-                if message is None:
-                    return
-                if not (
-                    isinstance(message, tuple)
-                    and len(message) == 2
-                    and message[0] == "peer_fetch"
-                ):
-                    return  # not speaking the peer-fetch protocol: hang up
-                signature = message[1]
-                reply = ("peer_artifact", signature, self._cache.blob(signature))
-                send_message(conn, reply)
-        except (OSError, ProtocolError):
-            pass  # peer vanished; nothing to clean up
-        finally:
-            conn.close()
-
-    def close(self) -> None:
-        self._stop.set()
-        self._listener.close()
-
-
-def _fetch_from_peer(
-    address: Tuple[str, int], signature: str, timeout: float = _PEER_FETCH_TIMEOUT
-) -> Optional[bytes]:
-    """Dial a peer worker's artifact listener and fetch one blob.
-
-    Returns the canonical bytes, or ``None`` when the peer answered but no
-    longer holds the artifact (evicted between the coordinator's answer
-    and this dial).  Raises ``OSError``/:class:`ProtocolError` when the
-    peer is unreachable or dies mid-transfer — the caller degrades to the
-    coordinator-streamed path.
-    """
-    with socket.create_connection(address, timeout=timeout) as conn:
-        conn.settimeout(timeout)
-        send_message(conn, ("peer_fetch", signature))
-        message = recv_message(conn)
-        if message is None:
-            raise ProtocolError(
-                f"peer worker at {address[0]}:{address[1]} closed the "
-                f"connection before answering the artifact fetch"
-            )
-        if not (
-            isinstance(message, tuple)
-            and len(message) == 3
-            and message[0] == "peer_artifact"
-            and message[1] == signature
-        ):
-            raise ProtocolError(
-                f"peer worker at {address[0]}:{address[1]} answered the "
-                f"fetch of {signature!r} with a malformed reply"
-            )
-        return message[2]
-
-
 class WorkerServer:
     """Worker-side loop of the distributed executor.
 
@@ -911,8 +770,8 @@ class WorkerServer:
     frames — acking each ``task`` on receipt (even while a previous task is
     still executing, so the coordinator's pipelined dispatch window gets
     prompt acks) and dispatching every message through one handler table,
-    which queues tasks and completes pending fetch/locate requests with
-    their ``artifact``/``located`` replies — an **executor loop** (the
+    which queues tasks and completes pending fetches with their
+    ``artifact`` replies — an **executor loop** (the
     calling thread) pops queued tasks and runs them via
     :func:`run_serialized_task`, answering with a ``result`` or a picklable
     ``error``, and a **heartbeat** thread beats every
@@ -927,12 +786,9 @@ class WorkerServer:
     resolved through the worker's **content-addressed artifact tier** — a
     session-spanning, byte-bounded LRU (:class:`_ArtifactCache`) keyed on
     canonical signatures, so concurrent runs with overlapping pipelines
-    share one materialized copy per artifact.  A miss resolves, in order:
-    the coordinator's ``locate`` answer naming peer workers that hold the
-    blob (fetched worker-to-worker off this worker's own
-    :class:`_PeerArtifactServer` counterpart), then the classic
-    coordinator-streamed FETCH lane — peer failures degrade with a single
-    ``RuntimeWarning``, never a task failure.  The loop exits on a
+    share one materialized copy per artifact.  A miss costs one ``fetch``
+    round trip to the coordinator, which streams the blob from the run's
+    store.  The loop exits on a
     ``shutdown`` message, when the connection closes, or on the first
     malformed message.
 
@@ -958,15 +814,6 @@ class WorkerServer:
     fetch_timeout:
         Seconds to wait for the coordinator to answer an artifact fetch
         before failing the task that needs it.
-    peer_fetch:
-        Whether this worker joins the artifact plane: binds a
-        peer-artifact listener, announces it at registration, and tries
-        located peers before the coordinator-streamed path.  Disabling it
-        restores the every-byte-through-the-coordinator behavior.
-    peer_host:
-        Interface the peer-artifact listener binds (default loopback —
-        right for locally-spawned fleets; :meth:`listen` passes the
-        worker's own serving host for remote workers).
     cache_bytes:
         Byte budget of the shared artifact cache tier (``None`` = the
         :data:`_WORKER_CACHE_BYTES` default); its entry cap is
@@ -980,8 +827,6 @@ class WorkerServer:
         worker_id: Optional[str] = None,
         heartbeat_interval: float = 0.5,
         fetch_timeout: float = 60.0,
-        peer_fetch: bool = True,
-        peer_host: str = "127.0.0.1",
         cache_bytes: Optional[int] = None,
     ) -> None:
         if heartbeat_interval <= 0:
@@ -997,15 +842,12 @@ class WorkerServer:
         self.worker_id = worker_id if worker_id is not None else f"pid{os.getpid()}"
         self.heartbeat_interval = heartbeat_interval
         self.fetch_timeout = fetch_timeout
-        self.peer_fetch = bool(peer_fetch)
-        self.peer_host = peer_host
         #: The session-spanning artifact tier.  Lives on the *server*, not
         #: the connection: a listen-mode worker keeps it warm across
         #: coordinator sessions, which is where cross-run reuse comes from.
         self.cache = _ArtifactCache(
             max_bytes=cache_bytes if cache_bytes is not None else _WORKER_CACHE_BYTES,
         )
-        self._peer_server: Optional[_PeerArtifactServer] = None
 
     def serve(self) -> None:
         """Dial the coordinator, register, and serve tasks until told to stop."""
@@ -1027,7 +869,6 @@ class WorkerServer:
         fetch_timeout: float = 60.0,
         max_sessions: Optional[int] = None,
         on_ready: Optional[Callable[[str, int], None]] = None,
-        peer_fetch: bool = True,
         cache_bytes: Optional[int] = None,
     ) -> None:
         """Bind ``host:port`` and serve coordinator sessions, one at a time.
@@ -1045,9 +886,9 @@ class WorkerServer:
         invoked with the bound address before the first ``accept`` (tests
         and launchers use it to learn the port).  ``max_sessions`` bounds
         the number of coordinator sessions served (``None`` = forever).
-        The worker's artifact cache tier and peer-artifact listener live
-        on the server, not the connection, so cached artifacts survive
-        from one coordinator session into the next.
+        The worker's artifact cache tier lives on the server, not the
+        connection, so cached artifacts survive from one coordinator
+        session into the next.
         """
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -1058,8 +899,6 @@ class WorkerServer:
             worker_id=worker_id,
             heartbeat_interval=heartbeat_interval,
             fetch_timeout=fetch_timeout,
-            peer_fetch=peer_fetch,
-            peer_host=host,
             cache_bytes=cache_bytes,
         )
         if on_ready is not None:
@@ -1080,16 +919,13 @@ class WorkerServer:
     def _serve_connection(self, sock: socket.socket) -> None:
         """Serve one coordinator connection, as a :class:`_WorkerConnection`,
         until shutdown, disconnect or a malformed message."""
-        if self.peer_fetch and self._peer_server is None:
-            self._peer_server = _PeerArtifactServer(self.cache, host=self.peer_host)
-            self._peer_server.start()
         _WorkerConnection(self, sock).serve()
 
 
 class _WorkerConnection:
     """One coordinator connection of a :class:`WorkerServer` (threads: see there).
 
-    Task lanes and pending fetch/locate requests are kept per run session
+    Task lanes and pending fetches are kept per run session
     and released on the coordinator's ``close_session`` frame; the artifact
     cache tier is deliberately *not* — it is content-addressed (entries can
     never go stale), session-spanning, and bounded by its own LRU budget.
@@ -1102,8 +938,7 @@ class _WorkerConnection:
     #: ``shutdown``; any other kind is a protocol violation that ends it too.
     _HANDLERS = {
         "task": "_on_task",
-        "artifact": "_on_reply",
-        "located": "_on_reply",
+        "artifact": "_on_artifact",
         "close_session": "_on_close_session",
     }
 
@@ -1118,11 +953,9 @@ class _WorkerConnection:
         # served rotates to the back, so with several sessions queued each
         # gets one task per round instead of the first backlog winning.
         self.lanes: "OrderedDict[Any, Deque[Tuple[str, bytes]]]" = OrderedDict()
-        # Requests awaiting their reply, keyed by (reply kind, session,
-        # signature): the reply kind keeps fetches ("artifact") and locates
-        # ("located") apart, since one task may have both in flight.
+        # Fetches awaiting their artifact reply, keyed by (session, signature).
         self._pending_lock = threading.Lock()
-        self._pending: Dict[Tuple[str, Any, str], Future] = {}
+        self._pending: Dict[Tuple[Any, str], Future] = {}
 
     def _send(self, message: Tuple[Any, ...]) -> None:
         send_message(self.sock, message, self.send_lock)
@@ -1131,24 +964,11 @@ class _WorkerConnection:
         """Register, then run queued tasks until the session ends."""
         server = self.server
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        peer_address: Optional[Tuple[str, int]] = None
-        if server._peer_server is not None:
-            # A worker bound to a wildcard interface announces the concrete
-            # address this coordinator connection uses to reach it (what
-            # its peers can dial).
-            announce_host = server._peer_server.host
-            if announce_host in ("", "0.0.0.0", "::"):
-                announce_host = self.sock.getsockname()[0]
-            peer_address = (announce_host, server._peer_server.port)
         # Registration announces the worker's own heartbeat interval so a
         # coordinator whose heartbeat_timeout was derived from a *different*
         # interval can widen its silence threshold for this worker instead
-        # of declaring a slow-beating (but healthy) remote worker dead, and
-        # the peer-artifact listener address, so the coordinator's location
-        # index can hand it to other workers.
-        self._send(
-            ("register", server.worker_id, os.getpid(), server.heartbeat_interval, peer_address)
-        )
+        # of declaring a slow-beating (but healthy) remote worker dead.
+        self._send(("register", server.worker_id, os.getpid(), server.heartbeat_interval))
         threading.Thread(
             target=self._heartbeat_loop, daemon=True, name=f"repro-dist-hb-{server.worker_id}"
         ).start()
@@ -1232,18 +1052,18 @@ class _WorkerConnection:
             self.lanes.setdefault(session, deque()).append((key, payload))
             self.wake.notify_all()
 
-    def _on_reply(self, message: Tuple[Any, ...]) -> None:
-        """Complete the pending fetch (``artifact``) or locate (``located``)."""
-        kind, session, signature, payload = message
+    def _on_artifact(self, message: Tuple[Any, ...]) -> None:
+        """Complete the pending fetch this ``artifact`` frame answers."""
+        _, session, signature, blob = message
         with self._pending_lock:
-            future = self._pending.pop((kind, session, signature), None)
+            future = self._pending.pop((session, signature), None)
         if future is not None:
-            future.set_result(payload)
+            future.set_result(blob)
 
     def _on_close_session(self, message: Tuple[Any, ...]) -> None:
         """The coordinator drained the session and dropped it.
 
-        Release its lane and pending requests.  The artifact cache tier
+        Release its lane and pending fetches.  The artifact cache tier
         survives on purpose — it is content addressed (entries can never go
         stale) and bounded by its own LRU budget, and keeping it warm across
         sessions is what lets the next run reuse this one's artifacts.
@@ -1252,7 +1072,7 @@ class _WorkerConnection:
         with self.wake:
             self.lanes.pop(session, None)
         with self._pending_lock:
-            for key in [k for k in self._pending if k[1] == session]:
+            for key in [k for k in self._pending if k[0] == session]:
                 self._pending.pop(key).cancel()  # the waiting task fails typed
         # Flush final plane counters while the coordinator still has this
         # session's stats consumer attached (the periodic beat may lag the
@@ -1312,114 +1132,51 @@ class _WorkerConnection:
             )
 
     # ------------------------------------------------------------------ artifact resolution
-    def _ask(self, reply_kind: str, request: Tuple[Any, ...]) -> Any:
-        """Send a ``fetch``/``locate`` request and wait for its reply payload.
+    def _ask(self, session: Any, signature: str) -> Optional[bytes]:
+        """Send a ``fetch`` request and wait for its ``artifact`` reply's blob.
 
         Raises ``OSError`` when the request cannot be sent,
         :class:`CancelledError` when the session or the connection ends
         first, and :class:`FutureTimeoutError` after the server's
         ``fetch_timeout``; the pending entry never outlives the call.
         """
-        _, _, session, signature = request
-        key = (reply_kind, session, signature)
+        key = (session, signature)
         future: Future = Future()
         with self._pending_lock:
             if self.stop.is_set():
                 raise CancelledError
             self._pending[key] = future
         try:
-            self._send(request)
+            self._send(("fetch", self.server.worker_id, session, signature))
             return future.result(self.server.fetch_timeout)
         finally:
             with self._pending_lock:
                 self._pending.pop(key, None)
 
-    def _locate_peers(self, session: Any, signature: str) -> Tuple[Tuple[str, int], ...]:
-        """Ask the coordinator which peer workers hold a blob.
-
-        Best-effort: an empty answer — including a locate timeout, a closed
-        connection or a malformed answer — just routes the resolve to the
-        classic coordinator-streamed path.
-        """
-        try:
-            peers = self._ask("located", ("locate", self.server.worker_id, session, signature))
-            return tuple((str(host), int(port)) for host, port in peers or ())
-        except (OSError, CancelledError, FutureTimeoutError, TypeError, ValueError):
-            return ()
-
-    def _fetch_via_peers(
-        self, peers: Tuple[Tuple[str, int], ...], signature: str
-    ) -> Optional[bytes]:
-        """Try each located peer in turn; degrade quietly on misses.
-
-        Dial/transfer failures across *all* peers produce exactly one
-        ``RuntimeWarning`` (never a task failure): the caller falls back to
-        the coordinator-streamed path, which owns the bytes.
-        """
-        failures: List[str] = []
-        timeout = min(self.server.fetch_timeout, _PEER_FETCH_TIMEOUT)
-        for address in peers:
-            try:
-                blob = _fetch_from_peer(address, signature, timeout=timeout)
-            except (OSError, ProtocolError) as exc:
-                failures.append(f"{address[0]}:{address[1]}: {exc}")
-                continue
-            if blob is not None:
-                self.cache.count("peer_fetches")
-                return blob
-        if failures:
-            self.cache.count("peer_fetch_failures")
-            warnings.warn(
-                f"peer fetch of artifact {signature!r} failed "
-                f"({'; '.join(failures)}); falling back to the "
-                f"coordinator-streamed path",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return None
-
     def _resolve(self, session: Any, pinned: List[str], signature: str) -> Any:
-        """Resolve one :class:`ArtifactRef` input — cache tier, located peers,
-        then the coordinator-streamed fetch — pinned for the task."""
+        """Resolve one :class:`ArtifactRef` input — cache tier, then one
+        coordinator fetch — pinned for the task."""
         cache = self.cache
         hit, value = cache.get(signature, session=session)
         if not hit:
-            blob: Optional[bytes] = None
-            if self.server.peer_fetch:
-                peers = self._locate_peers(session, signature)
-                if peers:
-                    blob = self._fetch_via_peers(peers, signature)
-            from_peer = blob is not None
+            try:
+                blob = self._ask(session, signature)
+            except FutureTimeoutError:
+                raise ExecutionError(
+                    f"coordinator did not answer the fetch of artifact "
+                    f"{signature!r} within {self.server.fetch_timeout:g}s"
+                ) from None
+            except CancelledError:
+                raise ExecutionError(
+                    f"connection closed while fetching artifact {signature!r}"
+                ) from None
             if blob is None:
-                try:
-                    blob = self._ask(
-                        "artifact", ("fetch", self.server.worker_id, session, signature)
-                    )
-                except FutureTimeoutError:
-                    raise ExecutionError(
-                        f"coordinator did not answer the fetch of artifact "
-                        f"{signature!r} within {self.server.fetch_timeout:g}s"
-                    ) from None
-                except CancelledError:
-                    raise ExecutionError(
-                        f"connection closed while fetching artifact {signature!r}"
-                    ) from None
-                if blob is None:
-                    raise ExecutionError(
-                        f"coordinator has no stored artifact for signature {signature!r}"
-                    )
-                cache.count("coordinator_fetches")
+                raise ExecutionError(
+                    f"coordinator has no stored artifact for signature {signature!r}"
+                )
+            cache.count("coordinator_fetches")
             value = deserialize(blob)
             cache.put(signature, value, blob, session=session)
-            if from_peer:
-                # Tell the location index this worker now holds the blob too
-                # (the coordinator only learns about holders it streamed
-                # bytes to itself).  Best-effort: a lost announcement just
-                # means one fewer known replica.
-                try:
-                    self._send(("cached", self.server.worker_id, signature))
-                except OSError:
-                    pass
         cache.pin(signature)
         pinned.append(signature)
         return value
@@ -1431,7 +1188,6 @@ def _distributed_worker_main(
     worker_id: str,
     heartbeat_interval: float,
     fetch_timeout: float = 60.0,
-    peer_fetch: bool = True,
     cache_bytes: Optional[int] = None,
 ) -> None:
     """Entry point of a spawned worker process (module-level: spawn-safe)."""
@@ -1441,7 +1197,6 @@ def _distributed_worker_main(
         worker_id=worker_id,
         heartbeat_interval=heartbeat_interval,
         fetch_timeout=fetch_timeout,
-        peer_fetch=peer_fetch,
         cache_bytes=cache_bytes,
     ).serve()
 
@@ -1500,7 +1255,7 @@ class _WorkerHandle:
 
     __slots__ = (
         "worker_id", "process", "pid", "sock", "send_lock", "alive",
-        "last_seen", "inflight", "address", "silence_timeout", "peer_address",
+        "last_seen", "inflight", "address", "silence_timeout",
     )
 
     def __init__(self, worker_id: str):
@@ -1523,11 +1278,6 @@ class _WorkerHandle:
         #: heartbeat interval than the coordinator assumed (``None`` =
         #: use the executor's timeout).
         self.silence_timeout: Optional[float] = None
-        #: ``(host, port)`` of the worker's peer-fetch listener as announced
-        #: at registration; ``None`` for workers started with peer fetch
-        #: disabled.  The location index only ever hands out addresses
-        #: recorded here.
-        self.peer_address: Optional[Tuple[str, int]] = None
 
     def send(self, message: Tuple[Any, ...]) -> None:
         send_message(self.sock, message, self.send_lock)
@@ -1570,15 +1320,10 @@ class DistributedExecutor(_OutOfProcessExecutor):
     coordinator's filesystem — the engine ships store-resident COMPUTE
     inputs as :class:`~repro.storage.serialization.ArtifactRef`
     placeholders, and workers resolve them content-addressed by
-    signature.  A worker first asks ``locate`` and the coordinator answers
-    with the addresses of peer workers already holding the blob (recorded
-    when it streamed the artifact to them, or when they announced a
-    ``cached`` peer-fetch insert), so the bytes move worker-to-worker
-    instead of through the coordinator; when no peer holds the blob or the
-    peer dial fails, the worker falls back to the classic ``fetch``
-    request the coordinator answers from the store bound via
-    :meth:`bind_store` (served on the I/O pool, so fetches never stall
-    dispatch).  :meth:`artifact_plane_stats` aggregates both sides'
+    signature: from their own artifact cache tier, or else with one
+    ``fetch`` request the coordinator answers from the session's store
+    bound via :meth:`bind_store` (served on the I/O pool, so fetches never
+    stall dispatch).  :meth:`artifact_plane_stats` aggregates both sides'
     counters.
 
     Failure handling: a worker that dies (socket EOF, dead process, or
@@ -1662,12 +1407,6 @@ class DistributedExecutor(_OutOfProcessExecutor):
         answer an artifact fetch before failing the task that needs it
         (remote workers use the ``--fetch-timeout`` they were started
         with).
-    peer_fetch:
-        Whether the coordinator answers ``locate`` requests with peer
-        worker addresses (default ``True``).  ``False`` makes every
-        ``located`` answer empty, so all artifact bytes route through the
-        coordinator — spawned workers still inherit the flag and skip
-        starting their peer listener entirely.
     worker_cache_bytes:
         Byte budget of each locally-spawned worker's content-addressed
         artifact cache tier (default: the worker-side
@@ -1696,7 +1435,6 @@ class DistributedExecutor(_OutOfProcessExecutor):
         connect_timeout: float = 5.0,
         redial_backoff: float = 0.25,
         fetch_timeout: float = 60.0,
-        peer_fetch: bool = True,
         worker_cache_bytes: Optional[int] = None,
     ) -> None:
         super().__init__()
@@ -1743,7 +1481,6 @@ class DistributedExecutor(_OutOfProcessExecutor):
             raise ExecutionError("fetch_timeout must be positive")
         if worker_cache_bytes is not None and worker_cache_bytes < 1:
             raise ExecutionError("worker_cache_bytes must be at least 1")
-        self.peer_fetch = bool(peer_fetch)
         self.worker_cache_bytes = worker_cache_bytes
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
@@ -1786,35 +1523,20 @@ class DistributedExecutor(_OutOfProcessExecutor):
         #: Consecutive failed dials per address; drives the exponential
         #: re-dial backoff and resets to zero on a successful dial.
         self._remote_dial_failures: Dict[Tuple[str, int], int] = {}
-        self._store: Optional[Any] = None
-        #: Artifact-plane location index: for each signature, the workers
-        #: known to hold its blob, oldest-recorded first (an OrderedDict
-        #: doubles as an insertion-ordered set).  Sites are recorded when
-        #: the coordinator streams an artifact to a worker and when a
-        #: worker announces a ``cached`` peer-fetch insert; a dead worker's
-        #: sites are pruned in :meth:`_worker_failed`.
-        self._artifact_sites: Dict[str, "OrderedDict[str, None]"] = {}
-        #: Reverse index of the above, so pruning a dead worker is O(its
-        #: holdings) instead of a scan over every signature.
-        self._worker_sites: Dict[str, set] = {}
         self._plane_lock = threading.Lock()
         #: Coordinator-side artifact-plane counters (see
         #: :meth:`artifact_plane_stats`).
-        self._plane: Dict[str, int] = {
-            "fetches_served": 0,
-            "fetch_bytes_served": 0,
-            "locates_served": 0,
-            "locates_with_peers": 0,
-        }
+        self._plane: Dict[str, int] = {"fetches_served": 0, "fetch_bytes_served": 0}
         #: Latest cache stats heartbeat per worker id.
         #: Deliberately never pruned on worker death or shutdown so the
-        #: serve daemon can report peer/cache reuse after the fleet stops.
+        #: serve daemon can report cache reuse after the fleet stops.
         self._worker_plane: Dict[str, Dict[str, int]] = {}
 
     # ------------------------------------------------------------------ lifecycle
     def bind_store(self, store: Any) -> None:
-        """Bind the engine's materialization store for the FETCH lane."""
-        self._store = store
+        """Bind the engine's materialization store for the default session's
+        FETCH lane (each :class:`DistributedSession` binds its own)."""
+        self._default_session.store = store
 
     def start(self) -> None:
         """Open a run generation; bring the worker pool up to strength.
@@ -2022,11 +1744,9 @@ class DistributedExecutor(_OutOfProcessExecutor):
                 if h.alive and h.sock is not None
             ]
             self._cond.notify_all()
-        # Tell every worker to drop the session's lane, fetched-value cache
-        # and pending fetch slots.  Without this frame a long-lived fleet
-        # (the ``repro serve`` daemon) leaks one cache of deserialized
-        # artifacts per finished run into every worker, since the
-        # connection — and with it the worker's per-session bookkeeping —
+        # Tell every worker to drop the session's lane and pending fetches.
+        # Without this frame a long-lived fleet (the ``repro serve`` daemon)
+        # leaks per-run bookkeeping into every worker, since the connection
         # outlives the sessions multiplexed onto it.
         for handle in handles:
             try:
@@ -2072,7 +1792,6 @@ class DistributedExecutor(_OutOfProcessExecutor):
                 worker_id,
                 self.heartbeat_interval,
                 self.fetch_timeout,
-                self.peer_fetch,
                 self.worker_cache_bytes,
             ),
             daemon=True,
@@ -2278,15 +1997,7 @@ class DistributedExecutor(_OutOfProcessExecutor):
         Refused — the socket is closed — when there is no such handle, it is
         dead or already connected, or the fleet is shutting down.
         """
-        _, pid, announced_interval, peer_address = registration
-        if handle is not None and handle.address is not None and peer_address is not None:
-            # A remote worker that bound its peer listener to loopback is
-            # only dialable from its own host; substitute the address the
-            # coordinator actually reached it at.
-            loopback = ("127.0.0.1", "localhost", "::1")
-            host = handle.address[0]
-            if peer_address[0] in loopback and host not in loopback:
-                peer_address = (host, peer_address[1])
+        _, pid, announced_interval = registration
         with self._cond:
             adopt = (
                 handle is not None and handle.alive and handle.sock is None
@@ -2295,7 +2006,6 @@ class DistributedExecutor(_OutOfProcessExecutor):
             if adopt:
                 handle.sock = sock
                 handle.pid = pid
-                handle.peer_address = peer_address
                 handle.silence_timeout = self._silence_timeout_for(announced_interval)
                 handle.last_seen = time.monotonic()
                 self._workers[handle.worker_id] = handle
@@ -2494,8 +2204,6 @@ class DistributedExecutor(_OutOfProcessExecutor):
         "result": "_task_finished",
         "error": "_task_finished",
         "fetch": "_on_fetch",
-        "locate": "_on_locate",
-        "cached": "_on_cached",
         "heartbeat": "_on_heartbeat",
     }
 
@@ -2510,18 +2218,15 @@ class DistributedExecutor(_OutOfProcessExecutor):
                 task.acked = True
 
     def _on_fetch(self, worker: _WorkerHandle, message: Any) -> None:
+        # Answered on the I/O pool (inline without one): a slow store read
+        # must never stall this receive loop, which has to keep consuming
+        # results and heartbeats.
         _, _, session_id, signature = message
-        self._on_io_pool(self._answer_fetch, worker, session_id, signature)
-
-    def _on_locate(self, worker: _WorkerHandle, message: Any) -> None:
-        _, _, session_id, signature = message
-        self._on_io_pool(self._answer_locate, worker, session_id, signature)
-
-    def _on_cached(self, worker: _WorkerHandle, message: Any) -> None:
-        # The worker pulled the blob from a peer and now holds a copy:
-        # record it so later locates can spread the serving load.
-        _, _, signature = message
-        self._record_site(worker.worker_id, signature)
+        pool = self._io_pool
+        if pool is None:
+            self._answer_fetch(worker, session_id, signature)
+        else:
+            pool.submit(self._answer_fetch, worker, session_id, signature)
 
     def _on_heartbeat(self, worker: _WorkerHandle, message: Any) -> None:
         # Heartbeats piggyback the worker's artifact-cache counters; the
@@ -2533,18 +2238,6 @@ class DistributedExecutor(_OutOfProcessExecutor):
             raise ProtocolError("heartbeat stats must be a dict")
         with self._plane_lock:
             self._worker_plane[worker.worker_id] = dict(stats)
-
-    def _on_io_pool(self, answer: Callable[..., None], *args: Any) -> None:
-        """Run a fetch/locate answer on the I/O pool (inline without one).
-
-        A slow store read must never stall the worker's receive loop, which
-        has to keep consuming results and heartbeats.
-        """
-        pool = self._io_pool
-        if pool is None:
-            answer(*args)
-        else:
-            pool.submit(answer, *args)
 
     def _answer_fetch(
         self, worker: _WorkerHandle, session_id: str, signature: str
@@ -2561,9 +2254,7 @@ class DistributedExecutor(_OutOfProcessExecutor):
             state = self._sessions.get(session_id)
         # Concurrent sessions can bind different stores; the fetch must be
         # answered from the store of the session that shipped the ref.
-        # Fleet-level bind_store stays the fallback (the default session,
-        # and sessions that never bound one).
-        store = state.store if state is not None and state.store is not None else self._store
+        store = state.store if state is not None else None
         if store is not None:
             try:
                 loader = getattr(store, "load_serialized", None)
@@ -2581,17 +2272,12 @@ class DistributedExecutor(_OutOfProcessExecutor):
             except Exception:  # noqa: BLE001 - report as missing, task errors typed
                 blob = None
         if blob is not None:
-            # Accounted before the reply leaves, as locates are: the task it
-            # unblocks can complete — and its caller read these counters —
-            # before this thread runs again.
+            # Accounted before the reply leaves: the task it unblocks can
+            # complete — and its caller read these counters — before this
+            # thread runs again.
             with self._plane_lock:
                 self._plane["fetches_served"] += 1
                 self._plane["fetch_bytes_served"] += len(blob)
-            # The worker's artifact cache is about to hold this blob: record
-            # the site so later locates can route peers at it (a worker
-            # without a peer listener is not dialable — filtered at answer
-            # time by the peer_address check).
-            self._record_site(worker.worker_id, signature)
         try:
             worker.send(("artifact", session_id, signature, blob))
         except OSError:
@@ -2602,61 +2288,13 @@ class DistributedExecutor(_OutOfProcessExecutor):
             except OSError:
                 pass
 
-    # ------------------------------------------------------------------ artifact plane
-    def _record_site(self, worker_id: str, signature: str) -> None:
-        """Note that a worker holds the blob for ``signature``."""
-        with self._plane_lock:
-            sites = self._artifact_sites.setdefault(signature, OrderedDict())
-            sites.setdefault(worker_id, None)
-            self._worker_sites.setdefault(worker_id, set()).add(signature)
-
-    def _answer_locate(
-        self, worker: _WorkerHandle, session_id: str, signature: str
-    ) -> None:
-        """Answer ``locate`` with up to 3 dialable peers holding the blob.
-
-        Peers are listed oldest-recorded first (they have held the blob
-        longest), excluding the requester itself, workers without an
-        announced peer listener, and dead workers.  With ``peer_fetch``
-        disabled fleet-wide the answer is always empty, which routes the
-        worker straight to the coordinator-streamed path.
-        """
-        peers: List[Tuple[str, int]] = []
-        if self.peer_fetch:
-            with self._plane_lock:
-                site_ids = list(self._artifact_sites.get(signature, ()))
-            if site_ids:
-                with self._cond:
-                    for site_id in site_ids:
-                        if site_id == worker.worker_id:
-                            continue
-                        holder = self._workers.get(site_id)
-                        if (
-                            holder is None
-                            or not holder.alive
-                            or holder.peer_address is None
-                        ):
-                            continue
-                        peers.append(holder.peer_address)
-                        if len(peers) >= 3:
-                            break
-        with self._plane_lock:
-            self._plane["locates_served"] += 1
-            if peers:
-                self._plane["locates_with_peers"] += 1
-        try:
-            worker.send(("located", session_id, signature, tuple(peers)))
-        except OSError:
-            pass  # worker death is handled by its receive loop / monitor
-
     def artifact_plane_stats(self) -> Dict[str, Any]:
         """Aggregate artifact-plane counters across coordinator and workers.
 
         Returns the coordinator's own counters (``fetches_served``,
-        ``fetch_bytes_served``, ``locates_served``, ``locates_with_peers``)
-        merged with a sum over every worker's last heartbeat stats
-        (``peer_fetches``, ``peer_serves``, ``cache_hits``,
-        ``cross_session_hits``, ``dedup_hits``, ...), plus the per-worker
+        ``fetch_bytes_served``) merged with a sum over every worker's last
+        heartbeat stats (``cache_hits``, ``cross_session_hits``,
+        ``coordinator_fetches``, ``dedup_hits``, ...), plus the per-worker
         breakdown under ``"workers"``.  Worker stats survive worker death
         and fleet shutdown, so the serve daemon can report reuse after
         :meth:`shutdown`.
@@ -2778,16 +2416,6 @@ class DistributedExecutor(_OutOfProcessExecutor):
                     while state.queue:
                         failures.append(state.queue.popleft())
             self._cond.notify_all()
-        # Drop the dead worker from the location index: a locate answered
-        # with its peer listener would cost every asker a failed dial (and
-        # a RuntimeWarning) before falling back to the coordinator.
-        with self._plane_lock:
-            for signature in self._worker_sites.pop(worker.worker_id, ()):
-                sites = self._artifact_sites.get(signature)
-                if sites is not None:
-                    sites.pop(worker.worker_id, None)
-                    if not sites:
-                        del self._artifact_sites[signature]
         if worker.sock is not None:
             worker.sock.close()
         if worker.process is not None and not worker.process.is_alive():

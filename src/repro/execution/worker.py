@@ -10,19 +10,16 @@ serves coordinator *connections* one at a time and survives across them, so
 one long-lived process amortizes interpreter startup over many runs.
 
 Within a single connection the protocol (canonical zero-copy frame
-payloads, batch envelopes and the worker-to-worker artifact plane; the
-coordinator must run the same library revision — see
-``repro/storage/serialization.py``) is session-multiplexed: every task,
-fetch and result frame carries the coordinator-side session id, so one
-coordinator — e.g. the ``repro serve`` daemon — can interleave tasks from
-several concurrent workflow runs over the same worker.  Task inputs
-resolve through the worker's **content-addressed artifact tier** (see
-``docs/artifacts.md``): a session-spanning LRU keyed on canonical
-signatures that survives across coordinator connections, backed by a
-peer-artifact listener other workers dial to pull blobs directly instead
-of routing every byte through the coordinator.  ``--no-peer-fetch``
-disables the listener (and the locate round trips), ``--cache-bytes``
-bounds the tier; ``--max-sessions`` counts coordinator *connections* (one
+payloads and batch envelopes; the coordinator must run the same library
+revision — see ``repro/storage/serialization.py``) is session-multiplexed:
+every task, fetch and result frame carries the coordinator-side session
+id, so one coordinator — e.g. the ``repro serve`` daemon — can interleave
+tasks from several concurrent workflow runs over the same worker.  Task
+inputs resolve through the worker's **content-addressed artifact tier**
+(see ``docs/artifacts.md``): a session-spanning LRU keyed on canonical
+signatures that survives across coordinator connections; a miss costs one
+fetch from the coordinator.  ``--cache-bytes`` bounds the tier;
+``--max-sessions`` counts coordinator *connections* (one
 ``DistributedExecutor`` lifetime), not in-flight logical sessions.
 
 Typical use — two loopback workers for a smoke test::
@@ -102,19 +99,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "(default: serve forever)",
     )
     parser.add_argument(
-        "--no-peer-fetch",
-        action="store_true",
-        help="opt out of the worker-to-worker artifact plane: no "
-        "peer-artifact listener is bound and every artifact fetch routes "
-        "through the coordinator",
-    )
-    parser.add_argument(
         "--cache-bytes",
         type=int,
         default=None,
         help="byte budget of the content-addressed artifact cache tier "
         "(default: 256 MiB); the tier spans run sessions and coordinator "
-        "connections and also feeds the peer-fetch lane",
+        "connections",
     )
     args = parser.parse_args(argv)
     if args.max_sessions is not None and args.max_sessions < 1:
@@ -139,7 +129,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             fetch_timeout=args.fetch_timeout,
             max_sessions=args.max_sessions,
             on_ready=announce,
-            peer_fetch=not args.no_peer_fetch,
             cache_bytes=args.cache_bytes,
         )
     except KeyboardInterrupt:

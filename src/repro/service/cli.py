@@ -84,11 +84,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         help="worker-side artifact fetch timeout (default: %(default)s)",
     )
     parser.add_argument(
-        "--no-peer-fetch", action="store_true",
-        help="disable worker-to-worker artifact transfer: every artifact "
-        "byte routes through the coordinator (see docs/artifacts.md)",
-    )
-    parser.add_argument(
         "--worker-cache-bytes", type=int, default=None, metavar="BYTES",
         help="per-worker artifact cache tier budget for spawned workers "
         "(default: 256 MiB; remote workers use their own --cache-bytes)",
@@ -118,7 +113,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         tenant_weights=tenant_weights or None,
         heartbeat_interval=args.heartbeat_interval,
         fetch_timeout=args.fetch_timeout,
-        peer_fetch=not args.no_peer_fetch,
         worker_cache_bytes=args.worker_cache_bytes,
     )
     host, port = daemon.start()
@@ -150,17 +144,16 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
                 flush=True,
             )
         # Greppable artifact-plane summary (the CI serve-smoke asserts on
-        # it): how much artifact reuse the fleet's content-addressed tier
-        # and peer transfers achieved across the served runs.
+        # it): how many artifacts one served run reused from the workers'
+        # content-addressed tier after another run put them there.
         plane = stats.get("artifact_plane", {})
-        reuse = plane.get("peer_fetches", 0) + plane.get("cross_session_hits", 0)
+        reuse = plane.get("cross_session_hits", 0)
         print(
-            f"  artifact plane: peer+cache reuse {reuse} "
-            f"(peer_fetches {plane.get('peer_fetches', 0)}, "
-            f"cross_session_hits {plane.get('cross_session_hits', 0)}, "
-            f"cache_hits {plane.get('cache_hits', 0)}), "
-            f"coordinator served {plane.get('fetches_served', 0)} fetches / "
-            f"{plane.get('fetch_bytes_served', 0)} bytes",
+            f"  artifact plane: cache reuse {reuse} "
+            f"(cross_session_hits {reuse}, "
+            f"cache_hits {plane.get('cache_hits', 0)}, "
+            f"coordinator fetches {plane.get('fetches_served', 0)} / "
+            f"{plane.get('fetch_bytes_served', 0)} bytes)",
             flush=True,
         )
     return 0

@@ -327,10 +327,9 @@ class ServeDaemon:
         tenants weigh 1.
     heartbeat_interval, fetch_timeout:
         Forwarded to the owned fleet.
-    peer_fetch, worker_cache_bytes:
-        Artifact-plane knobs forwarded to the owned fleet: whether workers
-        transfer artifacts worker-to-worker, and each worker's cache-tier
-        byte budget (see ``docs/artifacts.md``).  :meth:`stats` reports the
+    worker_cache_bytes:
+        Each spawned worker's artifact cache-tier byte budget, forwarded to
+        the owned fleet (see ``docs/artifacts.md``).  :meth:`stats` reports the
         plane's reuse counters under ``"artifact_plane"`` — kept readable
         after :meth:`stop` (snapshotted before the fleet shuts down).
 
@@ -350,7 +349,6 @@ class ServeDaemon:
         tenant_weights: Optional[Dict[str, float]] = None,
         heartbeat_interval: float = 0.5,
         fetch_timeout: float = 60.0,
-        peer_fetch: bool = True,
         worker_cache_bytes: Optional[int] = None,
     ) -> None:
         if max_concurrent_runs < 1:
@@ -364,7 +362,6 @@ class ServeDaemon:
             heartbeat_interval=heartbeat_interval,
             fetch_timeout=fetch_timeout,
             fetch_inputs=True,
-            peer_fetch=peer_fetch,
             worker_cache_bytes=worker_cache_bytes,
         )
         #: Artifact-plane stats frozen at stop() time, so operators can read
@@ -535,8 +532,8 @@ class ServeDaemon:
         by tenant; ``cancelled`` lists queued runs dropped because their
         submitter disconnected before they started.  ``artifact_plane``
         aggregates the fleet's content-addressed artifact tier counters —
-        coordinator fetch/locate serving plus every worker's cache and
-        peer-transfer stats (``docs/artifacts.md``); after :meth:`stop` it
+        coordinator fetch serving plus every worker's cache stats
+        (``docs/artifacts.md``); after :meth:`stop` it
         is the snapshot taken just before the fleet shut down.
         """
         plane = (

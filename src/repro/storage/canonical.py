@@ -909,9 +909,8 @@ def content_digest(payload: Union[bytes, bytearray, memoryview]) -> str:
     process that materializes the same value under the same signature
     stores and ships byte-identical blobs with the same digest.  The store
     records it per artifact and the worker-side artifact cache uses it to
-    assert byte-exact dedup when the same signature arrives twice (once
-    from the coordinator's FETCH lane, once from a peer transfer, the
-    bytes must agree).
+    assert byte-exact dedup when the same signature arrives twice (two
+    fetches of one artifact must carry the same bytes).
     """
     return hashlib.sha256(payload).hexdigest()
 

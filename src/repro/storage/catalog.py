@@ -26,10 +26,10 @@ class ArtifactRecord:
     ``digest`` is the hex SHA-256 of the artifact's serialized canonical
     bytes (:func:`repro.storage.canonical.content_digest`) — the content
     address backing the distributed artifact plane: any holder of the same
-    signature stores byte-identical blobs, so a blob fetched from a peer
-    worker can be checked against the same digest the coordinator's store
-    recorded.  Records persisted by pre-digest revisions load with an empty
-    digest (unknown, never wrong).
+    signature stores byte-identical blobs, so a blob a worker fetched can
+    be checked against the same digest the coordinator's store recorded.
+    Records persisted by pre-digest revisions load with an empty digest
+    (unknown, never wrong).
     """
 
     signature: str

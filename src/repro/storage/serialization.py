@@ -87,7 +87,7 @@ FRAME_MAGIC = b"HX"
 #: and the only one it accepts.  Bump on any change to the frame layout
 #: *or* to the message tuples exchanged inside frames (history in
 #: ``docs/architecture.md``).
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 
 #: Upper bound on a single frame's payload (1 GiB).  A length above this is
 #: treated as a corrupt header rather than an allocation request.
@@ -360,14 +360,8 @@ def recv_message(
     :func:`recv_frame`).  A frame at another protocol version, or whose
     payload is not canonical-encoded, raises :class:`ProtocolError`.
     """
-    header = _recv_exact(sock, _FRAME_HEADER.size, eof_ok=True, on_progress=on_progress)
-    if header is None:
-        return None
-    length = _check_header(header)
-    payload = b""
-    if length:
-        payload = _recv_exact(sock, length, eof_ok=False, on_progress=on_progress)
-    return deserialize(payload)
+    payload = recv_frame(sock, on_progress=on_progress)
+    return None if payload is None else deserialize(payload)
 
 
 def _send_segments(

@@ -65,8 +65,6 @@ from repro.execution.executors import (
     DistributedExecutor,
     WorkerServer,
     _ArtifactCache,
-    _fetch_from_peer,
-    _PeerArtifactServer,
     _parse_registration,
     parse_worker_address,
     run_serialized_task,
@@ -452,14 +450,15 @@ class TestWireProtocolV4:
         assert not worker.is_alive()
 
     def test_v3_worker_is_never_sent_batches(self):
-        """An older worker — a v3 pickle-framed registration, or the 3- and
-        4-tuple registrations that predate the peer-address field — is
+        """An older worker — a v3 pickle-framed registration, a v5 frame,
+        or the 3- and 5-tuple registrations of earlier revisions — is
         refused at registration, so it is never sent batches (or anything
         else): the coordinator hangs up and adopts no worker."""
         first_frames = [
             _frame_at(3, pickle.dumps(("register", "old", 4242, 60.0), protocol=4)),
+            _frame_at(5, serialize(("register", "old", 4242, 60.0))),
             encode_frame(serialize(("register", "old", 4242))),
-            encode_frame(serialize(("register", "old", 4242, 60.0))),
+            encode_frame(serialize(("register", "old", 4242, 60.0, ("127.0.0.1", 4001)))),
         ]
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.bind(("127.0.0.1", 0))
@@ -494,23 +493,21 @@ class TestWireProtocolV4:
             listener.close()
 
     def test_registration_fields_are_type_checked(self):
-        """Registration is input from another process: exactly the 5-tuple
-        with a string id and an integer pid is adopted; a malformed interval
-        or peer address degrades to ``None`` rather than being trusted."""
-        assert _parse_registration(
-            ("register", "w", 42, 0.5, ("127.0.0.1", 4001))
-        ) == ("w", 42, 0.5, ("127.0.0.1", 4001))
-        assert _parse_registration(
-            ("register", "w", 42, "slow", ("host-only",))
-        ) == ("w", 42, None, None)
+        """Registration is input from another process: exactly the 4-tuple
+        ``("register", id, pid, interval)`` with a string id and an integer
+        pid is adopted; a malformed interval degrades to ``None`` rather
+        than being trusted."""
+        assert _parse_registration(("register", "w", 42, 0.5)) == ("w", 42, 0.5)
+        assert _parse_registration(("register", "w", 42, None)) == ("w", 42, None)
+        assert _parse_registration(("register", "w", 42, "slow")) == ("w", 42, None)
         for bad in (
             ("register", "w", 42),
-            ("register", "w", 42, 0.5),
-            ("register", "w", 42, 0.5, None, "extra"),
-            ("register", ["w"], 42, 0.5, None),
-            ("register", "w", "42", 0.5, None),
-            ("heartbeat", "w", 42, 0.5, None),
-            ["register", "w", 42, 0.5, None],
+            ("register", "w", 42, 0.5, None),
+            ("register", "w", 42, 0.5, ("127.0.0.1", 4001)),
+            ("register", ["w"], 42, 0.5),
+            ("register", "w", "42", 0.5),
+            ("heartbeat", "w", 42, 0.5),
+            ["register", "w", 42, 0.5],
             None,
         ):
             assert _parse_registration(bad) is None, bad
@@ -1180,9 +1177,9 @@ class TestArtifactFetchLane:
 
 
 # ---------------------------------------------------------------------------
-# Worker-to-worker artifact plane (protocol v5)
+# Artifact plane: worker cache tier, then one coordinator fetch
 # ---------------------------------------------------------------------------
-def _scripted_worker(worker_id="p0", fetch_timeout=5.0, peer_fetch=True):
+def _scripted_worker(worker_id="p0", fetch_timeout=5.0):
     """A real WorkerServer served over a scripted coordinator TCP socket.
 
     Returns ``(server, coordinator_sock, thread)``; the caller speaks the
@@ -1198,7 +1195,6 @@ def _scripted_worker(worker_id="p0", fetch_timeout=5.0, peer_fetch=True):
         worker_id=worker_id,
         heartbeat_interval=60.0,
         fetch_timeout=fetch_timeout,
-        peer_fetch=peer_fetch,
     )
     thread = threading.Thread(
         target=lambda: server._serve_connection(worker_side), daemon=True
@@ -1217,138 +1213,40 @@ def _next_nonbeat(coordinator):
 
 
 class TestArtifactPlane:
-    def test_peer_server_round_trip_and_miss(self):
-        """``_fetch_from_peer`` pulls the exact cached bytes off a peer's
-        artifact listener; a signature the peer no longer holds answers
-        ``None`` (a miss, not an error)."""
-        cache = _ArtifactCache()
-        blob = serialize({"weights": list(range(32))})
-        cache.put("sig-w", deserialize(blob), blob)
-        peer = _PeerArtifactServer(cache, host="127.0.0.1")
-        peer.start()
-        try:
-            fetched = _fetch_from_peer(("127.0.0.1", peer.port), "sig-w")
-            assert fetched == blob  # byte-exact: same content address, same bytes
-            assert _fetch_from_peer(("127.0.0.1", peer.port), "sig-evicted") is None
-            assert cache.stats()["peer_serves"] == 1
-        finally:
-            peer.close()
-
-    def test_dead_peer_raises_for_the_fallback_path(self):
-        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        probe.bind(("127.0.0.1", 0))
-        dead_address = probe.getsockname()
-        probe.close()  # nothing listens here anymore
-        with pytest.raises(OSError):
-            _fetch_from_peer(dead_address, "sig", timeout=1.0)
-
-    def test_worker_fetches_artifact_from_peer_not_coordinator(self):
-        """The tentpole flow end to end with two real workers: worker A
-        resolves a ref through the coordinator-streamed path, worker B is
-        ``located`` at A and pulls the blob worker-to-worker — the
-        coordinator sees B's locate and B's ``cached`` announcement, but
-        never a byte-carrying fetch from B."""
+    def test_cache_miss_fetches_from_coordinator_then_hits_cache(self):
+        """A miss in the worker's cache tier costs exactly one coordinator
+        round trip: the first frame after the ack is the ``fetch`` itself.
+        A second task needing the same signature resolves from the cache
+        and sends no fetch at all."""
         from repro.core.operators import RunContext
         from repro.workloads.synthetic import LatencyOperator
 
-        blob = serialize(21.0)
-        worker_a, coord_a, thread_a = _scripted_worker("pa")
-        worker_b, coord_b, thread_b = _scripted_worker("pb")
-        try:
-            register_a = _next_nonbeat(coord_a)
-            register_b = _next_nonbeat(coord_b)
-            assert register_a[0] == register_b[0] == "register"
-            # registration announces each worker's peer listener address
-            peer_addr_a = register_a[4]
-            assert peer_addr_a == ("127.0.0.1", worker_a._peer_server.port)
+        server, coordinator, thread = _scripted_worker("pf")
 
-            def _send_task(coordinator, key):
-                payload = serialize(
-                    (key, LatencyOperator(offset=1.0), [ArtifactRef("sigZ")], RunContext())
-                )
-                send_frame(coordinator, serialize(("task", "s1", key, payload)))
+        def _send_task(key):
+            payload = serialize(
+                (key, LatencyOperator(offset=1.0), [ArtifactRef("sigF")], RunContext())
+            )
+            send_frame(coordinator, serialize(("task", "s1", key, payload)))
 
-            # worker A: locate answers no peers -> coordinator-streamed path
-            _send_task(coord_a, "ka")
-            assert _next_nonbeat(coord_a)[0] == "ack"
-            locate = _next_nonbeat(coord_a)
-            assert locate == ("locate", "pa", "s1", "sigZ")
-            send_frame(coord_a, serialize(("located", "s1", "sigZ", ())))
-            fetch = _next_nonbeat(coord_a)
-            assert fetch == ("fetch", "pa", "s1", "sigZ")
-            send_frame(coord_a, serialize(("artifact", "s1", "sigZ", blob)))
-            assert _next_nonbeat(coord_a)[0] == "result"
-
-            # worker B: located at A -> the bytes move worker-to-worker
-            _send_task(coord_b, "kb")
-            assert _next_nonbeat(coord_b)[0] == "ack"
-            locate = _next_nonbeat(coord_b)
-            assert locate == ("locate", "pb", "s1", "sigZ")
-            send_frame(coord_b, serialize(("located", "s1", "sigZ", (peer_addr_a,))))
-            # next frames: the cached announcement and the result — and
-            # crucially no ("fetch", ...) ever arrives from B
-            kinds = {_next_nonbeat(coord_b)[0] for _ in range(2)}
-            assert kinds == {"cached", "result"}
-            assert worker_b.cache.stats()["peer_fetches"] == 1
-            assert worker_b.cache.stats()["coordinator_fetches"] == 0
-            assert worker_a.cache.stats()["peer_serves"] == 1
-            # B now holds byte-identical state: same content address, same bytes
-            assert worker_b.cache.blob("sigZ") == blob
-        finally:
-            for coordinator in (coord_a, coord_b):
-                try:
-                    send_frame(coordinator, serialize(("shutdown",)))
-                except OSError:
-                    pass
-                coordinator.close()
-            thread_a.join(timeout=5)
-            thread_b.join(timeout=5)
-
-    def test_peer_death_mid_fetch_degrades_with_single_warning(self):
-        """Kill the owning peer between the coordinator's ``located`` answer
-        and the dial: the fetch degrades to the coordinator-streamed path
-        with exactly one ``RuntimeWarning`` — the task still succeeds."""
-        from repro.core.operators import RunContext
-        from repro.workloads.synthetic import LatencyOperator
-
-        # the "owning peer": a listener that is already dead by dial time
-        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        probe.bind(("127.0.0.1", 0))
-        dead_peer = probe.getsockname()
-        probe.close()
-
-        server, coordinator, thread = _scripted_worker("pw", fetch_timeout=10.0)
         try:
             assert _next_nonbeat(coordinator)[0] == "register"
-            payload = serialize(
-                ("k", LatencyOperator(offset=1.0), [ArtifactRef("sigD")], RunContext())
-            )
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                send_frame(coordinator, serialize(("task", "s1", "k", payload)))
-                assert _next_nonbeat(coordinator)[0] == "ack"
-                locate = _next_nonbeat(coordinator)
-                assert locate == ("locate", "pw", "s1", "sigD")
-                # answer with two dead addresses: still ONE warning total
-                send_frame(
-                    coordinator,
-                    serialize(("located", "s1", "sigD", (dead_peer, dead_peer))),
-                )
-                fetch = _next_nonbeat(coordinator)
-                assert fetch == ("fetch", "pw", "s1", "sigD")
-                send_frame(
-                    coordinator, serialize(("artifact", "s1", "sigD", serialize(5.0)))
-                )
-                result = _next_nonbeat(coordinator)
-                assert result[0] == "result"  # the task never failed
-            plane_warnings = [
-                w for w in caught if issubclass(w.category, RuntimeWarning)
-                and "peer fetch" in str(w.message)
-            ]
-            assert len(plane_warnings) == 1, [str(w.message) for w in caught]
-            assert "falling back" in str(plane_warnings[0].message)
-            assert server.cache.stats()["peer_fetch_failures"] == 1
-            assert server.cache.stats()["coordinator_fetches"] == 1
+            _send_task("k1")
+            assert _next_nonbeat(coordinator) == ("ack", "pf", "s1", "k1")
+            assert _next_nonbeat(coordinator) == ("fetch", "pf", "s1", "sigF")
+            send_frame(coordinator, serialize(("artifact", "s1", "sigF", serialize(20.0))))
+            result = _next_nonbeat(coordinator)
+            assert result[:3] == ("result", "s1", "k1")
+            assert deserialize(result[3])[0] == pytest.approx(21.0)
+
+            _send_task("k2")
+            assert _next_nonbeat(coordinator) == ("ack", "pf", "s1", "k2")
+            result = _next_nonbeat(coordinator)  # no fetch in between
+            assert result[:3] == ("result", "s1", "k2")
+            assert deserialize(result[3])[0] == pytest.approx(21.0)
+            stats = server.cache.stats()
+            assert stats["coordinator_fetches"] == 1
+            assert stats["cache_hits"] == 1
         finally:
             try:
                 send_frame(coordinator, serialize(("shutdown",)))
@@ -1359,8 +1257,8 @@ class TestArtifactPlane:
 
     def test_v4_coordinator_gets_no_artifact_plane_frames(self):
         """A v4-stamped frame is refused, not negotiated down to: the
-        worker ends that session at once — no ack, no ``locate``, no
-        fetch — so a v4 coordinator never sees an artifact-plane frame."""
+        worker ends that session at once — no ack, no fetch — so a v4
+        coordinator never sees an artifact-plane frame."""
         from repro.core.operators import RunContext
         from repro.workloads.synthetic import LatencyOperator
 
@@ -1381,111 +1279,26 @@ class TestArtifactPlane:
         finally:
             coordinator.close()
 
-    def test_locate_answers_empty_when_peer_fetch_disabled(self):
-        """``DistributedExecutor(peer_fetch=False)`` never hands out peer
-        addresses — and spawned workers skip the locate round trip
-        entirely, so the plane is fully off."""
-        from repro.core.operators import RunContext
-        from repro.workloads.synthetic import LatencyOperator
-
-        store = InMemoryStore()
-        store.put("parent", "sig-off", 21.0)
-        executor = DistributedExecutor(
-            max_workers=1, fetch_inputs=True, peer_fetch=False
-        )
-        executor.bind_store(store)
-        try:
-            executor.start()
-            executor.submit_payload(
-                "child",
-                serialize(
-                    ("child", LatencyOperator(offset=1.0), [ArtifactRef("sig-off")], RunContext())
-                ),
-            )
-            key, outcome, error = executor.next_completion()
-            assert (key, error) == ("child", None)
-            assert outcome[0] == pytest.approx(22.0)
-            executor.finish_run()
-            plane = executor.artifact_plane_stats()
-            assert plane["locates_served"] == 0
-            assert plane["locates_with_peers"] == 0
-            assert plane["fetches_served"] == 1
-        finally:
-            executor.shutdown()
-
     def test_equivalence_exact_storage_across_all_fetch_paths(self):
         """Acceptance: run statistics AND persisted storage (artifact
         sizes + content digests) are exactly equal whichever way the bytes
-        traveled — peer fetch, coordinator-only fallback (``peer_fetch``
-        off), and a warm shared cache tier (the same fleet re-run, its
-        workers already holding every artifact)."""
-        peer = DistributedExecutor(max_workers=2, fetch_inputs=True)
-        nopeer = DistributedExecutor(
-            max_workers=2, fetch_inputs=True, peer_fetch=False
-        )
+        traveled — streamed by a coordinator fetch, or resolved from a warm
+        shared cache tier (the same fleet re-run, its workers already
+        holding every artifact)."""
+        fleet = DistributedExecutor(max_workers=2, fetch_inputs=True)
         try:
             dag = make_random_dag(10, max_width=4, max_depth=4)
             rigs, _ = assert_executors_equivalent(
                 dag,
                 executors=(
                     "inline",
-                    ("distributed-peer", peer),
-                    ("distributed-coordinator-only", nopeer),
+                    ("distributed-fetch", fleet),
+                    ("distributed-warm", fleet),
                 ),
             )
-            assert set(rigs) == {
-                "inline", "distributed-peer", "distributed-coordinator-only"
-            }
-            # warm path: same fleet again — its workers' artifact tiers
-            # already hold the signatures, so resolution comes from cache
-            assert_executors_equivalent(
-                dag, executors=("inline", ("distributed-warm", peer))
-            )
+            assert set(rigs) == {"inline", "distributed-fetch", "distributed-warm"}
         finally:
-            peer.shutdown()
-            nopeer.shutdown()
-
-    def test_coordinator_locate_and_site_bookkeeping(self):
-        """Unit-level checks of the coordinator's location index: sites are
-        recorded on fetch serves and ``cached`` announcements, the asker is
-        excluded from its own answer, dialable-peer filtering drops workers
-        without a peer listener, and a dead worker's sites are pruned."""
-        executor = DistributedExecutor(max_workers=2)
-        holder = executor._workers.setdefault("w-holder", _make_handle("w-holder"))
-        asker = executor._workers.setdefault("w-asker", _make_handle("w-asker"))
-        holder.peer_address = ("127.0.0.1", 4001)
-        asker.peer_address = ("127.0.0.1", 4002)
-
-        executor._record_site("w-holder", "sigX")
-        executor._record_site("w-asker", "sigX")
-        sent = []
-
-        def _capture(sock, message, lock=None):
-            sent.append(message)
-
-        import repro.execution.executors as executors_module
-
-        original = executors_module.send_message
-        executors_module.send_message = _capture
-        try:
-            executor._answer_locate(asker, "s1", "sigX")
-            # the asker never gets itself back, only the other holder
-            assert sent[-1] == ("located", "s1", "sigX", (("127.0.0.1", 4001),))
-            # a holder without a peer listener (peer fetch off) is not dialable
-            holder.peer_address = None
-            executor._answer_locate(asker, "s1", "sigX")
-            assert sent[-1] == ("located", "s1", "sigX", ())
-            holder.peer_address = ("127.0.0.1", 4001)
-            # a dead worker's sites are pruned wholesale
-            executor._worker_failed(holder)
-            executor._answer_locate(asker, "s1", "sigX")
-            assert sent[-1] == ("located", "s1", "sigX", ())
-            assert "w-holder" not in executor._worker_sites
-            stats = executor.artifact_plane_stats()
-            assert stats["locates_served"] == 3
-            assert stats["locates_with_peers"] == 1
-        finally:
-            executors_module.send_message = original
+            fleet.shutdown()
 
     def test_heartbeat_is_exactly_the_stats_3_tuple(self):
         """A heartbeat's counters reach the plane stats; a bare 2-tuple beat
@@ -1653,7 +1466,7 @@ class TestReviewRegressions:
         its own LRU budget, and keeping it warm across run sessions is what
         lets the next ``repro serve`` run reuse this one's artifacts.
         Observable on the wire: a re-fetch after the close produces **no**
-        ``locate``/``fetch`` frame at all — the task resolves straight from
+        ``fetch`` frame at all — the task resolves straight from
         the surviving cache."""
         from repro.core.operators import RunContext
         from repro.workloads.synthetic import LatencyOperator
@@ -1667,11 +1480,6 @@ class TestReviewRegressions:
             send_frame(coordinator, serialize(("task", session, key, payload)))
 
         def _serve_fetch(session="s1"):
-            # the worker first asks where the blob lives; an empty peer list
-            # routes it to the classic coordinator-streamed fetch.
-            locate = _next_nonbeat(coordinator)
-            assert locate[:1] + locate[2:] == ("locate", session, "sigA"), locate
-            send_frame(coordinator, serialize(("located", session, "sigA", ())))
             fetch = _next_nonbeat(coordinator)
             assert fetch[:1] + fetch[2:] == ("fetch", session, "sigA"), fetch
             send_frame(
@@ -1722,7 +1530,7 @@ class TestReviewRegressions:
         def _fake_worker():
             conn, _ = listener.accept()
             # announce a slow heartbeat so silence never kills this worker
-            send_frame(conn, serialize(("register", "fake", 4242, 60.0, None)))
+            send_frame(conn, serialize(("register", "fake", 4242, 60.0)))
             worker_sock["conn"] = conn
 
         acceptor = threading.Thread(target=_fake_worker, daemon=True)
@@ -2176,8 +1984,8 @@ class TestSessionMultiplexing:
 
     def test_sessions_share_one_cached_artifact_per_signature(self):
         """Two sessions resolving the *same* signature on one worker hit a
-        single cached blob: the first resolve fetches (peer or
-        coordinator), the second is a cross-session cache hit — no second
+        single cached blob: the first resolve fetches from the
+        coordinator, the second is a cross-session cache hit — no second
         fetch reaches the coordinator, and the fleet's plane stats expose
         the reuse (the counter ``repro serve`` reports)."""
         from repro.core.operators import RunContext
