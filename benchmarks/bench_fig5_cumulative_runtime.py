@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.figures import figure5, speedup
+from repro.experiments.figures import speedup
 from repro.experiments.report import format_series_table
 from repro.experiments.runner import run_comparison
 from repro.systems.deepdive import DeepDiveSystem

@@ -21,7 +21,6 @@ from .operators import (
     FieldExtractor,
     FunctionExtractor,
     InteractionFeature,
-    JoinSynthesizer,
     Learner,
     Operator,
     PredictionsResult,
@@ -54,7 +53,6 @@ __all__ = [
     "FieldExtractor",
     "FunctionExtractor",
     "InteractionFeature",
-    "JoinSynthesizer",
     "Learner",
     "Operator",
     "PredictionsResult",

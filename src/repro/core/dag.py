@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import CycleError, DAGError
 from .operators import Component, Operator
@@ -114,10 +114,6 @@ class WorkflowDAG:
         return self._order
 
     @property
-    def nodes(self) -> Mapping[str, Node]:
-        return dict(self._nodes)
-
-    @property
     def outputs(self) -> Tuple[str, ...]:
         return tuple(n for n in self._order if self._nodes[n].is_output)
 
@@ -137,9 +133,6 @@ class WorkflowDAG:
     def children(self, name: str) -> Tuple[str, ...]:
         self.node(name)
         return tuple(self._children[name])
-
-    def roots(self) -> Tuple[str, ...]:
-        return tuple(n for n in self._order if not self._nodes[n].parents)
 
     def sinks(self) -> Tuple[str, ...]:
         return tuple(n for n in self._order if not self._children[n])
@@ -211,23 +204,6 @@ class WorkflowDAG:
             name=self.name,
         )
 
-    def without_nodes(self, names: Iterable[str]) -> "WorkflowDAG":
-        """Return a DAG with the given nodes (and dangling edges) removed.
-
-        Children of removed nodes keep their remaining parents; this is used
-        by data-driven pruning where a feature extractor with zero model
-        weight is dropped.
-        """
-        drop = set(names)
-        new_nodes = []
-        for name in self._order:
-            if name in drop:
-                continue
-            node = self._nodes[name]
-            kept_parents = tuple(p for p in node.parents if p not in drop)
-            new_nodes.append(replace(node, parents=kept_parents))
-        return WorkflowDAG(new_nodes, name=self.name)
-
     def relabel_outputs(self, outputs: Iterable[str]) -> "WorkflowDAG":
         """Return a DAG with ``is_output`` set exactly on ``outputs``."""
         wanted = set(outputs)
@@ -240,9 +216,6 @@ class WorkflowDAG:
         )
 
     # -- diagnostics -----------------------------------------------------------
-    def component_of(self, name: str) -> Component:
-        return self.node(name).component
-
     def summary(self) -> Dict[str, int]:
         """Node counts by component, plus edge count (used in reports/tests)."""
         counts = {component.value: 0 for component in Component}
@@ -252,18 +225,3 @@ class WorkflowDAG:
         counts["edges"] = len(self.edges)
         counts["outputs"] = len(self.outputs)
         return counts
-
-    def to_dot(self) -> str:
-        """Render the DAG in Graphviz dot format (for documentation/debugging)."""
-        lines = [f'digraph "{self.name}" {{']
-        palette = {Component.DPR: "#b39ddb", Component.LI: "#ffcc80", Component.PPR: "#a5d6a7"}
-        for name in self._order:
-            node = self._nodes[name]
-            shape = "doubleoctagon" if node.is_output else "box"
-            lines.append(
-                f'  "{name}" [shape={shape}, style=filled, fillcolor="{palette[node.component]}"];'
-            )
-        for parent, child in self.edges:
-            lines.append(f'  "{parent}" -> "{child}";')
-        lines.append("}")
-        return "\n".join(lines)

@@ -201,11 +201,6 @@ class SemanticUnit:
     output: Any = None
     split: Split = Split.ALL
 
-    @property
-    def has_features(self) -> bool:
-        """Whether the SU output is a feature vector usable for learning."""
-        return isinstance(self.output, FeatureVector)
-
 
 @dataclass
 class Example:
@@ -240,8 +235,8 @@ class DataCollection:
 
     Data collections are immutable: transformations return new collections.
     ``kind`` records the element type so that downstream operators can check
-    their inputs, and convenience selectors (:meth:`train`, :meth:`test`)
-    implement the unified train/test handling from Section 3.2.1.
+    their inputs, and :meth:`filter` with the split tags (:meth:`test`)
+    implements the unified train/test handling from Section 3.2.1.
     """
 
     __slots__ = ("name", "elements", "kind")
@@ -282,38 +277,12 @@ class DataCollection:
             kind=self.kind,
         )
 
-    def train(self) -> "DataCollection":
-        """Elements belonging to the training split (or untagged elements)."""
-        return self.filter(
-            lambda e: self._split_of(e) in (Split.TRAIN, Split.ALL),
-            name=f"{self.name}[train]",
-        )
-
     def test(self) -> "DataCollection":
         """Elements belonging to the test split (or untagged elements)."""
         return self.filter(
             lambda e: self._split_of(e) in (Split.TEST, Split.ALL),
             name=f"{self.name}[test]",
         )
-
-    def map(self, fn: Callable[[Any], Any], name: Optional[str] = None,
-            kind: Optional[ElementKind] = None) -> "DataCollection":
-        """Apply ``fn`` to every element, returning a new collection."""
-        return DataCollection(
-            name or self.name,
-            (fn(e) for e in self.elements),
-            kind=kind or self.kind,
-        )
-
-    def flat_map(self, fn: Callable[[Any], Iterable[Any]], name: Optional[str] = None,
-                 kind: Optional[ElementKind] = None) -> "DataCollection":
-        """Apply ``fn`` producing zero or more elements per input element."""
-        def _generate() -> Iterator[Any]:
-            for element in self.elements:
-                for produced in fn(element):
-                    yield produced
-
-        return DataCollection(name or self.name, _generate(), kind=kind or self.kind)
 
     # -- ML helpers ----------------------------------------------------------
     def feature_index(self) -> Dict[str, int]:

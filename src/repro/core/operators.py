@@ -61,7 +61,6 @@ __all__ = [
     "FunctionExtractor",
     "Synthesizer",
     "ExampleSynthesizer",
-    "JoinSynthesizer",
     "Learner",
     "PredictionsResult",
     "Reducer",
@@ -96,10 +95,6 @@ class RunContext:
     seed: int = 0
     num_workers: int = 1
     extras: Dict[str, Any] = field(default_factory=dict)
-
-    def rng(self, salt: int = 0) -> np.random.Generator:
-        """A NumPy random generator derived from the context seed."""
-        return np.random.default_rng(self.seed + salt)
 
 
 def _callable_token(fn: Callable[..., Any]) -> str:
@@ -318,57 +313,36 @@ def ensure_process_safe(operator: Operator, node_name: Optional[str] = None) -> 
 class DataSource(Operator):
     """Root operator producing a collection of raw :class:`Record` elements.
 
-    A data source either reads CSV-style files from disk (``train_path`` /
-    ``test_path``) or calls a ``generator`` function (used by the synthetic
-    workloads).  Generated/loaded train and test records are concatenated
-    into a single DC with per-record split tags, implementing the paper's
-    unified train/test handling.
+    A data source calls a ``generator`` function returning ``(train_rows,
+    test_rows)``; the workloads' generators synthesize their datasets.  The
+    train and test records are concatenated into a single DC with per-record
+    split tags, implementing the paper's unified train/test handling.
     """
 
     component = Component.DPR
 
     def __init__(
         self,
-        train_path: Optional[str] = None,
-        test_path: Optional[str] = None,
         generator: Optional[Callable[[RunContext], Tuple[List[Mapping[str, Any]], List[Mapping[str, Any]]]]] = None,
         params: Optional[Dict[str, Any]] = None,
         cost: Optional[float] = None,
     ):
-        if generator is None and train_path is None:
-            raise WorkflowSpecError("DataSource requires either file paths or a generator")
-        self.train_path = train_path
-        self.test_path = test_path
+        if generator is None:
+            raise WorkflowSpecError("DataSource requires a generator")
         self.generator = generator
         self.params = dict(params or {})
         self._cost = cost
 
     def config(self) -> Dict[str, Any]:
-        return {
-            "train_path": self.train_path,
-            "test_path": self.test_path,
-            "generator": self.generator,
-            "params": self.params,
-        }
+        return {"generator": self.generator, "params": self.params}
 
     def estimated_cost(self, input_sizes: Sequence[int]) -> float:
         if self._cost is not None:
             return self._cost
         return super().estimated_cost(input_sizes)
 
-    @staticmethod
-    def _read_csv(path: str) -> List[Dict[str, Any]]:
-        import csv
-
-        with open(path, newline="") as handle:
-            return [dict(row) for row in csv.DictReader(handle)]
-
     def run(self, inputs: Sequence[Any], context: RunContext) -> DataCollection:
-        if self.generator is not None:
-            train_rows, test_rows = self.generator(context, **self.params)
-        else:
-            train_rows = self._read_csv(self.train_path) if self.train_path else []
-            test_rows = self._read_csv(self.test_path) if self.test_path else []
+        train_rows, test_rows = self.generator(context, **self.params)
         records = [Record(fields=row, split=Split.TRAIN) for row in train_rows]
         records += [Record(fields=row, split=Split.TEST) for row in test_rows]
         return DataCollection("source", records, kind=ElementKind.RECORD)
@@ -711,48 +685,6 @@ class ExampleSynthesizer(Synthesizer):
                 Example(features=features, label=label, split=split, provenance=provenance)
             )
         return DataCollection("examples", examples, kind=ElementKind.EXAMPLE)
-
-
-class JoinSynthesizer(Synthesizer):
-    """Join elements of two record collections on a key (the paper's join basis fn).
-
-    Produces one output record per matching pair, merging fields; an optional
-    ``how='left'`` keeps unmatched left records.  Used by the IE and genomics
-    workloads to join articles with knowledge bases.
-    """
-
-    def __init__(self, left_key: str, right_key: str, how: str = "inner",
-                 emit: Optional[Callable[[Record, Record], Iterable[Record]]] = None):
-        if how not in ("inner", "left"):
-            raise WorkflowSpecError(f"unsupported join type: {how}")
-        self.left_key = left_key
-        self.right_key = right_key
-        self.how = how
-        self.emit = emit
-
-    def config(self) -> Dict[str, Any]:
-        return {"left_key": self.left_key, "right_key": self.right_key,
-                "how": self.how, "emit": self.emit}
-
-    def run(self, inputs: Sequence[Any], context: RunContext) -> DataCollection:
-        left, right = inputs
-        index: Dict[Any, List[Record]] = {}
-        for record in right:
-            index.setdefault(record.get(self.right_key), []).append(record)
-        joined: List[Record] = []
-        for record in left:
-            matches = index.get(record.get(self.left_key), [])
-            if not matches and self.how == "left":
-                joined.append(record)
-                continue
-            for match in matches:
-                if self.emit is not None:
-                    joined.extend(self.emit(record, match))
-                else:
-                    merged = dict(match.fields)
-                    merged.update(record.fields)
-                    joined.append(Record(fields=merged, split=record.split))
-        return DataCollection("joined", joined, kind=ElementKind.RECORD)
 
 
 # ---------------------------------------------------------------------------

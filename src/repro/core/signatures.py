@@ -15,9 +15,10 @@ This module computes a recursive **node signature** for every node:
 
 Two nodes with equal signatures are equivalent under representational
 equivalence, regardless of their names, which also handles node renames and
-workflow restructurings.  :class:`ChangeTracker` keeps the signatures seen in
-previous iterations and classifies nodes of the next iteration as *original*
-(must be recomputed, Constraint 1) or reusable.
+workflow restructurings.  :func:`diff_signatures` classifies the nodes of the
+next iteration against the previous iteration's signatures (kept by
+:class:`ChangeTracker`) and the stored ones as *original* (must be
+recomputed, Constraint 1) or reusable.
 """
 
 from __future__ import annotations
@@ -70,10 +71,6 @@ class SignatureDiff:
     added: FrozenSet[str]
     removed: FrozenSet[str]
 
-    @property
-    def num_changed(self) -> int:
-        return len(self.original)
-
 
 def diff_signatures(
     current: Mapping[str, str],
@@ -98,55 +95,31 @@ def diff_signatures(
 
 
 class ChangeTracker:
-    """Tracks node signatures across iterations for one workflow lifecycle.
+    """Remembers the node signatures of the last committed iteration.
 
     Usage::
 
-        tracker = ChangeTracker()
-        signatures = tracker.signatures_for(dag)
-        diff = tracker.classify(dag)        # original vs reusable nodes
+        diff = diff_signatures(signatures, tracker.previous_signatures, stored)
         ...execute...
-        tracker.commit(dag)                 # record this iteration's signatures
+        tracker.commit(dag, signatures)     # record this iteration's signatures
 
-    The tracker deliberately keeps *all* signatures ever committed (not just
-    the previous iteration's) because a materialization produced at any past
-    iteration remains valid as long as the node signature still matches.
+    Reuse of older iterations' results comes from ``known_signatures`` (the
+    signatures the store holds), because a materialization produced at any
+    past iteration stays valid as long as the node signature still matches.
     """
 
     def __init__(self) -> None:
         self._previous: Dict[str, str] = {}
-        self._all_signatures: Set[str] = set()
-        self._iteration = 0
-
-    @property
-    def iteration(self) -> int:
-        """Number of committed iterations so far."""
-        return self._iteration
 
     @property
     def previous_signatures(self) -> Dict[str, str]:
         return dict(self._previous)
 
-    def signatures_for(self, dag: WorkflowDAG) -> Dict[str, str]:
-        return compute_node_signatures(dag)
-
-    def classify(self, dag: WorkflowDAG) -> SignatureDiff:
-        """Classify the nodes of ``dag`` as original or reusable."""
-        current = compute_node_signatures(dag)
-        return diff_signatures(current, self._previous, self._all_signatures)
-
     def commit(self, dag: WorkflowDAG, signatures: Optional[Mapping[str, str]] = None) -> Dict[str, str]:
         """Record the signatures of an executed iteration and return them."""
         resolved = dict(signatures) if signatures is not None else compute_node_signatures(dag)
         self._previous = dict(resolved)
-        self._all_signatures.update(resolved.values())
-        self._iteration += 1
         return resolved
-
-    def has_seen(self, signature: str) -> bool:
-        return signature in self._all_signatures
 
     def reset(self) -> None:
         self._previous.clear()
-        self._all_signatures.clear()
-        self._iteration = 0

@@ -75,10 +75,6 @@ class Workflow:
     def __contains__(self, name: str) -> bool:
         return name in self._declarations
 
-    @property
-    def declared_names(self) -> List[str]:
-        return list(self._order)
-
     def _declare(
         self,
         name: str,

@@ -9,7 +9,7 @@ delegates task dispatch to a pluggable :class:`Executor` strategy:
 documented in ``docs/executors.md``.
 """
 
-from .cache import CacheEntry, EagerCache, LRUCache, OperatorCache
+from .cache import CacheEntry, OperatorCache
 from .clock import ClusterModel, CostModel, MeasuredCostModel, SimulatedCostModel
 from .engine import ExecutionEngine, create_engine
 from .equivalence import (
@@ -42,8 +42,6 @@ from .tracker import MemoryTracker, RunStats
 
 __all__ = [
     "CacheEntry",
-    "EagerCache",
-    "LRUCache",
     "OperatorCache",
     "ClusterModel",
     "CostModel",

@@ -1,11 +1,10 @@
-"""Operator-output caches used during a single iteration's execution.
+"""The operator-output cache used during a single iteration's execution.
 
 Helix actively manages the in-memory cache instead of relying on the
 underlying engine's LRU eviction (Section 5.4, "Cache Pruning"): once a node
 goes out of scope it is evicted immediately (after the streaming
-materialization decision).  :class:`EagerCache` implements that policy;
-:class:`LRUCache` implements the Spark-style baseline with a capacity bound,
-used by the KeystoneML comparator and by the cache ablation benchmark.
+materialization decision).  :class:`OperatorCache` therefore has unlimited
+capacity and no replacement policy; the execution engine does the evicting.
 
 Scope tracking is reference-count based: the execution engine registers the
 number of still-outstanding consumers for every entry with
@@ -21,20 +20,19 @@ All cache operations are guarded by a reentrant lock so a cache instance can
 be shared between the scheduler thread and worker threads of the parallel
 execution engine.
 
-Both caches track the statistics needed for Figure 10 (peak and average
+The cache reports the statistics needed for Figure 10 (peak and average
 memory) via :meth:`snapshot_bytes`.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from ..exceptions import ExecutionError
 from ..storage.serialization import estimate_size_bytes
 
-__all__ = ["CacheEntry", "OperatorCache", "EagerCache", "LRUCache"]
+__all__ = ["CacheEntry", "OperatorCache"]
 
 
 class CacheEntry:
@@ -48,10 +46,10 @@ class CacheEntry:
 
 
 class OperatorCache:
-    """Base cache: a thread-safe mapping from node name to :class:`CacheEntry`."""
+    """Thread-safe mapping from node name to :class:`CacheEntry`, evicted by the engine."""
 
     def __init__(self) -> None:
-        self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
+        self._entries: Dict[str, CacheEntry] = {}
         self._consumers: Dict[str, int] = {}
         self._lock = threading.RLock()
 
@@ -64,15 +62,10 @@ class OperatorCache:
         with self._lock:
             return len(self._entries)
 
-    def keys(self) -> List[str]:
-        with self._lock:
-            return list(self._entries)
-
     def put(self, name: str, value: Any, size_bytes: Optional[int] = None) -> CacheEntry:
         entry = CacheEntry(value, size_bytes)
         with self._lock:
             self._entries[name] = entry
-            self._on_put(name)
         return entry
 
     def get(self, name: str) -> Any:
@@ -80,7 +73,6 @@ class OperatorCache:
             entry = self._entries.get(name)
             if entry is None:
                 raise ExecutionError(f"value for node {name!r} is not cached")
-            self._on_get(name)
             return entry.value
 
     def evict(self, name: str) -> Optional[CacheEntry]:
@@ -110,11 +102,6 @@ class OperatorCache:
         with self._lock:
             self._consumers[name] = int(count)
 
-    def consumers(self, name: str) -> int:
-        """Outstanding consumer count for ``name`` (0 when unregistered)."""
-        with self._lock:
-            return self._consumers.get(name, 0)
-
     def release(self, name: str) -> bool:
         """One consumer of ``name`` finished; return True when it hits zero.
 
@@ -129,55 +116,3 @@ class OperatorCache:
             count -= 1
             self._consumers[name] = count
             return count == 0
-
-    # ------------------------------------------------------------------ hooks
-    def _on_put(self, name: str) -> None:  # pragma: no cover - default no-op
-        return
-
-    def _on_get(self, name: str) -> None:  # pragma: no cover - default no-op
-        return
-
-
-class EagerCache(OperatorCache):
-    """Helix's cache: unlimited capacity, eviction driven by the execution engine.
-
-    The engine evicts entries the moment the reference counts say they are
-    out of scope, so the cache itself needs no replacement policy.
-    """
-
-
-class LRUCache(OperatorCache):
-    """Capacity-bounded least-recently-used cache (the Spark-like baseline).
-
-    ``capacity_bytes`` bounds the total estimated size; inserting a new entry
-    evicts least-recently-used entries until the new entry fits.  Evicted
-    values are simply dropped (a baseline system would recompute them),
-    which is exactly the failure mode the paper attributes to KeystoneML's
-    caching of training data.
-    """
-
-    def __init__(self, capacity_bytes: int):
-        super().__init__()
-        if capacity_bytes <= 0:
-            raise ExecutionError("LRU cache capacity must be positive")
-        self.capacity_bytes = capacity_bytes
-        self.evicted_by_pressure: List[str] = []
-
-    def _on_put(self, name: str) -> None:
-        self._entries.move_to_end(name)
-        self._shrink(protect=name)
-
-    def _on_get(self, name: str) -> None:
-        self._entries.move_to_end(name)
-
-    def _shrink(self, protect: str) -> None:
-        while self.snapshot_bytes() > self.capacity_bytes and len(self._entries) > 1:
-            oldest = next(iter(self._entries))
-            if oldest == protect:
-                # Never evict the entry we are protecting; rotate it to the end.
-                self._entries.move_to_end(oldest)
-                oldest = next(iter(self._entries))
-                if oldest == protect:
-                    break
-            self.evict(oldest)
-            self.evicted_by_pressure.append(oldest)

@@ -7,8 +7,12 @@ results are correct), but the *time charged* for a node is pluggable:
   operator invocation and each store read/write — what the benchmark harness
   uses.
 * :class:`SimulatedCostModel` charges the operator's declared
-  ``estimated_cost`` and models I/O as ``latency + bytes / bandwidth`` — what
-  unit tests and deterministic experiments use.
+  ``estimated_cost`` and models I/O with
+  :func:`~repro.storage.store.modelled_io_seconds` — what unit tests and
+  deterministic experiments use.
+
+Both estimate a future load with the same modelled disk
+(:meth:`CostModel.estimate_io_cost`).
 
 Both support a simple cluster-scaling model for reproducing Figure 7(b):
 data-parallel components (DPR and L/I) speed up with the number of workers
@@ -24,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
 from ..core.operators import Component, Operator
+from ..storage.store import modelled_io_seconds
 
 __all__ = ["ClusterModel", "CostModel", "MeasuredCostModel", "SimulatedCostModel"]
 
@@ -94,7 +99,7 @@ class CostModel:
         Used by the streaming materialization policy, which must estimate the
         load cost of a node *before* it has ever been written to disk.
         """
-        raise NotImplementedError
+        return modelled_io_seconds(size_bytes)
 
     def _apply_cluster(self, component: Component, seconds: float) -> float:
         return self.cluster.scale(component, seconds)
@@ -102,18 +107,6 @@ class CostModel:
 
 class MeasuredCostModel(CostModel):
     """Charge measured wall-clock times (optionally scaled to a modelled cluster)."""
-
-    def __init__(
-        self,
-        cluster: Optional[ClusterModel] = None,
-        disk_bandwidth: float = 170e6,
-        io_latency: float = 1e-4,
-    ):
-        super().__init__(cluster)
-        if disk_bandwidth <= 0:
-            raise ValueError("disk bandwidth must be positive")
-        self.disk_bandwidth = disk_bandwidth
-        self.io_latency = io_latency
 
     def compute_cost(
         self,
@@ -127,24 +120,9 @@ class MeasuredCostModel(CostModel):
     def io_cost(self, size_bytes: int, measured_seconds: float) -> float:
         return measured_seconds
 
-    def estimate_io_cost(self, size_bytes: int) -> float:
-        return self.io_latency + size_bytes / self.disk_bandwidth
-
 
 class SimulatedCostModel(CostModel):
     """Charge declared operator costs and modelled I/O times (deterministic)."""
-
-    def __init__(
-        self,
-        cluster: Optional[ClusterModel] = None,
-        disk_bandwidth: float = 170e6,
-        io_latency: float = 1e-4,
-    ):
-        super().__init__(cluster)
-        if disk_bandwidth <= 0:
-            raise ValueError("disk bandwidth must be positive")
-        self.disk_bandwidth = disk_bandwidth
-        self.io_latency = io_latency
 
     def compute_cost(
         self,
@@ -156,7 +134,4 @@ class SimulatedCostModel(CostModel):
         return self._apply_cluster(component, float(operator.estimated_cost(list(input_sizes))))
 
     def io_cost(self, size_bytes: int, measured_seconds: float) -> float:
-        return self.io_latency + size_bytes / self.disk_bandwidth
-
-    def estimate_io_cost(self, size_bytes: int) -> float:
-        return self.io_latency + size_bytes / self.disk_bandwidth
+        return modelled_io_seconds(size_bytes)

@@ -73,7 +73,7 @@ from ..optimizer.omp import MaterializationPolicy, NeverMaterialize
 from ..optimizer.pruning import out_of_scope_after
 from ..storage.serialization import ArtifactRef, estimate_size_bytes, serialize
 from ..storage.store import MaterializationStore
-from .cache import EagerCache, OperatorCache
+from .cache import OperatorCache
 from .clock import CostModel, MeasuredCostModel
 from .executors import Executor, ExecutorSpec, create_executor, resolve_executor_name
 from .tracker import MemoryTracker, RunStats
@@ -119,7 +119,7 @@ class ExecutionEngine:
         self.policy = policy if policy is not None else NeverMaterialize()
         self.cost_model = cost_model if cost_model is not None else MeasuredCostModel()
         self.stats = stats if stats is not None else StatsStore()
-        self.cache = cache if cache is not None else EagerCache()
+        self.cache = cache if cache is not None else OperatorCache()
         self.context = context if context is not None else RunContext()
         self.materialize_outputs = materialize_outputs
         self.max_workers = int(max_workers) if max_workers is not None else None

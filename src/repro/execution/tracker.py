@@ -48,11 +48,6 @@ class MemoryTracker:
                 return 0.0
             return sum(self._snapshots) / len(self._snapshots)
 
-    @property
-    def snapshots(self) -> List[int]:
-        with self._lock:
-            return list(self._snapshots)
-
 
 @dataclass
 class RunStats:
@@ -102,21 +97,3 @@ class RunStats:
 
     def nodes_in_state(self, state: NodeState) -> List[str]:
         return sorted(name for name, s in self.node_states.items() if s is state)
-
-    def summary(self) -> Dict[str, Any]:
-        """A flat dictionary convenient for tabular reporting."""
-        return {
-            "iteration": self.iteration,
-            "workflow": self.workflow_name,
-            "iteration_type": self.iteration_type,
-            "total_time": self.total_time,
-            "execution_time": self.execution_time,
-            "materialization_time": self.materialization_time,
-            "storage_bytes": self.storage_bytes,
-            "peak_memory_bytes": self.peak_memory_bytes,
-            "average_memory_bytes": self.average_memory_bytes,
-            "num_computed": len(self.nodes_in_state(NodeState.COMPUTE)),
-            "num_loaded": len(self.nodes_in_state(NodeState.LOAD)),
-            "num_pruned": len(self.nodes_in_state(NodeState.PRUNE)),
-            "num_materialized": len(self.materialized_nodes),
-        }

@@ -1,6 +1,6 @@
-"""Experiment harness: lifecycle runner, figure drivers, tables and reports."""
+"""Experiment harness: lifecycle runner, figure helpers, tables and reports."""
 
-from .figures import figure5, figure6, figure7a, figure7b, figure8, figure9, figure10, speedup
+from .figures import figure7b, speedup
 from .report import (
     format_breakdown_table,
     format_fraction_table,
@@ -11,13 +11,7 @@ from .runner import LifecycleResult, run_comparison, run_lifecycle
 from .tables import format_table2, table2_rows
 
 __all__ = [
-    "figure5",
-    "figure6",
-    "figure7a",
     "figure7b",
-    "figure8",
-    "figure9",
-    "figure10",
     "speedup",
     "format_breakdown_table",
     "format_fraction_table",

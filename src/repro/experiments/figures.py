@@ -1,46 +1,21 @@
-"""Figure-level experiment drivers.
+"""Figure-level helpers shared by the benchmark scripts.
 
-Every figure in the paper's evaluation has a function here that runs the
-necessary lifecycles and returns the plotted series as plain dictionaries /
-lists (the benchmark harness prints them; no plotting dependency is needed).
-
-===========  ================================================================
-Function      Paper figure
-===========  ================================================================
-``figure5``   Cumulative run time, Helix vs KeystoneML vs DeepDive (per workload)
-``figure6``   Per-iteration run-time breakdown by component for Helix
-``figure7a``  Dataset-size scalability (Census vs Census 10x)
-``figure7b``  Cluster-size scalability (2/4/8 workers, Census 10x)
-``figure8``   Fraction of nodes in Sp/Sl/Sc, Helix OPT vs Helix AM
-``figure9``   Materialization policies: cumulative time and storage
-``figure10``  Peak / average memory per iteration for Helix
-===========  ================================================================
+Each paper figure is reproduced by a ``benchmarks/bench_*.py`` script that
+runs its own lifecycles.  Two pieces are shared: :func:`speedup`, the paper's
+headline ratio, and :func:`figure7b`, the modelled 2/4/8-worker cluster
+scalability run of Figure 7(b).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..execution.clock import ClusterModel, MeasuredCostModel
-from ..systems.deepdive import DeepDiveSystem
 from ..systems.helix import HelixSystem
 from ..systems.keystoneml import KeystoneMLSystem
-from .runner import LifecycleResult, run_comparison, run_lifecycle
+from .runner import LifecycleResult, run_comparison
 
-__all__ = [
-    "figure5",
-    "figure6",
-    "figure7a",
-    "figure7b",
-    "figure8",
-    "figure9",
-    "figure10",
-    "speedup",
-]
-
-
-def _default_systems(seed: int = 0) -> List:
-    return [HelixSystem.opt(seed=seed), KeystoneMLSystem(seed=seed), DeepDiveSystem(seed=seed)]
+__all__ = ["figure7b", "speedup"]
 
 
 def speedup(results: Dict[str, LifecycleResult], baseline: str, target: str = "helix-opt") -> float:
@@ -51,61 +26,6 @@ def speedup(results: Dict[str, LifecycleResult], baseline: str, target: str = "h
     if target_time <= 0:
         return float("inf")
     return results[baseline].total_time() / target_time
-
-
-def figure5(
-    workload: str,
-    n_iterations: int = 0,
-    seed: int = 7,
-    scale: float = 1.0,
-    systems: Optional[Sequence] = None,
-) -> Dict[str, Dict[str, List[float]]]:
-    """Cumulative run time per iteration for every system supporting the workload."""
-    results = run_comparison(
-        list(systems) if systems is not None else _default_systems(seed),
-        workload,
-        n_iterations=n_iterations,
-        seed=seed,
-        scale=scale,
-    )
-    series = {
-        name: {
-            "cumulative": result.cumulative_times(),
-            "per_iteration": result.iteration_times(),
-            "iteration_types": result.iteration_types(),
-        }
-        for name, result in results.items()
-    }
-    series["_speedups"] = {
-        "vs_keystoneml": [speedup(results, "keystoneml")],
-        "vs_deepdive": [speedup(results, "deepdive")],
-    }
-    return series
-
-
-def figure6(workload: str, n_iterations: int = 0, seed: int = 7) -> List[Dict[str, float]]:
-    """Per-iteration breakdown (DPR / L/I / PPR / Mat.) for Helix OPT."""
-    result = run_lifecycle(HelixSystem.opt(seed=seed), workload, n_iterations=n_iterations, seed=seed)
-    return result.component_breakdowns()
-
-
-def figure7a(
-    n_iterations: int = 0, seed: int = 7, scales: Sequence[float] = (1.0, 10.0)
-) -> Dict[str, Dict[str, List[float]]]:
-    """Census vs Census Nx cumulative run times for Helix and KeystoneML."""
-    output: Dict[str, Dict[str, List[float]]] = {}
-    for scale in scales:
-        label = f"x{scale:g}"
-        results = run_comparison(
-            [HelixSystem.opt(seed=seed), KeystoneMLSystem(seed=seed)],
-            "census",
-            n_iterations=n_iterations,
-            seed=seed,
-            scale=scale,
-        )
-        for name, result in results.items():
-            output[f"{name}-{label}"] = {"cumulative": result.cumulative_times()}
-    return output
 
 
 def figure7b(
@@ -139,56 +59,4 @@ def figure7b(
         )
         for name, result in results.items():
             output[f"{name}-{workers}w"] = {"cumulative": result.cumulative_times()}
-    return output
-
-
-def figure8(
-    workloads: Sequence[str] = ("census", "genomics"),
-    n_iterations: int = 0,
-    seed: int = 7,
-) -> Dict[str, Dict[str, List[Dict[str, float]]]]:
-    """State fractions per iteration for Helix OPT and Helix AM."""
-    output: Dict[str, Dict[str, List[Dict[str, float]]]] = {}
-    for workload in workloads:
-        opt = run_lifecycle(HelixSystem.opt(seed=seed), workload, n_iterations=n_iterations, seed=seed)
-        am = run_lifecycle(
-            HelixSystem.always_materialize(seed=seed), workload, n_iterations=n_iterations, seed=seed
-        )
-        output[workload] = {
-            "helix-opt": opt.state_fraction_series(),
-            "helix-am": am.state_fraction_series(),
-        }
-    return output
-
-
-def figure9(
-    workload: str,
-    n_iterations: int = 0,
-    seed: int = 7,
-    include_am: bool = True,
-) -> Dict[str, Dict[str, List[float]]]:
-    """Materialization-policy ablation: OPT vs AM vs NM cumulative time and storage."""
-    systems = [HelixSystem.opt(seed=seed), HelixSystem.never_materialize(seed=seed)]
-    if include_am:
-        systems.insert(1, HelixSystem.always_materialize(seed=seed))
-    output: Dict[str, Dict[str, List[float]]] = {}
-    for system in systems:
-        result = run_lifecycle(system, workload, n_iterations=n_iterations, seed=seed)
-        output[system.name] = {
-            "cumulative": result.cumulative_times(),
-            "storage": [float(v) for v in result.storage_series()],
-        }
-    return output
-
-
-def figure10(
-    workloads: Sequence[str] = ("census", "genomics", "nlp", "mnist"),
-    n_iterations: int = 0,
-    seed: int = 7,
-) -> Dict[str, List[Dict[str, float]]]:
-    """Peak and average memory per iteration for Helix OPT."""
-    output: Dict[str, List[Dict[str, float]]] = {}
-    for workload in workloads:
-        result = run_lifecycle(HelixSystem.opt(seed=seed), workload, n_iterations=n_iterations, seed=seed)
-        output[workload] = result.memory_series()
     return output

@@ -1,61 +1,38 @@
-"""ML substrate: models, preprocessing, metrics, embeddings and text utilities."""
+"""ML substrate: models, feature maps, metrics, embeddings and text utilities."""
 
 from .embeddings import CooccurrenceEmbedding, RandomProjectionEmbedding, build_cooccurrence
 from .kmeans import KMeans
-from .linear import LinearRegression, LogisticRegression
+from .linear import LogisticRegression
 from .metrics import (
     accuracy,
     cluster_sizes,
     confusion_matrix,
     f1_score,
-    log_loss,
-    mean_squared_error,
     precision,
     recall,
     silhouette_score,
 )
-from .model_selection import GridSearch, GridSearchResult, KFold, cross_val_score, train_test_split
 from .naive_bayes import MultinomialNaiveBayes
-from .preprocessing import (
-    HashingVectorizer,
-    MinMaxScaler,
-    OneHotIndexer,
-    QuantileDiscretizer,
-    RandomFourierFeatures,
-    StandardScaler,
-)
-from .text import STOP_WORDS, ngrams, pos_tag, remove_stop_words, split_sentences, tokenize
+from .preprocessing import HashingVectorizer, RandomFourierFeatures
+from .text import STOP_WORDS, pos_tag, remove_stop_words, split_sentences, tokenize
 
 __all__ = [
     "CooccurrenceEmbedding",
     "RandomProjectionEmbedding",
     "build_cooccurrence",
     "KMeans",
-    "LinearRegression",
     "LogisticRegression",
     "accuracy",
     "cluster_sizes",
     "confusion_matrix",
     "f1_score",
-    "log_loss",
-    "mean_squared_error",
     "precision",
     "recall",
     "silhouette_score",
-    "GridSearch",
-    "GridSearchResult",
-    "KFold",
-    "cross_val_score",
-    "train_test_split",
     "MultinomialNaiveBayes",
     "HashingVectorizer",
-    "MinMaxScaler",
-    "OneHotIndexer",
-    "QuantileDiscretizer",
     "RandomFourierFeatures",
-    "StandardScaler",
     "STOP_WORDS",
-    "ngrams",
     "pos_tag",
     "remove_stop_words",
     "split_sentences",

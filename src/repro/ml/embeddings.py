@@ -124,29 +124,6 @@ class CooccurrenceEmbedding:
             return np.zeros(self.dimensions)
         return self.embeddings_[index]
 
-    def vectors(self, tokens: Sequence[str]) -> np.ndarray:
-        return np.vstack([self.vector(token) for token in tokens]) if tokens else np.zeros((0, self.dimensions))
-
-    def most_similar(self, token: str, top_k: int = 5) -> List[Tuple[str, float]]:
-        """Nearest tokens by cosine similarity (excluding the token itself)."""
-        if self.embeddings_ is None or token not in self.vocabulary_:
-            return []
-        target = self.vector(token)
-        norms = np.linalg.norm(self.embeddings_, axis=1) * (np.linalg.norm(target) or 1.0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            similarity = self.embeddings_ @ target / np.where(norms > 0, norms, 1.0)
-        order = np.argsort(-similarity)
-        inverse = {index: tok for tok, index in self.vocabulary_.items()}
-        results = []
-        for index in order:
-            candidate = inverse[int(index)]
-            if candidate == token:
-                continue
-            results.append((candidate, float(similarity[index])))
-            if len(results) >= top_k:
-                break
-        return results
-
 
 class RandomProjectionEmbedding(CooccurrenceEmbedding):
     """A cheaper embedding using seeded random projection of co-occurrence rows.

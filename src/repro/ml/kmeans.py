@@ -41,9 +41,6 @@ class KMeans:
         self.inertia_: float = float("inf")
         self.n_iter_: int = 0
 
-    def set_seed(self, seed: int) -> None:
-        self._seed = int(seed)
-
     # ------------------------------------------------------------------ fitting
     def _init_centers(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """k-means++ initialization."""
@@ -112,18 +109,3 @@ class KMeans:
         if X.shape[0] == 0:
             return np.zeros(0, dtype=int)
         return self._assign(X, self.cluster_centers_)
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        """Distances from each point to each cluster center."""
-        if self.cluster_centers_ is None:
-            raise ValueError("model is not fitted")
-        X = np.asarray(X, dtype=float)
-        return np.linalg.norm(X[:, None, :] - self.cluster_centers_[None, :, :], axis=2)
-
-    def score(self, X: np.ndarray, y: Optional[np.ndarray] = None) -> float:  # noqa: ARG002
-        """Negative inertia on the given data (higher is better)."""
-        X = np.asarray(X, dtype=float)
-        if X.shape[0] == 0:
-            return 0.0
-        assignments = self.predict(X)
-        return -float(np.sum((X - self.cluster_centers_[assignments]) ** 2))

@@ -1,13 +1,13 @@
-"""Linear models: logistic and linear regression trained with gradient descent.
+"""Linear model: logistic regression trained with gradient descent.
 
-These are the learners used by the Census, IE and MNIST workloads (the paper
+This is the learner used by the Census, IE and MNIST workloads (the paper
 uses MLlib's logistic regression; here the equivalent is implemented from
-scratch on NumPy).  Both models follow the minimal estimator protocol the
+scratch on NumPy).  It follows the minimal estimator protocol the
 :class:`~repro.core.operators.Learner` operator expects:
 
 * ``fit(X, y)`` — train on a dense matrix and label vector,
 * ``predict(X)`` — return predictions,
-* ``predict_proba(X)`` (classifier only) — class probabilities,
+* ``predict_proba(X)`` — class probabilities,
 * ``feature_weights()`` — mapping from feature position to coefficient, used
   by data-driven pruning,
 * ``set_seed(seed)`` — reseed any internal randomness.
@@ -19,7 +19,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-__all__ = ["LogisticRegression", "LinearRegression"]
+__all__ = ["LogisticRegression"]
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -132,75 +132,3 @@ class LogisticRegression:
         if self.weights_ is None:
             return {}
         return {i: float(w) for i, w in enumerate(self.weights_)}
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        """Classification accuracy."""
-        y = np.asarray(y, dtype=float).ravel()
-        if y.size == 0:
-            return 0.0
-        threshold = (y.min() + y.max()) / 2.0 if np.unique(y).size > 1 else 0.5
-        return float(np.mean(self.predict(X) == (y > threshold).astype(float)))
-
-
-class LinearRegression:
-    """Ordinary least squares with optional L2 (ridge) regularization.
-
-    Solved in closed form via the normal equations, which is exact and fast
-    for the feature dimensionalities the workloads produce.
-    """
-
-    def __init__(self, reg_param: float = 0.0, fit_intercept: bool = True):
-        if reg_param < 0:
-            raise ValueError("reg_param must be non-negative")
-        self.reg_param = reg_param
-        self.fit_intercept = fit_intercept
-        self.weights_: Optional[np.ndarray] = None
-        self.intercept_: float = 0.0
-
-    def set_seed(self, seed: int) -> None:  # noqa: ARG002 - deterministic model
-        return
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "LinearRegression":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float).ravel()
-        if X.shape[0] != y.shape[0]:
-            raise ValueError("X and y have mismatched lengths")
-        if X.shape[0] == 0:
-            self.weights_ = np.zeros(X.shape[1])
-            self.intercept_ = 0.0
-            return self
-        if self.fit_intercept:
-            x_mean = X.mean(axis=0)
-            y_mean = float(y.mean())
-            Xc = X - x_mean
-            yc = y - y_mean
-        else:
-            x_mean = np.zeros(X.shape[1])
-            y_mean = 0.0
-            Xc, yc = X, y
-        d = X.shape[1]
-        gram = Xc.T @ Xc + self.reg_param * np.eye(d)
-        self.weights_ = np.linalg.solve(gram, Xc.T @ yc) if d else np.zeros(0)
-        self.intercept_ = y_mean - float(x_mean @ self.weights_) if self.fit_intercept else 0.0
-        return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        if self.weights_ is None:
-            raise ValueError("model is not fitted")
-        X = np.asarray(X, dtype=float)
-        return X @ self.weights_ + self.intercept_
-
-    def feature_weights(self) -> Dict[int, float]:
-        if self.weights_ is None:
-            return {}
-        return {i: float(w) for i, w in enumerate(self.weights_)}
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        """Coefficient of determination (R^2)."""
-        y = np.asarray(y, dtype=float).ravel()
-        predictions = self.predict(X)
-        total = float(np.sum((y - y.mean()) ** 2)) if y.size else 0.0
-        if total == 0.0:
-            return 0.0
-        residual = float(np.sum((y - predictions) ** 2))
-        return 1.0 - residual / total

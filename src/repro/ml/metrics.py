@@ -1,7 +1,7 @@
 """Evaluation metrics for supervised and unsupervised tasks.
 
 These back the PPR reducers in the workloads (accuracy / F1 for Census and
-IE, cluster quality for genomics) and the model-selection utilities.
+IE, cluster quality for genomics).
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ __all__ = [
     "recall",
     "f1_score",
     "confusion_matrix",
-    "log_loss",
-    "mean_squared_error",
     "silhouette_score",
     "cluster_sizes",
 ]
@@ -74,27 +72,6 @@ def f1_score(y_true: Sequence[float], y_pred: Sequence[float]) -> float:
     p = precision(y_true, y_pred)
     r = recall(y_true, y_pred)
     return 2 * p * r / (p + r) if (p + r) else 0.0
-
-
-def log_loss(y_true: Sequence[float], y_score: Sequence[float], eps: float = 1e-12) -> float:
-    """Binary cross-entropy between labels and predicted positive-class probabilities."""
-    y_true = _to_binary(np.asarray(y_true))
-    scores = np.clip(np.asarray(y_score, dtype=float).ravel(), eps, 1.0 - eps)
-    if y_true.size == 0:
-        return 0.0
-    if y_true.size != scores.size:
-        raise ValueError("y_true and y_score have mismatched lengths")
-    return float(-np.mean(y_true * np.log(scores) + (1 - y_true) * np.log(1 - scores)))
-
-
-def mean_squared_error(y_true: Sequence[float], y_pred: Sequence[float]) -> float:
-    y_true = np.asarray(y_true, dtype=float).ravel()
-    y_pred = np.asarray(y_pred, dtype=float).ravel()
-    if y_true.size == 0:
-        return 0.0
-    if y_true.size != y_pred.size:
-        raise ValueError("y_true and y_pred have mismatched lengths")
-    return float(np.mean((y_true - y_pred) ** 2))
 
 
 def cluster_sizes(assignments: Sequence[int]) -> Dict[int, int]:

@@ -77,9 +77,3 @@ class MultinomialNaiveBayes:
             return {}
         spread = self.feature_log_prob_.max(axis=0) - self.feature_log_prob_.min(axis=0)
         return {i: float(w) for i, w in enumerate(spread)}
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        y = np.asarray(y, dtype=float).ravel()
-        if y.size == 0:
-            return 0.0
-        return float(np.mean(self.predict(X) == y))

@@ -1,148 +1,16 @@
-"""Feature preprocessing: scalers, discretizers, encoders and random features.
+"""Feature preprocessing: hashed bag-of-words and random Fourier features.
 
-These are the data-dependent feature transformations discussed in Section
-3.1.1 of the paper (scaling, discretization, vocabulary indexing, kernel
-transformations).  They follow the fit/transform protocol so they can be used
-either directly on matrices or wrapped inside Helix extractor operators.
+Two of the data-dependent feature transformations discussed in Section 3.1.1
+of the paper, wrapped inside Helix extractor operators by the workloads.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-__all__ = [
-    "StandardScaler",
-    "MinMaxScaler",
-    "QuantileDiscretizer",
-    "OneHotIndexer",
-    "HashingVectorizer",
-    "RandomFourierFeatures",
-]
-
-
-class StandardScaler:
-    """Standardize features to zero mean and unit variance."""
-
-    def __init__(self, with_mean: bool = True, with_std: bool = True):
-        self.with_mean = with_mean
-        self.with_std = with_std
-        self.mean_: Optional[np.ndarray] = None
-        self.scale_: Optional[np.ndarray] = None
-
-    def fit(self, X: np.ndarray, y: Optional[np.ndarray] = None) -> "StandardScaler":  # noqa: ARG002
-        X = np.asarray(X, dtype=float)
-        self.mean_ = X.mean(axis=0) if X.size else np.zeros(X.shape[1] if X.ndim == 2 else 0)
-        std = X.std(axis=0) if X.size else np.ones_like(self.mean_)
-        self.scale_ = np.where(std > 0, std, 1.0)
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        if self.mean_ is None or self.scale_ is None:
-            raise ValueError("scaler is not fitted")
-        X = np.asarray(X, dtype=float)
-        result = X.copy()
-        if self.with_mean:
-            result = result - self.mean_
-        if self.with_std:
-            result = result / self.scale_
-        return result
-
-    def fit_transform(self, X: np.ndarray, y: Optional[np.ndarray] = None) -> np.ndarray:
-        return self.fit(X, y).transform(X)
-
-
-class MinMaxScaler:
-    """Scale features to the ``[0, 1]`` range."""
-
-    def __init__(self):
-        self.min_: Optional[np.ndarray] = None
-        self.range_: Optional[np.ndarray] = None
-
-    def fit(self, X: np.ndarray, y: Optional[np.ndarray] = None) -> "MinMaxScaler":  # noqa: ARG002
-        X = np.asarray(X, dtype=float)
-        self.min_ = X.min(axis=0) if X.size else np.zeros(X.shape[1] if X.ndim == 2 else 0)
-        maximum = X.max(axis=0) if X.size else np.ones_like(self.min_)
-        span = maximum - self.min_
-        self.range_ = np.where(span > 0, span, 1.0)
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        if self.min_ is None or self.range_ is None:
-            raise ValueError("scaler is not fitted")
-        return (np.asarray(X, dtype=float) - self.min_) / self.range_
-
-    def fit_transform(self, X: np.ndarray, y: Optional[np.ndarray] = None) -> np.ndarray:
-        return self.fit(X, y).transform(X)
-
-
-class QuantileDiscretizer:
-    """Discretize a 1-D numeric array into equal-frequency buckets.
-
-    This is the matrix-level counterpart of the DSL-level
-    :class:`~repro.core.operators.Bucketizer` operator.
-    """
-
-    def __init__(self, bins: int = 10):
-        if bins < 1:
-            raise ValueError("bins must be at least 1")
-        self.bins = bins
-        self.boundaries_: Optional[np.ndarray] = None
-
-    def fit(self, values: np.ndarray, y: Optional[np.ndarray] = None) -> "QuantileDiscretizer":  # noqa: ARG002
-        values = np.asarray(values, dtype=float).ravel()
-        if values.size == 0:
-            self.boundaries_ = np.zeros(0)
-            return self
-        quantiles = np.linspace(0.0, 1.0, self.bins + 1)[1:-1]
-        self.boundaries_ = np.unique(np.quantile(values, quantiles))
-        return self
-
-    def transform(self, values: np.ndarray) -> np.ndarray:
-        if self.boundaries_ is None:
-            raise ValueError("discretizer is not fitted")
-        return np.searchsorted(self.boundaries_, np.asarray(values, dtype=float).ravel())
-
-    def fit_transform(self, values: np.ndarray, y: Optional[np.ndarray] = None) -> np.ndarray:
-        return self.fit(values, y).transform(values)
-
-
-class OneHotIndexer:
-    """Learn a category -> column index and expand categories into indicator vectors."""
-
-    def __init__(self, handle_unknown: str = "ignore"):
-        if handle_unknown not in ("ignore", "error"):
-            raise ValueError("handle_unknown must be 'ignore' or 'error'")
-        self.handle_unknown = handle_unknown
-        self.index_: Dict[str, int] = {}
-
-    def fit(self, categories: Iterable[str], y: Optional[np.ndarray] = None) -> "OneHotIndexer":  # noqa: ARG002
-        unique = sorted({str(c) for c in categories})
-        self.index_ = {category: position for position, category in enumerate(unique)}
-        return self
-
-    @property
-    def dimension(self) -> int:
-        return len(self.index_)
-
-    def transform(self, categories: Iterable[str]) -> np.ndarray:
-        if not self.index_ and self.handle_unknown == "error":
-            raise ValueError("indexer is not fitted")
-        rows = []
-        for category in categories:
-            row = np.zeros(len(self.index_))
-            position = self.index_.get(str(category))
-            if position is None and self.handle_unknown == "error":
-                raise ValueError(f"unknown category: {category!r}")
-            if position is not None:
-                row[position] = 1.0
-            rows.append(row)
-        return np.vstack(rows) if rows else np.zeros((0, len(self.index_)))
-
-    def fit_transform(self, categories: Sequence[str], y: Optional[np.ndarray] = None) -> np.ndarray:
-        return self.fit(categories, y).transform(categories)
+__all__ = ["HashingVectorizer", "RandomFourierFeatures"]
 
 
 class HashingVectorizer:

@@ -1,6 +1,6 @@
 """Text-processing substrate: the CoreNLP stand-in.
 
-The IE and genomics workloads need tokenization, sentence splitting, n-grams,
+The IE and genomics workloads need tokenization, sentence splitting,
 stop-word filtering and a lightweight part-of-speech tagger (the paper's IE
 workflow uses POS tags among its fine-grained features).  These are simple,
 deterministic, rule-based implementations — the point is to exercise the same
@@ -16,7 +16,6 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 __all__ = [
     "tokenize",
     "split_sentences",
-    "ngrams",
     "remove_stop_words",
     "pos_tag",
     "STOP_WORDS",
@@ -56,13 +55,6 @@ def split_sentences(text: str) -> List[str]:
     return [s for s in sentences if s]
 
 
-def ngrams(tokens: Sequence[str], n: int = 2) -> List[Tuple[str, ...]]:
-    """Contiguous n-grams of a token sequence."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
-
-
 def remove_stop_words(tokens: Iterable[str]) -> List[str]:
     """Filter out stop words (case-insensitive)."""
     return [t for t in tokens if t.lower() not in STOP_WORDS]
@@ -99,10 +91,3 @@ def pos_tag(tokens: Sequence[str]) -> List[Tuple[str, str]]:
             tag = "NN"
         tags.append((token, tag))
     return tags
-
-
-def token_window(tokens: Sequence[str], center: int, radius: int) -> List[str]:
-    """Tokens within ``radius`` positions of ``center`` (excluding the center token)."""
-    lo = max(0, center - radius)
-    hi = min(len(tokens), center + radius + 1)
-    return [tokens[i] for i in range(lo, hi) if i != center]

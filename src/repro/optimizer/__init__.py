@@ -1,7 +1,7 @@
 """Optimizers: execution-plan (OEP), materialization-plan (OMP) and pruning."""
 
 from .maxflow import INFINITY, FlowNetwork
-from .metrics import DEFAULT_DISK_BANDWIDTH, CostEstimator, NodeMetrics, StatsStore
+from .metrics import CostEstimator, NodeMetrics, StatsStore
 from .oep import ExecutionPlan, NodeState, brute_force_oep, plan_run_time, solve_oep
 from .omp import (
     AlwaysMaterialize,
@@ -12,13 +12,12 @@ from .omp import (
     cumulative_run_time,
     optimal_materialization_plan,
 )
-from .pruning import eviction_schedule, out_of_scope_after, slice_to_outputs, zero_weight_extractors
+from .pruning import out_of_scope_after, zero_weight_extractors
 from .psp import Project, ProjectSelectionProblem, ProjectSelectionSolution
 
 __all__ = [
     "INFINITY",
     "FlowNetwork",
-    "DEFAULT_DISK_BANDWIDTH",
     "CostEstimator",
     "NodeMetrics",
     "StatsStore",
@@ -34,9 +33,7 @@ __all__ = [
     "StreamingMaterializationPolicy",
     "cumulative_run_time",
     "optimal_materialization_plan",
-    "eviction_schedule",
     "out_of_scope_after",
-    "slice_to_outputs",
     "zero_weight_extractors",
     "Project",
     "ProjectSelectionProblem",

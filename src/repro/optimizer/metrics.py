@@ -21,11 +21,9 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-__all__ = ["NodeMetrics", "StatsStore", "CostEstimator", "DEFAULT_DISK_BANDWIDTH"]
+from ..storage.store import modelled_io_seconds
 
-#: Default modelled disk bandwidth in bytes/second (the paper's testbed HDD
-#: sustains ~170 MB/s for both reads and writes).
-DEFAULT_DISK_BANDWIDTH = 170e6
+__all__ = ["NodeMetrics", "StatsStore", "CostEstimator"]
 
 
 @dataclass
@@ -39,7 +37,7 @@ class NodeMetrics:
     load_time:
         Seconds to load the node back from disk (``l_i``); populated when the
         node has actually been materialized/loaded, otherwise estimated from
-        ``storage_bytes`` and the disk bandwidth.
+        ``storage_bytes`` and the modelled disk.
     storage_bytes:
         Size of the serialized artifact (``s_i``).
     observations:
@@ -120,10 +118,6 @@ class StatsStore:
             metrics.merge_observation(compute_time, load_time, storage_bytes)
             return metrics
 
-    def forget(self, signature: str) -> None:
-        with self._lock:
-            self._metrics.pop(signature, None)
-
     def items(self) -> List[Tuple[str, NodeMetrics]]:
         """All ``(signature, metrics)`` pairs, sorted by signature.
 
@@ -154,16 +148,13 @@ class CostEstimator:
     ``compute_time`` prefers recorded statistics (exact for unchanged nodes)
     and falls back to the operator's declared cost model.  ``load_time`` is
     only finite when an equivalent materialization exists; it prefers the
-    recorded load time and otherwise derives it from the artifact size and
-    the modelled disk bandwidth.
+    recorded load time and otherwise derives it from the artifact size with
+    the same modelled disk the cost models use
+    (:func:`~repro.storage.store.modelled_io_seconds`).
     """
 
-    def __init__(self, stats: StatsStore, disk_bandwidth: float = DEFAULT_DISK_BANDWIDTH,
-                 default_compute_time: float = 1e-3):
-        if disk_bandwidth <= 0:
-            raise ValueError("disk bandwidth must be positive")
+    def __init__(self, stats: StatsStore, default_compute_time: float = 1e-3):
         self.stats = stats
-        self.disk_bandwidth = disk_bandwidth
         self.default_compute_time = default_compute_time
 
     def compute_time(self, signature: str, operator=None, input_sizes: Iterable[int] = ()) -> float:
@@ -185,10 +176,6 @@ class CostEstimator:
             return metrics.load_time
         return self.bytes_to_seconds(metrics.storage_bytes)
 
-    def storage_bytes(self, signature: str) -> int:
-        metrics = self.stats.get(signature)
-        return metrics.storage_bytes if metrics is not None else 0
-
     def bytes_to_seconds(self, size_bytes: int) -> float:
-        """Time to read or write ``size_bytes`` at the modelled disk bandwidth."""
-        return max(float(size_bytes), 1.0) / self.disk_bandwidth
+        """Modelled time to read or write ``size_bytes`` (latency included)."""
+        return modelled_io_seconds(size_bytes)

@@ -91,12 +91,6 @@ class ExecutionPlan:
     flow_nodes: int = field(default=0, compare=False)
     flow_edges: int = field(default=0, compare=False)
 
-    def state(self, name: str) -> NodeState:
-        return self.states[name]
-
-    def nodes_in(self, state: NodeState) -> Tuple[str, ...]:
-        return tuple(sorted(n for n, s in self.states.items() if s is state))
-
     def state_fractions(self) -> Dict[str, float]:
         """Fraction of nodes in each state (Figure 8 of the paper)."""
         total = max(len(self.states), 1)

@@ -1,43 +1,30 @@
 """Workflow DAG pruning (Section 5.4 of the paper).
 
-Three pruning mechanisms are implemented:
+Output-driven pruning (program slicing: traverse backwards from the declared
+outputs and drop every node not visited, which is what removes ``raceExt`` in
+the paper's census example) is :meth:`WorkflowDAG.sliced_to_outputs`.  This
+module holds the other two mechanisms:
 
-* **Output-driven pruning (program slicing)** — traverse backwards from the
-  declared outputs and drop every node not visited.  This is what removes
-  ``raceExt`` in the paper's census example and is exposed here as
-  :func:`slice_to_outputs` (a thin wrapper over
-  :meth:`WorkflowDAG.sliced_to_outputs` so that all pruning lives in one
-  module).
 * **Data-driven pruning** — use provenance bookkeeping (feature name ->
   producing extractor, recorded on every example) together with the learned
   model's feature weights to find extractors whose features all received
   zero weight; such operators can be pruned without changing predictions.
 * **Cache-eviction planning** — compute, for each node, the point in the
   execution order after which it goes *out of scope* (all consumers done),
-  which the execution engine uses for eager uncaching and for the streaming
-  materialization decisions.
+  which fixes the execution engine's retirement order: eager uncaching and
+  the streaming materialization decisions.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..core.dag import WorkflowDAG
 from ..core.operators import PredictionsResult
 
-__all__ = [
-    "slice_to_outputs",
-    "zero_weight_extractors",
-    "eviction_schedule",
-    "out_of_scope_after",
-]
-
-
-def slice_to_outputs(dag: WorkflowDAG, outputs: Optional[Sequence[str]] = None) -> WorkflowDAG:
-    """Program slicing: keep only nodes contributing to the outputs."""
-    return dag.sliced_to_outputs(outputs)
+__all__ = ["zero_weight_extractors", "out_of_scope_after"]
 
 
 def zero_weight_extractors(
@@ -100,19 +87,4 @@ def out_of_scope_after(dag: WorkflowDAG, execution_order: Sequence[str]) -> Dict
             if child_position is not None and child_position > last:
                 last = child_position
         schedule[name] = last
-    return schedule
-
-
-def eviction_schedule(dag: WorkflowDAG, execution_order: Sequence[str]) -> Dict[int, List[str]]:
-    """Invert :func:`out_of_scope_after`: step index -> nodes to evict after it.
-
-    The execution engine walks the physical plan in order; after executing the
-    node at position ``i`` it evicts (and offers for materialization) every
-    node listed under ``i``.
-    """
-    schedule: Dict[int, List[str]] = {}
-    for node, position in out_of_scope_after(dag, execution_order).items():
-        schedule.setdefault(position, []).append(node)
-    for nodes in schedule.values():
-        nodes.sort()
     return schedule

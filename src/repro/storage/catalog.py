@@ -102,12 +102,6 @@ class Catalog:
     def total_bytes(self) -> int:
         return sum(record.size_bytes for record in self._records.values())
 
-    def by_node(self, node_name: str) -> List[ArtifactRecord]:
-        return [self._records[signature] for signature in self._by_node.get(node_name, ())]
-
-    def signatures_for_node(self, node_name: str) -> List[str]:
-        return list(self._by_node.get(node_name, ()))
-
     def stale_signatures(self, node_name: str, current_signature: str) -> List[str]:
         """Signatures stored for ``node_name`` that differ from the current one.
 

@@ -7,8 +7,12 @@ Two implementations share the :class:`MaterializationStore` interface:
   directory and measures real read/write times — used by the benchmark
   harness so that load costs are genuine I/O costs.
 * :class:`InMemoryStore` keeps serialized bytes in memory and *models* the
-  read/write times from a configurable disk bandwidth — used by unit tests
-  and the simulated-cost experiments where determinism matters.
+  read/write times with :func:`modelled_io_seconds` — used by unit tests and
+  the simulated-cost experiments where determinism matters.
+
+:func:`modelled_io_seconds` is the one modelled disk: the simulated cost
+model's I/O charge, every cost model's load estimate for the streaming
+materialization decision, and the optimizer's ``l_i`` fallback all use it.
 
 Both enforce an optional storage budget: a ``put`` that would exceed the
 budget raises :class:`~repro.exceptions.BudgetExceededError` (callers check
@@ -28,7 +32,17 @@ from .canonical import content_digest
 from .catalog import ArtifactRecord, Catalog
 from .serialization import deserialize, serialize
 
-__all__ = ["MaterializationStore", "DiskStore", "InMemoryStore", "StoredArtifact"]
+__all__ = ["MaterializationStore", "DiskStore", "InMemoryStore", "StoredArtifact", "modelled_io_seconds"]
+
+#: The modelled disk: the paper's testbed HDD sustains ~170 MB/s for both
+#: reads and writes, plus a fixed per-access latency.
+DISK_BANDWIDTH = 170e6  # bytes per second
+DISK_LATENCY = 1e-4  # seconds per read or write
+
+
+def modelled_io_seconds(size_bytes: int) -> float:
+    """Modelled seconds to read or write ``size_bytes``: ``latency + bytes / bandwidth``."""
+    return DISK_LATENCY + size_bytes / DISK_BANDWIDTH
 
 
 class StoredArtifact:
@@ -221,24 +235,16 @@ class DiskStore(MaterializationStore):
 class InMemoryStore(MaterializationStore):
     """Byte-buffer store with modelled I/O times (deterministic, for tests/simulation)."""
 
-    def __init__(self, budget_bytes: Optional[int] = None, disk_bandwidth: float = 170e6,
-                 latency_seconds: float = 1e-4):
+    def __init__(self, budget_bytes: Optional[int] = None):
         super().__init__(budget_bytes=budget_bytes)
-        if disk_bandwidth <= 0:
-            raise StorageError("disk bandwidth must be positive")
-        self.disk_bandwidth = disk_bandwidth
-        self.latency_seconds = latency_seconds
         self._blobs: Dict[str, bytes] = {}
-
-    def _modelled_io_time(self, size_bytes: int) -> float:
-        return self.latency_seconds + size_bytes / self.disk_bandwidth
 
     def _write(self, signature: str, value: Any) -> Tuple[int, float, str, str]:
         payload = serialize(value)
         self._blobs[signature] = payload
         return (
             len(payload),
-            self._modelled_io_time(len(payload)),
+            modelled_io_seconds(len(payload)),
             "memory",
             content_digest(payload),
         )
@@ -247,7 +253,7 @@ class InMemoryStore(MaterializationStore):
         payload = self._blobs.get(record.signature)
         if payload is None:
             raise ArtifactNotFoundError(f"artifact bytes missing for {record.node_name!r}")
-        return deserialize(payload), self._modelled_io_time(len(payload))
+        return deserialize(payload), modelled_io_seconds(len(payload))
 
     def _delete(self, record: ArtifactRecord) -> None:
         self._blobs.pop(record.signature, None)

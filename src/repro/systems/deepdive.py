@@ -55,9 +55,6 @@ class _DPRSlowdownCostModel(CostModel):
     def io_cost(self, size_bytes, measured_seconds):
         return self.base.io_cost(size_bytes, measured_seconds)
 
-    def estimate_io_cost(self, size_bytes):
-        return self.base.estimate_io_cost(size_bytes)
-
 
 class DeepDiveSystem(System):
     """Materialize-everything, reuse-nothing comparator."""

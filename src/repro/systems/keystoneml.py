@@ -9,10 +9,7 @@ policy on the shared substrate:
 * the DAG is sliced to its outputs (KeystoneML also avoids computing unused
   branches),
 * every remaining node is computed; nothing is loaded and nothing is
-  materialized,
-* an optional L/I overhead factor models the caching misses the paper
-  observed ("its caching optimizer failing to cache the training data"),
-  disabled by default.
+  materialized.
 
 KeystoneML specializes in classification over structured inputs, so the
 structured-prediction IE workflow is unsupported (Table 2).
@@ -20,9 +17,9 @@ structured-prediction IE workflow is unsupported (Table 2).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
-from ..core.operators import Component, RunContext
+from ..core.operators import RunContext
 from ..core.signatures import compute_node_signatures
 from ..core.workflow import Workflow
 from ..execution.clock import CostModel, MeasuredCostModel
@@ -38,25 +35,6 @@ __all__ = ["KeystoneMLSystem"]
 _UNSUPPORTED_WORKLOADS = frozenset({"nlp"})
 
 
-class _ComponentOverheadCostModel(CostModel):
-    """Wrap a cost model, multiplying the charge of selected components."""
-
-    def __init__(self, base: CostModel, factors: Dict[str, float]):
-        super().__init__(base.cluster)
-        self.base = base
-        self.factors = dict(factors)
-
-    def compute_cost(self, operator, component, input_sizes, measured_seconds):
-        charged = self.base.compute_cost(operator, component, input_sizes, measured_seconds)
-        return charged * self.factors.get(component.value, 1.0)
-
-    def io_cost(self, size_bytes, measured_seconds):
-        return self.base.io_cost(size_bytes, measured_seconds)
-
-    def estimate_io_cost(self, size_bytes):
-        return self.base.estimate_io_cost(size_bytes)
-
-
 class KeystoneMLSystem(System):
     """No cross-iteration materialization; recompute everything each iteration."""
 
@@ -66,14 +44,10 @@ class KeystoneMLSystem(System):
         self,
         cost_model: Optional[CostModel] = None,
         seed: int = 0,
-        li_overhead_factor: float = 1.0,
         executor: str = "inline",
         max_workers: Optional[int] = None,
     ):
-        base = cost_model if cost_model is not None else MeasuredCostModel()
-        if li_overhead_factor != 1.0:
-            base = _ComponentOverheadCostModel(base, {Component.LI.value: li_overhead_factor})
-        self.cost_model = base
+        self.cost_model = cost_model if cost_model is not None else MeasuredCostModel()
         self.seed = seed
         self.configure_executor(executor, max_workers)
 

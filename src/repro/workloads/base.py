@@ -70,15 +70,6 @@ class Workload(ABC):
     def build(self, config: Any) -> Workflow:
         """Build the workflow for a configuration."""
 
-    def describe(self) -> Dict[str, Any]:
-        """A summary dictionary used in reports."""
-        characteristics = self.characteristics()
-        return {
-            "name": characteristics.name,
-            "domain": characteristics.application_domain,
-            "task": characteristics.learning_task,
-        }
-
 
 #: Registry of available workloads by name.
 WORKLOADS: Dict[str, Workload] = {}

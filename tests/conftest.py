@@ -7,7 +7,8 @@ from typing import Any, Dict, List, Optional, Sequence
 import pytest
 
 from repro.core.dag import Node, WorkflowDAG
-from repro.core.operators import Component, Operator, RunContext
+from repro.core.data import DataCollection
+from repro.core.operators import Component, Operator, RunContext, Synthesizer
 from repro.execution.clock import SimulatedCostModel
 from repro.optimizer.metrics import StatsStore
 from repro.storage.store import InMemoryStore
@@ -51,6 +52,17 @@ class SumOperator(Operator):
         for value in inputs:
             total += float(value)
         return total
+
+
+class PairSynthesizer(Synthesizer):
+    """Two-input synthesizer: the elements of its first input, then its second's."""
+
+    def config(self) -> Dict[str, Any]:
+        return {}
+
+    def run(self, inputs: Sequence[Any], context: RunContext) -> Any:
+        left, right = inputs
+        return DataCollection("pair", [*left, *right])
 
 
 class FailingOperator(Operator):

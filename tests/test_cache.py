@@ -1,16 +1,16 @@
-"""Unit tests for the operator caches (eager Helix cache, LRU baseline)."""
+"""Unit tests for the operator cache (Helix's eager, engine-evicted cache)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.exceptions import ExecutionError
-from repro.execution.cache import CacheEntry, EagerCache, LRUCache
+from repro.execution.cache import CacheEntry, OperatorCache
 
 
 class TestEagerCache:
     def test_put_get(self):
-        cache = EagerCache()
+        cache = OperatorCache()
         cache.put("a", [1, 2, 3])
         assert cache.get("a") == [1, 2, 3]
         assert "a" in cache
@@ -18,10 +18,10 @@ class TestEagerCache:
 
     def test_get_missing_raises(self):
         with pytest.raises(ExecutionError):
-            EagerCache().get("nope")
+            OperatorCache().get("nope")
 
     def test_evict(self):
-        cache = EagerCache()
+        cache = OperatorCache()
         cache.put("a", 1)
         entry = cache.evict("a")
         assert isinstance(entry, CacheEntry)
@@ -30,7 +30,7 @@ class TestEagerCache:
         assert cache.evict("a") is None
 
     def test_snapshot_bytes_tracks_entries(self):
-        cache = EagerCache()
+        cache = OperatorCache()
         assert cache.snapshot_bytes() == 0
         cache.put("a", list(range(100)))
         assert cache.snapshot_bytes() > 0
@@ -39,47 +39,12 @@ class TestEagerCache:
         assert cache.snapshot_bytes() > before
 
     def test_explicit_size_respected(self):
-        cache = EagerCache()
+        cache = OperatorCache()
         cache.put("a", "value", size_bytes=12345)
         assert cache.snapshot_bytes() == 12345
 
     def test_clear(self):
-        cache = EagerCache()
+        cache = OperatorCache()
         cache.put("a", 1)
         cache.clear()
         assert len(cache) == 0
-
-
-class TestLRUCache:
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ExecutionError):
-            LRUCache(capacity_bytes=0)
-
-    def test_evicts_least_recently_used_under_pressure(self):
-        cache = LRUCache(capacity_bytes=250)
-        cache.put("a", "x", size_bytes=100)
-        cache.put("b", "y", size_bytes=100)
-        cache.put("c", "z", size_bytes=100)  # exceeds capacity -> evict "a"
-        assert "a" not in cache
-        assert "b" in cache and "c" in cache
-        assert cache.evicted_by_pressure == ["a"]
-
-    def test_get_refreshes_recency(self):
-        cache = LRUCache(capacity_bytes=250)
-        cache.put("a", "x", size_bytes=100)
-        cache.put("b", "y", size_bytes=100)
-        cache.get("a")  # a becomes most recent
-        cache.put("c", "z", size_bytes=100)
-        assert "b" not in cache
-        assert "a" in cache
-
-    def test_new_entry_never_immediately_evicted(self):
-        cache = LRUCache(capacity_bytes=50)
-        cache.put("big", "x", size_bytes=100)
-        assert "big" in cache
-
-    def test_keys(self):
-        cache = LRUCache(capacity_bytes=1000)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.keys() == ["a", "b"]

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.operators import Component
 from repro.execution.clock import ClusterModel, MeasuredCostModel, SimulatedCostModel
+from repro.storage.store import DISK_BANDWIDTH, DISK_LATENCY, modelled_io_seconds
 
 from conftest import ConstOperator
 
@@ -43,17 +44,14 @@ class TestMeasuredCostModel:
         assert MeasuredCostModel().io_cost(10_000, measured_seconds=0.05) == 0.05
 
     def test_estimate_io_cost_uses_bandwidth(self):
-        model = MeasuredCostModel(disk_bandwidth=1e6, io_latency=0.0)
-        assert model.estimate_io_cost(2_000_000) == pytest.approx(2.0)
+        model = MeasuredCostModel()
+        assert model.estimate_io_cost(2_000_000) == modelled_io_seconds(2_000_000)
+        assert modelled_io_seconds(2_000_000) == pytest.approx(DISK_LATENCY + 2_000_000 / DISK_BANDWIDTH)
 
     def test_cluster_scaling_applied(self):
         cluster = ClusterModel(num_workers=4, parallel_efficiency={"DPR": 1.0, "L/I": 1.0, "PPR": 0.0})
         model = MeasuredCostModel(cluster=cluster)
         assert model.compute_cost(ConstOperator(), Component.DPR, [], 4.0) == pytest.approx(1.0)
-
-    def test_invalid_bandwidth(self):
-        with pytest.raises(ValueError):
-            MeasuredCostModel(disk_bandwidth=0)
 
 
 class TestSimulatedCostModel:
@@ -63,10 +61,6 @@ class TestSimulatedCostModel:
         assert charged == 2.5
 
     def test_io_cost_deterministic(self):
-        model = SimulatedCostModel(disk_bandwidth=1e6, io_latency=0.001)
-        assert model.io_cost(1_000_000, measured_seconds=123.0) == pytest.approx(1.001)
-        assert model.estimate_io_cost(1_000_000) == pytest.approx(1.001)
-
-    def test_invalid_bandwidth(self):
-        with pytest.raises(ValueError):
-            SimulatedCostModel(disk_bandwidth=-1)
+        model = SimulatedCostModel()
+        assert model.io_cost(1_000_000, measured_seconds=123.0) == modelled_io_seconds(1_000_000)
+        assert model.estimate_io_cost(1_000_000) == modelled_io_seconds(1_000_000)

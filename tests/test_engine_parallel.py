@@ -39,6 +39,7 @@ from repro.core.dag import Node, WorkflowDAG
 from repro.core.operators import Operator
 from repro.core.signatures import compute_node_signatures
 from repro.exceptions import ExecutionError, OperatorError
+from repro.execution.cache import OperatorCache
 from repro.execution.clock import SimulatedCostModel
 from repro.execution.engine import ExecutionEngine, create_engine
 from repro.execution.equivalence import (
@@ -583,6 +584,15 @@ class TestExecutorSelection:
 # ---------------------------------------------------------------------------
 # Missing-input regression (previously: silent skip)
 # ---------------------------------------------------------------------------
+class _NewestOnlyCache(OperatorCache):
+    """A cache under memory pressure: every put drops all older entries,
+    including values whose consumers have not run yet."""
+
+    def put(self, name, value, size_bytes=None):
+        self.clear()
+        return super().put(name, value, size_bytes)
+
+
 class TestMissingInputRegression:
     def test_compute_node_with_missing_parent_raises(self, diamond_dag):
         engine = ExecutionEngine(store=InMemoryStore(), cost_model=SimulatedCostModel())
@@ -592,15 +602,13 @@ class TestMissingInputRegression:
             engine._compute_node(diamond_dag, "d")
 
     def test_lru_pressure_eviction_surfaces_error_instead_of_wrong_result(self, diamond_dag):
-        from repro.execution.cache import LRUCache
-
-        # A pathologically small LRU cache evicts "a" while "b"/"c" still
-        # need it.  The engine must fail loudly rather than compute "c" from
-        # fewer inputs and return a silently wrong output.
+        # A cache under pressure drops "a" while "b"/"c" still need it.  The
+        # engine must fail loudly rather than compute "c" from fewer inputs
+        # and return a silently wrong output.
         engine = ExecutionEngine(
             store=InMemoryStore(),
             cost_model=SimulatedCostModel(),
-            cache=LRUCache(capacity_bytes=1),
+            cache=_NewestOnlyCache(),
         )
         with pytest.raises(ExecutionError, match="not cached"):
             engine.execute(
@@ -609,13 +617,11 @@ class TestMissingInputRegression:
 
     @pytest.mark.parametrize("executor", POOLED_EXECUTORS)
     def test_pool_executors_also_guard_missing_inputs(self, executor, diamond_dag):
-        from repro.execution.cache import LRUCache
-
         engine = create_engine(
             executor,
             store=InMemoryStore(),
             cost_model=SimulatedCostModel(),
-            cache=LRUCache(capacity_bytes=1),
+            cache=_NewestOnlyCache(),
             max_workers=2,
         )
         with pytest.raises(ExecutionError):
@@ -629,9 +635,7 @@ class TestMissingInputRegression:
 # ---------------------------------------------------------------------------
 class TestCacheRefcounts:
     def test_release_reports_zero_exactly_once(self):
-        from repro.execution.cache import EagerCache
-
-        cache = EagerCache()
+        cache = OperatorCache()
         cache.put("x", 1.0)
         cache.set_consumers("x", 2)
         assert cache.release("x") is False
@@ -639,24 +643,17 @@ class TestCacheRefcounts:
         assert cache.release("x") is False  # further releases are inert
 
     def test_zero_consumer_entries_start_out_of_scope(self):
-        from repro.execution.cache import EagerCache
-
-        cache = EagerCache()
+        cache = OperatorCache()
         cache.put("x", 1.0)
         cache.set_consumers("x", 0)
-        assert cache.consumers("x") == 0
         assert cache.release("x") is False
 
     def test_negative_consumers_rejected(self):
-        from repro.execution.cache import EagerCache
-
         with pytest.raises(ExecutionError):
-            EagerCache().set_consumers("x", -1)
+            OperatorCache().set_consumers("x", -1)
 
     def test_concurrent_releases_single_zero_transition(self):
-        from repro.execution.cache import EagerCache
-
-        cache = EagerCache()
+        cache = OperatorCache()
         cache.put("x", 1.0)
         consumers = 64
         cache.set_consumers("x", consumers)

@@ -1,11 +1,11 @@
-"""Tests for the experiment harness: runner, figure drivers, tables, reports."""
+"""Tests for the experiment harness: runner, speedup helper, tables, reports."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.experiments.figures import figure5, figure6, figure8, figure9, figure10, speedup
+from repro.experiments.figures import speedup
 from repro.experiments.report import (
     format_breakdown_table,
     format_fraction_table,
@@ -70,36 +70,6 @@ class TestRunner:
         )
         assert speedup(results, "keystoneml") > 1.0
         assert np.isnan(speedup(results, "missing-system"))
-
-
-class TestFigureDrivers:
-    def test_figure5_series_structure(self):
-        series = figure5("census", n_iterations=3, seed=7)
-        assert "helix-opt" in series and "keystoneml" in series
-        assert len(series["helix-opt"]["cumulative"]) == 3
-        assert series["_speedups"]["vs_keystoneml"][0] > 1.0
-
-    def test_figure6_breakdowns(self):
-        breakdowns = figure6("census", n_iterations=3, seed=7)
-        assert len(breakdowns) == 3
-        assert all({"DPR", "L/I", "PPR", "Mat."} <= set(b) for b in breakdowns)
-
-    def test_figure8_state_fractions(self):
-        output = figure8(workloads=["census"], n_iterations=3, seed=7)
-        series = output["census"]
-        assert len(series["helix-opt"]) == 3
-        for fractions in series["helix-opt"]:
-            assert sum(fractions.values()) == pytest.approx(1.0)
-
-    def test_figure9_policies(self):
-        output = figure9("census", n_iterations=3, seed=7)
-        assert {"helix-opt", "helix-am", "helix-nm"} <= set(output)
-        assert output["helix-nm"]["storage"][-1] <= output["helix-am"]["storage"][-1]
-
-    def test_figure10_memory(self):
-        output = figure10(workloads=["census"], n_iterations=2, seed=7)
-        assert len(output["census"]) == 2
-        assert output["census"][0]["peak"] >= output["census"][0]["average"]
 
 
 class TestTablesAndReports:

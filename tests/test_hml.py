@@ -9,13 +9,14 @@ from repro.core.operators import (
     CSVScanner,
     DataSource,
     FieldExtractor,
-    JoinSynthesizer,
     Learner,
     Reducer,
 )
 from repro.exceptions import WorkflowSpecError
 from repro.ml.linear import LogisticRegression
 from repro.systems.helix import HelixSystem
+
+from conftest import PairSynthesizer
 
 
 def _source():
@@ -93,7 +94,7 @@ class TestHMLFacade:
         hml = HML()
         hml["left"].refers_to(_source())
         hml["right"].refers_to(_source())
-        hml["joined"].refers_to(JoinSynthesizer("line", "line"), on=["left", "right"])
+        hml["joined"].refers_to(PairSynthesizer(), on=["left", "right"])
         dag = hml.compile()
         assert dag.parents("joined") == ("left", "right")
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.execution.clock import MeasuredCostModel, SimulatedCostModel
 from repro.optimizer.metrics import CostEstimator, NodeMetrics, StatsStore
+from repro.storage.store import modelled_io_seconds
 
 from conftest import ConstOperator
 
@@ -39,12 +41,6 @@ class TestStatsStore:
         store.record("sig", compute_time=1.5, storage_bytes=10)
         assert "sig" in store
         assert store.get("sig").compute_time == 1.5
-
-    def test_forget(self):
-        store = StatsStore()
-        store.record("sig", compute_time=1.0)
-        store.forget("sig")
-        assert store.get("sig") is None
 
     def test_persistence_round_trip(self, tmp_path):
         path = tmp_path / "stats.json"
@@ -89,20 +85,20 @@ class TestCostEstimator:
     def test_load_time_derived_from_size(self):
         stats = StatsStore()
         stats.record("sig", storage_bytes=170_000_000)
-        estimator = CostEstimator(stats, disk_bandwidth=170e6)
-        assert estimator.load_time("sig", materialized=True) == pytest.approx(1.0)
+        estimator = CostEstimator(stats)
+        assert estimator.load_time("sig", materialized=True) == modelled_io_seconds(170_000_000)
+        assert modelled_io_seconds(170_000_000) == pytest.approx(1.0001)
 
     def test_bytes_to_seconds_has_floor(self):
-        estimator = CostEstimator(StatsStore(), disk_bandwidth=1e6)
+        estimator = CostEstimator(StatsStore())
         assert estimator.bytes_to_seconds(0) > 0
 
-    def test_invalid_bandwidth_rejected(self):
-        with pytest.raises(ValueError):
-            CostEstimator(StatsStore(), disk_bandwidth=0)
-
-    def test_storage_bytes(self):
+    @pytest.mark.parametrize("size_bytes", [0, 1, 4096, 3_000_000])
+    def test_fallback_load_time_equals_cost_model_estimate(self, size_bytes):
+        # The optimizer's l_i for a stored artifact without a recorded load
+        # time must be what the cost models charge for that artifact.
         stats = StatsStore()
-        stats.record("sig", storage_bytes=123)
-        estimator = CostEstimator(stats)
-        assert estimator.storage_bytes("sig") == 123
-        assert estimator.storage_bytes("unknown") == 0
+        stats.record("sig", storage_bytes=size_bytes)
+        fallback = CostEstimator(stats).load_time("sig", materialized=True)
+        assert fallback == SimulatedCostModel().estimate_io_cost(size_bytes)
+        assert fallback == MeasuredCostModel().estimate_io_cost(size_bytes)

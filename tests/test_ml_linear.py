@@ -1,11 +1,11 @@
-"""Unit tests for the linear models (logistic and linear regression)."""
+"""Unit tests for the linear model (logistic regression)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.ml.linear import LinearRegression, LogisticRegression
+from repro.ml.linear import LogisticRegression
 
 
 def _separable_data(n=200, d=3, seed=0):
@@ -21,7 +21,7 @@ class TestLogisticRegression:
         X, y = _separable_data()
         model = LogisticRegression(reg_param=0.01, max_iter=300)
         model.fit(X, y)
-        assert model.score(X, y) > 0.9
+        assert np.mean(model.predict(X) == y) > 0.9
 
     def test_predict_proba_shape_and_range(self):
         X, y = _separable_data()
@@ -46,7 +46,7 @@ class TestLogisticRegression:
         X, y = _separable_data()
         labels = np.where(y > 0, 5.0, 3.0)
         model = LogisticRegression(max_iter=300).fit(X, labels)
-        assert model.score(X, labels) > 0.9
+        assert np.mean(model.predict(X) == (labels > 4.0)) > 0.9
 
     def test_unfitted_predict_raises(self):
         with pytest.raises(ValueError):
@@ -78,54 +78,9 @@ class TestLogisticRegression:
         X = np.random.default_rng(0).normal(size=(20, 2))
         y = np.zeros(20)
         model = LogisticRegression(max_iter=50).fit(X, y)
-        assert model.score(X, y) >= 0.0
+        assert set(model.predict(X)) <= {0.0, 1.0}
 
     def test_convergence_counter(self):
         X, y = _separable_data(n=50)
         model = LogisticRegression(max_iter=10).fit(X, y)
         assert 0 < model.n_iter_ <= 10
-
-
-class TestLinearRegression:
-    def test_recovers_linear_relationship(self):
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(100, 2))
-        y = 3.0 * X[:, 0] - 1.0 * X[:, 1] + 2.0
-        model = LinearRegression().fit(X, y)
-        assert model.weights_[0] == pytest.approx(3.0, abs=1e-6)
-        assert model.weights_[1] == pytest.approx(-1.0, abs=1e-6)
-        assert model.intercept_ == pytest.approx(2.0, abs=1e-6)
-        assert model.score(X, y) > 0.999
-
-    def test_ridge_shrinks_coefficients(self):
-        rng = np.random.default_rng(1)
-        X = rng.normal(size=(50, 3))
-        y = X @ np.array([2.0, 0.0, -2.0]) + rng.normal(size=50) * 0.1
-        plain = LinearRegression(reg_param=0.0).fit(X, y)
-        ridge = LinearRegression(reg_param=50.0).fit(X, y)
-        assert np.linalg.norm(ridge.weights_) < np.linalg.norm(plain.weights_)
-
-    def test_without_intercept(self):
-        X = np.array([[1.0], [2.0], [3.0]])
-        y = np.array([2.0, 4.0, 6.0])
-        model = LinearRegression(fit_intercept=False).fit(X, y)
-        assert model.intercept_ == 0.0
-        assert model.weights_[0] == pytest.approx(2.0)
-
-    def test_unfitted_predict_raises(self):
-        with pytest.raises(ValueError):
-            LinearRegression().predict(np.zeros((1, 1)))
-
-    def test_empty_fit(self):
-        model = LinearRegression().fit(np.zeros((0, 2)), np.zeros(0))
-        assert model.predict(np.ones((1, 2)))[0] == 0.0
-
-    def test_constant_target_r2_zero(self):
-        X = np.arange(10).reshape(-1, 1).astype(float)
-        y = np.full(10, 3.0)
-        model = LinearRegression().fit(X, y)
-        assert model.score(X, y) == 0.0
-
-    def test_negative_regularization_rejected(self):
-        with pytest.raises(ValueError):
-            LinearRegression(reg_param=-1)

@@ -154,7 +154,7 @@ class TestPlanProperties:
     def test_nodes_in_state(self, diamond_dag):
         compute, load = _costs(diamond_dag)
         plan = solve_oep(diamond_dag, compute, load, forced_compute=["d"])
-        assert "d" in plan.nodes_in(NodeState.COMPUTE)
+        assert plan.states["d"] is NodeState.COMPUTE
 
     def test_plan_run_time_matches_states(self):
         states = {"a": NodeState.COMPUTE, "b": NodeState.LOAD, "c": NodeState.PRUNE}

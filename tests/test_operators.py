@@ -15,7 +15,6 @@ from repro.core.operators import (
     FieldExtractor,
     FunctionExtractor,
     InteractionFeature,
-    JoinSynthesizer,
     Learner,
     PredictionsResult,
     Reducer,
@@ -45,13 +44,6 @@ class TestDataSource:
         assert len(dc) == 4
         assert sum(1 for r in dc if r.split is Split.TRAIN) == 3
         assert sum(1 for r in dc if r.split is Split.TEST) == 1
-
-    def test_reads_csv_files(self, tmp_path):
-        train = tmp_path / "train.csv"
-        train.write_text("a,b\n1,2\n3,4\n")
-        dc = DataSource(train_path=str(train)).run([], CTX)
-        assert len(dc) == 2
-        assert dc[0]["a"] == "1"
 
     def test_config_signature_changes_with_params(self):
         def gen(context):
@@ -174,23 +166,6 @@ class TestSynthesizers:
     def test_example_synthesizer_requires_base(self):
         with pytest.raises(OperatorError):
             ExampleSynthesizer().run([], CTX)
-
-    def test_join_synthesizer_inner(self):
-        left = _record_dc([{"k": 1, "x": "a"}, {"k": 2, "x": "b"}])
-        right = _record_dc([{"k": 1, "y": "c"}])
-        out = JoinSynthesizer("k", "k").run([left, right], CTX)
-        assert len(out) == 1
-        assert out[0]["x"] == "a" and out[0]["y"] == "c"
-
-    def test_join_synthesizer_left(self):
-        left = _record_dc([{"k": 1}, {"k": 2}])
-        right = _record_dc([{"k": 1}])
-        out = JoinSynthesizer("k", "k", how="left").run([left, right], CTX)
-        assert len(out) == 2
-
-    def test_join_synthesizer_rejects_bad_how(self):
-        with pytest.raises(WorkflowSpecError):
-            JoinSynthesizer("k", "k", how="outer")
 
 
 class TestLearnerAndReducer:

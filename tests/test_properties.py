@@ -29,7 +29,7 @@ from repro.execution.clock import SimulatedCostModel
 from repro.ml.linear import LogisticRegression
 from repro.optimizer.oep import NodeState, plan_run_time, solve_oep
 from repro.optimizer.omp import cumulative_run_time
-from repro.optimizer.pruning import eviction_schedule, out_of_scope_after
+from repro.optimizer.pruning import out_of_scope_after
 from repro.storage import canonical
 from repro.storage.canonical import (
     CANONICAL_MAGIC,
@@ -97,12 +97,12 @@ class TestDAGProperties:
     def test_eviction_schedule_is_a_partition(self, spec):
         dag = _build(*spec)
         order = list(dag.topological_order())
-        schedule = eviction_schedule(dag, order)
-        evicted = sorted(name for names in schedule.values() for name in names)
-        assert evicted == sorted(order)
-        # No node is evicted before its own execution.
+        scope = out_of_scope_after(dag, order)
+        # Every executed node gets exactly one eviction position...
+        assert sorted(scope) == sorted(order)
+        # ...and no node is evicted before its own execution.
         positions = {name: i for i, name in enumerate(order)}
-        for name, after in out_of_scope_after(dag, order).items():
+        for name, after in scope.items():
             assert after >= positions[name]
 
 

@@ -1,4 +1,4 @@
-"""Unit tests for DAG pruning: slicing, data-driven pruning, eviction schedules."""
+"""Unit tests for DAG pruning: slicing, data-driven pruning, out-of-scope positions."""
 
 from __future__ import annotations
 
@@ -8,12 +8,7 @@ import pytest
 from repro.core.dag import Node, WorkflowDAG
 from repro.core.data import DataCollection, ElementKind, Example, FeatureVector
 from repro.core.operators import PredictionsResult
-from repro.optimizer.pruning import (
-    eviction_schedule,
-    out_of_scope_after,
-    slice_to_outputs,
-    zero_weight_extractors,
-)
+from repro.optimizer.pruning import out_of_scope_after, zero_weight_extractors
 
 from conftest import ConstOperator, SumOperator, make_diamond_dag
 
@@ -26,10 +21,10 @@ class TestSlicing:
             Node.create("unused", SumOperator(), parents=["a"]),
         ]
         dag = WorkflowDAG(nodes)
-        assert set(slice_to_outputs(dag).node_names) == {"a", "out"}
+        assert set(dag.sliced_to_outputs().node_names) == {"a", "out"}
 
     def test_slice_with_explicit_outputs(self, diamond_dag):
-        assert set(slice_to_outputs(diamond_dag, ["c"]).node_names) == {"a", "c"}
+        assert set(diamond_dag.sliced_to_outputs(["c"]).node_names) == {"a", "c"}
 
 
 class _WeightedModel:
@@ -111,14 +106,6 @@ class TestEvictionSchedule:
         assert schedule["a"] == 1
         assert "b" not in schedule
 
-    def test_eviction_schedule_inverts_positions(self, diamond_dag):
-        order = ["a", "b", "c", "d"]
-        schedule = eviction_schedule(diamond_dag, order)
-        assert schedule[2] == ["a"]
-        assert sorted(schedule[3]) == ["b", "c", "d"]
-
     def test_every_executed_node_is_evicted_exactly_once(self, diamond_dag):
         order = ["a", "b", "c", "d"]
-        schedule = eviction_schedule(diamond_dag, order)
-        evicted = [name for names in schedule.values() for name in names]
-        assert sorted(evicted) == sorted(order)
+        assert sorted(out_of_scope_after(diamond_dag, order)) == sorted(order)

@@ -167,7 +167,6 @@ class TestDiff:
         diff = diff_signatures(current, previous)
         assert diff.original == frozenset({"b", "c"})
         assert diff.reusable == frozenset({"a"})
-        assert diff.num_changed == 2
 
     def test_added_and_removed_names(self):
         previous = {"a": "1", "gone": "2"}
@@ -182,23 +181,29 @@ class TestDiff:
         assert diff.reusable == frozenset({"a"})
 
 
+def _tracked_diff(tracker, dag):
+    return diff_signatures(compute_node_signatures(dag), tracker.previous_signatures)
+
+
 class TestChangeTracker:
     def test_lifecycle(self):
         tracker = ChangeTracker()
         dag1 = _dag(offset_b=1.0)
-        assert tracker.classify(dag1).original == frozenset({"a", "b", "c"})
+        assert _tracked_diff(tracker, dag1).original == frozenset({"a", "b", "c"})
         tracker.commit(dag1)
-        assert tracker.iteration == 1
 
         dag2 = _dag(offset_b=2.0)
-        diff = tracker.classify(dag2)
+        diff = _tracked_diff(tracker, dag2)
         assert diff.original == frozenset({"b", "c"})
         tracker.commit(dag2)
 
-        # Reverting to the original offset is recognized: the signatures were
-        # seen at iteration 0, so nothing is original.
+        # The tracker remembers the last iteration only: reverting to the
+        # first offset is original again unless the store still holds it.
         dag3 = _dag(offset_b=1.0)
-        assert tracker.classify(dag3).original == frozenset()
+        assert _tracked_diff(tracker, dag3).original == frozenset({"b", "c"})
+        stored = compute_node_signatures(dag1).values()
+        reverted = diff_signatures(compute_node_signatures(dag3), tracker.previous_signatures, stored)
+        assert reverted.original == frozenset()
 
     def test_commit_with_precomputed_signatures(self):
         tracker = ChangeTracker()
@@ -206,15 +211,14 @@ class TestChangeTracker:
         signatures = compute_node_signatures(dag)
         committed = tracker.commit(dag, signatures)
         assert committed == signatures
-        assert tracker.has_seen(signatures["a"])
+        assert tracker.previous_signatures == signatures
 
     def test_reset(self):
         tracker = ChangeTracker()
         tracker.commit(_dag())
         tracker.reset()
-        assert tracker.iteration == 0
         assert tracker.previous_signatures == {}
-        assert tracker.classify(_dag()).original == frozenset({"a", "b", "c"})
+        assert _tracked_diff(tracker, _dag()).original == frozenset({"a", "b", "c"})
 
     def test_diamond_change_only_affects_descendants(self):
         tracker = ChangeTracker()
@@ -224,6 +228,6 @@ class TestChangeTracker:
         nodes = [modified.node("a"), Node.create("b", SumOperator(offset=9.0, cost=2.0), parents=["a"]),
                  modified.node("c"), modified.node("d")]
         changed = WorkflowDAG(nodes)
-        diff = tracker.classify(changed)
+        diff = _tracked_diff(tracker, changed)
         assert diff.original == frozenset({"b", "d"})
         assert diff.reusable == frozenset({"a", "c"})

@@ -15,7 +15,7 @@ from repro.storage.serialization import (
     serialize,
     serialized_size,
 )
-from repro.storage.store import DiskStore, InMemoryStore
+from repro.storage.store import DiskStore, InMemoryStore, modelled_io_seconds
 
 
 class TestSerialization:
@@ -66,7 +66,7 @@ class TestCatalog:
         catalog.add(self._record("s2", "a", 20))
         catalog.add(self._record("s3", "b", 5))
         assert catalog.total_bytes() == 35
-        assert len(catalog.by_node("a")) == 2
+        assert len(catalog.stale_signatures("a", "")) == 2
 
     def test_stale_signatures(self):
         catalog = Catalog()
@@ -75,8 +75,8 @@ class TestCatalog:
         assert catalog.stale_signatures("a", "new") == ["old"]
 
     def test_node_index_matches_a_scan_of_the_records(self, tmp_path):
-        """by_node / stale_signatures answer from the node index; a scan of
-        every record is the reference, across add, replace, remove and reload."""
+        """stale_signatures answers from the node index; a scan of every
+        record is the reference, across add, replace, remove and reload."""
         rng = random.Random(13)
         path = tmp_path / "catalog.json"
         catalog = Catalog(path=path)
@@ -92,12 +92,11 @@ class TestCatalog:
                 catalog = Catalog(path=path)
             for node in nodes:
                 scanned = [r for r in catalog.records() if r.node_name == node]
-                assert sorted(catalog.by_node(node), key=lambda r: r.signature) == scanned
-                assert sorted(catalog.signatures_for_node(node)) == [r.signature for r in scanned]
+                assert sorted(catalog.stale_signatures(node, "")) == [r.signature for r in scanned]
                 assert sorted(catalog.stale_signatures(node, "s7")) == [
                     r.signature for r in scanned if r.signature != "s7"
                 ]
-        assert catalog.by_node("ghost") == []
+        assert catalog.stale_signatures("ghost", "") == []
 
     def test_persistence(self, tmp_path):
         path = tmp_path / "catalog.json"
@@ -181,17 +180,15 @@ class TestInMemoryStore:
         assert store.purge_node("never_stored") == []
         assert len(store.artifacts()) == 7
         store.clear()
-        assert store.catalog.by_node("node") == [] and store.purge_node("other0") == []
+        assert store.catalog.stale_signatures("node", "") == [] and store.purge_node("other0") == []
 
     def test_modelled_io_time_scales_with_size(self):
-        store = InMemoryStore(disk_bandwidth=1e6)
+        store = InMemoryStore()
         small = store.put("a", "s_small", list(range(10)))
         large = store.put("b", "s_large", list(range(10_000)))
         assert large.write_time > small.write_time
-
-    def test_invalid_bandwidth_rejected(self):
-        with pytest.raises(StorageError):
-            InMemoryStore(disk_bandwidth=0)
+        assert large.write_time == modelled_io_seconds(large.record.size_bytes)
+        assert store.load("s_large")[1] == large.write_time
 
 
 class TestDiskStore:

@@ -140,13 +140,6 @@ class TestKeystoneML:
         assert not KeystoneMLSystem().supports("nlp")
         assert KeystoneMLSystem().supports("census")
 
-    def test_li_overhead_factor(self):
-        plain = KeystoneMLSystem(seed=0)
-        slowed = KeystoneMLSystem(seed=0, li_overhead_factor=5.0)
-        plain_stats = plain.run_iteration(WORKLOAD.build(SMALL), iteration=0)
-        slowed_stats = slowed.run_iteration(WORKLOAD.build(SMALL), iteration=0)
-        assert slowed_stats.component_breakdown()["L/I"] > plain_stats.component_breakdown()["L/I"]
-
 
 class TestDeepDive:
     def test_supports_only_census_and_nlp(self):

@@ -13,7 +13,6 @@ class TestMemoryTracker:
         tracker = MemoryTracker()
         assert tracker.peak_bytes == 0
         assert tracker.average_bytes == 0.0
-        assert tracker.snapshots == []
 
     def test_peak_and_average(self):
         tracker = MemoryTracker()
@@ -61,13 +60,3 @@ class TestRunStats:
         stats = self._stats()
         assert stats.nodes_in_state(NodeState.COMPUTE) == ["a"]
         assert stats.nodes_in_state(NodeState.PRUNE) == ["c"]
-
-    def test_summary_fields(self):
-        summary = self._stats().summary()
-        assert summary["iteration"] == 3
-        assert summary["workflow"] == "census"
-        assert summary["num_computed"] == 1
-        assert summary["num_loaded"] == 1
-        assert summary["num_pruned"] == 1
-        assert summary["num_materialized"] == 1
-        assert summary["total_time"] == pytest.approx(2.75)

