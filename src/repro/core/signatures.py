@@ -24,8 +24,8 @@ recomputed, Constraint 1) or reusable.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Set
 
 from .dag import WorkflowDAG
 
@@ -101,7 +101,7 @@ class ChangeTracker:
 
         diff = diff_signatures(signatures, tracker.previous_signatures, stored)
         ...execute...
-        tracker.commit(dag, signatures)     # record this iteration's signatures
+        tracker.commit(signatures)          # record this iteration's signatures
 
     Reuse of older iterations' results comes from ``known_signatures`` (the
     signatures the store holds), because a materialization produced at any
@@ -115,11 +115,9 @@ class ChangeTracker:
     def previous_signatures(self) -> Dict[str, str]:
         return dict(self._previous)
 
-    def commit(self, dag: WorkflowDAG, signatures: Optional[Mapping[str, str]] = None) -> Dict[str, str]:
-        """Record the signatures of an executed iteration and return them."""
-        resolved = dict(signatures) if signatures is not None else compute_node_signatures(dag)
-        self._previous = dict(resolved)
-        return resolved
+    def commit(self, signatures: Mapping[str, str]) -> None:
+        """Record the signatures of an executed iteration."""
+        self._previous = dict(signatures)
 
     def reset(self) -> None:
         self._previous.clear()

@@ -41,6 +41,9 @@ class KMeans:
         self.inertia_: float = float("inf")
         self.n_iter_: int = 0
 
+    def set_seed(self, seed: int) -> None:
+        self._seed = int(seed)
+
     # ------------------------------------------------------------------ fitting
     def _init_centers(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """k-means++ initialization."""

@@ -164,5 +164,5 @@ class HelixSystem(System):
         run_stats.iteration_type = iteration_type
 
         # Commit signatures so the next iteration can detect changes.
-        self.tracker.commit(dag, signatures)
+        self.tracker.commit(signatures)
         return run_stats

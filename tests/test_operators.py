@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.data import DataCollection, ElementKind, FeatureVector, Record, SemanticUnit, Split
+from repro.core.data import DataCollection, ElementKind, Example, FeatureVector, Record, SemanticUnit, Split
 from repro.core.operators import (
     Bucketizer,
     Component,
@@ -22,6 +22,7 @@ from repro.core.operators import (
     Scanner,
 )
 from repro.exceptions import OperatorError, WorkflowSpecError
+from repro.ml.kmeans import KMeans
 from repro.ml.linear import LogisticRegression
 
 CTX = RunContext(seed=0)
@@ -194,6 +195,24 @@ class TestLearnerAndReducer:
         predictions = [e.prediction for e in result.predictions]
         agreement = np.mean([l == p for l, p in zip(labels, predictions)])
         assert agreement > 0.8
+
+    def test_unsupervised_learner_seeds_model_from_context(self):
+        # Learner reseeds the estimator through its set_seed hook, so the
+        # run's seed, not the constructor default, picks the clustering.
+        points = np.random.default_rng(1).uniform(size=(60, 2))
+        examples = DataCollection(
+            "ex",
+            [Example(features=FeatureVector.from_dense(p)) for p in points],
+            kind=ElementKind.EXAMPLE,
+        )
+        learner = Learner(KMeans, params={"n_clusters": 4}, supervised=False)
+        clusterings = []
+        for seed in (1, 2):
+            result = learner.run([examples], RunContext(seed=seed))
+            predictions = [e.prediction for e in result.predictions]
+            assert predictions == list(KMeans(n_clusters=4, seed=seed).fit(points).predict(points))
+            clusterings.append(predictions)
+        assert clusterings[0] != clusterings[1]
 
     def test_learner_component_is_li(self):
         assert Learner(LogisticRegression).component is Component.LI

@@ -190,12 +190,12 @@ class TestChangeTracker:
         tracker = ChangeTracker()
         dag1 = _dag(offset_b=1.0)
         assert _tracked_diff(tracker, dag1).original == frozenset({"a", "b", "c"})
-        tracker.commit(dag1)
+        tracker.commit(compute_node_signatures(dag1))
 
         dag2 = _dag(offset_b=2.0)
         diff = _tracked_diff(tracker, dag2)
         assert diff.original == frozenset({"b", "c"})
-        tracker.commit(dag2)
+        tracker.commit(compute_node_signatures(dag2))
 
         # The tracker remembers the last iteration only: reverting to the
         # first offset is original again unless the store still holds it.
@@ -209,20 +209,19 @@ class TestChangeTracker:
         tracker = ChangeTracker()
         dag = _dag()
         signatures = compute_node_signatures(dag)
-        committed = tracker.commit(dag, signatures)
-        assert committed == signatures
+        tracker.commit(signatures)
         assert tracker.previous_signatures == signatures
 
     def test_reset(self):
         tracker = ChangeTracker()
-        tracker.commit(_dag())
+        tracker.commit(compute_node_signatures(_dag()))
         tracker.reset()
         assert tracker.previous_signatures == {}
         assert _tracked_diff(tracker, _dag()).original == frozenset({"a", "b", "c"})
 
     def test_diamond_change_only_affects_descendants(self):
         tracker = ChangeTracker()
-        tracker.commit(make_diamond_dag())
+        tracker.commit(compute_node_signatures(make_diamond_dag()))
         modified = make_diamond_dag()
         # Rebuild with a changed 'b' offset only.
         nodes = [modified.node("a"), Node.create("b", SumOperator(offset=9.0, cost=2.0), parents=["a"]),

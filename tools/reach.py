@@ -1,30 +1,56 @@
 #!/usr/bin/env python3
 """Which ``src/repro`` functions do the system's own entry points execute?
 
-    python tools/reach.py [--only e2e ...] [--all] [--dumps DIR]
+    python tools/reach.py [DIR]
 
-Each entry point (e2e workloads, script benchmarks, paper-figure tests, examples, the CI serve/submit
-round trip; ~7 min on 2 cores) runs under a generated ``sitecustomize.py`` whose hook (:func:`record`)
-notes the first call of every ``src/`` code object, in every thread and child process.  The table lists
-each unreached definition (a never-constructed class is one row) and why it stays (``reach_keep.txt``
-or the dunder/abstract rule); exit status 1 if one has no reason.  ``--all`` adds what reached each function.
+Runs the e2e workloads, script benchmarks, paper-figure tests, examples and
+the CI serve/submit round trip (about 7 min on 2 cores), each under a
+generated ``sitecustomize.py`` whose hook (:func:`record`) notes the first
+call of every ``src/`` code object in every thread and child process.  Then
+prints each unreached definition (a never-constructed class is one row) with
+why it stays: a reason from ``reach_keep.txt``, or the dunder/abstract rule.
+Exits 1 if one has no reason.  ``DIR`` keeps the per-process dumps; a run on
+a ``DIR`` that already holds dumps only reports.
 """
 
-import argparse, ast, atexit, fnmatch, functools, importlib, json, os  # noqa: E401
-import signal, subprocess, sys, tempfile, threading, time, traceback  # noqa: E401
+import argparse
+import ast
+import atexit
+import fnmatch
+import functools
+import importlib
+import json
+import os
+import signal
+import subprocess
+import sys
+import tempfile
+import threading
+import time
+import traceback
 from collections import namedtuple
 from pathlib import Path
 
-ROOT, PY = Path(__file__).resolve().parents[1], sys.executable
+ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
-HOOK = ("import sys\nsys.path.insert(0, {tools!r})\nimport reach\nsys.path.pop(0)\n"
-        "reach.record({out!r}, {label!r}, {src!r})\n")
-Unit = namedtuple("Unit", "file name lines parent members auto is_class")  # auto: "dunder", "abstract" or ""
+PY = sys.executable
+HOOK = """import sys
+sys.path.insert(0, {tools!r})
+import reach
+sys.path.pop(0)
+reach.record({out!r}, {label!r}, {src!r})
+"""
+
+#: One def or class.  ``auto`` is "dunder", "abstract" or "": the reason a
+#: definition stays without being listed in ``reach_keep.txt``.
+Unit = namedtuple("Unit", "file name lines parent members auto is_class")
 
 
 def record(out_dir: str, label: str, src: str) -> None:
     """Profile hook: collect ``file:firstline`` of every src/ code object called."""
-    prefix, seen, hits = src + os.sep, set(), set()
+    prefix = src + os.sep
+    seen = set()
+    hits = set()
 
     def profile(frame, event, arg):
         code = frame.f_code
@@ -39,49 +65,81 @@ def record(out_dir: str, label: str, src: str) -> None:
             json.dump(sorted(hits.copy()), handle)
         os.replace(path + ".tmp", path)
 
-    def dump_periodically():  # a killed worker never reaches atexit
-        while not time.sleep(0.5):
+    def dump_periodically():
+        # A killed worker never reaches atexit.
+        while True:
+            time.sleep(0.5)
             dump()
 
-    def arm():  # forked workers inherit no threads, so re-arm in the child
+    def arm():
+        # Forked workers inherit no threads, so the child re-arms itself.
         sys.setprofile(profile)
         threading.setprofile(profile)
         threading.Thread(target=dump_periodically, daemon=True).start()
 
-    os._exit = lambda code, real_exit=os._exit: (dump(), real_exit(code))  # how forked children leave
+    real_exit = os._exit
+
+    def exit_after_dump(code):
+        # Forked children leave through os._exit, which skips atexit.
+        dump()
+        real_exit(code)
+
+    os._exit = exit_after_dump
     atexit.register(dump)
     os.register_at_fork(after_in_child=arm)
     arm()
 
 
+class _Benchmark:
+    """Stands in for pytest-benchmark's fixture, which would replace the profiler."""
+
+    def pedantic(self, fn, **options):
+        return fn()
+
+
 def paper_figures() -> int:
-    """Call the figure/table benchmark tests directly: pytest-benchmark would replace the profiler."""
+    """Call the figure/table benchmark tests directly, every parametrized case."""
     sys.path.insert(0, str(ROOT / "benchmarks"))
-    benchmark, failed = type("Benchmark", (), {"pedantic": lambda self, fn, **options: fn()})(), 0
-    names = sorted(p.stem for p in ROOT.glob("benchmarks/bench_*.py") if p.stem.startswith(("bench_fig", "bench_tab")))
-    for module in map(importlib.import_module, names):  # Figure 7c's executor runs are bench:fig7_scalability
+    names = sorted(
+        path.stem
+        for path in ROOT.glob("benchmarks/bench_*.py")
+        if path.stem.startswith(("bench_fig", "bench_tab"))
+    )
+    failed = 0
+    for module in map(importlib.import_module, names):
         for name, test in sorted(vars(module).items()):
-            if name.startswith("test_") and not name.startswith("test_fig7c") and test.__module__ == module.__name__:
-                marks = [mark for mark in getattr(test, "pytestmark", []) if mark.name == "parametrize"]
-                for case in [{mark.args[0]: value} for mark in marks for value in mark.args[1]] or [{}]:
-                    try:
-                        test(benchmark, **case)
-                    except Exception:  # report every failing test, not just the first
-                        failed += 1
-                        traceback.print_exc()
+            # Figure 7c's executor runs are the bench:fig7_scalability entry point.
+            if not name.startswith("test_") or name.startswith("test_fig7c"):
+                continue
+            if test.__module__ != module.__name__:
+                continue
+            marks = [mark for mark in getattr(test, "pytestmark", []) if mark.name == "parametrize"]
+            cases = [{mark.args[0]: value} for mark in marks for value in mark.args[1]]
+            for case in cases or [{}]:
+                try:
+                    test(_Benchmark(), **case)
+                except Exception:  # report every failing test, not just the first
+                    failed += 1
+                    traceback.print_exc()
     return 1 if failed else 0
 
 
 def serve_round_trip(env, log) -> int:
     """CI serve-smoke: a fair-scheduled daemon, two tenants' concurrent verified submits, SIGTERM."""
-    serve = subprocess.Popen([PY, "-m", "repro", "serve", "--port", "0", "--max-workers", "2", "--max-concurrent-runs",
-                              "2", "--scheduler", "fair", "--tenant-weight", "team-a=2"], cwd=ROOT, env=env,
-                             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-    address = serve.stdout.readline().rsplit(" ", 1)[-1].strip()  # "repro service listening on HOST:PORT"
-    submit = [PY, "-m", "repro", "submit", "--address", address, "--workload", "census", "--iterations", "2",
-              "--scale", "0.25", "--seed", "7", "--verify-inline"]
-    runs = [subprocess.Popen(submit + ["--tenant", tenant, "--priority", priority], cwd=ROOT, env=env, stdout=log,
-                             stderr=subprocess.STDOUT) for tenant, priority in (("team-a", "2"), ("team-b", "7"))]
+    serve = subprocess.Popen(
+        [PY, "-m", "repro", "serve", "--port", "0", "--max-workers", "2",
+         "--max-concurrent-runs", "2", "--scheduler", "fair", "--tenant-weight", "team-a=2"],
+        cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+    # The first line is "repro service listening on HOST:PORT".
+    address = serve.stdout.readline().rsplit(" ", 1)[-1].strip()
+    submit = [PY, "-m", "repro", "submit", "--address", address, "--workload", "census",
+              "--iterations", "2", "--scale", "0.25", "--seed", "7", "--verify-inline"]
+    runs = [
+        subprocess.Popen(submit + ["--tenant", tenant, "--priority", priority],
+                         cwd=ROOT, env=env, stdout=log, stderr=subprocess.STDOUT)
+        for tenant, priority in (("team-a", "2"), ("team-b", "7"))
+    ]
     codes = [run.wait() for run in runs]
     serve.send_signal(signal.SIGTERM)
     log.write(serve.communicate(timeout=120)[0])
@@ -89,34 +147,59 @@ def serve_round_trip(env, log) -> int:
 
 
 def entry_points():
-    points = {f"e2e:{w}": [PY, "benchmarks/e2e/run.py", "--workload", w, "--seed", "7", "--seconds", "1", "--trace",
-                           "1"] for w in ("census_reuse", "mnist_churn", "synth1k_optimizer", "wide_distributed")}
-    points.update({f"bench:{b}": [PY, f"benchmarks/bench_{b}.py", "--smoke"]
-                   for b in ("fig7_scalability", "optimizer_micro", "serialization_micro")})
-    points["bench:paper_figures"] = [PY, "-c", "import sys; sys.path.insert(0, 'tools'); import reach; "
-                                               "sys.exit(reach.paper_figures())"]
-    points.update({f"example:{p.stem}": [PY, f"examples/{p.name}"] for p in sorted((ROOT / "examples").glob("*.py"))})
+    """Label -> argv to run, or a callable ``(env, log) -> exit code``."""
+    points = {}
+    for workload in ("census_reuse", "mnist_churn", "synth1k_optimizer", "wide_distributed"):
+        points[f"e2e:{workload}"] = [PY, "benchmarks/e2e/run.py", "--workload", workload,
+                                     "--seed", "7", "--seconds", "1", "--trace", "1"]
+    for bench in ("fig7_scalability", "optimizer_micro", "serialization_micro"):
+        points[f"bench:{bench}"] = [PY, f"benchmarks/bench_{bench}.py", "--smoke"]
+    points["bench:paper_figures"] = [
+        PY, "-c",
+        "import sys; sys.path.insert(0, 'tools'); import reach; sys.exit(reach.paper_figures())",
+    ]
+    for path in sorted((ROOT / "examples").glob("*.py")):
+        points[f"example:{path.stem}"] = [PY, f"examples/{path.name}"]
     points["example:distributed_lifecycle --remote"] = [PY, "examples/distributed_lifecycle.py", "--remote"]
-    return {**points, "serve+submit": serve_round_trip}
+    points["serve+submit"] = serve_round_trip
+    return points
 
 
-def run(labels, out_dir: Path) -> None:
-    for index, label in enumerate(labels):
+def run(out_dir: Path) -> None:
+    """Run every entry point under the hook; dumps land in ``out_dir``."""
+    for index, (label, command) in enumerate(entry_points().items()):
         hook_dir = out_dir / "hooks" / str(index)
         hook_dir.mkdir(parents=True)
-        (hook_dir / "sitecustomize.py").write_text(
-            HOOK.format(tools=str(ROOT / "tools"), out=str(out_dir), label=label, src=str(SRC)))
+        hook = HOOK.format(tools=str(ROOT / "tools"), out=str(out_dir), label=label, src=str(SRC))
+        (hook_dir / "sitecustomize.py").write_text(hook)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(hook_dir), str(SRC.parent)]))
-        command, started = entry_points()[label], time.perf_counter()
+        started = time.perf_counter()
         with open(out_dir / f"log{index}.txt", "w") as log:
-            code = command(env, log) if callable(command) else subprocess.run(
-                command, cwd=ROOT, env=env, stdout=log, stderr=subprocess.STDOUT).returncode
+            if callable(command):
+                code = command(env, log)
+            else:
+                code = subprocess.run(command, cwd=ROOT, env=env, stdout=log,
+                                      stderr=subprocess.STDOUT).returncode
         print(f"{label:<40} exit {code}  {time.perf_counter() - started:6.1f} s", flush=True)
     time.sleep(1.0)  # let orphaned workers write their last dump
 
 
-def definitions():  # every def/class under src/repro, keyed "file:firstline"
+def definitions():
+    """Every def/class under src/repro, keyed ``file:firstline``."""
     units = {}
+
+    def auto_reason(node):
+        if isinstance(node, ast.ClassDef):
+            return ""
+        if node.name.startswith("__") and node.name.endswith("__"):
+            return "dunder"
+        decorators = {getattr(d, "id", getattr(d, "attr", "")) for d in node.decorator_list}
+        body = [s for s in node.body if not (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))]
+        stub = all(
+            isinstance(s, ast.Pass) or (isinstance(s, ast.Raise) and "NotImplementedError" in ast.dump(s))
+            for s in body
+        )
+        return "abstract" if "abstractmethod" in decorators or stub else ""
 
     def visit(node, rel, prefix, parent):
         for child in ast.iter_child_nodes(node):
@@ -124,13 +207,11 @@ def definitions():  # every def/class under src/repro, keyed "file:firstline"
                 visit(child, rel, prefix, parent)
                 continue
             first = min([d.lineno for d in child.decorator_list] + [child.lineno])
-            is_class, key, name = isinstance(child, ast.ClassDef), f"{rel}:{first}", prefix + child.name
-            body = [s for s in child.body if not (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))]
-            decorators = {getattr(d, "id", getattr(d, "attr", "")) for d in child.decorator_list}
-            auto = "" if is_class else "dunder" if child.name.startswith("__") and child.name.endswith("__") else (
-                "abstract" if "abstractmethod" in decorators or all(isinstance(s, ast.Pass) or (
-                    isinstance(s, ast.Raise) and "NotImplementedError" in ast.dump(s)) for s in body) else "")
-            units[key] = Unit(rel, name, child.end_lineno - first + 1, parent, [], auto, is_class)
+            is_class = isinstance(child, ast.ClassDef)
+            key = f"{rel}:{first}"
+            name = prefix + child.name
+            lines = child.end_lineno - first + 1
+            units[key] = Unit(rel, name, lines, parent, [], auto_reason(child), is_class)
             if parent is not None:
                 units[parent].members.append(key)
             visit(child, rel, f"{name}." if is_class else f"{name}.<locals>.", key)
@@ -140,58 +221,74 @@ def definitions():  # every def/class under src/repro, keyed "file:firstline"
     return units
 
 
-def report(out_dir: Path, show_all: bool) -> int:
-    units, keep, why, reached_by = definitions(), {}, "", {}
-    for line in (ROOT / "tools" / "reach_keep.txt").read_text().splitlines():  # "reason: pattern ..." + indented lines
-        if line.strip() and not line.startswith("#"):
-            if not line[0].isspace():
-                why, line = line.split(": ", 1)
-            keep.setdefault(why, []).extend(line.split())
+def keep_reasons():
+    """``reach_keep.txt``: "reason: pattern ...", continued on indented lines."""
+    keep = {}
+    why = ""
+    for line in (ROOT / "tools" / "reach_keep.txt").read_text().splitlines():
+        if not line.strip() or line.startswith("#"):
+            continue
+        if not line[0].isspace():
+            why, line = line.split(": ", 1)
+        keep.setdefault(why, []).extend(line.split())
+    return keep
+
+
+def report(out_dir: Path) -> int:
+    units = definitions()
+    keep = keep_reasons()
+    reached = set()
     for dump in out_dir.glob("*@*.json"):
-        for key in json.loads(dump.read_text()):
-            reached_by.setdefault(key, set()).add(dump.name.split("@")[0])
+        reached.update(json.loads(dump.read_text()))
     functions = [key for key, unit in units.items() if not unit.is_class]
 
     @functools.lru_cache(maxsize=None)
     def dead(key):
         unit = units[key]
-        if unit.is_class:  # never constructed: an own __init__ that never ran, and no method that did
-            return any(units[k].name.endswith(".__init__") for k in unit.members) and all(map(dead, unit.members))
-        return key not in reached_by
+        if unit.is_class:
+            # Never constructed: an own __init__ that never ran, and no method that did.
+            has_init = any(units[k].name.endswith(".__init__") for k in unit.members)
+            return has_init and all(map(dead, unit.members))
+        return key not in reached
 
-    def reason(unit):
-        qualified = f"{unit.file}:{unit.name}"
-        return next((why for why, patterns in keep.items() if any(fnmatch.fnmatchcase(qualified, p) for p in patterns)),
-                    unit.auto)
-
-    def covered(key):  # inside an unreached definition that has its own row
+    def covered(key):
+        # Inside an unreached definition that has its own row.
         parent = units[key].parent
         return parent is not None and (dead(parent) or covered(parent))
 
-    rows = [(unit.file, unit.name + " (class)" * unit.is_class, unit.lines, reason(unit))
-            for key, unit in units.items() if dead(key) and not covered(key)]
+    def reason(unit):
+        qualified = f"{unit.file}:{unit.name}"
+        for why, patterns in keep.items():
+            if any(fnmatch.fnmatchcase(qualified, pattern) for pattern in patterns):
+                return why
+        return unit.auto
+
+    rows = [
+        (unit.file, unit.name + " (class)" * unit.is_class, unit.lines, reason(unit))
+        for key, unit in units.items()
+        if dead(key) and not covered(key)
+    ]
     print(f"\n{'file':<28} {'unreached definition':<48} {'lines':>5}  keep")
     for rel, name, lines, why in sorted(rows):
         print(f"{rel:<28} {name:<48} {lines:>5}  {why or '-'}")
     loose = [row for row in rows if not row[3]]
-    print(f"\nreached {sum(k in reached_by for k in functions)} of {len(functions)} functions; unreached "
-          f"{len(rows)} definitions ({sum(r[2] for r in rows)} lines), {len(loose)} without a keep reason "
-          f"({sum(r[2] for r in loose)} lines)")
-    for key in functions if show_all else ():
-        print(f"{units[key].file}:{units[key].name}  {','.join(sorted(reached_by.get(key, ()))) or '-'}")
+    print(
+        f"\nreached {sum(key in reached for key in functions)} of {len(functions)} functions; "
+        f"unreached {len(rows)} definitions ({sum(row[2] for row in rows)} lines), "
+        f"{len(loose)} without a keep reason ({sum(row[2] for row in loose)} lines)"
+    )
     return 1 if loose else 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", nargs="*", default=[], help="run entry points whose name contains one of these")
-    parser.add_argument("--all", action="store_true", help="also list every function and what reached it")
-    parser.add_argument("--dumps", metavar="DIR", help="keep the per-process dumps in DIR; reuse them if present")
+    parser.add_argument("dumps", nargs="?", help="keep the per-process dumps here; reuse them if present")
     args = parser.parse_args(argv)
     out_dir = Path(args.dumps or tempfile.mkdtemp(prefix="reach-"))
+    out_dir.mkdir(parents=True, exist_ok=True)
     if not any(out_dir.glob("*@*.json")):
-        run([label for label in entry_points() if not args.only or any(o in label for o in args.only)], out_dir)
-    return report(out_dir, args.all)
+        run(out_dir)
+    return report(out_dir)
 
 
 if __name__ == "__main__":
