@@ -18,12 +18,17 @@ baseline (protocol 5):
   ``digits`` and ``rffFeatures``), built deterministically by running the
   first iteration of each workload with every node materialized: canonical
   vs pickle bytes and best-of-N encode/decode milliseconds per artifact.
+  Both formats serialize a ``DataCollection`` through its
+  ``__getstate__``/``__setstate__`` pair, so pickle also sees the columnar
+  state.
 
 Running this file as a script (``python benchmarks/bench_serialization_micro.py
 [--smoke] [--json PATH]``) executes all sections standalone, without
 pytest-benchmark, and enforces the size and zero-copy bars — including
-canonical <= 1.10x pickle bytes on every data-model artifact; throughput
-and the data-model speed ratios are report-only (absolute rates are
+canonical <= 1.10x pickle bytes on every data-model artifact, and the
+structural check that every data-model artifact's ``DataCollection`` took
+the columnar state rather than falling back to rows; throughput and the
+data-model speed ratios are report-only (absolute rates are
 machine-specific).  ``--json`` dumps every section's measurements for the
 CI artifact upload; CI runs the smoke variant on every push (see
 ``.github/workflows/ci.yml``).
@@ -40,6 +45,8 @@ from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
+from repro.core.data import DataCollection
+from repro.core.operators import PredictionsResult
 from repro.execution.clock import SimulatedCostModel
 from repro.storage.canonical import decode, encode, encode_segments
 from repro.storage.serialization import deserialize, serialize
@@ -198,8 +205,18 @@ def measure_data_model(scale: float, repeats: int = 7) -> Dict[str, Dict[str, fl
             "pickle_dumps_ms": _best_ms(lambda: pickle.dumps(value, protocol=5), repeats),
             "pickle_loads_ms": _best_ms(lambda: pickle.loads(pickled), repeats),
             "round_trip_exact": encode(decode(payload)) == payload,
+            "columnar": _columnar(value),
         }
     return rows
+
+
+def _columnar(value: Any) -> bool:
+    """Whether the artifact's collection states itself as columns.
+
+    The row form is the three-tuple ``(name, kind, elements)``.
+    """
+    collection = value.predictions if isinstance(value, PredictionsResult) else value
+    return isinstance(collection, DataCollection) and len(collection.__getstate__()) != 3
 
 
 def _format_data_model(rows: Dict[str, Dict[str, float]]) -> List[str]:
@@ -223,6 +240,8 @@ def _data_model_failures(rows: Dict[str, Dict[str, float]]) -> List[str]:
     for name, row in rows.items():
         if not row["round_trip_exact"]:
             failures.append(f"{name}: decode does not re-encode to the same bytes")
+        if not row["columnar"]:
+            failures.append(f"{name}: its DataCollection fell back to the row state")
         if row["size_ratio"] > DATA_MODEL_SIZE_BAR:
             failures.append(
                 f"{name}: canonical payload is {row['size_ratio']:.2f}x pickle — above "
@@ -346,7 +365,8 @@ def main(argv=None) -> int:
         worst = max(row["size_ratio"] for row in sections["data_model"].values())
         print(
             f"OK: data-model artifacts at most {worst:.2f}x pickle bytes "
-            f"(bar {DATA_MODEL_SIZE_BAR:g}x); speed ratios are report-only"
+            f"(bar {DATA_MODEL_SIZE_BAR:g}x), every collection columnar; "
+            f"speed ratios are report-only"
         )
 
     if args.json:

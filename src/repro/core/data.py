@@ -20,9 +20,12 @@ sequence of homogeneous elements together with a ``split`` tag per element
 
 from __future__ import annotations
 
+import collections.abc
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate, chain, repeat
 from typing import (
     Any,
     Callable,
@@ -237,6 +240,18 @@ class DataCollection:
     ``kind`` records the element type so that downstream operators can check
     their inputs, and :meth:`filter` with the split tags (:meth:`test`)
     implements the unified train/test handling from Section 3.2.1.
+
+    Serialized (canonical encoding, pickle, copy), a collection whose
+    elements are all exactly :class:`Record`, :class:`SemanticUnit` or
+    :class:`Example` — each with exactly its declared attributes, splits
+    that are :class:`Split` members, and feature vectors and field /
+    provenance dicts keyed by exact ``str`` — states itself as columns: one
+    tuple per attribute, and each dict column as an id per row into the
+    collection's table of sorted key tuples ("shapes") plus one flat tuple
+    of the values in key order.  Restoring rebuilds the same row objects
+    eagerly, their dicts in sorted key order.  Any other collection (mixed
+    or subclassed elements, an ad-hoc attribute, no elements) keeps the row
+    form, ``(name, kind, elements)``.
     """
 
     __slots__ = ("name", "elements", "kind")
@@ -263,6 +278,21 @@ class DataCollection:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DataCollection({self.name!r}, n={len(self.elements)}, kind={self.kind.value})"
+
+    # -- serialized state ---------------------------------------------------
+    def __getstate__(self) -> Tuple[Any, ...]:
+        """``(name, kind, row class, shape lengths, shape keys, *columns)``, or the rows."""
+        columns = _to_columns(self.elements)
+        if columns is None:
+            return (self.name, self.kind, self.elements)
+        return (self.name, self.kind, *columns)
+
+    def __setstate__(self, state: Tuple[Any, ...]) -> None:
+        if len(state) == 3:
+            self.name, self.kind, self.elements = state
+        else:
+            self.name, self.kind, row_class, shape_lengths, shape_keys, *columns = state
+            self.elements = _from_columns(row_class, shape_lengths, shape_keys, columns)
 
     # -- selectors ----------------------------------------------------------
     def _split_of(self, element: Any) -> Split:
@@ -331,9 +361,8 @@ class DataCollection:
         The estimate intentionally avoids a full pickle round trip: it counts
         feature entries, record fields and dense array bytes.
         """
-        total = 64
+        total = 64 + 56 * len(self.elements)
         for element in self.elements:
-            total += 56
             features = getattr(element, "features", None)
             if isinstance(features, FeatureVector):
                 total += 48 * len(features)
@@ -342,7 +371,11 @@ class DataCollection:
             if isinstance(element, SemanticUnit) and isinstance(element.output, FeatureVector):
                 total += 48 * len(element.output)
             fields = getattr(element, "fields", None)
-            if isinstance(fields, Mapping):
+            # typing.Mapping's isinstance check costs several times the
+            # collections.abc one; plain dicts skip the ABC machinery.
+            if fields is not None and (
+                type(fields) is dict or isinstance(fields, collections.abc.Mapping)
+            ):
                 for value in fields.values():
                     if isinstance(value, str):
                         total += 40 + len(value)
@@ -353,3 +386,137 @@ class DataCollection:
             if isinstance(element, np.ndarray):
                 total += int(element.nbytes)
         return total
+
+
+# ---------------------------------------------------------------------------
+# Columnar state of a DataCollection
+# ---------------------------------------------------------------------------
+#: Column forms: the attribute values as one tuple; the values of Split
+#: members; feature vectors; str-keyed dicts.  The last two are ``(shape
+#: ids, values)`` pairs against the collection's shape table.
+_PLAIN, _SPLIT, _VECTOR, _DICT = range(4)
+
+#: The row classes with a columnar state: every attribute, in constructor
+#: argument order, with the form of its column.
+_COLUMNS: Dict[type, Tuple[Tuple[str, int], ...]] = {
+    Record: (("fields", _DICT), ("split", _SPLIT)),
+    SemanticUnit: (("input", _PLAIN), ("source", _PLAIN), ("output", _VECTOR), ("split", _SPLIT)),
+    Example: (
+        ("features", _VECTOR),
+        ("label", _PLAIN),
+        ("split", _SPLIT),
+        ("provenance", _DICT),
+        ("prediction", _PLAIN),
+        ("score", _PLAIN),
+    ),
+}
+_ROW_CLASSES = {cls.__name__: cls for cls in _COLUMNS}
+_SPLITS = {split.value: split for split in Split}
+
+
+def _to_columns(elements: Tuple[Any, ...]) -> Optional[Tuple[Any, ...]]:
+    """``(row class, shape lengths, shape keys, *columns)``; None keeps the rows."""
+    if not elements:
+        return None
+    row_class = type(elements[0])
+    layout = _COLUMNS.get(row_class)
+    if layout is None or len(set(map(type, elements))) != 1:
+        return None
+    names = [name for name, _form in layout]
+    # An ad-hoc (or deleted) attribute has no column: only the row form keeps it.
+    if not all(map(operator.eq, map(dict.keys, map(vars, elements)), repeat(set(names)))):
+        return None
+    shapes: Dict[Tuple[str, ...], int] = {}
+    columns: List[Any] = []
+    for (_name, form), column in zip(layout, zip(*map(operator.attrgetter(*names), elements))):
+        if form == _SPLIT:
+            if set(map(type, column)) != {Split}:
+                return None
+            # _value_, not the slower Enum.value property
+            column = tuple(map(operator.attrgetter("_value_"), column))
+        elif form != _PLAIN:
+            if form == _VECTOR:
+                if set(map(type, column)) != {FeatureVector}:
+                    return None
+                try:
+                    column = tuple(map(operator.attrgetter("_values"), column))
+                except AttributeError:  # an unset slot
+                    return None
+            column = _dict_column(column, shapes)
+            if column is None:
+                return None
+        columns.append(column)
+    # The shape table travels flat: each shape's length, then all its keys.
+    lengths = tuple(map(len, shapes))
+    return (row_class.__name__, lengths, tuple(chain.from_iterable(shapes)), *columns)
+
+
+def _dict_column(
+    dicts: Sequence[Any], shapes: Dict[Tuple[str, ...], int]
+) -> Optional[Tuple[Tuple[int, ...], Tuple[Any, ...]]]:
+    """``(shape ids, values)`` of exact str-keyed dicts; None for anything else.
+
+    Each dict's shape is its sorted key tuple, interned in ``shapes``; its
+    values join one flat tuple in that key order.
+    """
+    if set(map(type, dicts)) != {dict}:
+        return None
+    if not set(map(type, chain.from_iterable(dicts))) <= {str}:  # every key
+        return None
+    rows = list(map(tuple, map(sorted, dicts)))
+    for keys in dict.fromkeys(rows):  # distinct shapes, in order of first use
+        shapes.setdefault(keys, len(shapes))
+    values = tuple([mapping[key] for mapping, keys in zip(dicts, rows) for key in keys])
+    return tuple(map(shapes.__getitem__, rows)), values
+
+
+def _from_columns(
+    row_class: str,
+    shape_lengths: Sequence[int],
+    shape_keys: Tuple[str, ...],
+    columns: Sequence[Any],
+) -> Tuple[Any, ...]:
+    """The rows :func:`_to_columns` turned into ``columns``, rebuilt eagerly."""
+    cls = _ROW_CLASSES[row_class]
+    layout = _COLUMNS[cls]
+    if len(columns) != len(layout):
+        raise ValueError(f"{row_class} columns: expected {len(layout)}, got {len(columns)}")
+    bounds = list(accumulate(shape_lengths, initial=0))
+    if bounds[-1] != len(shape_keys):
+        raise ValueError(f"shape table of {bounds[-1]} keys carries {len(shape_keys)}")
+    shapes = list(map(shape_keys.__getitem__, map(slice, bounds, bounds[1:])))
+    lengths = set()
+    built: List[Iterable[Any]] = []
+    for (_name, form), column in zip(layout, columns):
+        if form in (_VECTOR, _DICT):
+            ids, values = column
+            lengths.add(len(ids))
+            column = _dicts(shapes, ids, values)
+            if form == _VECTOR:
+                column = map(_vector, column)
+        else:
+            lengths.add(len(column))
+            if form == _SPLIT:
+                column = map(_SPLITS.__getitem__, column)
+        built.append(column)
+    if len(lengths) != 1:
+        raise ValueError(f"{row_class} columns of unequal lengths {sorted(lengths)}")
+    return tuple(map(cls, *built))
+
+
+def _dicts(
+    shapes: Sequence[Tuple[str, ...]], ids: Sequence[int], values: Sequence[Any]
+) -> List[Dict[str, Any]]:
+    keys = list(map(shapes.__getitem__, ids))
+    expected = sum(map(len, keys))
+    if expected != len(values):
+        raise ValueError(f"dict column of {expected} keys carries {len(values)} values")
+    rest = iter(values)
+    # zip stops at the exhausted key tuple before drawing from ``rest``.
+    return [dict(zip(shape, rest)) for shape in keys]
+
+
+def _vector(values: Dict[str, float]) -> FeatureVector:
+    vector = FeatureVector.__new__(FeatureVector)
+    vector._values = values
+    return vector

@@ -28,6 +28,7 @@ import hashlib
 import inspect
 import json
 import uuid
+import zlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
@@ -641,7 +642,8 @@ class ExampleSynthesizer(Synthesizer):
     @staticmethod
     def _label_from(fv: FeatureVector) -> float:
         # A label SU is either a scalar feature or a one-hot indicator; for
-        # indicators we map the category deterministically to {0, 1, 2, ...}.
+        # indicators we map the category deterministically to {0, 1, 2, ...}
+        # (CRC-32, not the builtin hash, which differs between processes).
         if len(fv) == 1:
             ((name, value),) = list(fv.items())
             if "=" in name:
@@ -649,7 +651,7 @@ class ExampleSynthesizer(Synthesizer):
                 try:
                     return float(category)
                 except ValueError:
-                    return float(abs(hash(category)) % 2)
+                    return float(zlib.crc32(category.encode("utf-8", "surrogatepass")) % 2)
             return float(value)
         return float(fv.norm() > 0)
 

@@ -68,12 +68,13 @@ class OperatorCache:
             self._entries[name] = entry
         return entry
 
-    def get(self, name: str) -> Any:
+    def get(self, name: str) -> CacheEntry:
+        """The cached value together with the size estimated when it was put."""
         with self._lock:
             entry = self._entries.get(name)
             if entry is None:
                 raise ExecutionError(f"value for node {name!r} is not cached")
-            return entry.value
+            return entry
 
     def evict(self, name: str) -> Optional[CacheEntry]:
         with self._lock:

@@ -466,7 +466,11 @@ class ExecutionEngine:
         return value, charged
 
     def _gather_inputs(self, dag: WorkflowDAG, name: str) -> Tuple[List[Any], List[int]]:
-        """Collect a node's cached input values and their estimated sizes."""
+        """Collect a node's cached input values and their estimated sizes.
+
+        The sizes are the ones estimated once when each value was cached, so
+        a value read by several consumers is never estimated again.
+        """
         node = dag.node(name)
         inputs: List[Any] = []
         input_sizes: List[int] = []
@@ -477,9 +481,9 @@ class ExecutionEngine:
                     f"(evicted or never produced); the operator would run with "
                     f"fewer inputs than the DAG declares"
                 )
-            value = self.cache.get(parent)
-            inputs.append(value)
-            input_sizes.append(estimate_size_bytes(value))
+            entry = self.cache.get(parent)
+            inputs.append(entry.value)
+            input_sizes.append(entry.size_bytes)
         return inputs, input_sizes
 
     def _compute_node(self, dag: WorkflowDAG, name: str) -> Tuple[Any, float]:

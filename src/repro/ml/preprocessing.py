@@ -6,6 +6,7 @@ of the paper, wrapped inside Helix extractor operators by the workloads.
 
 from __future__ import annotations
 
+import zlib
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -23,7 +24,11 @@ class HashingVectorizer:
         self.seed = seed
 
     def _bucket(self, token: str) -> int:
-        return (hash((self.seed, token)) & 0x7FFFFFFF) % self.n_features
+        # CRC-32 of a fixed encoding, not the builtin hash: PYTHONHASHSEED
+        # randomizes str hashes per process, and the buckets must be the
+        # same on every worker.
+        data = f"{self.seed}:{token}".encode("utf-8", "surrogatepass")
+        return zlib.crc32(data) % self.n_features
 
     def transform(self, documents: Iterable[Sequence[str]]) -> np.ndarray:
         rows = []

@@ -23,19 +23,19 @@ Covered types (explicit tags)
 class + name), NumPy arrays (dtype descriptor + shape + order + raw buffer)
 and NumPy scalars, dataclass instances (their declared fields), and two
 generic object forms: classes with a ``__getstate__``/``__setstate__`` pair
-(e.g. :class:`~repro.storage.serialization.ArtifactRef`) and plain classes
-whose state is just ``__dict__``/``__slots__`` (feature vectors, data
-collections, fitted models).  Everything else — functions, exceptions,
+(data collections, :class:`~repro.storage.serialization.ArtifactRef`) and
+plain classes whose state is just ``__dict__``/``__slots__`` (feature
+vectors, fitted models).  Everything else — functions, exceptions,
 classes-as-values, objects with a custom ``__reduce__``, subclasses of the
 builtin containers, cyclic values — falls back to an embedded pickle
 (protocol 5); fallback bytes round-trip correctly but are *not* guaranteed
 canonical, which is acceptable because materialized workflow artifacts are
 built from the covered types.
 
-Format version 2
+Format version 3
 ----------------
-Version 2 is built around what the workflow artifacts actually are: tens of
-thousands of small objects (records, semantic units, examples, feature
+The format is built around what the workflow artifacts actually are: tens
+of thousands of small objects (records, semantic units, examples, feature
 vectors) that repeat a few hundred distinct strings and a handful of
 classes.  Three mechanisms keep such payloads small and fast:
 
@@ -69,9 +69,12 @@ classes.  Three mechanisms keep such payloads small and fast:
   elements are all exactly ``float`` is one big-endian float64 segment; one
   whose elements are all exactly ``int`` and fit in 64 bits is one
   big-endian segment of the narrowest signed width (1, 2, 4 or 8 bytes)
-  that holds them; one whose elements are all exactly ``str`` is an array
-  of intern ids (width implied by the table size) followed by the
-  definitions of the strings it introduces.  ``bool`` is not ``int`` here,
+  that holds them; one whose elements are all exactly ``str`` is the
+  definitions of the strings it introduces (their code-point lengths as
+  one packed int segment, then their UTF-8 as one run) followed by an
+  array of intern ids, whose width is implied by the table size after
+  those definitions (a long run of one repeated string costs one byte per
+  item).  ``bool`` is not ``int`` here,
   so mixed sequences take the generic per-element form and nothing is
   coerced.  A dict whose keys are all exactly ``str`` is its shape slot —
   keys in UTF-8 byte order, which is code point order, so no sub-encoding —
@@ -79,6 +82,13 @@ classes.  Three mechanisms keep such payloads small and fast:
   other (a feature vector's floats are one segment).  Other dicts and sets
   sort by each element's standalone encoding, computed in a scratch
   encoder whose intern table is its own.
+
+The data collections themselves are not a mechanism of this module: a
+:class:`~repro.core.data.DataCollection` of records, semantic units or
+examples states itself as columns through its ``__getstate__``/
+``__setstate__`` pair (one tuple per attribute, and its dicts as interned
+key shapes plus one flat values tuple), so the packed sequences above carry
+a whole collection in a handful of segments.
 
 Out-of-band buffers (zero-copy)
 -------------------------------
@@ -125,6 +135,7 @@ import struct
 import threading
 import types
 from enum import Enum
+from itertools import accumulate
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -146,7 +157,7 @@ CANONICAL_MAGIC = b"HC"
 
 #: Version byte of the canonical value encoding.  Bump on any change to the
 #: tag set or their byte layouts.
-CANONICAL_VERSION = 2
+CANONICAL_VERSION = 3
 
 #: Buffers at or above this many bytes are hoisted out of the tag body into
 #: the out-of-band buffer section (one segment each, shipped zero-copy).
@@ -408,16 +419,26 @@ def _id_code(limit: int) -> str:
     return "I" if limit <= 1 << 32 else "Q"
 
 
+def _int_segment(values: Any) -> Optional[bytes]:
+    """Width code plus big-endian ints at that width; None beyond 64 bits."""
+    code = _int_width(values)
+    if code is None:
+        return None
+    return code.encode() + struct.pack(">%d%s" % (len(values), code), *values)
+
+
 def _packed(enc: _Encoder, value: Any, tags: Tuple[bytes, bytes, bytes]) -> bool:
     """Write a homogeneous float/int64/str sequence as one packed segment.
 
     ``tags`` are the (float, int, str) tags of the sequence's kind; callers
     only pass sequences whose first element's type is in :data:`_PACKABLE`.
-    Ints carry a width code (:func:`_int_width`).  A str sequence is an
-    array of intern ids — new strings take the next ids, in order —
-    followed by the new strings' definitions; its id width is implied by
-    the table size, which the decoder knows too.  Returns False (nothing
-    written) when the types are mixed or an int exceeds 64 bits.
+    Ints carry a width code (:func:`_int_width`).  A str sequence first
+    defines the strings it introduces — which take the next ids, in order of
+    first occurrence — as their count, their lengths in code points (an int
+    segment) and their concatenated UTF-8; then comes an array of intern ids
+    whose width is implied by the table size after those definitions, which
+    the decoder knows too.  Returns False (nothing written) when the types
+    are mixed or an int exceeds 64 bits.
     """
     kinds = set(map(type, value))
     if len(kinds) != 1:
@@ -430,29 +451,29 @@ def _packed(enc: _Encoder, value: Any, tags: Tuple[bytes, bytes, bytes]) -> bool
         _write_uvarint(out, count)
         out += struct.pack(">%dd" % count, *value)
     elif kind is int:
-        code = _int_width(value)
-        if code is None:
+        segment = _int_segment(value)
+        if segment is None:
             return False
         out += tags[1]
         _write_uvarint(out, count)
-        out += code.encode()
-        out += struct.pack(">%d%s" % (count, code), *value)
+        out += segment
     else:  # str
         strings = enc.strings
-        code = _id_code(len(strings) + count)
-        fresh = []
-        ids = []
-        for text in value:
-            index = strings.get(text)
-            if index is None:
-                index = strings[text] = len(strings)
-                fresh.append(text)
-            ids.append(index)
+        # dict.fromkeys: the distinct strings in order of first occurrence.
+        fresh = [text for text in dict.fromkeys(value) if text not in strings]
         out += tags[2]
         _write_uvarint(out, count)
-        out += struct.pack(">%d%s" % (count, code), *ids)
-        for text in fresh:
-            _raw_str(out, text)
+        _write_uvarint(out, len(fresh))
+        if fresh:
+            strings.update(zip(fresh, range(len(strings), len(strings) + len(fresh))))
+            out += _int_segment(list(map(len, fresh)))
+            # Surrogates never pair up across a join under surrogatepass, so
+            # the code-point lengths still cut the decoded text apart.
+            data = "".join(fresh).encode("utf-8", "surrogatepass")
+            _write_uvarint(out, len(data))
+            out += data
+        code = _id_code(len(strings))
+        out += struct.pack(">%d%s" % (count, code), *map(strings.__getitem__, value))
     return True
 
 
@@ -748,10 +769,11 @@ def _object_codec(cls: type) -> Callable[[_Encoder, Any], None]:
     Two safe shapes:
 
     * a ``__getstate__``/``__setstate__`` pair with no custom reduce — the
-      class manages its own state contract (:class:`ArtifactRef`);
+      class manages its own state contract (data collections,
+      :class:`ArtifactRef`);
     * a plain class with no pickle customization at all, whose state is
       exactly ``__dict__`` plus set ``__slots__`` — encoded as an attribute
-      layout (feature vectors, data collections, fitted models).
+      layout (feature vectors, fitted models).
 
     Anything with a custom ``__reduce__``/``__reduce_ex__``/
     ``__getnewargs__`` (exceptions, functions, rngs) keeps pickle's exact
@@ -1181,8 +1203,8 @@ def _packed_floats(dec: _Decoder) -> Tuple[float, ...]:
     return struct.unpack_from(">%dd" % count, dec.data, dec.take(8 * count))
 
 
-def _packed_ints(dec: _Decoder) -> Tuple[int, ...]:
-    count = dec.uvarint()
+def _int_segment_at(dec: _Decoder, count: int) -> Tuple[int, ...]:
+    """``count`` ints written by :func:`_int_segment`."""
     code = dec.data[dec.take(1)]
     width = _INT_ITEMSIZE.get(code)
     if width is None:
@@ -1190,17 +1212,34 @@ def _packed_ints(dec: _Decoder) -> Tuple[int, ...]:
     return struct.unpack_from(">%d%s" % (count, chr(code)), dec.data, dec.take(width * count))
 
 
+def _packed_ints(dec: _Decoder) -> Tuple[int, ...]:
+    return _int_segment_at(dec, dec.uvarint())
+
+
 def _packed_strs(dec: _Decoder) -> Any:
-    """A packed str sequence: its id array, then the strings it introduces."""
+    """A packed str sequence: the strings it introduces, then its id array.
+
+    An id past the table raises ``IndexError`` while the result is
+    consumed, which :func:`decode` reports as a malformed payload.
+    """
     strings = dec.strings
     count = dec.uvarint()
-    code = _id_code(len(strings) + count)
+    fresh = dec.uvarint()
+    if fresh:
+        lengths = _int_segment_at(dec, fresh)
+        ends = list(accumulate(lengths))
+        size = dec.uvarint()
+        start = dec.take(size)
+        text = dec.data[start : start + size].decode("utf-8", "surrogatepass")
+        if min(lengths) < 0 or ends[-1] != len(text):
+            raise ProtocolError(
+                f"canonical packed strings of {ends[-1]} code points carry {len(text)}"
+            )
+        strings.extend(map(text.__getitem__, map(slice, [0, *ends[:-1]], ends)))
+    code = _id_code(len(strings))
     ids = struct.unpack_from(
         ">%d%s" % (count, code), dec.data, dec.take(struct.calcsize(code) * count)
     )
-    if ids:
-        for _ in range(max(ids) + 1 - len(strings)):
-            strings.append(dec.raw_text())
     return map(strings.__getitem__, ids)
 
 
@@ -1321,7 +1360,12 @@ def _d_obj_state(dec: _Decoder) -> Any:
     cls = dec.slot(dec.classes, _define_class)
     state = dec.value()
     instance = cls.__new__(cls)
-    instance.__setstate__(state)
+    try:
+        instance.__setstate__(state)
+    except (TypeError, ValueError, KeyError) as exc:  # a state the class refuses
+        raise ProtocolError(
+            f"canonical payload carries an invalid {cls.__qualname__} state: {exc!r}"
+        ) from exc
     return instance
 
 

@@ -12,7 +12,7 @@ class TestEagerCache:
     def test_put_get(self):
         cache = OperatorCache()
         cache.put("a", [1, 2, 3])
-        assert cache.get("a") == [1, 2, 3]
+        assert cache.get("a").value == [1, 2, 3]
         assert "a" in cache
         assert len(cache) == 1
 

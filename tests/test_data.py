@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import types
+from typing import Mapping
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,58 @@ from repro.core.data import (
     Example,
     FeatureVector,
     Record,
+    SemanticUnit,
     Split,
+)
+
+
+def _reference_size(collection: DataCollection) -> int:
+    """The size estimate as first written (typing.Mapping check per element)."""
+    total = 64
+    for element in collection.elements:
+        total += 56
+        features = getattr(element, "features", None)
+        if isinstance(features, FeatureVector):
+            total += 48 * len(features)
+        if isinstance(element, FeatureVector):
+            total += 48 * len(element)
+        if isinstance(element, SemanticUnit) and isinstance(element.output, FeatureVector):
+            total += 48 * len(element.output)
+        fields = getattr(element, "fields", None)
+        if isinstance(fields, Mapping):
+            for value in fields.values():
+                if isinstance(value, str):
+                    total += 40 + len(value)
+                elif isinstance(value, np.ndarray):
+                    total += int(value.nbytes)
+                else:
+                    total += 32
+        if isinstance(element, np.ndarray):
+            total += int(element.nbytes)
+    return total
+
+
+_names = st.text(min_size=1, max_size=6)
+_vectors = st.dictionaries(_names, st.floats(-10, 10), max_size=4).map(FeatureVector)
+_arrays = st.integers(0, 40).map(np.zeros)
+_field_values = st.one_of(st.text(max_size=12), _arrays, st.integers(), st.floats(), st.none())
+_fields = st.dictionaries(_names, _field_values, max_size=4)
+_splits = st.sampled_from(list(Split))
+
+#: Every element kind the estimator distinguishes, plus look-alikes: a
+#: record over a read-only mapping, and plain objects carrying ``fields`` or
+#: ``features`` attributes.
+_elements = st.one_of(
+    st.builds(Record, fields=_fields, split=_splits),
+    st.builds(Record, fields=_fields.map(types.MappingProxyType)),
+    st.builds(SemanticUnit, input=st.none(), source=_names,
+              output=st.one_of(st.none(), _vectors), split=_splits),
+    st.builds(Example, features=_vectors, label=st.none(), split=_splits),
+    _vectors,
+    _arrays,
+    st.builds(types.SimpleNamespace, fields=st.one_of(_fields, st.lists(st.integers()))),
+    st.builds(types.SimpleNamespace, features=st.one_of(_vectors, st.integers())),
+    st.one_of(st.integers(), st.text(max_size=5), st.none()),
 )
 
 
@@ -163,3 +217,9 @@ class TestDataCollection:
         records = [Record(fields={"pixels": np.zeros(1000)})]
         dc = DataCollection("d", records)
         assert dc.estimated_size_bytes() > 8000
+
+    @given(st.lists(_elements, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_estimated_size_matches_the_reference_loop(self, elements):
+        collection = DataCollection("d", elements)
+        assert collection.estimated_size_bytes() == _reference_size(collection)

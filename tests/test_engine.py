@@ -2,18 +2,25 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.dag import Node, WorkflowDAG
 from repro.core.operators import Component, RunContext
 from repro.core.signatures import compute_node_signatures
 from repro.exceptions import ExecutionError, OperatorError
+from repro.execution import cache as cache_module
+from repro.execution import engine as engine_module
 from repro.execution.clock import SimulatedCostModel
 from repro.execution.engine import ExecutionEngine
 from repro.optimizer.metrics import StatsStore
 from repro.optimizer.oep import ExecutionPlan, NodeState, solve_oep
 from repro.optimizer.omp import AlwaysMaterialize, NeverMaterialize, StreamingMaterializationPolicy
+from repro.storage.serialization import estimate_size_bytes
 from repro.storage.store import InMemoryStore
+from repro.systems import HelixSystem
+from repro.workloads.base import get_workload
 
 from conftest import ConstOperator, FailingOperator, SumOperator, make_chain_dag, make_diamond_dag
 
@@ -201,3 +208,39 @@ class TestMemoryTracking:
         signatures = compute_node_signatures(diamond_dag)
         engine.execute(diamond_dag, _plan_all_compute(diamond_dag), signatures)
         assert len(engine.cache) == 0
+
+
+class TestSizeEstimates:
+    def test_a_census_rerun_estimates_each_executed_value_once(self, monkeypatch):
+        workload = get_workload("census")
+        config = workload.initial_config(scale=0.05, seed=0)
+        system = HelixSystem.opt(cost_model=SimulatedCostModel())
+        system.run_iteration(workload.build(config), iteration=0)
+        workflow = workload.build(replace(config, bucket_bins=8))
+
+        estimated = []
+
+        def counting(value):
+            size = estimate_size_bytes(value)
+            estimated.append((value, size))
+            return size
+
+        monkeypatch.setattr(engine_module, "estimate_size_bytes", counting)
+        monkeypatch.setattr(cache_module, "estimate_size_bytes", counting)
+        stats = system.run_iteration(workflow, iteration=1)
+
+        states = stats.node_states
+        computed = [name for name in stats.node_times if states[name] is NodeState.COMPUTE]
+        assert computed and len(computed) < len(stats.node_times)  # loads too
+        # Once per executed node, in the inline run's completion order.
+        assert [size for _value, size in estimated] == list(stats.node_sizes.values())
+        # Each consumer used to re-estimate its inputs; a fresh estimate of
+        # every value is the size it was charged with.
+        assert all(estimate_size_bytes(value) == size for value, size in estimated)
+        dag = workflow.compile().sliced_to_outputs()
+        for name in computed:
+            node = dag.node(name)
+            input_sizes = [stats.node_sizes[parent] for parent in node.parents]
+            assert stats.node_times[name] == SimulatedCostModel().compute_cost(
+                node.operator, node.component, input_sizes, 0.0
+            ), name

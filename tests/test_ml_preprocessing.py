@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +23,18 @@ from repro.ml.metrics import (
 from repro.ml.preprocessing import HashingVectorizer, RandomFourierFeatures
 from repro.ml.text import STOP_WORDS, pos_tag, remove_stop_words, split_sentences, tokenize
 
+#: Prints one list of token buckets, then one of labels for non-numeric
+#: one-hot label categories.
+_HASHED_IN_A_CHILD = (
+    "from repro.core.data import FeatureVector\n"
+    "from repro.core.operators import ExampleSynthesizer\n"
+    "from repro.ml.preprocessing import HashingVectorizer\n"
+    "vectorizer = HashingVectorizer(n_features=64, seed=13)\n"
+    "print([vectorizer._bucket(t) for t in ('alice', 'married', 'bob', 'the', 'é中')])\n"
+    "print([ExampleSynthesizer._label_from(FeatureVector.one_hot('y', c))\n"
+    "       for c in ('yes', 'no', 'maybe', 'pos', 'neg', 'spouse', 'other')])\n"
+)
+
 
 class TestDiscretizerAndEncoders:
     def test_hashing_vectorizer_deterministic(self):
@@ -29,6 +47,25 @@ class TestDiscretizerAndEncoders:
     def test_hashing_vectorizer_invalid(self):
         with pytest.raises(ValueError):
             HashingVectorizer(n_features=0)
+
+    def test_buckets_and_labels_are_the_same_under_any_hash_seed(self):
+        """Two interpreters with different ``PYTHONHASHSEED``s hash tokens
+        into the same buckets and map category labels to the same classes."""
+        env = dict(os.environ)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        outputs = []
+        for seed in ("1", "8675309"):
+            env["PYTHONHASHSEED"] = seed
+            child = subprocess.run(
+                [sys.executable, "-c", _HASHED_IN_A_CHILD],
+                env=env, stdout=subprocess.PIPE, text=True, check=True,
+            )
+            outputs.append(child.stdout)
+        assert outputs[0] == outputs[1]
+        buckets, labels = map(ast.literal_eval, outputs[0].splitlines())
+        assert len(set(buckets)) > 1
+        assert set(labels) == {0.0, 1.0}  # the categories do not collapse to one class
 
     def test_random_fourier_features_shape_and_seed(self):
         X = np.random.default_rng(0).normal(size=(20, 5))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
 import subprocess
@@ -25,6 +26,7 @@ from repro.core.data import (
 )
 from repro.core.operators import PredictionsResult
 from repro.core.signatures import compute_node_signatures, diff_signatures
+from repro.exceptions import ProtocolError
 from repro.execution.clock import SimulatedCostModel
 from repro.ml.linear import LogisticRegression
 from repro.optimizer.oep import NodeState, plan_run_time, solve_oep
@@ -258,6 +260,31 @@ _EDGE_CORPUS = [
     {f"key{i}": "one string under many keys" for i in range(50)},
 ]
 
+#: Columnar collections with several key shapes, unpacked plain columns
+#: (None among floats, lists of strings) and every split.
+_COLUMNAR_UNITS = DataCollection(
+    "eduXocc",
+    [
+        SemanticUnit(input=["education=Masters", "occupation=Sales"], source="eduXocc",
+                     output=FeatureVector({"eduXocc=Masters&Sales": 1.0}), split=Split.TRAIN),
+        SemanticUnit(input=None, source="eduXocc",
+                     output=FeatureVector({"eduXocc=HS-grad&Craft": 1.0, "gain": 0.5}),
+                     split=Split.TEST),
+        SemanticUnit(input="raw", source="eduXocc", output=FeatureVector(), split=Split.ALL),
+    ],
+    kind=ElementKind.SEMANTIC_UNIT,
+)
+_COLUMNAR_EXAMPLES = DataCollection(
+    "predictions",
+    [
+        Example(features=FeatureVector({"b": 2.0, "a": -1.0}), label=1.0, split=Split.TRAIN,
+                provenance={"b": "bExt", "a": "aExt"}, prediction=1.0, score=0.875),
+        Example(features=FeatureVector({"a": 0.25}), label=None, split=Split.TEST,
+                provenance={"a": "aExt"}, prediction=0.0, score=None),
+    ],
+    kind=ElementKind.EXAMPLE,
+)
+
 #: Values encoded in a fresh interpreter to pin cross-process bit equality.
 #: Deliberately hash-order sensitive (string-keyed dicts, sets) and layout
 #: sensitive (C- and F-ordered arrays): the classic sources of drift.
@@ -272,6 +299,8 @@ _CROSS_PROCESS_CORPUS = [
     np.array(3.5, dtype=np.float32),
     np.float64(2.25),
     *_DATA_MODEL_CORPUS,
+    _COLUMNAR_UNITS,
+    _COLUMNAR_EXAMPLES,
     *_EDGE_CORPUS,
 ]
 
@@ -498,8 +527,21 @@ class TestCanonicalDataModel:
         mapping = {f"key{i}": text for i in range(50)}
         payload = encode(mapping)
         assert payload.count(text.encode()) == 1
-        # each repeat costs one id byte, exactly what a None costs
-        assert len(payload) == len(encode(dict.fromkeys(mapping))) + 1 + len(text)
+        # each repeat costs one id byte, exactly what a None costs; the
+        # packed values add the new strings' count, their one-byte lengths
+        # (a width code and one length), their byte size and their text
+        assert len(payload) == len(encode(dict.fromkeys(mapping))) + 4 + len(text)
+
+    def test_one_repeated_string_packs_one_byte_ids(self):
+        # ids are as wide as the table after the sequence's new strings
+        # (one here), not as the table plus the sequence's length
+        value = ("repeated",) * 1000
+        body = encode_segments(value)[1]
+        assert body[:1] == canonical._T_STR_TUPLE
+        # tag, count, one new string (count, width code, length, byte size,
+        # text), then one byte per id
+        assert len(body) == 1 + 2 + 1 + 1 + 1 + 1 + len("repeated") + 1000
+        assert decode(encode(value)) == value
 
     def test_dataclass_with_an_ad_hoc_attribute_still_takes_pickle(self):
         clean = _example("Masters", 1.0, Split.TRAIN)
@@ -538,3 +580,103 @@ class TestCanonicalDataModel:
         monkeypatch.setattr(canonical, "_DECODERS", decoders)
         for name, value in artifacts.items():
             assert encode(decode(encode(value))) == encode(value), name
+
+
+# ---------------------------------------------------------------------------
+# The columnar state of a DataCollection
+# ---------------------------------------------------------------------------
+class _SubUnit(SemanticUnit):
+    """A semantic unit subclass: its collections keep the row form."""
+
+
+def _columnar(collection: DataCollection) -> bool:
+    """Whether ``collection`` states itself as columns; rows are ``(name, kind, elements)``."""
+    return len(collection.__getstate__()) != 3
+
+
+def _unfolded(value):
+    """``value`` as nested lists that also pin types and dict key order."""
+    if isinstance(value, FeatureVector):
+        return ["FeatureVector", _unfolded(value._values)]
+    if dataclasses.is_dataclass(value):
+        state = vars(value)  # the attribute order is not part of a row
+        return [type(value), [[name, _unfolded(state[name])] for name in sorted(state)]]
+    if isinstance(value, dict):
+        return [dict, [[key, _unfolded(item)] for key, item in value.items()]]
+    if isinstance(value, (list, tuple)):
+        return [type(value), [_unfolded(item) for item in value]]
+    return [type(value), value]
+
+
+_vector_units = st.builds(
+    SemanticUnit,
+    input=st.one_of(st.none(), _names, _canonical_scalars, st.lists(_names, max_size=3)),
+    source=_names,
+    output=_feature_vectors,
+    split=_splits,
+)
+_columnar_collections = st.one_of(
+    st.builds(DataCollection, name=_names, elements=st.lists(_records, min_size=1, max_size=6),
+              kind=st.just(ElementKind.RECORD)),
+    st.builds(DataCollection, name=_names, elements=st.lists(_vector_units, min_size=1, max_size=6),
+              kind=st.just(ElementKind.SEMANTIC_UNIT)),
+    st.builds(DataCollection, name=_names, elements=st.lists(_examples, min_size=1, max_size=6),
+              kind=st.just(ElementKind.EXAMPLE)),
+)
+
+
+class TestColumnarDataCollection:
+    """A collection of exact records, units or examples travels as columns
+    and decodes to exactly the rows its row form decodes to."""
+
+    @given(_columnar_collections)
+    @settings(max_examples=120, deadline=None)
+    def test_round_trip_equals_the_row_form_decode(self, collection):
+        assert _columnar(collection)
+        packed = encode(collection)
+        decoded = decode(packed)
+        assert (decoded.name, decoded.kind) == (collection.name, collection.kind)
+        assert _unfolded(decoded.elements) == _unfolded(decode(encode(collection.elements)))
+        assert _structure(decoded) == _structure(collection)
+        assert encode(decoded) == packed
+
+    def test_corpus_collections_are_columnar(self):
+        for collection in (_COLUMNAR_UNITS, _COLUMNAR_EXAMPLES, _EXAMPLES):
+            assert _columnar(collection), collection.name
+        # two examples, one shape each; the second shape is the first's "a"
+        state = _COLUMNAR_EXAMPLES.__getstate__()
+        assert state[2:5] == ("Example", (2, 1), ("a", "b", "a"))
+
+    def test_other_collections_keep_the_row_form(self):
+        tagged = _unit(23.0, Split.TEST)
+        tagged.note = "kept"
+        collections = {
+            "heterogeneous": DataCollection(
+                "mixed", [_unit(40.0, Split.TRAIN), _row("40", "Masters", Split.TRAIN)]
+            ),
+            "subclass": DataCollection(
+                "sub",
+                [_unit(40.0, Split.TRAIN), _SubUnit(input="1", source="s", output=FeatureVector())],
+            ),
+            "ad-hoc attribute": DataCollection("tagged", [_unit(40.0, Split.TRAIN), tagged]),
+            "empty": DataCollection("empty", [], kind=ElementKind.EXAMPLE),
+        }
+        for label, collection in collections.items():
+            assert not _columnar(collection), label
+            decoded = decode(encode(collection))
+            assert _structure(decoded) == _structure(collection), label
+            assert list(map(type, decoded)) == list(map(type, collection)), label
+        assert decode(encode(collections["ad-hoc attribute"])).elements[1].note == "kept"
+
+    def test_a_malformed_columnar_state_is_a_typed_error(self, monkeypatch):
+        states = [
+            ("bad", ElementKind.EXAMPLE, "Example", (), (), (1.0,)),  # one of six columns
+            ("bad", ElementKind.RECORD, "Unknown", (), (), ((), ()), ()),  # no such row class
+            ("bad", ElementKind.RECORD, "Record", (1,), ("a",), ((0, 0), (1,)), ("all", "all")),
+        ]
+        for state in states:
+            monkeypatch.setattr(DataCollection, "__getstate__", lambda self, state=state: state)
+            payload = encode(DataCollection("bad", []))
+            monkeypatch.undo()
+            with pytest.raises(ProtocolError, match="invalid DataCollection state"):
+                decode(payload)
