@@ -25,9 +25,11 @@ baseline (protocol 5):
 Running this file as a script (``python benchmarks/bench_serialization_micro.py
 [--smoke] [--json PATH]``) executes all sections standalone, without
 pytest-benchmark, and enforces the size and zero-copy bars — including
-canonical <= 1.10x pickle bytes on every data-model artifact, and the
-structural check that every data-model artifact's ``DataCollection`` took
-the columnar state rather than falling back to rows; throughput and the
+canonical <= 1.10x pickle bytes on every data-model artifact, and two
+structural checks: every data-model artifact's ``DataCollection`` took
+the columnar state rather than falling back to rows, and each mnist
+artifact's dense feature-vector column travels as exactly one out-of-band
+array segment (:data:`DENSE_ARTIFACTS`); throughput and the
 data-model speed ratios are report-only (absolute rates are
 machine-specific).  ``--json`` dumps every section's measurements for the
 CI artifact upload; CI runs the smoke variant on every push (see
@@ -69,6 +71,11 @@ DATA_MODEL_ARTIFACTS: Dict[str, Tuple[str, ...]] = {
     "census": ("predictions", "income", "eduExt", "rows"),
     "mnist": ("digits", "rffFeatures"),
 }
+
+#: Artifacts whose feature vectors are dense (random-Fourier rows): each
+#: must encode with exactly one out-of-band segment, the vector column as one
+#: float64 array, rather than a flat tuple of per-feature floats.
+DENSE_ARTIFACTS = ("mnist.digits", "mnist.rffFeatures")
 
 #: Workload scales of the full run: those of the ``census_reuse`` and
 #: ``mnist_churn`` lifecycles in ``benchmarks/e2e``.
@@ -196,6 +203,8 @@ def measure_data_model(scale: float, repeats: int = 7) -> Dict[str, Dict[str, fl
     for name, value in data_model_artifacts(scale).items():
         payload = encode(value)
         pickled = pickle.dumps(value, protocol=5)
+        # encode_segments is [prefix, body, *out-of-band buffers]
+        buffers = encode_segments(value)[2:]
         rows[name] = {
             "canonical_bytes": len(payload),
             "pickle_bytes": len(pickled),
@@ -206,6 +215,7 @@ def measure_data_model(scale: float, repeats: int = 7) -> Dict[str, Dict[str, fl
             "pickle_loads_ms": _best_ms(lambda: pickle.loads(pickled), repeats),
             "round_trip_exact": encode(decode(payload)) == payload,
             "columnar": _columnar(value),
+            "oob_segments": len(buffers),
         }
     return rows
 
@@ -242,6 +252,11 @@ def _data_model_failures(rows: Dict[str, Dict[str, float]]) -> List[str]:
             failures.append(f"{name}: decode does not re-encode to the same bytes")
         if not row["columnar"]:
             failures.append(f"{name}: its DataCollection fell back to the row state")
+        if name in DENSE_ARTIFACTS and row["oob_segments"] != 1:
+            failures.append(
+                f"{name}: {int(row['oob_segments'])} out-of-band segments — its dense "
+                f"feature vectors must travel as one array"
+            )
         if row["size_ratio"] > DATA_MODEL_SIZE_BAR:
             failures.append(
                 f"{name}: canonical payload is {row['size_ratio']:.2f}x pickle — above "
@@ -365,7 +380,8 @@ def main(argv=None) -> int:
         worst = max(row["size_ratio"] for row in sections["data_model"].values())
         print(
             f"OK: data-model artifacts at most {worst:.2f}x pickle bytes "
-            f"(bar {DATA_MODEL_SIZE_BAR:g}x), every collection columnar; "
+            f"(bar {DATA_MODEL_SIZE_BAR:g}x), every collection columnar, "
+            f"{' and '.join(DENSE_ARTIFACTS)} dense vectors as one array each; "
             f"speed ratios are report-only"
         )
 

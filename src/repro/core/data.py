@@ -21,6 +21,7 @@ sequence of homogeneous elements together with a ``split`` tag per element
 from __future__ import annotations
 
 import collections.abc
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -106,23 +107,30 @@ class FeatureVector:
     """A named feature vector with either a sparse or a dense representation.
 
     Sparse categorical features are kept as a ``{name: value}`` mapping until
-    final assembly (mirroring the paper's key-value representation), while
-    dense features are stored as a NumPy array with generated names.  Feature
-    vectors support concatenation and conversion to a dense array given a
-    global feature index.
+    final assembly (mirroring the paper's key-value representation).  A
+    vector built by :meth:`from_dense` is dense: one float64 row plus the
+    names tuple ``prefix_0 .. prefix_{n-1}``, one tuple object shared by
+    every vector of that prefix and width.  Both forms answer ``len``,
+    ``names``, ``items``, ``get``, ``in``, ``==`` and ``norm`` alike — a
+    dense vector equals the dict vector with the same name -> value pairs —
+    so only :class:`DataCollection`'s matrix assembly and serialized state
+    look at the form.  Feature vectors support concatenation and conversion
+    to a dense array given a global feature index.
     """
 
-    __slots__ = ("_values",)
+    __slots__ = ("_values", "_names", "_row")
 
     def __init__(self, values: Optional[Mapping[str, float]] = None):
-        self._values: Dict[str, float] = dict(values or {})
+        self._values: Optional[Dict[str, float]] = dict(values or {})
+        self._names: Optional[Tuple[str, ...]] = None
+        self._row: Optional[np.ndarray] = None
 
     # -- constructors ------------------------------------------------------
     @classmethod
     def from_dense(cls, array: Sequence[float], prefix: str = "f") -> "FeatureVector":
-        """Build a feature vector from a dense array, naming features ``prefix_i``."""
-        arr = np.asarray(array, dtype=float).ravel()
-        return cls({f"{prefix}_{i}": float(v) for i, v in enumerate(arr)})
+        """Build a dense feature vector from an array, naming features ``prefix_i``."""
+        row = np.array(array, dtype=np.float64).ravel()
+        return _dense_vector(_dense_names(prefix, row.size), row)
 
     @classmethod
     def one_hot(cls, name: str, category: Any) -> "FeatureVector":
@@ -137,34 +145,71 @@ class FeatureVector:
     # -- accessors ---------------------------------------------------------
     @property
     def names(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._values))
+        """The feature names, sorted."""
+        if self._row is None:
+            return tuple(sorted(self._values))
+        return _dense_layout(self._names)[0]
 
     def items(self) -> Iterable[Tuple[str, float]]:
-        return self._values.items()
+        if self._row is None:
+            return self._values.items()
+        return list(zip(self._names, self._row.tolist()))
 
     def get(self, name: str, default: float = 0.0) -> float:
-        return self._values.get(name, default)
+        if self._row is None:
+            return self._values.get(name, default)
+        position = _dense_layout(self._names)[1].get(name)
+        return default if position is None else self._row.item(position)
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self._values) if self._row is None else len(self._names)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._values
+        if self._row is None:
+            return name in self._values
+        return name in _dense_layout(self._names)[1]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FeatureVector):
             return NotImplemented
-        return self._values == other._values
+        if self._row is None and other._row is None:
+            return self._values == other._values
+        if self._row is not None and other._row is not None and self._names == other._names:
+            return bool(np.array_equal(self._row, other._row))
+        return dict(self.items()) == dict(other.items())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        preview = ", ".join(f"{k}={v:g}" for k, v in sorted(self._values.items())[:4])
-        suffix = ", ..." if len(self._values) > 4 else ""
+        preview = ", ".join(f"{k}={v:g}" for k, v in sorted(self.items())[:4])
+        suffix = ", ..." if len(self) > 4 else ""
         return f"FeatureVector({preview}{suffix})"
+
+    # -- serialized state ---------------------------------------------------
+    def __getstate__(self) -> Tuple[Any, ...]:
+        """``(values,)`` of a dict vector, ``(names, row)`` of a dense one."""
+        if self._row is None:
+            return (self._values,)
+        return (self._names, self._row)
+
+    def __setstate__(self, state: Tuple[Any, ...]) -> None:
+        if len(state) == 1:
+            (values,) = state
+            if type(values) is not dict:
+                raise TypeError(f"feature vector values must be a dict, got {type(values).__name__}")
+            self._values, self._names, self._row = values, None, None
+        else:
+            names, row = state
+            _check_dense(names, row, ndim=1)
+            self._values, self._names, self._row = None, names, row
 
     # -- operations --------------------------------------------------------
     def concat(self, *others: "FeatureVector") -> "FeatureVector":
-        """Concatenate feature vectors (feature names must not collide)."""
-        merged = dict(self._values)
+        """Concatenate feature vectors (feature names must not collide).
+
+        An empty vector concatenated with exactly one other returns that other.
+        """
+        if len(others) == 1 and not len(self):
+            return others[0]
+        merged = dict(self.items())
         for other in others:
             for name, value in other.items():
                 if name in merged and merged[name] != value:
@@ -177,7 +222,7 @@ class FeatureVector:
     def to_dense(self, index: Mapping[str, int]) -> np.ndarray:
         """Convert to a dense array according to a global ``name -> position`` index."""
         dense = np.zeros(len(index), dtype=float)
-        for name, value in self._values.items():
+        for name, value in self.items():
             position = index.get(name)
             if position is not None:
                 dense[position] = value
@@ -185,7 +230,40 @@ class FeatureVector:
 
     def norm(self) -> float:
         """Euclidean norm of the feature values."""
-        return math.sqrt(sum(v * v for v in self._values.values()))
+        values = self._values.values() if self._row is None else self._row.tolist()
+        return math.sqrt(sum(v * v for v in values))
+
+
+@functools.lru_cache(maxsize=256)
+def _dense_names(prefix: str, width: int) -> Tuple[str, ...]:
+    """The names tuple every dense vector of ``prefix`` and ``width`` shares."""
+    return tuple(f"{prefix}_{i}" for i in range(width))
+
+
+@functools.lru_cache(maxsize=256)
+def _dense_layout(names: Tuple[str, ...]) -> Tuple[Tuple[str, ...], Dict[str, int]]:
+    """A dense names tuple's sorted names and ``name -> row position`` map."""
+    return tuple(sorted(names)), {name: position for position, name in enumerate(names)}
+
+
+def _dense_vector(names: Tuple[str, ...], row: np.ndarray) -> FeatureVector:
+    vector = FeatureVector.__new__(FeatureVector)
+    vector._values = None
+    vector._names = names
+    vector._row = row
+    return vector
+
+
+def _check_dense(names: Any, rows: Any, ndim: int) -> None:
+    """Refuse a dense state whose names or float64 rows do not fit together."""
+    if type(names) is not tuple or not set(map(type, names)) <= {str}:
+        raise TypeError("dense feature names must be a tuple of str")
+    if len(set(names)) != len(names):
+        raise ValueError("dense feature names repeat a name")
+    if type(rows) is not np.ndarray or rows.dtype != np.float64 or rows.ndim != ndim:
+        raise TypeError(f"dense feature values must be a {ndim}-D float64 array")
+    if rows.shape[-1] != len(names):
+        raise ValueError(f"dense feature values of width {rows.shape[-1]} for {len(names)} names")
 
 
 @dataclass
@@ -248,9 +326,13 @@ class DataCollection:
     provenance dicts keyed by exact ``str`` — states itself as columns: one
     tuple per attribute, and each dict column as an id per row into the
     collection's table of sorted key tuples ("shapes") plus one flat tuple
-    of the values in key order.  Restoring rebuilds the same row objects
-    eagerly, their dicts in sorted key order.  Any other collection (mixed
-    or subclassed elements, an ad-hoc attribute, no elements) keeps the row
+    of the values in key order.  A feature-vector column whose vectors are
+    all dense over one names tuple is ``(names, 2-D float64 array)``
+    instead, which the canonical encoding ships as one out-of-band buffer;
+    a mixed or sparse column takes the dict form.  Restoring rebuilds the
+    same row objects eagerly, their dicts in sorted key order and dense
+    vectors as row views of the one array.  Any other collection (mixed or
+    subclassed elements, an ad-hoc attribute, no elements) keeps the row
     form, ``(name, kind, elements)``.
     """
 
@@ -323,12 +405,18 @@ class DataCollection:
         the index is stable across runs and across train/test splits.
         """
         names: set = set()
+        dense_seen: set = set()  # ids of the dense names tuples already added
         for element in self.elements:
             features = getattr(element, "features", None)
-            if isinstance(features, FeatureVector):
-                names.update(features.names)
-            elif isinstance(element, FeatureVector):
-                names.update(element.names)
+            if not isinstance(features, FeatureVector):
+                if not isinstance(element, FeatureVector):
+                    continue
+                features = element
+            if features._row is None:
+                names.update(features._values)
+            elif id(features._names) not in dense_seen:
+                dense_seen.add(id(features._names))
+                names.update(features._names)
         return {name: position for position, name in enumerate(sorted(names))}
 
     def to_matrix(
@@ -336,23 +424,35 @@ class DataCollection:
     ) -> Tuple[np.ndarray, np.ndarray, Dict[str, int]]:
         """Convert a collection of examples to ``(X, y, index)`` dense matrices.
 
-        Examples without labels get ``nan`` in ``y``.
+        Examples without labels get ``nan`` in ``y``.  Dense rows that share
+        a names tuple are copied into ``X`` with one assignment per tuple;
+        sparse rows are scattered one at a time.
         """
         if index is None:
             index = self.feature_index()
-        rows: List[np.ndarray] = []
+        X = np.zeros((len(self.elements), len(index)))
         labels: List[float] = []
-        for element in self.elements:
+        # id(names) -> (names, row positions in X, dense rows)
+        dense: Dict[int, Tuple[Tuple[str, ...], List[int], List[np.ndarray]]] = {}
+        for position, element in enumerate(self.elements):
             if not isinstance(element, Example):
                 raise TypeError(
                     f"to_matrix requires Example elements, got {type(element).__name__}"
                 )
-            rows.append(element.features.to_dense(index))
+            features = element.features
+            if features._row is None:
+                X[position] = features.to_dense(index)
+            else:
+                group = dense.get(id(features._names))
+                if group is None:
+                    group = dense[id(features._names)] = (features._names, [], [])
+                group[1].append(position)
+                group[2].append(features._row)
             labels.append(float("nan") if element.label is None else float(element.label))
-        if rows:
-            X = np.vstack(rows)
-        else:
-            X = np.zeros((0, len(index)))
+        for names, positions, rows in dense.values():
+            columns = np.array([index.get(name, -1) for name in names], dtype=np.intp)
+            kept = columns >= 0
+            X[np.ix_(positions, columns[kept])] = np.stack(rows)[:, kept]
         return X, np.asarray(labels, dtype=float), dict(index)
 
     def estimated_size_bytes(self) -> int:
@@ -393,7 +493,8 @@ class DataCollection:
 # ---------------------------------------------------------------------------
 #: Column forms: the attribute values as one tuple; the values of Split
 #: members; feature vectors; str-keyed dicts.  The last two are ``(shape
-#: ids, values)`` pairs against the collection's shape table.
+#: ids, values)`` pairs against the collection's shape table, except that
+#: a vector column dense over one names tuple is ``(names, 2-D array)``.
 _PLAIN, _SPLIT, _VECTOR, _DICT = range(4)
 
 #: The row classes with a columnar state: every attribute, in constructor
@@ -434,17 +535,17 @@ def _to_columns(elements: Tuple[Any, ...]) -> Optional[Tuple[Any, ...]]:
                 return None
             # _value_, not the slower Enum.value property
             column = tuple(map(operator.attrgetter("_value_"), column))
-        elif form != _PLAIN:
-            if form == _VECTOR:
-                if set(map(type, column)) != {FeatureVector}:
-                    return None
-                try:
-                    column = tuple(map(operator.attrgetter("_values"), column))
-                except AttributeError:  # an unset slot
-                    return None
-            column = _dict_column(column, shapes)
-            if column is None:
+        elif form == _VECTOR:
+            if set(map(type, column)) != {FeatureVector}:
                 return None
+            try:
+                column = _vector_column(column, shapes)
+            except AttributeError:  # an unset slot
+                return None
+        elif form == _DICT:
+            column = _dict_column(column, shapes)
+        if column is None:
+            return None
         columns.append(column)
     # The shape table travels flat: each shape's length, then all its keys.
     lengths = tuple(map(len, shapes))
@@ -457,17 +558,44 @@ def _dict_column(
     """``(shape ids, values)`` of exact str-keyed dicts; None for anything else.
 
     Each dict's shape is its sorted key tuple, interned in ``shapes``; its
-    values join one flat tuple in that key order.
+    values join one flat tuple in that key order.  When every dict has the
+    first one's key set (a record's fields, a dense example's provenance),
+    that one sorted shape serves them all and one ``itemgetter`` gathers
+    their values.
     """
     if set(map(type, dicts)) != {dict}:
         return None
     if not set(map(type, chain.from_iterable(dicts))) <= {str}:  # every key
         return None
+    first = dicts[0].keys()
+    if all(map(first.__eq__, map(dict.keys, dicts))):
+        keys = tuple(sorted(first))
+        shape_id = shapes.setdefault(keys, len(shapes))
+        if len(keys) > 1:
+            values = tuple(chain.from_iterable(map(operator.itemgetter(*keys), dicts)))
+        else:  # itemgetter of one key returns the bare value, and needs a key
+            values = tuple(map(operator.itemgetter(*keys), dicts)) if keys else ()
+        return (shape_id,) * len(dicts), values
     rows = list(map(tuple, map(sorted, dicts)))
     for keys in dict.fromkeys(rows):  # distinct shapes, in order of first use
         shapes.setdefault(keys, len(shapes))
     values = tuple([mapping[key] for mapping, keys in zip(dicts, rows) for key in keys])
     return tuple(map(shapes.__getitem__, rows)), values
+
+
+def _vector_column(
+    vectors: Sequence[FeatureVector], shapes: Dict[Tuple[str, ...], int]
+) -> Optional[Tuple[Any, Any]]:
+    """``(names, rows)`` when every vector is dense over one names tuple, else
+    the ``(shape ids, values)`` of their name -> value dicts."""
+    names = list(map(operator.attrgetter("_names"), vectors))
+    if names.count(names[0]) != len(names):  # mixed forms or names tuples
+        dicts = [vector._values if vector._row is None else dict(vector.items()) for vector in vectors]
+    elif names[0] is None:  # all sparse
+        dicts = list(map(operator.attrgetter("_values"), vectors))
+    else:
+        return names[0], np.stack(list(map(operator.attrgetter("_row"), vectors)))
+    return _dict_column(dicts, shapes)
 
 
 def _from_columns(
@@ -488,7 +616,12 @@ def _from_columns(
     lengths = set()
     built: List[Iterable[Any]] = []
     for (_name, form), column in zip(layout, columns):
-        if form in (_VECTOR, _DICT):
+        if form == _VECTOR and len(column) == 2 and type(column[1]) is np.ndarray:
+            names, rows = column
+            _check_dense(names, rows, ndim=2)
+            lengths.add(len(rows))
+            column = map(_dense_vector, repeat(names), rows)  # row views
+        elif form in (_VECTOR, _DICT):
             ids, values = column
             lengths.add(len(ids))
             column = _dicts(shapes, ids, values)
@@ -519,4 +652,5 @@ def _dicts(
 def _vector(values: Dict[str, float]) -> FeatureVector:
     vector = FeatureVector.__new__(FeatureVector)
     vector._values = values
+    vector._names = vector._row = None
     return vector

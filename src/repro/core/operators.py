@@ -681,8 +681,7 @@ class ExampleSynthesizer(Synthesizer):
                     label = self._label_from(fv)
                     continue
                 features = features.concat(fv)
-                for name in fv.names:
-                    provenance[name] = source
+                provenance.update(dict.fromkeys(fv.names, source))
             examples.append(
                 Example(features=features, label=label, split=split, provenance=provenance)
             )

@@ -23,16 +23,16 @@ Covered types (explicit tags)
 class + name), NumPy arrays (dtype descriptor + shape + order + raw buffer)
 and NumPy scalars, dataclass instances (their declared fields), and two
 generic object forms: classes with a ``__getstate__``/``__setstate__`` pair
-(data collections, :class:`~repro.storage.serialization.ArtifactRef`) and
-plain classes whose state is just ``__dict__``/``__slots__`` (feature
-vectors, fitted models).  Everything else — functions, exceptions,
-classes-as-values, objects with a custom ``__reduce__``, subclasses of the
-builtin containers, cyclic values — falls back to an embedded pickle
-(protocol 5); fallback bytes round-trip correctly but are *not* guaranteed
-canonical, which is acceptable because materialized workflow artifacts are
-built from the covered types.
+(data collections, feature vectors,
+:class:`~repro.storage.serialization.ArtifactRef`) and plain classes whose
+state is just ``__dict__``/``__slots__`` (fitted models).  Everything else
+— functions, exceptions, classes-as-values, objects with a custom
+``__reduce__``, subclasses of the builtin containers, cyclic values — falls
+back to an embedded pickle (protocol 5); fallback bytes round-trip
+correctly but are *not* guaranteed canonical, which is acceptable because
+materialized workflow artifacts are built from the covered types.
 
-Format version 3
+Format version 4
 ----------------
 The format is built around what the workflow artifacts actually are: tens
 of thousands of small objects (records, semantic units, examples, feature
@@ -87,8 +87,9 @@ The data collections themselves are not a mechanism of this module: a
 :class:`~repro.core.data.DataCollection` of records, semantic units or
 examples states itself as columns through its ``__getstate__``/
 ``__setstate__`` pair (one tuple per attribute, and its dicts as interned
-key shapes plus one flat values tuple), so the packed sequences above carry
-a whole collection in a handful of segments.
+key shapes plus one flat values tuple, and a column of dense feature
+vectors as one 2-D float64 array), so the packed sequences and out-of-band
+buffers below carry a whole collection in a handful of segments.
 
 Out-of-band buffers (zero-copy)
 -------------------------------
@@ -157,7 +158,7 @@ CANONICAL_MAGIC = b"HC"
 
 #: Version byte of the canonical value encoding.  Bump on any change to the
 #: tag set or their byte layouts.
-CANONICAL_VERSION = 3
+CANONICAL_VERSION = 4
 
 #: Buffers at or above this many bytes are hoisted out of the tag body into
 #: the out-of-band buffer section (one segment each, shipped zero-copy).
@@ -769,11 +770,11 @@ def _object_codec(cls: type) -> Callable[[_Encoder, Any], None]:
     Two safe shapes:
 
     * a ``__getstate__``/``__setstate__`` pair with no custom reduce — the
-      class manages its own state contract (data collections,
-      :class:`ArtifactRef`);
+      class manages its own state contract (data collections, feature
+      vectors, :class:`ArtifactRef`);
     * a plain class with no pickle customization at all, whose state is
       exactly ``__dict__`` plus set ``__slots__`` — encoded as an attribute
-      layout (feature vectors, fitted models).
+      layout (fitted models).
 
     Anything with a custom ``__reduce__``/``__reduce_ex__``/
     ``__getnewargs__`` (exceptions, functions, rngs) keeps pickle's exact

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import types
-from typing import Mapping
+from itertools import chain
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
@@ -19,6 +20,28 @@ from repro.core.data import (
     SemanticUnit,
     Split,
 )
+from repro.core.data import _dict_column
+
+
+def _reference_dict_column(
+    dicts: Sequence[Any], shapes: Dict[Tuple[str, ...], int]
+) -> Optional[Tuple[Tuple[int, ...], Tuple[Any, ...]]]:
+    """The dict column as first written: every row sorted, every value fetched by key."""
+    if set(map(type, dicts)) != {dict}:
+        return None
+    if not set(map(type, chain.from_iterable(dicts))) <= {str}:  # every key
+        return None
+    rows = list(map(tuple, map(sorted, dicts)))
+    for keys in dict.fromkeys(rows):  # distinct shapes, in order of first use
+        shapes.setdefault(keys, len(shapes))
+    values = tuple([mapping[key] for mapping, keys in zip(dicts, rows) for key in keys])
+    return tuple(map(shapes.__getitem__, rows)), values
+
+
+def _reference_matrix(collection: DataCollection, index: Mapping[str, int]) -> np.ndarray:
+    """``X`` as first written: one ``to_dense`` row per example, stacked."""
+    rows = [element.features.to_dense(index) for element in collection]
+    return np.vstack(rows) if rows else np.zeros((0, len(index)))
 
 
 def _reference_size(collection: DataCollection) -> int:
@@ -53,6 +76,17 @@ _arrays = st.integers(0, 40).map(np.zeros)
 _field_values = st.one_of(st.text(max_size=12), _arrays, st.integers(), st.floats(), st.none())
 _fields = st.dictionaries(_names, _field_values, max_size=4)
 _splits = st.sampled_from(list(Split))
+_finite = st.floats(allow_nan=False)
+#: Dense vectors whose names overlap the sparse ones below, of three widths.
+_dense = st.integers(0, 12).flatmap(
+    lambda width: st.lists(_finite, min_size=width, max_size=width)
+).map(lambda values: FeatureVector.from_dense(values, prefix="rff"))
+_dense_of_width = st.sampled_from([2, 11]).flatmap(
+    lambda width: st.lists(_finite, min_size=width, max_size=width)
+).map(lambda values: FeatureVector.from_dense(values, prefix="rff"))
+_sparse = st.dictionaries(
+    st.sampled_from(["rff_0", "rff_1", "rff_10", "x", "y=a"]), _finite, max_size=4
+).map(FeatureVector)
 
 #: Every element kind the estimator distinguishes, plus look-alikes: a
 #: record over a read-only mapping, and plain objects carrying ``fields`` or
@@ -147,6 +181,62 @@ class TestFeatureVector:
         merged = FeatureVector(left).concat(FeatureVector(right))
         assert set(merged.names) == set(left) | set(right)
 
+    def test_concat_of_empty_and_one_other_is_that_other(self):
+        dense = FeatureVector.from_dense([1.0, 2.0])
+        sparse = FeatureVector({"a": 1.0})
+        assert FeatureVector().concat(dense) is dense
+        assert FeatureVector().concat(sparse) is sparse
+        assert FeatureVector.from_dense([]).concat(sparse) is sparse
+        assert dense.concat(sparse) == FeatureVector({"f_0": 1.0, "f_1": 2.0, "a": 1.0})
+
+
+class TestDenseFeatureVector:
+    """A ``from_dense`` vector is one float64 row plus a shared names tuple,
+    and answers every question exactly as the dict form does."""
+
+    @given(st.lists(st.floats(allow_nan=False), max_size=14))
+    @settings(max_examples=80, deadline=None)
+    def test_dense_answers_like_the_dict_form(self, values):
+        dense = FeatureVector.from_dense(values, prefix="rff")
+        sparse = FeatureVector({f"rff_{i}": value for i, value in enumerate(values)})
+        assert len(dense) == len(sparse)
+        assert dense.names == sparse.names
+        assert list(dense.items()) == list(sparse.items())
+        assert all(type(value) is float for _name, value in dense.items())
+        for name in (*sparse.names, "rff_99", "x"):
+            assert dense.get(name, -1.5) == sparse.get(name, -1.5)
+            assert type(dense.get(name)) is float
+            assert (name in dense) == (name in sparse)
+        assert dense == sparse and sparse == dense
+        assert dense.norm() == sparse.norm()
+        if values:
+            changed = -values[-1] if values[-1] else 1.0
+            assert dense != FeatureVector.from_dense([*values[:-1], changed], prefix="rff")
+            assert dense != FeatureVector.from_dense(values, prefix="other")
+
+    def test_the_names_tuple_is_shared_and_the_row_is_a_copy(self):
+        source = np.array([1.0, 2.0, 3.0])
+        first = FeatureVector.from_dense(source, prefix="p")
+        second = FeatureVector.from_dense([4, 5, 6], prefix="p")
+        assert first._names is second._names
+        source[0] = 99.0
+        assert first.get("p_0") == 1.0
+        assert first._row.dtype == np.float64
+
+    @given(st.lists(st.one_of(_dense, _sparse), max_size=6), st.sampled_from(["unit", "example", "bare"]))
+    @settings(max_examples=80, deadline=None)
+    def test_size_estimate_ignores_the_form(self, vectors, kind):
+        def collection(form):
+            rows = [form(vector) for vector in vectors]
+            if kind == "unit":
+                rows = [SemanticUnit(input=None, source="s", output=row) for row in rows]
+            elif kind == "example":
+                rows = [Example(features=row) for row in rows]
+            return DataCollection("d", rows)
+
+        as_dicts = collection(lambda vector: FeatureVector(dict(vector.items())))
+        assert collection(lambda vector: vector).estimated_size_bytes() == as_dicts.estimated_size_bytes()
+
 
 class TestSemanticUnitAndExample:
 
@@ -223,3 +313,69 @@ class TestDataCollection:
     def test_estimated_size_matches_the_reference_loop(self, elements):
         collection = DataCollection("d", elements)
         assert collection.estimated_size_bytes() == _reference_size(collection)
+
+    def test_feature_index_adds_dense_names(self):
+        dc = DataCollection("d", [
+            Example(features=FeatureVector.from_dense([1.0, 2.0], prefix="rff")),
+            Example(features=FeatureVector.from_dense([3.0, 4.0], prefix="rff")),
+            Example(features=FeatureVector({"rff_1": 5.0, "x": 1.0})),
+        ])
+        assert dc.feature_index() == {"rff_0": 0, "rff_1": 1, "x": 2}
+
+    @given(
+        st.lists(st.one_of(_dense_of_width, _sparse), max_size=8),
+        st.one_of(
+            st.none(),
+            st.lists(st.sampled_from(["rff_0", "rff_1", "rff_3", "rff_10", "x", "absent"]),
+                     unique=True).flatmap(
+                lambda names: st.permutations(range(len(names))).map(
+                    lambda positions: dict(zip(names, positions)))),
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_to_matrix_is_bit_identical_to_the_per_row_reference(self, vectors, index):
+        """Dense, sparse and mixed collections, a given index that lacks
+        some names (or carries ones no vector has), and the empty collection."""
+        collection = DataCollection("d", [
+            Example(features=vector, label=float(i % 2) if i % 3 else None)
+            for i, vector in enumerate(vectors)
+        ])
+        X, y, used = collection.to_matrix(index)
+        expected = _reference_matrix(collection, collection.feature_index() if index is None else index)
+        assert X.dtype == expected.dtype and X.shape == expected.shape
+        assert X.tobytes() == expected.tobytes()
+        assert used == (collection.feature_index() if index is None else index)
+        assert np.array_equal(y, [e.label if e.label is not None else np.nan for e in collection],
+                              equal_nan=True)
+
+
+_shape_keys = st.sampled_from([(), ("a",), ("b",), ("a", "b"), ("b", "c", "a"), ("z", "y", "x", "w")])
+#: Rows of alternating, empty and single-key shapes, runs of one shape included.
+_dict_rows = st.lists(
+    st.tuples(_shape_keys, st.integers(1, 3)), max_size=8
+).flatmap(
+    lambda runs: st.tuples(*[
+        st.lists(st.fixed_dictionaries({key: st.one_of(st.integers(), _names) for key in keys}),
+                 min_size=count, max_size=count)
+        for keys, count in runs
+    ])
+).map(lambda runs: list(chain.from_iterable(runs)))
+
+
+class TestDictColumn:
+    @given(_dict_rows, st.dictionaries(st.tuples(_names), st.integers(0, 5), max_size=2))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_reference_column(self, dicts, table):
+        # A prefilled shape table (another column's shapes) numbers new ones after it.
+        shapes = {keys: position for position, keys in enumerate(table)}
+        reference_shapes = dict(shapes)
+        assert _dict_column(dicts, shapes) == _reference_dict_column(dicts, reference_shapes)
+        assert list(shapes.items()) == list(reference_shapes.items())
+
+    def test_refuses_what_the_reference_refuses(self):
+        class Key(str):
+            pass
+
+        for dicts in ([{"a": 1}, {Key("a"): 2}], [{"a": 1}, {1: 2}], [{"a": 1}, types.MappingProxyType({"a": 1})]):
+            assert _dict_column(dicts, {}) is None
+            assert _reference_dict_column(dicts, {}) is None

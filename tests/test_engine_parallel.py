@@ -10,7 +10,8 @@ that contract down:
   LOAD/COMPUTE/PRUNE states across two iterations, all three materialization
   policies, tight storage budgets) and must produce identical outputs, node
   states, materialized-node sets, decisions, StatsStore contents and store
-  catalogs.
+  catalogs.  The MNIST workflow joins them, so dense feature-vector columns
+  cross every executor boundary too.
 * **Determinism** — with the simulated cost model, repeated runs at
   different ``max_workers`` and on different executors produce byte-identical
   run signatures.
@@ -61,6 +62,7 @@ from repro.optimizer.omp import (
 )
 from repro.storage.store import InMemoryStore
 from repro.systems.helix import HelixSystem
+from repro.workloads.base import get_workload
 from repro.experiments.runner import run_lifecycle
 from repro.workloads.synthetic import (
     LatencyOperator,
@@ -102,6 +104,14 @@ class TestExecutorEquivalence:
     def test_cpu_bound_dag(self):
         """The CPU-bound benchmark shape is equivalent across executors too."""
         dag = make_cpu_dag(branches=4, depth=2, spin=1_000)
+        assert_executors_equivalent(dag)
+
+    def test_mnist_dag_with_dense_feature_columns(self):
+        """MNIST's dense feature-vector columns cross the process and socket
+        boundaries as out-of-band array segments and are rebuilt (possibly
+        read-only) on the workers; storage still matches inline exactly."""
+        workload = get_workload("mnist")
+        dag = workload.build(workload.initial_config(scale=0.2)).compile()
         assert_executors_equivalent(dag)
 
     def test_matrix_compares_storage_exactly(self):

@@ -285,6 +285,19 @@ _COLUMNAR_EXAMPLES = DataCollection(
     kind=ElementKind.EXAMPLE,
 )
 
+#: A dense feature-vector column: four random-Fourier rows of 40 floats
+#: (1,280 bytes, above the out-of-band threshold).
+_DENSE_UNITS = DataCollection(
+    "rffFeatures",
+    [
+        SemanticUnit(input=None, source="rff",
+                     output=FeatureVector.from_dense(np.linspace(-1.0, 1.0, 40) * i, prefix="rff"),
+                     split=split)
+        for i, split in enumerate([Split.TRAIN, Split.TRAIN, Split.TEST, Split.ALL])
+    ],
+    kind=ElementKind.SEMANTIC_UNIT,
+)
+
 #: Values encoded in a fresh interpreter to pin cross-process bit equality.
 #: Deliberately hash-order sensitive (string-keyed dicts, sets) and layout
 #: sensitive (C- and F-ordered arrays): the classic sources of drift.
@@ -301,6 +314,8 @@ _CROSS_PROCESS_CORPUS = [
     *_DATA_MODEL_CORPUS,
     _COLUMNAR_UNITS,
     _COLUMNAR_EXAMPLES,
+    FeatureVector.from_dense([0.5, -2.0, 1e-300, float("inf")], prefix="rff"),
+    _DENSE_UNITS,
     *_EDGE_CORPUS,
 ]
 
@@ -428,6 +443,16 @@ _names = st.text(alphabet="abxyz=_019é", min_size=1, max_size=6)
 _splits = st.sampled_from(list(Split))
 _optional_floats = st.one_of(st.none(), st.floats(allow_nan=False))
 _feature_vectors = st.dictionaries(_names, st.floats(allow_nan=False), max_size=6).map(FeatureVector)
+
+
+def _dense_vectors(width: int):
+    return st.lists(st.floats(allow_nan=False), min_size=width, max_size=width).map(
+        lambda values: FeatureVector.from_dense(values, prefix="rff")
+    )
+
+
+#: Dense vectors of one width per drawn value (rff_10 sorts before rff_2).
+_any_dense_vectors = st.integers(0, 12).flatmap(_dense_vectors)
 _records = st.builds(
     Record, fields=st.dictionaries(_names, _canonical_scalars, max_size=5), split=_splits
 )
@@ -456,6 +481,7 @@ _example_collections = st.builds(
 _data_model_values = st.one_of(
     _records,
     _feature_vectors,
+    _any_dense_vectors,
     _units,
     _examples,
     st.builds(DataCollection, name=_names, elements=st.lists(_records, max_size=4),
@@ -463,6 +489,13 @@ _data_model_values = st.one_of(
     st.builds(DataCollection, name=_names, elements=st.lists(_units, max_size=4),
               kind=st.just(ElementKind.SEMANTIC_UNIT)),
     _example_collections,
+    # mixed dense / sparse feature columns take the dict form
+    st.builds(
+        DataCollection, name=_names,
+        elements=st.lists(st.builds(Example, features=st.one_of(_any_dense_vectors, _feature_vectors),
+                                    label=_optional_floats, split=_splits), max_size=4),
+        kind=st.just(ElementKind.EXAMPLE),
+    ),
     st.builds(
         PredictionsResult,
         predictions=_example_collections,
@@ -597,6 +630,8 @@ def _columnar(collection: DataCollection) -> bool:
 def _unfolded(value):
     """``value`` as nested lists that also pin types and dict key order."""
     if isinstance(value, FeatureVector):
+        if value._row is not None:  # dense: its names and its float64 row, in row order
+            return ["FeatureVector", value._names, value._row.dtype.str, value._row.tolist()]
         return ["FeatureVector", _unfolded(value._values)]
     if dataclasses.is_dataclass(value):
         state = vars(value)  # the attribute order is not part of a row
@@ -615,6 +650,24 @@ _vector_units = st.builds(
     output=_feature_vectors,
     split=_splits,
 )
+
+
+def _dense_collections(width: int):
+    """Units or examples whose feature vectors are all dense over one names tuple."""
+    vectors = _dense_vectors(width)
+    units = st.builds(SemanticUnit, input=st.one_of(st.none(), _names), source=_names,
+                      output=vectors, split=_splits)
+    examples = st.builds(Example, features=vectors, label=_optional_floats, split=_splits,
+                         provenance=st.dictionaries(_names, _names, max_size=2),
+                         prediction=_optional_floats, score=_optional_floats)
+    return st.one_of(
+        st.builds(DataCollection, name=_names, elements=st.lists(units, min_size=1, max_size=6),
+                  kind=st.just(ElementKind.SEMANTIC_UNIT)),
+        st.builds(DataCollection, name=_names, elements=st.lists(examples, min_size=1, max_size=6),
+                  kind=st.just(ElementKind.EXAMPLE)),
+    )
+
+
 _columnar_collections = st.one_of(
     st.builds(DataCollection, name=_names, elements=st.lists(_records, min_size=1, max_size=6),
               kind=st.just(ElementKind.RECORD)),
@@ -622,6 +675,7 @@ _columnar_collections = st.one_of(
               kind=st.just(ElementKind.SEMANTIC_UNIT)),
     st.builds(DataCollection, name=_names, elements=st.lists(_examples, min_size=1, max_size=6),
               kind=st.just(ElementKind.EXAMPLE)),
+    st.integers(0, 40).flatmap(_dense_collections),
 )
 
 
@@ -680,3 +734,93 @@ class TestColumnarDataCollection:
             monkeypatch.undo()
             with pytest.raises(ProtocolError, match="invalid DataCollection state"):
                 decode(payload)
+
+
+class TestDenseColumns:
+    """A feature-vector column dense over one names tuple is stated as that
+    tuple plus one 2-D float64 array, which canonical ships out of band."""
+
+    def test_a_dense_column_is_one_out_of_band_array(self):
+        state = _DENSE_UNITS.__getstate__()
+        names, rows = state[7]  # input, source, output, split: output is the third column
+        assert names == tuple(f"rff_{i}" for i in range(40))
+        assert rows.dtype == np.float64 and rows.shape == (4, 40)
+        segments = encode_segments(_DENSE_UNITS)
+        assert [len(segment) for segment in segments[2:]] == [rows.nbytes]
+
+    def test_a_dense_column_decodes_to_row_views_of_one_array(self):
+        packed = encode(_DENSE_UNITS)
+        for copy_buffers in (True, False):
+            decoded = decode(packed, copy_buffers=copy_buffers)
+            assert _structure(decoded) == _structure(_DENSE_UNITS)
+            assert _unfolded(decoded.elements) == _unfolded(_DENSE_UNITS.elements)
+            rows = [unit.output._row for unit in decoded]
+            assert len({id(unit.output._names) for unit in decoded}) == 1
+            assert all(row.base is rows[0].base for row in rows)
+            assert all(row.flags.writeable == copy_buffers for row in rows)
+            assert encode(decoded) == packed
+            X, _y, index = DataCollection(
+                "e", [Example(features=unit.output) for unit in decoded]
+            ).to_matrix()
+            # the index sorts names (rff_10 before rff_2); X holds each row there
+            assert np.array_equal(X[:, [index[name] for name in decoded[0].output._names]],
+                                  np.stack(rows))
+
+    def test_a_mixed_column_takes_the_dict_form_and_decodes_equal(self):
+        mixed = DataCollection(
+            "mixed",
+            [
+                Example(features=FeatureVector.from_dense([1.0, 2.0, 3.0], prefix="rff"), label=1.0),
+                Example(features=FeatureVector({"rff_0": 1.0, "x": 2.0}), label=0.0),
+                Example(features=FeatureVector.from_dense([4.0, 5.0], prefix="rff"), label=None),
+            ],
+            kind=ElementKind.EXAMPLE,
+        )
+        ids, values = mixed.__getstate__()[5]
+        assert len(ids) == 3 and len(values) == 7
+        decoded = decode(encode(mixed))
+        assert _structure(decoded) == _structure(mixed)
+        assert encode(decoded) == encode(mixed)
+
+    def test_a_malformed_dense_state_is_a_typed_error(self, monkeypatch):
+        def unit_state(names, rows, count=2):
+            return ("bad", ElementKind.SEMANTIC_UNIT, "SemanticUnit", (), (),
+                    (None,) * count, ("s",) * count, (names, rows), ("all",) * count)
+
+        states = [
+            unit_state(("a", "b"), np.zeros((2, 3))),  # width != len(names)
+            unit_state(("a", "b"), np.zeros((3, 2))),  # three rows, two of everything else
+            unit_state(("a", "a"), np.zeros((2, 2))),  # a repeated name
+            unit_state(("a", 1), np.zeros((2, 2))),  # a name that is not str
+            unit_state(["a", "b"], np.zeros((2, 2))),  # names not a tuple
+            unit_state(("a", "b"), np.zeros((2, 2), dtype=np.float32)),
+            unit_state(("a", "b"), np.zeros(2)),  # one row, not a column of rows
+        ]
+        for state in states:
+            monkeypatch.setattr(DataCollection, "__getstate__", lambda self, state=state: state)
+            payload = encode(DataCollection("bad", []))
+            monkeypatch.undo()
+            with pytest.raises(ProtocolError, match="invalid DataCollection state"):
+                decode(payload)
+        for state in [(("a", "b"), np.zeros(3)), (("a",), np.zeros((1, 1))), ([("a", 1.0)],)]:
+            monkeypatch.setattr(FeatureVector, "__getstate__", lambda self, state=state: state)
+            payload = encode(FeatureVector())
+            monkeypatch.undo()
+            with pytest.raises(ProtocolError, match="invalid FeatureVector state"):
+                decode(payload)
+
+    def test_a_format_3_payload_is_refused_by_version(self):
+        """Payloads of the previous format (a dict-form vector, a collection of
+        one dense unit) are refused whole, never decoded into half-built vectors."""
+        assert canonical.CANONICAL_VERSION == 4
+        for hex_payload in (
+            "484303004a6f000f726570726f2e636f72652e646174610d46656174757265566563746f7201075f"
+            "76616c7565736d00020a7266665f300a7266665f3157023fe0000000000000c000000000000000",
+            "48430300a4014f000f726570726f2e636f72652e646174610e44617461436f6c6c656374696f6e00"
+            "7409730672666645000f726570726f2e636f72652e646174610b456c656d656e744b696e64010d53"
+            "454d414e5449435f554e4954731853656d616e746963556e69744b0162025802026205050a726666"
+            "5f307266665f31020374014e5801000074024b01620057023fe0000000000000c000000000000000"
+            "580101620303616c6c04",
+        ):
+            with pytest.raises(ProtocolError, match="payload is version 3"):
+                decode(bytes.fromhex(hex_payload))
