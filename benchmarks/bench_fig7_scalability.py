@@ -52,9 +52,9 @@ import pytest
 
 from repro.core.dag import WorkflowDAG
 from repro.core.signatures import compute_node_signatures
-from repro.execution.engine import create_engine
+from repro.execution.engine import ExecutionEngine
 from repro.execution.equivalence import assert_equivalent_runs
-from repro.execution.executors import DistributedExecutor, Executor
+from repro.execution.executors import DistributedExecutor, Executor, create_executor
 from repro.execution.tracker import RunStats
 from repro.experiments.figures import figure7b
 from repro.experiments.report import format_series_table
@@ -150,12 +150,14 @@ def _run_executor(
 ) -> Tuple[float, RunStats]:
     """Execute one DAG on a fresh engine; return (wall_clock, stats).
 
-    The wall clock includes worker-pool startup — the process executor must
-    amortize fork + payload pickling to win, exactly as it must in practice.
-    ``executor`` may be a ready instance (e.g. a remote-configured
-    distributed executor); the engine then drains it between runs and the
-    caller owns its ``shutdown``, so startup amortizes across repeats just
-    as a warm pool would in production.
+    An executor name is built here and shut down after the run, both inside
+    the timed region: the wall clock includes worker-pool startup and
+    teardown — the process executor must amortize fork + payload pickling
+    to win, exactly as it must in practice.  ``executor`` may instead be a
+    ready instance (e.g. a remote-configured distributed executor); the
+    engine then drains it after the run and the caller owns its
+    ``shutdown``, so startup amortizes across repeats just as a warm pool
+    would in production.
     """
     dag = dag_factory()
     signatures = compute_node_signatures(dag)
@@ -165,15 +167,21 @@ def _run_executor(
         {name: float("inf") for name in dag.node_names},
         forced_compute=dag.node_names,
     )
-    engine = create_engine(
-        executor,
-        max_workers=None if isinstance(executor, Executor) else max_workers,
-        store=InMemoryStore(),
-        policy=StreamingMaterializationPolicy(),
-        stats=StatsStore(),
-    )
+    owned = not isinstance(executor, Executor)
     started = time.perf_counter()
-    stats = engine.execute(dag, plan, signatures)
+    if owned:
+        executor = create_executor(executor, max_workers=max_workers)
+    try:
+        engine = ExecutionEngine(
+            store=InMemoryStore(),
+            policy=StreamingMaterializationPolicy(),
+            stats=StatsStore(),
+            executor=executor,
+        )
+        stats = engine.execute(dag, plan, signatures)
+    finally:
+        if owned:
+            executor.shutdown()
     return time.perf_counter() - started, stats
 
 

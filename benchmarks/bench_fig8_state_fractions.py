@@ -4,12 +4,19 @@ The paper's point: OPT enables exactly the same reuse as the
 materialize-everything variant (same prune/load behaviour) while writing far
 less to disk — the optimizer's choices, not indiscriminate materialization,
 are what drive reuse.
+
+The checks run on the simulated clock (``SimulatedCostModel``), as Figure
+9's do: OEP plans from charged times, and on the measured clock those are
+wall timings, so on genomics OPT's and AM's recompute fractions could
+differ by an iteration's noise (the ``Sc`` check failed in 1-2 of 3 runs
+under a profile hook).  The measured-clock tables are printed beside them.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.execution.clock import MeasuredCostModel, SimulatedCostModel
 from repro.experiments.report import format_fraction_table
 from repro.experiments.runner import run_lifecycle
 from repro.systems.helix import HelixSystem
@@ -17,21 +24,25 @@ from repro.systems.helix import HelixSystem
 from _bench_helpers import ITERATIONS, SEED, emit, run_once
 
 
+def _run_opt_and_am(workload: str, clock=SimulatedCostModel):
+    return tuple(
+        run_lifecycle(variant(seed=0, cost_model=clock()), workload,
+                      n_iterations=ITERATIONS[workload], seed=SEED)
+        for variant in (HelixSystem.opt, HelixSystem.always_materialize)
+    )
+
+
 @pytest.mark.parametrize("workload", ["census", "genomics"])
 def test_fig8_state_fractions(benchmark, workload):
-    def run():
-        opt = run_lifecycle(HelixSystem.opt(seed=0), workload,
-                            n_iterations=ITERATIONS[workload], seed=SEED)
-        am = run_lifecycle(HelixSystem.always_materialize(seed=0), workload,
-                           n_iterations=ITERATIONS[workload], seed=SEED)
-        return opt, am
+    measured_opt, measured_am = run_once(
+        benchmark, lambda: _run_opt_and_am(workload, MeasuredCostModel)
+    )
+    emit(f"Figure 8 — {workload} HELIX OPT state fractions (measured)",
+         format_fraction_table(measured_opt.state_fraction_series()))
+    emit(f"Figure 8 — {workload} HELIX AM state fractions (measured)",
+         format_fraction_table(measured_am.state_fraction_series()))
 
-    opt, am = run_once(benchmark, run)
-    emit(f"Figure 8 — {workload} HELIX OPT state fractions",
-         format_fraction_table(opt.state_fraction_series()))
-    emit(f"Figure 8 — {workload} HELIX AM state fractions",
-         format_fraction_table(am.state_fraction_series()))
-
+    opt, am = _run_opt_and_am(workload)
     opt_fractions = opt.state_fraction_series()
     am_fractions = am.state_fraction_series()
 
@@ -45,4 +56,5 @@ def test_fig8_state_fractions(benchmark, workload):
 
     # Reuse is substantial: on average well under half the DAG is recomputed.
     mean_compute = sum(row["Sc"] for row in opt_fractions[1:]) / max(len(opt_fractions) - 1, 1)
+    emit(f"{workload} simulated clock", f"OPT mean Sc over iterations 1+: {mean_compute:.3f}")
     assert mean_compute < 0.5

@@ -43,13 +43,13 @@ REMOTE_WORKERS = 2
 
 def run_local() -> None:
     """Lifecycle on a locally-spawned worker pool, plus a mid-run worker kill."""
-    # Name-configuring the distributed executor auto-pools it: the system
-    # owns one coordinator + worker pool, reused by every iteration, and
-    # the `with system:` block runs the final shutdown.
+    # Name-configuring the distributed executor makes the system its owner:
+    # one coordinator + worker pool, reused by every iteration, and the
+    # `with system:` block runs the final shutdown.
     with HelixSystem.opt(executor="distributed", max_workers=WORKERS, seed=0) as system:
         result = run_lifecycle(system, "census", n_iterations=ITERATIONS, seed=7)
 
-        executor = system.owned_executor
+        executor = system.executor
         print(f"coordinator: {executor.address[0]}:{executor.address[1]}")
         print(f"workers    : {sorted(executor.worker_pids().values())}")
         print(f"\n== census lifecycle on {WORKERS} distributed workers ==")
@@ -102,7 +102,7 @@ def run_remote() -> None:
             executor="distributed", workers=addresses, seed=0
         ) as system:
             result = run_lifecycle(system, "census", n_iterations=ITERATIONS, seed=7)
-            executor = system.owned_executor
+            executor = system.executor
             print(f"\nworkers    : {sorted(executor.worker_pids())}  "
                   f"(address-configured; FETCH lane "
                   f"{'on' if executor.uses_artifact_refs else 'off'})")

@@ -11,7 +11,7 @@ documented in ``docs/executors.md``.
 
 from .cache import CacheEntry, OperatorCache
 from .clock import ClusterModel, CostModel, MeasuredCostModel, SimulatedCostModel
-from .engine import ExecutionEngine, create_engine
+from .engine import ExecutionEngine
 from .equivalence import (
     ExecutorRig,
     assert_equivalent_runs,
@@ -36,7 +36,6 @@ from .executors import (
     default_max_workers,
     default_process_workers,
     parse_worker_address,
-    resolve_executor_name,
 )
 from .tracker import MemoryTracker, RunStats
 
@@ -48,7 +47,6 @@ __all__ = [
     "MeasuredCostModel",
     "SimulatedCostModel",
     "ExecutionEngine",
-    "create_engine",
     "Executor",
     "InlineExecutor",
     "ThreadExecutor",
@@ -57,7 +55,6 @@ __all__ = [
     "WorkerServer",
     "EXECUTOR_NAMES",
     "create_executor",
-    "resolve_executor_name",
     "parse_worker_address",
     "default_max_workers",
     "default_process_workers",

@@ -2,7 +2,7 @@
 
 One :class:`ExecutionEngine` lifecycle serves every executor strategy.  The
 engine walks the optimized DAG with an event-driven scheduler: every node
-whose parents have resolved is dispatched onto the configured
+whose parents have resolved is dispatched onto the given
 :class:`~repro.execution.executors.Executor` (``"inline"``, ``"thread"``,
 ``"process"`` or ``"distributed"``), and completions drive further dispatch.
 While executing it
@@ -75,10 +75,10 @@ from ..storage.serialization import ArtifactRef, estimate_size_bytes, serialize
 from ..storage.store import MaterializationStore
 from .cache import OperatorCache
 from .clock import CostModel, MeasuredCostModel
-from .executors import Executor, ExecutorSpec, create_executor, resolve_executor_name
+from .executors import Executor, InlineExecutor
 from .tracker import MemoryTracker, RunStats
 
-__all__ = ["ExecutionEngine", "create_engine"]
+__all__ = ["ExecutionEngine"]
 
 #: Node signatures (class + configuration content hashes) already proven
 #: process-safe, kept module-global because systems build a *fresh engine per
@@ -92,14 +92,13 @@ _PROCESS_SAFE_SIGNATURES_CAP = 50_000
 class ExecutionEngine:
     """Executes physical plans against a store, cache and cost model.
 
-    ``executor`` selects the task-dispatch strategy (``"inline"`` — the
-    default reference strategy, ``"thread"``, ``"process"``,
-    ``"distributed"``, a custom :class:`Executor` subclass, or a ready
-    instance).  ``max_workers`` bounds the worker pool for the
-    pool-backed strategies; ``workers=["host:port", ...]`` selects the
-    distributed executor's remote (address-configured) worker pool.  A
-    ready executor *instance* is treated as externally owned: the engine
-    drains it between runs (``finish_run``) and never shuts it down.
+    ``executor`` is the :class:`Executor` instance tasks are dispatched on
+    (default: a new :class:`InlineExecutor`, the reference strategy).  The
+    engine never builds or shuts down an executor: every run ends with
+    ``finish_run``, and whoever built the instance — a ``System`` that
+    built it from a name, or the caller — runs its final ``shutdown``.
+    Build one from a name with
+    :func:`~repro.execution.executors.create_executor`.
     """
 
     def __init__(
@@ -111,10 +110,15 @@ class ExecutionEngine:
         cache: Optional[OperatorCache] = None,
         context: Optional[RunContext] = None,
         materialize_outputs: bool = True,
-        executor: ExecutorSpec = "inline",
-        max_workers: Optional[int] = None,
-        workers: Optional[Sequence[str]] = None,
+        executor: Optional[Executor] = None,
     ):
+        if executor is None:
+            executor = InlineExecutor()
+        elif not isinstance(executor, Executor):
+            raise TypeError(
+                f"executor must be an Executor instance, not {executor!r}; "
+                f"build one from a name with create_executor()"
+            )
         self.store = store
         self.policy = policy if policy is not None else NeverMaterialize()
         self.cost_model = cost_model if cost_model is not None else MeasuredCostModel()
@@ -122,14 +126,7 @@ class ExecutionEngine:
         self.cache = cache if cache is not None else OperatorCache()
         self.context = context if context is not None else RunContext()
         self.materialize_outputs = materialize_outputs
-        self.max_workers = int(max_workers) if max_workers is not None else None
-        self.workers = list(workers) if workers is not None else None
-        self.executor = resolve_executor_name(executor) if isinstance(executor, str) else executor
-        # Fail at construction, not first execute: executor constructors
-        # validate max_workers/worker addresses, and create_executor rejects
-        # combining an instance with either (pools are lazy, so this builds
-        # nothing).
-        create_executor(self.executor, max_workers=self.max_workers, workers=self.workers)
+        self.executor = executor
 
     # ------------------------------------------------------------------ public
     def execute(
@@ -166,7 +163,7 @@ class ExecutionEngine:
         completed: Set[str] = set()
         failure: Optional[BaseException] = None
 
-        executor = self._build_executor()
+        executor = self.executor
         # Give the executor read access to the store before any dispatch:
         # distributed workers without the coordinator's filesystem resolve
         # ArtifactRef inputs against it over the FETCH lane.
@@ -246,13 +243,9 @@ class ExecutionEngine:
         finally:
             # On failure this cancels every not-yet-started task and waits
             # for in-flight operators to drain before surfacing the error.
-            # A user-supplied instance keeps its pools alive (the caller
-            # amortizes pool startup across executes and owns shutdown());
-            # engine-built executors are released entirely.
-            if isinstance(self.executor, Executor):
-                executor.finish_run(cancel=True)
-            else:
-                executor.shutdown(cancel=True)
+            # The pools stay alive for the executor's next run; its owner
+            # runs the final shutdown().
+            executor.finish_run(cancel=True)
 
         if failure is not None:
             self.cache.clear()
@@ -262,12 +255,6 @@ class ExecutionEngine:
         return self._finalize_run(stats, memory)
 
     # ------------------------------------------------------------------ dispatch
-    def _build_executor(self) -> Executor:
-        """The executor for one ``execute`` call (fresh unless instance-configured)."""
-        return create_executor(
-            self.executor, max_workers=self.max_workers, workers=self.workers
-        )
-
     def _dispatch(
         self,
         executor: Executor,
@@ -554,44 +541,3 @@ class ExecutionEngine:
             storage_bytes=artifact.record.size_bytes,
         )
 
-
-def create_engine(
-    executor: ExecutorSpec = "inline",
-    *,
-    max_workers: Optional[int] = None,
-    workers: Optional[Sequence[str]] = None,
-    **kwargs,
-) -> ExecutionEngine:
-    """Build an execution engine for an executor strategy.
-
-    Parameters
-    ----------
-    executor:
-        ``"inline"`` (default), ``"thread"``, ``"process"``,
-        ``"distributed"``, an :class:`Executor` subclass, or a ready
-        instance (see ``docs/executors.md`` for the strategy contract).
-    max_workers:
-        Worker-pool bound for pool-backed strategies; rejected when
-        combined with an executor instance.
-    workers:
-        Remote worker addresses (``"host:port"``) for the distributed
-        executor's address-configured mode; rejected for other strategies
-        and when combined with an executor instance.
-    **kwargs:
-        Forwarded to :class:`ExecutionEngine` (store, policy, cost model,
-        stats, cache, context, ...).
-
-    Returns
-    -------
-    A configured :class:`ExecutionEngine`.
-
-    Raises
-    ------
-    ExecutionError
-        On an unknown executor name, an invalid ``max_workers`` or worker
-        address, or ``max_workers``/``workers`` combined with an executor
-        instance.
-    """
-    return ExecutionEngine(
-        executor=executor, max_workers=max_workers, workers=workers, **kwargs
-    )

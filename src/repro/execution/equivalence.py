@@ -60,7 +60,8 @@ from ..optimizer.omp import MaterializationPolicy, StreamingMaterializationPolic
 from ..storage.serialization import serialize
 from ..storage.store import InMemoryStore, MaterializationStore
 from .clock import SimulatedCostModel
-from .executors import EXECUTOR_NAMES, Executor, ExecutorSpec
+from .engine import ExecutionEngine
+from .executors import EXECUTOR_NAMES, Executor, create_executor
 from .tracker import RunStats
 
 __all__ = [
@@ -277,17 +278,17 @@ class ExecutorRig:
     ----------
     executor:
         An executor name (``"inline"``/``"thread"``/``"process"``/
-        ``"distributed"``), an :class:`Executor` subclass, or a ready
-        instance — e.g. a ``DistributedExecutor(workers=[...])``
-        connected to remote workers.  An instance is treated as
-        caller-owned: the rig's engines drain it between runs and the
-        caller runs the final ``shutdown()``.
+        ``"distributed"``) or a ready :class:`Executor` instance — e.g. a
+        ``DistributedExecutor(workers=[...])`` connected to remote
+        workers.  A name is built once, serves every :meth:`run`, and is
+        shut down by :meth:`close` (or on leaving ``with rig:``); an
+        instance stays with its caller, who runs the final ``shutdown()``.
     policy:
         Materialization policy (default: streaming OPT-MAT-PLAN).
     budget_bytes:
         Storage budget for the rig's in-memory store (``None`` = unlimited).
     max_workers:
-        Worker count for pool-backed strategies (ignored for a ready
+        Worker count for a name-built executor (ignored for a ready
         instance, which already carries its own).
     seed:
         Seed for the rig's :class:`RunContext`.
@@ -295,25 +296,36 @@ class ExecutorRig:
 
     def __init__(
         self,
-        executor: ExecutorSpec = "inline",
+        executor: Union[str, Executor] = "inline",
         policy: Optional[MaterializationPolicy] = None,
         budget_bytes: Optional[int] = None,
         max_workers: Optional[int] = None,
         seed: int = 0,
     ):
-        from .engine import create_engine
-
+        self._owns_executor = not isinstance(executor, Executor)
+        if self._owns_executor:
+            executor = create_executor(executor, max_workers=max_workers)
         self.store = InMemoryStore(budget_bytes=budget_bytes)
         self.stats_store = StatsStore()
-        self.engine = create_engine(
-            executor,
-            max_workers=None if isinstance(executor, Executor) else max_workers,
+        self.engine = ExecutionEngine(
             store=self.store,
             policy=policy if policy is not None else StreamingMaterializationPolicy(),
             cost_model=SimulatedCostModel(),
             stats=self.stats_store,
             context=RunContext(seed=seed),
+            executor=executor,
         )
+
+    def close(self) -> None:
+        """Shut down the executor this rig built from a name (not an instance)."""
+        if self._owns_executor:
+            self.engine.executor.shutdown()
+
+    def __enter__(self) -> "ExecutorRig":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def run(
         self,
@@ -335,13 +347,13 @@ class ExecutorRig:
 
 
 #: One matrix column: a canonical executor name, or an explicit
-#: ``(label, spec)`` pair — e.g. ``("distributed-remote",
+#: ``(label, executor)`` pair — e.g. ``("distributed-remote",
 #: DistributedExecutor(workers=[...]))`` — keyed by its label in the
 #: returned dictionaries.
-MatrixColumn = Union[str, Tuple[str, ExecutorSpec]]
+MatrixColumn = Union[str, Tuple[str, Union[str, Executor]]]
 
 
-def _resolve_column(column: MatrixColumn) -> Tuple[str, ExecutorSpec]:
+def _resolve_column(column: MatrixColumn) -> Tuple[str, Union[str, Executor]]:
     """Split a matrix column into its result key and its executor spec."""
     if isinstance(column, tuple):
         label, spec = column
@@ -362,11 +374,13 @@ def run_executor_matrix(
     Iteration 0 computes everything (and materializes per policy); iteration
     1 re-plans against the now-populated store with a deterministic forced
     subset, producing a LOAD/COMPUTE/PRUNE mix.  ``executors`` entries are
-    canonical names or ``(label, spec)`` pairs (see :data:`MatrixColumn`);
-    a spec may be a ready :class:`Executor` instance — e.g. an
-    address-configured distributed executor — which stays caller-owned (the
-    rigs drain it, the caller shuts it down).  Returns the rigs and the
-    per-executor :data:`MatrixRun` records, keyed by name/label.
+    canonical names or ``(label, executor)`` pairs (see
+    :data:`MatrixColumn`).  Each column's rig builds a named executor once,
+    runs both iterations on it and shuts it down before the next column
+    starts; a ready :class:`Executor` instance — e.g. an address-configured
+    distributed executor — stays caller-owned (the rigs drain it, the
+    caller shuts it down).  Returns the rigs and the per-executor
+    :data:`MatrixRun` records, keyed by name/label.
     """
     signatures = compute_node_signatures(dag)
     if forced_second is None:
@@ -375,14 +389,14 @@ def run_executor_matrix(
     runs: Dict[str, MatrixRun] = {}
     for column in executors:
         label, spec = _resolve_column(column)
-        rig = ExecutorRig(
+        with ExecutorRig(
             spec,
             policy=policy_factory(),
             budget_bytes=budget_bytes,
-            max_workers=None if spec == "inline" else max_workers,
-        )
-        plan0, stats0 = rig.run(dag, signatures, forced=dag.node_names, iteration=0)
-        plan1, stats1 = rig.run(dag, signatures, forced=forced_second, iteration=1)
+            max_workers=max_workers,
+        ) as rig:
+            plan0, stats0 = rig.run(dag, signatures, forced=dag.node_names, iteration=0)
+            plan1, stats1 = rig.run(dag, signatures, forced=forced_second, iteration=1)
         rigs[label] = rig
         runs[label] = (plan0, stats0, plan1, stats1)
     return rigs, runs
@@ -438,8 +452,8 @@ def assert_executors_equivalent(
     dag:
         The workflow DAG to drive through the two-iteration lifecycle.
     executors:
-        Matrix columns to compare — strategy names and/or ``(label, spec)``
-        pairs such as ``("distributed-remote",
+        Matrix columns to compare — strategy names and/or ``(label,
+        executor)`` pairs such as ``("distributed-remote",
         DistributedExecutor(workers=[...]))``; defaults to every built-in
         (:data:`EXECUTOR_NAMES` — inline, thread, process, distributed).
         The first entry is the reference.

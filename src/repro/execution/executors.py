@@ -51,11 +51,11 @@ across sessions) and workers keep per-session fetch lanes and value
 caches, which is what the ``repro serve`` daemon
 (:mod:`repro.service`) builds its concurrent-run scheduler on.
 
-The engine drives an executor through one run as
-``start -> submit*/submit_payload* -> next_completion* -> shutdown``; when
-configured by name it builds a fresh instance per ``execute`` call
-(:func:`create_executor`), and a user-supplied instance is reset for reuse
-by ``start``.  Completions are delivered through an internal queue as
+The engine drives the executor it is given through one run as
+``start -> submit*/submit_payload* -> next_completion* -> finish_run``;
+``start`` resets the instance for reuse, so one executor serves many runs.
+Whoever builds an executor — from a name with :func:`create_executor`, or
+directly — owns it and runs its final ``shutdown``.  Completions are delivered through an internal queue as
 ``(key, outcome, error)`` triples, so the engine's scheduling loop is
 identical across strategies.  The full contract — required methods,
 generation-stamped completion queues, process-safety rules, how to plug in
@@ -99,7 +99,6 @@ __all__ = [
     "DistributedSession",
     "WorkerServer",
     "EXECUTOR_NAMES",
-    "resolve_executor_name",
     "parse_worker_address",
     "create_executor",
     "default_max_workers",
@@ -122,15 +121,6 @@ def default_max_workers() -> int:
 def default_process_workers() -> int:
     """Default process count: one worker per core (CPU-bound work)."""
     return os.cpu_count() or 1
-
-
-def resolve_executor_name(name: str) -> str:
-    """Validate an executor name (one of :data:`EXECUTOR_NAMES`)."""
-    if name in EXECUTOR_NAMES:
-        return name
-    raise ExecutionError(
-        f"unknown executor {name!r}; expected one of {list(EXECUTOR_NAMES)}"
-    )
 
 
 def parse_worker_address(spec: Union[str, Tuple[str, int]]) -> Tuple[str, int]:
@@ -237,7 +227,7 @@ class Executor(ABC):
     One ``start``/``finish_run`` cycle serves one ``ExecutionEngine.execute``
     call; ``start`` opens a fresh run generation so the instance can serve
     another run afterwards, and :meth:`shutdown` releases worker resources
-    for good.  A custom strategy must provide :attr:`name`, :meth:`submit`,
+    (a later ``start`` acquires them again).  A custom strategy must provide :attr:`name`, :meth:`submit`,
     and — when :attr:`out_of_process` is true — :meth:`submit_payload`;
     everything else has working defaults.  The full contract, including the
     generation-stamped completion-queue semantics and the process-safety
@@ -316,9 +306,9 @@ class Executor(ABC):
 
         Cancels queued tasks (when ``cancel``) and waits for in-flight ones
         to drain, so a reused instance carries no work into its next
-        ``start``.  The engine calls this instead of :meth:`shutdown` for
-        user-supplied instances, letting callers amortize pool startup across
-        executes; such callers own the final :meth:`shutdown`.
+        ``start``.  The engine ends every run with this, never with
+        :meth:`shutdown`, so pool startup amortizes across executes; the
+        executor's owner runs the final :meth:`shutdown`.
         """
         with self._inflight_lock:
             pending = list(self._inflight)
@@ -334,7 +324,7 @@ class Executor(ABC):
         """Release worker resources, optionally cancelling queued tasks.
 
         Always waits for in-flight tasks to drain so no worker outlives the
-        engine's run (failure paths rely on this before surfacing errors).
+        executor.  The instance can be ``start``-ed again afterwards.
         """
 
     # ------------------------------------------------------------------ helpers
@@ -534,6 +524,25 @@ class ProcessExecutor(_OutOfProcessExecutor):
 #: overhead on *small* pipelined messages; a large payload already
 #: dominates its frame cost and ships alone.
 _BATCH_MAX_TASK_BYTES = 8192
+
+#: Dispatch attempts per task before it fails.
+_MAX_TASK_ATTEMPTS = 3
+
+#: Seconds ``start`` waits for spawned workers to register — or for remote
+#: addresses to accept their first connection — before it raises.
+_START_TIMEOUT = 30.0
+
+#: Seconds allotted to one remote connection attempt (TCP connect +
+#: registration read).
+_CONNECT_TIMEOUT = 5.0
+
+#: Base of the exponential re-dial backoff for a remote address whose dial
+#: failed: the n-th consecutive failure hides the address from non-strict
+#: pool healing for ``_REDIAL_BACKOFF * 2**(n-1)`` seconds, capped at
+#: ``max(5, 2 * _CONNECT_TIMEOUT)``.  The counter resets on a successful
+#: dial, so a worker that merely restarted is re-adopted on the next
+#: healing pass instead of staying invisible for the full cap.
+_REDIAL_BACKOFF = 0.25
 
 
 def _parse_registration(message: Any) -> Optional[Tuple[str, int, Optional[float]]]:
@@ -1331,7 +1340,7 @@ class DistributedExecutor(_OutOfProcessExecutor):
     tasks — acked-but-unfinished and pipelined-but-unacked alike — requeued
     to surviving workers exactly once per death (a duplicate reply from a
     worker wrongly declared dead is dropped; first answer wins); a task
-    dispatched ``max_task_attempts`` times without a reply — or orphaned
+    dispatched ``_MAX_TASK_ATTEMPTS`` times without a reply — or orphaned
     when no worker survives — fails with an :class:`ExecutionError` naming
     it.  Operators must satisfy the same purity/picklability contract as
     the process executor (replayed tasks re-run the operator, which is
@@ -1359,7 +1368,7 @@ class DistributedExecutor(_OutOfProcessExecutor):
         Remote worker addresses (``"host:port"`` strings or ``(host,
         port)`` pairs).  When given, no local workers are spawned; the
         coordinator connects to each address instead (retrying until
-        ``start_timeout`` on the first ``start``).
+        ``_START_TIMEOUT`` on the first ``start``).
     pipeline_depth:
         Tasks dispatched onto one worker connection at a time (>= 1).  The
         default of 2 overlaps coordinator-side serialization/framing of the
@@ -1370,38 +1379,19 @@ class DistributedExecutor(_OutOfProcessExecutor):
         remote workers use the interval they were started with, announce it
         at registration, and get a correspondingly widened per-worker
         silence threshold when they beat slower than this coordinator
-        assumed).
-    heartbeat_timeout:
-        Silence (no frame of any kind) after which a worker is declared
-        dead.  ``None`` (default) derives ``max(5, 10 * heartbeat_interval)``;
-        an explicit value must exceed ``heartbeat_interval`` or every
-        healthy-but-busy worker would be declared dead.  Socket EOF and
-        process exit are detected immediately; for locally-spawned workers
-        the process handle is authoritative, so silence alone never kills a
-        provably-alive worker (a GIL-holding C call can starve the
-        heartbeat thread).  For address-configured remote workers there is
-        no process handle, so the timeout is authoritative.
-    max_task_attempts:
-        Dispatch attempts per task before it fails.
-    start_timeout:
-        Seconds to wait for spawned workers to register — or for remote
-        addresses to accept the first connection — before ``start`` raises.
+        assumed).  A worker silent (no frame of any kind) for
+        ``heartbeat_timeout = max(5, 10 * heartbeat_interval)`` seconds is
+        declared dead.  Socket EOF and process exit are detected
+        immediately; for locally-spawned workers the process handle is
+        authoritative, so silence alone never kills a provably-alive worker
+        (a GIL-holding C call can starve the heartbeat thread).  For
+        address-configured remote workers there is no process handle, so
+        the timeout is authoritative.
     fetch_inputs:
         Whether store-resident COMPUTE inputs ship as artifact refs
         resolved over the FETCH lane.  ``None`` (default) enables it
         exactly when ``workers`` addresses are configured; pass ``True`` to
         exercise the lane with locally-spawned workers too.
-    connect_timeout:
-        Seconds allotted to one remote connection attempt (TCP connect +
-        registration read).
-    redial_backoff:
-        Base of the exponential re-dial backoff applied to a remote
-        address whose dial failed: the n-th consecutive failure hides the
-        address from non-strict pool healing for ``redial_backoff *
-        2**(n-1)`` seconds, capped at ``max(5, 2 * connect_timeout)``.
-        The counter resets on a successful dial, so a worker that merely
-        restarted is re-adopted on the next healing pass instead of
-        staying invisible for the full cap.
     fetch_timeout:
         Seconds a locally-spawned worker waits for this coordinator to
         answer an artifact fetch before failing the task that needs it
@@ -1426,14 +1416,9 @@ class DistributedExecutor(_OutOfProcessExecutor):
         self,
         max_workers: Optional[int] = None,
         heartbeat_interval: float = 0.5,
-        heartbeat_timeout: Optional[float] = None,
-        max_task_attempts: int = 3,
-        start_timeout: float = 30.0,
         workers: Optional[Sequence[Union[str, Tuple[str, int]]]] = None,
         pipeline_depth: int = 2,
         fetch_inputs: Optional[bool] = None,
-        connect_timeout: float = 5.0,
-        redial_backoff: float = 0.25,
         fetch_timeout: float = 60.0,
         worker_cache_bytes: Optional[int] = None,
     ) -> None:
@@ -1463,32 +1448,18 @@ class DistributedExecutor(_OutOfProcessExecutor):
         )
         if pipeline_depth < 1:
             raise ExecutionError("pipeline_depth must be at least 1")
-        if max_task_attempts < 1:
-            raise ExecutionError("max_task_attempts must be at least 1")
         if heartbeat_interval <= 0:
             raise ExecutionError("heartbeat_interval must be positive")
-        if heartbeat_timeout is None:
-            heartbeat_timeout = max(5.0, 10.0 * heartbeat_interval)
-        elif heartbeat_timeout <= heartbeat_interval:
-            raise ExecutionError(
-                f"heartbeat_timeout ({heartbeat_timeout:g}s) must exceed "
-                f"heartbeat_interval ({heartbeat_interval:g}s), or every "
-                f"healthy worker would be declared dead between beats"
-            )
-        if redial_backoff <= 0:
-            raise ExecutionError("redial_backoff must be positive")
         if fetch_timeout <= 0:
             raise ExecutionError("fetch_timeout must be positive")
         if worker_cache_bytes is not None and worker_cache_bytes < 1:
             raise ExecutionError("worker_cache_bytes must be at least 1")
         self.worker_cache_bytes = worker_cache_bytes
         self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = heartbeat_timeout
-        self.max_task_attempts = max_task_attempts
-        self.start_timeout = start_timeout
+        #: Silence (no frame of any kind) after which a worker is declared
+        #: dead: ten missed beats, and never under five seconds.
+        self.heartbeat_timeout = max(5.0, 10.0 * heartbeat_interval)
         self.pipeline_depth = int(pipeline_depth)
-        self.connect_timeout = connect_timeout
-        self.redial_backoff = redial_backoff
         self.fetch_timeout = fetch_timeout
         self.uses_artifact_refs = (
             bool(fetch_inputs)
@@ -1517,7 +1488,7 @@ class DistributedExecutor(_OutOfProcessExecutor):
         self._start_lock = threading.Lock()
         self._remote_ready = False
         #: Per-address earliest next re-dial time: a dead remote host costs
-        #: a full connect_timeout to probe, so non-strict healing skips it
+        #: a full ``_CONNECT_TIMEOUT`` to probe, so non-strict healing skips it
         #: for a backoff window instead of stalling every start().
         self._remote_retry_at: Dict[Tuple[str, int], float] = {}
         #: Consecutive failed dials per address; drives the exponential
@@ -1544,8 +1515,8 @@ class DistributedExecutor(_OutOfProcessExecutor):
         Local-spawn mode: first use opens the listener and spawns
         ``max_workers`` workers; a reused instance keeps surviving workers
         and only respawns dead ones.  Blocks until every worker has
-        registered (``start_timeout``).  Remote mode: dial every
-        still-disconnected address — retrying until ``start_timeout`` on a
+        registered (``_START_TIMEOUT``).  Remote mode: dial every
+        still-disconnected address — retrying until ``_START_TIMEOUT`` on a
         first start (which fails if any address stays unreachable); on
         reuse, reconnection is a best-effort single pass that warns about
         unreachable workers and proceeds as long as one survives.
@@ -1802,7 +1773,7 @@ class DistributedExecutor(_OutOfProcessExecutor):
         handle.pid = process.pid
 
     def _await_registration(self) -> None:
-        deadline = time.monotonic() + self.start_timeout
+        deadline = time.monotonic() + _START_TIMEOUT
         with self._cond:
             while True:
                 pending = [
@@ -1814,7 +1785,7 @@ class DistributedExecutor(_OutOfProcessExecutor):
                     raise ExecutionError(
                         f"distributed executor: {len(pending)} of "
                         f"{self.max_workers} workers failed to register within "
-                        f"{self.start_timeout:.0f}s"
+                        f"{_START_TIMEOUT:.0f}s"
                     )
                 self._cond.wait(timeout=0.1)
             if not any(h.alive for h in self._workers.values()):
@@ -1826,23 +1797,23 @@ class DistributedExecutor(_OutOfProcessExecutor):
         """Dial every address without a live connection.
 
         ``strict`` (until a start has fully succeeded): keep retrying until
-        ``start_timeout`` and raise if any address stays unreachable — a
+        ``_START_TIMEOUT`` and raise if any address stays unreachable — a
         misconfigured address must fail loudly, and a worker that is still
         booting gets its grace period.  Non-strict (pool healing on reuse):
         one attempt per address; unreachable workers produce a warning, and
         the run proceeds on the survivors (raising only when none is left).
 
-        Failed dials back off exponentially from ``redial_backoff`` seconds
+        Failed dials back off exponentially from ``_REDIAL_BACKOFF`` seconds
         (doubling per consecutive failure, capped at ``max(5, 2 *
-        connect_timeout)``) and the counter resets on a successful dial whose
+        _CONNECT_TIMEOUT)``) and the counter resets on a successful dial whose
         worker is still registered when the pass ends — a worker that merely
         restarted between lifecycle iterations is picked back up on the next
         healing pass, while a host that stays dead (or a worker that
         registers and immediately dies) quickly escalates to the cap instead
-        of costing a connect_timeout probe per start().
+        of costing a connect probe per start().
         """
-        deadline = time.monotonic() + (self.start_timeout if strict else 0.0)
-        backoff_cap = max(5.0, 2.0 * self.connect_timeout)
+        deadline = time.monotonic() + (_START_TIMEOUT if strict else 0.0)
+        backoff_cap = max(5.0, 2.0 * _CONNECT_TIMEOUT)
         failures: Dict[str, BaseException] = {}
         attempted = False
         while True:
@@ -1859,8 +1830,8 @@ class DistributedExecutor(_OutOfProcessExecutor):
                 break
             if not strict:
                 # Healing: skip addresses that failed a dial recently — a
-                # dead host costs a full connect_timeout to probe, and an
-                # auto-pooled lifecycle calls start() every iteration.
+                # dead host costs a full ``_CONNECT_TIMEOUT`` to probe, and a
+                # System's lifecycle calls start() every iteration.
                 # With no live worker at all there is nothing to run on,
                 # so the backoff yields and every address is probed.
                 with self._cond:
@@ -1911,7 +1882,7 @@ class DistributedExecutor(_OutOfProcessExecutor):
             raise ExecutionError(
                 f"distributed executor: could not connect to "
                 f"{len(missing)} of {len(self.worker_addresses)} remote "
-                f"worker(s) within {self.start_timeout:.0f}s — {unreachable}"
+                f"worker(s) within {_START_TIMEOUT:.0f}s — {unreachable}"
             )
         with self._cond:
             alive = sum(1 for h in self._workers.values() if h.alive)
@@ -1930,7 +1901,7 @@ class DistributedExecutor(_OutOfProcessExecutor):
         """Count one more consecutive failure and arm its exponential backoff."""
         count = self._remote_dial_failures.get(address, 0) + 1
         self._remote_dial_failures[address] = count
-        backoff = min(backoff_cap, self.redial_backoff * 2.0 ** (count - 1))
+        backoff = min(backoff_cap, _REDIAL_BACKOFF * 2.0 ** (count - 1))
         self._remote_retry_at[address] = time.monotonic() + backoff
 
     def _missing_remote_addresses(self) -> List[Tuple[str, int]]:
@@ -1957,11 +1928,11 @@ class DistributedExecutor(_OutOfProcessExecutor):
 
     def _connect_remote(self, address: Tuple[str, int]) -> None:
         """Dial one listening worker and adopt it on its registration."""
-        sock = socket.create_connection(address, timeout=self.connect_timeout)
+        sock = socket.create_connection(address, timeout=_CONNECT_TIMEOUT)
         # A peer that accepts but stays silent (e.g. a worker busy serving
         # another coordinator) must not wedge start() past its own deadline
         # handling.
-        registration = self._read_registration(sock, self.connect_timeout)
+        registration = self._read_registration(sock, _CONNECT_TIMEOUT)
         handle = _WorkerHandle(f"{address[0]}:{address[1]}")
         handle.address = address
         self._attach(handle, sock, registration)
@@ -2398,7 +2369,7 @@ class DistributedExecutor(_OutOfProcessExecutor):
                     # cancelled future (nobody reads this run's completions).
                     task.done = True
                     task.session.outstanding -= 1
-                elif task.attempts >= self.max_task_attempts or not survivors:
+                elif task.attempts >= _MAX_TASK_ATTEMPTS or not survivors:
                     failures.append(task)
                 else:
                     requeue.setdefault(task.session.session_id, []).append(task)
@@ -2432,7 +2403,7 @@ class DistributedExecutor(_OutOfProcessExecutor):
                 ExecutionError(
                     f"distributed task {task.key!r} failed after {task.attempts} "
                     f"dispatch attempt(s): worker {worker.worker_id!r} died {phase} and "
-                    f"{'no retry budget remains' if task.attempts >= self.max_task_attempts else 'no worker survives to retry it'}"
+                    f"{'no retry budget remains' if task.attempts >= _MAX_TASK_ATTEMPTS else 'no worker survives to retry it'}"
                 ),
             )
 
@@ -2524,46 +2495,28 @@ _EXECUTORS: Dict[str, Type[Executor]] = {
     DistributedExecutor.name: DistributedExecutor,
 }
 
-#: What ``create_executor`` accepts: an executor name, an
-#: :class:`Executor` subclass, or a ready instance.
-ExecutorSpec = Union[str, Type[Executor], Executor]
-
 
 def create_executor(
-    executor: ExecutorSpec = "inline",
+    name: str = "inline",
     max_workers: Optional[int] = None,
     workers: Optional[Sequence[Union[str, Tuple[str, int]]]] = None,
 ) -> Executor:
-    """Build an executor from a name, class or ready instance.
+    """Build a new executor from its name (one of :data:`EXECUTOR_NAMES`).
 
-    A ready instance already carries its own worker count, so combining one
-    with ``max_workers`` is rejected rather than silently ignoring the count
-    (a user asking for ``max_workers=1`` must not get a default-sized pool);
-    the same goes for ``workers`` addresses.  ``workers=["host:port", ...]``
-    selects the distributed executor's remote (address-configured) mode and
-    is rejected for every other strategy.
+    The caller owns the result and runs its final ``shutdown()``.
+    ``workers=["host:port", ...]`` selects the distributed executor's remote
+    (address-configured) mode and is rejected for every other name.
     """
-    if isinstance(executor, Executor):
-        if max_workers is not None:
-            raise ExecutionError(
-                "max_workers cannot be combined with an executor instance; "
-                "configure the instance's own max_workers instead"
-            )
-        if workers is not None:
-            raise ExecutionError(
-                "workers cannot be combined with an executor instance; "
-                "configure the instance's own workers instead"
-            )
-        return executor
-    if isinstance(executor, type) and issubclass(executor, Executor):
-        cls = executor
-    else:
-        cls = _EXECUTORS[resolve_executor_name(executor)]
-    if workers is not None:
-        if not issubclass(cls, DistributedExecutor):
-            raise ExecutionError(
-                f"workers=[\"host:port\", ...] is only valid for the "
-                f"distributed executor, not {cls.name!r}"
-            )
-        return cls(max_workers=max_workers, workers=workers)
-    return cls(max_workers=max_workers)
+    if name not in EXECUTOR_NAMES:
+        raise ExecutionError(
+            f"unknown executor {name!r}; expected one of {list(EXECUTOR_NAMES)}"
+        )
+    cls = _EXECUTORS[name]
+    if workers is None:
+        return cls(max_workers=max_workers)
+    if cls is not DistributedExecutor:
+        raise ExecutionError(
+            f"workers=[\"host:port\", ...] is only valid for the "
+            f"distributed executor, not {name!r}"
+        )
+    return cls(max_workers=max_workers, workers=workers)

@@ -3,7 +3,7 @@
 Starts one listening :class:`~repro.execution.executors.WorkerServer` that a
 coordinator reaches through
 ``DistributedExecutor(workers=["host:port", ...])`` (or any of the
-``workers=`` plumbing: ``create_engine(..., workers=...)``,
+``workers=`` plumbing: ``create_executor("distributed", workers=...)``,
 ``System.configure_executor("distributed", workers=...)``,
 ``run_lifecycle(..., executor="distributed", workers=...)``).  The worker
 serves coordinator *connections* one at a time and survives across them, so

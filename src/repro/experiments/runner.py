@@ -113,10 +113,10 @@ def run_lifecycle(
         When given, reconfigure the system to run iterations on this
         executor strategy (``"inline"``, ``"thread"``, ``"process"`` or
         ``"distributed"``); ``None`` keeps the system's current
-        configuration.  The pool-heavy names (``"process"``,
-        ``"distributed"``) are auto-pooled: the system builds one worker
-        pool, reuses it across every iteration of the lifecycle, and owns
-        its close (``system.close_executor()``; see ``docs/executors.md``).
+        configuration.  The system builds the executor once, runs every
+        iteration of the lifecycle on it, and owns its close
+        (``system.close_executor()`` or ``with system: ...``; see
+        ``docs/executors.md``).
     max_workers:
         Worker count for pool-backed executors (only used with
         ``executor``).
@@ -196,14 +196,13 @@ def run_comparison(
     coordinator session is closed as soon as its lifecycle ends — the next
     system can then connect to the same workers.
 
-    Pool ownership: an auto-pooled executor name (``"process"``,
-    ``"distributed"``) gives **each** system an owned worker pool that stays
-    warm after this call returns — release them with
-    ``system.close_executor()`` per system (or run each inside
+    Pool ownership: an executor name gives **each** system an owned
+    executor whose pools stay warm after this call returns — release them
+    with ``system.close_executor()`` per system (or run each inside
     ``with system: ...``) once you are done comparing; see
     ``docs/executors.md``.  Distributed workers are daemon processes and die
-    with the interpreter; a warm ``"process"`` pool is joined at interpreter
-    exit, so skipping the close delays exit rather than leaking.
+    with the interpreter; warm thread and ``"process"`` pools are joined at
+    interpreter exit, so skipping the close delays exit rather than leaking.
     """
     if isinstance(workload, str):
         workload = get_workload(workload)

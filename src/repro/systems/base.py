@@ -15,15 +15,13 @@ stay untouched and only the task-dispatch strategy underneath them changes —
 ``"process"`` (CPU-bound parallelism) or ``"distributed"`` (multi-worker
 dispatch over sockets).
 
-Worker-pool ownership (also documented in ``docs/executors.md``): executors
-whose startup is expensive (``"process"``, ``"distributed"``) are
-**auto-pooled** when configured by name — the system builds one executor
-instance on first use, reuses it across every lifecycle iteration (engines
-drain it between runs instead of destroying it), and owns its final
-``shutdown`` (:meth:`System.close_executor`, also invoked when the executor
-is reconfigured, and usable via ``with system: ...``).  A ready
-:class:`Executor` *instance* passed to :meth:`System.configure_executor` is
-caller-owned: the system never shuts it down.
+Executor ownership (also documented in ``docs/executors.md``): a name
+passed to :meth:`System.configure_executor` is built once into
+:attr:`System.executor`, which the system owns — every lifecycle iteration
+runs on it (engines only drain it between runs), and the system runs its
+``shutdown`` in :meth:`System.close_executor`, on reconfiguration, and when
+a ``with system: ...`` block exits.  A ready :class:`Executor` *instance*
+passed instead stays caller-owned: the system never shuts it down.
 """
 
 from __future__ import annotations
@@ -33,16 +31,10 @@ from typing import Optional, Sequence
 
 from ..core.workflow import Workflow
 from ..exceptions import ExecutionError
-from ..execution.engine import ExecutionEngine, create_engine
-from ..execution.executors import Executor, create_executor, resolve_executor_name
+from ..execution.executors import Executor, create_executor
 from ..execution.tracker import RunStats
 
-__all__ = ["System", "AUTO_POOLED_EXECUTORS"]
-
-#: Name-configured executor strategies whose worker pools are expensive
-#: enough to start that the System keeps one owned instance alive across
-#: lifecycle iterations instead of paying one pool fork per iteration.
-AUTO_POOLED_EXECUTORS = ("process", "distributed")
+__all__ = ["System"]
 
 
 class System(ABC):
@@ -51,22 +43,20 @@ class System(ABC):
     #: Display name used in benchmark output.
     name: str = "system"
 
-    #: Which executor strategy iterations run on — a canonical name
-    #: ("inline"|"thread"|"process") or a ready :class:`Executor` instance
-    #: shared across iterations.
-    executor_name: str | Executor = "inline"
+    #: The executor every iteration runs on (set by
+    #: :meth:`configure_executor`, which every system's constructor calls).
+    executor: Executor
 
-    #: Worker count for pool-backed executors (None = library default).
+    #: Worker count the executor was built with (None = library default).
     max_workers: Optional[int] = None
 
     #: Remote worker addresses ("host:port") for the distributed executor's
     #: address-configured mode (None = spawn workers locally).
     workers: Optional[Sequence[str]] = None
 
-    #: System-owned executor instance backing a name-configured auto-pooled
-    #: strategy (see :data:`AUTO_POOLED_EXECUTORS`); built lazily on first
-    #: engine construction and closed by :meth:`close_executor`.
-    _owned_executor: Optional[Executor] = None
+    #: Whether this system built :attr:`executor` from a name and so runs
+    #: its ``shutdown`` (False for a caller-supplied instance).
+    _owns_executor: bool = False
 
     # ------------------------------------------------------------------ executor selection
     def configure_executor(
@@ -75,7 +65,7 @@ class System(ABC):
         max_workers: Optional[int] = None,
         workers: Optional[Sequence[str]] = None,
     ) -> "System":
-        """Select the executor strategy used by :meth:`run_iteration`.
+        """Select the executor used by :meth:`run_iteration`.
 
         Parameters
         ----------
@@ -105,13 +95,12 @@ class System(ABC):
             instance, or when ``workers`` is combined with a
             non-distributed name.
 
-        Pool ownership: the auto-pooled names (:data:`AUTO_POOLED_EXECUTORS`)
-        give this system an owned instance that is reused across lifecycle
-        iterations and closed by :meth:`close_executor`.  Passing a ready
-        instance instead keeps its worker pools alive across iterations (the
-        per-iteration engines only drain it) but leaves ownership with the
+        A name is built into :attr:`executor` here, and this system owns it:
+        every iteration reuses it, and :meth:`close_executor` shuts it down.
+        Repeating the identical name, ``max_workers`` and ``workers`` is a
+        no-op that keeps its pools warm.  A ready instance stays with the
         caller, who runs the final ``executor.shutdown()``.  Reconfiguring
-        always closes a previously-owned pool first.
+        always closes a previously-owned executor first.
         """
         if isinstance(executor, Executor):
             if max_workers is not None:
@@ -124,23 +113,20 @@ class System(ABC):
                     "workers cannot be combined with an executor instance; "
                     "configure the instance's own workers instead"
                 )
-            self.close_executor()
-            self.executor_name = executor
+            owned = False
         else:
-            name = resolve_executor_name(executor)
-            if workers is not None and name != "distributed":
-                raise ExecutionError(
-                    f'workers=["host:port", ...] is only valid with '
-                    f'executor="distributed", not {name!r}'
-                )
             if (
-                name == self.executor_name
+                self._owns_executor
+                and executor == self.executor.name
                 and max_workers == self.max_workers
                 and self._same_workers(workers)
             ):
-                return self  # no-op: keep an owned pool warm across calls
-            self.close_executor()
-            self.executor_name = name
+                return self  # no-op: keep the owned pools warm across calls
+            executor = create_executor(executor, max_workers=max_workers, workers=workers)
+            owned = True
+        self.close_executor()
+        self.executor = executor
+        self._owns_executor = owned
         self.max_workers = max_workers
         self.workers = list(workers) if workers is not None else None
         return self
@@ -150,29 +136,15 @@ class System(ABC):
         right = list(workers) if workers is not None else None
         return left == right
 
-    @property
-    def owned_executor(self) -> Optional[Executor]:
-        """The system-owned pool behind an auto-pooled name, if one is live.
-
-        ``None`` until the first iteration builds it (and again after
-        :meth:`close_executor`), and always ``None`` for non-pooled names or
-        caller-supplied instances.  Useful for introspection — e.g. a
-        distributed pool's ``worker_pids()``/``address`` — without touching
-        the pool's lifetime, which stays with the system.
-        """
-        return self._owned_executor
-
     def close_executor(self) -> "System":
-        """Shut down the system-owned executor pool, if one exists.
+        """Shut down the executor this system built from a name.
 
-        Only touches pools the system itself built for a name-configured
-        auto-pooled strategy; a caller-supplied :class:`Executor` instance is
-        never closed here.  Safe to call repeatedly; returns ``self``.
+        A caller-supplied :class:`Executor` instance is never closed here.
+        The system stays usable: its next iteration starts the executor's
+        pools again.  Safe to call repeatedly; returns ``self``.
         """
-        owned = self._owned_executor
-        if owned is not None:
-            self._owned_executor = None
-            owned.shutdown()
+        if self._owns_executor:
+            self.executor.shutdown()
         return self
 
     def __enter__(self) -> "System":
@@ -180,26 +152,6 @@ class System(ABC):
 
     def __exit__(self, *exc_info) -> None:
         self.close_executor()
-
-    def _create_engine(self, **kwargs) -> ExecutionEngine:
-        """Build the configured engine with system-provided components.
-
-        Name-configured auto-pooled strategies (:data:`AUTO_POOLED_EXECUTORS`)
-        resolve to a lazily-built, system-owned executor instance here, so
-        every iteration's engine drains the same warm pool instead of forking
-        a fresh one (engines treat any executor *instance* as externally
-        owned and call ``finish_run`` rather than ``shutdown``).
-        """
-        spec = self.executor_name
-        if isinstance(spec, str) and spec in AUTO_POOLED_EXECUTORS:
-            if self._owned_executor is None:
-                self._owned_executor = create_executor(
-                    spec, max_workers=self.max_workers, workers=self.workers
-                )
-            return create_engine(self._owned_executor, **kwargs)
-        return create_engine(
-            spec, max_workers=self.max_workers, workers=self.workers, **kwargs
-        )
 
     @abstractmethod
     def run_iteration(

@@ -26,6 +26,7 @@ from ..core.operators import Component, RunContext
 from ..core.signatures import compute_node_signatures
 from ..core.workflow import Workflow
 from ..execution.clock import CostModel, MeasuredCostModel
+from ..execution.engine import ExecutionEngine
 from ..execution.tracker import RunStats
 from ..optimizer.metrics import StatsStore
 from ..optimizer.oep import solve_oep
@@ -98,12 +99,13 @@ class DeepDiveSystem(System):
         # A fresh store per iteration: DeepDive rewrites its extraction tables on
         # every run, so the write cost recurs and nothing is reused.
         store = InMemoryStore()
-        engine = self._create_engine(
+        engine = ExecutionEngine(
             store=store,
             policy=AlwaysMaterialize(),
             cost_model=self.cost_model,
             stats=StatsStore(),
             context=RunContext(seed=self.seed),
+            executor=self.executor,
         )
         run_stats = engine.execute(dag, plan, signatures, iteration=iteration)
         run_stats.iteration_type = iteration_type

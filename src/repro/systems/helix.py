@@ -28,6 +28,7 @@ from ..core.operators import RunContext
 from ..core.signatures import ChangeTracker, compute_node_signatures, diff_signatures
 from ..core.workflow import Workflow
 from ..execution.clock import CostModel, MeasuredCostModel
+from ..execution.engine import ExecutionEngine
 from ..execution.tracker import RunStats
 from ..optimizer.metrics import CostEstimator, StatsStore
 from ..optimizer.oep import solve_oep
@@ -64,8 +65,10 @@ class HelixSystem(System):
         Seed propagated to operators through the :class:`RunContext`.
     executor:
         Executor strategy for iterations: ``"inline"`` (default),
-        ``"thread"`` (DAG-level parallelism over a thread pool) or
-        ``"process"`` (CPU-bound parallelism over a process pool).
+        ``"thread"`` (DAG-level parallelism over a thread pool),
+        ``"process"`` (CPU-bound parallelism over a process pool) or
+        ``"distributed"`` (worker processes over TCP).  The system builds
+        it once and owns it (see :meth:`System.configure_executor`).
     max_workers:
         Worker count for pool-backed executors (None = library default).
     workers:
@@ -153,12 +156,13 @@ class HelixSystem(System):
         plan = solve_oep(dag, compute_time, load_time, forced_compute=original)
 
         # 4. Execution with streaming materialization decisions.
-        engine = self._create_engine(
+        engine = ExecutionEngine(
             store=self.store,
             policy=self.policy,
             cost_model=self.cost_model,
             stats=self.stats,
             context=RunContext(seed=self.seed),
+            executor=self.executor,
         )
         run_stats = engine.execute(dag, plan, signatures, iteration=iteration)
         run_stats.iteration_type = iteration_type

@@ -23,6 +23,7 @@ from ..core.operators import RunContext
 from ..core.signatures import compute_node_signatures
 from ..core.workflow import Workflow
 from ..execution.clock import CostModel, MeasuredCostModel
+from ..execution.engine import ExecutionEngine
 from ..execution.tracker import RunStats
 from ..optimizer.metrics import StatsStore
 from ..optimizer.oep import solve_oep
@@ -69,13 +70,14 @@ class KeystoneMLSystem(System):
         load_time = {name: float("inf") for name in dag.node_names}
         # Force every node to be computed: no prior results exist by policy.
         plan = solve_oep(dag, compute_time, load_time, forced_compute=dag.node_names)
-        engine = self._create_engine(
+        engine = ExecutionEngine(
             store=InMemoryStore(),
             policy=NeverMaterialize(),
             cost_model=self.cost_model,
             stats=StatsStore(),
             context=RunContext(seed=self.seed),
             materialize_outputs=False,
+            executor=self.executor,
         )
         run_stats = engine.execute(dag, plan, signatures, iteration=iteration)
         run_stats.iteration_type = iteration_type

@@ -32,9 +32,10 @@ pieces the other executors do not have:
 * **Drain + shutdown** — ``finish_run`` drains without releasing workers,
   ``shutdown`` reaps every worker process and the listener, and a
   subsequent ``start`` heals the pool back to full strength.
-* **Auto-pooling** — a System configured with ``executor="process"`` or
-  ``"distributed"`` *by name* owns one pool reused across lifecycle
-  iterations, closed by ``close_executor``/``with system:``/reconfigure.
+* **System-owned executors** — a System configured *by name* owns one
+  executor reused across lifecycle iterations, closed by
+  ``close_executor``/``with system:``/reconfigure; an instance stays
+  caller-owned.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ import warnings
 
 import pytest
 
+import repro.execution.executors as executors_module
 from repro.core.dag import Node, WorkflowDAG
 from repro.core.operators import Operator
 from repro.core.signatures import compute_node_signatures
@@ -62,6 +64,7 @@ from repro.execution.equivalence import (
     assert_executors_equivalent,
 )
 from repro.execution.executors import (
+    EXECUTOR_NAMES,
     DistributedExecutor,
     WorkerServer,
     _ArtifactCache,
@@ -88,7 +91,6 @@ from repro.storage.serialization import (
     serialize,
 )
 from repro.storage.store import InMemoryStore
-from repro.systems.base import AUTO_POOLED_EXECUTORS
 from repro.systems.helix import HelixSystem
 from repro.workloads.synthetic import make_random_dag, make_wide_dag
 
@@ -124,7 +126,7 @@ def _all_compute_plan(dag: WorkflowDAG):
     )
 
 
-def _engine_for(executor, **kwargs):
+def _engine_for(executor=None, **kwargs):
     """An engine wired like the equivalence rig (deterministic cost model)."""
     return ExecutionEngine(
         store=InMemoryStore(),
@@ -559,7 +561,7 @@ class TestDistributedEquivalence:
         dag = make_wide_dag(branches=6, depth=2, node_seconds=0.05)
         signatures = compute_node_signatures(dag)
         plan = _all_compute_plan(dag)
-        reference = _engine_for("inline").execute(dag, plan, signatures)
+        reference = _engine_for().execute(dag, plan, signatures)
 
         executor = DistributedExecutor(max_workers=2)
         engine = _engine_for(executor)
@@ -593,7 +595,7 @@ class TestDistributedEquivalence:
                 executor="distributed",
                 max_workers=2,
             )
-            assert system.executor_name == "distributed"
+            assert system.executor.name == "distributed"
         assert len(reference.iterations) == len(candidate.iterations)
         for inline_stats, dist_stats in zip(reference.iterations, candidate.iterations):
             # Canonical serialization keeps exact sizes bit-identical across
@@ -613,7 +615,7 @@ class TestWorkerFailureHandling:
     def test_task_fails_after_bounded_attempts(self):
         """A task that kills every worker it lands on must not hang the run."""
         dag = WorkflowDAG([Node.create("boom", WorkerSuicideOperator(), is_output=True)])
-        executor = DistributedExecutor(max_workers=2, max_task_attempts=3)
+        executor = DistributedExecutor(max_workers=2)
         engine = _engine_for(executor)
         try:
             with pytest.raises(ExecutionError, match="boom.*dispatch attempt"):
@@ -642,12 +644,9 @@ class TestWorkerFailureHandling:
             executor.submit_payload("n0", b"payload")
 
     def test_heartbeat_timeout_must_exceed_interval(self):
-        """A busy worker only beats every interval: a shorter timeout would
-        declare every healthy worker dead."""
-        with pytest.raises(ExecutionError, match="heartbeat_timeout"):
-            DistributedExecutor(
-                max_workers=1, heartbeat_interval=10.0, heartbeat_timeout=5.0
-            )
+        """A busy worker only beats every interval: the silence threshold is
+        derived as ten missed beats (never under five seconds), so it always
+        exceeds the interval."""
         derived = DistributedExecutor(max_workers=1, heartbeat_interval=2.0)
         assert derived.heartbeat_timeout == pytest.approx(20.0)
 
@@ -766,28 +765,52 @@ class TestDrainAndShutdown:
 
 
 # ---------------------------------------------------------------------------
-# System-owned pools for name-configured executors
+# System-owned executors for name-configured strategies
 # ---------------------------------------------------------------------------
+def _pool_alive(executor) -> bool:
+    """Whether an executor's worker pool is up (inline has none to lose)."""
+    if executor.name == "inline":
+        return True
+    if executor.name == "distributed":
+        return executor.address is not None
+    return executor._pool is not None
+
+
 class TestAutoPooling:
     def test_auto_pooled_names(self):
-        assert AUTO_POOLED_EXECUTORS == ("process", "distributed")
+        """Every executor name is owned by the System that built it; a ready
+        instance never is."""
+        for name in EXECUTOR_NAMES:
+            system = HelixSystem.opt(executor=name, max_workers=1)
+            assert system.executor.name == name
+            assert system._owns_executor
+        instance = DistributedExecutor(max_workers=1)
+        system.configure_executor(instance)
+        assert system.executor is instance and not system._owns_executor
 
-    @pytest.mark.parametrize("name", AUTO_POOLED_EXECUTORS)
+    @pytest.mark.parametrize("name", EXECUTOR_NAMES)
     def test_name_configured_pool_reused_across_iterations(self, name):
         system = HelixSystem.opt(cost_model=SimulatedCostModel(), seed=0)
         system.configure_executor(name, max_workers=2)
+        seen = []
         try:
-            result = run_lifecycle(system, "census", n_iterations=2, scale=0.25)
+            result = run_lifecycle(
+                system, "census", n_iterations=2, scale=0.25,
+                on_iteration=lambda spec, stats: seen.append(
+                    (system.executor, _pool_alive(system.executor))
+                ),
+            )
             assert len(result.iterations) == 2
-            owned = system._owned_executor
-            assert owned is not None and owned.name == name
-            if name == "process":
-                assert owned._pool is not None  # survived both iterations
-            else:
+            owned = system.executor
+            assert owned.name == name
+            assert seen == [(owned, True), (owned, True)]  # one warm pool
+            if name == "distributed":
                 assert len(owned.worker_pids()) == 2
         finally:
             system.close_executor()
-        assert system._owned_executor is None
+        assert system.executor is owned
+        if name != "inline":
+            assert not _pool_alive(owned)
 
     def test_repeat_configuration_keeps_pool_warm(self):
         """Reconfiguring to the identical name + worker count is a no-op, so
@@ -798,16 +821,17 @@ class TestAutoPooling:
                 system, "census", n_iterations=1, scale=0.25,
                 executor="distributed", max_workers=1,
             )
-            owned = system.owned_executor
-            assert owned is not None
+            owned = system.executor
+            pids = owned.worker_pids()
             run_lifecycle(
                 system, "census", n_iterations=1, scale=0.25,
                 executor="distributed", max_workers=1,
             )
-            assert system.owned_executor is owned  # same warm pool
+            assert system.executor is owned  # same warm pool
+            assert owned.worker_pids() == pids
             # a different worker count is a real reconfiguration
             system.configure_executor("distributed", max_workers=2)
-            assert system.owned_executor is None
+            assert system.executor is not owned
             assert owned.address is None  # old pool shut down
         finally:
             system.close_executor()
@@ -816,19 +840,19 @@ class TestAutoPooling:
         system = HelixSystem.opt(cost_model=SimulatedCostModel(), seed=0)
         system.configure_executor("distributed", max_workers=1)
         run_lifecycle(system, "census", n_iterations=1, scale=0.25)
-        owned = system._owned_executor
-        assert owned is not None
+        owned = system.executor
+        assert owned.address is not None
         system.configure_executor("inline")
-        assert system._owned_executor is None
+        assert system.executor is not owned
         assert owned.address is None  # the distributed pool was shut down
 
     def test_context_manager_closes_owned_pool(self):
         with HelixSystem.opt(cost_model=SimulatedCostModel(), seed=0) as system:
             system.configure_executor("process", max_workers=1)
             run_lifecycle(system, "census", n_iterations=1, scale=0.25)
-            owned = system._owned_executor
-            assert owned is not None
-        assert system._owned_executor is None
+            owned = system.executor
+            assert owned._pool is not None
+        assert system.executor is owned
         assert owned._pool is None
 
     def test_instance_configured_executor_stays_caller_owned(self):
@@ -837,7 +861,7 @@ class TestAutoPooling:
             with HelixSystem.opt(cost_model=SimulatedCostModel(), seed=0) as system:
                 system.configure_executor(executor)
                 run_lifecycle(system, "census", n_iterations=1, scale=0.25)
-                assert system._owned_executor is None
+                assert system.executor is executor
             # leaving the system must not shut down the caller's pool
             assert executor.address is not None
         finally:
@@ -874,19 +898,19 @@ class TestRemoteWorkers:
 
         with pytest.raises(ExecutionError, match="only valid"):
             create_executor("thread", workers=["h:1"])
-        with pytest.raises(ExecutionError, match="instance"):
-            create_executor(executor, workers=["h:1"])
+        with pytest.raises(ExecutionError, match="unknown executor"):
+            create_executor(executor)  # names only: an instance is already built
 
     def test_configure_executor_rejects_workers_for_other_names(self):
         system = HelixSystem.opt(cost_model=SimulatedCostModel(), seed=0)
         with pytest.raises(ExecutionError, match="only valid"):
             system.configure_executor("thread", workers=["h:1"])
 
-    def test_unreachable_address_fails_fast(self):
+    def test_unreachable_address_fails_fast(self, monkeypatch):
         # nothing listens on the reserved discard port on loopback
-        executor = DistributedExecutor(
-            workers=["127.0.0.1:9"], start_timeout=0.6, connect_timeout=0.3
-        )
+        monkeypatch.setattr(executors_module, "_START_TIMEOUT", 0.6)
+        monkeypatch.setattr(executors_module, "_CONNECT_TIMEOUT", 0.3)
+        executor = DistributedExecutor(workers=["127.0.0.1:9"])
         with pytest.raises(ExecutionError, match="could not connect"):
             executor.start()
         executor.shutdown()
@@ -915,7 +939,7 @@ class TestRemoteWorkers:
         dag = make_wide_dag(branches=6, depth=2, node_seconds=0.05)
         signatures = compute_node_signatures(dag)
         plan = _all_compute_plan(dag)
-        reference = _engine_for("inline").execute(dag, plan, signatures)
+        reference = _engine_for().execute(dag, plan, signatures)
 
         processes, addresses = _start_listening_workers(2)
         executor = DistributedExecutor(workers=addresses)
@@ -1069,7 +1093,7 @@ class TestPipelinedDispatch:
         dag = make_wide_dag(branches=8, depth=2, node_seconds=0.04)
         signatures = compute_node_signatures(dag)
         plan = _all_compute_plan(dag)
-        reference = _engine_for("inline").execute(dag, plan, signatures)
+        reference = _engine_for().execute(dag, plan, signatures)
 
         executor = DistributedExecutor(max_workers=2, pipeline_depth=2)
         engine = _engine_for(executor)
@@ -1385,23 +1409,24 @@ class TestReviewRegressions:
         hints = typing.get_type_hints(System.configure_executor)
         assert "workers" in hints
 
-    def test_failed_strict_start_stays_strict_on_retry(self):
+    def test_failed_strict_start_stays_strict_on_retry(self, monkeypatch):
         """A first start that failed must not downgrade a retry to the
         best-effort (warn-and-proceed) healing semantics."""
-        executor = DistributedExecutor(
-            workers=["127.0.0.1:9"], start_timeout=0.4, connect_timeout=0.2
-        )
+        monkeypatch.setattr(executors_module, "_START_TIMEOUT", 0.4)
+        monkeypatch.setattr(executors_module, "_CONNECT_TIMEOUT", 0.2)
+        executor = DistributedExecutor(workers=["127.0.0.1:9"])
         with pytest.raises(ExecutionError, match="could not connect"):
             executor.start()
         with pytest.raises(ExecutionError, match="could not connect"):
             executor.start()  # still strict: raises, does not warn
         executor.shutdown()
 
-    def test_worker_death_phase_reports_delivery_not_execution(self):
+    def test_worker_death_phase_reports_delivery_not_execution(self, monkeypatch):
         """Pipelined tasks are acked on *receipt*, so failure messages talk
         about delivery ('receiving'), never claim the operator was running."""
         dag = WorkflowDAG([Node.create("boom", WorkerSuicideOperator(), is_output=True)])
-        executor = DistributedExecutor(max_workers=1, max_task_attempts=1)
+        monkeypatch.setattr(executors_module, "_MAX_TASK_ATTEMPTS", 1)
+        executor = DistributedExecutor(max_workers=1)
         engine = _engine_for(executor)
         try:
             with pytest.raises(ExecutionError, match="receiving it"):
@@ -1602,18 +1627,16 @@ def _await_backoff_expiry(executor, address, timeout=5.0):
 
 class TestRedialBackoff:
     def test_redial_backoff_validated(self):
-        with pytest.raises(ExecutionError, match="redial_backoff"):
-            DistributedExecutor(max_workers=1, redial_backoff=0.0)
-        assert DistributedExecutor(max_workers=1).redial_backoff == pytest.approx(0.25)
+        assert executors_module._REDIAL_BACKOFF == pytest.approx(0.25)
 
-    def test_recently_failed_address_not_reprobed_within_backoff(self):
+    def test_recently_failed_address_not_reprobed_within_backoff(self, monkeypatch):
         """A dead address costs one failed dial, then is skipped until its
         backoff expires — an auto-pooled lifecycle calling start() every
         iteration must not pay a connect probe per iteration."""
         processes, addresses = _start_listening_workers(2)
-        executor = DistributedExecutor(
-            workers=addresses, connect_timeout=0.5, redial_backoff=30.0
-        )
+        monkeypatch.setattr(executors_module, "_CONNECT_TIMEOUT", 0.5)
+        monkeypatch.setattr(executors_module, "_REDIAL_BACKOFF", 30.0)
+        executor = DistributedExecutor(workers=addresses)
         victim_address = parse_worker_address(addresses[1])
         try:
             executor.start()
@@ -1628,15 +1651,15 @@ class TestRedialBackoff:
             executor.shutdown()
             _reap(processes)
 
-    def test_restarted_worker_is_reconnected_and_backoff_resets(self):
+    def test_restarted_worker_is_reconnected_and_backoff_resets(self, monkeypatch):
         """A worker that restarts on its old port between iterations is
-        picked up by the next healing pass once the (short, configurable)
+        picked up by the next healing pass once the (here shortened)
         backoff expires, and its failure counter resets — the old hardcoded
         5s floor made every rolling restart cost a long stall."""
         processes, addresses = _start_listening_workers(2)
-        executor = DistributedExecutor(
-            workers=addresses, connect_timeout=0.5, redial_backoff=0.05
-        )
+        monkeypatch.setattr(executors_module, "_CONNECT_TIMEOUT", 0.5)
+        monkeypatch.setattr(executors_module, "_REDIAL_BACKOFF", 0.05)
+        executor = DistributedExecutor(workers=addresses)
         victim_address = parse_worker_address(addresses[1])
         try:
             executor.start()
@@ -1677,9 +1700,9 @@ class TestRedialBackoff:
         registered when the healing pass ends (a crash loop) counts as a
         failed dial: its counter grows instead of resetting."""
         processes, addresses = _start_listening_workers(2)
-        executor = DistributedExecutor(
-            workers=addresses, connect_timeout=0.5, redial_backoff=1.0
-        )
+        monkeypatch.setattr(executors_module, "_CONNECT_TIMEOUT", 0.5)
+        monkeypatch.setattr(executors_module, "_REDIAL_BACKOFF", 1.0)
+        executor = DistributedExecutor(workers=addresses)
         victim_address = parse_worker_address(addresses[1])
         try:
             executor.start()
@@ -1910,7 +1933,7 @@ class TestSessionMultiplexing:
             "wide": make_wide_dag(branches=5, depth=2, node_seconds=0.03),
         }
         references = {
-            label: _engine_for("inline").execute(
+            label: _engine_for().execute(
                 dag, _all_compute_plan(dag), compute_node_signatures(dag)
             )
             for label, dag in dags.items()

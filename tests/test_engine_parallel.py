@@ -29,7 +29,9 @@ that contract down:
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
+import time
 from typing import List
 
 import pytest
@@ -42,7 +44,7 @@ from repro.core.signatures import compute_node_signatures
 from repro.exceptions import ExecutionError, OperatorError
 from repro.execution.cache import OperatorCache
 from repro.execution.clock import SimulatedCostModel
-from repro.execution.engine import ExecutionEngine, create_engine
+from repro.execution.engine import ExecutionEngine
 from repro.execution.equivalence import (
     ExecutorRig,
     assert_equivalent_runs,
@@ -52,7 +54,7 @@ from repro.execution.equivalence import (
     stats_store_snapshot,
     store_snapshot,
 )
-from repro.execution.executors import EXECUTOR_NAMES
+from repro.execution.executors import EXECUTOR_NAMES, ThreadExecutor, create_executor
 from repro.optimizer.metrics import StatsStore
 from repro.optimizer.oep import NodeState, solve_oep
 from repro.optimizer.omp import (
@@ -209,10 +211,14 @@ class TestExecutorEquivalence:
             "process": ExecutorRig("process", max_workers=2),
             "distributed": ExecutorRig("distributed", max_workers=2),
         }
-        stats = {
-            name: rig.run(dag, signatures, forced=dag.node_names)[1]
-            for name, rig in rigs.items()
-        }
+        try:
+            stats = {
+                name: rig.run(dag, signatures, forced=dag.node_names)[1]
+                for name, rig in rigs.items()
+            }
+        finally:
+            for rig in rigs.values():
+                rig.close()
         for name in POOLED_EXECUTORS:
             assert_equivalent_runs(
                 stats["inline"],
@@ -234,10 +240,10 @@ class TestExecutorDeterminism:
         dag = make_random_dag(seed, max_width=4, max_depth=5)
         signatures_by_workers = {}
         for workers in (1, 2, 8):
-            rig = ExecutorRig("thread", max_workers=workers)
             dag_signatures = compute_node_signatures(dag)
-            _, stats0 = rig.run(dag, dag_signatures, forced=dag.node_names, iteration=0)
-            _, stats1 = rig.run(dag, dag_signatures, forced=(), iteration=1)
+            with ExecutorRig("thread", max_workers=workers) as rig:
+                _, stats0 = rig.run(dag, dag_signatures, forced=dag.node_names, iteration=0)
+                _, stats1 = rig.run(dag, dag_signatures, forced=(), iteration=1)
             signatures_by_workers[workers] = (
                 run_signature(stats0, include_times=True),
                 run_signature(stats1, include_times=True),
@@ -252,8 +258,8 @@ class TestExecutorDeterminism:
         dag = make_wide_dag(branches=6, depth=2)
         seen = set()
         for _ in range(3):
-            rig = ExecutorRig("thread", policy=AlwaysMaterialize(), max_workers=8)
-            _, stats = rig.run(dag, compute_node_signatures(dag), forced=dag.node_names)
+            with ExecutorRig("thread", policy=AlwaysMaterialize(), max_workers=8) as rig:
+                _, stats = rig.run(dag, compute_node_signatures(dag), forced=dag.node_names)
             seen.add(run_signature(stats, include_times=True))
         assert len(seen) == 1
 
@@ -261,10 +267,9 @@ class TestExecutorDeterminism:
     def test_matches_inline_signature_bit_for_bit(self, executor):
         dag = make_random_dag(5)
         signatures = compute_node_signatures(dag)
-        inline = ExecutorRig("inline")
-        pooled = ExecutorRig(executor, max_workers=4)
-        _, inline_stats = inline.run(dag, signatures, forced=dag.node_names)
-        _, pooled_stats = pooled.run(dag, signatures, forced=dag.node_names)
+        _, inline_stats = ExecutorRig("inline").run(dag, signatures, forced=dag.node_names)
+        with ExecutorRig(executor, max_workers=4) as pooled:
+            _, pooled_stats = pooled.run(dag, signatures, forced=dag.node_names)
         assert run_signature(inline_stats) == run_signature(pooled_stats)
 
 
@@ -336,16 +341,18 @@ class TestCrashPaths:
         RecordingOperator.reset_log()
         dag = _crash_dag()
         store = InMemoryStore(budget_bytes=budget)
-        engine = create_engine(
-            executor,
+        engine = ExecutionEngine(
             store=store,
             policy=policy if policy is not None else NeverMaterialize(),
             cost_model=SimulatedCostModel(),
             stats=StatsStore(),
-            max_workers=max_workers,
+            executor=create_executor(executor, max_workers=max_workers),
         )
-        with pytest.raises(OperatorError) as excinfo:
-            engine.execute(dag, _all_compute_plan(dag), compute_node_signatures(dag))
+        try:
+            with pytest.raises(OperatorError) as excinfo:
+                engine.execute(dag, _all_compute_plan(dag), compute_node_signatures(dag))
+        finally:
+            engine.executor.shutdown()
         return dag, store, engine, excinfo.value
 
     @pytest.mark.parametrize("executor", POOLED_EXECUTORS)
@@ -378,31 +385,33 @@ class TestCrashPaths:
     @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
     def test_all_executors_raise_same_error_type(self, executor):
         dag = _crash_dag(branches=1, depth=1, sleep_seconds=0.0)
-        rig = ExecutorRig(executor, policy=NeverMaterialize(), max_workers=2)
-        with pytest.raises(OperatorError) as excinfo:
-            rig.engine.execute(dag, _all_compute_plan(dag), compute_node_signatures(dag))
+        with ExecutorRig(executor, policy=NeverMaterialize(), max_workers=2) as rig:
+            with pytest.raises(OperatorError) as excinfo:
+                rig.engine.execute(dag, _all_compute_plan(dag), compute_node_signatures(dag))
         assert excinfo.value.node_name == "boom"
 
     def test_executor_instance_reusable_after_failure(self):
         """A user-supplied executor instance serves a clean run after a crash.
 
         The failed run's in-flight tasks drain into the completion queue
-        during shutdown; start() must discard them or the next run would pop
+        during finish_run; start() must discard them or the next run would pop
         stale completions for nodes of a different DAG.
         """
-        from repro.execution.executors import ThreadExecutor
-
+        executor = ThreadExecutor(max_workers=4)
         engine = ExecutionEngine(
             store=InMemoryStore(),
             cost_model=SimulatedCostModel(),
-            executor=ThreadExecutor(max_workers=4),
+            executor=executor,
         )
-        crash = _crash_dag()
-        with pytest.raises(OperatorError):
-            engine.execute(crash, _all_compute_plan(crash), compute_node_signatures(crash))
-        dag = make_wide_dag(branches=3, depth=2)
-        stats = engine.execute(dag, _all_compute_plan(dag), compute_node_signatures(dag))
-        assert set(stats.node_times) == set(dag.node_names)
+        try:
+            crash = _crash_dag()
+            with pytest.raises(OperatorError):
+                engine.execute(crash, _all_compute_plan(crash), compute_node_signatures(crash))
+            dag = make_wide_dag(branches=3, depth=2)
+            stats = engine.execute(dag, _all_compute_plan(dag), compute_node_signatures(dag))
+            assert set(stats.node_times) == set(dag.node_names)
+        finally:
+            executor.shutdown()
 
     def test_operator_error_survives_pickling(self):
         import pickle
@@ -429,10 +438,10 @@ class UnpicklableResultOperator(Operator):
 
 class TestProcessSafetyGuards:
     def _execute(self, dag):
-        rig = ExecutorRig("process", max_workers=2)
-        return rig.engine.execute(
-            dag, _all_compute_plan(dag), compute_node_signatures(dag)
-        )
+        with ExecutorRig("process", max_workers=2) as rig:
+            return rig.engine.execute(
+                dag, _all_compute_plan(dag), compute_node_signatures(dag)
+            )
 
     def test_non_picklable_operator_rejected_naming_node(self):
         dag = WorkflowDAG([Node.create("closure_node", UnpicklableOperator(), is_output=True)])
@@ -476,19 +485,18 @@ class TestProcessSafetyGuards:
             ]
         )
         signatures = compute_node_signatures(dag)
-        rig = ExecutorRig("process", policy=AlwaysMaterialize(), max_workers=2)
-        # Materialize via the inline engine into the same store, then re-plan
-        # with only the consumer forced: the process engine LOADs the
-        # opted-out node (in-process) and only ships the consumer.
-        inline = create_engine(
-            "inline",
-            store=rig.store,
-            policy=AlwaysMaterialize(),
-            cost_model=SimulatedCostModel(),
-            stats=rig.stats_store,
-        )
-        inline.execute(dag, _all_compute_plan(dag), signatures)
-        plan, stats = rig.run(dag, signatures, forced=["consumer"])
+        with ExecutorRig("process", policy=AlwaysMaterialize(), max_workers=2) as rig:
+            # Materialize via an inline engine into the same store, then
+            # re-plan with only the consumer forced: the process engine LOADs
+            # the opted-out node (in-process) and only ships the consumer.
+            inline = ExecutionEngine(
+                store=rig.store,
+                policy=AlwaysMaterialize(),
+                cost_model=SimulatedCostModel(),
+                stats=rig.stats_store,
+            )
+            inline.execute(dag, _all_compute_plan(dag), signatures)
+            plan, stats = rig.run(dag, signatures, forced=["consumer"])
         assert plan.states["opted_out"] is NodeState.LOAD
         assert plan.states["consumer"] is NodeState.COMPUTE
         assert stats.outputs["consumer"] == 2.0
@@ -537,24 +545,23 @@ class TestInlineScheduling:
 # Executor selection plumbing (engines, systems, experiment runner)
 # ---------------------------------------------------------------------------
 class TestExecutorSelection:
-    def test_create_engine_rejects_unknown_name(self):
-        with pytest.raises(ExecutionError):
-            create_engine("gpu", store=InMemoryStore())
+    def test_create_executor_rejects_unknown_name(self):
+        with pytest.raises(ExecutionError, match="unknown executor"):
+            create_executor("gpu")
 
     @pytest.mark.parametrize("executor", POOLED_EXECUTORS)
     def test_pool_executors_reject_bad_worker_count(self, executor):
         with pytest.raises(ExecutionError):
-            create_engine(executor, store=InMemoryStore(), max_workers=0)
+            create_executor(executor, max_workers=0)
 
-    def test_engine_rejects_max_workers_with_executor_instance(self):
-        from repro.execution.executors import ThreadExecutor
-
+    def test_system_rejects_worker_options_with_instance(self):
         # The instance's own worker count wins; a silently ignored
         # max_workers would undo a deliberate concurrency limit.
+        system = HelixSystem.opt()
         with pytest.raises(ExecutionError, match="executor instance"):
-            ExecutionEngine(
-                store=InMemoryStore(), executor=ThreadExecutor(max_workers=2), max_workers=4
-            )
+            system.configure_executor(ThreadExecutor(max_workers=2), max_workers=4)
+        with pytest.raises(ExecutionError, match="executor instance"):
+            system.configure_executor(ThreadExecutor(max_workers=2), workers=["h:1"])
 
     def test_legacy_engine_names_are_rejected(self):
         """The old serial/parallel engine names are not executor aliases:
@@ -562,7 +569,7 @@ class TestExecutorSelection:
         ``engine=`` keyword."""
         for name in ("serial", "parallel"):
             with pytest.raises(ExecutionError, match="unknown executor"):
-                create_engine(name, store=InMemoryStore())
+                create_executor(name)
             with pytest.raises(ExecutionError, match="unknown executor"):
                 HelixSystem.opt().configure_executor(name)
         with pytest.raises(TypeError):
@@ -571,24 +578,87 @@ class TestExecutorSelection:
     @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
     def test_system_constructor_accepts_executor(self, executor):
         system = HelixSystem.opt(executor=executor, max_workers=2)
-        assert system.executor_name == executor
+        assert system.executor.name == executor
         assert system.max_workers == 2
 
     def test_run_lifecycle_engine_override_equivalent(self):
         inline = HelixSystem.opt(cost_model=SimulatedCostModel(), seed=0)
-        threaded = HelixSystem.opt(cost_model=SimulatedCostModel(), seed=0)
         reference = run_lifecycle(inline, "census", n_iterations=2)
-        candidate = run_lifecycle(
-            threaded, "census", n_iterations=2, executor="thread", max_workers=4
-        )
-        assert threaded.executor_name == "thread"
+        with HelixSystem.opt(cost_model=SimulatedCostModel(), seed=0) as threaded:
+            candidate = run_lifecycle(
+                threaded, "census", n_iterations=2, executor="thread", max_workers=4
+            )
+            assert threaded.executor.name == "thread"
         for expected, actual in zip(reference.iterations, candidate.iterations):
             assert_equivalent_runs(expected, actual)
 
     def test_run_lifecycle_executor_override(self):
-        system = HelixSystem.opt(cost_model=SimulatedCostModel(), seed=0)
-        run_lifecycle(system, "census", n_iterations=1, executor="thread", max_workers=2)
-        assert system.executor_name == "thread"
+        with HelixSystem.opt(cost_model=SimulatedCostModel(), seed=0) as system:
+            run_lifecycle(system, "census", n_iterations=1, executor="thread", max_workers=2)
+            assert system.executor.name == "thread"
+
+
+# ---------------------------------------------------------------------------
+# Executor ownership: engines run what they are given, builders shut it down
+# ---------------------------------------------------------------------------
+def _leftovers(threads_before, children_before, grace: float = 5.0):
+    """``repro-*`` threads and child processes started since the snapshot
+    that are still alive after ``grace`` seconds (socket reader threads exit
+    shortly after their socket closes)."""
+    deadline = time.monotonic() + grace
+    while True:
+        threads = sorted(
+            thread.name
+            for thread in threading.enumerate()
+            if thread.name.startswith("repro-") and thread not in threads_before
+        )
+        children = [
+            child for child in multiprocessing.active_children()
+            if child not in children_before
+        ]
+        if (not threads and not children) or time.monotonic() >= deadline:
+            return threads, children
+        time.sleep(0.05)
+
+
+class TestExecutorOwnership:
+    def test_engine_rejects_executor_name(self):
+        with pytest.raises(TypeError, match="create_executor"):
+            ExecutionEngine(store=InMemoryStore(), executor="thread")
+
+    def test_thread_system_keeps_one_executor_across_iterations(self):
+        system = HelixSystem.opt(
+            cost_model=SimulatedCostModel(), seed=0, executor="thread", max_workers=2
+        )
+        seen = []
+        run_lifecycle(
+            system, "census", n_iterations=2, scale=0.25,
+            on_iteration=lambda spec, stats: seen.append(
+                (system.executor, system.executor._pool)
+            ),
+        )
+        (first, pool), (second, pool_again) = seen
+        assert isinstance(first, ThreadExecutor)
+        assert second is first and system.executor is first
+        assert pool is not None and pool_again is pool  # alive between iterations
+        system.close_executor()
+        assert first._pool is None
+
+    def test_matrix_leaves_no_threads_or_processes(self):
+        threads_before = set(threading.enumerate())
+        children_before = set(multiprocessing.active_children())
+        assert_executors_equivalent(make_wide_dag(branches=4, depth=2))
+        assert _leftovers(threads_before, children_before) == ([], [])
+
+    @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
+    def test_system_lifecycle_leaves_no_threads_or_processes(self, executor):
+        threads_before = set(threading.enumerate())
+        children_before = set(multiprocessing.active_children())
+        with HelixSystem.opt(
+            cost_model=SimulatedCostModel(), seed=0, executor=executor, max_workers=2
+        ) as system:
+            run_lifecycle(system, "census", n_iterations=2, scale=0.25)
+        assert _leftovers(threads_before, children_before) == ([], [])
 
 
 # ---------------------------------------------------------------------------
@@ -627,17 +697,19 @@ class TestMissingInputRegression:
 
     @pytest.mark.parametrize("executor", POOLED_EXECUTORS)
     def test_pool_executors_also_guard_missing_inputs(self, executor, diamond_dag):
-        engine = create_engine(
-            executor,
+        engine = ExecutionEngine(
             store=InMemoryStore(),
             cost_model=SimulatedCostModel(),
             cache=_NewestOnlyCache(),
-            max_workers=2,
+            executor=create_executor(executor, max_workers=2),
         )
-        with pytest.raises(ExecutionError):
-            engine.execute(
-                diamond_dag, _all_compute_plan(diamond_dag), compute_node_signatures(diamond_dag)
-            )
+        try:
+            with pytest.raises(ExecutionError):
+                engine.execute(
+                    diamond_dag, _all_compute_plan(diamond_dag), compute_node_signatures(diamond_dag)
+                )
+        finally:
+            engine.executor.shutdown()
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,7 @@ class TestSharedExecutorInstance:
         try:
             system = HelixSystem.opt(cost_model=SimulatedCostModel(), seed=0)
             system.configure_executor(executor)
-            assert system.executor_name is executor
+            assert system.executor is executor
             result = run_lifecycle(system, "census", n_iterations=2, scale=0.25)
             assert len(result.iterations) == 2
             assert executor._pool is not None  # survived both iterations
@@ -131,16 +131,16 @@ class TestProcessLifecycleEquivalence:
             n_iterations=2,
             scale=0.25,
         )
-        candidate_system = HelixSystem.opt(cost_model=SimulatedCostModel(), seed=0)
-        candidate = run_lifecycle(
-            candidate_system,
-            "census",
-            n_iterations=2,
-            scale=0.25,
-            executor="process",
-            max_workers=2,
-        )
-        assert candidate_system.executor_name == "process"
+        with HelixSystem.opt(cost_model=SimulatedCostModel(), seed=0) as candidate_system:
+            candidate = run_lifecycle(
+                candidate_system,
+                "census",
+                n_iterations=2,
+                scale=0.25,
+                executor="process",
+                max_workers=2,
+            )
+            assert candidate_system.executor.name == "process"
         assert len(reference.iterations) == len(candidate.iterations)
         for inline_stats, process_stats in zip(reference.iterations, candidate.iterations):
             # Canonical serialization makes exact artifact sizes — and the
