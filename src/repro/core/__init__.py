@@ -29,7 +29,7 @@ from .operators import (
     Scanner,
     Synthesizer,
 )
-from .signatures import ChangeTracker, SignatureDiff, compute_node_signatures, diff_signatures
+from .signatures import SignatureDiff, compute_node_signatures, diff_signatures
 from .workflow import Workflow
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "RunContext",
     "Scanner",
     "Synthesizer",
-    "ChangeTracker",
     "SignatureDiff",
     "compute_node_signatures",
     "diff_signatures",

@@ -24,7 +24,7 @@ import collections.abc
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, chain, repeat
 from typing import (
@@ -273,8 +273,7 @@ class SemanticUnit:
     ``output`` is either a :class:`FeatureVector` (the common case for feature
     extraction), a record, or any intermediate value produced by a DPR
     function.  ``source`` names the operator that produced the SU, which is
-    what allows examples to be assembled from named extractor outputs and is
-    also the hook used for provenance tracking (data-driven pruning).
+    what allows examples to be assembled from named extractor outputs.
     """
 
     input: Any
@@ -288,14 +287,12 @@ class Example:
     """The L/I data structure: a set of SU outputs assembled into one vector.
 
     ``features`` is the concatenated feature vector, ``label`` the optional
-    supervised label, ``split`` the train/test designation and ``provenance``
-    maps each feature name back to the extractor (SU source) that produced it.
+    supervised label and ``split`` the train/test designation.
     """
 
     features: FeatureVector
     label: Optional[float] = None
     split: Split = Split.ALL
-    provenance: Dict[str, str] = field(default_factory=dict)
     prediction: Optional[float] = None
     score: Optional[float] = None
 
@@ -305,7 +302,6 @@ class Example:
             features=self.features,
             label=self.label,
             split=self.split,
-            provenance=dict(self.provenance),
             prediction=prediction,
             score=score,
         )
@@ -322,11 +318,11 @@ class DataCollection:
     Serialized (canonical encoding, pickle, copy), a collection whose
     elements are all exactly :class:`Record`, :class:`SemanticUnit` or
     :class:`Example` — each with exactly its declared attributes, splits
-    that are :class:`Split` members, and feature vectors and field /
-    provenance dicts keyed by exact ``str`` — states itself as columns: one
-    tuple per attribute, and each dict column as an id per row into the
-    collection's table of sorted key tuples ("shapes") plus one flat tuple
-    of the values in key order.  A feature-vector column whose vectors are
+    that are :class:`Split` members, and feature vectors and field dicts
+    keyed by exact ``str`` — states itself as columns: one tuple per
+    attribute, and each dict column as an id per row into the collection's
+    table of sorted key tuples ("shapes") plus one flat tuple of the values
+    in key order.  A feature-vector column whose vectors are
     all dense over one names tuple is ``(names, 2-D float64 array)``
     instead, which the canonical encoding ships as one out-of-band buffer;
     a mixed or sparse column takes the dict form.  Restoring rebuilds the
@@ -506,7 +502,6 @@ _COLUMNS: Dict[type, Tuple[Tuple[str, int], ...]] = {
         ("features", _VECTOR),
         ("label", _PLAIN),
         ("split", _SPLIT),
-        ("provenance", _DICT),
         ("prediction", _PLAIN),
         ("score", _PLAIN),
     ),
@@ -559,9 +554,9 @@ def _dict_column(
 
     Each dict's shape is its sorted key tuple, interned in ``shapes``; its
     values join one flat tuple in that key order.  When every dict has the
-    first one's key set (a record's fields, a dense example's provenance),
-    that one sorted shape serves them all and one ``itemgetter`` gathers
-    their values.
+    first one's key set (the fields of a collection's records), that one
+    sorted shape serves them all and one ``itemgetter`` gathers their
+    values.
     """
     if set(map(type, dicts)) != {dict}:
         return None

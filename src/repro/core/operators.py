@@ -628,8 +628,7 @@ class ExampleSynthesizer(Synthesizer):
     ``income results_from rows with_labels target`` in HML.  The first input
     is the base collection (used for element count and split tags), followed
     by one DC per attached extractor; the extractor named ``label_source``
-    provides labels instead of features.  Feature provenance (feature name ->
-    extractor) is recorded on every example to support data-driven pruning.
+    provides labels instead of features.
     """
 
     def __init__(self, label_source: Optional[str] = None, dense: bool = False):
@@ -667,7 +666,6 @@ class ExampleSynthesizer(Synthesizer):
             base_element = base[i]
             split = getattr(base_element, "split", Split.ALL)
             features = FeatureVector()
-            provenance: Dict[str, str] = {}
             label: Optional[float] = None
             for collection in feature_collections:
                 if not isinstance(collection, DataCollection) or i >= len(collection):
@@ -681,10 +679,7 @@ class ExampleSynthesizer(Synthesizer):
                     label = self._label_from(fv)
                     continue
                 features = features.concat(fv)
-                provenance.update(dict.fromkeys(fv.names, source))
-            examples.append(
-                Example(features=features, label=label, split=split, provenance=provenance)
-            )
+            examples.append(Example(features=features, label=label, split=split))
         return DataCollection("examples", examples, kind=ElementKind.EXAMPLE)
 
 
@@ -697,13 +692,11 @@ class PredictionsResult:
 
     ``predictions`` is a DC of examples annotated with ``prediction`` (and
     ``score`` where meaningful); ``model`` is the fitted estimator exposing at
-    least ``predict`` and, for linear models, ``feature_weights()`` used by
-    data-driven pruning.
+    least ``predict``.
     """
 
     predictions: DataCollection
     model: Any
-    feature_index: Dict[str, int] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.predictions)
@@ -750,8 +743,7 @@ class Learner(Operator):
         (examples,) = inputs
         if not isinstance(examples, DataCollection):
             raise OperatorError(self.name, "Learner input must be a DataCollection of examples")
-        index = examples.feature_index()
-        X_all, y_all, index = examples.to_matrix(index)
+        X_all, y_all, _ = examples.to_matrix()
         model = self.model_factory(**self.params)
         if hasattr(model, "set_seed"):
             model.set_seed(context.seed)
@@ -779,7 +771,6 @@ class Learner(Operator):
         return PredictionsResult(
             predictions=DataCollection("predictions", annotated, kind=ElementKind.EXAMPLE),
             model=model,
-            feature_index=index,
         )
 
 

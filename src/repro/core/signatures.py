@@ -16,9 +16,8 @@ This module computes a recursive **node signature** for every node:
 Two nodes with equal signatures are equivalent under representational
 equivalence, regardless of their names, which also handles node renames and
 workflow restructurings.  :func:`diff_signatures` classifies the nodes of the
-next iteration against the previous iteration's signatures (kept by
-:class:`ChangeTracker`) and the stored ones as *original* (must be
-recomputed, Constraint 1) or reusable.
+next iteration against the previous iteration's signatures and the stored
+ones as *original* (must be recomputed, Constraint 1) or reusable.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Set
 
 from .dag import WorkflowDAG
 
-__all__ = ["compute_node_signatures", "diff_signatures", "SignatureDiff", "ChangeTracker"]
+__all__ = ["compute_node_signatures", "diff_signatures", "SignatureDiff"]
 
 
 def compute_node_signatures(dag: WorkflowDAG) -> Dict[str, str]:
@@ -92,32 +91,3 @@ def diff_signatures(
     added = frozenset(current) - frozenset(previous)
     removed = frozenset(previous) - frozenset(current)
     return SignatureDiff(original=original, reusable=reusable, added=added, removed=removed)
-
-
-class ChangeTracker:
-    """Remembers the node signatures of the last committed iteration.
-
-    Usage::
-
-        diff = diff_signatures(signatures, tracker.previous_signatures, stored)
-        ...execute...
-        tracker.commit(signatures)          # record this iteration's signatures
-
-    Reuse of older iterations' results comes from ``known_signatures`` (the
-    signatures the store holds), because a materialization produced at any
-    past iteration stays valid as long as the node signature still matches.
-    """
-
-    def __init__(self) -> None:
-        self._previous: Dict[str, str] = {}
-
-    @property
-    def previous_signatures(self) -> Dict[str, str]:
-        return dict(self._previous)
-
-    def commit(self, signatures: Mapping[str, str]) -> None:
-        """Record the signatures of an executed iteration."""
-        self._previous = dict(signatures)
-
-    def reset(self) -> None:
-        self._previous.clear()

@@ -8,14 +8,12 @@ scratch on NumPy).  It follows the minimal estimator protocol the
 * ``fit(X, y)`` — train on a dense matrix and label vector,
 * ``predict(X)`` — return predictions,
 * ``predict_proba(X)`` — class probabilities,
-* ``feature_weights()`` — mapping from feature position to coefficient, used
-  by data-driven pruning,
 * ``set_seed(seed)`` — reseed any internal randomness.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -126,9 +124,3 @@ class LogisticRegression:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.predict_proba(X)[:, 1] >= 0.5).astype(float)
-
-    def feature_weights(self) -> Dict[int, float]:
-        """Coefficient per feature position (empty if unfitted)."""
-        if self.weights_ is None:
-            return {}
-        return {i: float(w) for i, w in enumerate(self.weights_)}

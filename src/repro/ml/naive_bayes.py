@@ -8,7 +8,7 @@ example discussed in Section 3.1.1.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -70,10 +70,3 @@ class MultinomialNaiveBayes:
         jll = jll - jll.max(axis=1, keepdims=True)
         probabilities = np.exp(jll)
         return probabilities / probabilities.sum(axis=1, keepdims=True)
-
-    def feature_weights(self) -> Dict[int, float]:
-        """Per-feature discriminative weight: spread of log-probabilities across classes."""
-        if self.feature_log_prob_ is None:
-            return {}
-        spread = self.feature_log_prob_.max(axis=0) - self.feature_log_prob_.min(axis=0)
-        return {i: float(w) for i, w in enumerate(spread)}

@@ -12,7 +12,7 @@ from .omp import (
     cumulative_run_time,
     optimal_materialization_plan,
 )
-from .pruning import out_of_scope_after, zero_weight_extractors
+from .pruning import out_of_scope_after
 from .psp import Project, ProjectSelectionProblem, ProjectSelectionSolution
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "cumulative_run_time",
     "optimal_materialization_plan",
     "out_of_scope_after",
-    "zero_weight_extractors",
     "Project",
     "ProjectSelectionProblem",
     "ProjectSelectionSolution",

@@ -32,7 +32,7 @@ back to an embedded pickle (protocol 5); fallback bytes round-trip
 correctly but are *not* guaranteed canonical, which is acceptable because
 materialized workflow artifacts are built from the covered types.
 
-Format version 4
+Format version 5
 ----------------
 The format is built around what the workflow artifacts actually are: tens
 of thousands of small objects (records, semantic units, examples, feature
@@ -158,7 +158,7 @@ CANONICAL_MAGIC = b"HC"
 
 #: Version byte of the canonical value encoding.  Bump on any change to the
 #: tag set or their byte layouts.
-CANONICAL_VERSION = 4
+CANONICAL_VERSION = 5
 
 #: Buffers at or above this many bytes are hoisted out of the tag body into
 #: the out-of-band buffer section (one segment each, shipped zero-copy).

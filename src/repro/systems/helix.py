@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Dict, Optional, Sequence
 
 from ..core.operators import RunContext
-from ..core.signatures import ChangeTracker, compute_node_signatures, diff_signatures
+from ..core.signatures import compute_node_signatures, diff_signatures
 from ..core.workflow import Workflow
 from ..execution.clock import CostModel, MeasuredCostModel
 from ..execution.engine import ExecutionEngine
@@ -94,7 +94,8 @@ class HelixSystem(System):
         self.cost_model = cost_model if cost_model is not None else MeasuredCostModel()
         self.seed = seed
         self.stats = StatsStore()
-        self.tracker = ChangeTracker()
+        # Node signatures of the last executed iteration.
+        self._previous_signatures: Dict[str, str] = {}
         self.estimator = CostEstimator(self.stats)
         self.name = name or f"helix-{self.policy.name}"
         self.configure_executor(executor, max_workers, workers=workers)
@@ -120,7 +121,7 @@ class HelixSystem(System):
         self.store.clear()
         self.stats = StatsStore()
         self.estimator = CostEstimator(self.stats)
-        self.tracker.reset()
+        self._previous_signatures = {}
 
     def storage_bytes(self) -> int:
         return self.store.total_bytes()
@@ -137,7 +138,7 @@ class HelixSystem(System):
         # 2. Change tracking: classify nodes as original vs. potentially reusable.
         signatures = compute_node_signatures(dag)
         stored_signatures = {record.signature for record in self.store.artifacts()}
-        diff = diff_signatures(signatures, self.tracker.previous_signatures, stored_signatures)
+        diff = diff_signatures(signatures, self._previous_signatures, stored_signatures)
         original = set(diff.original)
 
         # Purge stale materializations of changed operators before execution.
@@ -168,5 +169,5 @@ class HelixSystem(System):
         run_stats.iteration_type = iteration_type
 
         # Commit signatures so the next iteration can detect changes.
-        self.tracker.commit(signatures)
+        self._previous_signatures = signatures
         return run_stats

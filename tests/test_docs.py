@@ -3,11 +3,15 @@
 Runs the same checker CI uses (``tools/check_docs.py``) over README.md,
 ROADMAP.md and docs/*.md: every relative link must point at an existing
 file and every ``#fragment`` at a real heading anchor.  The distributed
-wire's message-flow diagram is checked against the code's handler tables.
+wire's message-flow diagram is checked against the code's handler tables,
+and every pattern in ``tools/reach_keep.txt`` against the definitions in
+``src/repro``.
 """
 
 from __future__ import annotations
 
+import fnmatch
+import importlib.util
 import re
 import subprocess
 import sys
@@ -50,3 +54,20 @@ def test_message_flow_diagram_covers_every_message_kind():
     drawn = set(re.findall(r'\("(\w+)"', diagram))
     assert not kinds - drawn, f"message kinds missing from the diagram: {sorted(kinds - drawn)}"
     assert not drawn - kinds, f"diagram arrows for unknown kinds: {sorted(drawn - kinds)}"
+
+
+def test_every_reach_keep_pattern_matches_a_definition():
+    """A keep-list entry whose definition was deleted or renamed is stale:
+    each pattern in ``tools/reach_keep.txt`` must match at least one
+    ``<file>:<qualname>`` that ``tools/reach.py`` finds under ``src/repro``."""
+    spec = importlib.util.spec_from_file_location("reach", REPO_ROOT / "tools" / "reach.py")
+    reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach)
+    names = [f"{unit.file}:{unit.name}" for unit in reach.definitions().values()]
+    stale = [
+        pattern
+        for patterns in reach.keep_reasons().values()
+        for pattern in patterns
+        if not any(fnmatch.fnmatchcase(name, pattern) for name in names)
+    ]
+    assert not stale, f"reach_keep.txt patterns matching no definition: {stale}"

@@ -1,4 +1,9 @@
-"""Integration tests reproducing the qualitative claims of the evaluation section."""
+"""Integration tests reproducing the qualitative claims of the evaluation section.
+
+Every assertion that compares charged time runs on :class:`SimulatedCostModel`,
+whose charges are a function of the workflow alone, so a claim holds or fails
+the same way on every machine and every run.
+"""
 
 from __future__ import annotations
 
@@ -20,7 +25,9 @@ class TestCensusClaims:
 
     def test_helix_beats_keystoneml_cumulatively(self):
         results = run_comparison(
-            [HelixSystem.opt(seed=0), KeystoneMLSystem(seed=0)], "census", n_iterations=6, seed=7
+            [HelixSystem.opt(cost_model=SimulatedCostModel(), seed=0),
+             KeystoneMLSystem(cost_model=SimulatedCostModel(), seed=0)],
+            "census", n_iterations=6, seed=7,
         )
         helix = results["helix-opt"].total_time()
         keystone = results["keystoneml"].total_time()
@@ -28,12 +35,16 @@ class TestCensusClaims:
 
     def test_helix_beats_deepdive_cumulatively(self):
         results = run_comparison(
-            [HelixSystem.opt(seed=0), DeepDiveSystem(seed=0)], "census", n_iterations=4, seed=7
+            [HelixSystem.opt(cost_model=SimulatedCostModel(), seed=0),
+             DeepDiveSystem(cost_model=SimulatedCostModel(), seed=0)],
+            "census", n_iterations=4, seed=7,
         )
         assert results["deepdive"].total_time() > results["helix-opt"].total_time()
 
     def test_ppr_iterations_are_near_free_for_helix(self):
-        result = run_lifecycle(HelixSystem.opt(seed=0), "census", n_iterations=8, seed=7)
+        result = run_lifecycle(
+            HelixSystem.opt(cost_model=SimulatedCostModel(), seed=0), "census", n_iterations=8, seed=7
+        )
         first = result.iteration_times()[0]
         ppr_times = [
             stats.total_time
@@ -49,13 +60,13 @@ class TestMaterializationPolicyClaims:
 
     def test_opt_cumulative_time_not_worse_than_am_and_nm(self):
         times = {}
-        for system in (HelixSystem.opt(seed=0), HelixSystem.always_materialize(seed=0),
-                       HelixSystem.never_materialize(seed=0)):
+        for variant in (HelixSystem.opt, HelixSystem.always_materialize,
+                        HelixSystem.never_materialize):
+            system = variant(cost_model=SimulatedCostModel(), seed=0)
             result = run_lifecycle(system, "census", n_iterations=6, seed=7)
             times[system.name] = result.total_time()
-        # On census OPT and AM make near-identical choices, so allow generous
-        # wall-clock noise against AM; NM forfeits all reuse and trails by a
-        # large factor, so a tight bound is safe there.
+        # On census OPT and AM make near-identical choices; NM forfeits all
+        # reuse and trails by a large factor.
         assert times["helix-opt"] <= times["helix-am"] * 1.35
         assert times["helix-opt"] <= times["helix-nm"] * 1.15
 
@@ -103,7 +114,9 @@ class TestNLPClaims:
 
     def test_helix_beats_deepdive_on_nlp(self):
         results = run_comparison(
-            [HelixSystem.opt(seed=0), DeepDiveSystem(seed=0)], "nlp", n_iterations=4, seed=7
+            [HelixSystem.opt(cost_model=SimulatedCostModel(), seed=0),
+             DeepDiveSystem(cost_model=SimulatedCostModel(), seed=0)],
+            "nlp", n_iterations=4, seed=7,
         )
         assert results["deepdive"].total_time() > 1.5 * results["helix-opt"].total_time()
 
@@ -113,7 +126,9 @@ class TestMnistClaims:
 
     def test_helix_not_much_slower_than_keystoneml(self):
         results = run_comparison(
-            [HelixSystem.opt(seed=0), KeystoneMLSystem(seed=0)], "mnist", n_iterations=5, seed=7
+            [HelixSystem.opt(cost_model=SimulatedCostModel(), seed=0),
+             KeystoneMLSystem(cost_model=SimulatedCostModel(), seed=0)],
+            "mnist", n_iterations=5, seed=7,
         )
         helix = results["helix-opt"].total_time()
         keystone = results["keystoneml"].total_time()
@@ -128,7 +143,9 @@ class TestMnistClaims:
 class TestGenomicsClaims:
     def test_helix_beats_keystoneml_on_genomics(self):
         results = run_comparison(
-            [HelixSystem.opt(seed=0), KeystoneMLSystem(seed=0)], "genomics", n_iterations=6, seed=7
+            [HelixSystem.opt(cost_model=SimulatedCostModel(), seed=0),
+             KeystoneMLSystem(cost_model=SimulatedCostModel(), seed=0)],
+            "genomics", n_iterations=6, seed=7,
         )
         assert results["keystoneml"].total_time() > 1.5 * results["helix-opt"].total_time()
 

@@ -67,13 +67,6 @@ class TestLogisticRegression:
         with pytest.raises(ValueError):
             LogisticRegression(reg_param=-0.1)
 
-    def test_feature_weights_mapping(self):
-        X, y = _separable_data(d=2)
-        model = LogisticRegression().fit(X, y)
-        weights = model.feature_weights()
-        assert set(weights) == {0, 1}
-        assert LogisticRegression().feature_weights() == {}
-
     def test_single_class_degenerates_gracefully(self):
         X = np.random.default_rng(0).normal(size=(20, 2))
         y = np.zeros(20)

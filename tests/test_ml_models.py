@@ -88,12 +88,6 @@ class TestMultinomialNaiveBayes:
         model = MultinomialNaiveBayes().fit(X, y)
         assert np.isfinite(model.feature_log_prob_).all()
 
-    def test_feature_weights_nonempty_after_fit(self):
-        X, y = self._count_data()
-        model = MultinomialNaiveBayes().fit(X, y)
-        assert len(model.feature_weights()) == X.shape[1]
-        assert MultinomialNaiveBayes().feature_weights() == {}
-
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
             MultinomialNaiveBayes(alpha=0.0)

@@ -157,7 +157,6 @@ class TestSynthesizers:
         assert len(out) == 6
         assert out[0].label == 0.0 and out[1].label == 1.0
         assert out[0].features.get("a=x") == 1.0
-        assert out[0].provenance["a=x"] == "a"
 
     def test_example_synthesizer_without_label(self):
         rows, ext, _ = self._pipeline()

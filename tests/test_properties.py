@@ -210,12 +210,7 @@ def _unit(value: float, split: Split) -> SemanticUnit:
 
 def _example(education: str, label: float, split: Split) -> Example:
     features = FeatureVector({f"education={education}": 1.0, "capital_gain": 0.25})
-    return Example(
-        features=features,
-        label=label,
-        split=split,
-        provenance={name: name.split("=")[0] for name in features.names},
-    )
+    return Example(features=features, label=label, split=split)
 
 
 _EXAMPLES = DataCollection(
@@ -239,11 +234,7 @@ _DATA_MODEL_CORPUS = [
         kind=ElementKind.SEMANTIC_UNIT,
     ),
     _EXAMPLES,
-    PredictionsResult(
-        predictions=_EXAMPLES,
-        model=LogisticRegression(max_iter=5),
-        feature_index={"capital_gain": 0, "education=HS-grad": 1, "education=Masters": 2},
-    ),
+    PredictionsResult(predictions=_EXAMPLES, model=LogisticRegression(max_iter=5)),
 ]
 
 #: Edge values of the packed-sequence and intern paths.
@@ -278,9 +269,9 @@ _COLUMNAR_EXAMPLES = DataCollection(
     "predictions",
     [
         Example(features=FeatureVector({"b": 2.0, "a": -1.0}), label=1.0, split=Split.TRAIN,
-                provenance={"b": "bExt", "a": "aExt"}, prediction=1.0, score=0.875),
+                prediction=1.0, score=0.875),
         Example(features=FeatureVector({"a": 0.25}), label=None, split=Split.TEST,
-                provenance={"a": "aExt"}, prediction=0.0, score=None),
+                prediction=0.0, score=None),
     ],
     kind=ElementKind.EXAMPLE,
 )
@@ -429,8 +420,7 @@ def _structure(value):
     if isinstance(value, DataCollection):
         return ("DataCollection", value.name, value.kind, tuple(map(_structure, value.elements)))
     if isinstance(value, PredictionsResult):
-        return ("PredictionsResult", _structure(value.predictions), vars(value.model),
-                value.feature_index)
+        return ("PredictionsResult", _structure(value.predictions), vars(value.model))
     return value
 
 
@@ -468,7 +458,6 @@ _examples = st.builds(
     features=_feature_vectors,
     label=_optional_floats,
     split=_splits,
-    provenance=st.dictionaries(_names, _names, max_size=4),
     prediction=_optional_floats,
     score=_optional_floats,
 )
@@ -500,7 +489,6 @@ _data_model_values = st.one_of(
         PredictionsResult,
         predictions=_example_collections,
         model=st.builds(LogisticRegression, max_iter=st.integers(1, 10)),
-        feature_index=st.dictionaries(_names, st.integers(0, 1000), max_size=5),
     ),
 )
 
@@ -658,7 +646,6 @@ def _dense_collections(width: int):
     units = st.builds(SemanticUnit, input=st.one_of(st.none(), _names), source=_names,
                       output=vectors, split=_splits)
     examples = st.builds(Example, features=vectors, label=_optional_floats, split=_splits,
-                         provenance=st.dictionaries(_names, _names, max_size=2),
                          prediction=_optional_floats, score=_optional_floats)
     return st.one_of(
         st.builds(DataCollection, name=_names, elements=st.lists(units, min_size=1, max_size=6),
@@ -724,7 +711,7 @@ class TestColumnarDataCollection:
 
     def test_a_malformed_columnar_state_is_a_typed_error(self, monkeypatch):
         states = [
-            ("bad", ElementKind.EXAMPLE, "Example", (), (), (1.0,)),  # one of six columns
+            ("bad", ElementKind.EXAMPLE, "Example", (), (), (1.0,)),  # one of five columns
             ("bad", ElementKind.RECORD, "Unknown", (), (), ((), ()), ()),  # no such row class
             ("bad", ElementKind.RECORD, "Record", (1,), ("a",), ((0, 0), (1,)), ("all", "all")),
         ]
@@ -809,18 +796,18 @@ class TestDenseColumns:
             with pytest.raises(ProtocolError, match="invalid FeatureVector state"):
                 decode(payload)
 
-    def test_a_format_3_payload_is_refused_by_version(self):
-        """Payloads of the previous format (a dict-form vector, a collection of
-        one dense unit) are refused whole, never decoded into half-built vectors."""
-        assert canonical.CANONICAL_VERSION == 4
-        for hex_payload in (
-            "484303004a6f000f726570726f2e636f72652e646174610d46656174757265566563746f7201075f"
-            "76616c7565736d00020a7266665f300a7266665f3157023fe0000000000000c000000000000000",
-            "48430300a4014f000f726570726f2e636f72652e646174610e44617461436f6c6c656374696f6e00"
-            "7409730672666645000f726570726f2e636f72652e646174610b456c656d656e744b696e64010d53"
-            "454d414e5449435f554e4954731853656d616e746963556e69744b0162025802026205050a726666"
-            "5f307266665f31020374014e5801000074024b01620057023fe0000000000000c000000000000000"
-            "580101620303616c6c04",
-        ):
-            with pytest.raises(ProtocolError, match="payload is version 3"):
-                decode(bytes.fromhex(hex_payload))
+    def test_a_format_4_payload_is_refused_by_version(self):
+        """A payload of the previous format (a collection of two examples that
+        still carries the per-row provenance column) is refused whole, never
+        decoded into examples with a stray attribute."""
+        assert canonical.CANONICAL_VERSION == 5
+        hex_payload = (
+            "48430400c7014f000f726570726f2e636f72652e646174610e44617461436f6c6c656374696f6e00"
+            "740b73106578616d706c657345000f726570726f2e636f72652e646174610b456c656d656e744b69"
+            "6e6401074558414d504c45730e4578616d706c654b0262010158020262030306613d78613d790203"
+            "74024b0262000157023ff00000000000003ff000000000000057023ff00000000000000000000000"
+            "00000058020262050409747261696e74657374040574024b0262000158020162010161060674024e"
+            "4e74024e4e"
+        )
+        with pytest.raises(ProtocolError, match="payload is version 4"):
+            decode(bytes.fromhex(hex_payload))

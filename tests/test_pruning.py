@@ -1,16 +1,11 @@
-"""Unit tests for DAG pruning: slicing, data-driven pruning, out-of-scope positions."""
+"""Unit tests for DAG pruning: slicing and out-of-scope positions."""
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
 from repro.core.dag import Node, WorkflowDAG
-from repro.core.data import DataCollection, ElementKind, Example, FeatureVector
-from repro.core.operators import PredictionsResult
-from repro.optimizer.pruning import out_of_scope_after, zero_weight_extractors
+from repro.optimizer.pruning import out_of_scope_after
 
-from conftest import ConstOperator, SumOperator, make_diamond_dag
+from conftest import ConstOperator, SumOperator
 
 
 class TestSlicing:
@@ -25,65 +20,6 @@ class TestSlicing:
 
     def test_slice_with_explicit_outputs(self, diamond_dag):
         assert set(diamond_dag.sliced_to_outputs(["c"]).node_names) == {"a", "c"}
-
-
-class _WeightedModel:
-    def __init__(self, weights):
-        self._weights = weights
-
-    def feature_weights(self):
-        return self._weights
-
-
-class TestZeroWeightExtractors:
-    def _result(self, weights, provenance):
-        examples = [
-            Example(features=FeatureVector({name: 1.0 for name in provenance}), provenance=dict(provenance))
-        ]
-        predictions = DataCollection("p", examples, kind=ElementKind.EXAMPLE)
-        return PredictionsResult(predictions=predictions, model=_WeightedModel(weights))
-
-    def test_extractor_with_all_zero_weights_is_prunable(self):
-        result = self._result(
-            weights={"f1": 0.0, "f2": 0.5},
-            provenance={"f1": "extractorA", "f2": "extractorB"},
-        )
-        assert zero_weight_extractors(result) == frozenset({"extractorA"})
-
-    def test_protected_extractors_are_kept(self):
-        result = self._result(weights={"f1": 0.0}, provenance={"f1": "extractorA"})
-        assert zero_weight_extractors(result, protected=["extractorA"]) == frozenset()
-
-    def test_mixed_weights_keep_extractor(self):
-        result = self._result(
-            weights={"f1": 0.0, "f2": 0.3},
-            provenance={"f1": "extractorA", "f2": "extractorA"},
-        )
-        assert zero_weight_extractors(result) == frozenset()
-
-    def test_threshold(self):
-        result = self._result(weights={"f1": 0.05}, provenance={"f1": "extractorA"})
-        assert zero_weight_extractors(result, weight_threshold=0.1) == frozenset({"extractorA"})
-
-    def test_no_weights_means_no_pruning(self):
-        examples = [Example(features=FeatureVector({"f1": 1.0}), provenance={"f1": "e"})]
-        result = PredictionsResult(
-            predictions=DataCollection("p", examples, kind=ElementKind.EXAMPLE), model=object()
-        )
-        assert zero_weight_extractors(result) == frozenset()
-
-    def test_weights_array_with_feature_index(self):
-        class ArrayModel:
-            weights_ = np.array([0.0, 0.7])
-
-        examples = [Example(features=FeatureVector({"f1": 1.0, "f2": 1.0}),
-                            provenance={"f1": "a", "f2": "b"})]
-        result = PredictionsResult(
-            predictions=DataCollection("p", examples, kind=ElementKind.EXAMPLE),
-            model=ArrayModel(),
-            feature_index={"f1": 0, "f2": 1},
-        )
-        assert zero_weight_extractors(result) == frozenset({"a"})
 
 
 class TestEvictionSchedule:

@@ -5,7 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.dag import Node, WorkflowDAG
-from repro.core.signatures import ChangeTracker, compute_node_signatures, diff_signatures
+from repro.core.signatures import compute_node_signatures, diff_signatures
+from repro.core.workflow import Workflow
+from repro.execution.clock import SimulatedCostModel
+from repro.systems.helix import HelixSystem
 
 from conftest import ConstOperator, SumOperator, make_diamond_dag
 
@@ -181,52 +184,62 @@ class TestDiff:
         assert diff.reusable == frozenset({"a"})
 
 
-def _tracked_diff(tracker, dag):
-    return diff_signatures(compute_node_signatures(dag), tracker.previous_signatures)
+def _tracked_diff(previous, dag):
+    return diff_signatures(compute_node_signatures(dag), previous)
+
+
+def _workflow(offset_b: float = 1.0) -> Workflow:
+    """The workflow whose compiled DAG is ``_dag(offset_b)``."""
+    wf = Workflow("abc")
+    wf.node("a", ConstOperator(2, tag="a"))
+    wf.node("b", SumOperator(offset=offset_b), ["a"])
+    wf.node("c", SumOperator(offset=5.0), ["b"], is_output=True)
+    return wf
 
 
 class TestChangeTracker:
+    """Change tracking across iterations: the previous iteration's signatures
+    as a plain dict, as :class:`HelixSystem` keeps them."""
+
     def test_lifecycle(self):
-        tracker = ChangeTracker()
         dag1 = _dag(offset_b=1.0)
-        assert _tracked_diff(tracker, dag1).original == frozenset({"a", "b", "c"})
-        tracker.commit(compute_node_signatures(dag1))
+        assert _tracked_diff({}, dag1).original == frozenset({"a", "b", "c"})
+        previous = compute_node_signatures(dag1)
 
         dag2 = _dag(offset_b=2.0)
-        diff = _tracked_diff(tracker, dag2)
+        diff = _tracked_diff(previous, dag2)
         assert diff.original == frozenset({"b", "c"})
-        tracker.commit(compute_node_signatures(dag2))
+        previous = compute_node_signatures(dag2)
 
-        # The tracker remembers the last iteration only: reverting to the
-        # first offset is original again unless the store still holds it.
+        # Only the last iteration is remembered: reverting to the first
+        # offset is original again unless the store still holds it.
         dag3 = _dag(offset_b=1.0)
-        assert _tracked_diff(tracker, dag3).original == frozenset({"b", "c"})
+        assert _tracked_diff(previous, dag3).original == frozenset({"b", "c"})
         stored = compute_node_signatures(dag1).values()
-        reverted = diff_signatures(compute_node_signatures(dag3), tracker.previous_signatures, stored)
+        reverted = diff_signatures(compute_node_signatures(dag3), previous, stored)
         assert reverted.original == frozenset()
 
     def test_commit_with_precomputed_signatures(self):
-        tracker = ChangeTracker()
-        dag = _dag()
-        signatures = compute_node_signatures(dag)
-        tracker.commit(signatures)
-        assert tracker.previous_signatures == signatures
+        system = HelixSystem.never_materialize(cost_model=SimulatedCostModel())
+        system.run_iteration(_workflow(), iteration=0)
+        assert system._previous_signatures == compute_node_signatures(_dag())
+        assert system.run_iteration(_workflow(), iteration=1).original_nodes == []
 
     def test_reset(self):
-        tracker = ChangeTracker()
-        tracker.commit(compute_node_signatures(_dag()))
-        tracker.reset()
-        assert tracker.previous_signatures == {}
-        assert _tracked_diff(tracker, _dag()).original == frozenset({"a", "b", "c"})
+        system = HelixSystem.opt(cost_model=SimulatedCostModel())
+        system.run_iteration(_workflow(), iteration=0)
+        system.reset()
+        assert system._previous_signatures == {}
+        stats = system.run_iteration(_workflow(), iteration=0)
+        assert stats.original_nodes == ["a", "b", "c"]
 
     def test_diamond_change_only_affects_descendants(self):
-        tracker = ChangeTracker()
-        tracker.commit(compute_node_signatures(make_diamond_dag()))
+        previous = compute_node_signatures(make_diamond_dag())
         modified = make_diamond_dag()
         # Rebuild with a changed 'b' offset only.
         nodes = [modified.node("a"), Node.create("b", SumOperator(offset=9.0, cost=2.0), parents=["a"]),
                  modified.node("c"), modified.node("d")]
         changed = WorkflowDAG(nodes)
-        diff = _tracked_diff(tracker, changed)
+        diff = _tracked_diff(previous, changed)
         assert diff.original == frozenset({"b", "d"})
         assert diff.reusable == frozenset({"a", "c"})
