@@ -17,8 +17,9 @@ baseline (protocol 5):
   (census ``predictions``, ``income``, ``eduExt`` and ``rows``; mnist
   ``digits`` and ``rffFeatures``), built deterministically by running the
   first iteration of each workload with every node materialized: canonical
-  vs pickle bytes and best-of-N encode/decode milliseconds per artifact.
-  Both formats serialize a ``DataCollection`` through its
+  vs pickle bytes and best-of-N encode/decode milliseconds per artifact,
+  plus ``rows_ms``: a decode and the first full iteration, which builds
+  the rows a decoded collection holds only as columns.  Both formats serialize a ``DataCollection`` through its
   ``__getstate__``/``__setstate__`` pair, so pickle also sees the columnar
   state.
 
@@ -47,7 +48,7 @@ from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.data import DataCollection
+from repro.core.data import DataCollection, _to_columns
 from repro.core.operators import PredictionsResult
 from repro.execution.clock import SimulatedCostModel
 from repro.storage.canonical import decode, encode, encode_segments
@@ -211,13 +212,34 @@ def measure_data_model(scale: float, repeats: int = 7) -> Dict[str, Dict[str, fl
             "size_ratio": len(payload) / len(pickled),
             "encode_ms": _best_ms(lambda: encode(value), repeats),
             "decode_ms": _best_ms(lambda: decode(payload), repeats),
+            "rows_ms": _best_ms(lambda: list(_collection(decode(payload))), repeats),
             "pickle_dumps_ms": _best_ms(lambda: pickle.dumps(value, protocol=5), repeats),
             "pickle_loads_ms": _best_ms(lambda: pickle.loads(pickled), repeats),
-            "round_trip_exact": encode(decode(payload)) == payload,
+            "round_trip_exact": _round_trip_exact(payload),
             "columnar": _columnar(value),
             "oob_segments": len(buffers),
         }
     return rows
+
+
+def _collection(value: Any) -> Any:
+    return value.predictions if isinstance(value, PredictionsResult) else value
+
+
+def _round_trip_exact(payload: bytes) -> bool:
+    """Whether the decoded artifact re-encodes to ``payload`` before and after
+    its rows are built, and those rows have exactly the columns it holds.
+
+    A decoded collection re-encodes the columns it holds, so the first check
+    alone would pass without ever building a row.
+    """
+    decoded = decode(payload)
+    if encode(decoded) != payload:
+        return False
+    collection = _collection(decoded)
+    held = collection._columns()
+    rows = tuple(collection)
+    return encode(_to_columns(rows)) == encode(held) and encode(decoded) == payload
 
 
 def _columnar(value: Any) -> bool:
@@ -225,7 +247,7 @@ def _columnar(value: Any) -> bool:
 
     The row form is the three-tuple ``(name, kind, elements)``.
     """
-    collection = value.predictions if isinstance(value, PredictionsResult) else value
+    collection = _collection(value)
     return isinstance(collection, DataCollection) and len(collection.__getstate__()) != 3
 
 
@@ -233,14 +255,15 @@ def _format_data_model(rows: Dict[str, Dict[str, float]]) -> List[str]:
     lines = [
         "data model (canonical / pickle-5):",
         f"  {'artifact':<20} {'bytes':>17} {'ratio':>6} "
-        f"{'encode ms':>16} {'decode ms':>16}",
+        f"{'encode ms':>16} {'decode ms':>16} {'rows ms':>8}",
     ]
     for name, row in rows.items():
         lines.append(
             f"  {name:<20} {int(row['canonical_bytes']):>8}/{int(row['pickle_bytes']):<8} "
             f"{row['size_ratio']:>6.2f} "
             f"{row['encode_ms']:>7.2f}/{row['pickle_dumps_ms']:<8.2f} "
-            f"{row['decode_ms']:>7.2f}/{row['pickle_loads_ms']:<8.2f}"
+            f"{row['decode_ms']:>7.2f}/{row['pickle_loads_ms']:<8.2f} "
+            f"{row['rows_ms']:>8.2f}"
         )
     return lines
 
@@ -249,7 +272,10 @@ def _data_model_failures(rows: Dict[str, Dict[str, float]]) -> List[str]:
     failures = []
     for name, row in rows.items():
         if not row["round_trip_exact"]:
-            failures.append(f"{name}: decode does not re-encode to the same bytes")
+            failures.append(
+                f"{name}: decode does not re-encode to the same bytes, or its rows "
+                f"do not have the columns it holds"
+            )
         if not row["columnar"]:
             failures.append(f"{name}: its DataCollection fell back to the row state")
         if name in DENSE_ARTIFACTS and row["oob_segments"] != 1:

@@ -26,10 +26,11 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, repeat
 from typing import (
     Any,
     Callable,
+    Collection,
     Dict,
     Iterable,
     Iterator,
@@ -315,24 +316,34 @@ class DataCollection:
     their inputs, and :meth:`filter` with the split tags (:meth:`test`)
     implements the unified train/test handling from Section 3.2.1.
 
-    Serialized (canonical encoding, pickle, copy), a collection whose
-    elements are all exactly :class:`Record`, :class:`SemanticUnit` or
-    :class:`Example` — each with exactly its declared attributes, splits
-    that are :class:`Split` members, and feature vectors and field dicts
-    keyed by exact ``str`` — states itself as columns: one tuple per
-    attribute, and each dict column as an id per row into the collection's
-    table of sorted key tuples ("shapes") plus one flat tuple of the values
-    in key order.  A feature-vector column whose vectors are
-    all dense over one names tuple is ``(names, 2-D float64 array)``
-    instead, which the canonical encoding ships as one out-of-band buffer;
-    a mixed or sparse column takes the dict form.  Restoring rebuilds the
-    same row objects eagerly, their dicts in sorted key order and dense
-    vectors as row views of the one array.  Any other collection (mixed or
-    subclassed elements, an ad-hoc attribute, no elements) keeps the row
-    form, ``(name, kind, elements)``.
+    A collection whose elements are all exactly :class:`Record`,
+    :class:`SemanticUnit` or :class:`Example` — each with exactly its
+    declared attributes, splits that are :class:`Split` members, and
+    feature vectors and field dicts keyed by exact ``str`` — has a columnar
+    state: one tuple per attribute, and each dict column as an id per row
+    into the collection's table of sorted key tuples ("shapes") plus one
+    flat tuple of the values in key order.  A feature-vector column whose
+    vectors are all dense over one names tuple is ``(names, 2-D float64
+    array)`` instead, which the canonical encoding ships as one out-of-band
+    buffer; a mixed or sparse column takes the dict form.
+
+    The columns are what a collection holds; its rows are a view of them.
+    A collection is born as columns when it is decoded (canonical encoding,
+    pickle, copy) or built by a columnar producer (``FieldExtractor``,
+    ``ExampleSynthesizer``, ``Learner``); it builds its row objects on the
+    first :attr:`elements`, iteration, indexing or :meth:`filter`, with
+    dicts in sorted key order and dense vectors as row views of the one
+    array.  A collection born as rows works out its columns at most once,
+    when it is serialized, sized, turned into a matrix or read by a
+    producer.  Serialized, a collection states its columns as
+    ``(name, kind, row class, shape lengths, shape keys, *columns)``; any
+    other collection (mixed or subclassed elements, an ad-hoc attribute, no
+    elements) keeps the row form, ``(name, kind, elements)``.
     """
 
-    __slots__ = ("name", "elements", "kind")
+    # _rows: the row tuple, or None until built from _state.  _state: the
+    # columnar state, None until worked out from _rows, or () for none.
+    __slots__ = ("name", "kind", "_rows", "_state")
 
     def __init__(
         self,
@@ -341,36 +352,70 @@ class DataCollection:
         kind: ElementKind = ElementKind.GENERIC,
     ):
         self.name = name
-        self.elements: Tuple[Any, ...] = tuple(elements)
+        self._rows: Optional[Tuple[Any, ...]] = tuple(elements)
+        self._state: Optional[Tuple[Any, ...]] = None
         self.kind = kind
+
+    @classmethod
+    def _of_columns(cls, name: str, state: Tuple[Any, ...], kind: ElementKind) -> "DataCollection":
+        """A collection born as the columnar ``state`` a producer wrote."""
+        collection = cls.__new__(cls)
+        collection.name, collection.kind = name, kind
+        collection._rows, collection._state = None, state
+        return collection
+
+    @property
+    def elements(self) -> Tuple[Any, ...]:
+        """The rows, built from the columns on first access."""
+        rows = self._rows
+        if rows is None:
+            # Two threads may both build: the rows are equal, either one is kept.
+            rows = self._rows = _rows_of(self._state)
+        return rows
+
+    def _columns(self) -> Optional[Tuple[Any, ...]]:
+        """``(row class, shape lengths, shape keys, *columns)``, or None for
+        a collection that has no columnar state."""
+        state = self._state
+        if state is None:
+            state = self._state = _to_columns(self._rows) or ()
+        return state or None
 
     # -- basic container protocol ------------------------------------------
     def __len__(self) -> int:
-        return len(self.elements)
+        if self._rows is None:
+            return len(_column(self._state, "split"))
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self.elements)
 
     def __getitem__(self, index: int) -> Any:
-        return self.elements[index]
+        rows = self._rows  # the row loops index once per element: skip the property
+        return (self.elements if rows is None else rows)[index]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"DataCollection({self.name!r}, n={len(self.elements)}, kind={self.kind.value})"
+        return f"DataCollection({self.name!r}, n={len(self)}, kind={self.kind.value})"
 
     # -- serialized state ---------------------------------------------------
     def __getstate__(self) -> Tuple[Any, ...]:
         """``(name, kind, row class, shape lengths, shape keys, *columns)``, or the rows."""
-        columns = _to_columns(self.elements)
-        if columns is None:
-            return (self.name, self.kind, self.elements)
-        return (self.name, self.kind, *columns)
+        state = self._columns()
+        if state is None:
+            return (self.name, self.kind, self._rows)
+        return (self.name, self.kind, *state)
 
     def __setstate__(self, state: Tuple[Any, ...]) -> None:
         if len(state) == 3:
-            self.name, self.kind, self.elements = state
+            self.name, self.kind, self._rows = state
+            self._state = None
         else:
-            self.name, self.kind, row_class, shape_lengths, shape_keys, *columns = state
-            self.elements = _from_columns(row_class, shape_lengths, shape_keys, columns)
+            columns = tuple(state[2:])
+            # Every check the rows would need runs here, inside the decode:
+            # building them later cannot fail.
+            _check_columns(columns)
+            self.name, self.kind = state[:2]
+            self._rows, self._state = None, columns
 
     # -- selectors ----------------------------------------------------------
     def _split_of(self, element: Any) -> Split:
@@ -386,11 +431,22 @@ class DataCollection:
         )
 
     def test(self) -> "DataCollection":
-        """Elements belonging to the test split (or untagged elements)."""
-        return self.filter(
-            lambda e: self._split_of(e) in (Split.TEST, Split.ALL),
-            name=f"{self.name}[test]",
-        )
+        """Elements belonging to the test split (or untagged elements).
+
+        A collection with columns selects them by its split column, and
+        builds no rows it does not already have.
+        """
+        name = f"{self.name}[test]"
+        state = self._columns()
+        if state is None:
+            return self.filter(lambda e: self._split_of(e) in (Split.TEST, Split.ALL), name=name)
+        splits = _column(state, "split")
+        positions = list(compress(range(len(splits)), map(Split.TRAIN.value.__ne__, splits)))
+        if self._rows is not None:
+            return DataCollection(name, map(self._rows.__getitem__, positions), kind=self.kind)
+        if not positions:
+            return DataCollection(name, (), kind=self.kind)
+        return DataCollection._of_columns(name, _select(state, positions), self.kind)
 
     # -- ML helpers ----------------------------------------------------------
     def feature_index(self) -> Dict[str, int]:
@@ -401,8 +457,18 @@ class DataCollection:
         the index is stable across runs and across train/test splits.
         """
         names: set = set()
+        state = self._columns()
+        if state is not None:
+            if state[0] == "Example":  # only examples carry ``features``
+                features = _column(state, "features")
+                if _is_dense(features):
+                    names.update(features[0])
+                else:
+                    shapes = _shapes(state)
+                    names.update(chain.from_iterable(map(shapes.__getitem__, set(features[0]))))
+            return {name: position for position, name in enumerate(sorted(names))}
         dense_seen: set = set()  # ids of the dense names tuples already added
-        for element in self.elements:
+        for element in self._rows:
             features = getattr(element, "features", None)
             if not isinstance(features, FeatureVector):
                 if not isinstance(element, FeatureVector):
@@ -420,45 +486,57 @@ class DataCollection:
     ) -> Tuple[np.ndarray, np.ndarray, Dict[str, int]]:
         """Convert a collection of examples to ``(X, y, index)`` dense matrices.
 
-        Examples without labels get ``nan`` in ``y``.  Dense rows that share
-        a names tuple are copied into ``X`` with one assignment per tuple;
-        sparse rows are scattered one at a time.
+        Examples without labels get ``nan`` in ``y``.  From the columns, a
+        dense feature column is copied into ``X`` with one assignment and a
+        sparse one with one flat scatter; a collection without columns fills
+        ``X`` one :meth:`FeatureVector.to_dense` row at a time.
         """
         if index is None:
             index = self.feature_index()
-        X = np.zeros((len(self.elements), len(index)))
-        labels: List[float] = []
-        # id(names) -> (names, row positions in X, dense rows)
-        dense: Dict[int, Tuple[Tuple[str, ...], List[int], List[np.ndarray]]] = {}
-        for position, element in enumerate(self.elements):
-            if not isinstance(element, Example):
-                raise TypeError(
-                    f"to_matrix requires Example elements, got {type(element).__name__}"
-                )
-            features = element.features
-            if features._row is None:
-                X[position] = features.to_dense(index)
+        state = self._columns()
+        if state is None:
+            X = np.zeros((len(self._rows), len(index)))
+            for position, element in enumerate(self._rows):
+                if not isinstance(element, Example):
+                    raise TypeError(
+                        f"to_matrix requires Example elements, got {type(element).__name__}"
+                    )
+                X[position] = element.features.to_dense(index)
+            labels = [element.label for element in self._rows]
+        elif state[0] != "Example":
+            raise TypeError(f"to_matrix requires Example elements, got {state[0]}")
+        else:
+            X = np.zeros((len(self), len(index)))
+            features = _column(state, "features")
+            if _is_dense(features):
+                names, rows = features
+                columns = np.array([index.get(name, -1) for name in names], dtype=np.intp)
+                kept = columns >= 0
+                X[:, columns[kept]] = rows[:, kept]
             else:
-                group = dense.get(id(features._names))
-                if group is None:
-                    group = dense[id(features._names)] = (features._names, [], [])
-                group[1].append(position)
-                group[2].append(features._row)
-            labels.append(float("nan") if element.label is None else float(element.label))
-        for names, positions, rows in dense.values():
-            columns = np.array([index.get(name, -1) for name in names], dtype=np.intp)
-            kept = columns >= 0
-            X[np.ix_(positions, columns[kept])] = np.stack(rows)[:, kept]
-        return X, np.asarray(labels, dtype=float), dict(index)
+                ids, values = features
+                shapes = _shapes(state)
+                keys = list(chain.from_iterable(map(shapes.__getitem__, ids)))
+                columns = np.fromiter(map(index.get, keys, repeat(-1)), dtype=np.intp, count=len(keys))
+                rows = np.repeat(np.arange(len(ids)), _widths(state[1], ids))
+                kept = columns >= 0
+                X[rows[kept], columns[kept]] = np.array(values, dtype=float)[kept]
+            labels = _column(state, "label")
+        y = np.array([float("nan") if label is None else float(label) for label in labels], dtype=float)
+        return X, y, dict(index)
 
     def estimated_size_bytes(self) -> int:
         """A cheap size estimate used by the cache/memory tracker.
 
         The estimate intentionally avoids a full pickle round trip: it counts
-        feature entries, record fields and dense array bytes.
+        feature entries, record fields and dense array bytes — from the
+        columns with a few passes per column when the collection has them.
         """
-        total = 64 + 56 * len(self.elements)
-        for element in self.elements:
+        state = self._columns()
+        if state is not None:
+            return _columns_size(state)
+        total = 64 + 56 * len(self._rows)
+        for element in self._rows:
             features = getattr(element, "features", None)
             if isinstance(features, FeatureVector):
                 total += 48 * len(features)
@@ -472,13 +550,7 @@ class DataCollection:
             if fields is not None and (
                 type(fields) is dict or isinstance(fields, collections.abc.Mapping)
             ):
-                for value in fields.values():
-                    if isinstance(value, str):
-                        total += 40 + len(value)
-                    elif isinstance(value, np.ndarray):
-                        total += int(value.nbytes)
-                    else:
-                        total += 32
+                total += _fields_size(fields.values())
             if isinstance(element, np.ndarray):
                 total += int(element.nbytes)
         return total
@@ -508,6 +580,57 @@ _COLUMNS: Dict[type, Tuple[Tuple[str, int], ...]] = {
 }
 _ROW_CLASSES = {cls.__name__: cls for cls in _COLUMNS}
 _SPLITS = {split.value: split for split in Split}
+#: ``(row class name, attribute) -> position`` of the column in the state
+#: ``(row class, shape lengths, shape keys, *columns)``.
+_AT = {
+    (cls.__name__, name): 3 + position
+    for cls, layout in _COLUMNS.items()
+    for position, (name, _form) in enumerate(layout)
+}
+
+
+def _state(row_class: type, shapes: Iterable[Tuple[str, ...]], **columns: Any) -> Tuple[Any, ...]:
+    """The columnar state of ``row_class`` rows: their shape table (the key
+    tuple of each shape id, in id order) and one column per attribute.
+
+    The shape table travels flat: each shape's length, then all its keys.
+    """
+    shapes = tuple(shapes)
+    return (
+        row_class.__name__,
+        tuple(map(len, shapes)),
+        tuple(chain.from_iterable(shapes)),
+        *[columns[name] for name, _form in _COLUMNS[row_class]],
+    )
+
+
+def _column(state: Tuple[Any, ...], attribute: str) -> Any:
+    """The column of ``attribute`` in a columnar state."""
+    return state[_AT[state[0], attribute]]
+
+
+def _with_columns(state: Tuple[Any, ...], **columns: Any) -> Tuple[Any, ...]:
+    """``state`` with the named columns replaced."""
+    replaced = list(state)
+    for attribute, column in columns.items():
+        replaced[_AT[state[0], attribute]] = column
+    return tuple(replaced)
+
+
+def _shapes(state: Tuple[Any, ...]) -> List[Tuple[str, ...]]:
+    """A columnar state's shape table: the sorted key tuple of each shape id."""
+    bounds = list(accumulate(state[1], initial=0))
+    return list(map(state[2].__getitem__, map(slice, bounds, bounds[1:])))
+
+
+def _widths(shape_lengths: Sequence[int], ids: Sequence[int]) -> np.ndarray:
+    """How many keys each row of a ``(shape ids, values)`` column has."""
+    return np.array(shape_lengths, dtype=np.intp)[np.array(ids, dtype=np.intp)]
+
+
+def _is_dense(column: Any) -> bool:
+    """Whether a feature-vector column is ``(names, 2-D array)``, not ``(shape ids, values)``."""
+    return len(column) == 2 and type(column[1]) is np.ndarray
 
 
 def _to_columns(elements: Tuple[Any, ...]) -> Optional[Tuple[Any, ...]]:
@@ -542,9 +665,7 @@ def _to_columns(elements: Tuple[Any, ...]) -> Optional[Tuple[Any, ...]]:
         if column is None:
             return None
         columns.append(column)
-    # The shape table travels flat: each shape's length, then all its keys.
-    lengths = tuple(map(len, shapes))
-    return (row_class.__name__, lengths, tuple(chain.from_iterable(shapes)), *columns)
+    return _state(row_class, shapes, **dict(zip(names, columns)))
 
 
 def _dict_column(
@@ -589,59 +710,104 @@ def _vector_column(
     elif names[0] is None:  # all sparse
         dicts = list(map(operator.attrgetter("_values"), vectors))
     else:
-        return names[0], np.stack(list(map(operator.attrgetter("_row"), vectors)))
+        # np.array copies a list of equal rows at C speed, np.stack row by row.
+        return names[0], np.array(list(map(operator.attrgetter("_row"), vectors)))
     return _dict_column(dicts, shapes)
 
 
-def _from_columns(
-    row_class: str,
-    shape_lengths: Sequence[int],
-    shape_keys: Tuple[str, ...],
-    columns: Sequence[Any],
-) -> Tuple[Any, ...]:
-    """The rows :func:`_to_columns` turned into ``columns``, rebuilt eagerly."""
-    cls = _ROW_CLASSES[row_class]
-    layout = _COLUMNS[cls]
+def _check_columns(state: Tuple[Any, ...]) -> None:
+    """Refuse a columnar state whose rows could not be built, or would not
+    fit together: a wrong column count, a shape table that does not add up
+    or holds a key that is not a str, an unknown split value, a dict column
+    whose ids or value count do not match the table, a malformed dense
+    column, or columns of unequal lengths."""
+    row_class, shape_lengths, shape_keys, *columns = state
+    layout = _COLUMNS[_ROW_CLASSES[row_class]]
     if len(columns) != len(layout):
         raise ValueError(f"{row_class} columns: expected {len(layout)}, got {len(columns)}")
-    bounds = list(accumulate(shape_lengths, initial=0))
-    if bounds[-1] != len(shape_keys):
-        raise ValueError(f"shape table of {bounds[-1]} keys carries {len(shape_keys)}")
-    shapes = list(map(shape_keys.__getitem__, map(slice, bounds, bounds[1:])))
+    if min(shape_lengths, default=0) < 0 or sum(shape_lengths) != len(shape_keys):
+        raise ValueError(f"shape table of lengths {shape_lengths!r} carries {len(shape_keys)} keys")
+    if not set(map(type, shape_keys)) <= {str}:
+        raise TypeError("shape keys must be str")
     lengths = set()
-    built: List[Iterable[Any]] = []
     for (_name, form), column in zip(layout, columns):
-        if form == _VECTOR and len(column) == 2 and type(column[1]) is np.ndarray:
+        if form == _VECTOR and _is_dense(column):
             names, rows = column
             _check_dense(names, rows, ndim=2)
             lengths.add(len(rows))
-            column = map(_dense_vector, repeat(names), rows)  # row views
         elif form in (_VECTOR, _DICT):
             ids, values = column
+            if ids and (min(ids) < 0 or max(ids) >= len(shape_lengths)):
+                raise ValueError(f"dict column refers to shapes outside a table of {len(shape_lengths)}")
+            expected = sum(map(shape_lengths.__getitem__, ids))
+            if expected != len(values):
+                raise ValueError(f"dict column of {expected} keys carries {len(values)} values")
             lengths.add(len(ids))
-            column = _dicts(shapes, ids, values)
-            if form == _VECTOR:
-                column = map(_vector, column)
         else:
             lengths.add(len(column))
-            if form == _SPLIT:
-                column = map(_SPLITS.__getitem__, column)
-        built.append(column)
+            if form == _SPLIT and not _SPLITS.keys() >= set(column):
+                raise ValueError(f"unknown split values {sorted(map(repr, set(column) - _SPLITS.keys()))}")
     if len(lengths) != 1:
         raise ValueError(f"{row_class} columns of unequal lengths {sorted(lengths)}")
+
+
+def _rows_of(state: Tuple[Any, ...]) -> Tuple[Any, ...]:
+    """The rows of a columnar state (one :func:`_check_columns` passed)."""
+    cls = _ROW_CLASSES[state[0]]
+    shapes = _shapes(state)
+    built: List[Iterable[Any]] = []
+    for (_name, form), column in zip(_COLUMNS[cls], state[3:]):
+        if form == _VECTOR and _is_dense(column):
+            names, rows = column
+            column = map(_dense_vector, repeat(names), rows)  # row views
+        elif form in (_VECTOR, _DICT):
+            column = _dicts(shapes, *column)
+            if form == _VECTOR:
+                column = map(_vector, column)
+        elif form == _SPLIT:
+            column = map(_SPLITS.__getitem__, column)
+        built.append(column)
     return tuple(map(cls, *built))
+
+
+def _select(state: Tuple[Any, ...], positions: Sequence[int]) -> Tuple[Any, ...]:
+    """The columnar state of the rows at ``positions`` (some, in order).
+
+    Its shape table holds the shapes those rows use, in order of first use,
+    as :func:`_to_columns` of the selected rows would number them.
+    """
+    cls = _ROW_CLASSES[state[0]]
+    shapes = _shapes(state)
+    kept: Dict[Tuple[str, ...], int] = {}
+    columns: Dict[str, Any] = {}
+    for (name, form), column in zip(_COLUMNS[cls], state[3:]):
+        if form == _VECTOR and _is_dense(column):
+            column = (column[0], column[1][positions])
+        elif form in (_VECTOR, _DICT):
+            ids, values = column
+            widths = _widths(state[1], ids)
+            starts = (np.cumsum(widths) - widths)[positions]
+            widths = widths[positions]
+            # The value positions of each selected row, one row after another.
+            taken = np.repeat(starts - (np.cumsum(widths) - widths), widths) + np.arange(widths.sum())
+            picked = list(map(ids.__getitem__, positions))
+            for shape_id in dict.fromkeys(picked):
+                kept.setdefault(shapes[shape_id], len(kept))
+            renumbered = {shape_id: kept[shapes[shape_id]] for shape_id in set(picked)}
+            column = (tuple(map(renumbered.__getitem__, picked)), tuple(map(values.__getitem__, taken.tolist())))
+        else:
+            column = tuple(map(column.__getitem__, positions))
+        columns[name] = column
+    return _state(cls, kept, **columns)
 
 
 def _dicts(
     shapes: Sequence[Tuple[str, ...]], ids: Sequence[int], values: Sequence[Any]
 ) -> List[Dict[str, Any]]:
-    keys = list(map(shapes.__getitem__, ids))
-    expected = sum(map(len, keys))
-    if expected != len(values):
-        raise ValueError(f"dict column of {expected} keys carries {len(values)} values")
+    """The dicts of a ``(shape ids, values)`` column, in sorted key order."""
     rest = iter(values)
     # zip stops at the exhausted key tuple before drawing from ``rest``.
-    return [dict(zip(shape, rest)) for shape in keys]
+    return [dict(zip(shape, rest)) for shape in map(shapes.__getitem__, ids)]
 
 
 def _vector(values: Dict[str, float]) -> FeatureVector:
@@ -649,3 +815,30 @@ def _vector(values: Dict[str, float]) -> FeatureVector:
     vector._values = values
     vector._names = vector._row = None
     return vector
+
+
+def _columns_size(state: Tuple[Any, ...]) -> int:
+    """:meth:`DataCollection.estimated_size_bytes` of a columnar state."""
+    total = 64 + 56 * len(_column(state, "split"))
+    for (_name, form), column in zip(_COLUMNS[_ROW_CLASSES[state[0]]], state[3:]):
+        if form == _VECTOR:  # 48 bytes per feature
+            total += 48 * (column[1].size if _is_dense(column) else len(column[1]))
+        elif form == _DICT:
+            total += _fields_size(column[1])
+    return total
+
+
+def _fields_size(values: Collection[Any]) -> int:
+    """The size estimate of record field values: a str 40 bytes plus its
+    length, an array its bytes, anything else 32."""
+    if set(map(type, values)) <= {str}:
+        return 40 * len(values) + sum(map(len, values))
+    total = 0
+    for value in values:
+        if isinstance(value, str):
+            total += 40 + len(value)
+        elif isinstance(value, np.ndarray):
+            total += int(value.nbytes)
+        else:
+            total += 32
+    return total

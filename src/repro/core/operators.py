@@ -32,6 +32,7 @@ import zlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, islice
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,6 +46,14 @@ from .data import (
     Record,
     SemanticUnit,
     Split,
+    _column,
+    _dicts,
+    _is_dense,
+    _shapes,
+    _state,
+    _vector,
+    _widths,
+    _with_columns,
 )
 
 __all__ = [
@@ -468,18 +477,52 @@ class FieldExtractor(Extractor):
         except (TypeError, ValueError):
             return None
 
+    def _feature(self, value: Any) -> Tuple[str, float]:
+        """The one ``(feature name, value)`` of a field value's vector."""
+        numeric = self._try_float(value)
+        categorical = self.as_categorical if self.as_categorical is not None else numeric is None
+        if categorical:
+            return f"{self.field_name}={value}", 1.0
+        return self.field_name, 0.0 if numeric is None else numeric
+
     def run(self, inputs: Sequence[Any], context: RunContext) -> DataCollection:
         (collection,) = inputs
+        state = collection._columns() if isinstance(collection, DataCollection) else None
+        if state is None or state[0] != "Record" or type(self.field_name) is not str:
+            return self._extract_rows(collection)
+        ids, values = _column(state, "fields")
+        if ids.count(ids[0]) != len(ids):  # records of more than one field shape
+            return self._extract_rows(collection)
+        shape = _shapes(state)[ids[0]]
+        if self.field_name in shape:
+            column = tuple(values[shape.index(self.field_name)::len(shape)])
+        else:
+            column = (None,) * len(ids)
+        if set(map(type, column)) == {str}:  # one _feature call per distinct string
+            features = {value: self._feature(value) for value in set(column)}
+            pairs = list(map(features.__getitem__, column))
+        else:
+            pairs = list(map(self._feature, column))
+        names, numbers = zip(*pairs)
+        shape_ids = {name: position for position, name in enumerate(dict.fromkeys(names))}
+        units = _state(
+            SemanticUnit,
+            [(name,) for name in shape_ids],
+            input=column,
+            source=(self.field_name,) * len(column),
+            output=(tuple(map(shape_ids.__getitem__, names)), numbers),
+            split=tuple(_column(state, "split")),
+        )
+        return DataCollection._of_columns(self.field_name, units, ElementKind.SEMANTIC_UNIT)
+
+    def _extract_rows(self, collection: Any) -> DataCollection:
+        """The row loop, for inputs without one columnar field shape."""
         units: List[SemanticUnit] = []
         for raw, split, _carrier in self._iter_inputs(collection):
             value = raw.get(self.field_name) if isinstance(raw, Record) else raw
-            numeric = self._try_float(value)
-            categorical = self.as_categorical if self.as_categorical is not None else numeric is None
-            if categorical:
-                fv = FeatureVector.one_hot(self.field_name, value)
-            else:
-                fv = FeatureVector.scalar(self.field_name, 0.0 if numeric is None else numeric)
-            units.append(SemanticUnit(input=value, source=self.field_name, output=fv, split=split))
+            name, number = self._feature(value)
+            units.append(SemanticUnit(input=value, source=self.field_name,
+                                      output=FeatureVector({name: number}), split=split))
         return DataCollection(self.field_name, units, kind=ElementKind.SEMANTIC_UNIT)
 
 
@@ -514,15 +557,16 @@ class Bucketizer(Extractor):
                 value = float(raw or 0.0)
             values.append(float(value))
             carriers.append((float(value), split))
-        boundaries = self._fit_boundaries(np.asarray(values, dtype=float))
+        array = np.asarray(values, dtype=float)
+        buckets = np.searchsorted(self._fit_boundaries(array), array).tolist()
         units = [
             SemanticUnit(
                 input=value,
                 source=self.feature_name,
-                output=FeatureVector.one_hot(self.feature_name, int(np.searchsorted(boundaries, value))),
+                output=FeatureVector.one_hot(self.feature_name, bucket),
                 split=split,
             )
-            for value, split in carriers
+            for (value, split), bucket in zip(carriers, buckets)
         ]
         return DataCollection(self.feature_name, units, kind=ElementKind.SEMANTIC_UNIT)
 
@@ -660,6 +704,68 @@ class ExampleSynthesizer(Synthesizer):
         base, *feature_collections = inputs
         if not isinstance(base, DataCollection):
             raise OperatorError("synthesizer", "first input must be the base DataCollection")
+        examples = self._assemble_columns(base, feature_collections)
+        if examples is None:
+            return self._assemble_rows(base, feature_collections)
+        return examples
+
+    def _assemble_columns(
+        self, base: DataCollection, feature_collections: Sequence[Any]
+    ) -> Optional[DataCollection]:
+        """The examples as columns merged from the inputs' sparse output
+        columns; None when an input has none (or is dense), or when a row
+        would repeat a feature name."""
+        state = base._columns()
+        if state is None:
+            return None
+        n = len(base)
+        labels: Tuple[Optional[float], ...] = (None,) * n
+        parts = []
+        for collection in feature_collections:
+            if not isinstance(collection, DataCollection) or not len(collection):
+                continue
+            units = collection._columns()
+            if units is None:
+                return None
+            if units[0] != "SemanticUnit":
+                continue  # records or examples: no element is a feature vector
+            outputs, sources = _column(units, "output"), _column(units, "source")
+            if _is_dense(outputs) or sources.count(sources[0]) != len(sources):
+                return None
+            ids = outputs[0][:n]
+            if self.label_source is not None and sources[0] == self.label_source:
+                labels = self._column_labels(_shapes(units), ids, outputs[1]) + labels[len(ids):]
+            else:
+                parts.append((_shapes(units), ids, outputs[1]))
+        merged = _merge_columns(parts, n)
+        if merged is None:
+            return None
+        shapes, features = merged
+        examples = _state(
+            Example, shapes, features=features, label=labels, split=tuple(_column(state, "split")),
+            prediction=(None,) * n, score=(None,) * n,
+        )
+        return DataCollection._of_columns("examples", examples, ElementKind.EXAMPLE)
+
+    def _column_labels(
+        self, shapes: Sequence[Tuple[str, ...]], ids: Sequence[int], values: Sequence[Any]
+    ) -> Tuple[float, ...]:
+        """:meth:`_label_from` of each row of a sparse output column."""
+        names = {shape_id: shapes[shape_id] for shape_id in set(ids)}
+        if set(map(len, names.values())) != {1}:
+            return tuple(map(self._label_from, map(_vector, _dicts(shapes, ids, values))))
+        # One feature per row: an indicator's label depends on its name only.
+        fixed = {
+            shape_id: self._label_from(FeatureVector({name: 1.0})) if "=" in name else None
+            for shape_id, (name,) in names.items()
+        }
+        return tuple([
+            float(value) if fixed[shape_id] is None else fixed[shape_id]
+            for shape_id, value in zip(ids, values)
+        ])
+
+    def _assemble_rows(self, base: DataCollection, feature_collections: Sequence[Any]) -> DataCollection:
+        """The row loop, for inputs without sparse columns."""
         examples: List[Example] = []
         n = len(base)
         for i in range(n):
@@ -681,6 +787,39 @@ class ExampleSynthesizer(Synthesizer):
                 features = features.concat(fv)
             examples.append(Example(features=features, label=label, split=split))
         return DataCollection("examples", examples, kind=ElementKind.EXAMPLE)
+
+
+def _merge_columns(
+    parts: Sequence[Tuple[Sequence[Tuple[str, ...]], Sequence[int], Sequence[Any]]], n: int
+) -> Optional[Tuple[Iterable[Tuple[str, ...]], Tuple[Tuple[int, ...], Tuple[Any, ...]]]]:
+    """The shape table and the ``(shape ids, values)`` column of ``n`` rows
+    whose features are the union of each part's first rows; None when a row
+    would carry one name twice.
+
+    A part is the shape table, shape ids and values of a sparse output
+    column.  One stable sort over every part's ``(row, name)`` puts each
+    row's values in its sorted key order.
+    """
+    rows: List[np.ndarray] = []
+    names: List[str] = []
+    values: List[Any] = []
+    for shapes, ids, part_values in parts:
+        widths = _widths(list(map(len, shapes)), ids)
+        rows.append(np.repeat(np.arange(len(ids)), widths))
+        names.extend(chain.from_iterable(map(shapes.__getitem__, ids)))
+        values.extend(part_values[: int(widths.sum())])
+    vocabulary = sorted(set(names))
+    rank = {name: position for position, name in enumerate(vocabulary)}
+    row_of = np.concatenate([np.zeros(0, dtype=np.intp), *rows])
+    ranks = np.fromiter(map(rank.__getitem__, names), dtype=np.intp, count=len(names))
+    order = np.lexsort((ranks, row_of))
+    row_of, ranks = row_of[order], ranks[order]
+    if np.any((row_of[1:] == row_of[:-1]) & (ranks[1:] == ranks[:-1])):
+        return None
+    sorted_names = iter(list(map(vocabulary.__getitem__, ranks.tolist())))
+    keys = [tuple(islice(sorted_names, width)) for width in np.bincount(row_of, minlength=n).tolist()]
+    shapes = {shape: position for position, shape in enumerate(dict.fromkeys(keys))}
+    return shapes, (tuple(map(shapes.__getitem__, keys)), tuple(map(values.__getitem__, order.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -744,14 +883,16 @@ class Learner(Operator):
         if not isinstance(examples, DataCollection):
             raise OperatorError(self.name, "Learner input must be a DataCollection of examples")
         X_all, y_all, _ = examples.to_matrix()
+        state = examples._columns()
         model = self.model_factory(**self.params)
         if hasattr(model, "set_seed"):
             model.set_seed(context.seed)
         if self.supervised:
-            train_mask = np.array(
-                [getattr(e, "split", Split.ALL) in (Split.TRAIN, Split.ALL) for e in examples],
-                dtype=bool,
-            )
+            if state is None:
+                train_mask = self._train_mask_rows(examples)
+            else:
+                splits = _column(state, "split")
+                train_mask = np.fromiter(map(_TRAINED.__contains__, splits), dtype=bool, count=len(splits))
             labelled = train_mask & ~np.isnan(y_all)
             model.fit(X_all[labelled], y_all[labelled])
         else:
@@ -761,6 +902,27 @@ class Learner(Operator):
         if hasattr(model, "predict_proba"):
             proba = model.predict_proba(X_all)
             scores = proba[:, -1] if proba.ndim == 2 else proba
+        if state is None:
+            annotated = self._annotate_rows(examples, predictions, scores)
+        else:
+            annotated = DataCollection._of_columns("predictions", _with_columns(
+                state,
+                prediction=tuple(map(float, predictions)),
+                score=(None,) * len(examples) if scores is None else tuple(map(float, scores)),
+            ), ElementKind.EXAMPLE)
+        return PredictionsResult(predictions=annotated, model=model)
+
+    @staticmethod
+    def _train_mask_rows(examples: DataCollection) -> np.ndarray:
+        """The train mask of example rows without a columnar state."""
+        return np.array(
+            [getattr(e, "split", Split.ALL) in (Split.TRAIN, Split.ALL) for e in examples],
+            dtype=bool,
+        )
+
+    @staticmethod
+    def _annotate_rows(examples: DataCollection, predictions: Any, scores: Any) -> DataCollection:
+        """The predictions of example rows without a columnar state."""
         annotated = [
             example.with_prediction(
                 float(predictions[i]),
@@ -768,10 +930,11 @@ class Learner(Operator):
             )
             for i, example in enumerate(examples)
         ]
-        return PredictionsResult(
-            predictions=DataCollection("predictions", annotated, kind=ElementKind.EXAMPLE),
-            model=model,
-        )
+        return DataCollection("predictions", annotated, kind=ElementKind.EXAMPLE)
+
+
+#: The split values a learner fits on.
+_TRAINED = {Split.TRAIN.value, Split.ALL.value}
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ from repro.core.data import (
     SemanticUnit,
     Split,
 )
-from repro.core.data import _dict_column
+from repro.core.data import _dict_column, _to_columns
+from repro.storage.canonical import decode, encode
 
 
 def _reference_dict_column(
@@ -379,3 +380,99 @@ class TestDictColumn:
         for dicts in ([{"a": 1}, {Key("a"): 2}], [{"a": 1}, {1: 2}], [{"a": 1}, types.MappingProxyType({"a": 1})]):
             assert _dict_column(dicts, {}) is None
             assert _reference_dict_column(dicts, {}) is None
+
+
+_labels = st.one_of(st.none(), _finite)
+#: Records, units and examples of every column form: field dicts and sparse
+#: vectors of several shapes (the empty one included), dense vectors over
+#: one names tuple, and dense and sparse vectors mixed in one column.
+_columnar_collections = st.one_of(
+    st.lists(st.builds(Record, fields=st.one_of(st.just({}), _fields), split=_splits),
+             min_size=1, max_size=8).map(lambda rows: DataCollection("records", rows, ElementKind.RECORD)),
+    st.lists(
+        st.builds(SemanticUnit, input=st.one_of(st.none(), _names, st.integers()), source=_names,
+                  output=st.one_of(st.just(FeatureVector()), _vectors, _sparse), split=_splits),
+        min_size=1, max_size=8,
+    ).map(lambda units: DataCollection("units", units, ElementKind.SEMANTIC_UNIT)),
+    st.sampled_from([0, 2, 11]).flatmap(
+        lambda width: st.lists(
+            st.builds(SemanticUnit, input=st.none(), source=_names,
+                      output=st.lists(_finite, min_size=width, max_size=width).map(
+                          lambda values: FeatureVector.from_dense(values, prefix="rff")),
+                      split=_splits),
+            min_size=1, max_size=8,
+        )
+    ).map(lambda units: DataCollection("dense units", units, ElementKind.SEMANTIC_UNIT)),
+    st.lists(
+        st.builds(Example, features=st.one_of(st.just(FeatureVector()), _sparse, _dense_of_width),
+                  label=_labels, split=_splits, prediction=_labels, score=_labels),
+        min_size=1, max_size=8,
+    ).map(lambda examples: DataCollection("examples", examples, ElementKind.EXAMPLE)),
+    st.sampled_from([2, 11]).flatmap(
+        lambda width: st.lists(
+            st.builds(Example, features=st.lists(_finite, min_size=width, max_size=width).map(
+                lambda values: FeatureVector.from_dense(values, prefix="rff")), label=_labels,
+                split=_splits),
+            min_size=1, max_size=8,
+        )
+    ).map(lambda examples: DataCollection("dense examples", examples, ElementKind.EXAMPLE)),
+)
+
+
+class TestColumnsFirst:
+    """A decoded collection holds its columns and builds rows on first access."""
+
+    @given(_columnar_collections)
+    @settings(max_examples=200, deadline=None)
+    def test_decoded_columns_answer_as_the_rows(self, collection):
+        packed = encode(collection)
+        decoded = decode(packed)
+        assert decoded._rows is None and len(decoded) == len(collection)
+        assert encode(decoded) == packed  # before any row exists
+        size = decoded.estimated_size_bytes()
+        if collection.kind is ElementKind.EXAMPLE:
+            X, y, index = decoded.to_matrix()
+            assert index == decoded.feature_index() == collection.feature_index()
+        assert decoded._rows is None
+        assert list(map(type, decoded)) == list(map(type, collection))
+        if collection.kind is ElementKind.RECORD:
+            # Field values may be NaN or arrays: compare canonical bytes,
+            # which pin types and values and read dicts in key order.
+            assert encode(decoded.elements) == encode(collection.elements)
+        else:  # a dense vector equals the dict vector a mixed column restores
+            assert decoded.elements == collection.elements
+        assert size == _reference_size(decoded) == _reference_size(collection)
+        if collection.kind is ElementKind.EXAMPLE:
+            expected = _reference_matrix(decoded, index)
+            assert X.dtype == expected.dtype and X.tobytes() == expected.tobytes()
+            assert np.array_equal(y, [np.nan if e.label is None else e.label for e in collection],
+                                  equal_nan=True)
+        assert encode(decoded) == packed  # and after
+
+    @given(_columnar_collections)
+    @settings(max_examples=100, deadline=None)
+    def test_the_test_split_selects_columns(self, collection):
+        """``test()`` of a decoded collection selects columns without
+        building rows, to exactly the state of the selected rows."""
+        decoded = decode(encode(collection))
+        selected = decoded.test()
+        assert decoded._rows is None
+        # The rows of a second decode: a mixed column restores dict vectors.
+        rows = [e for e in decode(encode(collection)) if e.split is not Split.TRAIN]
+        assert len(selected) == len(rows) and selected.name == f"{collection.name}[test]"
+        if rows:
+            assert encode(selected._columns()) == encode(_to_columns(tuple(selected.elements)))
+        assert encode(selected) == encode(DataCollection(selected.name, rows, collection.kind))
+
+    def test_a_collection_born_as_rows_columnizes_once(self, monkeypatch):
+        import repro.core.data as data
+
+        calls = []
+        original = data._to_columns
+        monkeypatch.setattr(data, "_to_columns", lambda rows: calls.append(1) or original(rows))
+        collection = DataCollection("d", [Example(features=FeatureVector({"a": 1.0}), label=1.0)],
+                                    ElementKind.EXAMPLE)
+        collection.estimated_size_bytes()
+        collection.to_matrix()
+        assert encode(collection) == encode(collection)
+        assert calls == [1]

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.data import DataCollection, ElementKind, Example, FeatureVector, Record, SemanticUnit, Split
 from repro.core.operators import (
@@ -21,9 +25,13 @@ from repro.core.operators import (
     RunContext,
     Scanner,
 )
+from repro.core.data import _to_columns
 from repro.exceptions import OperatorError, WorkflowSpecError
 from repro.ml.kmeans import KMeans
 from repro.ml.linear import LogisticRegression
+from repro.ml.naive_bayes import MultinomialNaiveBayes
+from repro.storage.canonical import decode, encode
+from repro.workloads.census import CENSUS_COLUMNS, generate_census_rows
 
 CTX = RunContext(seed=0)
 
@@ -272,3 +280,143 @@ class TestSignatures:
 
         op = NoisyOperator("age")
         assert op.config_signature() == op.config_signature()
+
+
+# ---------------------------------------------------------------------------
+# Columnar producers: the state born as columns is the row loop's, exactly
+# ---------------------------------------------------------------------------
+def _born_as(rows_output: DataCollection, columns_output: DataCollection) -> None:
+    """``columns_output`` was born as columns, to ``_to_columns`` of the row loop's rows."""
+    assert columns_output._rows is None, "the producer took its row loop"
+    assert (columns_output.name, columns_output.kind) == (rows_output.name, rows_output.kind)
+    # Canonical bytes: equal values of equal types, NaN included.
+    assert encode(columns_output._columns()) == encode(_to_columns(rows_output.elements))
+
+
+def _census_rows(decoded: bool) -> DataCollection:
+    """Census iteration-0 ``rows``: as the scanner built them, or decoded from the store."""
+    data = DataSource(generator=generate_census_rows, params={"n_train": 90, "n_test": 30}).run([], CTX)
+    rows = CSVScanner(CENSUS_COLUMNS, line_field="line").run([data], CTX)
+    return decode(encode(rows)) if decoded else rows
+
+
+def _census_features(rows: DataCollection):
+    """The census extractor outputs, in the workflow's attachment order."""
+    extract = {field: FieldExtractor(field).run([rows], CTX)
+               for field in ("education", "occupation", "age", "capital_gain")}
+    return [
+        extract["education"],
+        extract["occupation"],
+        Bucketizer("age", bins=10).run([extract["age"]], CTX),
+        InteractionFeature(["education", "occupation"]).run(
+            [extract["education"], extract["occupation"]], CTX),
+        extract["capital_gain"],
+        FieldExtractor("target", as_categorical=False).run([rows], CTX),
+    ]
+
+
+_values = st.one_of(
+    st.sampled_from(["a", "b", "1", "2.5", "-0.0", "nan", " 3 "]),
+    st.integers(-3, 3), st.booleans(), st.none(), st.floats(), st.just(-0.0),
+)
+#: Records that share one field shape (the columnar path).
+_shared_shape_records = st.lists(
+    st.tuples(st.fixed_dictionaries({"x": _values, "y": _values}), st.sampled_from(list(Split))),
+    min_size=1, max_size=12,
+).map(lambda rows: DataCollection(
+    "rows", [Record(fields=fields, split=split) for fields, split in rows], kind=ElementKind.RECORD))
+
+
+class TestColumnarProducers:
+    @pytest.mark.parametrize("decoded", [False, True])
+    def test_field_extractor_on_census_rows(self, decoded):
+        rows = _census_rows(decoded)
+        for field in CENSUS_COLUMNS:
+            for as_categorical in (None, True, False):
+                extractor = FieldExtractor(field, as_categorical=as_categorical)
+                _born_as(extractor._extract_rows(rows), extractor.run([rows], CTX))
+
+    @given(_shared_shape_records, st.sampled_from(["x", "y", "absent"]), st.sampled_from([None, True, False]))
+    @settings(max_examples=150, deadline=None)
+    def test_field_extractor_on_records_of_one_shape(self, rows, field, as_categorical):
+        extractor = FieldExtractor(field, as_categorical=as_categorical)
+        _born_as(extractor._extract_rows(rows), extractor.run([rows], CTX))
+
+    def test_mixed_shape_records_take_the_row_loop(self):
+        rows = _record_dc([{"x": "a"}, {"x": "b", "y": 1}])
+        for collection in (rows, decode(encode(rows))):
+            out = FieldExtractor("x").run([collection], CTX)
+            assert out._rows is not None
+            assert [unit.output for unit in out] == [FeatureVector({"x=a": 1.0}), FeatureVector({"x=b": 1.0})]
+
+    @pytest.mark.parametrize("decoded", [False, True])
+    def test_synthesizer_on_census_features(self, decoded):
+        rows = _census_rows(decoded)
+        features = _census_features(rows)
+        if decoded:
+            features = [decode(encode(collection)) for collection in features]
+        for label_source in ("target", None):
+            synthesizer = ExampleSynthesizer(label_source=label_source)
+            _born_as(synthesizer._assemble_rows(rows, features),
+                     synthesizer.run([rows, *features], CTX))
+
+    @given(_shared_shape_records, st.integers(0, 12), st.sampled_from([None, True, False]))
+    @settings(max_examples=100, deadline=None)
+    def test_synthesizer_with_a_shorter_feature_collection_and_labels(self, rows, cut, as_categorical):
+        shorter = DataCollection("rows", rows.elements[:cut], ElementKind.RECORD)
+        features = [
+            FieldExtractor("x", as_categorical=as_categorical).run([rows], CTX),
+            FieldExtractor("y", as_categorical=as_categorical).run([shorter], CTX),
+        ]
+        for label_source in ("y", "x", None):
+            synthesizer = ExampleSynthesizer(label_source=label_source)
+            _born_as(synthesizer._assemble_rows(rows, features), synthesizer.run([rows, *features], CTX))
+        # Two label sources: the later, shorter one relabels only its rows.
+        features.append(FieldExtractor("x").run([shorter], CTX))
+        synthesizer = ExampleSynthesizer(label_source="x")
+        _born_as(synthesizer._assemble_rows(rows, features), synthesizer.run([rows, *features], CTX))
+
+    def test_colliding_feature_names_raise_the_row_loops_error(self):
+        rows = _record_dc([{"x": "1"}, {"x": "1"}])
+        x = FieldExtractor("x").run([rows], CTX)
+        other_x = FieldExtractor("x").run([_record_dc([{"x": "1"}, {"x": "2"}])], CTX)
+        synthesizer = ExampleSynthesizer()
+        for features in ([x, other_x], [decode(encode(x)), decode(encode(other_x))]):
+            with pytest.raises(ValueError, match="feature name collision on 'x'"):
+                synthesizer.run([rows, *features], CTX)
+            with pytest.raises(ValueError, match="feature name collision on 'x'"):
+                synthesizer._assemble_rows(rows, features)
+        # An equal value under one name merges, as the row loop merges it.
+        out = synthesizer.run([rows, x, x], CTX)
+        assert [example.features for example in out] == [FeatureVector({"x": 1.0})] * 2
+        assert encode(out) == encode(synthesizer._assemble_rows(rows, [x, x]))
+
+    def test_dense_inputs_take_the_row_loop(self):
+        rows = _record_dc([{"t": 1}, {"t": 0}])
+        dense = DataCollection("rff", [
+            SemanticUnit(input=None, source="rff", output=FeatureVector.from_dense([1.0, 2.0], prefix="rff"))
+            for _ in range(2)
+        ], kind=ElementKind.SEMANTIC_UNIT)
+        label = FieldExtractor("t", as_categorical=False).run([rows], CTX)
+        out = ExampleSynthesizer(label_source="t").run([rows, dense, label], CTX)
+        assert out._rows is not None
+        assert [example.label for example in out] == [1.0, 0.0]
+        assert out[0].features is dense[0].output
+
+    @pytest.mark.parametrize("model", [LogisticRegression, MultinomialNaiveBayes])
+    def test_learner_writes_the_examples_columns_and_two_more(self, model):
+        rows = _census_rows(decoded=False)
+        features = _census_features(rows)
+        examples = ExampleSynthesizer(label_source="target").run([rows, *features], CTX)
+        result = Learner(model).run([examples], CTX)
+        X, _y, _index = examples.to_matrix()
+        scores = result.model.predict_proba(X) if hasattr(result.model, "predict_proba") else None
+        expected = Learner._annotate_rows(
+            examples, result.model.predict(X), None if scores is None else scores[:, -1])
+        _born_as(expected, result.predictions)
+        # Examples without columns (one ad-hoc attribute) take the row loop to the same fit.
+        rows_only = DataCollection("examples", map(dataclasses.replace, examples), ElementKind.EXAMPLE)
+        rows_only[0].note = "no columns"
+        by_rows = Learner(model).run([rows_only], CTX)
+        assert by_rows.predictions._state is None
+        assert encode(by_rows.predictions) == encode(result.predictions)

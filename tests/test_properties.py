@@ -7,6 +7,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -714,13 +715,41 @@ class TestColumnarDataCollection:
             ("bad", ElementKind.EXAMPLE, "Example", (), (), (1.0,)),  # one of five columns
             ("bad", ElementKind.RECORD, "Unknown", (), (), ((), ()), ()),  # no such row class
             ("bad", ElementKind.RECORD, "Record", (1,), ("a",), ((0, 0), (1,)), ("all", "all")),
+            # what a lazy row build would otherwise meet only on first access:
+            ("bad", ElementKind.RECORD, "Record", (1,), ("a",), ((0, 0), (1, 2)), ("all", "valid")),
+            ("bad", ElementKind.RECORD, "Record", (1,), ("a",), ((0, 1), (1, 2)), ("all", "all")),
+            ("bad", ElementKind.RECORD, "Record", (1,), ("a",), ((0, -1), (1, 2)), ("all", "all")),
+            ("bad", ElementKind.RECORD, "Record", (2,), ("a",), ((0, 0), (1, 2)), ("all", "all")),
+            ("bad", ElementKind.RECORD, "Record", (1,), (["a"],), ((0, 0), (1, 2)), ("all", "all")),
+            ("bad", ElementKind.SEMANTIC_UNIT, "SemanticUnit", (1, 2), ("a", "a", "b"),
+             (None, None), ("s", "s"), ((0, 1), (1.0, 2.0)), ("all", "all")),
         ]
         for state in states:
             monkeypatch.setattr(DataCollection, "__getstate__", lambda self, state=state: state)
             payload = encode(DataCollection("bad", []))
             monkeypatch.undo()
-            with pytest.raises(ProtocolError, match="invalid DataCollection state"):
-                decode(payload)
+            for load in (decode, deserialize):  # refused whole, before any row is built
+                with pytest.raises(ProtocolError, match="invalid DataCollection state"):
+                    load(payload)
+
+    def test_first_access_from_eight_threads_sees_equal_rows(self):
+        packed = encode(_materialized("census", ["income"])["income"])
+        for _ in range(5):
+            decoded = decode(packed)
+            barrier = threading.Barrier(8)
+            seen = [None] * 8
+
+            def iterate(slot):
+                barrier.wait()
+                seen[slot] = list(decoded)
+
+            threads = [threading.Thread(target=iterate, args=(slot,)) for slot in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert all(rows == seen[0] for rows in seen) and len(seen[0]) == len(decoded)
+            assert encode(decoded) == packed
 
 
 class TestDenseColumns:
@@ -787,8 +816,9 @@ class TestDenseColumns:
             monkeypatch.setattr(DataCollection, "__getstate__", lambda self, state=state: state)
             payload = encode(DataCollection("bad", []))
             monkeypatch.undo()
-            with pytest.raises(ProtocolError, match="invalid DataCollection state"):
-                decode(payload)
+            for load in (decode, deserialize):  # refused whole, before any row is built
+                with pytest.raises(ProtocolError, match="invalid DataCollection state"):
+                    load(payload)
         for state in [(("a", "b"), np.zeros(3)), (("a",), np.zeros((1, 1))), ([("a", 1.0)],)]:
             monkeypatch.setattr(FeatureVector, "__getstate__", lambda self, state=state: state)
             payload = encode(FeatureVector())
