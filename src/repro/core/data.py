@@ -329,7 +329,7 @@ class DataCollection:
 
     The columns are what a collection holds; its rows are a view of them.
     A collection is born as columns when it is decoded (canonical encoding,
-    pickle, copy) or built by a columnar producer (``FieldExtractor``,
+    copy) or built by a columnar producer (``FieldExtractor``,
     ``ExampleSynthesizer``, ``Learner``); it builds its row objects on the
     first :attr:`elements`, iteration, indexing or :meth:`filter`, with
     dicts in sorted key order and dense vectors as row views of the one
@@ -528,7 +528,7 @@ class DataCollection:
     def estimated_size_bytes(self) -> int:
         """A cheap size estimate used by the cache/memory tracker.
 
-        The estimate intentionally avoids a full pickle round trip: it counts
+        The estimate intentionally avoids a full serialization round trip: it counts
         feature entries, record fields and dense array bytes — from the
         columns with a few passes per column when the collection has them.
         """

@@ -113,7 +113,7 @@ def _callable_token(fn: Callable[..., Any]) -> str:
     The token combines the qualified name, an optional explicit ``_version``
     attribute (which user code can bump to signal a semantic change), and a
     hash of the bytecode when available.  Builtins and C functions fall back
-    to their qualified name only.  Callable *instances* (picklable UDF
+    to their qualified name only.  Callable *instances* (encodable UDF
     objects, the process-executor-friendly alternative to closures) are
     identified by their class path, their ``__call__`` bytecode and
     ``_version``, so editing the method invalidates reuse just like editing
@@ -218,21 +218,23 @@ class Operator(ABC):
       without synchronizing and must not rely on any ordering beyond its
       declared DAG edges.
     * **Process safety** (process executor): ``run`` must additionally be a
-      *pure, picklable* function of ``(inputs, context)`` — the operator and
+      *pure, encodable* function of ``(inputs, context)`` — the operator and
       its inputs are serialized to a worker process and only the returned
       value travels back, so mutations of inputs or of in-process globals are
-      silently lost.  UDF-style configuration must be picklable (module-level
-      functions or callable instances, not closures/lambdas).
+      silently lost.  UDF-style configuration must be encodable by
+      reference: module-level functions and classes travel as their
+      ``module.qualname``, callable instances as their attributes; closures,
+      lambdas and bound methods have no encoding.
     """
 
     #: Which workflow component this operator belongs to.
     component: Component = Component.DPR
 
     #: Whether this operator may run inside a worker *process*.  The process
-    #: executor validates picklability with a serialize/deserialize round
+    #: executor validates encodability with a serialize/deserialize round
     #: trip before dispatching any work (see :func:`ensure_process_safe`);
     #: set this to ``False`` to opt out explicitly — e.g. an operator that
-    #: would pickle fine but depends on shared in-process state (open
+    #: would encode fine but depends on shared in-process state (open
     #: handles, module-level caches it mutates, monkeypatched hooks).
     supports_processes: bool = True
 
@@ -256,11 +258,14 @@ class Operator(ABC):
 
         Two operators with the same class and configuration are assumed to
         compute identical results on identical inputs (representational
-        equivalence, Section 4.2).  Non-deterministic operators mix in a
-        per-instance nonce so they are never equivalent to any other operator
-        instance, including their past selves.
+        equivalence, Section 4.2); the class is its module-qualified name,
+        so same-named classes of two modules never share a signature.
+        Non-deterministic operators mix in a per-instance nonce so they are
+        never equivalent to any other operator instance, including their
+        past selves.
         """
-        payload = {"class": type(self).__name__, "config": _normalize(self.config())}
+        cls = type(self)
+        payload = {"class": f"{cls.__module__}.{cls.__qualname__}", "config": _normalize(self.config())}
         if not self.deterministic:
             nonce = getattr(self, "_instance_nonce", None)
             if nonce is None:
@@ -290,8 +295,8 @@ def ensure_process_safe(operator: Operator, node_name: Optional[str] = None) -> 
     (the same codec the engine uses to ship task payloads), raising a clear
     :class:`~repro.exceptions.ExecutionError` that names the node and
     operator class when either check fails.  The process executor calls this
-    for every COMPUTE node *before* dispatching any work, so a non-picklable
-    workflow fails fast instead of mid-run.
+    for every COMPUTE node *before* dispatching any work, so a workflow that
+    is not encodable by reference fails fast instead of mid-run.
     """
     label = (
         f"node {node_name!r} ({type(operator).__name__})"
@@ -311,7 +316,7 @@ def ensure_process_safe(operator: Operator, node_name: Optional[str] = None) -> 
         deserialize(serialize(operator))
     except Exception as exc:
         raise ExecutionError(
-            f"{label} is not picklable and cannot run on the process executor: "
+            f"{label} is not encodable by reference and cannot run on the process executor: "
             f"{exc}; move UDFs to module level (functions or callable classes) "
             f"or set supports_processes=False to fail fast"
         ) from exc
@@ -366,12 +371,14 @@ class Scanner(Operator):
 
     ``fn`` receives one element and returns an iterable of output elements
     (records or semantic units).  Because it may return zero elements it also
-    doubles as a filter.
+    doubles as a filter.  A subclass parses in :meth:`scan` instead and
+    passes no ``fn``: holding its own bound method would make the operator
+    contain itself, which has no encoding.
     """
 
     component = Component.DPR
 
-    def __init__(self, fn: Callable[[Any], Iterable[Any]], name: Optional[str] = None,
+    def __init__(self, fn: Optional[Callable[[Any], Iterable[Any]]], name: Optional[str] = None,
                  cost_per_element: float = 0.0):
         self.fn = fn
         self.name = name or getattr(fn, "__name__", "scanner")
@@ -385,11 +392,15 @@ class Scanner(Operator):
         if not isinstance(source, DataCollection):
             raise OperatorError(self.name, "Scanner input must be a DataCollection")
         produced: List[Any] = []
+        scan = self.scan
         for element in source:
-            for out in self.fn(element):
-                produced.append(out)
+            produced.extend(scan(element))
         kind = ElementKind.RECORD if produced and isinstance(produced[0], Record) else ElementKind.SEMANTIC_UNIT
         return DataCollection(self.name, produced, kind=kind)
+
+    def scan(self, element: Any) -> Iterable[Any]:
+        """The output elements of one input element."""
+        return self.fn(element)
 
 
 class CSVScanner(Scanner):
@@ -405,7 +416,7 @@ class CSVScanner(Scanner):
         self.columns = list(columns)
         self.delimiter = delimiter
         self.line_field = line_field
-        super().__init__(self._parse, name="csv_scanner")
+        super().__init__(None, name="csv_scanner")
 
     def config(self) -> Dict[str, Any]:
         return {
@@ -414,7 +425,7 @@ class CSVScanner(Scanner):
             "line_field": self.line_field,
         }
 
-    def _parse(self, record: Record) -> Iterable[Record]:
+    def scan(self, record: Record) -> Iterable[Record]:
         if self.line_field in record:
             values = str(record[self.line_field]).split(self.delimiter)
             fields = dict(zip(self.columns, (v.strip() for v in values)))

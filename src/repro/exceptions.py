@@ -58,10 +58,11 @@ class OperatorError(ExecutionError):
     """Raised when a single operator fails while running.
 
     The original exception is preserved as ``__cause__`` and the failing node
-    name is stored on :attr:`node_name`.  Instances pickle round-trip cleanly
-    (``__reduce__``), so a failure inside a process-pool worker surfaces in
-    the coordinating process as the same typed error (the cause chain and
-    traceback do not cross the process boundary).
+    name is stored on :attr:`node_name`.  ``__reduce__`` rebuilds an
+    instance from its class and ``(node_name, message)`` — the form the
+    canonical encoding and the process pool both use — so a failure inside a
+    worker surfaces in the coordinating process as the same typed error (the
+    cause chain and traceback do not cross the process boundary).
     """
 
     def __init__(self, node_name: str, message: str):

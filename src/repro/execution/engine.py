@@ -53,7 +53,7 @@ measured compute seconds, and the engine applies the cost model on receipt
 so charged times follow the same code path as in-process execution.  LOAD
 tasks, cache bookkeeping, retirement commits and stats recording never leave
 the coordinating process.  Every COMPUTE operator is validated for process
-safety (picklability round trip + :attr:`Operator.supports_processes`)
+safety (serialization round trip + :attr:`Operator.supports_processes`)
 before any work is dispatched.
 """
 
@@ -83,7 +83,7 @@ __all__ = ["ExecutionEngine"]
 #: Node signatures (class + configuration content hashes) already proven
 #: process-safe, kept module-global because systems build a *fresh engine per
 #: iteration*: the memo makes a multi-iteration lifecycle pay the validation
-#: pickle round trip once per distinct operator configuration per process,
+#: serialization round trip once per distinct operator configuration per process,
 #: not once per iteration.  Bounded by a cap as a leak backstop.
 _PROCESS_SAFE_SIGNATURES: Set[str] = set()
 _PROCESS_SAFE_SIGNATURES_CAP = 50_000
@@ -302,7 +302,7 @@ class ExecutionEngine:
             ]
         try:
             payload = serialize((name, dag.node(name).operator, inputs, self.context))
-        except Exception as exc:  # noqa: BLE001 - unpicklable inputs/operator
+        except Exception as exc:  # noqa: BLE001 - inputs/operator without a codec
             raise ExecutionError(
                 f"cannot ship node {name!r} to a worker process: its operator or "
                 f"inputs failed to serialize: {exc}"
@@ -418,7 +418,7 @@ class ExecutionEngine:
 
         Validation is memoized per node signature (module-global, since
         systems rebuild the engine per iteration), so multi-iteration
-        lifecycles pay the pickle round trip once per distinct operator
+        lifecycles pay the serialization round trip once per distinct operator
         configuration rather than once per iteration.
         """
         for name in order:

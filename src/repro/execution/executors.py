@@ -174,7 +174,7 @@ def run_serialized_task(
     resolver failure — fails the task with a typed error.  Failures —
     including payload deserialization itself, which can fail on
     spawn-based platforms when the operator's module is not importable in
-    the worker — are wrapped into a picklable :class:`OperatorError`,
+    the worker — are wrapped into an encodable :class:`OperatorError`,
     exactly as the in-process compute path does.
     """
     try:
@@ -212,9 +212,9 @@ def run_serialized_task(
     measured = time.perf_counter() - started
     try:
         return serialize((value, measured))
-    except Exception as exc:  # noqa: BLE001 - unpicklable operator result
+    except Exception as exc:  # noqa: BLE001 - operator result without a codec
         raise OperatorError(
-            name, f"result of type {type(value).__name__} is not picklable: {exc}"
+            name, f"result of type {type(value).__name__} is not encodable: {exc}"
         ) from exc
 
 
@@ -239,7 +239,7 @@ class Executor(ABC):
     name: str = "abstract"
 
     #: True when workers run in a separate interpreter.  The engine then
-    #: ships picklable payloads (``submit_payload``) for COMPUTE tasks and
+    #: ships serialized payloads (``submit_payload``) for COMPUTE tasks and
     #: validates operator process safety before dispatching anything; LOAD
     #: tasks still go through :meth:`submit` on the scheduler thread.
     out_of_process: bool = False
@@ -573,18 +573,20 @@ def _parse_registration(message: Any) -> Optional[Tuple[str, int, Optional[float
     return worker_id, pid, interval
 
 
-def _picklable_error(key: str, error: BaseException) -> BaseException:
+def _encodable_error(key: str, error: BaseException) -> BaseException:
     """Ensure a worker-side failure can cross the wire.
 
     :func:`run_serialized_task` already wraps operator failures into the
-    picklable :class:`OperatorError`; this is the safety net for anything
-    else (e.g. an exotic exception raised while framing the reply).
+    encodable :class:`OperatorError`; this is the safety net for anything
+    else (e.g. an exotic exception raised while framing the reply): an
+    exception whose ``__reduce__`` does not rebuild it from its class, or
+    whose args or state have no codec, becomes an :class:`OperatorError`.
     """
     try:
         deserialize(serialize(error))
         return error
-    except Exception:  # noqa: BLE001 - anything unpicklable gets re-wrapped
-        return OperatorError(key, f"worker failed with unpicklable error: {error!r}")
+    except Exception:  # noqa: BLE001 - anything without an encoding gets re-wrapped
+        return OperatorError(key, f"worker failed with an unencodable error: {error!r}")
 
 
 #: Entry cap on a worker's shared artifact cache.  The cache spans every
@@ -782,7 +784,7 @@ class WorkerServer:
     which queues tasks and completes pending fetches with their
     ``artifact`` replies — an **executor loop** (the
     calling thread) pops queued tasks and runs them via
-    :func:`run_serialized_task`, answering with a ``result`` or a picklable
+    :func:`run_serialized_task`, answering with a ``result`` or an encodable
     ``error``, and a **heartbeat** thread beats every
     ``heartbeat_interval`` seconds so the coordinator can distinguish a
     busy worker from a dead one.  Frames use the canonical zero-copy
@@ -1112,11 +1114,11 @@ class _WorkerConnection:
             # Interrupt/exit must still take the worker down: report the
             # failure best-effort, then re-raise instead of looping — a
             # Ctrl-C (or SystemExit) during task execution would otherwise
-            # be pickled into a mere task error, leaving behind a worker
+            # be encoded into a mere task error, leaving behind a worker
             # that refuses to die.
             fatal = isinstance(exc, (KeyboardInterrupt, SystemExit))
             try:
-                self._send(("error", session, key, _picklable_error(key, exc)))
+                self._send(("error", session, key, _encodable_error(key, exc)))
             except OSError:
                 if not fatal:
                     raise  # coordinator gone; nobody to report to
@@ -1342,7 +1344,7 @@ class DistributedExecutor(_OutOfProcessExecutor):
     worker wrongly declared dead is dropped; first answer wins); a task
     dispatched ``_MAX_TASK_ATTEMPTS`` times without a reply — or orphaned
     when no worker survives — fails with an :class:`ExecutionError` naming
-    it.  Operators must satisfy the same purity/picklability contract as
+    it.  Operators must satisfy the same purity/encodability contract as
     the process executor (replayed tasks re-run the operator, which is
     safe only because operators are pure functions of their inputs).
 

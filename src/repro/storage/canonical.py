@@ -21,18 +21,20 @@ Covered types (explicit tags)
 ``str``, ``bytes``/``bytearray``, ``list``/``tuple``, ``set``/``frozenset``
 (element-sorted), ``dict`` (key-sorted), :class:`enum.Enum` members (by
 class + name), NumPy arrays (dtype descriptor + shape + order + raw buffer)
-and NumPy scalars, dataclass instances (their declared fields), and two
-generic object forms: classes with a ``__getstate__``/``__setstate__`` pair
+and NumPy scalars, dataclass instances (their declared fields), two
+generic object forms — classes with a ``__getstate__``/``__setstate__`` pair
 (data collections, feature vectors,
 :class:`~repro.storage.serialization.ArtifactRef`) and plain classes whose
-state is just ``__dict__``/``__slots__`` (fitted models).  Everything else
-— functions, exceptions, classes-as-values, objects with a custom
-``__reduce__``, subclasses of the builtin containers, cyclic values — falls
-back to an embedded pickle (protocol 5); fallback bytes round-trip
-correctly but are *not* guaranteed canonical, which is acceptable because
-materialized workflow artifacts are built from the covered types.
+state is just ``__dict__``/``__slots__`` (fitted models) — and two forms
+that travel *by reference*: a module-level class, function or builtin is
+its ``(module, qualname)``, and an exception is its class reference plus
+the args and state its ``__reduce__`` rebuilds it from.  There is no
+fallback: any other value — a lambda, closure or bound method, a custom
+``__reduce__`` (rngs, ``functools.partial``), a builtin-container
+subclass, an object-dtype array — raises ``TypeError``, a cyclic one
+``ValueError``.
 
-Format version 5
+Format version 6
 ----------------
 The format is built around what the workflow artifacts actually are: tens
 of thousands of small objects (records, semantic units, examples, feature
@@ -44,8 +46,8 @@ classes.  Three mechanisms keep such payloads small and fast:
   varint whose low bit is the define/ref tag — ``len << 1`` followed by the
   UTF-8 bytes defines the next string id, ``id << 1 | 1`` refers back to
   one.  Object layouts (class + sorted attribute names), enum members,
-  state-object classes and dict *shapes* (the sorted key tuple of a
-  str-keyed dict) are interned the same way in their own tables: a slot is
+  state-object classes, references and dict *shapes* (the sorted key tuple
+  of a str-keyed dict) are interned the same way in their own tables: a slot is
   the varint id, and an id equal to the table's current size *defines* the
   next entry, its definition following inline.  Ids number first
   occurrences in traversal order, and the tables live for exactly one
@@ -56,11 +58,11 @@ classes.  Three mechanisms keep such payloads small and fast:
   before it, and a decoder could no longer read a payload on its own.
 * **Per-class compiled codecs.**  The first time ``encode`` meets a class it
   classifies it once — dataclass, enum, ``__getstate__``/``__setstate__``
-  pair, plain ``__dict__``/``__slots__`` object, or pickle — and caches an
-  encode closure in a module-level dict keyed by the class.  The closure
-  carries the sorted field or slot order, the result of the importability
-  check and the prebuilt definition bytes of the class's layout, so an
-  instance costs one attribute fetch and its values.  Only the per-instance
+  pair, plain ``__dict__``/``__slots__`` object, exception, reference, or
+  refused — and caches an encode closure in a module-level dict keyed by
+  the class.  The closure carries the sorted field or slot order and the
+  prebuilt definition bytes of the class's layout, so an instance costs
+  one attribute fetch and its values.  Only the per-instance
   facts are still checked per instance: a dataclass carrying attributes
   beyond its declared fields, or a ``__dict__`` object's current attribute
   set.  Decoding mirrors it: a layout definition resolves its class once per
@@ -115,12 +117,15 @@ Packed layout::
 Buffer indices are assigned in traversal order, which the sorted dict and
 set orders already pin down.
 
-Decoding untrusted data: the format embeds class references (imported on
-decode) and pickle fallbacks, so it inherits pickle's trust model — only
-decode payloads from the same trust domain, exactly like the store and the
-executor transport already require.  Malformed payloads (truncated body,
-unknown tag bytes, dangling intern references, out-of-range buffer indices)
-and payloads of another format version raise a typed
+Decoding never executes payload bytes, and names resolve by one rule
+(:meth:`_Decoder.definition`): a module already in ``sys.modules``, or a
+``repro.*`` module imported on demand — any other module is refused, so a
+peer cannot make a process import a module.  A payload can still name any
+function of an imported module for an operator to call, so only decode
+payloads from the same trust domain, like the store and the executor
+transport already require.  Malformed payloads (truncated body, unknown tag
+bytes, dangling intern references, out-of-range buffer indices) and
+payloads of another format version raise a typed
 :class:`~repro.exceptions.ProtocolError` rather than crashing the consumer.
 """
 
@@ -131,8 +136,8 @@ import dataclasses
 import hashlib
 import importlib
 import operator
-import pickle
 import struct
+import sys
 import threading
 import types
 from enum import Enum
@@ -158,7 +163,7 @@ CANONICAL_MAGIC = b"HC"
 
 #: Version byte of the canonical value encoding.  Bump on any change to the
 #: tag set or their byte layouts.
-CANONICAL_VERSION = 5
+CANONICAL_VERSION = 6
 
 #: Buffers at or above this many bytes are hoisted out of the tag body into
 #: the out-of-band buffer section (one segment each, shipped zero-copy).
@@ -168,7 +173,6 @@ OOB_MIN_BYTES = 256
 
 _FLOAT = struct.Struct(">d")
 _COMPLEX = struct.Struct(">dd")
-_PICKLE_PROTOCOL = 5
 
 # Tag bytes.  Grouped by kind; values are arbitrary but frozen for the
 # format version (they are the wire format).
@@ -198,7 +202,8 @@ _T_NPSCALAR = b"g"
 _T_ENUM = b"E"
 _T_OBJECT = b"o"
 _T_OBJ_STATE = b"O"
-_T_PICKLE = b"P"
+_T_REF = b"R"
+_T_EXCEPTION = b"!"
 
 _BLOB_INLINE = b"\x00"
 _BLOB_OOB = b"\x01"
@@ -211,10 +216,6 @@ _INT_WIDTHS = (
     ("q", -(1 << 63), (1 << 63) - 1),
 )
 _INT_ITEMSIZE = {ord(code): struct.calcsize(code) for code, _lo, _hi in _INT_WIDTHS}
-
-
-class _Cyclic(Exception):
-    """Internal: a container cycle was found; retry the value via pickle."""
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +305,8 @@ class _Encoder:
     """One payload's output buffer, out-of-band buffers and intern tables."""
 
     __slots__ = (
-        "out", "buffers", "allow_oob", "strings", "shapes", "layouts", "members", "classes", "stack",
+        "out", "buffers", "allow_oob", "strings", "shapes", "layouts", "members", "classes",
+        "refs", "stack",
     )
 
     def __init__(self, allow_oob: bool):
@@ -316,6 +318,7 @@ class _Encoder:
         self.layouts: Dict[bytes, int] = {}
         self.members: Dict[bytes, int] = {}
         self.classes: Dict[bytes, int] = {}
+        self.refs: Dict[bytes, int] = {}
         self.stack: set = set()
 
     def value(self, value: Any) -> None:
@@ -338,12 +341,14 @@ class _Encoder:
         """Cycle guard for a container whose encoding recurses.
 
         Callers discard the marker when done, without ``try``/``finally``:
-        any exception abandons the whole encoder (a cycle restarts the value
-        as a pickle in a fresh one), so a stale marker is never consulted.
+        any exception abandons the whole encoder, so a stale marker is never
+        consulted.
         """
         marker = id(value)
         if marker in self.stack:
-            raise _Cyclic()
+            raise ValueError(
+                f"canonical encoding refuses a cyclic value: a {type(value).__name__} contains itself"
+            )
         self.stack.add(marker)
         return marker
 
@@ -575,11 +580,7 @@ def _first(pair: Tuple[bytes, Any]) -> bytes:
 
 def _enc_ndarray(enc: _Encoder, value: np.ndarray) -> None:
     if value.dtype.hasobject:
-        # Object arrays have no raw-buffer form; their elements are
-        # arbitrary Python objects, so the whole array rides the
-        # pickle fallback.
-        _enc_pickle(enc, value)
-        return
+        raise _refused(type(value), "an object-dtype array has no raw-buffer form")
     if value.flags.c_contiguous:
         array, order = value, b"C"
     elif value.flags.f_contiguous:
@@ -608,29 +609,6 @@ def _enc_npscalar(enc: _Encoder, value: np.generic) -> None:
     out += _T_NPSCALAR
     _put_str(out, enc.strings, _dtype_descr(value.dtype))
     enc.blob(value.tobytes(), inline_only=True)
-
-
-def _enc_pickle(enc: _Encoder, value: Any) -> None:
-    """Protocol-5 pickle fallback with out-of-band ``PickleBuffer``\\s."""
-    picked: List[Union[bytes, memoryview]] = []
-
-    def _grab(pb: "pickle.PickleBuffer") -> bool:
-        try:
-            picked.append(pb.raw())
-        except BufferError:  # non-contiguous buffer: materialize it
-            picked.append(bytes(pb))
-        return False  # False = do not also serialize it in-band
-
-    if enc.allow_oob:
-        body = pickle.dumps(value, protocol=_PICKLE_PROTOCOL, buffer_callback=_grab)
-    else:
-        body = pickle.dumps(value, protocol=_PICKLE_PROTOCOL)
-    out = enc.out
-    out += _T_PICKLE
-    _write_uvarint(out, len(picked))
-    for chunk in picked:
-        enc.blob(chunk)
-    enc.blob(body)
 
 
 def _enc_object(enc: _Encoder, value: Any, layout: bytes, values: Any) -> None:
@@ -675,21 +653,32 @@ _COMPILE_LOCK = threading.Lock()
 # ---------------------------------------------------------------------------
 # per-class codec compilation
 # ---------------------------------------------------------------------------
-_NEVER_BY_STATE = (
-    type,
-    types.FunctionType,
-    types.BuiltinFunctionType,
-    types.MethodType,
-    types.ModuleType,
-    type(np.ndarray.sum),  # method descriptors
-    BaseException,
-    # Subclasses of the builtin containers keep their items outside
-    # __dict__; only pickle's reduce protocol captures both.
-    list,
-    dict,
-    set,
-    bytearray,
+#: Values that travel as their ``(module, qualname)`` reference; decode
+#: accepts a reference only when it resolves to one of these.
+_REFERABLE = (type, types.FunctionType, types.BuiltinFunctionType)
+
+#: Classes without a canonical form, and why.
+_REFUSED = (
+    (types.MethodType, "a bound method; hold the function or the instance instead"),
+    (types.ModuleType, "a module has no value form"),
+    (type(np.ndarray.sum), "a method descriptor has no value form"),
+    ((list, dict, set, bytearray), "a builtin-container subclass keeps its items outside __dict__"),
 )
+
+
+def _refused(cls: type, reason: str) -> TypeError:
+    return TypeError(
+        f"canonical encoding has no codec for {cls.__module__}.{cls.__qualname__}: {reason}"
+    )
+
+
+def _refuse(reason: str) -> Callable[[_Encoder, Any], None]:
+    """A codec refusing every instance of its class with ``reason``."""
+
+    def encode(enc: _Encoder, value: Any) -> None:
+        raise _refused(type(value), reason)
+
+    return encode
 
 
 def _compile(cls: type) -> Callable[[_Encoder, Any], None]:
@@ -702,15 +691,58 @@ def _compile(cls: type) -> Callable[[_Encoder, Any], None]:
 
 
 def _build_codec(cls: type) -> Callable[[_Encoder, Any], None]:
+    if issubclass(cls, _REFERABLE):
+        return _enc_reference
+    for kinds, reason in _REFUSED:
+        if issubclass(cls, kinds):
+            return _refuse(reason)
     if issubclass(cls, np.ndarray):
         return _enc_ndarray
     if issubclass(cls, np.generic):
         return _enc_npscalar
+    if not _importable(cls):
+        return _refuse("the class does not resolve to itself as module.qualname")
+    if issubclass(cls, BaseException):
+        return _exception_codec(cls)
     if issubclass(cls, Enum):
-        return _enum_codec(cls) if _importable(cls) else _enc_pickle
+        return _enum_codec(cls)
     if dataclasses.is_dataclass(cls):
-        return _dataclass_codec(cls) if _importable(cls) else _enc_pickle
+        return _dataclass_codec(cls)
     return _object_codec(cls)
+
+
+def _enc_reference(enc: _Encoder, value: Any) -> None:
+    """A module-level class, function or builtin as its reference slot."""
+    if not _importable(value):
+        raise TypeError(f"canonical encoding refuses {value!r}: not reachable as module.qualname")
+    out = enc.out
+    out += _T_REF
+    _put_def(out, enc.refs, _definition(value))
+
+
+def _exception_codec(cls: type) -> Callable[[_Encoder, Any], None]:
+    """An exception as its class reference, then the args and state of its
+    ``__reduce__`` — only when that rebuilds it from its own class."""
+    definition = _definition(cls)
+
+    def encode(enc: _Encoder, value: BaseException) -> None:
+        reduced = value.__reduce__()
+        if not (
+            type(reduced) is tuple
+            and len(reduced) in (2, 3)
+            and reduced[0] is cls
+            and type(reduced[1]) is tuple
+        ):
+            raise _refused(cls, "its __reduce__ does not rebuild it from its class")
+        marker = enc.enter(value)
+        out = enc.out
+        out += _T_EXCEPTION
+        _put_def(out, enc.refs, definition)
+        enc.value(reduced[1])
+        enc.value(reduced[2] if len(reduced) == 3 else None)
+        enc.stack.discard(marker)
+
+    return encode
 
 
 def _enum_codec(cls: type) -> Callable[[_Encoder, Any], None]:
@@ -745,16 +777,14 @@ def _dataclass_codec(cls: type) -> Callable[[_Encoder, Any], None]:
 
     def encode(enc: _Encoder, value: Any) -> None:
         extra = getattr(value, "__dict__", None)
-        # Per instance: ad-hoc attributes beyond the declared fields would
-        # be dropped by field-wise reconstruction, so they keep pickle.
+        # Per instance: field-wise reconstruction would drop ad-hoc
+        # attributes beyond the declared fields.
         if extra is not None and not declared.issuperset(extra):
-            _enc_pickle(enc, value)
-            return
+            raise _refused(cls, "the instance has attributes beyond its declared fields")
         try:
             values = fetch(value)
-        except AttributeError:  # a declared field never assigned
-            _enc_pickle(enc, value)
-            return
+        except AttributeError:
+            raise _refused(cls, "the instance leaves a declared field unset") from None
         _enc_object(enc, value, layout, values)
 
     return encode
@@ -765,35 +795,29 @@ def _overrides(cls: type, name: str) -> bool:
 
 
 def _object_codec(cls: type) -> Callable[[_Encoder, Any], None]:
-    """Generic object encoding: state pair, attribute layout, or pickle.
+    """Generic object encoding: a state pair or an attribute layout.
 
     Two safe shapes:
 
     * a ``__getstate__``/``__setstate__`` pair with no custom reduce — the
       class manages its own state contract (data collections, feature
       vectors, :class:`ArtifactRef`);
-    * a plain class with no pickle customization at all, whose state is
+    * a plain class with no reduce customization at all, whose state is
       exactly ``__dict__`` plus set ``__slots__`` — encoded as an attribute
       layout (fitted models).
 
-    Anything with a custom ``__reduce__``/``__reduce_ex__``/
-    ``__getnewargs__`` (exceptions, functions, rngs) keeps pickle's exact
-    semantics via the fallback.
+    A class customising ``__reduce__``/``__reduce_ex__``/
+    ``__getnewargs__`` (rngs, ``functools.partial``) or defining half a
+    state pair is refused.
     """
-    if issubclass(cls, _NEVER_BY_STATE):
-        return _enc_pickle
-    if any(
-        _overrides(cls, name)
-        for name in ("__reduce__", "__reduce_ex__", "__getnewargs__", "__getnewargs_ex__")
-    ):
-        return _enc_pickle
-    if not _importable(cls):
-        return _enc_pickle
+    for name in ("__reduce__", "__reduce_ex__", "__getnewargs__", "__getnewargs_ex__"):
+        if _overrides(cls, name):
+            return _refuse(f"it customises {name}")
     has_getstate = _overrides(cls, "__getstate__")
     has_setstate = _overrides(cls, "__setstate__")
     if has_getstate or has_setstate:
         if not (has_getstate and has_setstate):
-            return _enc_pickle  # half a state contract: let pickle sort it out
+            return _refuse("it defines only half of the __getstate__/__setstate__ pair")
         return _state_codec(cls)
     return _attribute_codec(cls)
 
@@ -840,7 +864,7 @@ def _attribute_codec(cls: type) -> Callable[[_Encoder, Any], None]:
             try:
                 values = all_slots(value)
             except AttributeError:
-                pass  # an unset slot: absent from the state, like pickle
+                pass  # an unset slot: absent from the state
             else:
                 _enc_object(enc, value, full, values)
                 return
@@ -848,8 +872,7 @@ def _attribute_codec(cls: type) -> Callable[[_Encoder, Any], None]:
         if isinstance(instance_dict, dict):
             state.update(instance_dict)
         elif not slot_names:
-            _enc_pickle(enc, value)  # no state to speak of
-            return
+            raise _refused(cls, "the instance has neither a __dict__ nor slots")
         for slot in slot_names:
             try:
                 state[slot] = getattr(value, slot)
@@ -857,8 +880,7 @@ def _attribute_codec(cls: type) -> Callable[[_Encoder, Any], None]:
                 pass
         names = tuple(sorted(state, key=str))
         if not all(type(name) is str for name in names):  # keys planted in __dict__
-            _enc_pickle(enc, value)
-            return
+            raise _refused(cls, "the instance __dict__ has a non-str key")
         layout = layouts.get(names)
         if layout is None:
             layout = layouts.setdefault(names, _definition(cls, names))
@@ -867,15 +889,16 @@ def _attribute_codec(cls: type) -> Callable[[_Encoder, Any], None]:
     return encode
 
 
-def _importable(cls: type) -> bool:
-    """Whether a class reference can be resolved on decode (no locals)."""
-    if "<locals>" in cls.__qualname__:
-        return False
-    try:
-        module = importlib.import_module(cls.__module__)
-    except Exception:  # noqa: BLE001 - unimportable module
-        return False
-    return _resolve_qualname(module, cls.__qualname__) is cls
+def _importable(target: Any) -> bool:
+    """Whether ``target`` resolves to itself as ``module.qualname`` through
+    ``sys.modules`` (lambdas, closures and ``<locals>`` do not); imports nothing."""
+    module = sys.modules.get(getattr(target, "__module__", None) or "")
+    qualname = getattr(target, "__qualname__", None)
+    return (
+        module is not None
+        and isinstance(qualname, str)
+        and _resolve_qualname(module, qualname) is target
+    )
 
 
 def _resolve_qualname(module: Any, qualname: str) -> Any:
@@ -892,19 +915,13 @@ def encode_segments(value: Any) -> List[Union[bytes, memoryview]]:
 
     ``b"".join(segments)`` equals :func:`encode`'s packed form; buffer
     segments at index 2+ are the out-of-band buffers (NumPy array memory as
-    read-only memoryviews — zero-copy — plus large ``bytes`` blobs and
-    pickle-fallback ``PickleBuffer`` contents).  The caller must finish
-    sending/joining the segments before mutating any source array.
+    read-only memoryviews — zero-copy — plus large ``bytes`` blobs).  The
+    caller must finish sending/joining the segments before mutating any
+    source array.  A value without a codec raises ``TypeError``, a cyclic
+    one ``ValueError``.
     """
     encoder = _Encoder(allow_oob=True)
-    try:
-        encoder.value(value)
-    except _Cyclic:
-        # Self-referential containers need pickle's memo machinery; encode
-        # the whole value as one fallback blob (correct, just not canonical
-        # — cyclic values do not occur in materialized artifacts).
-        encoder = _Encoder(allow_oob=True)
-        _enc_pickle(encoder, value)
+    encoder.value(value)
     buffers = [
         buf if isinstance(buf, memoryview) else memoryview(buf)
         for buf in encoder.buffers
@@ -950,7 +967,7 @@ class _Decoder:
 
     __slots__ = (
         "data", "pos", "view", "base", "buffers", "copy_buffers",
-        "strings", "shapes", "layouts", "members", "classes",
+        "strings", "shapes", "layouts", "members", "classes", "refs",
     )
 
     def __init__(self, view: memoryview, start: int, end: int,
@@ -966,6 +983,7 @@ class _Decoder:
         self.layouts: List[_Layout] = []
         self.members: List[Enum] = []
         self.classes: List[type] = []
+        self.refs: List[Any] = []
 
     def value(self) -> Any:
         pos = self.pos
@@ -1058,24 +1076,41 @@ class _Decoder:
         table.append(entry)
         return entry
 
-    def definition(self) -> Tuple[type, Tuple[str, ...]]:
-        """A class plus its attribute or member names (:func:`_definition`)."""
+    def definition(self, kinds: Any = type) -> Tuple[Any, Tuple[str, ...]]:
+        """A class (or another of ``kinds``) plus names (:func:`_definition`).
+
+        The resolution rule of every definition slot: a module already in
+        ``sys.modules`` resolves, a module of this package is imported on
+        demand, and any other module is refused — a payload never makes
+        this process import a module it names.
+        """
         module_name = self.raw_text()
         qualname = self.raw_text()
-        try:
-            module = importlib.import_module(module_name)
-        except Exception as exc:  # noqa: BLE001 - typed decode failure
-            raise ProtocolError(
-                f"canonical payload references unimportable module "
-                f"{module_name!r}: {exc}"
-            ) from exc
+        module = sys.modules.get(module_name)
+        if module is None:
+            if module_name != _PACKAGE and not module_name.startswith(_PACKAGE + "."):
+                raise ProtocolError(
+                    f"canonical payload references module {module_name!r}, which this "
+                    f"process has not imported (only {_PACKAGE}.* is imported on demand)"
+                )
+            try:
+                module = importlib.import_module(module_name)
+            except Exception as exc:  # noqa: BLE001 - typed decode failure
+                raise ProtocolError(
+                    f"canonical payload references unimportable module "
+                    f"{module_name!r}: {exc}"
+                ) from exc
         target = _resolve_qualname(module, qualname)
-        if not isinstance(target, type):
+        if not isinstance(target, kinds):
             raise ProtocolError(
                 f"canonical payload references {module_name}:{qualname}, "
-                f"which does not resolve to a class"
+                f"which does not resolve to a {'class' if kinds is type else 'class or function'}"
             )
         return target, tuple([self.raw_text() for _ in range(self.uvarint())])
+
+
+#: The package whose modules a payload may name before they are imported.
+_PACKAGE = __name__.partition(".")[0]
 
 
 def _define_layout(dec: _Decoder) -> "_Layout":
@@ -1098,12 +1133,21 @@ def _define_member(dec: _Decoder) -> Enum:
 
 
 def _define_class(dec: _Decoder) -> type:
-    cls, names = dec.definition()
+    return _bare(dec, type)
+
+
+def _define_ref(dec: _Decoder) -> Any:
+    return _bare(dec, _REFERABLE)
+
+
+def _bare(dec: _Decoder, kinds: Any) -> Any:
+    """A definition that carries no names: a state class or a reference."""
+    target, names = dec.definition(kinds)
     if names:
         raise ProtocolError(
-            f"canonical state-object class {cls.__qualname__} carries names {list(names)}"
+            f"canonical reference {target.__qualname__} carries names {list(names)}"
         )
-    return cls
+    return target
 
 
 #: A decoded layout: ``(attribute count, build(values) -> instance)``.
@@ -1370,10 +1414,27 @@ def _d_obj_state(dec: _Decoder) -> Any:
     return instance
 
 
-def _d_pickle(dec: _Decoder) -> Any:
-    picked = [dec.blob() for _ in range(dec.uvarint())]
-    body = dec.blob()
-    return pickle.loads(bytes(body), buffers=picked)
+def _d_ref(dec: _Decoder) -> Any:
+    return dec.slot(dec.refs, _define_ref)
+
+
+def _d_exception(dec: _Decoder) -> BaseException:
+    cls = dec.slot(dec.refs, _define_ref)
+    if not (isinstance(cls, type) and issubclass(cls, BaseException)):
+        raise ProtocolError(f"canonical exception names {cls.__qualname__}, not an exception class")
+    args = dec.value()
+    state = dec.value()
+    if type(args) is not tuple or not (state is None or type(state) is dict):
+        raise ProtocolError(f"canonical {cls.__qualname__} carries invalid args or state")
+    try:
+        error = cls(*args)
+        if state is not None:
+            error.__setstate__(state)
+    except Exception as exc:  # noqa: BLE001 - typed decode failure
+        raise ProtocolError(
+            f"canonical payload carries {cls.__qualname__} args it refuses: {exc!r}"
+        ) from exc
+    return error
 
 
 def _d_unknown(dec: _Decoder) -> Any:
@@ -1412,7 +1473,8 @@ for _tag, _decoder in (
     (_T_ENUM, _d_enum),
     (_T_OBJECT, _d_object),
     (_T_OBJ_STATE, _d_obj_state),
-    (_T_PICKLE, _d_pickle),
+    (_T_REF, _d_ref),
+    (_T_EXCEPTION, _d_exception),
 ):
     _DECODERS[_tag[0]] = _decoder
 del _tag, _decoder

@@ -9,10 +9,11 @@ out-of-band ``memoryview`` segments).  Deterministic bytes make serialized
 artifact *sizes* — and content digests — bit-identical across processes,
 which is what lets the executor-equivalence harness compare storage
 statistics with exact equality across the inline/thread/process/distributed
-strategies.  Values outside
-the canonical type set ride an embedded pickle tag (protocol 5) inside the
-canonical payload, so :func:`serialize`/:func:`deserialize` accept
-everything pickle does.  The module also provides
+strategies.  Module-level classes and functions are encodable by
+reference (their ``module.qualname``), exceptions by their class reference
+and args; a value outside the canonical type set — a lambda, closure or
+bound method, say — raises ``TypeError`` from :func:`serialize`.  The
+module also provides
 :func:`estimate_size_bytes`, a cheap size estimate used when a value is
 cached in memory but has not (yet) been serialized.
 
@@ -42,10 +43,10 @@ as a gather-write (``socket.sendmsg``) of the header plus
 :func:`~repro.storage.canonical.encode_segments` — large NumPy buffers go
 from the array's memory to the socket without ever being copied into one
 contiguous payload.  A payload without the canonical ``b"HC"`` magic (a
-raw pickle, say) is refused with a :class:`ProtocolError`, never unpickled.
-(The pickle *tag* the canonical format embeds for values outside its type
-set is still honoured — see the trust note in
-:mod:`repro.storage.canonical`.)  The message tuples each protocol version
+raw pickle, say) is refused with a :class:`ProtocolError`, never unpickled,
+and decoding imports no module outside this package that the process has
+not already imported (see the resolution rule in
+:mod:`repro.storage.canonical`).  The message tuples each protocol version
 introduced are listed in ``docs/architecture.md``.
 """
 
@@ -106,7 +107,8 @@ def serialize(value: Any) -> bytes:
 
     The result is deterministic for the canonical type set (see
     :mod:`repro.storage.canonical`): same value, same bytes, in every
-    process.  Values outside the set ride an embedded pickle fallback.
+    process.  A value outside the set raises ``TypeError`` (``ValueError``
+    for a cyclic one).
     """
     return b"".join(serialize_segments(value))
 
@@ -175,7 +177,7 @@ class ArtifactRef:
     The worker resolves the reference over its coordinator connection with a
     ``("fetch", worker_id, session, signature)`` message, answered by an
     ``("artifact", session, signature, bytes)`` frame — the LOAD lane.
-    Refs are picklable and compare by signature, so payloads containing
+    Refs are encodable and compare by signature, so payloads containing
     them round-trip like any other serialized task.
     """
 

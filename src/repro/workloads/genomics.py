@@ -126,7 +126,7 @@ class TokenizeScanner(Scanner):
 
     def __init__(self, filter_stop_words: bool = True):
         self.filter_stop_words = filter_stop_words
-        super().__init__(self._tokenize, name="tokenize")
+        super().__init__(None, name="tokenize")
 
     def config(self) -> Dict[str, Any]:
         return {"filter_stop_words": self.filter_stop_words}
@@ -134,7 +134,7 @@ class TokenizeScanner(Scanner):
     def estimated_cost(self, input_sizes: Sequence[int]) -> float:
         return 3e-6 * (sum(input_sizes) + 1)
 
-    def _tokenize(self, record: Record) -> Iterable[Record]:
+    def scan(self, record: Record) -> Iterable[Record]:
         tokens = tokenize(str(record.get("text", "")))
         if self.filter_stop_words:
             tokens = remove_stop_words(tokens)

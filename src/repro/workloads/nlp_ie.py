@@ -172,7 +172,7 @@ class SentenceParser(Scanner):
     """
 
     def __init__(self):
-        super().__init__(self._parse, name="sentence_parser")
+        super().__init__(None, name="sentence_parser")
 
     def config(self) -> Dict[str, Any]:
         return {}
@@ -180,7 +180,7 @@ class SentenceParser(Scanner):
     def estimated_cost(self, input_sizes: Sequence[int]) -> float:
         return 1e-5 * (sum(input_sizes) + 1)
 
-    def _parse(self, record: Record) -> Iterable[Record]:
+    def scan(self, record: Record) -> Iterable[Record]:
         produced = []
         for position, sentence in enumerate(split_sentences(str(record.get("text", "")))):
             tokens = tokenize(sentence, lowercase=False)
@@ -206,7 +206,7 @@ class CandidateScanner(Scanner):
 
     def __init__(self, max_between_tokens: int = 12):
         self.max_between_tokens = max_between_tokens
-        super().__init__(self._candidates, name="candidate_scanner")
+        super().__init__(None, name="candidate_scanner")
 
     def config(self) -> Dict[str, Any]:
         return {"max_between_tokens": self.max_between_tokens}
@@ -226,7 +226,7 @@ class CandidateScanner(Scanner):
                 i += 1
         return mentions
 
-    def _candidates(self, record: Record) -> Iterable[Record]:
+    def scan(self, record: Record) -> Iterable[Record]:
         tokens = list(record.get("tokens", ()))
         tags = list(record.get("pos_tags", ()))
         mentions = self._person_mentions(tokens, tags)
@@ -277,7 +277,7 @@ class BetweenWordsExtractor:
     """Bag-of-words-between-mentions feature extractor UDF.
 
     A module-level callable class rather than a closure factory so the IE
-    operators are picklable and the workflow can run on the process executor.
+    operators are encodable and the workflow can run on the process executor.
     Its signature token is the class path, the ``__call__`` bytecode and its
     scalar state (the hashing dimensionality), so editing the extraction
     logic or changing the dimensionality both invalidate reuse — only scalar

@@ -20,7 +20,7 @@ Three families of DAGs are produced:
   many LOAD/COMPUTE/PRUNE mixes and materialization policies.
 
 All operators are deterministic pure functions of their inputs and
-configuration (and picklable), so any two executors (or repeated runs) must
+configuration (and encodable), so any two executors (or repeated runs) must
 produce identical values — the property the equivalence tests pin down.
 """
 

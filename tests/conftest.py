@@ -14,6 +14,22 @@ from repro.optimizer.metrics import StatsStore
 from repro.storage.store import InMemoryStore
 
 
+#: What unpickling an :class:`UnpickleTripwire` records; a test that expects
+#: no unpickling asserts it stays empty.
+UNPICKLED: List[bool] = []
+
+
+def _record_unpickle() -> None:
+    UNPICKLED.append(True)
+
+
+class UnpickleTripwire:
+    """Unpickling this runs code: it records that it ran."""
+
+    def __reduce__(self):
+        return (_record_unpickle, ())
+
+
 class ConstOperator(Operator):
     """Test operator returning a constant value, with a declared cost."""
 

@@ -46,6 +46,7 @@ import pickle
 import queue
 import signal
 import socket
+import sys
 import threading
 import time
 import warnings
@@ -56,7 +57,7 @@ import repro.execution.executors as executors_module
 from repro.core.dag import Node, WorkflowDAG
 from repro.core.operators import Operator
 from repro.core.signatures import compute_node_signatures
-from repro.exceptions import ExecutionError, ProtocolError
+from repro.exceptions import ExecutionError, OperatorError, ProtocolError
 from repro.execution.clock import SimulatedCostModel
 from repro.execution.engine import ExecutionEngine
 from repro.execution.equivalence import (
@@ -68,6 +69,7 @@ from repro.execution.executors import (
     DistributedExecutor,
     WorkerServer,
     _ArtifactCache,
+    _encodable_error,
     _parse_registration,
     parse_worker_address,
     run_serialized_task,
@@ -76,6 +78,7 @@ from repro.experiments.runner import run_lifecycle
 from repro.optimizer.metrics import StatsStore
 from repro.optimizer.oep import solve_oep
 from repro.optimizer.omp import StreamingMaterializationPolicy
+from repro.storage import canonical
 from repro.storage.serialization import (
     ArtifactRef,
     FRAME_MAGIC,
@@ -93,6 +96,8 @@ from repro.storage.serialization import (
 from repro.storage.store import InMemoryStore
 from repro.systems.helix import HelixSystem
 from repro.workloads.synthetic import make_random_dag, make_wide_dag
+
+from conftest import UNPICKLED, UnpickleTripwire
 
 INF = float("inf")
 
@@ -176,18 +181,26 @@ def _frame_at(version, payload):
     return bytes(frame)
 
 
-_UNPICKLED = []
+def _canonical_payload(body):
+    """A current-format canonical payload around a hand-written ``body``."""
+    payload = bytearray(canonical.CANONICAL_MAGIC)
+    payload.append(canonical.CANONICAL_VERSION)
+    payload.append(0)  # no out-of-band buffers
+    canonical._write_uvarint(payload, len(body))
+    return bytes(payload + body)
 
 
-def _record_unpickle():
-    _UNPICKLED.append(True)
-
-
-class _UnpickleTripwire:
-    """Unpickling this runs code: it records that it ran."""
-
-    def __reduce__(self):
-        return (_record_unpickle, ())
+def _refused_as_bytes_and_as_a_frame(payload, match):
+    with pytest.raises(ProtocolError, match=match):
+        deserialize(payload)
+    left, right = socket.socketpair()
+    try:
+        left.sendall(encode_frame(payload))
+        with pytest.raises(ProtocolError, match=match):
+            recv_message(right)
+    finally:
+        left.close()
+        right.close()
 
 
 def _reap(processes):
@@ -271,6 +284,79 @@ class TestWireFormat:
         assert int.from_bytes(frame[2:4], "big") == PROTOCOL_VERSION
         assert int.from_bytes(frame[4:8], "big") == 3
 
+    def test_a_payload_naming_an_unimported_module_never_imports_it(
+        self, tmp_path, monkeypatch
+    ):
+        """A module the process has not imported, named as an object layout
+        and as a reference, is refused; its top-level code never runs."""
+        module = "helix_planted_module"
+        marker = tmp_path / "imported"
+        (tmp_path / f"{module}.py").write_text(
+            f"open({str(marker)!r}, 'w').close()\n\n\nclass Planted:\n    pass\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        definition = bytearray()
+        canonical._raw_str(definition, module)
+        canonical._raw_str(definition, "Planted")
+        definition.append(0)  # no attribute names
+        for tag in (b"o", b"R"):  # definition slot 0, then its definition
+            _refused_as_bytes_and_as_a_frame(
+                _canonical_payload(tag + b"\x00" + definition),
+                f"module '{module}', which this process has not imported",
+            )
+        assert not marker.exists()
+        assert module not in sys.modules
+        __import__(module)  # the planted module is live: importing it does run it
+        assert marker.exists()
+        del sys.modules[module]
+
+    def test_a_body_tagged_p_is_an_unknown_tag_never_unpickled(self):
+        """The former pickle tag, around an unpickle tripwire laid out as it
+        was (no out-of-band buffers, then an inline blob), is no tag at all."""
+        raw = pickle.dumps(UnpickleTripwire(), protocol=5)
+        body = bytearray(b"P\x00\x00")
+        canonical._write_uvarint(body, len(raw))
+        body += raw
+        _refused_as_bytes_and_as_a_frame(_canonical_payload(bytes(body)), "unknown type tag 0x50")
+        assert UNPICKLED == []
+
+
+class _NotRebuiltError(Exception):
+    """Its ``__reduce__`` rebuilds a plain ``ValueError``, not itself."""
+
+    def __reduce__(self):
+        return (ValueError, self.args)
+
+
+class TestErrorsAcrossTheWire:
+    """A worker's ``error`` reply carries its exception by class reference,
+    args and state — or, when that cannot rebuild it, an OperatorError."""
+
+    @staticmethod
+    def _arrived(error):
+        message = ("error", "s0", "n0", _encodable_error("n0", error))
+        return deserialize(serialize(message))[3]
+
+    def test_errors_keep_their_class_args_and_state(self):
+        arrived = self._arrived(OperatorError("n0", "boom"))
+        assert type(arrived) is OperatorError
+        assert (arrived.node_name, arrived.message) == ("n0", "boom")
+        assert type(self._arrived(KeyboardInterrupt())) is KeyboardInterrupt
+        noted = ValueError("bad value", 3)
+        noted.hint = "check the input"
+        arrived = self._arrived(noted)
+        assert (type(arrived), arrived.args, arrived.hint) == (ValueError, ("bad value", 3), "check the input")
+
+    def test_an_error_without_an_encoding_arrives_as_operator_error(self):
+        not_rebuilt = _NotRebuiltError("not rebuilt")
+        closure_arg = ValueError("closure arg", lambda: None)
+        for error in (not_rebuilt, closure_arg):
+            with pytest.raises(TypeError):
+                serialize(error)
+            arrived = self._arrived(error)
+            assert type(arrived) is OperatorError and arrived.node_name == "n0"
+            assert repr(error.args[0]) in arrived.message
+
 
 # ---------------------------------------------------------------------------
 # Wire protocol: canonical payloads, one version, batching, fuzz
@@ -323,7 +409,7 @@ class TestWireProtocolV4:
     def test_raw_pickle_payloads_are_refused_never_unpickled(self):
         """A payload without the canonical magic is refused with a typed
         error before anything is unpickled — as bytes and as a frame."""
-        raw = pickle.dumps(_UnpickleTripwire(), protocol=4)
+        raw = pickle.dumps(UnpickleTripwire(), protocol=4)
         with pytest.raises(ProtocolError):
             deserialize(raw)
         left, right = socket.socketpair()
@@ -334,10 +420,10 @@ class TestWireProtocolV4:
         finally:
             left.close()
             right.close()
-        assert _UNPICKLED == []
+        assert UNPICKLED == []
         pickle.loads(raw)  # the tripwire is live: unpickling does trip it
-        assert _UNPICKLED == [True]
-        _UNPICKLED.clear()
+        assert UNPICKLED == [True]
+        UNPICKLED.clear()
 
     def test_truncated_canonical_payload_is_a_typed_error(self):
         payload = serialize(("result", "s0", "n0", b"x" * 200))
@@ -1477,8 +1563,9 @@ class TestReviewRegressions:
             assert not thread.is_alive()
             # the failure was reported best-effort before the loop died...
             assert [m[0] for m in frames] == ["ack", "error"], frames
-            _, session, key, _error = frames[1]
+            _, session, key, error = frames[1]
             assert (session, key) == ("s0", "boom")
+            assert type(error) is KeyboardInterrupt  # the interrupt keeps its class
             # ...and the interrupt still propagated out of the serve loop
             assert isinstance(raised.get("exc"), KeyboardInterrupt)
         finally:

@@ -445,7 +445,7 @@ class TestProcessSafetyGuards:
 
     def test_non_picklable_operator_rejected_naming_node(self):
         dag = WorkflowDAG([Node.create("closure_node", UnpicklableOperator(), is_output=True)])
-        with pytest.raises(ExecutionError, match="closure_node.*not picklable"):
+        with pytest.raises(ExecutionError, match="closure_node.*not encodable"):
             self._execute(dag)
 
     def test_supports_processes_false_rejected(self):
@@ -468,7 +468,7 @@ class TestProcessSafetyGuards:
         dag = WorkflowDAG(
             [Node.create("bad_result", UnpicklableResultOperator(), is_output=True)]
         )
-        with pytest.raises(OperatorError, match="bad_result.*not picklable"):
+        with pytest.raises(OperatorError, match="bad_result.*not encodable"):
             self._execute(dag)
 
     def test_loads_do_not_require_picklable_operators(self):

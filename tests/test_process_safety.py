@@ -1,15 +1,15 @@
 """Process-safety contract over the built-in workloads.
 
-The process executor requires every COMPUTE operator to be picklable (its
+The process executor requires every COMPUTE operator to be encodable (its
 payload is serialized to a worker and the value serialized back).  These
 tests pin the contract for the library itself:
 
 * every operator produced by every registered workload — across several
   lifecycle iterations, not just the initial configuration — round-trips
-  through ``serialize``/``deserialize`` with its configuration signature
-  intact, and passes :func:`ensure_process_safe`;
+  through ``serialize``/``deserialize`` to the same bytes with its
+  configuration signature intact, and passes :func:`ensure_process_safe`;
 * :func:`ensure_process_safe` raises a clear :class:`ExecutionError` naming
-  the node for non-picklable operators and ``supports_processes=False``
+  the node for operators without an encoding and ``supports_processes=False``
   opt-outs;
 * a real workload lifecycle (census) executed on the process executor is
   equivalent to the inline reference, iteration by iteration.
@@ -57,10 +57,12 @@ class TestWorkloadPicklability:
                 operator = dag.node(name).operator
                 signature = operator.config_signature()
                 ensure_process_safe(operator, node_name=name)
-                clone = deserialize(serialize(operator))
+                payload = serialize(operator)
+                clone = deserialize(payload)
                 assert clone.config_signature() == signature, (
-                    f"{workload_name}:{name} changed signature across pickling"
+                    f"{workload_name}:{name} changed signature across encoding"
                 )
+                assert serialize(clone) == payload, f"{workload_name}:{name}"
                 checked += 1
         assert checked > 0
 
@@ -74,11 +76,11 @@ class TestWorkloadPicklability:
 
 class TestEnsureProcessSafe:
     def test_rejects_non_picklable_naming_node(self):
-        with pytest.raises(ExecutionError, match="my_node.*UnpicklableOperator.*not picklable"):
+        with pytest.raises(ExecutionError, match="my_node.*UnpicklableOperator.*not encodable"):
             ensure_process_safe(UnpicklableOperator(), node_name="my_node")
 
     def test_rejects_non_picklable_without_node_name(self):
-        with pytest.raises(ExecutionError, match="UnpicklableOperator.*not picklable"):
+        with pytest.raises(ExecutionError, match="UnpicklableOperator.*not encodable"):
             ensure_process_safe(UnpicklableOperator())
 
     def test_rejects_opt_out_flag(self):

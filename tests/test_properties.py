@@ -25,9 +25,9 @@ from repro.core.data import (
     SemanticUnit,
     Split,
 )
-from repro.core.operators import PredictionsResult
+from repro.core.operators import CSVScanner, FunctionExtractor, Learner, PredictionsResult
 from repro.core.signatures import compute_node_signatures, diff_signatures
-from repro.exceptions import ProtocolError
+from repro.exceptions import OperatorError, ProtocolError
 from repro.execution.clock import SimulatedCostModel
 from repro.ml.linear import LogisticRegression
 from repro.optimizer.oep import NodeState, plan_run_time, solve_oep
@@ -44,8 +44,10 @@ from repro.storage.serialization import deserialize, serialize
 from repro.storage.store import InMemoryStore
 from repro.systems import HelixSystem
 from repro.workloads.base import get_workload
+from repro.workloads.census import CENSUS_COLUMNS
+from repro.workloads.nlp_ie import BetweenWordsExtractor, _pos_pattern_extractor
 
-from conftest import ConstOperator, SumOperator
+from conftest import UNPICKLED, ConstOperator, SumOperator, UnpickleTripwire
 
 
 @st.composite
@@ -309,6 +311,13 @@ _CROSS_PROCESS_CORPUS = [
     FeatureVector.from_dense([0.5, -2.0, 1e-300, float("inf")], prefix="rff"),
     _DENSE_UNITS,
     *_EDGE_CORPUS,
+    # paper operators holding a function, a class, a callable instance and
+    # nothing but their own configuration, and an exception
+    FunctionExtractor("posPattern", _pos_pattern_extractor),
+    Learner(LogisticRegression, params={"max_iter": 5}, name="incPred"),
+    BetweenWordsExtractor(64),
+    CSVScanner(CENSUS_COLUMNS, line_field="line"),
+    OperatorError("incPred", "model did not converge"),
 ]
 
 #: Child-process encoder: reads a pickled value list on stdin, writes the
@@ -565,43 +574,30 @@ class TestCanonicalDataModel:
         assert len(body) == 1 + 2 + 1 + 1 + 1 + 1 + len("repeated") + 1000
         assert decode(encode(value)) == value
 
-    def test_dataclass_with_an_ad_hoc_attribute_still_takes_pickle(self):
+    def test_dataclass_with_an_ad_hoc_attribute_is_refused(self):
         clean = _example("Masters", 1.0, Split.TRAIN)
         assert _body_tag(clean) == canonical._T_OBJECT  # compiles the codec
         tagged = _example("Masters", 1.0, Split.TRAIN)
         tagged.note = "kept"
-        assert _body_tag(tagged) == canonical._T_PICKLE
-        assert decode(encode(tagged)).note == "kept"
+        with pytest.raises(TypeError, match="Example: the instance has attributes beyond"):
+            encode(tagged)
+        unset = _example("Masters", 1.0, Split.TRAIN)
+        del unset.features
+        with pytest.raises(TypeError, match="Example: the instance leaves a declared field unset"):
+            encode(unset)
         assert _body_tag(clean) == canonical._T_OBJECT
 
-    def test_cyclic_values_still_take_pickle(self):
+    def test_cyclic_values_are_refused(self):
         loop = []
         loop.append(loop)
-        assert _body_tag(loop) == canonical._T_PICKLE
-        decoded = decode(encode(loop))
-        assert decoded[0] is decoded
+        with pytest.raises(ValueError, match="cyclic value: a list contains itself"):
+            encode(loop)
 
         members = []
         collection = DataCollection("loop", [members])
         members.append(collection)
-        assert _body_tag(collection) == canonical._T_PICKLE
-        decoded = decode(encode(collection))
-        assert decoded.elements[0][0] is decoded
-
-    def test_stored_artifact_kinds_never_fall_back_to_pickle(self, monkeypatch):
-        def refuse(_decoder):
-            raise AssertionError("a stored data-model artifact carries a pickle tag")
-
-        artifacts = {
-            **_materialized("census", ("predictions", "income", "eduExt", "rows")),
-            **_materialized("mnist", ("digits", "rffFeatures")),
-        }
-        assert len(artifacts) == 6
-        decoders = list(canonical._DECODERS)
-        decoders[canonical._T_PICKLE[0]] = refuse
-        monkeypatch.setattr(canonical, "_DECODERS", decoders)
-        for name, value in artifacts.items():
-            assert encode(decode(encode(value))) == encode(value), name
+        with pytest.raises(ValueError, match="cyclic value"):
+            encode(collection)
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +696,6 @@ class TestColumnarDataCollection:
                 "sub",
                 [_unit(40.0, Split.TRAIN), _SubUnit(input="1", source="s", output=FeatureVector())],
             ),
-            "ad-hoc attribute": DataCollection("tagged", [_unit(40.0, Split.TRAIN), tagged]),
             "empty": DataCollection("empty", [], kind=ElementKind.EXAMPLE),
         }
         for label, collection in collections.items():
@@ -708,7 +703,10 @@ class TestColumnarDataCollection:
             decoded = decode(encode(collection))
             assert _structure(decoded) == _structure(collection), label
             assert list(map(type, decoded)) == list(map(type, collection)), label
-        assert decode(encode(collections["ad-hoc attribute"])).elements[1].note == "kept"
+        ad_hoc = DataCollection("tagged", [_unit(40.0, Split.TRAIN), tagged])
+        assert not _columnar(ad_hoc)
+        with pytest.raises(TypeError, match="attributes beyond its declared fields"):
+            encode(ad_hoc)
 
     def test_a_malformed_columnar_state_is_a_typed_error(self, monkeypatch):
         states = [
@@ -826,18 +824,22 @@ class TestDenseColumns:
             with pytest.raises(ProtocolError, match="invalid FeatureVector state"):
                 decode(payload)
 
-    def test_a_format_4_payload_is_refused_by_version(self):
-        """A payload of the previous format (a collection of two examples that
-        still carries the per-row provenance column) is refused whole, never
-        decoded into examples with a stray attribute."""
-        assert canonical.CANONICAL_VERSION == 5
-        hex_payload = (
-            "48430400c7014f000f726570726f2e636f72652e646174610e44617461436f6c6c656374696f6e00"
-            "740b73106578616d706c657345000f726570726f2e636f72652e646174610b456c656d656e744b69"
-            "6e6401074558414d504c45730e4578616d706c654b0262010158020262030306613d78613d790203"
-            "74024b0262000157023ff00000000000003ff000000000000057023ff00000000000000000000000"
-            "00000058020262050409747261696e74657374040574024b0262000158020162010161060674024e"
-            "4e74024e4e"
-        )
-        with pytest.raises(ProtocolError, match="payload is version 4"):
-            decode(bytes.fromhex(hex_payload))
+    def test_a_format_5_payload_is_refused_by_version(self):
+        """A payload of the previous format whose body is its pickle tag ``P``
+        around an unpickle tripwire is refused whole, never unpickled."""
+        assert canonical.CANONICAL_VERSION == 6
+        raw = pickle.dumps(UnpickleTripwire(), protocol=5)
+        # the tag, no out-of-band pickle buffers, then the pickle as an inline blob
+        body = bytearray(b"P\x00\x00")
+        canonical._write_uvarint(body, len(raw))
+        body += raw
+        payload = bytearray(b"HC\x05\x00")  # magic, format 5, no buffers
+        canonical._write_uvarint(payload, len(body))
+        payload += body
+        for load in (decode, deserialize):
+            with pytest.raises(ProtocolError, match="payload is version 5"):
+                load(bytes(payload))
+        assert UNPICKLED == []
+        pickle.loads(raw)  # the tripwire is live: unpickling does trip it
+        assert UNPICKLED == [True]
+        UNPICKLED.clear()

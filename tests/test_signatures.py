@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.dag import Node, WorkflowDAG
+from repro.core.operators import Operator
 from repro.core.signatures import compute_node_signatures, diff_signatures
 from repro.core.workflow import Workflow
 from repro.execution.clock import SimulatedCostModel
@@ -67,6 +68,19 @@ class TestNodeSignatures:
             ]
         )
         assert compute_node_signatures(d1)["c"] == compute_node_signatures(d2)["c"]
+
+    def test_same_named_classes_of_two_modules_never_share_a_signature(self):
+        """Equal class names and equal configs: only the modules differ, and
+        reusing one's artifact for the other would serve a wrong value."""
+
+        def scale(module, step):
+            run = lambda self, inputs, context: inputs[0] * step  # noqa: E731
+            return type("Scale", (Operator,), {"__module__": module, "run": run})()
+
+        double, shift = scale("pkg_a.ops", 2), scale("pkg_b.ops", 3)
+        assert (type(double).__qualname__, double.config()) == (type(shift).__qualname__, shift.config())
+        assert double.config_signature() != shift.config_signature()
+        assert double.config_signature() == scale("pkg_a.ops", 2).config_signature()
 
 
 class TestCallableInstanceTokens:
