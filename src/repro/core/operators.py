@@ -110,15 +110,16 @@ class RunContext:
 def _callable_token(fn: Callable[..., Any]) -> str:
     """A stable token describing a callable for signature purposes.
 
-    The token combines the qualified name, an optional explicit ``_version``
-    attribute (which user code can bump to signal a semantic change), and a
-    hash of the bytecode when available.  Builtins and C functions fall back
-    to their qualified name only.  Callable *instances* (encodable UDF
-    objects, the process-executor-friendly alternative to closures) are
-    identified by their class path, their ``__call__`` bytecode and
-    ``_version``, so editing the method invalidates reuse just like editing
-    a plain function; behaviour-defining *state* still needs a ``_version``
-    bump.
+    The token combines the module-qualified name, an optional explicit
+    ``_version`` attribute (which user code can bump to signal a semantic
+    change), and a hash of the bytecode when available.  Builtins, ufuncs and
+    other C functions fall back to their module-qualified name only, so
+    ``numpy.log`` and ``math.log`` never share a token.  Callable
+    *instances* (encodable UDF objects, the process-executor-friendly
+    alternative to closures) are identified by their class path, their
+    ``__call__`` bytecode and ``_version``, so editing the method invalidates
+    reuse just like editing a plain function; behaviour-defining *state*
+    still needs a ``_version`` bump.
     """
     if isinstance(fn, functools.partial):
         # A partial's behaviour is its target plus the bound arguments.
@@ -134,7 +135,12 @@ def _callable_token(fn: Callable[..., Any]) -> str:
     qualname = getattr(fn, "__qualname__", None)
     code = getattr(fn, "__code__", None)
     state_digest: Optional[str] = None
-    if qualname is None:
+    if qualname is not None:
+        module = getattr(fn, "__module__", None)
+        if module is None:  # a method descriptor such as ``str.upper``
+            module = getattr(getattr(fn, "__objclass__", None), "__module__", None)
+        qualname = f"{module}.{qualname}"
+    else:
         call_code = getattr(getattr(type(fn), "__call__", None), "__code__", None)
         if code is None and call_code is None:
             # C-implemented callable instance: no bytecode to fingerprint.

@@ -51,6 +51,8 @@ class OperatorCache:
     def __init__(self) -> None:
         self._entries: Dict[str, CacheEntry] = {}
         self._consumers: Dict[str, int] = {}
+        #: Running sum of the entries' ``size_bytes`` (the engine reads it twice per node).
+        self._bytes = 0
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------ basics
@@ -65,7 +67,11 @@ class OperatorCache:
     def put(self, name: str, value: Any, size_bytes: Optional[int] = None) -> CacheEntry:
         entry = CacheEntry(value, size_bytes)
         with self._lock:
+            previous = self._entries.get(name)
+            if previous is not None:
+                self._bytes -= previous.size_bytes
             self._entries[name] = entry
+            self._bytes += entry.size_bytes
         return entry
 
     def get(self, name: str) -> CacheEntry:
@@ -79,17 +85,21 @@ class OperatorCache:
     def evict(self, name: str) -> Optional[CacheEntry]:
         with self._lock:
             self._consumers.pop(name, None)
-            return self._entries.pop(name, None)
+            entry = self._entries.pop(name, None)
+            if entry is not None:
+                self._bytes -= entry.size_bytes
+            return entry
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
             self._consumers.clear()
+            self._bytes = 0
 
     def snapshot_bytes(self) -> int:
         """Total estimated bytes currently held in the cache."""
         with self._lock:
-            return sum(entry.size_bytes for entry in self._entries.values())
+            return self._bytes
 
     # ------------------------------------------------------------------ scope refcounts
     def set_consumers(self, name: str, count: int) -> None:

@@ -13,6 +13,7 @@ scratch on NumPy).  It follows the minimal estimator protocol the
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -20,13 +21,33 @@ import numpy as np
 __all__ = ["LogisticRegression"]
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(z, dtype=float)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    exp_z = np.exp(z[~positive])
-    out[~positive] = exp_z / (1.0 + exp_z)
+def _sigmoid(
+    z: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    work: Optional[np.ndarray] = None,
+    nonneg: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Numerically stable logistic function of a float64 vector.
+
+    One ``e = exp(min(z, -z))`` (that is ``exp(-|z|)``, with a NaN kept as
+    it is) serves both halves: ``1 / (1 + e)`` where ``z >= 0`` and
+    ``e / (1 + e)`` elsewhere.  These are the same IEEE operations on the same
+    operands as evaluating each half on its own boolean mask, so the result is
+    bit-identical to that, without the gathers and scatters.
+
+    ``out`` and ``work`` (float64) and ``nonneg`` (bool), all shaped like
+    ``z``, are overwritten when given, so a training loop allocates nothing
+    per step; the result is ``out``.
+    """
+    if out is None:
+        out, work = np.empty_like(z, dtype=float), np.empty_like(z, dtype=float)
+        nonneg = np.empty(z.shape, dtype=bool)
+    e = np.minimum(z, np.negative(z, out=out), out=out)
+    np.exp(e, out=e)
+    one_plus_e = np.add(e, 1.0, out=work)
+    np.divide(e, one_plus_e, out=out)
+    np.divide(1.0, one_plus_e, out=work)
+    np.copyto(out, work, where=np.greater_equal(z, 0.0, out=nonneg))
     return out
 
 
@@ -97,16 +118,26 @@ class LogisticRegression:
         # full-batch gradient descent cannot diverge for large reg_param.
         lipschitz = 0.25 * float(np.mean(np.sum(X * X, axis=1))) + self.reg_param
         step = min(self.learning_rate, 1.0 / max(lipschitz, 1e-12))
+        # Every step writes into these buffers: z, p (then p - y), the
+        # sigmoid's work buffers, the weight gradient and a d-length product.
+        z, p, work = np.empty(n), np.empty(n), np.empty(n)
+        nonneg = np.empty(n, dtype=bool)
+        grad_w, scaled = np.empty(d), np.empty(d)
+        X_t = X.T  # a view: a contiguous copy would sum in another BLAS order
         for _ in range(self.max_iter):
-            z = X @ weights + intercept
-            p = _sigmoid(z)
-            error = p - y01
-            grad_w = X.T @ error / n + self.reg_param * weights
-            grad_b = float(error.mean()) if self.fit_intercept else 0.0
-            weights -= step * grad_w
+            np.matmul(X, weights, out=z)
+            z += intercept
+            error = np.subtract(_sigmoid(z, p, work, nonneg), y01, out=p)
+            # grad_w = X.T @ error / n + reg_param * weights
+            np.matmul(X_t, error, out=grad_w)
+            grad_w /= n
+            grad_w += np.multiply(weights, self.reg_param, out=scaled)
+            grad_b = float(error.sum()) / n if self.fit_intercept else 0.0
+            weights -= np.multiply(grad_w, step, out=scaled)
             intercept -= step * grad_b
             self.n_iter_ += 1
-            if np.linalg.norm(grad_w) < self.tol and abs(grad_b) < self.tol:
+            # norm(grad_w) < tol, with norm's own sqrt(g . g).
+            if abs(grad_b) < self.tol and math.sqrt(grad_w.dot(grad_w)) < self.tol:
                 break
         self.weights_ = weights
         self.intercept_ = intercept

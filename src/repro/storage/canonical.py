@@ -654,8 +654,9 @@ _COMPILE_LOCK = threading.Lock()
 # per-class codec compilation
 # ---------------------------------------------------------------------------
 #: Values that travel as their ``(module, qualname)`` reference; decode
-#: accepts a reference only when it resolves to one of these.
-_REFERABLE = (type, types.FunctionType, types.BuiltinFunctionType)
+#: accepts a reference only when it resolves to one of these.  A NumPy ufunc
+#: (``numpy.log``) is one: its attribute layout has no constructor to rebuild it.
+_REFERABLE = (type, types.FunctionType, types.BuiltinFunctionType, np.ufunc)
 
 #: Classes without a canonical form, and why.
 _REFUSED = (
@@ -712,7 +713,7 @@ def _build_codec(cls: type) -> Callable[[_Encoder, Any], None]:
 
 
 def _enc_reference(enc: _Encoder, value: Any) -> None:
-    """A module-level class, function or builtin as its reference slot."""
+    """A module-level class, function, builtin or ufunc as its reference slot."""
     if not _importable(value):
         raise TypeError(f"canonical encoding refuses {value!r}: not reachable as module.qualname")
     out = enc.out

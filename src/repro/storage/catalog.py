@@ -62,6 +62,8 @@ class Catalog:
         #: node name -> signatures stored for it, in insertion order, so the
         #: per-node purge before each iteration does not scan every record.
         self._by_node: Dict[str, Dict[str, None]] = {}
+        #: Running sum of the records' ``size_bytes``.
+        self._total_bytes = 0
         self._path = Path(path) if path is not None else None
         if self._path is not None and self._path.exists():
             self._load()
@@ -78,14 +80,18 @@ class Catalog:
 
     def add(self, record: ArtifactRecord) -> None:
         previous = self._records.get(record.signature)
-        if previous is not None and previous.node_name != record.node_name:
-            self._unindex(previous)
+        if previous is not None:
+            self._total_bytes -= previous.size_bytes
+            if previous.node_name != record.node_name:
+                self._unindex(previous)
         self._records[record.signature] = record
+        self._total_bytes += record.size_bytes
         self._by_node.setdefault(record.node_name, {})[record.signature] = None
 
     def remove(self, signature: str) -> Optional[ArtifactRecord]:
         record = self._records.pop(signature, None)
         if record is not None:
+            self._total_bytes -= record.size_bytes
             self._unindex(record)
         return record
 
@@ -100,7 +106,7 @@ class Catalog:
 
     # ------------------------------------------------------------------ queries
     def total_bytes(self) -> int:
-        return sum(record.size_bytes for record in self._records.values())
+        return self._total_bytes
 
     def stale_signatures(self, node_name: str, current_signature: str) -> List[str]:
         """Signatures stored for ``node_name`` that differ from the current one.

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ExecutionError
 from repro.execution.cache import CacheEntry, OperatorCache
@@ -48,3 +50,27 @@ class TestEagerCache:
         cache.put("a", 1)
         cache.clear()
         assert len(cache) == 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("put"), st.sampled_from("abcd"), st.integers(0, 10**6)),
+                st.tuples(st.just("evict"), st.sampled_from("abcde"), st.just(0)),
+                st.tuples(st.just("clear"), st.just(""), st.just(0)),
+            ),
+            max_size=40,
+        )
+    )
+    def test_running_bytes_equal_the_resum(self, operations):
+        """``snapshot_bytes`` keeps a running total; re-summing every entry
+        is the reference, across replacing puts, evictions and clears."""
+        cache = OperatorCache()
+        for operation, name, size in operations:
+            if operation == "put":
+                cache.put(name, name, size_bytes=size)
+            elif operation == "evict":
+                cache.evict(name)
+            else:
+                cache.clear()
+            assert cache.snapshot_bytes() == sum(entry.size_bytes for entry in cache._entries.values())

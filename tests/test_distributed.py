@@ -310,6 +310,27 @@ class TestWireFormat:
         assert marker.exists()
         del sys.modules[module]
 
+    def test_a_ufunc_travels_as_its_reference(self):
+        import numpy as np
+
+        packed = canonical.encode({"fn": np.log})
+        assert canonical.decode(packed)["fn"] is np.log
+        assert canonical.encode(canonical.decode(packed)) == packed
+        assert deserialize(serialize(np.add)) is np.add
+
+    def test_a_reference_that_does_not_resolve_is_a_protocol_error(self):
+        """A ``numpy`` name that is missing, or that is no class, function or
+        ufunc, is a typed refusal — never a ``TypeError`` from a constructor."""
+        for qualname in ("no_such_ufunc", "pi"):
+            definition = bytearray()
+            canonical._raw_str(definition, "numpy")
+            canonical._raw_str(definition, qualname)
+            definition.append(0)  # no attribute names
+            _refused_as_bytes_and_as_a_frame(
+                _canonical_payload(b"R\x00" + definition),
+                f"references numpy:{qualname}, which does not resolve",
+            )
+
     def test_a_body_tagged_p_is_an_unknown_tag_never_unpickled(self):
         """The former pickle tag, around an unpickle tripwire laid out as it
         was (no out-of-band buffers, then an inline blob), is no tag at all."""

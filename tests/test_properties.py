@@ -318,6 +318,8 @@ _CROSS_PROCESS_CORPUS = [
     BetweenWordsExtractor(64),
     CSVScanner(CENSUS_COLUMNS, line_field="line"),
     OperatorError("incPred", "model did not converge"),
+    # NumPy ufuncs travel as their references
+    {"loss": np.log, "link": np.exp},
 ]
 
 #: Child-process encoder: reads a pickled value list on stdin, writes the

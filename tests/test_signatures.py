@@ -83,6 +83,46 @@ class TestNodeSignatures:
         assert double.config_signature() == scale("pkg_a.ops", 2).config_signature()
 
 
+class TestCallableTokens:
+    """A callable in an operator's config is named by its module too."""
+
+    def test_same_named_builtins_of_two_modules_differ(self):
+        import math
+
+        import numpy as np
+
+        from repro.core.operators import FunctionExtractor
+
+        assert np.log.__qualname__ == math.log.__qualname__
+        assert (
+            FunctionExtractor("f", np.log).config_signature()
+            != FunctionExtractor("f", math.log).config_signature()
+        )
+        assert FunctionExtractor("f", np.log).config_signature() == FunctionExtractor("f", np.log).config_signature()
+
+    def test_same_named_functions_of_two_modules_differ(self):
+        """Equal names and equal bytecode: only the modules differ."""
+        from repro.core.operators import FunctionExtractor
+
+        def udf(module):
+            def feature(record):
+                return 1.0
+
+            feature.__module__ = module
+            feature.__qualname__ = "feature"
+            return feature
+
+        a, b = udf("pkg_a.features"), udf("pkg_b.features")
+        assert a.__code__.co_code == b.__code__.co_code
+        assert FunctionExtractor("f", a).config_signature() != FunctionExtractor("f", b).config_signature()
+        assert FunctionExtractor("f", a).config_signature() == FunctionExtractor("f", udf("pkg_a.features")).config_signature()
+
+    def test_method_descriptors_name_their_class_module(self):
+        from repro.core.operators import _callable_token
+
+        assert _callable_token(str.upper).startswith("builtins.str.upper")
+
+
 class TestCallableInstanceTokens:
     """Callable-instance UDFs (the process-safe closure replacement) must be
     signature-sensitive to their ``__call__`` bytecode, not just ``_version``."""

@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ArtifactNotFoundError, BudgetExceededError, StorageError
 from repro.storage.catalog import ArtifactRecord, Catalog
@@ -97,6 +99,33 @@ class TestCatalog:
                     r.signature for r in scanned if r.signature != "s7"
                 ]
         assert catalog.stale_signatures("ghost", "") == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["add", "add", "remove", "reload"]),
+                st.sampled_from(["s0", "s1", "s2", "s3"]),
+                st.sampled_from(["a", "b"]),
+                st.integers(0, 10**9),
+            ),
+            max_size=30,
+        )
+    )
+    def test_running_total_equals_the_resum(self, tmp_path_factory, operations):
+        """``total_bytes`` keeps a running total; re-summing every record is
+        the reference, across add, replace, remove and reload."""
+        path = tmp_path_factory.mktemp("catalog") / "catalog.json"
+        catalog = Catalog(path=path)
+        for operation, signature, node, size in operations:
+            if operation == "add":
+                catalog.add(self._record(signature, node, size=size))
+            elif operation == "remove":
+                catalog.remove(signature)
+            else:
+                catalog.save()
+                catalog = Catalog(path=path)
+            assert catalog.total_bytes() == sum(record.size_bytes for record in catalog.records())
 
     def test_persistence(self, tmp_path):
         path = tmp_path / "catalog.json"
