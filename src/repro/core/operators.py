@@ -27,6 +27,7 @@ import functools
 import hashlib
 import inspect
 import json
+import types
 import uuid
 import zlib
 from abc import ABC, abstractmethod
@@ -119,7 +120,10 @@ def _callable_token(fn: Callable[..., Any]) -> str:
     alternative to closures) are identified by their class path, their
     ``__call__`` bytecode and ``_version``, so editing the method invalidates
     reuse just like editing a plain function; behaviour-defining *state*
-    still needs a ``_version`` bump.
+    still needs a ``_version`` bump.  A method bound to an instance (not to
+    a module or a class) is keyed by its receiver's canonical encoding too,
+    so ``A(1).f`` and ``A(2).f`` never share a token; a receiver without a
+    codec raises ``TypeError`` naming the callable.
     """
     if isinstance(fn, functools.partial):
         # A partial's behaviour is its target plus the bound arguments.
@@ -163,6 +167,9 @@ def _callable_token(fn: Callable[..., Any]) -> str:
     parts: List[str] = [qualname]
     if state_digest is not None:
         parts.append(state_digest)
+    receiver = getattr(fn, "__self__", None)
+    if receiver is not None and not isinstance(receiver, (types.ModuleType, type)):
+        parts.append(_receiver_digest(qualname, receiver))
     version = getattr(fn, "_version", None)
     if version is not None:
         parts.append(f"v{version}")
@@ -172,6 +179,23 @@ def _callable_token(fn: Callable[..., Any]) -> str:
         consts = tuple(c for c in code.co_consts if isinstance(c, (int, float, str, bool)))
         parts.append(hashlib.sha256(repr(consts).encode()).hexdigest()[:8])
     return ":".join(parts)
+
+
+def _receiver_digest(qualname: str, receiver: Any) -> str:
+    """Digest of a bound method's receiver, by its canonical encoding."""
+    # Imported here, like ensure_process_safe's codec, to keep core -> storage
+    # layering at module load.
+    from ..storage.canonical import encode
+
+    try:
+        blob = encode(receiver)
+    except Exception as exc:  # noqa: BLE001 - any receiver without a codec
+        raise TypeError(
+            f"callable {qualname} is bound to a {type(receiver).__name__} with no "
+            f"canonical encoding, so its signature cannot tell receivers apart; "
+            f"pass a module-level function or an encodable callable object"
+        ) from exc
+    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def _instance_state(obj: Any) -> Dict[str, Any]:

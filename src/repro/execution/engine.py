@@ -45,14 +45,20 @@ The contract is checkable with the harness in
 
 Out-of-process execution
 ------------------------
-With the process and distributed executors, COMPUTE tasks are shipped to
-workers as serialized ``(node_name, operator, inputs, context)`` payloads
-(:mod:`repro.storage.serialization`; the distributed executor additionally
-frames them for its TCP transport); the worker returns the value plus its
-measured compute seconds, and the engine applies the cost model on receipt
-so charged times follow the same code path as in-process execution.  LOAD
-tasks, cache bookkeeping, retirement commits and stats recording never leave
-the coordinating process.  Every COMPUTE operator is validated for process
+With the process and distributed executors, COMPUTE nodes travel to workers
+as *chains*, like a Spark stage pipelines narrow dependencies: a maximal
+path of COMPUTE nodes in which each child's ``parents`` are exactly
+``[parent]`` and the parent has that child as its only executing consumer.
+A chain ships as one serialized ``(names, operators, head_inputs, context)``
+payload (:mod:`repro.storage.serialization`; the distributed executor
+additionally frames it for its TCP transport); the worker runs the
+operators in order, each fed the previous value, and returns one
+``(value, measured_seconds)`` pair per node.  On receipt the engine applies
+the cost model and does each node's bookkeeping in chain order, so charged
+times and retirement commits follow the same code path as in-process
+execution.  A lone COMPUTE node is a chain of one.  LOAD tasks, cache
+bookkeeping, retirement commits and stats recording never leave the
+coordinating process.  Every COMPUTE operator is validated for process
 safety (serialization round trip + :attr:`Operator.supports_processes`)
 before any work is dispatched.
 """
@@ -62,7 +68,7 @@ from __future__ import annotations
 import heapq
 import time
 from functools import partial
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.dag import WorkflowDAG
 from ..core.operators import RunContext, ensure_process_safe
@@ -168,11 +174,16 @@ class ExecutionEngine:
         # distributed workers without the coordinator's filesystem resolve
         # ArtifactRef inputs against it over the FETCH lane.
         executor.bind_store(self.store)
+        # Out-of-process COMPUTE nodes travel as chains keyed by their head;
+        # the other members never enter the ready heap.
+        chains: Dict[str, List[str]] = {}
         if executor.out_of_process:
             self._validate_process_plan(dag, plan, order, signatures)
-        # Input sizes of shipped COMPUTE tasks, kept scheduler-side so the
-        # cost model can be applied when the worker's reply arrives.
-        shipped_input_sizes: Dict[str, List[int]] = {}
+            chains = self._find_chains(dag, plan, order, consumers)
+        chained = {member for names in chains.values() for member in names[1:]}
+        # Members and head input sizes of shipped chains, kept scheduler-side
+        # so the cost model can be applied when the worker's reply arrives.
+        shipped: Dict[str, Tuple[List[str], List[int]]] = {}
 
         # Ready nodes, dispatched in topological order (a heap of positions).
         # Pool executors drain the whole frontier to keep workers busy;
@@ -188,7 +199,7 @@ class ExecutionEngine:
             nonlocal in_flight
             while ready and not (executor.synchronous and in_flight > 0):
                 name = order[heapq.heappop(ready)]
-                self._dispatch(executor, dag, plan, signatures, name, shipped_input_sizes)
+                self._dispatch(executor, dag, plan, signatures, name, chains, shipped)
                 in_flight += 1
 
         try:
@@ -200,32 +211,32 @@ class ExecutionEngine:
                 if error is not None:
                     failure = error
                     break
-                value, charged = self._charged_result(dag, name, outcome, shipped_input_sizes)
+                for name, value, charged, size_bytes in self._completed_nodes(
+                    dag, name, outcome, shipped
+                ):
+                    node = dag.node(name)
+                    self.cache.put(name, value, size_bytes)
+                    self.cache.set_consumers(name, consumers[name])
+                    stats.node_times[name] = charged
+                    stats.node_sizes[name] = size_bytes
+                    if node.is_output:
+                        stats.outputs[name] = value
+                    completed.add(name)
+                    memory.snapshot(self.cache.snapshot_bytes())
 
-                node = dag.node(name)
-                size_bytes = estimate_size_bytes(value)
-                self.cache.put(name, value, size_bytes)
-                self.cache.set_consumers(name, consumers[name])
-                stats.node_times[name] = charged
-                stats.node_sizes[name] = size_bytes
-                if node.is_output:
-                    stats.outputs[name] = value
-                completed.add(name)
-                memory.snapshot(self.cache.snapshot_bytes())
+                    # Reference-count bookkeeping: this node consumed each of
+                    # its executing parents once, and is itself out of scope
+                    # immediately when it has no executing consumers.
+                    if consumers[name] == 0:
+                        out_of_scope.add(name)
+                    for parent in {p for p in node.parents if p in executing}:
+                        if self.cache.release(parent):
+                            out_of_scope.add(parent)
 
-                # Reference-count bookkeeping: this node consumed each of its
-                # executing parents once, and is itself out of scope
-                # immediately when it has no executing consumers.
-                if consumers[name] == 0:
-                    out_of_scope.add(name)
-                for parent in {p for p in node.parents if p in executing}:
-                    if self.cache.release(parent):
-                        out_of_scope.add(parent)
-
-                for child in {c for c in dag.children(name) if c in executing}:
-                    pending_parents[child] -= 1
-                    if pending_parents[child] == 0:
-                        heapq.heappush(ready, topo_position[child])
+                    for child in {c for c in dag.children(name) if c in executing}:
+                        pending_parents[child] -= 1
+                        if pending_parents[child] == 0 and child not in chained:
+                            heapq.heappush(ready, topo_position[child])
 
                 while (
                     retire_index < len(retirement_order)
@@ -255,6 +266,34 @@ class ExecutionEngine:
         return self._finalize_run(stats, memory)
 
     # ------------------------------------------------------------------ dispatch
+    @staticmethod
+    def _find_chains(
+        dag: WorkflowDAG,
+        plan: ExecutionPlan,
+        order: Sequence[str],
+        consumers: Mapping[str, int],
+    ) -> Dict[str, List[str]]:
+        """Every COMPUTE node's chain, in topological order, keyed by its head.
+
+        A node continues its parent's chain when its ``parents`` are exactly
+        ``[parent]``, the parent is computed too, and the node is the
+        parent's only executing consumer; otherwise it heads a chain of its
+        own.
+        """
+        chains: Dict[str, List[str]] = {}
+        head_of: Dict[str, str] = {}
+        for name in order:
+            if plan.states[name] is not NodeState.COMPUTE:
+                continue
+            parents = dag.node(name).parents
+            if len(parents) == 1 and parents[0] in head_of and consumers[parents[0]] == 1:
+                head_of[name] = head_of[parents[0]]
+                chains[head_of[name]].append(name)
+            else:
+                head_of[name] = name
+                chains[name] = [name]
+        return chains
+
     def _dispatch(
         self,
         executor: Executor,
@@ -262,76 +301,91 @@ class ExecutionEngine:
         plan: ExecutionPlan,
         signatures: Mapping[str, str],
         name: str,
-        shipped_input_sizes: Dict[str, List[int]],
+        chains: Mapping[str, List[str]],
+        shipped: Dict[str, Tuple[List[str], List[int]]],
     ) -> None:
-        """Hand one ready node to the executor."""
-        state = plan.states[name]
-        if executor.out_of_process and state is NodeState.COMPUTE:
-            payload, input_sizes = self._build_process_payload(
-                dag, name, signatures, use_refs=executor.uses_artifact_refs
+        """Hand one ready node — or the chain it heads — to the executor."""
+        if name in chains:
+            payload, input_sizes = self._chain_payload(
+                dag, chains[name], signatures, use_refs=executor.uses_artifact_refs
             )
-            shipped_input_sizes[name] = input_sizes
+            shipped[name] = (chains[name], input_sizes)
             executor.submit_payload(name, payload)
             return
+        state = plan.states[name]
         executor.submit(name, partial(self._run_node, dag, name, state, signatures[name]))
 
-    def _build_process_payload(
+    def _chain_payload(
         self,
         dag: WorkflowDAG,
-        name: str,
+        names: List[str],
         signatures: Mapping[str, str],
         use_refs: bool = False,
     ) -> Tuple[bytes, List[int]]:
-        """Serialize one COMPUTE task for an out-of-process worker.
+        """Serialize one chain for an out-of-process worker.
 
-        With ``use_refs`` (executors whose workers fetch from the bound
-        store), inputs whose value is already materialized ship as
-        :class:`ArtifactRef` placeholders instead of inline bytes — the
-        worker pulls them over the FETCH lane and caches them, so an input
-        shared by several tasks crosses the wire once, not once per task.
-        Input *sizes* are always taken from the live cached values, so the
-        cost model sees identical numbers whichever way the value travels.
+        Only the head's inputs travel; every later member is fed its
+        predecessor's value on the worker.  With ``use_refs`` (executors
+        whose workers fetch from the bound store), head inputs whose value
+        is already materialized ship as :class:`ArtifactRef` placeholders
+        instead of inline bytes — the worker pulls them over the FETCH lane
+        and caches them, so an input shared by several tasks crosses the
+        wire once, not once per task.  Input *sizes* are always taken from
+        the live cached values, so the cost model sees identical numbers
+        whichever way the value travels.
         """
-        inputs, input_sizes = self._gather_inputs(dag, name)
+        head = names[0]
+        inputs, input_sizes = self._gather_inputs(dag, head)
         if use_refs:
             inputs = [
                 ArtifactRef(signatures[parent])
                 if self.store.has(signatures[parent])
                 else value
-                for parent, value in zip(dag.node(name).parents, inputs)
+                for parent, value in zip(dag.node(head).parents, inputs)
             ]
+        operators = tuple(dag.node(name).operator for name in names)
         try:
-            payload = serialize((name, dag.node(name).operator, inputs, self.context))
+            payload = serialize((tuple(names), operators, inputs, self.context))
         except Exception as exc:  # noqa: BLE001 - inputs/operator without a codec
             raise ExecutionError(
-                f"cannot ship node {name!r} to a worker process: its operator or "
-                f"inputs failed to serialize: {exc}"
+                f"cannot ship nodes {names!r} to a worker process: their operators "
+                f"or inputs failed to serialize: {exc}"
             ) from exc
         return payload, input_sizes
 
-    def _charged_result(
+    def _completed_nodes(
         self,
         dag: WorkflowDAG,
         name: str,
         outcome: Any,
-        shipped_input_sizes: Dict[str, List[int]],
-    ) -> Tuple[Any, float]:
-        """Charge one completion.
+        shipped: Dict[str, Tuple[List[str], List[int]]],
+    ) -> Iterator[Tuple[str, Any, float, int]]:
+        """``(node, value, charged, size_bytes)`` for each node a completion finished.
 
-        In-process outcomes are already ``(value, charged)``; out-of-process
-        COMPUTE outcomes are ``(value, measured_seconds)`` and the cost model
-        is applied here, on the scheduler, so charging is identical across
-        executors.
+        An in-process outcome is one node's ``(value, charged)``.  A shipped
+        chain's outcome holds one ``(value, measured_seconds)`` per member,
+        in chain order, and the cost model is applied here, on the
+        scheduler, so charging is identical across executors: each member
+        after the head is charged on its predecessor's size, the size
+        :meth:`_gather_inputs` would have read from the cache.
         """
-        if name in shipped_input_sizes:
-            input_sizes = shipped_input_sizes.pop(name)
-            value, measured = outcome
-            node = dag.node(name)
+        if name not in shipped:
+            value, charged = outcome
+            yield name, value, charged, estimate_size_bytes(value)
+            return
+        names, input_sizes = shipped.pop(name)
+        if len(outcome) != len(names):
+            raise ExecutionError(
+                f"worker answered chain {names!r} with {len(outcome)} results"
+            )
+        for member, (value, measured) in zip(names, outcome):
+            node = dag.node(member)
             charged = self.cost_model.compute_cost(
                 node.operator, node.component, input_sizes, measured
             )
-            return value, charged
-        return outcome
+            size_bytes = estimate_size_bytes(value)
+            yield member, value, charged, size_bytes
+            input_sizes = [size_bytes]
 
     # ------------------------------------------------------------------ helpers
     def _new_run_stats(self, dag: WorkflowDAG, plan: ExecutionPlan, iteration: int) -> RunStats:

@@ -27,16 +27,16 @@ near-duplicate engines:
   - :class:`DistributedExecutor` (``"distributed"``) — COMPUTE payloads are
     dispatched over TCP (length-prefixed frames, see the wire format in
     :mod:`repro.storage.serialization`) to long-lived
-    :class:`WorkerServer` processes that register with the coordinator,
-    heartbeat, and ack each task.  Workers are either spawned locally
+    :class:`WorkerServer` processes that register with the coordinator and
+    heartbeat.  Workers are either spawned locally
     (``max_workers``) or pre-started elsewhere and addressed explicitly
     (``workers=["host:port", ...]``; see ``python -m
     repro.execution.worker``).  Each worker connection carries a small
     pipelined dispatch window (``pipeline_depth``, default 2) so the
     coordinator overlaps framing/serialization of the next task with the
-    execution of the current one.  Tasks assigned to a worker that dies —
-    acked-but-unfinished and queued-unacked alike — are requeued to a
-    surviving worker (bounded attempts).  Same process-safety contract as
+    execution of the current one.  Every task a dying worker held — the one
+    executing and the ones queued behind it — is requeued to a surviving
+    worker (bounded attempts).  Same process-safety contract as
     ``"process"``; workers without access to the coordinator's filesystem
     resolve store-resident inputs through the FETCH/ARTIFACT lane
     (:class:`~repro.storage.serialization.ArtifactRef`).
@@ -165,20 +165,23 @@ def run_serialized_task(
 ) -> bytes:
     """Worker-side entry point for out-of-process COMPUTE tasks.
 
-    Deserializes ``(node_name, operator, inputs, context)``, runs the
-    operator, and returns the serialized ``(value, measured_seconds)`` pair.
-    Inputs may be :class:`~repro.storage.serialization.ArtifactRef`
-    placeholders for values that live in the coordinator's store; they are
-    resolved through ``resolve(signature)`` *before* the compute timer
-    starts (fetching is I/O, not compute).  A ref without a resolver — or a
-    resolver failure — fails the task with a typed error.  Failures —
-    including payload deserialization itself, which can fail on
-    spawn-based platforms when the operator's module is not importable in
-    the worker — are wrapped into an encodable :class:`OperatorError`,
-    exactly as the in-process compute path does.
+    A task is a chain of one or more nodes: it deserializes ``(names,
+    operators, head_inputs, context)``, runs the operators in order — the
+    head on ``head_inputs``, every later one on ``[previous value]`` — and
+    returns the serialized tuple of one ``(value, measured_seconds)`` pair
+    per node, each timed separately.  Head inputs may be
+    :class:`~repro.storage.serialization.ArtifactRef` placeholders for
+    values that live in the coordinator's store; they are resolved through
+    ``resolve(signature)`` *before* the compute timer starts (fetching is
+    I/O, not compute).  A ref without a resolver — or a resolver failure —
+    fails the task with a typed error.  Failures — including payload
+    deserialization itself, which can fail on spawn-based platforms when
+    the operator's module is not importable in the worker — are wrapped
+    into an encodable :class:`OperatorError` naming the failing node,
+    exactly as the in-process compute path does; later nodes do not run.
     """
     try:
-        name, operator, inputs, context = deserialize(payload)
+        names, operators, inputs, context = deserialize(payload)
     except Exception as exc:  # noqa: BLE001 - worker cannot rebuild the task
         raise OperatorError(
             "<task payload>",
@@ -189,7 +192,7 @@ def run_serialized_task(
     if any(isinstance(value, ArtifactRef) for value in inputs):
         if resolve is None:
             raise OperatorError(
-                name,
+                names[0],
                 "task inputs reference stored artifacts but this worker has "
                 "no fetch lane to the coordinator's store",
             )
@@ -200,22 +203,30 @@ def run_serialized_task(
             ]
         except Exception as exc:  # noqa: BLE001 - shipped back typed
             raise OperatorError(
-                name, f"failed to fetch a stored input: {exc}"
+                names[0], f"failed to fetch a stored input: {exc}"
             ) from exc
-    started = time.perf_counter()
+    results = []
+    for name, operator in zip(names, operators):
+        started = time.perf_counter()
+        try:
+            value = operator.run(inputs, context)
+        except OperatorError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - wrap arbitrary operator failures
+            raise OperatorError(name, str(exc)) from exc
+        results.append((value, time.perf_counter() - started))
+        inputs = [value]
     try:
-        value = operator.run(inputs, context)
-    except OperatorError:
+        return serialize(tuple(results))
+    except Exception:  # noqa: BLE001 - an operator result without a codec
+        for name, (value, _) in zip(names, results):
+            try:
+                serialize(value)
+            except Exception as exc:  # noqa: BLE001 - name the node that made it
+                raise OperatorError(
+                    name, f"result of type {type(value).__name__} is not encodable: {exc}"
+                ) from exc
         raise
-    except Exception as exc:  # noqa: BLE001 - wrap arbitrary operator failures
-        raise OperatorError(name, str(exc)) from exc
-    measured = time.perf_counter() - started
-    try:
-        return serialize((value, measured))
-    except Exception as exc:  # noqa: BLE001 - operator result without a codec
-        raise OperatorError(
-            name, f"result of type {type(value).__name__} is not encodable: {exc}"
-        ) from exc
 
 
 class Executor(ABC):
@@ -239,9 +250,10 @@ class Executor(ABC):
     name: str = "abstract"
 
     #: True when workers run in a separate interpreter.  The engine then
-    #: ships serialized payloads (``submit_payload``) for COMPUTE tasks and
-    #: validates operator process safety before dispatching anything; LOAD
-    #: tasks still go through :meth:`submit` on the scheduler thread.
+    #: ships one serialized payload (``submit_payload``) per chain of
+    #: COMPUTE nodes and validates operator process safety before
+    #: dispatching anything; LOAD tasks still go through :meth:`submit` on
+    #: the scheduler thread.
     out_of_process: bool = False
 
     #: True when :meth:`submit` runs the task before returning.  The engine
@@ -276,7 +288,8 @@ class Executor(ABC):
         """Run ``fn`` and deliver ``(key, fn(), None)`` — or the error — later."""
 
     def submit_payload(self, key: str, payload: bytes) -> None:
-        """Dispatch a serialized COMPUTE task (out-of-process executors only)."""
+        """Dispatch a serialized chain of COMPUTE nodes (out-of-process
+        executors only); ``key`` is the chain's head."""
         raise ExecutionError(
             f"executor {self.name!r} does not accept serialized payloads"
         )
@@ -461,13 +474,14 @@ class _OutOfProcessExecutor(Executor):
 class ProcessExecutor(_OutOfProcessExecutor):
     """COMPUTE tasks run on a ``ProcessPoolExecutor``; everything else inline.
 
-    The engine serializes ``(node_name, operator, inputs, context)`` with
+    The engine serializes each chain of COMPUTE nodes as ``(names,
+    operators, head_inputs, context)`` with
     :mod:`repro.storage.serialization` and hands the bytes to
     :meth:`submit_payload`; the worker (:func:`run_serialized_task`) returns
-    the serialized ``(value, measured_seconds)`` pair, deserialized here
-    before delivery.  LOAD tasks and retirement bookkeeping never leave the
-    coordinating process — the store, cache and stats are not shared with
-    workers.  Loads run on a small I/O thread pool (the same thread-safe
+    the serialized tuple of one ``(value, measured_seconds)`` pair per
+    node, deserialized here before delivery.  LOAD tasks and retirement
+    bookkeeping never leave the coordinating process — the store, cache
+    and stats are not shared with workers.  Loads run on a small I/O thread pool (the same thread-safe
     substrate the thread executor uses) rather than the scheduler thread, so
     a slow store read never stalls COMPUTE dispatch to idle workers.
 
@@ -778,20 +792,17 @@ class WorkerServer:
 
     A worker serves one coordinator connection at a time, as a
     :class:`_WorkerConnection` with three threads: a **reader** receives
-    frames — acking each ``task`` on receipt (even while a previous task is
-    still executing, so the coordinator's pipelined dispatch window gets
-    prompt acks) and dispatching every message through one handler table,
-    which queues tasks and completes pending fetches with their
-    ``artifact`` replies — an **executor loop** (the
+    frames and dispatches every message through one handler table, which
+    queues tasks and completes pending fetches with their ``artifact``
+    replies — an **executor loop** (the
     calling thread) pops queued tasks and runs them via
     :func:`run_serialized_task`, answering with a ``result`` or an encodable
     ``error``, and a **heartbeat** thread beats every
     ``heartbeat_interval`` seconds so the coordinator can distinguish a
     busy worker from a dead one.  Frames use the canonical zero-copy
     encoding — batched dispatches arrive as one ``("batch", ...)``
-    envelope and are acked with one batched frame.  One connection can
-    carry several multiplexed run *sessions* (every task-related frame
-    carries a session id): tasks queue in per-session lanes drained
+    envelope.  One connection can carry several multiplexed run
+    *sessions* (every task-related frame carries a session id): tasks queue in per-session lanes drained
     round-robin, so no session's backlog starves another's, and task inputs
     shipped as :class:`~repro.storage.serialization.ArtifactRef` are
     resolved through the worker's **content-addressed artifact tier** — a
@@ -1021,10 +1032,10 @@ class _WorkerConnection:
     def _read(self) -> None:
         """Receive and dispatch frames until the session ends.
 
-        Runs concurrently with task execution so a pipelined task N+1 is
-        acked the moment its frame arrives, not when task N ends.  A
-        transport error and a malformed message alike end the session
-        below, so the serve loop is always released.
+        Runs concurrently with task execution, so fetch replies and
+        pipelined tasks arrive while a task runs.  A transport error and a
+        malformed message alike end the session below, so the serve loop is
+        always released.
         """
         try:
             while True:
@@ -1033,18 +1044,9 @@ class _WorkerConnection:
                     break
                 # A batch envelope carries several small messages in one
                 # frame — typically the pipelined window's task dispatches.
-                # Every task in it is acked in one (batched) frame first so
-                # the coordinator's pipeline window refills promptly.
                 inner = message[1] if message[0] == "batch" else (message,)
                 if any(m[0] == "shutdown" for m in inner):
                     break
-                acks = tuple(
-                    ("ack", self.server.worker_id, m[1], m[2])
-                    for m in inner
-                    if m[0] == "task"
-                )
-                if acks:
-                    self._send(acks[0] if len(acks) == 1 else ("batch", acks))
                 for m in inner:
                     getattr(self, self._HANDLERS[m[0]])(m)
         except Exception:  # noqa: BLE001 - transport error or malformed message
@@ -1238,7 +1240,7 @@ class _SessionState:
 class _DistributedTask:
     """One COMPUTE payload travelling through the coordinator."""
 
-    __slots__ = ("session", "key", "payload", "results", "attempts", "acked", "done")
+    __slots__ = ("session", "key", "payload", "results", "attempts", "done")
 
     def __init__(
         self,
@@ -1257,7 +1259,6 @@ class _DistributedTask:
         #: a previous run posts into that run's discarded queue, never ours.
         self.results = results
         self.attempts = 0
-        self.acked = False
         self.done = False
 
 
@@ -1310,7 +1311,7 @@ class DistributedExecutor(_OutOfProcessExecutor):
       for declaring them dead, and ``shutdown`` only closes their sessions
       (externally-managed processes are never reaped).
 
-    Serialized COMPUTE payloads are dispatched to workers as
+    Serialized COMPUTE chains are dispatched to workers as
     length-prefixed frames (wire format in
     :mod:`repro.storage.serialization`), **pipelined** up to
     ``pipeline_depth`` tasks per worker connection: while a worker executes
@@ -1319,10 +1320,9 @@ class DistributedExecutor(_OutOfProcessExecutor):
     carry the canonical encoding and are gather-written (``sendmsg``) so
     NumPy-backed payload buffers are never copied into a contiguous frame,
     and small pipelined dispatches headed for the same worker coalesce into
-    one ``("batch", ...)`` frame (their acks come back batched the same
-    way).  Workers ack each task on receipt (a dedicated reader thread acks
-    even while a task is executing), heartbeat while idle or busy, and
-    return the serialized ``(value, measured_seconds)`` reply, deserialized
+    one ``("batch", ...)`` frame.  Workers heartbeat while idle or busy and
+    answer each task with one ``result`` frame: the serialized tuple of
+    ``(value, measured_seconds)`` pairs, one per chain node, deserialized
     here before delivery — exactly the :class:`ProcessExecutor` reply
     contract, so the engine applies the cost model identically.
 
@@ -1339,7 +1339,7 @@ class DistributedExecutor(_OutOfProcessExecutor):
 
     Failure handling: a worker that dies (socket EOF, dead process, or
     missed heartbeats for ``heartbeat_timeout`` seconds) has its in-flight
-    tasks — acked-but-unfinished and pipelined-but-unacked alike — requeued
+    tasks — the one executing and the ones pipelined behind it — requeued
     to surviving workers exactly once per death (a duplicate reply from a
     worker wrongly declared dead is dropped; first answer wins); a task
     dispatched ``_MAX_TASK_ATTEMPTS`` times without a reply — or orphaned
@@ -2026,8 +2026,8 @@ class DistributedExecutor(_OutOfProcessExecutor):
 
         Each worker connection holds up to ``pipeline_depth`` dispatched
         tasks: while the worker executes one, the next is already framed
-        onto its socket (and acked by the worker's reader thread), so short
-        tasks do not pay a full coordinator round trip each.  Tasks are
+        onto its socket, so short tasks do not pay a full coordinator round
+        trip each.  Tasks are
         drawn from the open sessions' FIFO lanes round-robin — the session
         just served rotates to the back — so concurrent runs multiplexed
         onto one fleet interleave fairly instead of queuing behind
@@ -2062,7 +2062,6 @@ class DistributedExecutor(_OutOfProcessExecutor):
                         batch.append(extra)
                 for item in batch:
                     item.attempts += 1
-                    item.acked = False
                     worker.inflight[(item.session.session_id, item.key)] = item
             frames = tuple(
                 ("task", item.session.session_id, item.key, item.payload)
@@ -2159,11 +2158,7 @@ class DistributedExecutor(_OutOfProcessExecutor):
                 if message is None:
                     break
                 worker.last_seen = time.monotonic()
-                # A worker batches its acks for a batched dispatch into one
-                # ("batch", ...) frame; unwrap and handle each inner message.
-                inner = message[1] if message[0] == "batch" else (message,)
-                for item in inner:
-                    self._handle_worker_message(worker, item)
+                self._handle_worker_message(worker, message)
         except Exception:  # noqa: BLE001 - transport error or malformed message
             pass
         self._worker_failed(worker)
@@ -2173,7 +2168,6 @@ class DistributedExecutor(_OutOfProcessExecutor):
     #: Registration is read before the receive loop starts; a kind missing
     #: here is a protocol violation that ends the connection.
     _WORKER_MESSAGES = {
-        "ack": "_on_ack",
         "result": "_task_finished",
         "error": "_task_finished",
         "fetch": "_on_fetch",
@@ -2182,13 +2176,6 @@ class DistributedExecutor(_OutOfProcessExecutor):
 
     def _handle_worker_message(self, worker: _WorkerHandle, message: Any) -> None:
         getattr(self, self._WORKER_MESSAGES[message[0]])(worker, message)
-
-    def _on_ack(self, worker: _WorkerHandle, message: Any) -> None:
-        _, _, session_id, key = message
-        with self._lock:
-            task = worker.inflight.get((session_id, key))
-            if task is not None:
-                task.acked = True
 
     def _on_fetch(self, worker: _WorkerHandle, message: Any) -> None:
         # Answered on the I/O pool (inline without one): a slow store read
@@ -2347,9 +2334,8 @@ class DistributedExecutor(_OutOfProcessExecutor):
         """Retire a dead worker; requeue or fail its in-flight tasks.
 
         With pipelining a death can orphan several tasks at once — the one
-        the worker was executing (acked) plus the ones queued on its
-        connection (acked or not yet).  Each orphan is requeued exactly
-        once, at the front of the queue in its original dispatch order; the
+        the worker was executing plus the ones queued on its connection.
+        Each orphan is requeued exactly once, at the front of the queue in its original dispatch order; the
         ``task.done`` guard and the ``inflight.pop`` in ``_task_finished``
         ensure a straggler reply from a worker wrongly declared dead can
         never retire a task a second time.
@@ -2394,17 +2380,12 @@ class DistributedExecutor(_OutOfProcessExecutor):
         if worker.process is not None and not worker.process.is_alive():
             worker.process.join(timeout=0.1)
         for task in failures:
-            # The per-task ack records *delivery*: the worker's reader acks a
-            # pipelined task on receipt, possibly before execution starts, so
-            # an acked task was at least handed over (and may have been
-            # running) while an unacked one provably never reached the worker.
-            phase = "after receiving it" if task.acked else "before receiving it"
             self._complete(
                 task,
                 None,
                 ExecutionError(
                     f"distributed task {task.key!r} failed after {task.attempts} "
-                    f"dispatch attempt(s): worker {worker.worker_id!r} died {phase} and "
+                    f"dispatch attempt(s): worker {worker.worker_id!r} died holding it and "
                     f"{'no retry budget remains' if task.attempts >= _MAX_TASK_ATTEMPTS else 'no worker survives to retry it'}"
                 ),
             )

@@ -88,7 +88,7 @@ FRAME_MAGIC = b"HX"
 #: and the only one it accepts.  Bump on any change to the frame layout
 #: *or* to the message tuples exchanged inside frames (history in
 #: ``docs/architecture.md``).
-PROTOCOL_VERSION = 6
+PROTOCOL_VERSION = 7
 
 #: Upper bound on a single frame's payload (1 GiB).  A length above this is
 #: treated as a corrupt header rather than an allocation request.

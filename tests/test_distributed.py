@@ -22,6 +22,11 @@ pieces the other executors do not have:
   ``pipeline_depth`` tasks; killing a worker with one in-flight and one
   queued pipelined task requeues both exactly once (no duplicate
   completions) and still matches the inline reference.
+* **Stage dispatch** — a chain of computed nodes (each the only consumer
+  of the one before) travels as one task: chains are detected as
+  specified, the engine submits one payload per chain, a mid-chain
+  failure names its node, a requeued chain completes every node once, and
+  storage stays exactly equal across the executor matrix.
 * **Artifact FETCH lane** — store-resident inputs ship as
   :class:`ArtifactRef` placeholders that workers resolve from the
   coordinator's bound store; a missing artifact fails the task with a
@@ -55,7 +60,7 @@ import pytest
 
 import repro.execution.executors as executors_module
 from repro.core.dag import Node, WorkflowDAG
-from repro.core.operators import Operator
+from repro.core.operators import Operator, RunContext
 from repro.core.signatures import compute_node_signatures
 from repro.exceptions import ExecutionError, OperatorError, ProtocolError
 from repro.execution.clock import SimulatedCostModel
@@ -76,7 +81,7 @@ from repro.execution.executors import (
 )
 from repro.experiments.runner import run_lifecycle
 from repro.optimizer.metrics import StatsStore
-from repro.optimizer.oep import solve_oep
+from repro.optimizer.oep import ExecutionPlan, NodeState, solve_oep
 from repro.optimizer.omp import StreamingMaterializationPolicy
 from repro.storage import canonical
 from repro.storage.serialization import (
@@ -95,9 +100,9 @@ from repro.storage.serialization import (
 )
 from repro.storage.store import InMemoryStore
 from repro.systems.helix import HelixSystem
-from repro.workloads.synthetic import make_random_dag, make_wide_dag
+from repro.workloads.synthetic import make_cpu_dag, make_random_dag, make_wide_dag
 
-from conftest import UNPICKLED, UnpickleTripwire
+from conftest import UNPICKLED, ConstOperator, FailingOperator, SumOperator, UnpickleTripwire
 
 INF = float("inf")
 
@@ -120,6 +125,13 @@ class InterruptOperator(Operator):
 
     def run(self, inputs, context):
         raise KeyboardInterrupt
+
+
+def _task_payload(*nodes, inputs=()):
+    """One serialized task as the engine ships it: a chain of ``(name,
+    operator)`` nodes in order, whose head runs on ``inputs``."""
+    names, operators = zip(*nodes)
+    return serialize((names, operators, list(inputs), RunContext()))
 
 
 def _all_compute_plan(dag: WorkflowDAG):
@@ -398,7 +410,7 @@ class TestWireProtocolV4:
     def test_send_and_recv_round_trip_and_end_of_stream(self):
         """``recv_message`` returns exactly the message sent, and ``None``
         once the peer closes at a frame boundary."""
-        message = ("ack", "w0", "s0", "n0")
+        message = ("fetch", "w0", "s0", "sig")
         left, right = socket.socketpair()
         try:
             send_message(left, message)
@@ -468,35 +480,28 @@ class TestWireProtocolV4:
         with pytest.raises(ProtocolError, match="unknown type tag"):
             deserialize(bytes(packed))
 
-    def test_worker_acks_a_batch_with_one_batched_frame(self):
-        """A ``("batch", ...)`` dispatch is acked in one batched frame; an
-        empty envelope is a no-op; a later single task acks singly."""
-        from repro.core.operators import RunContext
+    def test_worker_runs_a_batch_in_lane_order_without_acks(self):
+        """A ``("batch", ...)`` dispatch is answered by one ``result`` per
+        task, in lane order, and nothing else; an empty envelope is a
+        no-op; a later single task is answered the same way."""
         from repro.workloads.synthetic import LatencyOperator
 
         _server, coordinator, thread = _scripted_worker("bw")
 
         def _task(key):
-            payload = serialize((key, LatencyOperator(offset=1.0), [], RunContext()))
+            payload = _task_payload((key, LatencyOperator(offset=1.0)))
             return ("task", "s0", key, payload)
 
         try:
             register = recv_message(coordinator)
             assert register[0] == "register"
             send_message(coordinator, ("batch", (_task("k1"), _task("k2"))))
-            acks = recv_message(coordinator)
-            assert acks == (
-                "batch",
-                (("ack", "bw", "s0", "k1"), ("ack", "bw", "s0", "k2")),
-            )
-            results = [recv_message(coordinator) for _ in range(2)]
+            results = [_next_nonbeat(coordinator) for _ in range(2)]
             assert [m[0] for m in results] == ["result", "result"]
             assert [m[2] for m in results] == ["k1", "k2"]  # lane stays FIFO
             send_message(coordinator, ("batch", ()))  # boundary: empty batch
             send_message(coordinator, _task("k3"))
-            ack = recv_message(coordinator)
-            assert ack == ("ack", "bw", "s0", "k3")
-            assert recv_message(coordinator)[2] == "k3"
+            assert _next_nonbeat(coordinator)[:3] == ("result", "s0", "k3")
             send_message(coordinator, ("shutdown",))
             thread.join(timeout=5)
             assert not thread.is_alive()
@@ -625,7 +630,6 @@ class TestWireProtocolV4:
         """Queued small tasks for the same worker coalesce into a
         ``("batch", ...)`` frame — and the run still completes exactly."""
         import repro.execution.executors as executors_module
-        from repro.core.operators import RunContext
         from repro.workloads.synthetic import LatencyOperator
 
         original = executors_module.send_message
@@ -645,7 +649,7 @@ class TestWireProtocolV4:
             operator = LatencyOperator(offset=1.0)
             for index in range(4):
                 executor.submit_payload(
-                    f"n{index}", serialize((f"n{index}", operator, [], RunContext()))
+                    f"n{index}", _task_payload((f"n{index}", operator))
                 )
             keys = sorted(executor.next_completion()[0] for _ in range(4))
             assert keys == ["n0", "n1", "n2", "n3"]
@@ -761,7 +765,6 @@ class TestWorkerFailureHandling:
         """A payload the transport cannot frame (e.g. over the frame limit)
         must fail *that task* — not kill the dispatcher thread or the worker."""
         import repro.execution.executors as executors_module
-        from repro.core.operators import RunContext
         from repro.workloads.synthetic import LatencyOperator
 
         original = executors_module.send_message
@@ -782,11 +785,11 @@ class TestWorkerFailureHandling:
             assert "could not be sent" in str(error)
             # the dispatcher and worker both survived: a good task completes
             executor.submit_payload(
-                "good", serialize(("good", LatencyOperator(offset=1.0), [], RunContext()))
+                "good", _task_payload(("good", LatencyOperator(offset=1.0)))
             )
             key, outcome, error = executor.next_completion()
             assert key == "good" and error is None
-            assert outcome[0] == pytest.approx(1.0)
+            assert outcome[0][0] == pytest.approx(1.0)
             executor.finish_run()
         finally:
             executor.shutdown()
@@ -800,7 +803,6 @@ class TestWorkerFailureHandling:
         instead of dying and burning retry attempts (workers are forked, so
         the patch applied before start() is inherited)."""
         import repro.execution.executors as executors_module
-        from repro.core.operators import RunContext
         from repro.exceptions import OperatorError
         from repro.workloads.synthetic import LatencyOperator
 
@@ -816,7 +818,7 @@ class TestWorkerFailureHandling:
         executor.start()  # fork happens with the patch in place
         try:
             executor.submit_payload(
-                "huge", serialize(("huge", LatencyOperator(offset=1.0), [], RunContext()))
+                "huge", _task_payload(("huge", LatencyOperator(offset=1.0)))
             )
             key, _, error = executor.next_completion()
             assert key == "huge"
@@ -829,11 +831,191 @@ class TestWorkerFailureHandling:
 
 
 # ---------------------------------------------------------------------------
+# Stage dispatch: a chain of computed nodes travels as one task
+# ---------------------------------------------------------------------------
+#: Operators a chain's worker ran, in order (forked workers keep their own
+#: copy, so only in-process calls of ``run_serialized_task`` read it).
+RAN = []
+
+
+class RecordingOperator(Operator):
+    """Records its tag in :data:`RAN` and returns its input plus one."""
+
+    def __init__(self, tag):
+        self.tag = tag
+
+    def config(self):
+        return {"tag": self.tag}
+
+    def run(self, inputs, context):
+        RAN.append(self.tag)
+        return inputs[0] + 1.0
+
+
+def _chains(dag, plan):
+    """The engine's chains of ``dag`` under ``plan``, keyed by head."""
+    order = _engine_for()._execution_order(dag, plan)
+    consumers = ExecutionEngine._consumer_counts(dag, set(order))
+    return ExecutionEngine._find_chains(dag, plan, order, consumers)
+
+
+def _chain_shapes_dag():
+    """Every chain-detection case in one DAG (see ``test_chain_detection``)."""
+    return WorkflowDAG([
+        Node.create("a", ConstOperator(1)),
+        Node.create("b", SumOperator(), ["a"]),
+        Node.create("c", SumOperator(), ["b"]),  # b fans out to c, d
+        Node.create("d", SumOperator(), ["b"]),
+        Node.create("e", SumOperator(), ["c"]),
+        Node.create("f", SumOperator(), ["d", "e"]),  # fan-in
+        Node.create("g", SumOperator(), ["f"], is_output=True),  # mid-chain
+        Node.create("h", SumOperator(), ["g"], is_output=True),
+        Node.create("l", ConstOperator(2)),  # loaded in test_chain_detection
+        Node.create("m", SumOperator(), ["l"]),
+        Node.create("n", SumOperator(), ["m"], is_output=True),
+        Node.create("p", ConstOperator(3)),
+        Node.create("q", SumOperator(), ["p", "p"], is_output=True),
+        Node.create("z", ConstOperator(4), is_output=True),
+    ])
+
+
+class TestStageDispatch:
+    def test_chain_detection(self):
+        """Links need a computed parent whose only executing consumer is a
+        child with exactly that one parent: fan-out and fan-in break a
+        chain, a LOAD parent or a parent listed twice heads a new one, an
+        output node chains through, and a lone node is a chain of one."""
+        dag = _chain_shapes_dag()
+        states = {name: NodeState.COMPUTE for name in dag.node_names}
+        states["l"] = NodeState.LOAD
+        assert _chains(dag, ExecutionPlan(states, 0.0)) == {
+            "a": ["a", "b"],
+            "c": ["c", "e"],
+            "d": ["d"],
+            "f": ["f", "g", "h"],
+            "m": ["m", "n"],
+            "p": ["p"],
+            "q": ["q"],
+            "z": ["z"],
+        }
+
+    def test_chain_shapes_match_across_the_executor_matrix(self):
+        """The same shapes, computed and then reused, give identical run
+        statistics and storage on every executor."""
+        assert_executors_equivalent(_chain_shapes_dag())
+
+    def test_one_submission_per_chain(self, monkeypatch):
+        """Fig 7's CPU DAG is a source, ``branches`` chains and a sink: the
+        engine submits exactly one payload per chain, keyed by its head,
+        and still matches the inline reference."""
+        dag = make_cpu_dag(branches=4, depth=3, spin=200)
+        signatures = compute_node_signatures(dag)
+        plan = _all_compute_plan(dag)
+        chains = _chains(dag, plan)
+        assert len(chains) == 4 + 2
+        reference = _engine_for().execute(dag, plan, signatures)
+
+        executor = DistributedExecutor(max_workers=2)
+        submitted = []
+        original = executor.submit_payload
+
+        def counting(key, payload):
+            submitted.append(key)
+            original(key, payload)
+
+        monkeypatch.setattr(executor, "submit_payload", counting)
+        try:
+            stats = _engine_for(executor).execute(dag, plan, signatures)
+        finally:
+            executor.shutdown()
+        assert sorted(submitted) == sorted(chains)
+        assert_equivalent_runs(reference, stats)
+
+    def test_worker_runs_a_chain_in_order_and_times_each_node(self):
+        RAN.clear()
+        reply = deserialize(
+            run_serialized_task(
+                _task_payload(
+                    ("x", RecordingOperator("x")),
+                    ("y", RecordingOperator("y")),
+                    ("z", RecordingOperator("z")),
+                    inputs=[1.0],
+                )
+            )
+        )
+        assert RAN == ["x", "y", "z"]
+        assert [value for value, _ in reply] == [2.0, 3.0, 4.0]
+        assert all(seconds >= 0.0 for _, seconds in reply)
+
+    def test_failure_mid_chain_names_that_node_and_stops(self):
+        RAN.clear()
+        payload = _task_payload(
+            ("x", RecordingOperator("x")),
+            ("boom", FailingOperator()),
+            ("z", RecordingOperator("z")),
+            inputs=[1.0],
+        )
+        with pytest.raises(OperatorError) as caught:
+            run_serialized_task(payload)
+        assert caught.value.node_name == "boom"
+        assert RAN == ["x"]  # the node after the failure never ran
+
+    def test_failure_mid_chain_surfaces_from_the_engine(self):
+        dag = WorkflowDAG([
+            Node.create("a", ConstOperator(1)),
+            Node.create("boom", FailingOperator(), ["a"]),
+            Node.create("c", SumOperator(), ["boom"], is_output=True),
+        ])
+        plan = _all_compute_plan(dag)
+        assert _chains(dag, plan) == {"a": ["a", "boom", "c"]}
+        executor = DistributedExecutor(max_workers=1)
+        try:
+            with pytest.raises(OperatorError) as caught:
+                _engine_for(executor).execute(dag, plan, compute_node_signatures(dag))
+        finally:
+            executor.shutdown()
+        assert caught.value.node_name == "boom"
+        assert "intentional failure" in str(caught.value)
+
+    def test_killing_a_worker_mid_chain_completes_every_node_once(self):
+        """A requeued chain re-runs whole on the survivor; each node still
+        completes exactly once and the run matches inline."""
+        dag = make_wide_dag(branches=4, depth=3, node_seconds=0.05)
+        signatures = compute_node_signatures(dag)
+        plan = _all_compute_plan(dag)
+        assert max(len(chain) for chain in _chains(dag, plan).values()) == 3
+        reference = _engine_for().execute(dag, plan, signatures)
+
+        executor = DistributedExecutor(max_workers=2)
+        engine = _engine_for(executor)
+        executor.start()  # pre-start so a victim pid exists before execute
+        try:
+            victim = next(iter(executor.worker_pids().values()))
+            killer = threading.Timer(0.15, lambda: os.kill(victim, signal.SIGKILL))
+            killer.start()
+            stats = engine.execute(dag, plan, signatures)
+            killer.join()
+            assert len(executor.worker_pids()) == 1  # the kill landed mid-run
+            assert executor._results.empty()  # no duplicate completion
+            assert list(stats.node_times) == list(reference.node_times)
+            assert_equivalent_runs(reference, stats, include_times=False)
+        finally:
+            executor.shutdown()
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_matrix_storage_exactly_equal_on_random_dags_with_chains(self, seed):
+        """The matrix harness compares storage bytes with exact equality."""
+        dag = make_random_dag(seed, max_width=2, max_depth=6, edge_probability=0.1)
+        chains = _chains(dag, _all_compute_plan(dag))
+        assert max(len(chain) for chain in chains.values()) >= 2
+        assert_executors_equivalent(dag)
+
+
+# ---------------------------------------------------------------------------
 # Drain and shutdown
 # ---------------------------------------------------------------------------
 class TestDrainAndShutdown:
     def test_finish_run_drains_without_releasing_workers(self):
-        from repro.core.operators import RunContext
         from repro.workloads.synthetic import LatencyOperator
 
         executor = DistributedExecutor(max_workers=2)
@@ -842,7 +1024,7 @@ class TestDrainAndShutdown:
             operator = LatencyOperator(offset=1.0, sleep_seconds=0.05)
             for index in range(4):
                 executor.submit_payload(
-                    f"n{index}", serialize((f"n{index}", operator, [], RunContext()))
+                    f"n{index}", _task_payload((f"n{index}", operator))
                 )
             keys = sorted(executor.next_completion()[0] for _ in range(4))
             executor.finish_run()
@@ -1093,15 +1275,14 @@ class TestRemoteWorkers:
             address = f"{match.group(1)}:{match.group(2)}"
             executor = DistributedExecutor(workers=[address])
             executor.start()
-            from repro.core.operators import RunContext
             from repro.workloads.synthetic import LatencyOperator
 
             executor.submit_payload(
-                "n0", serialize(("n0", LatencyOperator(offset=3.0), [], RunContext()))
+                "n0", _task_payload(("n0", LatencyOperator(offset=3.0)))
             )
             key, outcome, error = executor.next_completion()
             assert (key, error) == ("n0", None)
-            assert outcome[0] == pytest.approx(3.0)
+            assert outcome[0][0] == pytest.approx(3.0)
             executor.finish_run()
             executor.shutdown()
             assert process.wait(timeout=10) == 0  # one session served, clean exit
@@ -1121,9 +1302,8 @@ class TestPipelinedDispatch:
         assert DistributedExecutor(max_workers=1, pipeline_depth=1).pipeline_depth == 1
 
     def test_tasks_stack_up_to_depth_on_one_worker(self):
-        """With one worker and depth 2, a second task is dispatched (and
-        acked by the worker's reader thread) while the first executes."""
-        from repro.core.operators import RunContext
+        """With one worker and depth 2, a second task is dispatched onto
+        the worker's connection while the first executes."""
         from repro.workloads.synthetic import LatencyOperator
 
         executor = DistributedExecutor(max_workers=1, pipeline_depth=2)
@@ -1132,7 +1312,7 @@ class TestPipelinedDispatch:
             operator = LatencyOperator(offset=1.0, sleep_seconds=0.3)
             for index in range(3):
                 executor.submit_payload(
-                    f"n{index}", serialize((f"n{index}", operator, [], RunContext()))
+                    f"n{index}", _task_payload((f"n{index}", operator))
                 )
             deadline = time.monotonic() + 5
             peak = 0
@@ -1153,7 +1333,6 @@ class TestPipelinedDispatch:
     def test_kill_worker_with_pipelined_tasks_requeues_each_exactly_once(self):
         """A dead worker orphans its executing task *and* its queued
         pipelined task; both must complete exactly once on the survivor."""
-        from repro.core.operators import RunContext
         from repro.workloads.synthetic import LatencyOperator
 
         executor = DistributedExecutor(max_workers=2, pipeline_depth=2)
@@ -1162,7 +1341,7 @@ class TestPipelinedDispatch:
             for index in range(4):
                 operator = LatencyOperator(offset=float(index), sleep_seconds=0.4)
                 executor.submit_payload(
-                    f"n{index}", serialize((f"n{index}", operator, [], RunContext()))
+                    f"n{index}", _task_payload((f"n{index}", operator))
                 )
             # wait until some worker holds a full pipeline window (one task
             # executing + one queued on its connection), then kill it
@@ -1187,7 +1366,7 @@ class TestPipelinedDispatch:
             for key, outcome, error in completions:
                 assert error is None, f"task {key} failed: {error}"
                 assert key not in by_key, f"task {key} completed twice"
-                by_key[key] = outcome[0]
+                by_key[key] = outcome[0][0]
             # every task ran to its correct value despite the requeue
             assert by_key == {f"n{i}": pytest.approx(float(i)) for i in range(4)}
             assert len(executor.worker_pids()) == 1
@@ -1227,12 +1406,11 @@ class TestArtifactFetchLane:
         assert repr(ref) == "ArtifactRef('sig-1')"
 
     def test_ref_without_resolver_fails_typed(self):
-        from repro.core.operators import RunContext
         from repro.exceptions import OperatorError
         from repro.workloads.synthetic import LatencyOperator
 
-        payload = serialize(
-            ("n0", LatencyOperator(offset=1.0), [ArtifactRef("sig")], RunContext())
+        payload = _task_payload(
+            ("n0", LatencyOperator(offset=1.0)), inputs=[ArtifactRef("sig")]
         )
         with pytest.raises(OperatorError, match="no fetch lane"):
             run_serialized_task(payload)
@@ -1240,7 +1418,6 @@ class TestArtifactFetchLane:
     def test_fetched_input_feeds_the_operator(self):
         """A store-resident input shipped as a ref is fetched, deserialized
         and fed to the operator exactly like an inline value."""
-        from repro.core.operators import RunContext
         from repro.workloads.synthetic import LatencyOperator
 
         store = InMemoryStore()
@@ -1252,19 +1429,18 @@ class TestArtifactFetchLane:
             executor.start()
             executor.submit_payload(
                 "child",
-                serialize(
-                    ("child", LatencyOperator(offset=1.0), [ArtifactRef("sig-parent")], RunContext())
+                _task_payload(
+                    ("child", LatencyOperator(offset=1.0)), inputs=[ArtifactRef("sig-parent")]
                 ),
             )
             key, outcome, error = executor.next_completion()
             assert (key, error) == ("child", None)
-            assert outcome[0] == pytest.approx(22.0)  # offset + fetched 21.0
+            assert outcome[0][0] == pytest.approx(22.0)  # offset + fetched 21.0
             executor.finish_run()
         finally:
             executor.shutdown()
 
     def test_missing_artifact_fails_task_not_worker(self):
-        from repro.core.operators import RunContext
         from repro.exceptions import OperatorError
         from repro.workloads.synthetic import LatencyOperator
 
@@ -1274,8 +1450,8 @@ class TestArtifactFetchLane:
             executor.start()
             executor.submit_payload(
                 "bad",
-                serialize(
-                    ("bad", LatencyOperator(offset=1.0), [ArtifactRef("nope")], RunContext())
+                _task_payload(
+                    ("bad", LatencyOperator(offset=1.0)), inputs=[ArtifactRef("nope")]
                 ),
             )
             key, _, error = executor.next_completion()
@@ -1284,11 +1460,11 @@ class TestArtifactFetchLane:
             assert "no stored artifact" in str(error)
             # the worker survived the failed fetch and still serves tasks
             executor.submit_payload(
-                "good", serialize(("good", LatencyOperator(offset=2.0), [], RunContext()))
+                "good", _task_payload(("good", LatencyOperator(offset=2.0)))
             )
             key, outcome, error = executor.next_completion()
             assert (key, error) == ("good", None)
-            assert outcome[0] == pytest.approx(2.0)
+            assert outcome[0][0] == pytest.approx(2.0)
             executor.finish_run()
         finally:
             executor.shutdown()
@@ -1346,35 +1522,32 @@ def _next_nonbeat(coordinator):
 class TestArtifactPlane:
     def test_cache_miss_fetches_from_coordinator_then_hits_cache(self):
         """A miss in the worker's cache tier costs exactly one coordinator
-        round trip: the first frame after the ack is the ``fetch`` itself.
+        round trip: the first frame after the task is the ``fetch`` itself.
         A second task needing the same signature resolves from the cache
         and sends no fetch at all."""
-        from repro.core.operators import RunContext
         from repro.workloads.synthetic import LatencyOperator
 
         server, coordinator, thread = _scripted_worker("pf")
 
         def _send_task(key):
-            payload = serialize(
-                (key, LatencyOperator(offset=1.0), [ArtifactRef("sigF")], RunContext())
+            payload = _task_payload(
+                (key, LatencyOperator(offset=1.0)), inputs=[ArtifactRef("sigF")]
             )
             send_frame(coordinator, serialize(("task", "s1", key, payload)))
 
         try:
             assert _next_nonbeat(coordinator)[0] == "register"
             _send_task("k1")
-            assert _next_nonbeat(coordinator) == ("ack", "pf", "s1", "k1")
             assert _next_nonbeat(coordinator) == ("fetch", "pf", "s1", "sigF")
             send_frame(coordinator, serialize(("artifact", "s1", "sigF", serialize(20.0))))
             result = _next_nonbeat(coordinator)
             assert result[:3] == ("result", "s1", "k1")
-            assert deserialize(result[3])[0] == pytest.approx(21.0)
+            assert deserialize(result[3])[0][0] == pytest.approx(21.0)
 
             _send_task("k2")
-            assert _next_nonbeat(coordinator) == ("ack", "pf", "s1", "k2")
             result = _next_nonbeat(coordinator)  # no fetch in between
             assert result[:3] == ("result", "s1", "k2")
-            assert deserialize(result[3])[0] == pytest.approx(21.0)
+            assert deserialize(result[3])[0][0] == pytest.approx(21.0)
             stats = server.cache.stats()
             assert stats["coordinator_fetches"] == 1
             assert stats["cache_hits"] == 1
@@ -1388,16 +1561,15 @@ class TestArtifactPlane:
 
     def test_v4_coordinator_gets_no_artifact_plane_frames(self):
         """A v4-stamped frame is refused, not negotiated down to: the
-        worker ends that session at once — no ack, no fetch — so a v4
+        worker ends that session at once — no fetch, no result — so a v4
         coordinator never sees an artifact-plane frame."""
-        from repro.core.operators import RunContext
         from repro.workloads.synthetic import LatencyOperator
 
         server, coordinator, thread = _scripted_worker("pv4")
         try:
             assert _next_nonbeat(coordinator)[0] == "register"
-            payload = serialize(
-                ("k", LatencyOperator(offset=1.0), [ArtifactRef("sigV")], RunContext())
+            payload = _task_payload(
+                ("k", LatencyOperator(offset=1.0)), inputs=[ArtifactRef("sigV")]
             )
             coordinator.sendall(_frame_at(4, serialize(("task", "s1", "k", payload))))
             coordinator.settimeout(10.0)  # fail, don't hang, if never closed
@@ -1528,15 +1700,18 @@ class TestReviewRegressions:
             executor.start()  # still strict: raises, does not warn
         executor.shutdown()
 
-    def test_worker_death_phase_reports_delivery_not_execution(self, monkeypatch):
-        """Pipelined tasks are acked on *receipt*, so failure messages talk
-        about delivery ('receiving'), never claim the operator was running."""
+    def test_worker_death_error_names_worker_and_attempts(self, monkeypatch):
+        """A task whose worker dies with no retry budget left fails naming
+        the task, its dispatch attempts and the worker that held it."""
         dag = WorkflowDAG([Node.create("boom", WorkerSuicideOperator(), is_output=True)])
         monkeypatch.setattr(executors_module, "_MAX_TASK_ATTEMPTS", 1)
         executor = DistributedExecutor(max_workers=1)
         engine = _engine_for(executor)
         try:
-            with pytest.raises(ExecutionError, match="receiving it"):
+            with pytest.raises(
+                ExecutionError,
+                match=r"task 'boom' failed after 1 dispatch attempt\(s\): worker 'w\d+' died holding it",
+            ):
                 engine.execute(dag, _all_compute_plan(dag), compute_node_signatures(dag))
         finally:
             executor.shutdown()
@@ -1546,7 +1721,6 @@ class TestReviewRegressions:
         back as a task error AND still tear the worker loop down — the old
         ``BaseException``-and-continue handler pickled a Ctrl-C into a mere
         task error, leaving behind a worker that refused to die."""
-        from repro.core.operators import RunContext
 
         # a real TCP pair: the worker loop sets TCP_NODELAY, which an
         # AF_UNIX socketpair would reject
@@ -1570,7 +1744,7 @@ class TestReviewRegressions:
         try:
             register = deserialize(recv_frame(coordinator))
             assert register[0] == "register" and register[1] == "t0"
-            payload = serialize(("boom", InterruptOperator(), [], RunContext()))
+            payload = _task_payload(("boom", InterruptOperator()))
             send_frame(coordinator, serialize(("task", "s0", "boom", payload)))
             frames = []
             while True:
@@ -1583,8 +1757,8 @@ class TestReviewRegressions:
             thread.join(timeout=5)
             assert not thread.is_alive()
             # the failure was reported best-effort before the loop died...
-            assert [m[0] for m in frames] == ["ack", "error"], frames
-            _, session, key, error = frames[1]
+            assert [m[0] for m in frames] == ["error"], frames
+            _, session, key, error = frames[0]
             assert (session, key) == ("s0", "boom")
             assert type(error) is KeyboardInterrupt  # the interrupt keeps its class
             # ...and the interrupt still propagated out of the serve loop
@@ -1601,14 +1775,13 @@ class TestReviewRegressions:
         Observable on the wire: a re-fetch after the close produces **no**
         ``fetch`` frame at all — the task resolves straight from
         the surviving cache."""
-        from repro.core.operators import RunContext
         from repro.workloads.synthetic import LatencyOperator
 
         server, coordinator, thread = _scripted_worker("t1")
 
         def _send_task(key, session="s1"):
-            payload = serialize(
-                (key, LatencyOperator(offset=1.0), [ArtifactRef("sigA")], RunContext())
+            payload = _task_payload(
+                (key, LatencyOperator(offset=1.0)), inputs=[ArtifactRef("sigA")]
             )
             send_frame(coordinator, serialize(("task", session, key, payload)))
 
@@ -1624,12 +1797,10 @@ class TestReviewRegressions:
             assert _next_nonbeat(coordinator)[0] == "register"
             # first task populates the artifact tier via a fetch round trip
             _send_task("k1")
-            assert _next_nonbeat(coordinator)[0] == "ack"
             _serve_fetch()
             assert _next_nonbeat(coordinator)[0] == "result"
             # second task is served from the cache: no fetch frame appears
             _send_task("k2")
-            assert _next_nonbeat(coordinator)[0] == "ack"
             assert _next_nonbeat(coordinator)[0] == "result"
             # after close_session the cache survives: still no fetch frame,
             # even from a *different* session (content addressing makes the
@@ -1638,7 +1809,6 @@ class TestReviewRegressions:
             # which _next_nonbeat skips)
             send_frame(coordinator, serialize(("close_session", "s1")))
             _send_task("k3", session="s2")
-            assert _next_nonbeat(coordinator)[0] == "ack"
             assert _next_nonbeat(coordinator)[0] == "result"
             send_frame(coordinator, serialize(("shutdown",)))
             thread.join(timeout=5)
@@ -1923,7 +2093,6 @@ class TestFetchTimeoutAndReplyFraming:
         """A coordinator that never answers a fetch fails *that task* after
         ``fetch_timeout`` with an error naming the node and the artifact;
         the worker survives and serves the same ref once answers resume."""
-        from repro.core.operators import RunContext
         from repro.exceptions import OperatorError
         from repro.workloads.synthetic import LatencyOperator
 
@@ -1946,8 +2115,8 @@ class TestFetchTimeoutAndReplyFraming:
             executor.start()
             executor.submit_payload(
                 "child",
-                serialize(
-                    ("child", LatencyOperator(offset=1.0), [ArtifactRef("sig-parent")], RunContext())
+                _task_payload(
+                    ("child", LatencyOperator(offset=1.0)), inputs=[ArtifactRef("sig-parent")]
                 ),
             )
             key, _, error = executor.next_completion()
@@ -1960,13 +2129,13 @@ class TestFetchTimeoutAndReplyFraming:
             dropping["on"] = False
             executor.submit_payload(
                 "child2",
-                serialize(
-                    ("child2", LatencyOperator(offset=1.0), [ArtifactRef("sig-parent")], RunContext())
+                _task_payload(
+                    ("child2", LatencyOperator(offset=1.0)), inputs=[ArtifactRef("sig-parent")]
                 ),
             )
             key, outcome, error = executor.next_completion()
             assert (key, error) == ("child2", None)
-            assert outcome[0] == pytest.approx(22.0)
+            assert outcome[0][0] == pytest.approx(22.0)
             assert len(executor.worker_pids()) == 1
             executor.finish_run()
         finally:
@@ -2084,7 +2253,6 @@ class TestSessionMultiplexing:
         signatures, which is exactly what lets the worker's artifact tier
         span sessions — the same-signature case is the *sharing* test
         below, not a store-routing one.)"""
-        from repro.core.operators import RunContext
         from repro.workloads.synthetic import LatencyOperator
 
         fleet = DistributedExecutor(max_workers=1, fetch_inputs=True)
@@ -2100,13 +2268,13 @@ class TestSessionMultiplexing:
             for value, signature, session in sessions:  # A fully first, then B
                 session.submit_payload(
                     "child",
-                    serialize(
-                        ("child", LatencyOperator(offset=1.0), [ArtifactRef(signature)], RunContext())
+                    _task_payload(
+                        ("child", LatencyOperator(offset=1.0)), inputs=[ArtifactRef(signature)]
                     ),
                 )
                 key, outcome, error = session.next_completion()
                 assert (key, error) == ("child", None)
-                assert outcome[0] == pytest.approx(value + 1.0)
+                assert outcome[0][0] == pytest.approx(value + 1.0)
                 session.finish_run()
             for _, _, session in sessions:
                 session.shutdown()
@@ -2119,7 +2287,6 @@ class TestSessionMultiplexing:
         coordinator, the second is a cross-session cache hit — no second
         fetch reaches the coordinator, and the fleet's plane stats expose
         the reuse (the counter ``repro serve`` reports)."""
-        from repro.core.operators import RunContext
         from repro.workloads.synthetic import LatencyOperator
 
         fleet = DistributedExecutor(max_workers=1, fetch_inputs=True)
@@ -2142,8 +2309,9 @@ class TestSessionMultiplexing:
                     session.start()
                     session.submit_payload(
                         "child",
-                        serialize(
-                            ("child", LatencyOperator(offset=1.0), [ArtifactRef("sig-shared")], RunContext())
+                        _task_payload(
+                            ("child", LatencyOperator(offset=1.0)),
+                            inputs=[ArtifactRef("sig-shared")]
                         ),
                     )
                     key, outcome, error = session.next_completion()
@@ -2169,7 +2337,6 @@ class TestSessionMultiplexing:
         """Round-robin dispatch across sessions: a single-task session
         completes while a backlogged session still has queued work, instead
         of waiting behind the whole backlog."""
-        from repro.core.operators import RunContext
         from repro.workloads.synthetic import LatencyOperator
 
         fleet = DistributedExecutor(max_workers=1, pipeline_depth=1)
@@ -2182,10 +2349,10 @@ class TestSessionMultiplexing:
             slow = LatencyOperator(offset=1.0, sleep_seconds=0.15)
             for index in range(4):
                 busy.submit_payload(
-                    f"a{index}", serialize((f"a{index}", slow, [], RunContext()))
+                    f"a{index}", _task_payload((f"a{index}", slow))
                 )
             light.submit_payload(
-                "b0", serialize(("b0", LatencyOperator(offset=2.0), [], RunContext()))
+                "b0", _task_payload(("b0", LatencyOperator(offset=2.0)))
             )
 
             def _collect(session, count):

@@ -83,6 +83,16 @@ class TestNodeSignatures:
         assert double.config_signature() == scale("pkg_a.ops", 2).config_signature()
 
 
+class _Scaler:
+    """A plain class whose bound method is a feature function."""
+
+    def __init__(self, factor: float):
+        self.factor = factor
+
+    def apply(self, record):
+        return self.factor
+
+
 class TestCallableTokens:
     """A callable in an operator's config is named by its module too."""
 
@@ -121,6 +131,46 @@ class TestCallableTokens:
         from repro.core.operators import _callable_token
 
         assert _callable_token(str.upper).startswith("builtins.str.upper")
+
+    def test_bound_methods_are_keyed_by_their_receiver(self):
+        """``A(1).f`` and ``A(2).f`` share name and bytecode; only the
+        receiver tells them apart, so it is part of the token."""
+        from repro.core.operators import FunctionExtractor
+
+        assert (
+            FunctionExtractor("f", _Scaler(1.0).apply).config_signature()
+            != FunctionExtractor("f", _Scaler(2.0).apply).config_signature()
+        )
+        assert (
+            FunctionExtractor("f", _Scaler(1.0).apply).config_signature()
+            == FunctionExtractor("f", _Scaler(1.0).apply).config_signature()
+        )
+
+    def test_bound_builtin_methods_are_keyed_by_their_receiver(self):
+        from repro.core.operators import _callable_token
+
+        assert _callable_token([1].append) != _callable_token([2].append)
+        assert _callable_token([1].append) == _callable_token([1].append)
+
+    def test_module_and_class_receivers_keep_the_plain_name(self):
+        import math
+
+        from repro.core.operators import _callable_token
+
+        assert math.log.__self__ is math
+        assert _callable_token(math.log) == "math.log"
+        assert _callable_token(dict.fromkeys) == _callable_token(dict.fromkeys)
+
+    def test_receiver_without_a_codec_is_refused_by_name(self):
+        """A numpy ``Generator`` has no canonical encoding: its state
+        cannot key the token, so signing it raises rather than letting
+        ``default_rng(1).normal`` alias ``default_rng(2).normal``."""
+        import numpy as np
+
+        from repro.core.operators import FunctionExtractor
+
+        with pytest.raises(TypeError, match="Generator.normal"):
+            FunctionExtractor("f", np.random.default_rng(1).normal).config_signature()
 
 
 class TestCallableInstanceTokens:
