@@ -189,16 +189,19 @@ class WorkflowDAG:
         """Program slicing: keep only nodes that contribute to the outputs.
 
         Helix traverses the DAG backwards from the output nodes and prunes
-        away any node not visited (Section 5.4).  If no outputs are declared
-        the DAG is returned unchanged (nothing can be pruned safely).
+        away any node not visited (Section 5.4).  The DAG itself is returned
+        when every node is kept or no outputs are declared.
         """
         targets = tuple(outputs) if outputs is not None else self.outputs
-        if not targets:
+        keep: Set[str] = {self.node(target).name for target in targets}
+        stack = list(keep)
+        while stack:
+            for parent in self._nodes[stack.pop()].parents:
+                if parent not in keep:
+                    keep.add(parent)
+                    stack.append(parent)
+        if not targets or len(keep) == len(self._nodes):
             return self
-        keep: Set[str] = set()
-        for target in targets:
-            keep.add(target)
-            keep.update(self.ancestors(target))
         return WorkflowDAG(
             (self._nodes[name] for name in self._order if name in keep),
             name=self.name,

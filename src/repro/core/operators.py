@@ -31,10 +31,11 @@ import types
 import uuid
 import zlib
 from abc import ABC, abstractmethod
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, islice
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -127,11 +128,7 @@ def _callable_token(fn: Callable[..., Any]) -> str:
     """
     if isinstance(fn, functools.partial):
         # A partial's behaviour is its target plus the bound arguments.
-        bound = json.dumps(
-            [_normalize(list(fn.args)), _normalize(dict(fn.keywords))],
-            sort_keys=True,
-            default=str,
-        )
+        bound = _JSON.encode([_normalize(list(fn.args)), _normalize(dict(fn.keywords))])
         return (
             f"partial:{_callable_token(fn.func)}:"
             f"{hashlib.sha256(bound.encode()).hexdigest()[:16]}"
@@ -160,9 +157,7 @@ def _callable_token(fn: Callable[..., Any]) -> str:
         # which embeds the id) make the token instance-unique — losing reuse
         # but never serving a stale artifact.  Keep UDF state to scalars and
         # collections for reuse to work.
-        state = json.dumps(
-            _normalize(_instance_state(fn)), sort_keys=True, default=str
-        )
+        state = _JSON.encode(_normalize(_instance_state(fn)))
         state_digest = hashlib.sha256(state.encode()).hexdigest()[:16]
     parts: List[str] = [qualname]
     if state_digest is not None:
@@ -213,18 +208,30 @@ def _instance_state(obj: Any) -> Dict[str, Any]:
     return state
 
 
+#: Encodes exactly as ``json.dumps(v, sort_keys=True, default=str)``.
+_JSON = json.JSONEncoder(sort_keys=True, default=str)
+#: Exact types returned as they are, before any ABC check (not subclasses).
+_PLAIN_TYPES = frozenset({int, float, str, bool, type(None)})
+
+
 def _normalize(value: Any) -> Any:
     """Normalize configuration values so they can be hashed deterministically."""
+    kind = type(value)
+    if kind in _PLAIN_TYPES:
+        return value
+    # An exact dict skips both ABC checks; a callable mapping is a callable.
+    if kind is dict or (isinstance(value, Mapping) and not callable(value)):
+        return {str(k): _normalize(v) for k, v in sorted(value.items())}
     if callable(value):
         return _callable_token(value)
-    if isinstance(value, Mapping):
-        return {str(k): _normalize(v) for k, v in sorted(value.items())}
     if isinstance(value, (list, tuple)):
         return [_normalize(v) for v in value]
     if isinstance(value, (set, frozenset)):
         return sorted(_normalize(v) for v in value)
     if isinstance(value, np.ndarray):
-        return hashlib.sha256(value.tobytes()).hexdigest()
+        # dtype (``descr`` names structured fields too), shape, then the bytes.
+        header = f"{value.dtype.descr}{value.shape}".encode()
+        return hashlib.sha256(header + value.tobytes()).hexdigest()
     if isinstance(value, (int, float, str, bool)) or value is None:
         return value
     return repr(value)
@@ -302,8 +309,7 @@ class Operator(ABC):
                 nonce = uuid.uuid4().hex
                 setattr(self, "_instance_nonce", nonce)
             payload["nonce"] = nonce
-        encoded = json.dumps(payload, sort_keys=True, default=str).encode()
-        return hashlib.sha256(encoded).hexdigest()
+        return hashlib.sha256(_JSON.encode(payload).encode()).hexdigest()
 
     def estimated_cost(self, input_sizes: Sequence[int]) -> float:
         """Simulated compute cost (seconds) used by the simulated clock.

@@ -33,10 +33,13 @@ the memory-residency profile may differ.  Two mechanisms guarantee this:
 * **Deterministic retirement commits** — out-of-scope nodes are *committed*
   (streaming materialization decision, store write, eviction) by the
   scheduler in a fixed order: sorted by out-of-scope position in the
-  topological order, then by name.  Because the streaming policy's
-  cumulative run time (Definition 6) reads only the node's *ancestors* —
-  which have necessarily completed — and the storage-budget sequence is
-  fixed by the commit order, every decision matches bit for bit across
+  topological order, then by name.  The cumulative run time (Definition
+  6) sums the charged times of all executing ancestors, also those behind
+  pruned nodes, which a LOAD node under a pruned parent does not wait for;
+  so a commit also waits until they have all completed (the *ancestor
+  gate*, a no-op inline).  Ancestor sets are bitsets built in one pass per
+  run, each sum runs in topological order, and the storage-budget sequence
+  is fixed by the commit order: every decision matches bit for bit across
   executors.
 
 The contract is checkable with the harness in
@@ -68,6 +71,7 @@ from __future__ import annotations
 import heapq
 import time
 from functools import partial
+from itertools import compress
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.dag import WorkflowDAG
@@ -76,7 +80,6 @@ from ..exceptions import BudgetExceededError, ExecutionError, OperatorError
 from ..optimizer.metrics import StatsStore
 from ..optimizer.oep import ExecutionPlan, NodeState
 from ..optimizer.omp import MaterializationPolicy, NeverMaterialize
-from ..optimizer.pruning import out_of_scope_after
 from ..storage.serialization import ArtifactRef, estimate_size_bytes, serialize
 from ..storage.store import MaterializationStore
 from .cache import OperatorCache
@@ -93,6 +96,16 @@ __all__ = ["ExecutionEngine"]
 #: not once per iteration.  Bounded by a cap as a leak backstop.
 _PROCESS_SAFE_SIGNATURES: Set[str] = set()
 _PROCESS_SAFE_SIGNATURES_CAP = 50_000
+
+#: Maps the digits of ``bin()`` to the 0/1 selectors ``itertools.compress`` takes.
+_BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def cumulative_time(times: List[float], position: int, ancestors: int) -> float:
+    """Definition 6: ``times[position]`` plus ``times[i]`` over the set bits ``i`` of
+    ``ancestors`` (the node's executing ancestors), summed in topological order."""
+    selectors = bin(ancestors)[:1:-1].encode().translate(_BIT_SELECTORS)
+    return times[position] + sum(compress(times, selectors), 0.0)
 
 
 class ExecutionEngine:
@@ -151,22 +164,23 @@ class ExecutionEngine:
         order = self._execution_order(dag, plan)
         if not order:
             return self._finalize_run(stats, memory)
-        executing: Set[str] = set(order)
-        consumers = self._consumer_counts(dag, executing)
-        pending_parents = {
-            name: len({p for p in dag.node(name).parents if p in executing})
-            for name in order
-        }
+        topo_position = {name: index for index, name in enumerate(order)}
+        parents, children, ancestors = self._run_graph(dag, topo_position)
+        consumers = {name: len(children[name]) for name in order}
+        pending_parents = {name: len(parents[name]) for name in order}
+        # Charged times by topological position, and the completed nodes as
+        # a bitset over the same positions: Definition 6 and the ancestor gate.
+        times = [0.0] * len(order)
+        done, all_done = 0, (1 << len(order)) - 1
 
-        # The reference retirement sequence: out-of-scope position in the
-        # topological order, ties broken by name.  Commits follow this order
-        # exactly, whatever the executor (see module docstring).
-        scope = out_of_scope_after(dag, order)
+        # The reference retirement sequence: out-of-scope position (Definition
+        # 5) in the topological order, ties broken by name.  Commits follow this order exactly,
+        # whatever the executor (see module docstring).
+        scope = self._out_of_scope_positions(children, topo_position)
         retirement_order = sorted(order, key=lambda n: (scope[n], n))
         retire_index = 0
         out_of_scope: Set[str] = set()
 
-        completed: Set[str] = set()
         failure: Optional[BaseException] = None
 
         executor = self.executor
@@ -190,7 +204,6 @@ class ExecutionEngine:
         # synchronous executors take one task at a time so each value is
         # cached and retired before the next task runs — exactly the serial
         # reference walk, with its bounded memory profile.
-        topo_position = {name: index for index, name in enumerate(order)}
         ready: List[int] = [topo_position[n] for n in order if pending_parents[n] == 0]
         heapq.heapify(ready)
         in_flight = 0
@@ -205,7 +218,7 @@ class ExecutionEngine:
         try:
             executor.start()
             dispatch_ready()
-            while len(completed) < len(order):
+            while done != all_done:
                 name, outcome, error = executor.next_completion()
                 in_flight -= 1
                 if error is not None:
@@ -221,7 +234,8 @@ class ExecutionEngine:
                     stats.node_sizes[name] = size_bytes
                     if node.is_output:
                         stats.outputs[name] = value
-                    completed.add(name)
+                    times[topo_position[name]] = charged
+                    done |= 1 << topo_position[name]
                     memory.snapshot(self.cache.snapshot_bytes())
 
                     # Reference-count bookkeeping: this node consumed each of
@@ -229,21 +243,24 @@ class ExecutionEngine:
                     # immediately when it has no executing consumers.
                     if consumers[name] == 0:
                         out_of_scope.add(name)
-                    for parent in {p for p in node.parents if p in executing}:
+                    for parent in parents[name]:
                         if self.cache.release(parent):
                             out_of_scope.add(parent)
 
-                    for child in {c for c in dag.children(name) if c in executing}:
+                    for child in children[name]:
                         pending_parents[child] -= 1
                         if pending_parents[child] == 0 and child not in chained:
                             heapq.heappush(ready, topo_position[child])
 
-                while (
-                    retire_index < len(retirement_order)
-                    and retirement_order[retire_index] in out_of_scope
-                ):
+                while retire_index < len(retirement_order):
                     retired = retirement_order[retire_index]
-                    self._retire_node(dag, retired, signatures[retired], stats, iteration)
+                    mask = ancestors[retired]
+                    if retired not in out_of_scope or mask & done != mask:
+                        break
+                    cumulative = cumulative_time(times, topo_position[retired], mask)
+                    self._retire_node(
+                        dag, retired, signatures[retired], cumulative, stats, iteration
+                    )
                     memory.snapshot(self.cache.snapshot_bytes())
                     retire_index += 1
 
@@ -403,12 +420,38 @@ class ExecutionEngine:
         ]
 
     @staticmethod
-    def _consumer_counts(dag: WorkflowDAG, executing: Set[str]) -> Dict[str, int]:
-        """Number of executing consumers per executing node (scope refcounts)."""
-        return {
-            name: len({child for child in dag.children(name) if child in executing})
-            for name in executing
-        }
+    def _run_graph(
+        dag: WorkflowDAG, topo_position: Mapping[str, int]
+    ) -> Tuple[Dict[str, Tuple[str, ...]], Dict[str, List[str]], Dict[str, int]]:
+        """Executing parents and children (each once), and ancestor bitsets, in one pass.
+
+        Bit ``topo_position[a]`` of ``ancestors[n]`` is set when the executing
+        node ``a`` is an ancestor of ``n``, also through pruned nodes.
+        """
+        parents: Dict[str, Tuple[str, ...]] = {}
+        children: Dict[str, List[str]] = {name: [] for name in topo_position}
+        ancestors: Dict[str, int] = {}
+        for name in dag.topological_order():
+            declared = dag.node(name).parents
+            mask = 0
+            for parent in declared:
+                mask |= ancestors[parent]
+                if parent in topo_position:
+                    mask |= 1 << topo_position[parent]
+            ancestors[name] = mask
+            if name in topo_position:
+                parents[name] = tuple(p for p in dict.fromkeys(declared) if p in topo_position)
+                for parent in parents[name]:
+                    children[parent].append(name)
+        return parents, children, ancestors
+
+    @staticmethod
+    def _out_of_scope_positions(
+        children: Mapping[str, List[str]], topo_position: Mapping[str, int]
+    ) -> Dict[str, int]:
+        """Definition 5: the position of each executing node's last executing child
+        (``children`` lists them in topological order), or its own when it has none."""
+        return {n: topo_position[kids[-1] if kids else n] for n, kids in children.items()}
 
     @staticmethod
     def _restore_deterministic_order(
@@ -546,6 +589,7 @@ class ExecutionEngine:
         dag: WorkflowDAG,
         name: str,
         signature: str,
+        cumulative: float,
         stats: RunStats,
         iteration: int,
     ) -> None:
@@ -558,8 +602,7 @@ class ExecutionEngine:
         load_estimate = self.cost_model.estimate_io_cost(size_bytes)
         decision = self.policy.decide(
             name,
-            dag,
-            stats.node_times,
+            cumulative,
             load_estimate,
             size_bytes,
             self.store.remaining_budget(),

@@ -1,4 +1,4 @@
-"""Optimizers: execution-plan (OEP), materialization-plan (OMP) and pruning."""
+"""Optimizers: execution-plan (OEP) and materialization-plan (OMP)."""
 
 from .maxflow import INFINITY, FlowNetwork
 from .metrics import CostEstimator, NodeMetrics, StatsStore
@@ -9,10 +9,8 @@ from .omp import (
     MaterializationPolicy,
     NeverMaterialize,
     StreamingMaterializationPolicy,
-    cumulative_run_time,
     optimal_materialization_plan,
 )
-from .pruning import out_of_scope_after
 from .psp import Project, ProjectSelectionProblem, ProjectSelectionSolution
 
 __all__ = [
@@ -31,9 +29,7 @@ __all__ = [
     "MaterializationPolicy",
     "NeverMaterialize",
     "StreamingMaterializationPolicy",
-    "cumulative_run_time",
     "optimal_materialization_plan",
-    "out_of_scope_after",
     "Project",
     "ProjectSelectionProblem",
     "ProjectSelectionSolution",

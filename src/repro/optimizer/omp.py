@@ -21,6 +21,10 @@ This module implements the paper's policies:
   DAGs under the paper's simplifying assumption that ``W_{t+1} = W_t``; used
   by tests and the ablation benchmark to quantify the heuristic's optimality
   gap.
+
+A policy is handed ``C(n_i)`` (Definition 6) as a number: the engine sums it
+from per-run ancestor bitsets in topological order, with no graph walk per
+decision and bit-identically across executors and processes.
 """
 
 from __future__ import annotations
@@ -28,11 +32,11 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Mapping, Optional, Tuple
 
 from ..core.dag import WorkflowDAG
 from ..exceptions import OptimizationError
-from .oep import NodeState, solve_oep
+from .oep import solve_oep
 
 __all__ = [
     "MaterializationDecision",
@@ -40,7 +44,6 @@ __all__ = [
     "StreamingMaterializationPolicy",
     "AlwaysMaterialize",
     "NeverMaterialize",
-    "cumulative_run_time",
     "optimal_materialization_plan",
 ]
 
@@ -54,23 +57,6 @@ class MaterializationDecision:
     reason: str
     cumulative_time: float = 0.0
     load_estimate: float = 0.0
-
-
-def cumulative_run_time(
-    node: str,
-    dag: WorkflowDAG,
-    node_times: Mapping[str, float],
-) -> float:
-    """Definition 6: run time of a node plus all of its ancestors this iteration.
-
-    ``node_times`` maps node name to ``t(n_i)``: the compute time if the node
-    was computed, the load time if it was loaded, and zero if it was pruned.
-    Nodes missing from the mapping contribute zero (they were pruned).
-    """
-    total = node_times.get(node, 0.0)
-    for ancestor in dag.ancestors(node):
-        total += node_times.get(ancestor, 0.0)
-    return total
 
 
 class MaterializationPolicy(ABC):
@@ -87,13 +73,16 @@ class MaterializationPolicy(ABC):
     def decide(
         self,
         node: str,
-        dag: WorkflowDAG,
-        node_times: Mapping[str, float],
+        cumulative: float,
         load_estimate: float,
         size_bytes: int,
         budget_remaining: Optional[int],
     ) -> MaterializationDecision:
-        """Decide whether to materialize ``node`` now."""
+        """Decide whether to materialize ``node`` now.
+
+        ``cumulative`` is ``C(n_i)``: the node's charged time this iteration
+        plus its executed ancestors'; ``load_estimate`` is ``l_i``.
+        """
 
     @staticmethod
     def _within_budget(size_bytes: int, budget_remaining: Optional[int]) -> bool:
@@ -119,13 +108,11 @@ class StreamingMaterializationPolicy(MaterializationPolicy):
     def decide(
         self,
         node: str,
-        dag: WorkflowDAG,
-        node_times: Mapping[str, float],
+        cumulative: float,
         load_estimate: float,
         size_bytes: int,
         budget_remaining: Optional[int],
     ) -> MaterializationDecision:
-        cumulative = cumulative_run_time(node, dag, node_times)
         if not self._within_budget(size_bytes, budget_remaining):
             return MaterializationDecision(
                 node, False, "storage budget exhausted", cumulative, load_estimate
@@ -147,13 +134,11 @@ class AlwaysMaterialize(MaterializationPolicy):
     def decide(
         self,
         node: str,
-        dag: WorkflowDAG,
-        node_times: Mapping[str, float],
+        cumulative: float,
         load_estimate: float,
         size_bytes: int,
         budget_remaining: Optional[int],
     ) -> MaterializationDecision:
-        cumulative = cumulative_run_time(node, dag, node_times)
         if not self._within_budget(size_bytes, budget_remaining):
             return MaterializationDecision(node, False, "storage budget exhausted",
                                             cumulative, load_estimate)
@@ -168,13 +153,11 @@ class NeverMaterialize(MaterializationPolicy):
     def decide(
         self,
         node: str,
-        dag: WorkflowDAG,
-        node_times: Mapping[str, float],
+        cumulative: float,
         load_estimate: float,
         size_bytes: int,
         budget_remaining: Optional[int],
     ) -> MaterializationDecision:
-        cumulative = cumulative_run_time(node, dag, node_times)
         return MaterializationDecision(node, False, "never materialize", cumulative, load_estimate)
 
 

@@ -94,6 +94,14 @@ class TestTransformations:
         sliced = diamond_dag.sliced_to_outputs(["b"])
         assert set(sliced.node_names) == {"a", "b"}
 
+    def test_slicing_that_keeps_every_node_returns_the_dag_itself(self, diamond_dag):
+        assert diamond_dag.sliced_to_outputs() is diamond_dag
+        assert diamond_dag.sliced_to_outputs(["d", "b"]) is diamond_dag
+
+    def test_slicing_to_an_unknown_target_is_refused(self, diamond_dag):
+        with pytest.raises(DAGError):
+            diamond_dag.sliced_to_outputs(["nope"])
+
     def test_relabel_outputs(self, diamond_dag):
         relabeled = diamond_dag.relabel_outputs(["b"])
         assert relabeled.outputs == ("b",)

@@ -855,7 +855,10 @@ class RecordingOperator(Operator):
 def _chains(dag, plan):
     """The engine's chains of ``dag`` under ``plan``, keyed by head."""
     order = _engine_for()._execution_order(dag, plan)
-    consumers = ExecutionEngine._consumer_counts(dag, set(order))
+    _parents, children, _ancestors = ExecutionEngine._run_graph(
+        dag, {name: index for index, name in enumerate(order)}
+    )
+    consumers = {name: len(children[name]) for name in order}
     return ExecutionEngine._find_chains(dag, plan, order, consumers)
 
 

@@ -56,7 +56,7 @@ from repro.execution.equivalence import (
 )
 from repro.execution.executors import EXECUTOR_NAMES, ThreadExecutor, create_executor
 from repro.optimizer.metrics import StatsStore
-from repro.optimizer.oep import NodeState, solve_oep
+from repro.optimizer.oep import ExecutionPlan, NodeState, solve_oep
 from repro.optimizer.omp import (
     AlwaysMaterialize,
     NeverMaterialize,
@@ -500,6 +500,54 @@ class TestProcessSafetyGuards:
         assert plan.states["opted_out"] is NodeState.LOAD
         assert plan.states["consumer"] is NodeState.COMPUTE
         assert stats.outputs["consumer"] == 2.0
+
+
+# ---------------------------------------------------------------------------
+# Definition 6 reads only completed ancestors
+# ---------------------------------------------------------------------------
+def _load_under_pruned_parent_dag() -> WorkflowDAG:
+    """``a`` (slow) -> ``p`` (pruned) -> ``l`` (loaded) -> ``c`` -> ``d``, plus ``a`` -> ``y``.
+
+    ``l`` waits for no executing parent, so a concurrent executor finishes
+    ``l``, ``c`` and ``d`` while ``a`` still sleeps.  ``a`` is an ancestor of
+    ``c`` all the same, so ``C(c)`` includes ``a``'s charged second.
+    """
+    return WorkflowDAG(
+        [
+            Node.create("a", LatencyOperator(offset=1.0, sleep_seconds=0.3, cost=1.0)),
+            Node.create("p", LatencyOperator(offset=2.0, cost=1.0), parents=["a"]),
+            Node.create("l", LatencyOperator(offset=3.0, cost=1e-5), parents=["p"]),
+            Node.create("c", LatencyOperator(offset=4.0, cost=1e-5), parents=["l"]),
+            Node.create(
+                "d", LatencyOperator(offset=5.0, cost=1e-5), parents=["c"], is_output=True
+            ),
+            Node.create(
+                "y", LatencyOperator(offset=6.0, cost=1e-5), parents=["a"], is_output=True
+            ),
+        ],
+        name="pruned-parent",
+    )
+
+
+class TestCumulativeTimeGate:
+    @pytest.mark.parametrize("executor", ["inline", "thread", "process"])
+    def test_retirement_waits_for_ancestors_behind_a_pruned_parent(self, executor):
+        dag = _load_under_pruned_parent_dag()
+        signatures = compute_node_signatures(dag)
+        compute, load, prune = NodeState.COMPUTE, NodeState.LOAD, NodeState.PRUNE
+        plan = ExecutionPlan(
+            states={"a": compute, "p": prune, "l": load, "c": compute, "d": compute, "y": compute},
+            estimated_time=0.0,
+        )
+        with ExecutorRig(executor, max_workers=2) as rig:
+            rig.store.put("l", signatures["l"], 3.0)
+            stats = rig.engine.execute(dag, plan, signatures)
+        cumulative = {d.node: d.cumulative_time for d in stats.decisions}
+        charged = stats.node_times
+        assert cumulative["c"] == pytest.approx(charged["a"] + charged["l"] + charged["c"])
+        assert "c" in stats.materialized_nodes
+        assert sorted(stats.materialized_nodes) == ["a", "c", "d", "y"]
+        assert rig.store.total_bytes() == 70
 
 
 # ---------------------------------------------------------------------------

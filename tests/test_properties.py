@@ -29,10 +29,9 @@ from repro.core.operators import CSVScanner, FunctionExtractor, Learner, Predict
 from repro.core.signatures import compute_node_signatures, diff_signatures
 from repro.exceptions import OperatorError, ProtocolError
 from repro.execution.clock import SimulatedCostModel
+from repro.execution.engine import ExecutionEngine, cumulative_time
 from repro.ml.linear import LogisticRegression
 from repro.optimizer.oep import NodeState, plan_run_time, solve_oep
-from repro.optimizer.omp import cumulative_run_time
-from repro.optimizer.pruning import out_of_scope_after
 from repro.storage import canonical
 from repro.storage.canonical import (
     CANONICAL_MAGIC,
@@ -48,6 +47,8 @@ from repro.workloads.census import CENSUS_COLUMNS
 from repro.workloads.nlp_ie import BetweenWordsExtractor, _pos_pattern_extractor
 
 from conftest import UNPICKLED, ConstOperator, SumOperator, UnpickleTripwire
+from test_omp import cumulative_run_time
+from test_pruning import engine_scope, out_of_scope_after
 
 
 @st.composite
@@ -97,12 +98,14 @@ class TestDAGProperties:
             for parent in sliced.parents(name):
                 assert parent in sliced
 
-    @given(random_dags())
+    @given(random_dags(), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_eviction_schedule_is_a_partition(self, spec):
+    def test_eviction_schedule_is_a_partition(self, spec, data):
         dag = _build(*spec)
-        order = list(dag.topological_order())
-        scope = out_of_scope_after(dag, order)
+        # Any subset of the nodes may execute (the rest pruned or loaded-and-unused).
+        order = [n for n in dag.topological_order() if data.draw(st.booleans(), label=n)]
+        scope = engine_scope(dag, order)
+        assert scope == out_of_scope_after(dag, order)
         # Every executed node gets exactly one eviction position...
         assert sorted(scope) == sorted(order)
         # ...and no node is evicted before its own execution.
@@ -152,11 +155,16 @@ class TestPlanProperties:
     @settings(max_examples=40, deadline=None)
     def test_cumulative_runtime_monotone_in_ancestry(self, spec, unit_cost):
         dag = _build(*spec)
-        times = {name: unit_cost for name in dag.node_names}
-        for name in dag.node_names:
-            own = cumulative_run_time(name, dag, times)
+        order = list(dag.topological_order())
+        positions = {name: i for i, name in enumerate(order)}
+        _parents, _children, ancestors = ExecutionEngine._run_graph(dag, positions)
+        times = [unit_cost] * len(order)
+        cumulative = {n: cumulative_time(times, positions[n], ancestors[n]) for n in order}
+        for name in order:
+            reference = cumulative_run_time(name, dag, dict.fromkeys(order, unit_cost))
+            assert cumulative[name] == pytest.approx(reference, rel=1e-12)
             for child in dag.children(name):
-                assert cumulative_run_time(child, dag, times) >= own - 1e-9
+                assert cumulative[child] >= cumulative[name] - 1e-9
 
 
 #: Scalars the canonical encoder gives a dedicated type tag; hashable, so

@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import math
+from collections.abc import Mapping
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dag import Node, WorkflowDAG
-from repro.core.operators import Operator
+from repro.core.operators import _JSON, Operator, _callable_token, _normalize
 from repro.core.signatures import compute_node_signatures, diff_signatures
 from repro.core.workflow import Workflow
 from repro.execution.clock import SimulatedCostModel
 from repro.systems.helix import HelixSystem
+from repro.workloads.base import get_workload
 
 from conftest import ConstOperator, SumOperator, make_diamond_dag
 
@@ -259,6 +268,109 @@ class TestCallableInstanceTokens:
             FunctionExtractor("f", functools.partial(scale, k=2)).config_signature()
             != FunctionExtractor("f", functools.partial(scale, k=3)).config_signature()
         )
+
+
+
+def _normalize_by_abc_checks(value):
+    """``_normalize`` as it read before its exact-type fast paths (arrays aside)."""
+    if callable(value):
+        return _callable_token(value)
+    if isinstance(value, Mapping):
+        return {str(k): _normalize_by_abc_checks(v) for k, v in sorted(value.items())}
+    if isinstance(value, (list, tuple)):
+        return [_normalize_by_abc_checks(v) for v in value]
+    if isinstance(value, (set, frozenset)):
+        return sorted(_normalize_by_abc_checks(v) for v in value)
+    if isinstance(value, (int, float, str, bool)) or value is None:
+        return value
+    return repr(value)
+
+
+_numpy_scalars = st.one_of(
+    st.integers(-(2**31), 2**31 - 1).map(np.int64),
+    st.floats(allow_nan=False, width=32).map(np.float32),
+    st.floats(allow_nan=False).map(np.float64),
+    st.booleans().map(np.bool_),
+)
+_config_scalars = st.one_of(
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(max_size=8),
+    st.booleans(),
+    st.none(),
+    _numpy_scalars,
+    st.sampled_from([math.sqrt, np.log, len]),
+)
+_config_values = st.recursive(
+    _config_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+        st.dictionaries(st.integers(), children, max_size=4),
+        st.frozensets(st.integers(), max_size=4),
+        st.sets(st.text(max_size=6), max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+def _reference_config_signature(operator):
+    """``Operator.config_signature`` as it encoded before ``_normalize`` gained its
+    exact-type fast paths: ``json.dumps`` of the ABC-check normalization."""
+    cls = type(operator)
+    payload = {
+        "class": f"{cls.__module__}.{cls.__qualname__}",
+        "config": _normalize_by_abc_checks(operator.config()),
+    }
+    if not operator.deterministic:
+        payload["nonce"] = operator._instance_nonce
+    return hashlib.sha256(json.dumps(payload, sort_keys=True, default=str).encode()).hexdigest()
+
+
+class TestNormalize:
+    @given(_config_values)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_abc_check_version(self, value):
+        normalized = _normalize(value)
+        assert normalized == _normalize_by_abc_checks(value)
+        assert _JSON.encode(normalized) == json.dumps(
+            _normalize_by_abc_checks(value), sort_keys=True, default=str
+        )
+
+    def test_array_shape_participates(self):
+        assert _normalize(np.zeros((2, 3))) != _normalize(np.zeros((3, 2)))
+
+    def test_array_dtype_participates(self):
+        assert _normalize(np.zeros(2, np.int64)) != _normalize(np.zeros(2, np.float64))
+
+    def test_array_config_signature_tells_shapes_apart(self):
+        assert (
+            ConstOperator(np.zeros((2, 3))).config_signature()
+            != ConstOperator(np.zeros((3, 2))).config_signature()
+        )
+
+    def test_equal_arrays_share_a_signature(self):
+        assert _normalize(np.arange(6).reshape(2, 3)) == _normalize(np.arange(6).reshape(2, 3))
+
+    def test_callable_mapping_is_a_callable(self):
+        class CallableMapping(dict):
+            def __call__(self, record):
+                return record
+
+        value = CallableMapping(a=1)
+        assert _normalize(value) == _normalize_by_abc_checks(value) == _callable_token(value)
+
+    @pytest.mark.parametrize("name", ["census", "genomics", "mnist", "nlp"])
+    def test_paper_dag_signatures_are_unchanged(self, name):
+        # Computed on the running interpreter: function configs hash their
+        # bytecode, which differs between Python versions.
+        workload = get_workload(name)
+        dag = workload.build(workload.initial_config()).compile()
+        for node_name in dag.node_names:
+            operator = dag.node(node_name).operator
+            signature = operator.config_signature()
+            assert signature == _reference_config_signature(operator), node_name
 
 
 class TestDiff:
