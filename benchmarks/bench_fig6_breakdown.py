@@ -3,12 +3,18 @@
 One benchmark per workflow, printing the breakdown table and asserting the
 paper's qualitative observations: PPR-only iterations touch (almost) only the
 PPR component, and materialization overhead stays well below compute time.
+
+The checks run on the simulated clock (``SimulatedCostModel``), as Figures 5,
+8 and 9's do: on the measured clock the PPR-iteration check failed about half
+the time for MNIST after Figure 5 had run in the same process.  The
+measured-clock table is printed first.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.execution.clock import MeasuredCostModel, SimulatedCostModel
 from repro.experiments.report import format_breakdown_table
 from repro.experiments.runner import run_lifecycle
 from repro.systems.helix import HelixSystem
@@ -17,21 +23,31 @@ from repro.workloads import IterationType
 from _bench_helpers import ITERATIONS, SEED, emit, run_once
 
 
-def _run(workload: str):
+def _run(workload: str, clock=SimulatedCostModel):
     return run_lifecycle(
-        HelixSystem.opt(seed=0), workload, n_iterations=ITERATIONS[workload], seed=SEED
+        HelixSystem.opt(seed=0, cost_model=clock()),
+        workload,
+        n_iterations=ITERATIONS[workload],
+        seed=SEED,
+    )
+
+
+def _print(workload: str, result, clock: str) -> None:
+    emit(
+        f"Figure 6 — {workload}: per-iteration breakdown (s, {clock})",
+        format_breakdown_table(result.component_breakdowns())
+        + "\niteration types: "
+        + " ".join(result.iteration_types()),
     )
 
 
 @pytest.mark.parametrize("workload", ["census", "genomics", "nlp", "mnist"])
 def test_fig6_breakdown(benchmark, workload):
-    result = run_once(benchmark, lambda: _run(workload))
-    breakdowns = result.component_breakdowns()
+    _print(workload, run_once(benchmark, lambda: _run(workload, MeasuredCostModel)), "measured")
+    result = _run(workload)
+    _print(workload, result, "simulated")
     types = result.iteration_types()
-    emit(
-        f"Figure 6 — {workload}: per-iteration breakdown (s)",
-        format_breakdown_table(breakdowns) + "\niteration types: " + " ".join(types),
-    )
+    breakdowns = result.component_breakdowns()
 
     first = breakdowns[0]
     assert first["DPR"] > 0 and first["L/I"] > 0

@@ -3,12 +3,8 @@
 :mod:`repro.service.daemon`
     :class:`ServeDaemon` — owns a :class:`DistributedExecutor` worker
     fleet, accepts run submissions over the framed wire protocol, and
-    schedules them across ``max_concurrent_runs`` runner threads, one
-    :class:`DistributedSession` per run.
-:mod:`repro.service.scheduler`
-    Pluggable admission policies: :class:`FifoScheduler` (arrival
-    order, the default) and :class:`FairScheduler` (per-tenant weighted
-    fair share with priority classes).
+    runs them in arrival order across ``max_concurrent_runs`` runner
+    threads, one :class:`DistributedSession` per run.
 :mod:`repro.service.client`
     :class:`ServiceClient` / :class:`RunHandle` — submit specs, stream
     progress, collect canonical run stats; ``inline_reference`` +
@@ -26,13 +22,6 @@ from .client import (
     submit_run,
 )
 from .daemon import ServeDaemon, build_system, lifecycle_payload, run_spec, validate_spec
-from .scheduler import (
-    SCHEDULERS,
-    FairScheduler,
-    FifoScheduler,
-    SchedulerPolicy,
-    make_scheduler,
-)
 
 __all__ = [
     "ServeDaemon",
@@ -45,9 +34,4 @@ __all__ = [
     "build_system",
     "run_spec",
     "lifecycle_payload",
-    "SchedulerPolicy",
-    "FifoScheduler",
-    "FairScheduler",
-    "SCHEDULERS",
-    "make_scheduler",
 ]

@@ -28,14 +28,7 @@ from .client import (
     assert_payloads_equivalent,
     inline_reference,
 )
-from .daemon import (
-    COST_MODELS,
-    DEFAULT_TENANT,
-    POLICIES,
-    PRIORITY_RANGE,
-    ServeDaemon,
-)
-from .scheduler import SCHEDULERS
+from .daemon import COST_MODELS, POLICIES, ServeDaemon
 
 __all__ = ["main", "serve_main", "submit_main"]
 
@@ -63,17 +56,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--max-concurrent-runs", type=int, default=2, metavar="N",
         help="workflow runs executing at once; further submissions queue "
-        "under the scheduler policy (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--scheduler", default="fifo", choices=list(SCHEDULERS),
-        help="admission policy: fifo = arrival order; fair = per-tenant "
-        "weighted fair share with priority classes (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--tenant-weight", action="append", default=[], metavar="TENANT=W",
-        help="fair-share weight for a tenant (repeatable; fair scheduler "
-        "only; unnamed tenants weigh 1)",
+        "in arrival order (default: %(default)s)",
     )
     parser.add_argument(
         "--heartbeat-interval", type=float, default=0.5, metavar="SECONDS",
@@ -92,16 +75,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     if args.worker_cache_bytes is not None and args.worker_cache_bytes < 1:
         parser.error("--worker-cache-bytes must be at least 1")
 
-    tenant_weights = {}
-    for entry in args.tenant_weight:
-        tenant, sep, weight = entry.partition("=")
-        try:
-            if not sep or not tenant:
-                raise ValueError(entry)
-            tenant_weights[tenant] = float(weight)
-        except ValueError:
-            parser.error(f"--tenant-weight expects TENANT=WEIGHT, got {entry!r}")
-
     workers = args.workers.split(",") if args.workers else None
     daemon = ServeDaemon(
         host=args.host,
@@ -109,8 +82,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         max_workers=args.max_workers,
         workers=workers,
         max_concurrent_runs=args.max_concurrent_runs,
-        scheduler=args.scheduler,
-        tenant_weights=tenant_weights or None,
         heartbeat_interval=args.heartbeat_interval,
         fetch_timeout=args.fetch_timeout,
         worker_cache_bytes=args.worker_cache_bytes,
@@ -133,16 +104,10 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         stats = daemon.stats()
         print(
             f"repro service stopped "
-            f"({len(stats['completed'])} completed, {len(stats['failed'])} failed)",
+            f"({len(stats['completed'])} completed, {len(stats['failed'])} failed, "
+            f"{len(stats['cancelled'])} cancelled)",
             flush=True,
         )
-        for tenant in sorted(stats["tenants"]):
-            row = stats["tenants"][tenant]
-            print(
-                f"  tenant {tenant}: {row['completed']} completed, "
-                f"{row['failed']} failed, {row['cancelled']} cancelled",
-                flush=True,
-            )
         # Greppable artifact-plane summary (the CI serve-smoke asserts on
         # it): how many artifacts one served run reused from the workers'
         # content-addressed tier after another run put them there.
@@ -189,17 +154,6 @@ def submit_main(argv: Optional[List[str]] = None) -> int:
         "makes served and inline runs bit-comparable)",
     )
     parser.add_argument(
-        "--tenant", default=DEFAULT_TENANT, metavar="NAME",
-        help="fair-share tenant the run is accounted under "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--priority", type=int, default=PRIORITY_RANGE[0], metavar="N",
-        help=f"run priority {PRIORITY_RANGE[0]}..{PRIORITY_RANGE[1]}, larger "
-        "= more urgent; only the daemon's fair scheduler acts on it "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
         "--verify-inline", action="store_true",
         help="also run the spec in-process on the inline executor and "
         "assert the served stats are equivalent (modulo timing/memory)",
@@ -220,8 +174,6 @@ def submit_main(argv: Optional[List[str]] = None) -> int:
         "seed": args.seed,
         "policy": args.policy,
         "cost_model": args.cost_model,
-        "tenant": args.tenant,
-        "priority": args.priority,
     }
 
     def _print_progress(kind: str, info: Any) -> None:
@@ -237,9 +189,7 @@ def submit_main(argv: Optional[List[str]] = None) -> int:
     handle = client.submit(spec)
     if not args.quiet:
         print(
-            f"submitted {handle.run_id} "
-            f"(tenant {handle.tenant}, priority {handle.priority}, "
-            f"{handle.queue_position} run(s) ahead)",
+            f"submitted {handle.run_id} ({handle.queue_position} run(s) ahead)",
             flush=True,
         )
     payload = handle.result(on_event=_print_progress)

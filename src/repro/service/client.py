@@ -49,22 +49,12 @@ class RunHandle:
     def __init__(self, sock: socket.socket, run_id: str, admission: Dict[str, Any]):
         self._sock: Optional[socket.socket] = sock
         self.run_id = run_id
-        #: The daemon's admission report, verbatim (tenant, priority,
-        #: scheduler, queued/active split, policy position).
+        #: The daemon's admission report, verbatim (queued/active split).
         self.admission = admission
-        #: Tenant and effective priority the daemon admitted the run under.
-        self.tenant: str = admission.get("tenant", "default")
-        self.priority: int = int(admission.get("priority", 0))
-        #: The daemon's scheduler policy name (``"fifo"`` / ``"fair"``).
-        self.scheduler: str = admission.get("scheduler", "fifo")
         #: Submissions sitting in the admission queue at admission time.
         self.queued_ahead: int = int(admission.get("queued", 0))
         #: Runs already executing at admission time.
         self.active_at_admission: int = int(admission.get("active", 0))
-        #: Queued runs the scheduler guarantees to start before this one
-        #: (an estimate under the fair policy; equals ``queued_ahead``
-        #: under fifo modulo a concurrent dequeue).
-        self.position: int = int(admission.get("position", self.queued_ahead))
         self._payload: Optional[Dict[str, Any]] = None
         self._error: Optional[str] = None
         self._done = False
@@ -75,8 +65,7 @@ class RunHandle:
 
         Both the runs still queued *and* those already executing — the
         run starts after (at most) this many admitted runs finish.  See
-        :attr:`queued_ahead` / :attr:`active_at_admission` for the split
-        and :attr:`position` for the scheduler-policy view.
+        :attr:`queued_ahead` / :attr:`active_at_admission` for the split.
         """
         return self.queued_ahead + self.active_at_admission
 
@@ -227,7 +216,7 @@ class ServiceClient:
             raise ExecutionError(f"unexpected admission reply: {reply!r}")
         admission = reply[2]
         try:
-            for key in ("queued", "active", "position", "priority"):
+            for key in ("queued", "active"):
                 if key in admission:
                     admission[key] = int(admission[key])
         except (TypeError, ValueError):

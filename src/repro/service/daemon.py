@@ -10,15 +10,12 @@ share the warm worker processes concurrently — the executor's session
 multiplexing — instead of each run paying worker startup or queuing
 behind a per-run coordinator.
 
-Admission scheduling is pluggable (:mod:`repro.service.scheduler`): the
-default ``"fifo"`` policy serves submissions in arrival order, while
-``"fair"`` gives per-tenant weighted fair sharing with priority classes
-— a higher-priority submission jumps the queued line, and one tenant's
-burst cannot starve another tenant's next iteration.  Scheduling only
-decides *start* order among queued runs; once started, runs share
-workers fairly through the fleet's round-robin session dispatch, and
-running work is never preempted.  A *queued* run whose submitter closes
-its connection is cancelled without ever occupying a runner.
+Admitted runs wait in one arrival-order queue drained by
+``max_concurrent_runs`` runner threads.  The queue only decides *start*
+order; once started, runs share workers fairly through the fleet's
+round-robin session dispatch, and running work is never preempted.  A
+*queued* run whose submitter closes its connection is cancelled without
+ever occupying a runner.
 
 Service wire protocol (client side in :mod:`repro.service.client`)::
 
@@ -28,14 +25,11 @@ Service wire protocol (client side in :mod:`repro.service.client`)::
              ("done", run_id, payload)            # terminal, or:
              ("failed", run_id, message)          # terminal
 
-``admission_dict`` reports the run's effective ``tenant`` and
-``priority``, the daemon's ``scheduler`` name, the deterministic
-``queued``/``active`` counter split at admission, and ``position`` — the
-policy-aware count of queued runs guaranteed to start first.
+``admission_dict`` reports the ``queued``/``active`` counter split at
+admission.
 
 ``spec`` is a plain dict (see :func:`validate_spec`) naming the workload,
-iteration count, scale, seed, Helix materialization policy, cost model,
-and optionally the submitting ``tenant`` and a ``priority``.
+iteration count, scale, seed, Helix materialization policy and cost model.
 ``payload`` is JSON-serializable: the lifecycle summary plus the
 equivalence harness's canonical per-iteration views
 (:func:`~repro.execution.equivalence.canonical_lifecycle`), which is what
@@ -45,12 +39,13 @@ makes a served run directly comparable to an inline run of the same spec.
 from __future__ import annotations
 
 import itertools
-import re
+import math
 import select
 import socket
 import threading
 import warnings
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..exceptions import ExecutionError
 from ..execution.clock import SimulatedCostModel
@@ -60,7 +55,6 @@ from ..storage.serialization import recv_message, send_message
 from ..experiments.runner import LifecycleResult, run_lifecycle
 from ..systems.helix import HelixSystem
 from ..workloads.base import get_workload
-from .scheduler import SCHEDULERS, SchedulerPolicy, make_scheduler
 
 __all__ = [
     "ServeDaemon",
@@ -70,8 +64,6 @@ __all__ = [
     "lifecycle_payload",
     "POLICIES",
     "COST_MODELS",
-    "DEFAULT_TENANT",
-    "PRIORITY_RANGE",
 ]
 
 #: Helix materialization policies a spec may name, mapped to the
@@ -87,36 +79,30 @@ POLICIES = {
 #: ``"measured"`` charges wall clock (timings then legitimately differ).
 COST_MODELS = ("simulated", "measured")
 
-#: Tenant a spec that names none is accounted under.
-DEFAULT_TENANT = "default"
 
-#: Inclusive priority bounds a spec may request (larger = more urgent).
-PRIORITY_RANGE = (0, 9)
-
-_TENANT_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
+def _whole_number(spec: Dict[str, Any], key: str, default: int) -> int:
+    """``spec[key]`` as an int, refusing a value ``int()`` would truncate."""
+    value = spec.get(key, default)
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ExecutionError(f"run spec has a non-numeric field: {exc}") from None
+    if not isinstance(value, str) and number != value:
+        raise ExecutionError(f"{key} must be a whole number, got {value!r}")
+    return number
 
 
 def validate_spec(spec: Any) -> Dict[str, Any]:
     """Normalize and validate a submitted workload spec.
 
     Returns a dict with exactly the keys ``workload``, ``iterations``,
-    ``scale``, ``seed``, ``policy``, ``cost_model``, ``tenant`` and
-    ``priority``.  Raises :class:`ExecutionError` on anything malformed,
-    so the daemon can refuse a bad submission at admission time instead
-    of failing mid-run.
-
-    ``tenant`` (default ``"default"``) names the fair-share queue the run
-    is accounted under; ``priority`` (default 0, within
-    :data:`PRIORITY_RANGE`) orders it against other queued runs.  Both
-    are carried — and validated — under every scheduler, but only the
-    fair policy acts on them.
+    ``scale``, ``seed``, ``policy`` and ``cost_model``.  Raises
+    :class:`ExecutionError` on anything malformed, so the daemon can refuse
+    a bad submission at admission time instead of failing mid-run.
     """
     if not isinstance(spec, dict):
         raise ExecutionError(f"run spec must be a dict, got {type(spec).__name__}")
-    known = {
-        "workload", "iterations", "scale", "seed", "policy", "cost_model",
-        "tenant", "priority",
-    }
+    known = {"workload", "iterations", "scale", "seed", "policy", "cost_model"}
     unknown = sorted(set(spec) - known)
     if unknown:
         raise ExecutionError(f"run spec has unknown field(s): {unknown}")
@@ -127,14 +113,16 @@ def validate_spec(spec: Any) -> Dict[str, Any]:
         get_workload(workload)
     except KeyError as exc:
         raise ExecutionError(str(exc)) from None
+    iterations = _whole_number(spec, "iterations", 0)
+    seed = _whole_number(spec, "seed", 7)
     try:
-        iterations = int(spec.get("iterations", 0))
         scale = float(spec.get("scale", 1.0))
-        seed = int(spec.get("seed", 7))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ExecutionError(f"run spec has a non-numeric field: {exc}") from None
     if iterations < 0:
         raise ExecutionError("iterations must be >= 0 (0 = workload default)")
+    if not math.isfinite(scale):
+        raise ExecutionError(f"scale must be finite, got {scale}")
     if scale <= 0:
         raise ExecutionError("scale must be positive")
     policy = spec.get("policy", "opt")
@@ -147,21 +135,6 @@ def validate_spec(spec: Any) -> Dict[str, Any]:
         raise ExecutionError(
             f"unknown cost_model {cost_model!r}; expected one of {list(COST_MODELS)}"
         )
-    tenant = spec.get("tenant", DEFAULT_TENANT)
-    if not isinstance(tenant, str) or not _TENANT_PATTERN.match(tenant):
-        raise ExecutionError(
-            f"tenant must be 1-64 characters of [A-Za-z0-9._-] starting "
-            f"alphanumeric, got {tenant!r}"
-        )
-    try:
-        priority = int(spec.get("priority", PRIORITY_RANGE[0]))
-    except (TypeError, ValueError) as exc:
-        raise ExecutionError(f"run spec has a non-numeric priority: {exc}") from None
-    if not PRIORITY_RANGE[0] <= priority <= PRIORITY_RANGE[1]:
-        raise ExecutionError(
-            f"priority must be within {PRIORITY_RANGE[0]}..{PRIORITY_RANGE[1]}, "
-            f"got {priority}"
-        )
     return {
         "workload": workload,
         "iterations": iterations,
@@ -169,8 +142,6 @@ def validate_spec(spec: Any) -> Dict[str, Any]:
         "seed": seed,
         "policy": policy,
         "cost_model": cost_model,
-        "tenant": tenant,
-        "priority": priority,
     }
 
 
@@ -232,13 +203,9 @@ class _RunRecord:
     ``state`` moves ``queued -> active -> finished`` (or ``queued ->
     cancelled``/``failed`` for runs that never start); the disconnect
     watcher reads it to know when the record stopped being its business.
-    Schedulers consult ``tenant`` and ``priority``.
     """
 
-    __slots__ = (
-        "run_id", "spec", "sock", "send_lock", "client_gone", "tenant",
-        "priority", "state",
-    )
+    __slots__ = ("run_id", "spec", "sock", "send_lock", "client_gone", "state")
 
     def __init__(self, run_id: str, spec: Dict[str, Any], sock: socket.socket):
         self.run_id = run_id
@@ -246,8 +213,6 @@ class _RunRecord:
         self.sock = sock
         self.send_lock = threading.Lock()
         self.client_gone = False
-        self.tenant = spec.get("tenant", DEFAULT_TENANT)
-        self.priority = int(spec.get("priority", PRIORITY_RANGE[0]))
         self.state = "queued"
 
     def send(self, message: Tuple[Any, ...]) -> None:
@@ -314,17 +279,10 @@ class ServeDaemon:
         Pre-started remote worker addresses (``"host:port"``) the fleet
         connects to instead of spawning.
     max_concurrent_runs:
-        Runner threads draining the admission scheduler — the maximum
-        number of workflow runs executing on the fleet at once.  Further
-        submissions queue under the scheduler policy and report their
-        position at admission.
-    scheduler:
-        Admission policy: ``"fifo"`` (default, arrival order), ``"fair"``
-        (per-tenant weighted fair share with priority classes), or a
-        ready :class:`~repro.service.scheduler.SchedulerPolicy` instance.
-    tenant_weights:
-        Fair-share weights by tenant name (fair scheduler only); unnamed
-        tenants weigh 1.
+        Runner threads draining the admission queue — the maximum number
+        of workflow runs executing on the fleet at once.  Further
+        submissions queue in arrival order and report the queued/active
+        split at admission.
     heartbeat_interval, fetch_timeout:
         Forwarded to the owned fleet.
     worker_cache_bytes:
@@ -345,8 +303,6 @@ class ServeDaemon:
         max_workers: Optional[int] = None,
         workers: Optional[Sequence[Union[str, Tuple[str, int]]]] = None,
         max_concurrent_runs: int = 2,
-        scheduler: Union[str, SchedulerPolicy] = "fifo",
-        tenant_weights: Optional[Dict[str, float]] = None,
         heartbeat_interval: float = 0.5,
         fetch_timeout: float = 60.0,
         worker_cache_bytes: Optional[int] = None,
@@ -369,15 +325,19 @@ class ServeDaemon:
         self._plane_snapshot: Optional[Dict[str, Any]] = None
         self._listener: Optional[socket.socket] = None
         self._threads: List[threading.Thread] = []
-        self._scheduler = make_scheduler(scheduler, tenant_weights)
         self._run_seq = itertools.count(1)
+        #: Raised by stop(): admissions are refused, and runners blocked on
+        #: the queue return instead of taking another record.
         self._stopping = threading.Event()
         #: Serializes admission against stop(): an admission holds it from
-        #: the stop check through the scheduler put, and stop() holds it
-        #: both to raise the stop flag and for the final drain, so a
-        #: submission racing with shutdown is either refused or drained —
-        #: never stranded unanswered.
+        #: the stop check through the enqueue, and stop() holds it both to
+        #: raise the stop flag and for the final drain, so a submission
+        #: racing with shutdown is either refused or drained — never
+        #: stranded unanswered.  It also guards the queue itself.
         self._admit_lock = threading.Lock()
+        self._queue_ready = threading.Condition(self._admit_lock)
+        #: Admitted records waiting for a runner, in arrival order.
+        self._queue: Deque[_RunRecord] = deque()
         self._stats_lock = threading.Lock()
         self._queued = 0
         self._active = 0
@@ -385,7 +345,6 @@ class ServeDaemon:
         self._completed: List[str] = []
         self._failed: List[str] = []
         self._cancelled: List[str] = []
-        self._tenants: Dict[str, Dict[str, int]] = {}
         self._started = False
 
     # ------------------------------------------------------------------ lifecycle
@@ -393,7 +352,6 @@ class ServeDaemon:
         """Warm the worker fleet, open the listener; returns the bound address."""
         if self._started:
             return self.address
-        self._scheduler.open()
         self._plane_snapshot = None  # a restart reports live counters again
         self._fleet.start()  # strict first start: a bad fleet config fails here
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -434,7 +392,7 @@ class ServeDaemon:
         """Refuse new submissions, fail queued ones, drain and stop the fleet.
 
         Active runs are allowed to finish; anything still *queued* when the
-        stop flag goes up is failed without running — closing the scheduler
+        stop flag goes up is failed without running — raising the flag
         wakes every idle runner, and a runner that dequeued a record just
         before the flag fails it rather than executing it, so stop never
         waits behind a backlog, only behind the runs already executing.
@@ -450,13 +408,12 @@ class ServeDaemon:
         """
         if not self._started:
             return
-        with self._admit_lock:
-            # Flag + close under the admission lock: an admission that
-            # already passed the stop check finishes its put first, so the
-            # scheduler never refuses a record whose client was told
-            # "accepted".
+        with self._queue_ready:
+            # Flag under the admission lock: an admission that already
+            # passed the stop check finishes its enqueue first, so the
+            # final drain below answers every client told "accepted".
             self._stopping.set()
-            self._scheduler.close()
+            self._queue_ready.notify_all()
         if self._listener is not None:
             self._listener.close()
             self._listener = None
@@ -476,10 +433,10 @@ class ServeDaemon:
         # Anything still queued never got a runner: tell its submitter.
         # Admissions serialize against this drain via the lock, so a record
         # queued concurrently with stop() is either refused at admission or
-        # sitting in the scheduler here — never stranded unanswered.
+        # sitting in the queue here — never stranded unanswered.
         with self._admit_lock:
-            for record in self._scheduler.drain():
-                self._fail_unrun(record)
+            while self._queue:
+                self._fail_unrun(self._queue.popleft())
         # Freeze plane counters before the fleet goes away: worker stats
         # arrived on heartbeats and survive in the coordinator, but the
         # aggregate must stay readable from stats() after shutdown.
@@ -503,9 +460,6 @@ class ServeDaemon:
         with self._stats_lock:
             self._queued -= 1
             self._failed.append(record.run_id)
-            counters = self._tenant_counters(record.tenant)
-            counters["queued"] -= 1
-            counters["failed"] += 1
             record.state = "failed"
         record.send(("failed", record.run_id, "daemon stopped before the run started"))
         record.close()
@@ -518,19 +472,11 @@ class ServeDaemon:
         self.stop()
 
     # ------------------------------------------------------------------ introspection
-    def _tenant_counters(self, tenant: str) -> Dict[str, int]:
-        """Per-tenant counter row; the stats lock must be held."""
-        return self._tenants.setdefault(
-            tenant,
-            {"queued": 0, "active": 0, "completed": 0, "failed": 0, "cancelled": 0},
-        )
-
     def stats(self) -> Dict[str, Any]:
-        """Scheduler counters (tests and operators): active/peak/completed.
+        """Admission counters (tests and operators): active/peak/completed.
 
-        ``tenants`` breaks queued/active/completed/failed/cancelled down
-        by tenant; ``cancelled`` lists queued runs dropped because their
-        submitter disconnected before they started.  ``artifact_plane``
+        ``cancelled`` lists queued runs dropped because their submitter
+        disconnected before they started.  ``artifact_plane``
         aggregates the fleet's content-addressed artifact tier counters —
         coordinator fetch serving plus every worker's cache stats
         (``docs/artifacts.md``); after :meth:`stop` it
@@ -543,14 +489,12 @@ class ServeDaemon:
         )
         with self._stats_lock:
             return {
-                "scheduler": self._scheduler.name,
                 "queued": self._queued,
                 "active": self._active,
                 "peak_active": self._peak_active,
                 "completed": list(self._completed),
                 "failed": list(self._failed),
                 "cancelled": list(self._cancelled),
-                "tenants": {name: dict(row) for name, row in self._tenants.items()},
                 "artifact_plane": plane,
             }
 
@@ -576,7 +520,7 @@ class ServeDaemon:
             ).start()
 
     def _handle_submission(self, conn: socket.socket) -> None:
-        """Admit one connection: validate its spec, queue it FIFO, hand off."""
+        """Admit one connection: validate its spec, queue it, hand off."""
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn.settimeout(10.0)
         try:
@@ -603,34 +547,25 @@ class ServeDaemon:
             return
         record = _RunRecord(f"run-{next(self._run_seq)}", spec, conn)
         # Check-and-queue under the admission lock: once stop() has drained
-        # the scheduler (holding this lock), no record can slip in behind
+        # the queue (holding this lock), no record can slip in behind
         # the drain and leave its client blocked on a terminal frame that
         # never comes.  The "accepted" frame is tiny and the socket fresh,
         # so sending it under the lock cannot stall stop() behind a slow
         # peer — and it must go out before the record becomes visible to
         # runners, or a fast run's progress frames could outrace it.
-        with self._admit_lock:
-            if self._stopping.is_set():
-                refused = True
-            else:
-                refused = False
+        with self._queue_ready:
+            refused = self._stopping.is_set()
+            if not refused:
                 with self._stats_lock:
                     # The queued/active split at admission.  Their sum is
                     # exact (runners move a run between the counters under
                     # this lock); the split itself can lag a dequeue by an
                     # instant.
-                    admission = {
-                        "tenant": record.tenant,
-                        "priority": record.priority,
-                        "scheduler": self._scheduler.name,
-                        "queued": self._queued,
-                        "active": self._active,
-                        "position": self._scheduler.queued_ahead(record),
-                    }
+                    admission = {"queued": self._queued, "active": self._active}
                     self._queued += 1
-                    self._tenant_counters(record.tenant)["queued"] += 1
                 record.send(("accepted", record.run_id, admission))
-                self._scheduler.put(record)
+                self._queue.append(record)
+                self._queue_ready.notify()
         if refused:
             record.send(("failed", "", "daemon is stopping"))
             record.close()
@@ -663,26 +598,46 @@ class ServeDaemon:
                 data = b""
             if data != b"":
                 continue  # stray bytes from a sloppy client; ignore
-            # EOF while queued: pull the record back out of the scheduler.
-            # A False return means a runner (or the stop drain) claimed it
+            # EOF while queued: pull the record back out of the queue.  A
+            # False return means a runner (or the stop drain) claimed it
             # first — then the dequeue-time liveness check is in charge.
-            if self._scheduler.cancel(record):
+            if self._cancel_queued(record):
                 with self._stats_lock:
                     self._queued -= 1
                     self._cancelled.append(record.run_id)
-                    counters = self._tenant_counters(record.tenant)
-                    counters["queued"] -= 1
-                    counters["cancelled"] += 1
                     record.state = "cancelled"
                 record.client_gone = True
                 record.close()
             return
 
+    def _cancel_queued(self, record: _RunRecord) -> bool:
+        """Remove a still-queued record; False if it already left the queue."""
+        with self._admit_lock:
+            try:
+                self._queue.remove(record)
+            except ValueError:
+                return False
+            return True
+
+    def _next_queued(self) -> Optional[_RunRecord]:
+        """Block for the oldest queued record; ``None`` once stopping.
+
+        The stop flag wakes every blocked runner *without* handing out
+        still-queued records — stop() drains those itself, so it can fail
+        them to their submitters.
+        """
+        with self._queue_ready:
+            while not self._stopping.is_set():
+                if self._queue:
+                    return self._queue.popleft()
+                self._queue_ready.wait()
+            return None
+
     def _runner_loop(self) -> None:
         while True:
-            record = self._scheduler.get()
+            record = self._next_queued()
             if record is None:
-                return  # scheduler closed: stop() drains what remains
+                return  # stopping: stop() drains what remains
             if self._stopping.is_set():
                 # stop() was called while this record sat in the queue: fail
                 # it without running (executing here would make stop() wait
@@ -698,9 +653,6 @@ class ServeDaemon:
                 with self._stats_lock:
                     self._queued -= 1
                     self._failed.append(record.run_id)
-                    counters = self._tenant_counters(record.tenant)
-                    counters["queued"] -= 1
-                    counters["failed"] += 1
                     record.state = "failed"
                 record.close()
                 continue
@@ -708,9 +660,6 @@ class ServeDaemon:
                 self._queued -= 1
                 self._active += 1
                 self._peak_active = max(self._peak_active, self._active)
-                counters = self._tenant_counters(record.tenant)
-                counters["queued"] -= 1
-                counters["active"] += 1
                 record.state = "active"
             # Counters update before the terminal frame goes out, so a
             # submitter that just saw "done" observes consistent stats().
@@ -719,21 +668,18 @@ class ServeDaemon:
             except Exception as exc:  # noqa: BLE001 - reported to the submitter
                 with self._stats_lock:
                     self._failed.append(record.run_id)
-                    self._tenant_counters(record.tenant)["failed"] += 1
                 record.send(
                     ("failed", record.run_id, f"{type(exc).__name__}: {exc}")
                 )
             else:
                 with self._stats_lock:
                     self._completed.append(record.run_id)
-                    self._tenant_counters(record.tenant)["completed"] += 1
                 record.send(("done", record.run_id, payload))
             finally:
                 record.state = "finished"
                 record.close()
                 with self._stats_lock:
                     self._active -= 1
-                    self._tenant_counters(record.tenant)["active"] -= 1
 
     def _execute(self, record: _RunRecord) -> Dict[str, Any]:
         """Run one admitted spec on its own session of the shared fleet."""

@@ -5,7 +5,7 @@ ROADMAP.md and docs/*.md: every relative link must point at an existing
 file and every ``#fragment`` at a real heading anchor.  The distributed
 wire's message-flow diagram is checked against the code's handler tables,
 and every pattern in ``tools/reach_keep.txt`` against the definitions in
-``src/repro``.
+``src/repro``; ``tools/reach.py``'s report refuses an unreadable dump.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CHECKER = REPO_ROOT / "tools" / "check_docs.py"
@@ -56,13 +58,18 @@ def test_message_flow_diagram_covers_every_message_kind():
     assert not drawn - kinds, f"diagram arrows for unknown kinds: {sorted(drawn - kinds)}"
 
 
+def _load_reach():
+    spec = importlib.util.spec_from_file_location("reach", REPO_ROOT / "tools" / "reach.py")
+    reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach)
+    return reach
+
+
 def test_every_reach_keep_pattern_matches_a_definition():
     """A keep-list entry whose definition was deleted or renamed is stale:
     each pattern in ``tools/reach_keep.txt`` must match at least one
     ``<file>:<qualname>`` that ``tools/reach.py`` finds under ``src/repro``."""
-    spec = importlib.util.spec_from_file_location("reach", REPO_ROOT / "tools" / "reach.py")
-    reach = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(reach)
+    reach = _load_reach()
     names = [f"{unit.file}:{unit.name}" for unit in reach.definitions().values()]
     stale = [
         pattern
@@ -71,3 +78,12 @@ def test_every_reach_keep_pattern_matches_a_definition():
         if not any(fnmatch.fnmatchcase(name, pattern) for name in names)
     ]
     assert not stale, f"reach_keep.txt patterns matching no definition: {stale}"
+
+
+def test_reach_report_names_an_unreadable_dump(tmp_path):
+    """An empty or torn per-process dump stops the report with an error
+    naming the file, rather than a bare JSONDecodeError or a silent skip."""
+    (tmp_path / "e2e:census_reuse@1.json").write_text("[]")
+    (tmp_path / "serve+submit@2.json").write_text("")
+    with pytest.raises(SystemExit, match=r"unreadable reach dump .*serve\+submit@2\.json"):
+        _load_reach().report(tmp_path)

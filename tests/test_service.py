@@ -6,8 +6,11 @@ Pins down the serving layer built on protocol v3 session multiplexing:
   on a shared 2-worker fleet at the same time (``peak_active == 2``) and
   each produces stats identical (modulo timing/memory) to an inline run of
   the same spec, checked through the equivalence-harness payloads.
-* **Scheduling** — admission is FIFO; ``max_concurrent_runs`` bounds how
-  many runs execute at once, and queued submissions report their position.
+* **Scheduling** — admission is one arrival-order queue;
+  ``max_concurrent_runs`` bounds how many runs execute at once, queued
+  submissions report their position, and a queued run whose submitter
+  hangs up is cancelled.  The queue's own semantics (arrival order,
+  cancel, stop wake-up and drain, restart) are pinned on the daemon.
 * **Admission** — malformed specs (unknown workload, bad policy, wrong
   frame) are refused with a typed message at submit time, client- and
   daemon-side, without disturbing the fleet.
@@ -21,6 +24,7 @@ import json
 import socket
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -59,16 +63,14 @@ class TestSpecValidation:
             "seed": 7,
             "policy": "opt",
             "cost_model": "simulated",
-            "tenant": "default",
-            "priority": 0,
         }
 
     def test_tenant_and_priority_are_validated(self):
-        spec = validate_spec(
-            {"workload": "census", "tenant": "team-a", "priority": 7}
-        )
-        assert spec["tenant"] == "team-a"
-        assert spec["priority"] == 7
+        """Admission has no tenants or priorities: a spec naming either is
+        refused as an unknown field, not silently accepted."""
+        for field, value in (("tenant", "team-a"), ("priority", 7)):
+            with pytest.raises(ExecutionError, match=rf"unknown field\(s\): \['{field}'\]"):
+                validate_spec({"workload": "census", field: value})
 
     @pytest.mark.parametrize(
         ("bad", "match"),
@@ -83,13 +85,16 @@ class TestSpecValidation:
             ({"workload": "census", "scale": 0}, "scale"),
             ({"workload": "census", "policy": "maybe"}, "unknown policy"),
             ({"workload": "census", "cost_model": "guess"}, "unknown cost_model"),
+            # specs carry no tenant any more: the field is refused as unknown
             ({"workload": "census", "tenant": ""}, "tenant"),
             ({"workload": "census", "tenant": 7}, "tenant"),
             ({"workload": "census", "tenant": "bad tenant!"}, "tenant"),
             ({"workload": "census", "tenant": "x" * 65}, "tenant"),
-            ({"workload": "census", "priority": "urgent"}, "non-numeric priority"),
-            ({"workload": "census", "priority": -1}, "priority must be within"),
-            ({"workload": "census", "priority": 10}, "priority must be within"),
+            ({"workload": "census", "scale": float("nan")}, "scale must be finite"),
+            ({"workload": "census", "scale": float("inf")}, "scale must be finite"),
+            ({"workload": "census", "iterations": 2.7}, "iterations must be a whole number"),
+            ({"workload": "census", "seed": 1.5}, "seed must be a whole number"),
+            ({"workload": "census", "iterations": float("inf")}, "non-numeric"),
         ],
     )
     def test_malformed_specs_fail_typed(self, bad, match):
@@ -241,6 +246,115 @@ class _GatedDaemon(ServeDaemon):
         return {"ok": record.run_id}
 
 
+def _wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            raise AssertionError("timed out waiting for daemon state")
+        time.sleep(0.01)
+
+
+class TestAdmissionQueue:
+    """The daemon's one arrival-order queue: enqueue at admission, a
+    blocking dequeue per runner, cancel of queued records, and stop's
+    wake-up and drain.  Unit checks use an unstarted daemon, which spawns
+    no fleet."""
+
+    def test_arrival_order(self):
+        daemon = ServeDaemon(max_workers=1)
+        records = [object() for _ in range(5)]
+        daemon._queue.extend(records)
+        assert [daemon._next_queued() for _ in records] == records
+
+    def test_cancel_removes_only_queued(self):
+        daemon = ServeDaemon(max_workers=1)
+        a, b = object(), object()
+        daemon._queue.extend([a, b])
+        assert daemon._cancel_queued(a) is True
+        assert daemon._cancel_queued(a) is False  # already gone
+        assert daemon._next_queued() is b
+        assert daemon._cancel_queued(b) is False  # already dequeued
+
+    def test_stop_does_not_hand_out_queued_records(self):
+        """A dequeue after the stop flag returns None even with a backlog —
+        stop() drains and fails those records itself."""
+        daemon = ServeDaemon(max_workers=1)
+        record = object()
+        daemon._queue.append(record)
+        daemon._stopping.set()
+        assert daemon._next_queued() is None
+        assert list(daemon._queue) == [record]
+
+    def test_stop_wakes_blocked_runners(self):
+        """Idle runners block on the empty queue; stop() must wake them
+        at once (a runner left blocked would trip the straggler warning)."""
+        daemon = ServeDaemon(max_workers=1, max_concurrent_runs=2)
+        daemon.start()
+        runners = [t for t in daemon._threads if t.name.startswith("repro-serve-run")]
+        # both runners parked in the blocking dequeue (CPython's waiter list)
+        _wait_for(lambda: len(daemon._queue_ready._waiters) == 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            daemon.stop(join_timeout=5.0)
+        assert len(runners) == 2
+        assert not any(t.is_alive() for t in runners)
+
+    def test_restart_after_stop_admits_again(self):
+        daemon = _GatedDaemon(max_workers=1, max_concurrent_runs=1)
+        daemon.gate.set()
+        daemon.start()
+        daemon.stop()
+        assert daemon._stopping.is_set()  # admissions refused while stopped
+        daemon.start()
+        try:
+            handle = ServiceClient(daemon.address).submit(dict(CENSUS_SPEC, iterations=1))
+            assert handle.result() == {"ok": handle.run_id}
+        finally:
+            daemon.stop()
+
+    def test_fifo_serves_a_flood_in_order(self):
+        """Runs queued behind an active one start in arrival order."""
+        daemon = _GatedDaemon(max_workers=1, max_concurrent_runs=1)
+        daemon.start()
+        try:
+            client = ServiceClient(daemon.address)
+            flood = [client.submit(dict(CENSUS_SPEC, seed=i)) for i in range(3)]
+            _wait_for(lambda: len(daemon.executed) == 1)
+            late = client.submit(dict(CENSUS_SPEC, seed=99))
+            # submit() returns on the "accepted" frame, an instant before
+            # the record lands in the queue: wait for the full backlog
+            _wait_for(lambda: len(daemon._queue) == 3)
+            daemon.gate.set()
+            for handle in flood + [late]:
+                handle.result()
+            assert daemon.executed == ["run-1", "run-2", "run-3", "run-4"]
+        finally:
+            daemon.gate.set()
+            daemon.stop()
+
+    def test_queued_run_cancelled_when_client_disconnects(self):
+        """An admitted-but-queued run whose submitter hangs up is
+        cancelled, never occupies a runner, and leaves the queued count."""
+        daemon = _GatedDaemon(max_workers=1, max_concurrent_runs=1)
+        daemon.start()
+        try:
+            client = ServiceClient(daemon.address)
+            running = client.submit(dict(CENSUS_SPEC, seed=1))
+            _wait_for(lambda: len(daemon.executed) == 1)
+            abandoned = client.submit(dict(CENSUS_SPEC, seed=2))
+            abandoned.close()  # client walks away while queued
+            _wait_for(lambda: daemon.stats()["cancelled"])
+            daemon.gate.set()
+            running.result()
+            stats = daemon.stats()
+            assert stats["cancelled"] == [abandoned.run_id]
+            assert stats["queued"] == 0
+            assert daemon.executed == [running.run_id]
+        finally:
+            daemon.gate.set()
+            daemon.stop()
+
+
 class TestStopSemantics:
     def test_stop_fails_queued_runs_without_executing_them(self):
         """stop() lets the active run finish but fails the queued backlog
@@ -298,7 +412,7 @@ class TestStopSemantics:
             reply = recv_message(client_sock)
             assert reply[0] == "failed"
             assert "stopping" in reply[2]
-            assert daemon._scheduler.qsize() == 0  # nothing stranded for a drain
+            assert not daemon._queue  # nothing stranded for a drain
             assert daemon.stats()["queued"] == 0
         finally:
             client_sock.close()
@@ -400,8 +514,8 @@ class TestBugfixes:
 
     def test_queue_position_reports_queued_and_active_split(self):
         """Client and daemon agree on the semantics: queue_position is the
-        admitted-but-unfinished count, with the queued/active split (and
-        the policy position) reported alongside."""
+        admitted-but-unfinished count, with the queued/active split
+        reported alongside."""
         daemon = _GatedDaemon(max_workers=1, max_concurrent_runs=1)
         daemon.start()
         try:
@@ -416,8 +530,7 @@ class TestBugfixes:
             assert second.queued_ahead == 0
             assert second.active_at_admission == 1
             assert second.queue_position == 1
-            assert second.position == 0  # no *queued* run starts first
-            assert second.scheduler == "fifo"
+            assert set(second.admission) == {"queued", "active"}
             daemon.gate.set()
             first.result()
             second.result()

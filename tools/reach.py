@@ -60,10 +60,14 @@ def record(out_dir: str, label: str, src: str) -> None:
                 hits.add(f"{code.co_filename[len(prefix):]}:{code.co_firstlineno}")
 
     def dump():
+        # The periodic thread and the exit hooks can dump at once: each
+        # writer gets its own temporary file, so no open() truncates a file
+        # another writer is about to move into place.
         path = os.path.join(out_dir, f"{label}@{os.getpid()}.json")
-        with open(path + ".tmp", "w") as handle:
+        tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+        with open(tmp, "w") as handle:
             json.dump(sorted(hits.copy()), handle)
-        os.replace(path + ".tmp", path)
+        os.replace(tmp, path)
 
     def dump_periodically():
         # A killed worker never reaches atexit.
@@ -125,10 +129,10 @@ def paper_figures() -> int:
 
 
 def serve_round_trip(env, log) -> int:
-    """CI serve-smoke: a fair-scheduled daemon, two tenants' concurrent verified submits, SIGTERM."""
+    """CI serve-smoke: a daemon with default admission, two concurrent verified submits, SIGTERM."""
     serve = subprocess.Popen(
         [PY, "-m", "repro", "serve", "--port", "0", "--max-workers", "2",
-         "--max-concurrent-runs", "2", "--scheduler", "fair", "--tenant-weight", "team-a=2"],
+         "--max-concurrent-runs", "2"],
         cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )
     # The first line is "repro service listening on HOST:PORT".
@@ -136,9 +140,8 @@ def serve_round_trip(env, log) -> int:
     submit = [PY, "-m", "repro", "submit", "--address", address, "--workload", "census",
               "--iterations", "2", "--scale", "0.25", "--seed", "7", "--verify-inline"]
     runs = [
-        subprocess.Popen(submit + ["--tenant", tenant, "--priority", priority],
-                         cwd=ROOT, env=env, stdout=log, stderr=subprocess.STDOUT)
-        for tenant, priority in (("team-a", "2"), ("team-b", "7"))
+        subprocess.Popen(submit, cwd=ROOT, env=env, stdout=log, stderr=subprocess.STDOUT)
+        for _ in range(2)
     ]
     codes = [run.wait() for run in runs]
     serve.send_signal(signal.SIGTERM)
@@ -239,7 +242,10 @@ def report(out_dir: Path) -> int:
     keep = keep_reasons()
     reached = set()
     for dump in out_dir.glob("*@*.json"):
-        reached.update(json.loads(dump.read_text()))
+        try:
+            reached.update(json.loads(dump.read_text()))
+        except ValueError as exc:
+            raise SystemExit(f"unreadable reach dump {dump}: {exc}") from None
     functions = [key for key, unit in units.items() if not unit.is_class]
 
     @functools.lru_cache(maxsize=None)
