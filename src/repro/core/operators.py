@@ -26,9 +26,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import inspect
-import json
 import types
-import uuid
 import zlib
 from abc import ABC, abstractmethod
 from collections.abc import Mapping
@@ -40,6 +38,14 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 import numpy as np
 
 from ..exceptions import ExecutionError, OperatorError, WorkflowSpecError
+from ..storage.canonical import (
+    CANONICAL_MAGIC,
+    CANONICAL_VERSION,
+    _build_codec,
+    _compile,
+    _Encoder,
+    _put_str,
+)
 from .data import (
     DataCollection,
     ElementKind,
@@ -109,132 +115,107 @@ class RunContext:
     extras: Dict[str, Any] = field(default_factory=dict)
 
 
-def _callable_token(fn: Callable[..., Any]) -> str:
-    """A stable token describing a callable for signature purposes.
+#: Tags of values only a signature encodes: nothing decodes these bytes.
+_T_CALLABLE = b"C"
+_T_CODE = b"B"
+_T_ELLIPSIS = b"."
+#: Opens every signature's hashed bytes, as it opens a canonical payload.
+_SIGNATURE_PREFIX = CANONICAL_MAGIC + bytes((CANONICAL_VERSION,))
 
-    The token combines the module-qualified name, an optional explicit
-    ``_version`` attribute (which user code can bump to signal a semantic
-    change), and a hash of the bytecode when available.  Builtins, ufuncs and
-    other C functions fall back to their module-qualified name only, so
-    ``numpy.log`` and ``math.log`` never share a token.  Callable
-    *instances* (encodable UDF objects, the process-executor-friendly
-    alternative to closures) are identified by their class path, their
-    ``__call__`` bytecode and ``_version``, so editing the method invalidates
-    reuse just like editing a plain function; behaviour-defining *state*
-    still needs a ``_version`` bump.  A method bound to an instance (not to
-    a module or a class) is keyed by its receiver's canonical encoding too,
-    so ``A(1).f`` and ``A(2).f`` never share a token; a receiver without a
-    codec raises ``TypeError`` naming the callable.
+
+class _SignatureEncoder(_Encoder):
+    """The canonical encoding with every callable as its :func:`_callable_token`."""
+
+    __slots__ = ()
+
+    def compile(self, kind: type) -> Callable[[_Encoder, Any], None]:
+        callable_kind = any("__call__" in vars(klass) for klass in kind.__mro__)
+        codec = self.codecs[kind] = _enc_callable if callable_kind else _compile(kind)
+        return codec
+
+
+def _enc_callable(enc: _Encoder, fn: Callable[..., Any]) -> None:
+    out = enc.out
+    out += _T_CALLABLE
+    _put_str(out, enc.strings, _callable_token(fn, enc.stack))
+
+
+def _enc_code(enc: _Encoder, code: types.CodeType) -> None:
+    """Bytecode, the global and attribute names it loads, and its constants
+    (nested functions' code objects among them, walked the same way)."""
+    enc.out += _T_CODE
+    enc.value((code.co_code, code.co_names, code.co_consts))
+
+
+def _enc_ellipsis(enc: _Encoder, value: Any) -> None:
+    enc.out += _T_ELLIPSIS
+
+
+_SignatureEncoder.codecs = {types.CodeType: _enc_code, type(Ellipsis): _enc_ellipsis}
+
+
+def _callable_token(fn: Callable[..., Any], stack: Optional[set] = None) -> str:
+    """A callable's code identity: its module-qualified name, then the sha256
+    of whatever else defines it, when there is any:
+
+    * an explicit ``_version`` attribute, which user code can bump to signal
+      a semantic change the rest does not show;
+    * a Python function's bytecode, the names it loads and its constants
+      (nested functions' code included), then its defaults, keyword
+      defaults and closure cells;
+    * a bound method's receiver (unless a module or a class), so ``A(1).f``
+      and ``A(2).f`` never share a token;
+    * a ``functools.partial``'s function, arguments and keywords;
+    * a callable instance's ``__call__`` and its state, through canonical's
+      object codec (its class need not be importable).
+
+    C functions (builtins, ufuncs) are their name only, so ``numpy.log`` and
+    ``math.log`` still differ; classes are their name and ``_version``.  A
+    part without a canonical encoding raises ``TypeError`` naming ``fn``.
+    ``stack`` is the enclosing encoder's cycle guard: a callable reached
+    again through its own closure or receiver is its name there.
     """
-    if isinstance(fn, functools.partial):
-        # A partial's behaviour is its target plus the bound arguments.
-        bound = _JSON.encode([_normalize(list(fn.args)), _normalize(dict(fn.keywords))])
-        return (
-            f"partial:{_callable_token(fn.func)}:"
-            f"{hashlib.sha256(bound.encode()).hexdigest()[:16]}"
-        )
-    qualname = getattr(fn, "__qualname__", None)
-    code = getattr(fn, "__code__", None)
-    state_digest: Optional[str] = None
-    if qualname is not None:
-        module = getattr(fn, "__module__", None)
-        if module is None:  # a method descriptor such as ``str.upper``
-            module = getattr(getattr(fn, "__objclass__", None), "__module__", None)
-        qualname = f"{module}.{qualname}"
+    receiver = state = None
+    parts: Tuple[Any, ...] = ()
+    if isinstance(fn, type):
+        name = f"{fn.__module__}.{fn.__qualname__}"
+    elif isinstance(fn, functools.partial):
+        name = "functools.partial"
+        parts = (fn.func, fn.args, fn.keywords)
     else:
-        call_code = getattr(getattr(type(fn), "__call__", None), "__code__", None)
-        if code is None and call_code is None:
-            # C-implemented callable instance: no bytecode to fingerprint.
-            # Keep the repr fallback (unique per instance) rather than
-            # collapsing distinct configurations onto one class path.
-            return repr(fn)
-        qualname = f"{type(fn).__module__}.{type(fn).__qualname__}"
-        if code is None:
-            code = call_code
-        # Instance state participates so two instances of one class with
-        # different constructor arguments never alias.  Attributes that
-        # _normalize cannot stabilize (arbitrary objects fall back to repr,
-        # which embeds the id) make the token instance-unique — losing reuse
-        # but never serving a stale artifact.  Keep UDF state to scalars and
-        # collections for reuse to work.
-        state = _JSON.encode(_normalize(_instance_state(fn)))
-        state_digest = hashlib.sha256(state.encode()).hexdigest()[:16]
-    parts: List[str] = [qualname]
-    if state_digest is not None:
-        parts.append(state_digest)
-    receiver = getattr(fn, "__self__", None)
-    if receiver is not None and not isinstance(receiver, (types.ModuleType, type)):
-        parts.append(_receiver_digest(qualname, receiver))
+        qualname = getattr(fn, "__qualname__", None)
+        if qualname is None:  # a callable instance
+            cls = type(fn)
+            name = f"{cls.__module__}.{cls.__qualname__}"
+            parts = (cls.__call__,)
+            state = _build_codec(cls, decodable=False)
+        else:
+            module = getattr(fn, "__module__", None)
+            if module is None:  # a method descriptor such as ``str.upper``
+                module = getattr(getattr(fn, "__objclass__", None), "__module__", None)
+            name = f"{module}.{qualname}"
+            receiver = getattr(fn, "__self__", None)
+            if isinstance(receiver, (types.ModuleType, type)):
+                receiver = None
+            code = getattr(fn, "__code__", None)
+            if code is not None:
+                cells = tuple(cell.cell_contents for cell in fn.__closure__ or ())
+                parts = (code, fn.__defaults__, fn.__kwdefaults__, cells)
     version = getattr(fn, "_version", None)
-    if version is not None:
-        parts.append(f"v{version}")
-    if code is not None:
-        digest = hashlib.sha256(code.co_code).hexdigest()[:16]
-        parts.append(digest)
-        consts = tuple(c for c in code.co_consts if isinstance(c, (int, float, str, bool)))
-        parts.append(hashlib.sha256(repr(consts).encode()).hexdigest()[:8])
-    return ":".join(parts)
-
-
-def _receiver_digest(qualname: str, receiver: Any) -> str:
-    """Digest of a bound method's receiver, by its canonical encoding."""
-    # Imported here, like ensure_process_safe's codec, to keep core -> storage
-    # layering at module load.
-    from ..storage.canonical import encode
-
+    if (version is None and not parts and receiver is None) or (stack is not None and id(fn) in stack):
+        return name
+    scratch = _SignatureEncoder(allow_oob=False)
+    if stack is not None:
+        scratch.stack = stack
     try:
-        blob = encode(receiver)
-    except Exception as exc:  # noqa: BLE001 - any receiver without a codec
-        raise TypeError(
-            f"callable {qualname} is bound to a {type(receiver).__name__} with no "
-            f"canonical encoding, so its signature cannot tell receivers apart; "
-            f"pass a module-level function or an encodable callable object"
-        ) from exc
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _instance_state(obj: Any) -> Dict[str, Any]:
-    """Behaviour-defining attributes of an instance: ``__dict__`` plus slots."""
-    state: Dict[str, Any] = dict(getattr(obj, "__dict__", None) or {})
-    for klass in type(obj).__mro__:
-        slots = getattr(klass, "__slots__", ()) or ()
-        if isinstance(slots, str):
-            slots = (slots,)
-        for slot in slots:
-            if slot in ("__dict__", "__weakref__") or slot in state:
-                continue
-            if hasattr(obj, slot):
-                state[slot] = getattr(obj, slot)
-    return state
-
-
-#: Encodes exactly as ``json.dumps(v, sort_keys=True, default=str)``.
-_JSON = json.JSONEncoder(sort_keys=True, default=str)
-#: Exact types returned as they are, before any ABC check (not subclasses).
-_PLAIN_TYPES = frozenset({int, float, str, bool, type(None)})
-
-
-def _normalize(value: Any) -> Any:
-    """Normalize configuration values so they can be hashed deterministically."""
-    kind = type(value)
-    if kind in _PLAIN_TYPES:
-        return value
-    # An exact dict skips both ABC checks; a callable mapping is a callable.
-    if kind is dict or (isinstance(value, Mapping) and not callable(value)):
-        return {str(k): _normalize(v) for k, v in sorted(value.items())}
-    if callable(value):
-        return _callable_token(value)
-    if isinstance(value, (list, tuple)):
-        return [_normalize(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(_normalize(v) for v in value)
-    if isinstance(value, np.ndarray):
-        # dtype (``descr`` names structured fields too), shape, then the bytes.
-        header = f"{value.dtype.descr}{value.shape}".encode()
-        return hashlib.sha256(header + value.tobytes()).hexdigest()
-    if isinstance(value, (int, float, str, bool)) or value is None:
-        return value
-    return repr(value)
+        if state is not None:
+            state(scratch, fn)
+        marker = scratch.enter(fn)
+        scratch.value((version, parts, receiver))
+    except TypeError as exc:
+        raise TypeError(f"callable {name} has no signature: {exc}") from exc
+    scratch.stack.discard(marker)
+    return f"{name}:{hashlib.sha256(scratch.out).hexdigest()}"
 
 
 class Operator(ABC):
@@ -262,6 +243,11 @@ class Operator(ABC):
       reference: module-level functions and classes travel as their
       ``module.qualname``, callable instances as their attributes; closures,
       lambdas and bound methods have no encoding.
+
+    Reuse assumes ``run`` is a function of its inputs and :meth:`config`
+    alone: a step that draws random numbers carries its seed in
+    ``config()``, as MNIST's random-feature featurizer does, so a fresh
+    draw is a new seed and therefore a new signature.
     """
 
     #: Which workflow component this operator belongs to.
@@ -275,13 +261,6 @@ class Operator(ABC):
     #: handles, module-level caches it mutates, monkeypatched hooks).
     supports_processes: bool = True
 
-    #: Deterministic operators compute identical results on identical inputs.
-    #: Non-deterministic operators (e.g. a freshly seeded random featurizer)
-    #: are never considered equivalent across iterations, so their results
-    #: can never be reused — the situation the paper's MNIST workflow
-    #: exercises.
-    deterministic: bool = True
-
     @abstractmethod
     def run(self, inputs: Sequence[Any], context: RunContext) -> Any:
         """Execute the operator on already-computed input values."""
@@ -291,25 +270,19 @@ class Operator(ABC):
         return {}
 
     def config_signature(self) -> str:
-        """A stable hash of the operator class and configuration.
+        """The sha256 of the canonical encoding of ``(class, config())``.
 
         Two operators with the same class and configuration are assumed to
         compute identical results on identical inputs (representational
-        equivalence, Section 4.2); the class is its module-qualified name,
-        so same-named classes of two modules never share a signature.
-        Non-deterministic operators mix in a per-instance nonce so they are
-        never equivalent to any other operator instance, including their
-        past selves.
+        equivalence, Section 4.2).  The class and every callable encode as
+        their code identity (:func:`_callable_token`); every other value as
+        :mod:`~repro.storage.canonical` encodes it, so two configurations
+        share a signature exactly when their canonical bytes are equal.  A
+        value canonical refuses raises ``TypeError``.
         """
-        cls = type(self)
-        payload = {"class": f"{cls.__module__}.{cls.__qualname__}", "config": _normalize(self.config())}
-        if not self.deterministic:
-            nonce = getattr(self, "_instance_nonce", None)
-            if nonce is None:
-                nonce = uuid.uuid4().hex
-                setattr(self, "_instance_nonce", nonce)
-            payload["nonce"] = nonce
-        return hashlib.sha256(_JSON.encode(payload).encode()).hexdigest()
+        enc = _SignatureEncoder(allow_oob=False)
+        enc.value((type(self), self.config()))
+        return hashlib.sha256(_SIGNATURE_PREFIX + enc.out).hexdigest()
 
     def estimated_cost(self, input_sizes: Sequence[int]) -> float:
         """Simulated compute cost (seconds) used by the simulated clock.

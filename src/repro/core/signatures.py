@@ -37,13 +37,20 @@ def compute_node_signatures(dag: WorkflowDAG) -> Dict[str, str]:
     The signature of a node depends on its operator configuration and the
     signatures of its parents (order-insensitive: parents are sorted so that
     declaring the same dependencies in a different order does not spuriously
-    deprecate results).
+    deprecate results).  An operator whose configuration has no canonical
+    encoding raises ``TypeError`` naming the node and its operator class.
     """
     signatures: Dict[str, str] = {}
     for name in dag.topological_order():
         node = dag.node(name)
+        try:
+            config_signature = node.operator.config_signature()
+        except TypeError as exc:
+            raise TypeError(
+                f"node {name!r} ({type(node.operator).__name__}) has no signature: {exc}"
+            ) from exc
         parent_signatures = sorted(signatures[parent] for parent in node.parents)
-        payload = "|".join([node.operator.config_signature(), *parent_signatures])
+        payload = "|".join([config_signature, *parent_signatures])
         signatures[name] = hashlib.sha256(payload.encode()).hexdigest()
     return signatures
 

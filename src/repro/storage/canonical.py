@@ -309,6 +309,9 @@ class _Encoder:
         "refs", "stack",
     )
 
+    #: Exact type -> encode function (:data:`_CODECS`, filled by ``compile``).
+    codecs: Dict[type, Callable[["_Encoder", Any], None]]
+
     def __init__(self, allow_oob: bool):
         self.out = bytearray()
         self.buffers: List[Union[bytes, memoryview]] = []
@@ -323,7 +326,11 @@ class _Encoder:
 
     def value(self, value: Any) -> None:
         kind = type(value)
-        (_CODECS.get(kind) or _compile(kind))(self, value)
+        (self.codecs.get(kind) or self.compile(kind))(self, value)
+
+    def compile(self, kind: type) -> Callable[["_Encoder", Any], None]:
+        """The codec of a class not yet in :attr:`codecs` (a subclass may claim some)."""
+        return _compile(kind)
 
     def blob(self, data: Union[bytes, memoryview], inline_only: bool = False) -> None:
         """A length-delimited byte blob, inline or hoisted out-of-band."""
@@ -359,7 +366,7 @@ class _Encoder:
         the order it induces does not depend on what the payload interned
         before; the cycle guard is shared with the outer traversal.
         """
-        scratch = _Encoder(allow_oob=False)
+        scratch = type(self)(allow_oob=False)
         scratch.stack = self.stack
         scratch.value(value)
         return bytes(scratch.out)
@@ -488,10 +495,10 @@ _TUPLE_TAGS = (_T_FLOAT_TUPLE, _T_INT_TUPLE, _T_STR_TUPLE)
 
 
 def _enc_items(enc: _Encoder, items: Any) -> None:
-    codecs = _CODECS
+    codecs = enc.codecs
     for item in items:
         kind = type(item)
-        (codecs.get(kind) or _compile(kind))(enc, item)
+        (codecs.get(kind) or enc.compile(kind))(enc, item)
 
 
 def _enc_list(enc: _Encoder, value: list) -> None:
@@ -617,10 +624,10 @@ def _enc_object(enc: _Encoder, value: Any, layout: bytes, values: Any) -> None:
     out = enc.out
     out += _T_OBJECT
     _put_def(out, enc.layouts, layout)
-    codecs = _CODECS
+    codecs = enc.codecs
     for item in values:
         kind = type(item)
-        (codecs.get(kind) or _compile(kind))(enc, item)
+        (codecs.get(kind) or enc.compile(kind))(enc, item)
     enc.stack.discard(marker)
 
 
@@ -646,6 +653,7 @@ _CODECS: Dict[type, Callable[[_Encoder, Any], None]] = {
     frozenset: _enc_frozenset,
     dict: _enc_dict,
 }
+_Encoder.codecs = _CODECS
 _PACKABLE = frozenset((float, int, str))
 _COMPILE_LOCK = threading.Lock()
 
@@ -691,7 +699,8 @@ def _compile(cls: type) -> Callable[[_Encoder, Any], None]:
     return codec
 
 
-def _build_codec(cls: type) -> Callable[[_Encoder, Any], None]:
+def _build_codec(cls: type, decodable: bool = True) -> Callable[[_Encoder, Any], None]:
+    """``decodable=False`` (for bytes nothing decodes) accepts a class not importable by name."""
     if issubclass(cls, _REFERABLE):
         return _enc_reference
     for kinds, reason in _REFUSED:
@@ -701,7 +710,7 @@ def _build_codec(cls: type) -> Callable[[_Encoder, Any], None]:
         return _enc_ndarray
     if issubclass(cls, np.generic):
         return _enc_npscalar
-    if not _importable(cls):
+    if decodable and not _importable(cls):
         return _refuse("the class does not resolve to itself as module.qualname")
     if issubclass(cls, BaseException):
         return _exception_codec(cls)

@@ -278,11 +278,9 @@ class BetweenWordsExtractor:
 
     A module-level callable class rather than a closure factory so the IE
     operators are encodable and the workflow can run on the process executor.
-    Its signature token is the class path, the ``__call__`` bytecode and its
-    scalar state (the hashing dimensionality), so editing the extraction
-    logic or changing the dimensionality both invalidate reuse — only scalar
-    state is kept on the instance, because non-scalar attributes would make
-    the signature instance-unique and forfeit reuse.
+    Its signature token is the class path, the ``__call__`` code and its
+    state (the hashing dimensionality), so editing the extraction logic or
+    changing the dimensionality both invalidate reuse.
     """
 
     def __init__(self, hashing_dims: int):

@@ -247,6 +247,17 @@ class TestLearnerAndReducer:
             Reducer(lambda c: 0).run([], CTX)
 
 
+class _NoisyOperator(FieldExtractor):
+    """A random step: each instance draws a fresh seed and keys it in ``config()``."""
+
+    def __init__(self, field_name):
+        super().__init__(field_name)
+        self.seed = int(np.random.SeedSequence().entropy)
+
+    def config(self):
+        return {**super().config(), "seed": self.seed}
+
+
 class TestSignatures:
     def test_same_config_same_signature(self):
         assert FieldExtractor("age").config_signature() == FieldExtractor("age").config_signature()
@@ -269,17 +280,20 @@ class TestSignatures:
         assert before != after
 
     def test_nondeterministic_operator_never_equivalent(self):
-        class NoisyOperator(FieldExtractor):
-            deterministic = False
+        """A random step carries its seed in ``config()``: a fresh draw is a
+        new seed, hence a new signature."""
+        from repro.workloads.mnist import RandomFourierExtractor
 
-        assert NoisyOperator("age").config_signature() != NoisyOperator("age").config_signature()
+        assert _NoisyOperator("age").config_signature() != _NoisyOperator("age").config_signature()
+        assert RandomFourierExtractor(seed=1).config_signature() != RandomFourierExtractor(seed=2).config_signature()
 
     def test_nondeterministic_signature_stable_per_instance(self):
-        class NoisyOperator(FieldExtractor):
-            deterministic = False
+        """The same seed, in the same instance or a second one, is reusable."""
+        from repro.workloads.mnist import RandomFourierExtractor
 
-        op = NoisyOperator("age")
+        op = _NoisyOperator("age")
         assert op.config_signature() == op.config_signature()
+        assert RandomFourierExtractor(seed=1).config_signature() == RandomFourierExtractor(seed=1).config_signature()
 
 
 # ---------------------------------------------------------------------------

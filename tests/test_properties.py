@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import math
 import os
 import pickle
 import subprocess
@@ -25,7 +27,14 @@ from repro.core.data import (
     SemanticUnit,
     Split,
 )
-from repro.core.operators import CSVScanner, FunctionExtractor, Learner, PredictionsResult
+from repro.core.operators import (
+    CSVScanner,
+    Component,
+    FunctionExtractor,
+    Learner,
+    PredictionsResult,
+    RunContext,
+)
 from repro.core.signatures import compute_node_signatures, diff_signatures
 from repro.exceptions import OperatorError, ProtocolError
 from repro.execution.clock import SimulatedCostModel
@@ -35,6 +44,7 @@ from repro.optimizer.oep import NodeState, plan_run_time, solve_oep
 from repro.storage import canonical
 from repro.storage.canonical import (
     CANONICAL_MAGIC,
+    CANONICAL_VERSION,
     decode,
     encode,
     encode_segments,
@@ -524,6 +534,60 @@ def _materialized(workload: str, nodes, scale: float = 0.05):
         for record in store.artifacts()
         if record.node_name in nodes
     }
+
+
+#: One value per tag of the canonical format, none of them code objects, so
+#: the bytes are the same on every Python version: ``(tag, value, sha256 of
+#: encode(value))``.  Artifacts and signatures both hash these bytes.
+_GOLDEN_CORPUS = [
+    (b"N", None, "3f4555981173f7cea0728e42cc5327a0717581ffcb7d7c67bbf53e647da90f50"),
+    (b"T", True, "bdb9fe6b71927a000ed19991b0d62648ae6a87927983476ee5500d9a34a9f590"),
+    (b"F", False, "faf59b1ed889e8a48d731685359b31eb0a009977399039a2a2c4b938d6c7b2d2"),
+    (b"i", -300, "cfe18d0f33cc7ff07b5423ead2a701a8f263a39f27eb2a65fd3451b9d87bc49f"),
+    (b"f", 1.5, "4dde285c0294e92f12eca1e66574fbdeb8e98a8487e087ce84a0496537915f9b"),
+    (b"c", complex(1.0, -2.0), "2eb5e598f076bf507d6c7aed780138ef06df46d19ebd8eea081931320af74205"),
+    (b"s", "héllo", "e197f68e98271bce68e0245f79104f6605b2fc4fc8fbe3f37200e01f56d01f09"),
+    (b"b", b"\x00\x01\xff", "c896a4e37c2f3312566a7c8bd229a95bd840526af2fa60ae808d0eac0ef22d8a"),
+    (b"y", bytearray(b"ab"), "d6fec1b1def3671929f60f141cbc7c713d65d677ba9ec1c97d7ec5933faf032d"),
+    (b"l", [1, "a", None], "c958acc055f5aac1ba05f28c11b864fb11dae1887201257d8e67ee2dfad3dce4"),
+    (b"t", (1, "a", None), "f4a03cfd324b13474de9246142b91194dd3f4e35e92cd4d25733121ecb8f0108"),
+    (b"w", [0.5, -2.0], "24d847aca96cb2a2e477823ab76ace9c7141b371320349a9d0a90b6145b0356f"),
+    (b"W", (0.5, -2.0), "b4583a0ae3961204be17f0806de9c43685198e466ac20d2b68f8d2ad96b5fece"),
+    (b"k", [1, -2, 300], "4f5ae298bab1a50c3ea3dc1a843c9e4793ae683dac641c79bfdd31c966389c55"),
+    (b"K", (1, 70000), "3018443391d6369d0a8e079364b0c5cebfeeda9f876e5844eca389ca0c2dabd4"),
+    (b"x", ["a", "b", "a"], "032a630e80247e3adf45394ad8cb617ff22335ac58414c361eb281061643aec8"),
+    (b"X", ("b", "a", "b"), "df84bbac3f5b2d8f26ebdf971edb46d0175c939654bc2d32f8a0995405f72ab7"),
+    (b"e", {3, 1, 2}, "87632c9430672e6df97c9e1c081f03b3f9615e727cae0e4ddfa21e5d9b7b5257"),
+    (b"z", frozenset({"b", "a"}), "b70a40705898467df602bc4670d4b2c49233f9ce429a4dc7a3f0460eac5d640c"),
+    (b"d", {2: "b", 1: "a"}, "a489f7b799e323a7b56f99dcbb3364575e2d175c944b2e65dbb8d52afd7f3137"),
+    (b"m", {"b": 2, "a": 1}, "5d4872050ff3f487a23aba5b6f6fdd253ffc25752b1fa884097c841deeff16ab"),
+    (b"a", np.arange(6, dtype="<i4").reshape(2, 3), "7b4ca1972f75b31cd20cda51754a579bf2fa6e6812bfa7443c3ed3c05471f781"),
+    (b"g", np.float64(2.5), "e76eabf6dcbd7f1d477ef76ab487c917fd812df00baef86693e9779e471a2da6"),
+    (b"E", Component.LI, "db2c9c9ab0c2a9edcae0bdb78a660015e26473e149599990c4a82d3eb4398329"),
+    (b"o", RunContext(seed=3), "5257f1e81e6287d7ed4a1c06ac7e99bb6f3b79a61ee22353a40b80dc300fac48"),
+    (b"O", FeatureVector({"x": 1.0, "y": 2.0}), "91cb4c92a21ec7325b818f69a70ac028a3de530641110d2b65b34897c822cd06"),
+    (b"R", math.sqrt, "c6512cad373be23b632708288d46d829039209b734b2cfb72d82df6a51fda8be"),
+    (b"!", ValueError("boom"), "fb5c5316e52746a7a9e3b89876b4c7c0109a8e5e0d1b26e292f8daead165d74a"),
+]
+
+
+class TestCanonicalGoldenCorpus:
+    """A change to the byte layout fails here until it is made on purpose:
+    with a new :data:`CANONICAL_VERSION` and new digests."""
+
+    def test_the_format_version_is_pinned(self):
+        assert CANONICAL_VERSION == 6
+
+    def test_the_corpus_covers_every_tag(self):
+        tags = {value for name, value in vars(canonical).items() if name.startswith("_T_")}
+        assert {tag for tag, _value, _digest in _GOLDEN_CORPUS} == tags
+
+    @pytest.mark.parametrize(
+        "tag, value, digest", _GOLDEN_CORPUS, ids=[tag.decode() for tag, _v, _d in _GOLDEN_CORPUS]
+    )
+    def test_golden_bytes(self, tag, value, digest):
+        assert bytes(encode_segments(value)[1][:1]) == tag
+        assert hashlib.sha256(encode(value)).hexdigest() == digest
 
 
 class TestCanonicalDataModel:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
-import hashlib
+import functools
 import json
 import math
-from collections.abc import Mapping
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dag import Node, WorkflowDAG
-from repro.core.operators import _JSON, Operator, _callable_token, _normalize
+from repro.core.operators import Operator
 from repro.core.signatures import compute_node_signatures, diff_signatures
 from repro.core.workflow import Workflow
 from repro.execution.clock import SimulatedCostModel
+from repro.storage.canonical import decode, encode
 from repro.systems.helix import HelixSystem
 from repro.workloads.base import get_workload
 
@@ -270,79 +274,236 @@ class TestCallableInstanceTokens:
         )
 
 
+def _udf(source: str):
+    """The function ``feature`` that ``source`` defines, as a function of this
+    module: two sources then differ only in what the source says."""
+    namespace = {"__name__": __name__, "math": math}
+    exec(compile(source, "<udf>", "exec"), namespace)
+    return namespace["feature"]
 
-def _normalize_by_abc_checks(value):
-    """``_normalize`` as it read before its exact-type fast paths (arrays aside)."""
-    if callable(value):
-        return _callable_token(value)
-    if isinstance(value, Mapping):
-        return {str(k): _normalize_by_abc_checks(v) for k, v in sorted(value.items())}
+
+def _udf_signature(source: str) -> str:
+    from repro.core.operators import FunctionExtractor
+
+    return FunctionExtractor("e", _udf(source)).config_signature()
+
+
+class TestCodeIdentity:
+    """Each UDF edit that Section 4.2 says must invalidate reuse changes the
+    signature, though every pair below has one qualified name and one bytecode."""
+
+    @pytest.mark.parametrize(
+        "before, after",
+        [
+            pytest.param(
+                "def feature(r):\n    return math.sin(r)\n",
+                "def feature(r):\n    return math.cos(r)\n",
+                id="called-name",
+            ),
+            pytest.param(
+                "def feature(r):\n    def inner(x):\n        return x + 1\n    return inner(r)\n",
+                "def feature(r):\n    def inner(x):\n        return x - 1\n    return inner(r)\n",
+                id="inner-def-body",
+            ),
+            pytest.param(
+                "def feature(r):\n    return sum(v * 2 for v in r)\n",
+                "def feature(r):\n    return sum(v + 2 for v in r)\n",
+                id="generator-expression-body",
+            ),
+            pytest.param(
+                "def feature(r):\n    return r in (1, 2)\n",
+                "def feature(r):\n    return r in (1, 3)\n",
+                id="tuple-constant",
+            ),
+            pytest.param(
+                "def feature(r, a=1):\n    return r * a\n",
+                "def feature(r, a=2):\n    return r * a\n",
+                id="default-argument",
+            ),
+            pytest.param(
+                "def make(k):\n    def feature(r):\n        return r * k\n    return feature\n"
+                "feature = make(2)\n",
+                "def make(k):\n    def feature(r):\n        return r * k\n    return feature\n"
+                "feature = make(3)\n",
+                id="closure-cell",
+            ),
+        ],
+    )
+    def test_udf_edit_changes_signature(self, before, after):
+        assert _udf(before).__qualname__ == _udf(after).__qualname__
+        assert _udf(before).__code__.co_code == _udf(after).__code__.co_code
+        assert _udf_signature(before) != _udf_signature(after)
+        assert _udf_signature(before) == _udf_signature(before)
+
+    def test_keyword_default_participates(self):
+        assert _udf_signature("def feature(r, *, a=1):\n    return r * a\n") != _udf_signature(
+            "def feature(r, *, a=2):\n    return r * a\n"
+        )
+
+    def test_a_self_recursive_closure_has_a_signature(self):
+        source = (
+            "def make(k):\n"
+            "    def feature(n):\n"
+            "        return k if n <= 0 else feature(n - 1)\n"
+            "    return feature\n"
+            "feature = make({k})\n"
+        )
+        assert _udf_signature(source.format(k=1)) == _udf_signature(source.format(k=1))
+        assert _udf_signature(source.format(k=1)) != _udf_signature(source.format(k=2))
+
+    def test_an_ellipsis_constant_is_part_of_the_code(self):
+        assert _udf_signature("def feature(r):\n    return r[..., 0]\n") != _udf_signature(
+            "def feature(r):\n    return r[None, 0]\n"
+        )
+
+    def test_a_callable_dict_subclass_is_refused(self):
+        """Its items live outside ``__dict__``, where the object codec does
+        not look, so two such UDFs could not be told apart."""
+
+        class CallableMapping(dict):
+            def __call__(self, record):
+                return record
+
+        with pytest.raises(TypeError, match="builtin-container subclass"):
+            ConstOperator(CallableMapping(a=1)).config_signature()
+
+    def test_a_config_value_without_a_codec_is_refused_naming_the_node(self):
+        dag = WorkflowDAG([Node.create("noisy", ConstOperator(np.random.default_rng(1)))])
+        with pytest.raises(TypeError, match=r"node 'noisy' \(ConstOperator\).*Generator"):
+            compute_node_signatures(dag)
+
+
+class _Configured(Operator):
+    """An operator whose configuration is one value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def config(self):
+        return {"value": self.value}
+
+    def run(self, inputs, context):
+        return self.value
+
+
+def _json_like(value):
+    """``value`` with tuples as lists and int keys as str: what a JSON
+    encoding could not tell from ``value``."""
+    if isinstance(value, dict):
+        return {str(k) if isinstance(k, int) else k: _json_like(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_normalize_by_abc_checks(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(_normalize_by_abc_checks(v) for v in value)
-    if isinstance(value, (int, float, str, bool)) or value is None:
-        return value
-    return repr(value)
+        return [_json_like(v) for v in value]
+    return value
 
 
 _numpy_scalars = st.one_of(
     st.integers(-(2**31), 2**31 - 1).map(np.int64),
+    st.integers(-(2**31), 2**31 - 1).map(np.int32),
     st.floats(allow_nan=False, width=32).map(np.float32),
     st.floats(allow_nan=False).map(np.float64),
     st.booleans().map(np.bool_),
 )
+_arrays = st.builds(
+    lambda items, dtype, rows: np.array(items, dtype=dtype).reshape(rows, -1),
+    st.lists(st.integers(-3, 3), min_size=2, max_size=2) | st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+    st.sampled_from([np.int64, np.int32, np.float64]),
+    st.sampled_from([1, 2]),
+)
 _config_scalars = st.one_of(
-    st.integers(),
+    st.integers(-3, 3),
     st.floats(allow_nan=False),
-    st.text(max_size=8),
+    st.sampled_from(["", "a", "1"]),
     st.booleans(),
     st.none(),
     _numpy_scalars,
-    st.sampled_from([math.sqrt, np.log, len]),
+    _arrays,
 )
 _config_values = st.recursive(
     _config_scalars,
     lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(st.text(max_size=6), children, max_size=4),
-        st.dictionaries(st.integers(), children, max_size=4),
-        st.frozensets(st.integers(), max_size=4),
-        st.sets(st.text(max_size=6), max_size=4),
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.sampled_from(["a", "1", "b"]), children, max_size=3),
+        st.dictionaries(st.integers(0, 2), children, max_size=3),
+        st.frozensets(st.integers(0, 3), max_size=3),
+        st.sets(st.sampled_from(["a", "1", "b"]), max_size=3),
     ),
-    max_leaves=20,
+    max_leaves=12,
 )
 
 
-def _reference_config_signature(operator):
-    """``Operator.config_signature`` as it encoded before ``_normalize`` gained its
-    exact-type fast paths: ``json.dumps`` of the ABC-check normalization."""
-    cls = type(operator)
-    payload = {
-        "class": f"{cls.__module__}.{cls.__qualname__}",
-        "config": _normalize_by_abc_checks(operator.config()),
-    }
-    if not operator.deterministic:
-        payload["nonce"] = operator._instance_nonce
-    return hashlib.sha256(json.dumps(payload, sort_keys=True, default=str).encode()).hexdigest()
+class TestSignaturesAreCanonicalEquality:
+    @given(_config_values, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equal_signatures_exactly_when_canonical_encodings_are_equal(self, value, data):
+        other = data.draw(st.one_of(_config_values, st.just(_json_like(value))))
+        same_bytes = encode({"value": value}) == encode({"value": other})
+        same_signature = _Configured(value).config_signature() == _Configured(other).config_signature()
+        assert same_signature == same_bytes
+        assert _Configured(value).config_signature() == _Configured(decode(encode(value))).config_signature()
+
+    @pytest.mark.parametrize(
+        "one, other",
+        [
+            ({1: "a"}, {"1": "a"}),
+            ((1, 2), [1, 2]),
+            (1, 1.0),
+            (1, True),
+        ],
+        ids=["int-vs-str-key", "tuple-vs-list", "int-vs-float", "int-vs-bool"],
+    )
+    def test_values_a_json_encoding_confuses_stay_apart(self, one, other):
+        assert ConstOperator(one).config_signature() != ConstOperator(other).config_signature()
+
+    def test_equal_arrays_share_a_signature(self):
+        assert (
+            ConstOperator(np.arange(6).reshape(2, 3)).config_signature()
+            == ConstOperator(np.arange(6).reshape(2, 3)).config_signature()
+        )
+
+
+_PAPER_DAG_SIGNATURES = """
+import json
+from repro.core.signatures import compute_node_signatures
+from repro.workloads.base import get_workload
+
+signatures = {}
+for name in ("census", "genomics", "mnist", "nlp"):
+    workload = get_workload(name)
+    signatures[name] = compute_node_signatures(workload.build(workload.initial_config()).compile())
+print(json.dumps(signatures))
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def _paper_dag_signatures_in_subprocesses():
+    """The four paper DAGs' node signatures as two fresh interpreters, with
+    string-hash seeds 1 and 2, compute them."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    runs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", _PAPER_DAG_SIGNATURES],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        )
+        runs.append(json.loads(done.stdout))
+    return runs
 
 
 class TestNormalize:
-    @given(_config_values)
-    @settings(max_examples=300, deadline=None)
-    def test_equals_the_abc_check_version(self, value):
-        normalized = _normalize(value)
-        assert normalized == _normalize_by_abc_checks(value)
-        assert _JSON.encode(normalized) == json.dumps(
-            _normalize_by_abc_checks(value), sort_keys=True, default=str
-        )
+    """A config is hashed as its canonical encoding: what that encoding tells
+    apart, the signature tells apart, in any process."""
 
     def test_array_shape_participates(self):
-        assert _normalize(np.zeros((2, 3))) != _normalize(np.zeros((3, 2)))
+        flat, square = np.arange(6), np.arange(6).reshape(2, 3)
+        assert flat.tobytes() == square.tobytes()
+        assert ConstOperator(flat).config_signature() != ConstOperator(square).config_signature()
 
     def test_array_dtype_participates(self):
-        assert _normalize(np.zeros(2, np.int64)) != _normalize(np.zeros(2, np.float64))
+        ints, floats = np.zeros(2, np.int64), np.zeros(2, np.float64)
+        assert ints.tobytes() == floats.tobytes()
+        assert ConstOperator(ints).config_signature() != ConstOperator(floats).config_signature()
 
     def test_array_config_signature_tells_shapes_apart(self):
         assert (
@@ -350,27 +511,16 @@ class TestNormalize:
             != ConstOperator(np.zeros((3, 2))).config_signature()
         )
 
-    def test_equal_arrays_share_a_signature(self):
-        assert _normalize(np.arange(6).reshape(2, 3)) == _normalize(np.arange(6).reshape(2, 3))
-
-    def test_callable_mapping_is_a_callable(self):
-        class CallableMapping(dict):
-            def __call__(self, record):
-                return record
-
-        value = CallableMapping(a=1)
-        assert _normalize(value) == _normalize_by_abc_checks(value) == _callable_token(value)
-
     @pytest.mark.parametrize("name", ["census", "genomics", "mnist", "nlp"])
     def test_paper_dag_signatures_are_unchanged(self, name):
-        # Computed on the running interpreter: function configs hash their
-        # bytecode, which differs between Python versions.
+        """This process and two interpreters with other string-hash seeds sign
+        the paper DAG alike: nothing hashed depends on ``id``, hash
+        randomization or insertion order."""
         workload = get_workload(name)
-        dag = workload.build(workload.initial_config()).compile()
-        for node_name in dag.node_names:
-            operator = dag.node(node_name).operator
-            signature = operator.config_signature()
-            assert signature == _reference_config_signature(operator), node_name
+        here = compute_node_signatures(workload.build(workload.initial_config()).compile())
+        first, second = (run[name] for run in _paper_dag_signatures_in_subprocesses())
+        assert here == first == second
+        assert len(set(here.values())) > 5
 
 
 class TestDiff:
