@@ -5,30 +5,29 @@ executor parallelism (7c).
 KeystoneML (the paper uses 10x; the harness defaults to 4x to keep run time
 modest — pass ``--scale`` via REPRO_FIG7_SCALE to change it).  7(b) repeats
 the census-at-scale lifecycle under a simulated 2/4/8-worker cluster cost
-model for both systems.  7(c) is a four-way inline/thread/process/distributed
+model for both systems.  7(c) is a three-way inline/thread/distributed
 executor comparison on two synthetic wide-DAG workloads:
 
 * **latency-bound** (``make_wide_dag``, real sleeps): the thread executor
   must beat inline by >= 2x wall-clock — latency overlaps even on one core;
 * **CPU-bound** (``make_cpu_dag``, pure-Python spin loops that hold the
-  GIL): the process executor must beat inline by >= 2x with 4 workers on a
-  >= 4-core machine, while the thread executor stays < 1.3x (the GIL gap the
-  process executor exists to close).  The distributed executor — 4 local TCP
-  workers — must beat inline by >= 1.5x on >= 4 cores (it pays a framing +
-  socket round trip per task on top of the process executor's pickling).
-  On machines with fewer cores the CPU bars are reported but not enforced —
-  there is no parallel CPU to win.
+  GIL): the distributed executor — 4 locally spawned TCP workers — must
+  beat inline by >= 2x on a >= 4-core machine (>= 1.5x on 2-3 cores,
+  >= 1.2x for ``--smoke`` on >= 2 cores), while the thread executor stays
+  < 1.3x (the GIL gap worker processes exist to close).  On a single core
+  the CPU bar is reported but not enforced — there is no parallel CPU to
+  win.
 
 Every comparison also asserts all executors produced equivalent run
 statistics (timing excluded — the cost model here charges wall-clock).
 
 Running this file as a script (``python benchmarks/bench_fig7_scalability.py
-[--smoke] [--executor thread|process|distributed|all] [--workers host:port,...]
+[--smoke] [--executor thread|distributed|all] [--workers host:port,...]
 [--json PATH]``) executes the 7(c) comparisons standalone, without
 pytest-benchmark; ``--smoke`` shrinks the DAGs for CI and ``--executor``
-selects the latency (thread), CPU (process), distributed, or all sections.
-The distributed section additionally reports depth-2 **pipelined dispatch**
-vs one-task-per-worker on short latency-bound tasks (report-only — the win
+selects the latency (thread) section, the CPU (distributed) section, or
+both.  The distributed section additionally reports depth-2 **pipelined
+dispatch** vs one-task-per-worker on short latency-bound tasks (report-only — the win
 rides on the framing round trip), an **artifact plane** section measuring
 coordinator bytes-on-wire with the worker cache tier on vs off across
 two same-seed served runs (report-only; see ``docs/artifacts.md``) and,
@@ -138,9 +137,9 @@ def test_fig7b_cluster_scalability(benchmark):
 
 
 # ---------------------------------------------------------------------------
-# Figure 7c: inline vs thread vs process vs distributed executors on wide DAGs
+# Figure 7c: inline vs thread vs distributed executors on wide DAGs
 # ---------------------------------------------------------------------------
-EXECUTORS = ("inline", "thread", "process", "distributed")
+EXECUTORS = ("inline", "thread", "distributed")
 
 
 def _run_executor(
@@ -152,12 +151,12 @@ def _run_executor(
 
     An executor name is built here and shut down after the run, both inside
     the timed region: the wall clock includes worker-pool startup and
-    teardown — the process executor must amortize fork + payload pickling
-    to win, exactly as it must in practice.  ``executor`` may instead be a
-    ready instance (e.g. a remote-configured distributed executor); the
-    engine then drains it after the run and the caller owns its
-    ``shutdown``, so startup amortizes across repeats just as a warm pool
-    would in production.
+    teardown — the distributed executor must amortize worker spawn and
+    payload framing to win, exactly as it must in practice.  ``executor``
+    may instead be a ready instance (e.g. a remote-configured distributed
+    executor); the engine then drains it after the run and the caller owns
+    its ``shutdown``, so startup amortizes across repeats just as a warm
+    pool would in production.
     """
     dag = dag_factory()
     signatures = compute_node_signatures(dag)
@@ -254,7 +253,6 @@ def _latency_comparison(
 
 def _cpu_comparison(
     smoke: bool = False,
-    executors: Sequence[str] = EXECUTORS,
     overrides: Optional[Dict[str, Executor]] = None,
     max_workers: int = FIG7C_MAX_WORKERS,
 ) -> Dict[str, float]:
@@ -264,7 +262,6 @@ def _cpu_comparison(
     return run_executor_comparison(
         lambda: make_cpu_dag(branches=branches, depth=depth, spin=spin),
         max_workers=max_workers,
-        executors=executors,
         overrides=overrides,
     )
 
@@ -367,8 +364,8 @@ def run_artifact_plane_report(smoke: bool = False) -> Dict[str, float]:
     }
 
 
-def _cpu_process_bar(smoke: bool = False) -> Optional[float]:
-    """Process-executor speedup bar on the CPU-bound DAG, or None to skip.
+def _cpu_distributed_bar(smoke: bool = False) -> Optional[float]:
+    """Distributed-executor speedup bar on the CPU-bound DAG, or None to skip.
 
     There is no parallel CPU to win on a single-core machine, so the bar is
     only enforced where the hardware can express it.
@@ -379,19 +376,6 @@ def _cpu_process_bar(smoke: bool = False) -> Optional[float]:
     if smoke:
         return 1.2
     return 2.0 if cores >= 4 else 1.5
-
-
-def _cpu_distributed_bar(smoke: bool = False) -> Optional[float]:
-    """Distributed-executor speedup bar on the CPU-bound DAG, or None to skip.
-
-    Enforced only on >= 4 cores (matching the process-executor gating, with
-    slack for the per-task framing + socket round trip): 4 local workers
-    must achieve >= 1.5x over inline.  Below 4 cores the bar is report-only.
-    """
-    cores = os.cpu_count() or 1
-    if cores < 4:
-        return None
-    return 1.2 if smoke else 1.5
 
 
 def test_fig7c_latency_bound_executors(benchmark):
@@ -415,20 +399,16 @@ def test_fig7c_cpu_bound_executors(benchmark):
 
     # The GIL caps the thread executor on pure-Python work...
     assert result["thread_speedup"] < 1.3
-    # ...while the process executor scales with the available cores...
-    bar = _cpu_process_bar()
+    # ...while the distributed executor's worker processes scale with cores.
+    bar = _cpu_distributed_bar()
     if bar is None:
         pytest.skip("single-core machine: no parallel CPU to demonstrate scaling on")
-    assert result["process_speedup"] >= bar
-    # ...and the distributed executor's TCP workers do too (>= 4 cores).
-    distributed_bar = _cpu_distributed_bar()
-    if distributed_bar is not None:
-        assert result["distributed_speedup"] >= distributed_bar
+    assert result["distributed_speedup"] >= bar
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Inline/thread/process/distributed executor comparison (Figure 7c)"
+        description="Inline/thread/distributed executor comparison (Figure 7c)"
     )
     parser.add_argument(
         "--smoke",
@@ -437,13 +417,12 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--executor",
-        choices=("thread", "process", "distributed", "all"),
+        choices=("thread", "distributed", "all"),
         default="all",
         help="which comparison to run: 'thread' = latency-bound section "
-        "(inline vs thread), 'process' = CPU-bound section (inline vs thread "
-        "vs process), 'distributed' = CPU-bound section (inline vs "
-        "distributed only) plus the pipelining report, 'all' = both "
-        "sections with all four executors plus the pipelining report",
+        "(inline vs thread), 'distributed' = CPU-bound section (inline vs "
+        "thread vs distributed) plus the pipelining and artifact-plane "
+        "reports, 'all' = both sections with all three executors",
     )
     parser.add_argument(
         "--workers",
@@ -473,8 +452,8 @@ def main(argv=None) -> int:
     sections: Dict[str, Dict[str, float]] = {}
 
     if args.executor in ("thread", "all"):
-        # The thread-only section skips the process executor entirely, so its
-        # pass/fail never depends on process-pool infrastructure.
+        # The thread-only section skips the distributed executor entirely, so
+        # its pass/fail never depends on worker processes or the transport.
         executors = EXECUTORS if args.executor == "all" else ("inline", "thread")
         result = _latency_comparison(smoke=args.smoke, executors=executors)
         sections["latency"] = result
@@ -488,59 +467,35 @@ def main(argv=None) -> int:
         else:
             print(f"OK: thread {result['thread_speedup']:.2f}x >= {bar:g}x (equivalent run statistics)")
 
-    if args.executor in ("process", "all"):
-        # The process-only section skips the distributed executor so its
-        # pass/fail never depends on the TCP transport (and vice versa).
-        executors = EXECUTORS if args.executor == "all" else ("inline", "thread", "process")
-        result = _cpu_comparison(smoke=args.smoke, executors=executors)
-        sections["cpu"] = result
-        print(_format_executor_comparison("CPU-bound (pure-Python spin loops)", result))
-        if result["thread_speedup"] >= 1.3:
-            failures.append(
-                f"thread speedup {result['thread_speedup']:.2f}x on CPU-bound work — "
-                f"expected < 1.3x (GIL-bound)"
-            )
-        bar = _cpu_process_bar(smoke=args.smoke)
-        if bar is None:
-            print("SKIP: single-core machine, process speedup bar not enforced")
-        elif result["process_speedup"] < bar:
-            failures.append(
-                f"process speedup {result['process_speedup']:.2f}x below the {bar:g}x "
-                f"bar on the CPU-bound DAG"
-            )
-        else:
-            print(f"OK: process {result['process_speedup']:.2f}x >= {bar:g}x (equivalent run statistics)")
-
     if args.executor in ("distributed", "all"):
         pool_label = (
             f"{len(worker_addresses)} remote workers ({args.workers})"
             if worker_addresses
             else "4 local TCP workers"
         )
-        if args.executor == "distributed" or worker_addresses:
-            # Remote addresses always get their own two-way section — the
-            # four-way comparison above timed the locally-spawned pool.
-            overrides = None
-            if worker_addresses:
-                overrides = {"distributed": DistributedExecutor(workers=worker_addresses)}
-            try:
-                result = _cpu_comparison(
-                    smoke=args.smoke,
-                    executors=("inline", "distributed"),
-                    overrides=overrides,
-                    max_workers=(
-                        len(worker_addresses) if worker_addresses else FIG7C_MAX_WORKERS
-                    ),
-                )
-            finally:
-                if overrides is not None:
-                    overrides["distributed"].shutdown()
-            print(_format_executor_comparison(
-                f"CPU-bound (pure-Python spin loops), {pool_label}", result
-            ))
-            sections["distributed"] = result
-        # 'all' without --workers reuses the four-way CPU comparison above
-        # (already recorded as sections["cpu"]; not duplicated here).
+        overrides = None
+        if worker_addresses:
+            overrides = {"distributed": DistributedExecutor(workers=worker_addresses)}
+        try:
+            result = _cpu_comparison(
+                smoke=args.smoke,
+                overrides=overrides,
+                max_workers=(
+                    len(worker_addresses) if worker_addresses else FIG7C_MAX_WORKERS
+                ),
+            )
+        finally:
+            if overrides is not None:
+                overrides["distributed"].shutdown()
+        print(_format_executor_comparison(
+            f"CPU-bound (pure-Python spin loops), {pool_label}", result
+        ))
+        sections["distributed"] = result
+        if result["thread_speedup"] >= 1.3:
+            failures.append(
+                f"thread speedup {result['thread_speedup']:.2f}x on CPU-bound work — "
+                f"expected < 1.3x (GIL-bound)"
+            )
         bar = _cpu_distributed_bar(smoke=args.smoke)
         if worker_addresses:
             # Remote workers share the same cores in CI (loopback) but pay
@@ -551,7 +506,7 @@ def main(argv=None) -> int:
                 f"on {pool_label} (report-only; equivalent run statistics)"
             )
         elif bar is None:
-            print("SKIP: < 4 cores, distributed speedup bar reported but not enforced")
+            print("SKIP: single-core machine, distributed speedup bar not enforced")
             print(f"INFO: distributed {result['distributed_speedup']:.2f}x vs inline")
         elif result["distributed_speedup"] < bar:
             failures.append(

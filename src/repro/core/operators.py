@@ -235,7 +235,7 @@ class Operator(ABC):
       most once per iteration), so it must not mutate shared global state
       without synchronizing and must not rely on any ordering beyond its
       declared DAG edges.
-    * **Process safety** (process executor): ``run`` must additionally be a
+    * **Process safety** (distributed executor): ``run`` must additionally be a
       *pure, encodable* function of ``(inputs, context)`` — the operator and
       its inputs are serialized to a worker process and only the returned
       value travels back, so mutations of inputs or of in-process globals are
@@ -253,8 +253,8 @@ class Operator(ABC):
     #: Which workflow component this operator belongs to.
     component: Component = Component.DPR
 
-    #: Whether this operator may run inside a worker *process*.  The process
-    #: executor validates encodability with a serialize/deserialize round
+    #: Whether this operator may run inside a worker *process*.  The
+    #: distributed executor validates encodability with a serialize/deserialize round
     #: trip before dispatching any work (see :func:`ensure_process_safe`);
     #: set this to ``False`` to opt out explicitly — e.g. an operator that
     #: would encode fine but depends on shared in-process state (open
@@ -297,13 +297,13 @@ class Operator(ABC):
 
 
 def ensure_process_safe(operator: Operator, node_name: Optional[str] = None) -> None:
-    """Validate that ``operator`` can run on a process-pool executor.
+    """Validate that ``operator`` can run in an out-of-process worker.
 
     Checks the :attr:`Operator.supports_processes` capability flag, then
     performs a full ``serialize``/``deserialize`` round trip of the operator
     (the same codec the engine uses to ship task payloads), raising a clear
     :class:`~repro.exceptions.ExecutionError` that names the node and
-    operator class when either check fails.  The process executor calls this
+    operator class when either check fails.  The engine calls this
     for every COMPUTE node *before* dispatching any work, so a workflow that
     is not encodable by reference fails fast instead of mid-run.
     """
@@ -315,7 +315,7 @@ def ensure_process_safe(operator: Operator, node_name: Optional[str] = None) -> 
     if not getattr(operator, "supports_processes", True):
         raise ExecutionError(
             f"{label} declares supports_processes=False and cannot run on the "
-            f"process executor; run this workflow on the inline or thread executor"
+            f"distributed executor; run this workflow on the inline or thread executor"
         )
     # Imported here: storage.serialization is dependency-free, but importing it
     # at module load would invert the core -> storage layering.
@@ -325,7 +325,7 @@ def ensure_process_safe(operator: Operator, node_name: Optional[str] = None) -> 
         deserialize(serialize(operator))
     except Exception as exc:
         raise ExecutionError(
-            f"{label} is not encodable by reference and cannot run on the process executor: "
+            f"{label} is not encodable by reference and cannot run on the distributed executor: "
             f"{exc}; move UDFs to module level (functions or callable classes) "
             f"or set supports_processes=False to fail fast"
         ) from exc

@@ -60,7 +60,7 @@ class OperatorError(ExecutionError):
     The original exception is preserved as ``__cause__`` and the failing node
     name is stored on :attr:`node_name`.  ``__reduce__`` rebuilds an
     instance from its class and ``(node_name, message)`` — the form the
-    canonical encoding and the process pool both use — so a failure inside a
+    canonical encoding uses — so a failure inside a
     worker surfaces in the coordinating process as the same typed error (the
     cause chain and traceback do not cross the process boundary).
     """

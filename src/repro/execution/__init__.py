@@ -3,9 +3,9 @@
 The engine (:class:`ExecutionEngine`) owns the lifecycle — scheduling,
 cache/scope refcounting, deterministic retirement commits, stats — and
 delegates task dispatch to a pluggable :class:`Executor` strategy:
-``"inline"`` (reference), ``"thread"`` (latency-bound parallelism),
-``"process"`` (CPU-bound parallelism across the GIL) or ``"distributed"``
-(multi-worker dispatch over TCP sockets).  The strategy contract is
+``"inline"`` (reference), ``"thread"`` (latency-bound parallelism) or
+``"distributed"`` (CPU-bound parallelism across the GIL: multi-worker
+dispatch over TCP sockets).  The strategy contract is
 documented in ``docs/executors.md``.
 """
 
@@ -29,7 +29,6 @@ from .executors import (
     DistributedExecutor,
     Executor,
     InlineExecutor,
-    ProcessExecutor,
     ThreadExecutor,
     WorkerServer,
     create_executor,
@@ -50,7 +49,6 @@ __all__ = [
     "Executor",
     "InlineExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "DistributedExecutor",
     "WorkerServer",
     "EXECUTOR_NAMES",

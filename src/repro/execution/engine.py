@@ -3,8 +3,8 @@
 One :class:`ExecutionEngine` lifecycle serves every executor strategy.  The
 engine walks the optimized DAG with an event-driven scheduler: every node
 whose parents have resolved is dispatched onto the given
-:class:`~repro.execution.executors.Executor` (``"inline"``, ``"thread"``,
-``"process"`` or ``"distributed"``), and completions drive further dispatch.
+:class:`~repro.execution.executors.Executor` (``"inline"``, ``"thread"``
+or ``"distributed"``), and completions drive further dispatch.
 While executing it
 
 * charges per-node times according to the configured :class:`CostModel`,
@@ -48,13 +48,13 @@ The contract is checkable with the harness in
 
 Out-of-process execution
 ------------------------
-With the process and distributed executors, COMPUTE nodes travel to workers
+With the distributed executor, COMPUTE nodes travel to worker processes
 as *chains*, like a Spark stage pipelines narrow dependencies: a maximal
 path of COMPUTE nodes in which each child's ``parents`` are exactly
 ``[parent]`` and the parent has that child as its only executing consumer.
 A chain ships as one serialized ``(names, operators, head_inputs, context)``
-payload (:mod:`repro.storage.serialization`; the distributed executor
-additionally frames it for its TCP transport); the worker runs the
+payload (:mod:`repro.storage.serialization`), framed for the TCP
+transport; the worker runs the
 operators in order, each fed the previous value, and returns one
 ``(value, measured_seconds)`` pair per node.  On receipt the engine applies
 the cost model and does each node's bookkeeping in chain order, so charged

@@ -1,7 +1,7 @@
 """Engine-equivalence harness: compare runs across executor strategies.
 
 The execution engine's contract is that every executor strategy (inline,
-thread, process, distributed) produces the same
+thread, distributed) produces the same
 :class:`~repro.execution.tracker.RunStats` — outputs, node states, charged
 times under a deterministic cost model, materialization decisions,
 materialized-node sets and recorded statistics — with only wall-clock and
@@ -277,8 +277,7 @@ class ExecutorRig:
     Parameters
     ----------
     executor:
-        An executor name (``"inline"``/``"thread"``/``"process"``/
-        ``"distributed"``) or a ready :class:`Executor` instance — e.g. a
+        An executor name (``"inline"``/``"thread"``/``"distributed"``) or a ready :class:`Executor` instance — e.g. a
         ``DistributedExecutor(workers=[...])`` connected to remote
         workers.  A name is built once, serves every :meth:`run`, and is
         shut down by :meth:`close` (or on leaving ``with rig:``); an
@@ -455,7 +454,7 @@ def assert_executors_equivalent(
         Matrix columns to compare — strategy names and/or ``(label,
         executor)`` pairs such as ``("distributed-remote",
         DistributedExecutor(workers=[...]))``; defaults to every built-in
-        (:data:`EXECUTOR_NAMES` — inline, thread, process, distributed).
+        (:data:`EXECUTOR_NAMES` — inline, thread, distributed).
         The first entry is the reference.
     include_times:
         Forwarded to :func:`assert_equivalent_runs`.  Storage statistics

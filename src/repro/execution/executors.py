@@ -8,7 +8,7 @@ near-duplicate engines:
   decisions + eviction), stats recording.  This lives in one place:
   :class:`~repro.execution.engine.ExecutionEngine`.
 * **Task dispatch** — actually running one node's load/compute somewhere.
-  That is this module's :class:`Executor` strategy, with four built-ins:
+  That is this module's :class:`Executor` strategy, with three built-ins:
 
   - :class:`InlineExecutor` (``"inline"``) — tasks run synchronously on the
     scheduler thread.  The reference strategy; replaces the old serial
@@ -17,13 +17,6 @@ near-duplicate engines:
     ``ThreadPoolExecutor``.  Best for latency-bound operators (store I/O,
     external services) which overlap even on a single core; CPU-bound pure
     Python is GIL-limited.
-  - :class:`ProcessExecutor` (``"process"``) — COMPUTE tasks are serialized
-    with :mod:`repro.storage.serialization` and run on a
-    ``ProcessPoolExecutor``; the worker returns the computed value plus its
-    measured compute time, and the engine applies the cost model on receipt.
-    LOAD tasks (store reads) and all bookkeeping stay in the coordinating
-    process.  Best for CPU-bound pure-Python operators, which scale with
-    cores instead of fighting over the GIL.
   - :class:`DistributedExecutor` (``"distributed"``) — COMPUTE payloads are
     dispatched over TCP (length-prefixed frames, see the wire format in
     :mod:`repro.storage.serialization`) to long-lived
@@ -36,10 +29,13 @@ near-duplicate engines:
     coordinator overlaps framing/serialization of the next task with the
     execution of the current one.  Every task a dying worker held — the one
     executing and the ones queued behind it — is requeued to a surviving
-    worker (bounded attempts).  Same process-safety contract as
-    ``"process"``; workers without access to the coordinator's filesystem
-    resolve store-resident inputs through the FETCH/ARTIFACT lane
-    (:class:`~repro.storage.serialization.ArtifactRef`).
+    worker (bounded attempts).  Operators must be process safe (encodable
+    by reference, see :func:`~repro.core.operators.ensure_process_safe`);
+    workers without access to the coordinator's filesystem resolve
+    store-resident inputs through the FETCH/ARTIFACT lane
+    (:class:`~repro.storage.serialization.ArtifactRef`).  Best for CPU-bound
+    pure-Python operators, which scale with cores instead of fighting over
+    the GIL.
 
 One distributed fleet can serve **several runs at once**: every
 task/result/error/fetch frame is tagged with a *session id*, and
@@ -47,9 +43,9 @@ task/result/error/fetch frame is tagged with a *session id*, and
 a full :class:`Executor` with its own completion queue and bound store,
 multiplexed onto the shared worker pool.
 Sessions dispatch round-robin (per-session FIFO order, fair interleaving
-across sessions) and workers keep per-session fetch lanes and value
-caches, which is what the ``repro serve`` daemon
-(:mod:`repro.service`) builds its concurrent-run scheduler on.
+across sessions) and workers keep per-session fetch lanes, which is how
+the ``repro serve`` daemon (:mod:`repro.service`) runs each admitted
+lifecycle on its own session of one shared fleet.
 
 The engine drives the executor it is given through one run as
 ``start -> submit*/submit_payload* -> next_completion* -> finish_run``;
@@ -74,7 +70,7 @@ import time
 import warnings
 from abc import ABC, abstractmethod
 from collections import OrderedDict, deque
-from concurrent.futures import CancelledError, Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures import wait as wait_futures
 from functools import partial
@@ -94,7 +90,6 @@ __all__ = [
     "Executor",
     "InlineExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "DistributedExecutor",
     "DistributedSession",
     "WorkerServer",
@@ -107,7 +102,7 @@ __all__ = [
 ]
 
 #: Canonical executor strategy names.
-EXECUTOR_NAMES = ("inline", "thread", "process", "distributed")
+EXECUTOR_NAMES = ("inline", "thread", "distributed")
 
 #: A completed task: (task key, outcome or None, error or None).
 Completion = Tuple[str, Any, Optional[BaseException]]
@@ -233,7 +228,7 @@ class Executor(ABC):
     """Strategy interface: run node tasks, deliver completions through a queue.
 
     Subclasses dispatch work somewhere (scheduler thread, thread pool,
-    process pool, remote workers) and push :data:`Completion` triples onto
+    worker processes) and push :data:`Completion` triples onto
     ``self._results``; the engine consumes them with :meth:`next_completion`.
     One ``start``/``finish_run`` cycle serves one ``ExecutionEngine.execute``
     call; ``start`` opens a fresh run generation so the instance can serve
@@ -435,110 +430,9 @@ class ThreadExecutor(Executor):
             self._pool = None
 
 
-class _OutOfProcessExecutor(Executor):
-    """Shared LOAD lane for executors whose COMPUTE workers live elsewhere.
-
-    Workers have no store, so LOAD tasks (and any other in-process work the
-    engine submits) run on a small coordinator-side I/O thread pool — the
-    same thread-safe substrate the thread executor uses — rather than the
-    scheduler thread, so a slow store read never stalls COMPUTE dispatch to
-    idle workers.  Subclasses must set ``self.max_workers`` before calling
-    :meth:`_start_io_pool`, and release the pool via
-    :meth:`_shutdown_io_pool`.
-    """
-
-    out_of_process = True
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._io_pool: Optional[ThreadPoolExecutor] = None
-
-    def submit(self, key: str, fn: Callable[[], Any]) -> None:
-        """Run an in-process task (store LOAD) on the coordinator's I/O pool."""
-        assert self._io_pool is not None, "executor used before start()"
-        self._track(key, self._io_pool.submit(fn), self._deliver_future)
-
-    # ------------------------------------------------------------------ helpers
-    def _start_io_pool(self) -> None:
-        if self._io_pool is None:
-            self._io_pool = ThreadPoolExecutor(
-                max_workers=min(4, self.max_workers), thread_name_prefix="repro-io"
-            )
-
-    def _shutdown_io_pool(self, cancel: bool = False) -> None:
-        if self._io_pool is not None:
-            self._io_pool.shutdown(wait=True, cancel_futures=cancel)
-            self._io_pool = None
-
-
-class ProcessExecutor(_OutOfProcessExecutor):
-    """COMPUTE tasks run on a ``ProcessPoolExecutor``; everything else inline.
-
-    The engine serializes each chain of COMPUTE nodes as ``(names,
-    operators, head_inputs, context)`` with
-    :mod:`repro.storage.serialization` and hands the bytes to
-    :meth:`submit_payload`; the worker (:func:`run_serialized_task`) returns
-    the serialized tuple of one ``(value, measured_seconds)`` pair per
-    node, deserialized here before delivery.  LOAD tasks and retirement
-    bookkeeping never leave the coordinating process — the store, cache
-    and stats are not shared with workers.  Loads run on a small I/O thread pool (the same thread-safe
-    substrate the thread executor uses) rather than the scheduler thread, so
-    a slow store read never stalls COMPUTE dispatch to idle workers.
-
-    Uses the platform's default multiprocessing start method (``fork`` on
-    Linux).  On spawn-based platforms, operators whose results depend on
-    per-process state (e.g. ``PYTHONHASHSEED``-randomized ``hash()``) can
-    legitimately diverge from the in-process executors.
-    """
-
-    name = "process"
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        super().__init__()
-        if max_workers is not None and max_workers < 1:
-            raise ExecutionError("max_workers must be at least 1")
-        self.max_workers = (
-            int(max_workers) if max_workers is not None else default_process_workers()
-        )
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    def start(self) -> None:
-        super().start()
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
-        self._start_io_pool()
-
-    def submit_payload(self, key: str, payload: bytes) -> None:
-        assert self._pool is not None, "executor used before start()"
-        self._track(key, self._pool.submit(run_serialized_task, payload), self._deliver_reply)
-
-    def shutdown(self, cancel: bool = False) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=cancel)
-            self._pool = None
-        self._shutdown_io_pool(cancel)
-
-    # ------------------------------------------------------------------ helpers
-    def _deliver_reply(
-        self, key: str, future: "Future[bytes]", results: "queue.Queue[Completion]"
-    ) -> None:
-        try:
-            outcome = deserialize(future.result())
-        except BaseException as exc:  # noqa: BLE001 - surfaced by the engine
-            results.put((key, None, exc))
-        else:
-            results.put((key, outcome, None))
-
-
 # ---------------------------------------------------------------------------
 # Distributed executor: TCP coordinator + long-lived worker processes
 # ---------------------------------------------------------------------------
-#: Largest single task payload the dispatcher will coalesce into a
-#: ``("batch", ...)`` envelope.  Batching exists to amortize per-frame
-#: overhead on *small* pipelined messages; a large payload already
-#: dominates its frame cost and ships alone.
-_BATCH_MAX_TASK_BYTES = 8192
-
 #: Dispatch attempts per task before it fails.
 _MAX_TASK_ATTEMPTS = 3
 
@@ -800,9 +694,8 @@ class WorkerServer:
     ``error``, and a **heartbeat** thread beats every
     ``heartbeat_interval`` seconds so the coordinator can distinguish a
     busy worker from a dead one.  Frames use the canonical zero-copy
-    encoding — batched dispatches arrive as one ``("batch", ...)``
-    envelope.  One connection can carry several multiplexed run
-    *sessions* (every task-related frame carries a session id): tasks queue in per-session lanes drained
+    encoding, one message per frame.  One connection can carry several
+    multiplexed run *sessions* (every task-related frame carries a session id): tasks queue in per-session lanes drained
     round-robin, so no session's backlog starves another's, and task inputs
     shipped as :class:`~repro.storage.serialization.ArtifactRef` are
     resolved through the worker's **content-addressed artifact tier** — a
@@ -956,8 +849,8 @@ class _WorkerConnection:
     """
 
     #: Inbound message kind -> handler method name, looked up per message.
-    #: The reader itself unwraps ``batch`` envelopes and ends the session on
-    #: ``shutdown``; any other kind is a protocol violation that ends it too.
+    #: The reader itself ends the session on ``shutdown``; any other kind is
+    #: a protocol violation that ends it too.
     _HANDLERS = {
         "task": "_on_task",
         "artifact": "_on_artifact",
@@ -1042,13 +935,9 @@ class _WorkerConnection:
                 message = recv_message(self.sock)
                 if message is None:
                     break
-                # A batch envelope carries several small messages in one
-                # frame — typically the pipelined window's task dispatches.
-                inner = message[1] if message[0] == "batch" else (message,)
-                if any(m[0] == "shutdown" for m in inner):
+                if message[0] == "shutdown":
                     break
-                for m in inner:
-                    getattr(self, self._HANDLERS[m[0]])(m)
+                getattr(self, self._HANDLERS[message[0]])(message)
         except Exception:  # noqa: BLE001 - transport error or malformed message
             pass
         self.stop.set()
@@ -1295,7 +1184,7 @@ class _WorkerHandle:
         send_message(self.sock, message, self.send_lock)
 
 
-class DistributedExecutor(_OutOfProcessExecutor):
+class DistributedExecutor(Executor):
     """COMPUTE tasks run on worker *processes* reached over TCP sockets.
 
     Two worker-pool modes share one coordinator:
@@ -1318,13 +1207,12 @@ class DistributedExecutor(_OutOfProcessExecutor):
     task N the coordinator already serializes and frames task N+1 onto the
     same socket, hiding the framing round trip on short tasks.  Frames
     carry the canonical encoding and are gather-written (``sendmsg``) so
-    NumPy-backed payload buffers are never copied into a contiguous frame,
-    and small pipelined dispatches headed for the same worker coalesce into
-    one ``("batch", ...)`` frame.  Workers heartbeat while idle or busy and
-    answer each task with one ``result`` frame: the serialized tuple of
-    ``(value, measured_seconds)`` pairs, one per chain node, deserialized
-    here before delivery — exactly the :class:`ProcessExecutor` reply
-    contract, so the engine applies the cost model identically.
+    NumPy-backed payload buffers are never copied into a contiguous frame;
+    each dispatch is one ``("task", ...)`` frame.  Workers heartbeat while
+    idle or busy and answer each task with one ``result`` frame: the
+    serialized tuple of ``(value, measured_seconds)`` pairs, one per chain
+    node (:func:`run_serialized_task`), deserialized here before delivery,
+    so the engine applies the cost model exactly as in-process.
 
     Store access (the artifact plane): when ``fetch_inputs`` is active
     — the default for address-configured workers, which cannot assume the
@@ -1344,21 +1232,24 @@ class DistributedExecutor(_OutOfProcessExecutor):
     worker wrongly declared dead is dropped; first answer wins); a task
     dispatched ``_MAX_TASK_ATTEMPTS`` times without a reply — or orphaned
     when no worker survives — fails with an :class:`ExecutionError` naming
-    it.  Operators must satisfy the same purity/encodability contract as
-    the process executor (replayed tasks re-run the operator, which is
-    safe only because operators are pure functions of their inputs).
+    it.  Operators must be pure and encodable by reference (replayed tasks
+    re-run the operator, which is safe only because operators are pure
+    functions of their inputs).
 
-    LOAD tasks and all bookkeeping stay in the coordinating process, on the
-    same small I/O thread pool the process executor uses.  ``start`` on a
-    reused instance keeps surviving workers and respawns dead ones (local
-    mode) or re-dials disconnected addresses (remote mode, best-effort), so
-    a lifecycle amortizes worker startup; ``finish_run`` drains without
-    releasing the pool and ``shutdown`` sends every spawned worker a
-    graceful ``shutdown`` frame before reaping it.  Workers are spawned
-    with the platform's default multiprocessing start method — the same
-    deliberate trade-off the process executor documents (fast forks on
-    Linux; the entry point is module-level, so spawn-based platforms work
-    too).
+    LOAD tasks and all bookkeeping stay in the coordinating process.  Loads
+    run on a small coordinator-side I/O thread pool (the same thread-safe
+    substrate the thread executor uses) rather than the scheduler thread,
+    so a slow store read never stalls COMPUTE dispatch to idle workers.
+    ``start`` on a reused instance keeps surviving workers and respawns
+    dead ones (local mode) or re-dials disconnected addresses (remote mode,
+    best-effort), so a lifecycle amortizes worker startup; ``finish_run``
+    drains without releasing the pool and ``shutdown`` sends every spawned
+    worker a graceful ``shutdown`` frame before reaping it.  Workers are
+    spawned with the platform's default multiprocessing start method (fast
+    forks on Linux; the entry point is module-level, so spawn-based
+    platforms work too).  On spawn-based platforms, operators whose results
+    depend on per-process state (e.g. ``PYTHONHASHSEED``-randomized
+    ``hash()``) can legitimately diverge from the in-process executors.
 
     Parameters
     ----------
@@ -1413,6 +1304,7 @@ class DistributedExecutor(_OutOfProcessExecutor):
     """
 
     name = "distributed"
+    out_of_process = True
 
     def __init__(
         self,
@@ -1425,6 +1317,7 @@ class DistributedExecutor(_OutOfProcessExecutor):
         worker_cache_bytes: Optional[int] = None,
     ) -> None:
         super().__init__()
+        self._io_pool: Optional[ThreadPoolExecutor] = None
         if max_workers is not None and max_workers < 1:
             raise ExecutionError("max_workers must be at least 1")
         self.worker_addresses: Optional[List[Tuple[str, int]]] = None
@@ -1574,6 +1467,11 @@ class DistributedExecutor(_OutOfProcessExecutor):
                 self._spawn_worker()
             self._await_registration()
 
+    def submit(self, key: str, fn: Callable[[], Any]) -> None:
+        """Run an in-process task (store LOAD) on the coordinator's I/O pool."""
+        assert self._io_pool is not None, "executor used before start()"
+        self._track(key, self._io_pool.submit(fn), self._deliver_future)
+
     def submit_payload(self, key: str, payload: bytes) -> None:
         """Queue one serialized COMPUTE task for dispatch to an idle worker."""
         self._submit(self._default_session, key, payload, self._results)
@@ -1688,6 +1586,17 @@ class DistributedExecutor(_OutOfProcessExecutor):
         self._remote_retry_at.clear()
         self._remote_dial_failures.clear()
         self._shutdown_io_pool(cancel)
+
+    def _start_io_pool(self) -> None:
+        if self._io_pool is None:
+            self._io_pool = ThreadPoolExecutor(
+                max_workers=min(4, self.max_workers), thread_name_prefix="repro-io"
+            )
+
+    def _shutdown_io_pool(self, cancel: bool = False) -> None:
+        if self._io_pool is not None:
+            self._io_pool.shutdown(wait=True, cancel_futures=cancel)
+            self._io_pool = None
 
     # ------------------------------------------------------------------ sessions
     def session(self) -> "DistributedSession":
@@ -2031,13 +1940,8 @@ class DistributedExecutor(_OutOfProcessExecutor):
         drawn from the open sessions' FIFO lanes round-robin — the session
         just served rotates to the back — so concurrent runs multiplexed
         onto one fleet interleave fairly instead of queuing behind
-        whichever run submitted first.
-
-        Small payloads (``<= _BATCH_MAX_TASK_BYTES``) headed for the same
-        worker are coalesced into one ``("batch", (task, ...))`` frame, up
-        to the worker's remaining pipeline capacity: a depth-2 window of
-        short tasks costs one frame instead of two.  Large payloads ship
-        individually.
+        whichever run submitted first.  Each dispatch is one ``("task",
+        ...)`` frame.
         """
         while True:
             with self._cond:
@@ -2053,56 +1957,33 @@ class DistributedExecutor(_OutOfProcessExecutor):
                     self._cond.wait(timeout=0.5)
                 if self._stopping:
                     return
-                batch = [task]
-                if len(task.payload) <= _BATCH_MAX_TASK_BYTES:
-                    while len(worker.inflight) + len(batch) < self.pipeline_depth:
-                        extra = self._next_task_locked(max_bytes=_BATCH_MAX_TASK_BYTES)
-                        if extra is None:
-                            break
-                        batch.append(extra)
-                for item in batch:
-                    item.attempts += 1
-                    worker.inflight[(item.session.session_id, item.key)] = item
-            frames = tuple(
-                ("task", item.session.session_id, item.key, item.payload)
-                for item in batch
-            )
+                task.attempts += 1
+                worker.inflight[(task.session.session_id, task.key)] = task
             try:
-                worker.send(frames[0] if len(frames) == 1 else ("batch", frames))
+                worker.send(("task", task.session.session_id, task.key, task.payload))
             except OSError:
                 self._worker_failed(worker)
             except Exception as exc:  # noqa: BLE001 - e.g. unframeable payload
                 # The frame never left this process (say, a payload above the
                 # frame limit): that is a *task* failure, not a worker death —
-                # fail the batch's tasks, keep the worker and the loop alive.
+                # fail the task, keep the worker and the loop alive.
                 with self._cond:
-                    for item in batch:
-                        worker.inflight.pop((item.session.session_id, item.key), None)
+                    worker.inflight.pop((task.session.session_id, task.key), None)
                     self._cond.notify_all()
-                for item in batch:
-                    self._complete(
-                        item,
-                        None,
-                        ExecutionError(
-                            f"distributed task {item.key!r} could not be sent to "
-                            f"worker {worker.worker_id!r}: {exc}"
-                        ),
-                    )
+                self._complete(
+                    task,
+                    None,
+                    ExecutionError(
+                        f"distributed task {task.key!r} could not be sent to "
+                        f"worker {worker.worker_id!r}: {exc}"
+                    ),
+                )
 
-    def _next_task_locked(
-        self, max_bytes: Optional[int] = None
-    ) -> Optional[_DistributedTask]:
-        """Pop the next task round-robin across session lanes (lock held).
-
-        With ``max_bytes`` (batch coalescing), a head task whose payload is
-        larger stops the batch instead of being skipped, so coalescing never
-        reorders a session's FIFO lane.
-        """
+    def _next_task_locked(self) -> Optional[_DistributedTask]:
+        """Pop the next task round-robin across session lanes (lock held)."""
         for session_id in list(self._sessions):
             state = self._sessions[session_id]
             if state.queue:
-                if max_bytes is not None and len(state.queue[0].payload) > max_bytes:
-                    return None
                 self._sessions.move_to_end(session_id)
                 return state.queue.popleft()
         return None
@@ -2474,7 +2355,6 @@ class DistributedSession(Executor):
 _EXECUTORS: Dict[str, Type[Executor]] = {
     InlineExecutor.name: InlineExecutor,
     ThreadExecutor.name: ThreadExecutor,
-    ProcessExecutor.name: ProcessExecutor,
     DistributedExecutor.name: DistributedExecutor,
 }
 

@@ -10,7 +10,7 @@ serves coordinator *connections* one at a time and survives across them, so
 one long-lived process amortizes interpreter startup over many runs.
 
 Within a single connection the protocol (canonical zero-copy frame
-payloads and batch envelopes; the coordinator must run the same library
+payloads, one message per frame; the coordinator must run the same library
 revision — see ``repro/storage/serialization.py``) is session-multiplexed:
 every task, fetch and result frame carries the coordinator-side session
 id, so one coordinator — e.g. the ``repro serve`` daemon — can interleave

@@ -111,7 +111,7 @@ def run_lifecycle(
         Explicit iteration plan; overrides sampling when provided.
     executor:
         When given, reconfigure the system to run iterations on this
-        executor strategy (``"inline"``, ``"thread"``, ``"process"`` or
+        executor strategy (``"inline"``, ``"thread"`` or
         ``"distributed"``); ``None`` keeps the system's current
         configuration.  The system builds the executor once, runs every
         iteration of the lifecycle on it, and owns its close
@@ -201,8 +201,8 @@ def run_comparison(
     with ``system.close_executor()`` per system (or run each inside
     ``with system: ...``) once you are done comparing; see
     ``docs/executors.md``.  Distributed workers are daemon processes and die
-    with the interpreter; warm thread and ``"process"`` pools are joined at
-    interpreter exit, so skipping the close delays exit rather than leaking.
+    with the interpreter; warm thread pools are joined at interpreter exit,
+    so skipping the close delays exit rather than leaking.
     """
     if isinstance(workload, str):
         workload = get_workload(workload)

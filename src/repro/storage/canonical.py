@@ -9,7 +9,7 @@ into the bytes), sets are sorted by their encoded elements, integers use a
 minimal zigzag varint, floats are raw IEEE-754 bits, and NumPy arrays are a
 dtype descriptor plus their contiguous buffer.  Deterministic bytes are what
 let the executor-equivalence harness compare serialized store sizes with
-*exact equality* across the inline/thread/process/distributed strategies
+*exact equality* across the inline/thread/distributed strategies
 (pickle's memo-dependent output made sizes drift across a process boundary),
 and they are the precondition for content-addressed artifact storage
 (signature-as-address only works when the same value always has the same

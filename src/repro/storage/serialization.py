@@ -8,7 +8,7 @@ refused on mismatch), and zero-copy capable (NumPy buffers ship as
 out-of-band ``memoryview`` segments).  Deterministic bytes make serialized
 artifact *sizes* — and content digests — bit-identical across processes,
 which is what lets the executor-equivalence harness compare storage
-statistics with exact equality across the inline/thread/process/distributed
+statistics with exact equality across the inline/thread/distributed
 strategies.  Module-level classes and functions are encodable by
 reference (their ``module.qualname``), exceptions by their class reference
 and args; a value outside the canonical type set — a lambda, closure or
@@ -88,7 +88,7 @@ FRAME_MAGIC = b"HX"
 #: and the only one it accepts.  Bump on any change to the frame layout
 #: *or* to the message tuples exchanged inside frames (history in
 #: ``docs/architecture.md``).
-PROTOCOL_VERSION = 7
+PROTOCOL_VERSION = 8
 
 #: Upper bound on a single frame's payload (1 GiB).  A length above this is
 #: treated as a corrupt header rather than an allocation request.

@@ -11,9 +11,9 @@ while executing it.
 All systems share the same execution substrate, so executor selection is a
 system-level toggle (:meth:`System.configure_executor`): the reuse policies
 stay untouched and only the task-dispatch strategy underneath them changes —
-``"inline"`` (reference), ``"thread"`` (latency-bound parallelism),
-``"process"`` (CPU-bound parallelism) or ``"distributed"`` (multi-worker
-dispatch over sockets).
+``"inline"`` (reference), ``"thread"`` (latency-bound parallelism) or
+``"distributed"`` (CPU-bound parallelism: worker processes reached over
+sockets).
 
 Executor ownership (also documented in ``docs/executors.md``): a name
 passed to :meth:`System.configure_executor` is built once into
@@ -70,7 +70,7 @@ class System(ABC):
         Parameters
         ----------
         executor:
-            An executor name (``"inline"``, ``"thread"``, ``"process"``,
+            An executor name (``"inline"``, ``"thread"``,
             ``"distributed"``) or a ready :class:`Executor` instance.
         max_workers:
             Worker count for pool-backed strategies; ``None`` uses the

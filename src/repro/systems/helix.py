@@ -65,9 +65,9 @@ class HelixSystem(System):
         Seed propagated to operators through the :class:`RunContext`.
     executor:
         Executor strategy for iterations: ``"inline"`` (default),
-        ``"thread"`` (DAG-level parallelism over a thread pool),
-        ``"process"`` (CPU-bound parallelism over a process pool) or
-        ``"distributed"`` (worker processes over TCP).  The system builds
+        ``"thread"`` (DAG-level parallelism over a thread pool) or
+        ``"distributed"`` (CPU-bound parallelism: worker processes over
+        TCP).  The system builds
         it once and owns it (see :meth:`System.configure_executor`).
     max_workers:
         Worker count for pool-backed executors (None = library default).

@@ -277,7 +277,7 @@ class BetweenWordsExtractor:
     """Bag-of-words-between-mentions feature extractor UDF.
 
     A module-level callable class rather than a closure factory so the IE
-    operators are encodable and the workflow can run on the process executor.
+    operators are encodable and the workflow can run on the distributed executor.
     Its signature token is the class path, the ``__call__`` code and its
     state (the hashing dimensionality), so editing the extraction logic or
     changing the dimensionality both invalidate reuse.

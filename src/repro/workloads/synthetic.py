@@ -13,7 +13,7 @@ Three families of DAGs are produced:
   :class:`CpuBoundOperator` nodes: pure-Python arithmetic that holds the GIL
   for its entire duration.  This is the workload shape where the thread
   executor provably does *not* scale (its workers serialize on the GIL)
-  while the process executor does — the CPU-bound half of the Figure 7c
+  while the distributed executor's worker processes do — the CPU-bound half of the Figure 7c
   comparison.
 * :func:`make_random_dag` — seeded random layered DAGs with configurable
   width/depth and edge density, used by the equivalence suite to exercise
@@ -97,7 +97,7 @@ class CpuBoundOperator(Operator):
 
     Iterates a 31-bit linear congruential generator ``spin`` times in a plain
     Python loop — work that never releases the GIL, so a thread pool cannot
-    scale it while a process pool can.  The result deterministically mixes
+    scale it while worker processes can.  The result deterministically mixes
     the final LCG state with ``offset + scale * sum(inputs)``, so every
     executor must produce bit-identical values.  ``cost`` is the declared
     cost used by the simulated clock, keeping charged times deterministic

@@ -392,12 +392,12 @@ class TestErrorsAcrossTheWire:
 
 
 # ---------------------------------------------------------------------------
-# Wire protocol: canonical payloads, one version, batching, fuzz
+# Wire protocol: canonical payloads, one version, one message per frame, fuzz
 # ---------------------------------------------------------------------------
 class TestWireProtocolV4:
     """The wire protocol: canonical zero-copy payloads under exactly one
-    protocol version, batch envelopes — and the fuzz contract that every
-    malformed input surfaces as a typed error, never a dead worker."""
+    protocol version, one message per frame — and the fuzz contract that
+    every malformed input surfaces as a typed error, never a dead worker."""
 
     def test_v4_frame_is_header_plus_canonical_payload(self):
         """The gather-write segments join to exactly the packed frame."""
@@ -480,36 +480,51 @@ class TestWireProtocolV4:
         with pytest.raises(ProtocolError, match="unknown type tag"):
             deserialize(bytes(packed))
 
-    def test_worker_runs_a_batch_in_lane_order_without_acks(self):
-        """A ``("batch", ...)`` dispatch is answered by one ``result`` per
-        task, in lane order, and nothing else; an empty envelope is a
-        no-op; a later single task is answered the same way."""
+    def test_batch_frame_ends_the_connection_and_the_worker_serves_on(self):
+        """``batch`` is not a message kind: a v7-style ``("batch", (task,
+        ...))`` envelope ends that coordinator connection without running
+        any of its tasks, and the listening worker then serves the next
+        coordinator's single ``task`` frame as usual."""
         from repro.workloads.synthetic import LatencyOperator
-
-        _server, coordinator, thread = _scripted_worker("bw")
 
         def _task(key):
             payload = _task_payload((key, LatencyOperator(offset=1.0)))
             return ("task", "s0", key, payload)
 
+        ready: "queue.Queue[int]" = queue.Queue()
+        worker = threading.Thread(
+            target=lambda: WorkerServer.listen(
+                "127.0.0.1",
+                0,
+                worker_id="bw",
+                heartbeat_interval=60.0,
+                max_sessions=2,
+                on_ready=lambda _host, port: ready.put(port),
+            ),
+            daemon=True,
+        )
+        worker.start()
+        port = ready.get(timeout=10)
+        sock = socket.create_connection(("127.0.0.1", port), timeout=10)
         try:
-            register = recv_message(coordinator)
-            assert register[0] == "register"
-            send_message(coordinator, ("batch", (_task("k1"), _task("k2"))))
-            results = [_next_nonbeat(coordinator) for _ in range(2)]
-            assert [m[0] for m in results] == ["result", "result"]
-            assert [m[2] for m in results] == ["k1", "k2"]  # lane stays FIFO
-            send_message(coordinator, ("batch", ()))  # boundary: empty batch
-            send_message(coordinator, _task("k3"))
-            assert _next_nonbeat(coordinator)[:3] == ("result", "s0", "k3")
-            send_message(coordinator, ("shutdown",))
-            thread.join(timeout=5)
-            assert not thread.is_alive()
+            assert recv_message(sock)[:2] == ("register", "bw")
+            send_message(sock, ("batch", (_task("k1"), _task("k2"))))
+            assert recv_message(sock) is None  # closed, nothing answered
         finally:
-            coordinator.close()
+            sock.close()
+        sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+        try:
+            assert recv_message(sock)[:2] == ("register", "bw")
+            send_message(sock, _task("k3"))
+            assert _next_nonbeat(sock)[:3] == ("result", "s0", "k3")
+            send_message(sock, ("shutdown",))
+        finally:
+            sock.close()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
 
     def test_malformed_frames_end_the_session_never_the_worker(self):
-        """Fuzzed inputs — bogus batch envelopes, short message tuples,
+        """Fuzzed inputs — a bogus ``batch`` envelope, short message tuples,
         out-of-window versions, raw garbage, truncated canonical bodies, a
         v4-stamped canonical frame, a v3 pickle frame — each close that
         coordinator session; the listening worker then serves the next
@@ -563,14 +578,15 @@ class TestWireProtocolV4:
         worker.join(timeout=10)
         assert not worker.is_alive()
 
-    def test_v3_worker_is_never_sent_batches(self):
-        """An older worker — a v3 pickle-framed registration, a v5 frame,
-        or the 3- and 5-tuple registrations of earlier revisions — is
-        refused at registration, so it is never sent batches (or anything
+    def test_older_worker_is_refused_at_registration(self):
+        """An older worker — a v3 pickle-framed registration, a v5 or v7
+        frame, or the 3- and 5-tuple registrations of earlier revisions — is
+        refused at registration, so it is never sent a task (or anything
         else): the coordinator hangs up and adopts no worker."""
         first_frames = [
             _frame_at(3, pickle.dumps(("register", "old", 4242, 60.0), protocol=4)),
             _frame_at(5, serialize(("register", "old", 4242, 60.0))),
+            _frame_at(7, serialize(("register", "old", 4242, 60.0))),
             encode_frame(serialize(("register", "old", 4242))),
             encode_frame(serialize(("register", "old", 4242, 60.0, ("127.0.0.1", 4001)))),
         ]
@@ -626,9 +642,10 @@ class TestWireProtocolV4:
         ):
             assert _parse_registration(bad) is None, bad
 
-    def test_small_tasks_batch_under_pipelining(self, monkeypatch):
-        """Queued small tasks for the same worker coalesce into a
-        ``("batch", ...)`` frame — and the run still completes exactly."""
+    def test_every_dispatch_is_one_task_frame_under_pipelining(self, monkeypatch):
+        """With two tasks in flight per worker, every coordinator-to-worker
+        frame is a single ``("task", ...)`` message: one frame per task, and
+        the run still completes exactly."""
         import repro.execution.executors as executors_module
         from repro.workloads.synthetic import LatencyOperator
 
@@ -636,13 +653,10 @@ class TestWireProtocolV4:
         sent = []
 
         def recording(sock, message, lock=None):
-            if isinstance(message, tuple) and message[0] in ("task", "batch"):
-                sent.append(message[0])
-                if len(sent) == 1:
-                    time.sleep(0.3)  # let the remaining submissions queue up
+            sent.append(message[:3])
             return original(sock, message, lock)
 
-        executor = DistributedExecutor(max_workers=1, pipeline_depth=8)
+        executor = DistributedExecutor(max_workers=1, pipeline_depth=2)
         executor.start()
         try:
             monkeypatch.setattr(executors_module, "send_message", recording)
@@ -653,8 +667,9 @@ class TestWireProtocolV4:
                 )
             keys = sorted(executor.next_completion()[0] for _ in range(4))
             assert keys == ["n0", "n1", "n2", "n3"]
-            assert "batch" in sent, sent
             executor.finish_run()
+            session = executor._default_session.session_id
+            assert sorted(sent) == [("task", session, key) for key in keys], sent
         finally:
             executor.shutdown()
 
@@ -1140,12 +1155,12 @@ class TestAutoPooling:
 
     def test_context_manager_closes_owned_pool(self):
         with HelixSystem.opt(cost_model=SimulatedCostModel(), seed=0) as system:
-            system.configure_executor("process", max_workers=1)
+            system.configure_executor("distributed", max_workers=1)
             run_lifecycle(system, "census", n_iterations=1, scale=0.25)
             owned = system.executor
-            assert owned._pool is not None
+            assert owned.address is not None
         assert system.executor is owned
-        assert owned._pool is None
+        assert owned.address is None
 
     def test_instance_configured_executor_stays_caller_owned(self):
         executor = DistributedExecutor(max_workers=1)

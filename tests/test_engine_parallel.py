@@ -1,11 +1,11 @@
-"""Engine-equivalence test harness: one lifecycle, four executor strategies.
+"""Engine-equivalence test harness: one lifecycle, three executor strategies.
 
 The execution engine's contract (see ``repro/execution/engine.py``) is that
-every executor strategy — inline, thread, process, distributed — produces
+every executor strategy — inline, thread, distributed — produces
 the same run statistics modulo timing and memory residency.  This suite pins
 that contract down:
 
-* **Equivalence over random DAGs** — all four executors execute identical
+* **Equivalence over random DAGs** — all three executors execute identical
   plans over seeded random DAGs (varying width/depth, mixed
   LOAD/COMPUTE/PRUNE states across two iterations, all three materialization
   policies, tight storage budgets) and must produce identical outputs, node
@@ -19,7 +19,7 @@ that contract down:
   :class:`OperatorError` naming the node on every executor (including across
   the process boundary), cancels outstanding work, leaves the store's budget
   accounting consistent and the cache empty.
-* **Process-safety guards** — the process executor rejects non-picklable
+* **Process-safety guards** — the distributed executor rejects non-picklable
   operators (and ``supports_processes=False`` opt-outs) with a clear
   :class:`ExecutionError` naming the node, before any work is dispatched.
 * **Missing-input regression** — ``_compute_node`` raises
@@ -83,9 +83,9 @@ POLICIES = {
     "streaming": StreamingMaterializationPolicy,
 }
 
-#: Pool-backed executors (dispatch crosses a thread, process or socket
-#: boundary).
-POOLED_EXECUTORS = ("thread", "process", "distributed")
+#: Pool-backed executors (dispatch crosses a thread, or a socket and a
+#: process boundary).
+POOLED_EXECUTORS = ("thread", "distributed")
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +208,6 @@ class TestExecutorEquivalence:
         rigs = {
             "inline": ExecutorRig("inline"),
             "thread": ExecutorRig("thread", max_workers=8),
-            "process": ExecutorRig("process", max_workers=2),
             "distributed": ExecutorRig("distributed", max_workers=2),
         }
         try:
@@ -274,14 +273,15 @@ class TestExecutorDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# Crash paths (thread and process executors)
+# Crash paths (thread and distributed executors)
 # ---------------------------------------------------------------------------
 class RecordingOperator(LatencyOperator):
     """LatencyOperator that records executions into a shared thread-safe log.
 
-    The log lives in the pytest process: with the process executor, worker
-    processes append to their *own* copy, so only in-process executions are
-    observable here (which is what the cancellation test relies on).
+    The log lives in the pytest process: with the distributed executor,
+    worker processes append to their *own* copy, so only in-process
+    executions are observable here (which is what the cancellation test
+    relies on).
     """
 
     _log: List[str] = []
@@ -438,7 +438,7 @@ class UnpicklableResultOperator(Operator):
 
 class TestProcessSafetyGuards:
     def _execute(self, dag):
-        with ExecutorRig("process", max_workers=2) as rig:
+        with ExecutorRig("distributed", max_workers=2) as rig:
             return rig.engine.execute(
                 dag, _all_compute_plan(dag), compute_node_signatures(dag)
             )
@@ -485,9 +485,9 @@ class TestProcessSafetyGuards:
             ]
         )
         signatures = compute_node_signatures(dag)
-        with ExecutorRig("process", policy=AlwaysMaterialize(), max_workers=2) as rig:
+        with ExecutorRig("distributed", policy=AlwaysMaterialize(), max_workers=2) as rig:
             # Materialize via an inline engine into the same store, then
-            # re-plan with only the consumer forced: the process engine LOADs
+            # re-plan with only the consumer forced: the engine LOADs
             # the opted-out node (in-process) and only ships the consumer.
             inline = ExecutionEngine(
                 store=rig.store,
@@ -530,7 +530,7 @@ def _load_under_pruned_parent_dag() -> WorkflowDAG:
 
 
 class TestCumulativeTimeGate:
-    @pytest.mark.parametrize("executor", ["inline", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["inline", "thread", "distributed"])
     def test_retirement_waits_for_ancestors_behind_a_pruned_parent(self, executor):
         dag = _load_under_pruned_parent_dag()
         signatures = compute_node_signatures(dag)
@@ -596,6 +596,16 @@ class TestExecutorSelection:
     def test_create_executor_rejects_unknown_name(self):
         with pytest.raises(ExecutionError, match="unknown executor"):
             create_executor("gpu")
+
+    def test_process_is_not_an_executor_name(self):
+        """``"process"`` was deleted, not aliased to ``"distributed"``: it
+        fails like any unknown name, and the error lists the three names."""
+        assert EXECUTOR_NAMES == ("inline", "thread", "distributed")
+        listed = r"\['inline', 'thread', 'distributed'\]"
+        with pytest.raises(ExecutionError, match=f"unknown executor 'process'.*{listed}"):
+            create_executor("process")
+        with pytest.raises(ExecutionError, match=f"unknown executor 'process'.*{listed}"):
+            HelixSystem.opt(executor="process")
 
     @pytest.mark.parametrize("executor", POOLED_EXECUTORS)
     def test_pool_executors_reject_bad_worker_count(self, executor):

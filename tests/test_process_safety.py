@@ -1,8 +1,8 @@
 """Process-safety contract over the built-in workloads.
 
-The process executor requires every COMPUTE operator to be encodable (its
-payload is serialized to a worker and the value serialized back).  These
-tests pin the contract for the library itself:
+The distributed executor requires every COMPUTE operator to be encodable
+(its payload is serialized to a worker process and the value serialized
+back).  These tests pin the contract for the library itself:
 
 * every operator produced by every registered workload — across several
   lifecycle iterations, not just the initial configuration — round-trips
@@ -11,8 +11,9 @@ tests pin the contract for the library itself:
 * :func:`ensure_process_safe` raises a clear :class:`ExecutionError` naming
   the node for operators without an encoding and ``supports_processes=False``
   opt-outs;
-* a real workload lifecycle (census) executed on the process executor is
-  equivalent to the inline reference, iteration by iteration.
+* a real workload lifecycle (census) executed on the distributed
+  executor's local worker processes is equivalent to the inline reference,
+  iteration by iteration.
 """
 
 from __future__ import annotations
@@ -107,26 +108,29 @@ class TestWorkerPayloadFailures:
 
 class TestSharedExecutorInstance:
     def test_process_pool_survives_across_lifecycle_iterations(self):
-        """A user-supplied executor instance amortizes pool startup: the
+        """A user-supplied executor instance amortizes worker startup: the
         per-iteration engines drain it (finish_run) instead of destroying it,
         and the caller owns the final shutdown."""
-        from repro.execution.executors import ProcessExecutor
+        from repro.execution.executors import DistributedExecutor
 
-        executor = ProcessExecutor(max_workers=2)
+        executor = DistributedExecutor(max_workers=2)
         try:
             system = HelixSystem.opt(cost_model=SimulatedCostModel(), seed=0)
             system.configure_executor(executor)
             assert system.executor is executor
+            assert executor.name == "distributed"
             result = run_lifecycle(system, "census", n_iterations=2, scale=0.25)
             assert len(result.iterations) == 2
-            assert executor._pool is not None  # survived both iterations
+            assert len(executor.worker_pids()) == 2  # survived both iterations
         finally:
             executor.shutdown()
-        assert executor._pool is None
+        assert executor.address is None and executor.worker_pids() == {}
 
 
 class TestProcessLifecycleEquivalence:
     def test_census_lifecycle_on_process_executor_matches_inline(self):
+        """Census on out-of-process workers — the distributed executor's
+        locally spawned worker processes — matches the inline reference."""
         reference = run_lifecycle(
             HelixSystem.opt(cost_model=SimulatedCostModel(), seed=0),
             "census",
@@ -139,10 +143,10 @@ class TestProcessLifecycleEquivalence:
                 "census",
                 n_iterations=2,
                 scale=0.25,
-                executor="process",
+                executor="distributed",
                 max_workers=2,
             )
-            assert candidate_system.executor.name == "process"
+            assert candidate_system.executor.name == "distributed"
         assert len(reference.iterations) == len(candidate.iterations)
         for inline_stats, process_stats in zip(reference.iterations, candidate.iterations):
             # Canonical serialization makes exact artifact sizes — and the
