@@ -1,9 +1,9 @@
-"""Run a Helix lifecycle across distributed TCP worker processes.
+"""Run a Helix lifecycle across distributed worker processes.
 
 This example drives the census-income workload through a multi-iteration
 lifecycle on the ``distributed`` executor: a coordinator dispatches each
 iteration's COMPUTE tasks (pipelined, depth 2 per worker connection) to
-long-lived worker processes over TCP sockets, while Helix's optimizer still
+long-lived worker processes over sockets, while Helix's optimizer still
 decides per iteration what to recompute, load or prune.  It then
 demonstrates the executor's failure handling by killing one worker mid-run
 and letting the coordinator requeue its tasks to the survivors.
@@ -13,7 +13,8 @@ Two modes::
     PYTHONPATH=src python examples/distributed_lifecycle.py            # local spawn
     PYTHONPATH=src python examples/distributed_lifecycle.py --remote   # address-configured
 
-The default mode lets the coordinator spawn 4 workers itself.  ``--remote``
+The default mode lets the coordinator spawn 4 workers itself, each on one
+end of a socket pair.  ``--remote``
 demonstrates the multi-host path end to end on loopback: it pre-starts two
 ``python -m repro.execution.worker`` processes (exactly what you would run
 on other machines), waits for their readiness lines, and hands the
@@ -50,7 +51,6 @@ def run_local() -> None:
         result = run_lifecycle(system, "census", n_iterations=ITERATIONS, seed=7)
 
         executor = system.executor
-        print(f"coordinator: {executor.address[0]}:{executor.address[1]}")
         print(f"workers    : {sorted(executor.worker_pids().values())}")
         print(f"\n== census lifecycle on {WORKERS} distributed workers ==")
         _print_iterations(result)

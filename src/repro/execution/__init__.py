@@ -5,7 +5,7 @@ cache/scope refcounting, deterministic retirement commits, stats — and
 delegates task dispatch to a pluggable :class:`Executor` strategy:
 ``"inline"`` (reference), ``"thread"`` (latency-bound parallelism) or
 ``"distributed"`` (CPU-bound parallelism across the GIL: multi-worker
-dispatch over TCP sockets).  The strategy contract is
+dispatch over sockets).  The strategy contract is
 documented in ``docs/executors.md``.
 """
 

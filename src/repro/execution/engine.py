@@ -53,7 +53,7 @@ as *chains*, like a Spark stage pipelines narrow dependencies: a maximal
 path of COMPUTE nodes in which each child's ``parents`` are exactly
 ``[parent]`` and the parent has that child as its only executing consumer.
 A chain ships as one serialized ``(names, operators, head_inputs, context)``
-payload (:mod:`repro.storage.serialization`), framed for the TCP
+payload (:mod:`repro.storage.serialization`), framed for the socket
 transport; the worker runs the
 operators in order, each fed the previous value, and returns one
 ``(value, measured_seconds)`` pair per node.  On receipt the engine applies

@@ -18,13 +18,13 @@ near-duplicate engines:
     external services) which overlap even on a single core; CPU-bound pure
     Python is GIL-limited.
   - :class:`DistributedExecutor` (``"distributed"``) — COMPUTE payloads are
-    dispatched over TCP (length-prefixed frames, see the wire format in
+    dispatched as length-prefixed frames (see the wire format in
     :mod:`repro.storage.serialization`) to long-lived
     :class:`WorkerServer` processes that register with the coordinator and
-    heartbeat.  Workers are either spawned locally
-    (``max_workers``) or pre-started elsewhere and addressed explicitly
-    (``workers=["host:port", ...]``; see ``python -m
-    repro.execution.worker``).  Each worker connection carries a small
+    heartbeat.  Workers are either spawned locally (``max_workers``), each
+    handed one end of a socket pair, or pre-started elsewhere, listening on
+    TCP and addressed explicitly (``workers=["host:port", ...]``; see
+    ``python -m repro.execution.worker``).  Each worker connection carries a small
     pipelined dispatch window (``pipeline_depth``, default 2) so the
     coordinator overlaps framing/serialization of the next task with the
     execution of the current one.  Every task a dying worker held — the one
@@ -431,7 +431,7 @@ class ThreadExecutor(Executor):
 
 
 # ---------------------------------------------------------------------------
-# Distributed executor: TCP coordinator + long-lived worker processes
+# Distributed executor: coordinator + long-lived worker processes
 # ---------------------------------------------------------------------------
 #: Dispatch attempts per task before it fails.
 _MAX_TASK_ATTEMPTS = 3
@@ -695,9 +695,11 @@ class WorkerServer:
     ``heartbeat_interval`` seconds so the coordinator can distinguish a
     busy worker from a dead one.  Frames use the canonical zero-copy
     encoding, one message per frame.  One connection can carry several
-    multiplexed run *sessions* (every task-related frame carries a session id): tasks queue in per-session lanes drained
-    round-robin, so no session's backlog starves another's, and task inputs
-    shipped as :class:`~repro.storage.serialization.ArtifactRef` are
+    multiplexed run *sessions* (every task-related frame carries a session
+    id).  Tasks run in arrival order: the coordinator already interleaves
+    sessions round-robin, and a worker holds at most ``pipeline_depth``
+    tasks of the one coordinator it serves.  Task
+    inputs shipped as :class:`~repro.storage.serialization.ArtifactRef` are
     resolved through the worker's **content-addressed artifact tier** — a
     session-spanning, byte-bounded LRU (:class:`_ArtifactCache`) keyed on
     canonical signatures, so concurrent runs with overlapping pipelines
@@ -707,21 +709,15 @@ class WorkerServer:
     ``shutdown`` message, when the connection closes, or on the first
     malformed message.
 
-    Two launch modes share this loop:
-
-    * **dial** (:meth:`serve`) — connect out to a coordinator's listening
-      address; used by the local-spawn launcher.
-    * **listen** (:meth:`listen`) — bind ``host:port`` and accept
-      coordinators one at a time, serving each session until it disconnects;
-      used by pre-started remote workers (``python -m
-      repro.execution.worker``), which the coordinator reaches via
-      ``DistributedExecutor(workers=["host:port", ...])``.
+    :meth:`serve` serves one connected socket.  A locally spawned worker
+    serves its end of the socket pair its coordinator made for it;
+    :meth:`listen` binds ``host:port`` and serves the coordinators that
+    connect, one at a time — the pre-started remote workers (``python -m
+    repro.execution.worker``) a coordinator reaches via
+    ``DistributedExecutor(workers=["host:port", ...])``.
 
     Parameters
     ----------
-    host, port:
-        The coordinator's listening address (dial mode; ``None`` for a
-        worker driven through :meth:`listen`).
     worker_id:
         Identity announced at registration; defaults to ``pid<os.getpid()>``.
     heartbeat_interval:
@@ -737,8 +733,6 @@ class WorkerServer:
 
     def __init__(
         self,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
         worker_id: Optional[str] = None,
         heartbeat_interval: float = 0.5,
         fetch_timeout: float = 60.0,
@@ -752,8 +746,6 @@ class WorkerServer:
             raise ExecutionError("fetch_timeout must be positive")
         if cache_bytes is not None and cache_bytes < 1:
             raise ExecutionError("cache_bytes must be positive")
-        self.host = host
-        self.port = port
         self.worker_id = worker_id if worker_id is not None else f"pid{os.getpid()}"
         self.heartbeat_interval = heartbeat_interval
         self.fetch_timeout = fetch_timeout
@@ -764,15 +756,11 @@ class WorkerServer:
             max_bytes=cache_bytes if cache_bytes is not None else _WORKER_CACHE_BYTES,
         )
 
-    def serve(self) -> None:
-        """Dial the coordinator, register, and serve tasks until told to stop."""
-        if self.host is None or self.port is None:
-            raise ExecutionError(
-                "WorkerServer.serve needs a coordinator host/port; use "
-                "WorkerServer.listen for an address-configured worker"
-            )
-        sock = socket.create_connection((self.host, self.port))
-        self._serve_connection(sock)
+    def serve(self, sock: socket.socket) -> None:
+        """Register on a connected coordinator socket, then serve it, as a
+        :class:`_WorkerConnection`, until shutdown, disconnect or a
+        malformed message."""
+        _WorkerConnection(self, sock).serve()
 
     @classmethod
     def listen(
@@ -792,10 +780,10 @@ class WorkerServer:
         repro.execution.worker``): a coordinator configured with
         ``workers=["host:port", ...]`` connects in, receives the worker's
         registration as the first frame, and then drives the exact same
-        protocol as a locally-spawned worker.  When a session ends (the
-        coordinator shuts down or disconnects) the worker loops back to
-        ``accept`` and serves the next coordinator, so one long-lived worker
-        process survives many runs.
+        protocol as over a locally spawned worker's socket pair.  When a
+        session ends (the coordinator shuts down or disconnects) the worker
+        loops back to ``accept`` and serves the next coordinator, so one
+        long-lived worker process survives many runs.
 
         ``port=0`` binds an ephemeral port; ``on_ready(host, port)`` is
         invoked with the bound address before the first ``accept`` (tests
@@ -823,25 +811,19 @@ class WorkerServer:
             while max_sessions is None or served < max_sessions:
                 conn, _ = listener.accept()
                 try:
-                    server._serve_connection(conn)
+                    server.serve(conn)
                 except (OSError, ProtocolError):
                     pass  # coordinator vanished mid-session; await the next one
                 served += 1
         finally:
             listener.close()
 
-    # ------------------------------------------------------------------ session
-    def _serve_connection(self, sock: socket.socket) -> None:
-        """Serve one coordinator connection, as a :class:`_WorkerConnection`,
-        until shutdown, disconnect or a malformed message."""
-        _WorkerConnection(self, sock).serve()
-
 
 class _WorkerConnection:
     """One coordinator connection of a :class:`WorkerServer` (threads: see there).
 
-    Task lanes and pending fetches are kept per run session
-    and released on the coordinator's ``close_session`` frame; the artifact
+    Pending fetches are kept per run session and released on the
+    coordinator's ``close_session`` frame; the artifact
     cache tier is deliberately *not* — it is content-addressed (entries can
     never go stale), session-spanning, and bounded by its own LRU budget.
     Registration and heartbeats stay per-connection — liveness is a
@@ -864,10 +846,8 @@ class _WorkerConnection:
         self.send_lock = threading.Lock()
         self.stop = threading.Event()
         self.wake = threading.Condition()
-        # Per-session FIFO task lanes in round-robin order: the session just
-        # served rotates to the back, so with several sessions queued each
-        # gets one task per round instead of the first backlog winning.
-        self.lanes: "OrderedDict[Any, Deque[Tuple[str, bytes]]]" = OrderedDict()
+        # Received ``(session, key, payload)`` tasks, run in arrival order.
+        self.tasks: Deque[Tuple[Any, str, bytes]] = deque()
         # Fetches awaiting their artifact reply, keyed by (session, signature).
         self._pending_lock = threading.Lock()
         self._pending: Dict[Tuple[Any, str], Future] = {}
@@ -878,7 +858,7 @@ class _WorkerConnection:
     def serve(self) -> None:
         """Register, then run queued tasks until the session ends."""
         server = self.server
-        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        _set_nodelay(self.sock)
         # Registration announces the worker's own heartbeat interval so a
         # coordinator whose heartbeat_timeout was derived from a *different*
         # interval can widen its silence threshold for this worker instead
@@ -899,15 +879,11 @@ class _WorkerConnection:
                 self._run_task(*item)
         finally:
             self.stop.set()
-            try:
-                # close() alone does not wake a reader blocked in recv() (the
-                # in-flight syscall keeps the connection alive), so the peer
-                # would not see EOF until process exit; shutdown() unblocks
-                # the reader and sends FIN immediately.
-                self.sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            self.sock.close()
+            # close() alone does not wake a reader blocked in recv() (the
+            # in-flight syscall keeps the connection alive), so the peer
+            # would not see EOF until process exit; shutdown() unblocks the
+            # reader and sends FIN immediately.
+            _close_socket(self.sock)
             reader.join(timeout=2.0)
 
     def _beat(self) -> None:
@@ -951,7 +927,7 @@ class _WorkerConnection:
     def _on_task(self, message: Tuple[Any, ...]) -> None:
         _, session, key, payload = message
         with self.wake:
-            self.lanes.setdefault(session, deque()).append((key, payload))
+            self.tasks.append((session, key, payload))
             self.wake.notify_all()
 
     def _on_artifact(self, message: Tuple[Any, ...]) -> None:
@@ -965,14 +941,15 @@ class _WorkerConnection:
     def _on_close_session(self, message: Tuple[Any, ...]) -> None:
         """The coordinator drained the session and dropped it.
 
-        Release its lane and pending fetches.  The artifact cache tier
-        survives on purpose — it is content addressed (entries can never go
-        stale) and bounded by its own LRU budget, and keeping it warm across
-        sessions is what lets the next run reuse this one's artifacts.
+        Release its pending fetches.  No task of the session can still be
+        queued here: ``DistributedSession.shutdown`` closes a session only
+        after ``_drain_session`` has seen every one of its tasks answered.
+        The artifact cache tier survives on purpose — it is content
+        addressed (entries can never go stale) and bounded by its own LRU
+        budget, and keeping it warm across sessions is what lets the next
+        run reuse this one's artifacts.
         """
         _, session = message
-        with self.wake:
-            self.lanes.pop(session, None)
         with self._pending_lock:
             for key in [k for k in self._pending if k[0] == session]:
                 self._pending.pop(key).cancel()  # the waiting task fails typed
@@ -983,15 +960,11 @@ class _WorkerConnection:
 
     # ------------------------------------------------------------------ executor loop
     def _next_task(self) -> Optional[Tuple[Any, str, bytes]]:
-        """Pop the next task, rotating fairly across session lanes."""
+        """Pop the oldest received task; ``None`` once the session ends."""
         with self.wake:
             while True:
-                for session in list(self.lanes):
-                    lane = self.lanes[session]
-                    if lane:
-                        key, payload = lane.popleft()
-                        self.lanes.move_to_end(session)
-                        return session, key, payload
+                if self.tasks:
+                    return self.tasks.popleft()
                 if self.stop.is_set():
                     return None
                 self.wake.wait(timeout=0.5)
@@ -1084,23 +1057,50 @@ class _WorkerConnection:
         return value
 
 
+def _set_nodelay(sock: socket.socket) -> None:
+    """Send small frames at once on a TCP socket (a socket pair has no Nagle
+    delay to switch off, and an AF_UNIX socket refuses the option)."""
+    if sock.family in (socket.AF_INET, socket.AF_INET6):
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
+def _close_socket(sock: socket.socket) -> None:
+    """Send FIN, then close.
+
+    ``close()`` alone only drops this process's descriptor: a worker forked
+    later inherits a copy of the coordinator's end of every earlier socket
+    pair, and while that copy is open the peer sees no EOF.  ``shutdown``
+    ends the connection for every holder at once.
+    """
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # already disconnected
+    sock.close()
+
+
 def _distributed_worker_main(
-    host: str,
-    port: int,
+    sock: socket.socket,
+    coordinator_end: socket.socket,
     worker_id: str,
     heartbeat_interval: float,
     fetch_timeout: float = 60.0,
     cache_bytes: Optional[int] = None,
 ) -> None:
-    """Entry point of a spawned worker process (module-level: spawn-safe)."""
+    """Entry point of a spawned worker process (module-level: spawn-safe).
+
+    ``sock`` is this worker's end of the socket pair its coordinator made
+    for it.  A forked child also inherits the coordinator's end; it is
+    closed first, or the worker would hold its own peer open and never see
+    EOF when the coordinator dies.
+    """
+    coordinator_end.close()
     WorkerServer(
-        host,
-        port,
         worker_id=worker_id,
         heartbeat_interval=heartbeat_interval,
         fetch_timeout=fetch_timeout,
         cache_bytes=cache_bytes,
-    ).serve()
+    ).serve(sock)
 
 
 class _SessionState:
@@ -1185,13 +1185,13 @@ class _WorkerHandle:
 
 
 class DistributedExecutor(Executor):
-    """COMPUTE tasks run on worker *processes* reached over TCP sockets.
+    """COMPUTE tasks run on worker *processes* reached over sockets.
 
-    Two worker-pool modes share one coordinator:
+    Two worker-pool modes share one coordinator, which never listens:
 
-    * **local spawn** (default) — the coordinator listens on ``127.0.0.1``
-      and spawns ``max_workers`` long-lived :class:`WorkerServer` processes
-      that connect back and register.
+    * **local spawn** (default) — the coordinator spawns ``max_workers``
+      long-lived :class:`WorkerServer` processes, hands each one end of a
+      ``socket.socketpair()``, and reads its registration from the other.
     * **remote (address-configured)** — ``workers=["host:port", ...]``
       names pre-started listening workers (``python -m
       repro.execution.worker``); the coordinator dials each address and
@@ -1373,13 +1373,11 @@ class DistributedExecutor(Executor):
         self._sessions: "OrderedDict[str, _SessionState]" = OrderedDict()
         self._default_session = self._open_session()
         self._stop_event = threading.Event()
-        self._listener: Optional[socket.socket] = None
-        self._port: Optional[int] = None
         self._threads: List[threading.Thread] = []
         self._running = False
         #: Serializes pool bring-up: concurrent sessions may start() at the
-        #: same time, and the listener/threads/spawn sequence is not safe to
-        #: run twice.
+        #: same time, and the threads/spawn sequence is not safe to run
+        #: twice.
         self._start_lock = threading.Lock()
         self._remote_ready = False
         #: Per-address earliest next re-dial time: a dead remote host costs
@@ -1407,11 +1405,11 @@ class DistributedExecutor(Executor):
     def start(self) -> None:
         """Open a run generation; bring the worker pool up to strength.
 
-        Local-spawn mode: first use opens the listener and spawns
-        ``max_workers`` workers; a reused instance keeps surviving workers
-        and only respawns dead ones.  Blocks until every worker has
-        registered (``_START_TIMEOUT``).  Remote mode: dial every
-        still-disconnected address — retrying until ``_START_TIMEOUT`` on a
+        Local-spawn mode: first use spawns ``max_workers`` workers; a
+        reused instance keeps surviving workers and only respawns dead ones.
+        Blocks until every spawned worker has registered or been dropped
+        (``_START_TIMEOUT``), and raises when none registered.  Remote
+        mode: dial every still-disconnected address — retrying until ``_START_TIMEOUT`` on a
         first start (which fails if any address stays unreachable); on
         reuse, reconnection is a best-effort single pass that warns about
         unreachable workers and proceeds as long as one survives.
@@ -1425,7 +1423,7 @@ class DistributedExecutor(Executor):
         Factored out of :meth:`start` so every :class:`DistributedSession`
         can call it from its own run thread; the start lock serializes
         concurrent session starts against each other (the pool is shared
-        state, and the listener/threads/spawn sequence must not run twice).
+        state, and the threads/spawn sequence must not run twice).
         """
         with self._start_lock:
             self._start_io_pool()
@@ -1433,20 +1431,11 @@ class DistributedExecutor(Executor):
             if first:
                 self._stopping = False
                 self._stop_event.clear()
-                loops = [("dispatch", self._dispatch_loop), ("monitor", self._monitor_loop)]
-                if self.worker_addresses is None:
-                    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-                    listener.bind(("127.0.0.1", 0))
-                    listener.listen(self.max_workers + 8)
-                    # A timeout lets the accept loop poll the stop flag: closing a
-                    # socket does not reliably wake a thread blocked in accept().
-                    listener.settimeout(0.25)
-                    self._listener = listener
-                    self._port = listener.getsockname()[1]
-                    loops.insert(0, ("accept", self._accept_loop))
                 self._threads = [
                     threading.Thread(target=loop, daemon=True, name=f"repro-dist-{label}")
-                    for label, loop in loops
+                    for label, loop in (
+                        ("dispatch", self._dispatch_loop), ("monitor", self._monitor_loop)
+                    )
                 ]
                 for thread in self._threads:
                     thread.start()
@@ -1463,9 +1452,7 @@ class DistributedExecutor(Executor):
                 return
             with self._cond:
                 missing = self.max_workers - len(self._workers)
-            for _ in range(missing):
-                self._spawn_worker()
-            self._await_registration()
+            self._register_spawned([self._spawn_worker() for _ in range(missing)])
 
     def submit(self, key: str, fn: Callable[[], Any]) -> None:
         """Run an in-process task (store LOAD) on the coordinator's I/O pool."""
@@ -1531,8 +1518,8 @@ class DistributedExecutor(Executor):
         Every locally-spawned worker gets a ``shutdown`` frame and a grace
         period before being terminated; remote (address-configured) workers
         only have their session closed — their processes are externally
-        managed and loop back to accept the next coordinator.  The listener
-        and coordinator threads are released.  The instance can be
+        managed and loop back to accept the next coordinator.  The
+        coordinator threads are released.  The instance can be
         ``start``-ed again afterwards.
 
         Open :class:`DistributedSession` runs are drained with cancel
@@ -1567,17 +1554,7 @@ class DistributedExecutor(Executor):
                     handle.process.terminate()
                     handle.process.join(timeout=1.0)
             if handle.sock is not None:
-                handle.sock.close()
-        if self._listener is not None:
-            try:
-                # Wake the accept loop immediately instead of letting it wait
-                # out its poll interval (the dummy peer sends no registration).
-                socket.create_connection(("127.0.0.1", self._port), timeout=0.5).close()
-            except OSError:
-                pass
-            self._listener.close()
-            self._listener = None
-            self._port = None
+                _close_socket(handle.sock)
         for thread in self._threads:
             thread.join(timeout=2.0)
         self._threads = []
@@ -1651,26 +1628,23 @@ class DistributedExecutor(Executor):
                 if handle.alive and handle.pid is not None
             }
 
-    @property
-    def address(self) -> Optional[Tuple[str, int]]:
-        """The coordinator's listening ``(host, port)``, once started.
-
-        ``None`` in remote (address-configured) mode — the coordinator
-        dials out and has no listener; see :attr:`worker_addresses`.
-        """
-        return ("127.0.0.1", self._port) if self._port is not None else None
-
     # ------------------------------------------------------------------ workers
-    def _spawn_worker(self) -> None:
+    def _spawn_worker(self) -> Tuple[_WorkerHandle, socket.socket]:
+        """Start one worker process on one end of a new socket pair.
+
+        Returns the worker's handle and the coordinator's end, from which
+        :meth:`_register_spawned` reads the registration.
+        """
         worker_id = f"w{next(self._worker_seq)}"
         handle = _WorkerHandle(worker_id)
         with self._cond:
             self._workers[worker_id] = handle
+        ours, theirs = socket.socketpair()
         process = multiprocessing.get_context().Process(
             target=_distributed_worker_main,
             args=(
-                "127.0.0.1",
-                self._port,
+                theirs,
+                ours,
                 worker_id,
                 self.heartbeat_interval,
                 self.fetch_timeout,
@@ -1680,28 +1654,43 @@ class DistributedExecutor(Executor):
             name=f"repro-dist-{worker_id}",
         )
         handle.process = process
-        process.start()
+        try:
+            process.start()
+        except BaseException:
+            ours.close()
+            raise
+        finally:
+            # Only the worker may hold its end: a death must read as EOF here.
+            theirs.close()
         handle.pid = process.pid
+        return handle, ours
 
-    def _await_registration(self) -> None:
+    def _register_spawned(self, spawned: List[Tuple[_WorkerHandle, socket.socket]]) -> None:
+        """Attach each spawned worker once it registers on its socket pair.
+
+        A worker that dies, stays silent until ``_START_TIMEOUT`` or
+        announces another id is dropped; this raises only when no worker
+        of the pool is left alive.
+        """
         deadline = time.monotonic() + _START_TIMEOUT
+        for handle, sock in spawned:
+            try:
+                registration = self._read_registration(
+                    sock, max(0.0, deadline - time.monotonic())
+                )
+            except Exception:  # noqa: BLE001 - a worker that cannot register is dropped
+                self._worker_failed(handle)
+                continue
+            if registration[0] != handle.worker_id:
+                _close_socket(sock)
+                self._worker_failed(handle)
+                continue
+            self._attach(handle, sock, registration)
         with self._cond:
-            while True:
-                pending = [
-                    h for h in self._workers.values() if h.alive and h.sock is None
-                ]
-                if not pending:
-                    break
-                if time.monotonic() > deadline:
-                    raise ExecutionError(
-                        f"distributed executor: {len(pending)} of "
-                        f"{self.max_workers} workers failed to register within "
-                        f"{_START_TIMEOUT:.0f}s"
-                    )
-                self._cond.wait(timeout=0.1)
             if not any(h.alive for h in self._workers.values()):
                 raise ExecutionError(
-                    "distributed executor: every worker died during startup"
+                    f"distributed executor: no worker registered within "
+                    f"{_START_TIMEOUT:.0f}s"
                 )
 
     def _connect_remote_workers(self, strict: bool) -> None:
@@ -1857,7 +1846,7 @@ class DistributedExecutor(Executor):
         error raised.
         """
         try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            _set_nodelay(sock)
             sock.settimeout(timeout)
             registration = _parse_registration(recv_message(sock))
             if registration is None:
@@ -1867,7 +1856,7 @@ class DistributedExecutor(Executor):
                 )
             sock.settimeout(None)
         except BaseException:
-            sock.close()
+            _close_socket(sock)
             raise
         return registration
 
@@ -1893,7 +1882,7 @@ class DistributedExecutor(Executor):
                 self._workers[handle.worker_id] = handle
                 self._cond.notify_all()
         if not adopt:
-            sock.close()
+            _close_socket(sock)
             return
         threading.Thread(
             target=self._receive_loop,
@@ -1903,33 +1892,6 @@ class DistributedExecutor(Executor):
         ).start()
 
     # ------------------------------------------------------------------ coordinator loops
-    def _accept_loop(self) -> None:
-        """Accept worker connections and match registrations to handles."""
-        listener = self._listener
-        while True:
-            try:
-                conn, _ = listener.accept()
-            except socket.timeout:
-                with self._lock:
-                    if self._stopping:
-                        return
-                continue
-            except OSError:
-                return  # listener closed by shutdown
-            with self._lock:
-                if self._stopping:
-                    conn.close()
-                    return  # the wake-up connection from shutdown()
-            # Bound the registration read so one silent peer cannot wedge the
-            # accept loop.
-            try:
-                registration = self._read_registration(conn, 5.0)
-            except Exception:  # noqa: BLE001 - reject peers that talk garbage
-                continue
-            with self._cond:
-                handle = self._workers.get(registration[0])
-            self._attach(handle, conn, registration)
-
     def _dispatch_loop(self) -> None:
         """Move queued tasks onto workers with spare pipeline capacity.
 
@@ -2098,18 +2060,10 @@ class DistributedExecutor(Executor):
         store = state.store if state is not None else None
         if store is not None:
             try:
-                loader = getattr(store, "load_serialized", None)
-                if loader is not None:
-                    # MaterializationStores hold serialized bytes already:
-                    # forward them instead of deserializing + re-serializing
-                    # a potentially large value per fetch.
-                    blob = loader(signature)
-                else:
-                    # Duck-typed store without the raw-bytes API: a missing
-                    # signature raises here and answers None, matching
-                    # load_serialized's contract.
-                    value, _seconds = store.load(signature)
-                    blob = serialize(value)
+                # The bound MaterializationStore forwards the bytes it holds
+                # (``None`` on a miss) instead of deserializing and
+                # re-serializing a potentially large value per fetch.
+                blob = store.load_serialized(signature)
             except Exception:  # noqa: BLE001 - report as missing, task errors typed
                 blob = None
         if blob is not None:
@@ -2257,7 +2211,7 @@ class DistributedExecutor(Executor):
                         failures.append(state.queue.popleft())
             self._cond.notify_all()
         if worker.sock is not None:
-            worker.sock.close()
+            _close_socket(worker.sock)
         if worker.process is not None and not worker.process.is_alive():
             worker.process.join(timeout=0.1)
         for task in failures:

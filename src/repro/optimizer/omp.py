@@ -90,7 +90,7 @@ class MaterializationPolicy(ABC):
 
 
 class StreamingMaterializationPolicy(MaterializationPolicy):
-    """Algorithm 2: materialize iff ``C(n_i) > factor * l_i`` and budget allows.
+    """Algorithm 2: materialize iff ``C(n_i) > 2 * l_i`` and budget allows.
 
     The intuition (Section 5.3): if loading the node next iteration lets all
     of its ancestors be pruned, then paying the materialization now plus the
@@ -99,11 +99,6 @@ class StreamingMaterializationPolicy(MaterializationPolicy):
     """
 
     name = "streaming"
-
-    def __init__(self, factor: float = 2.0):
-        if factor <= 0:
-            raise OptimizationError("materialization factor must be positive")
-        self.factor = factor
 
     def decide(
         self,
@@ -117,11 +112,11 @@ class StreamingMaterializationPolicy(MaterializationPolicy):
             return MaterializationDecision(
                 node, False, "storage budget exhausted", cumulative, load_estimate
             )
-        worthwhile = cumulative > self.factor * load_estimate
+        worthwhile = cumulative > 2.0 * load_estimate
         reason = (
-            f"C={cumulative:.6f} > {self.factor:g}*l={self.factor * load_estimate:.6f}"
+            f"C={cumulative:.6f} > 2*l={2.0 * load_estimate:.6f}"
             if worthwhile
-            else f"C={cumulative:.6f} <= {self.factor:g}*l={self.factor * load_estimate:.6f}"
+            else f"C={cumulative:.6f} <= 2*l={2.0 * load_estimate:.6f}"
         )
         return MaterializationDecision(node, worthwhile, reason, cumulative, load_estimate)
 

@@ -67,7 +67,7 @@ class HelixSystem(System):
         Executor strategy for iterations: ``"inline"`` (default),
         ``"thread"`` (DAG-level parallelism over a thread pool) or
         ``"distributed"`` (CPU-bound parallelism: worker processes over
-        TCP).  The system builds
+        sockets).  The system builds
         it once and owns it (see :meth:`System.configure_executor`).
     max_workers:
         Worker count for pool-backed executors (None = library default).

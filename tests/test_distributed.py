@@ -35,8 +35,13 @@ pieces the other executors do not have:
   bounded dispatch attempts with an :class:`ExecutionError` naming it; a
   worker crash mid-operator does not lose the task.
 * **Drain + shutdown** — ``finish_run`` drains without releasing workers,
-  ``shutdown`` reaps every worker process and the listener, and a
-  subsequent ``start`` heals the pool back to full strength.
+  ``shutdown`` reaps every worker process, and a subsequent ``start`` heals
+  the pool back to full strength.
+* **Socket-pair workers** — a locally spawned worker serves one end of a
+  socket pair: the coordinator holds no listening socket, a dropped worker
+  exits even when a later-forked sibling holds a copy of its socket, every
+  worker exits when its coordinator is killed, and the pool also comes up
+  under the ``spawn`` start method.
 * **System-owned executors** — a System configured *by name* owns one
   executor reused across lifecycle iterations, closed by
   ``close_executor``/``with system:``/reconfigure; an instance stays
@@ -1054,14 +1059,12 @@ class TestDrainAndShutdown:
     def test_shutdown_reaps_workers_and_listener(self):
         executor = DistributedExecutor(max_workers=2)
         executor.start()
-        pids = list(executor.worker_pids().values())
         processes = [h.process for h in executor._workers.values()]
-        assert executor.address is not None
+        assert len(executor.worker_pids()) == 2
         executor.shutdown()
-        assert executor.address is None
+        assert executor.worker_pids() == {}
         for process in processes:
             assert not process.is_alive()
-        del pids
         # shutdown is idempotent and start() afterwards rebuilds the pool
         executor.shutdown()
         executor.start()
@@ -1072,6 +1075,150 @@ class TestDrainAndShutdown:
 
 
 # ---------------------------------------------------------------------------
+# Socket-pair workers: no coordinator listener, EOF reaches every worker
+# ---------------------------------------------------------------------------
+linux_only = pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads process state from /proc"
+)
+
+
+def _listening_socket_inodes():
+    """Inodes of this process's sockets in TCP LISTEN state (Linux)."""
+    owned = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue  # closed since listdir
+        if target.startswith("socket:["):
+            owned.add(target[len("socket:["):-1])
+    listening = set()
+    for table in ("/proc/net/tcp", "/proc/net/tcp6"):
+        try:
+            with open(table) as rows:
+                next(rows)  # header
+                for row in rows:
+                    fields = row.split()
+                    if fields[3] == "0A":  # TCP_LISTEN
+                        listening.add(fields[9])
+        except FileNotFoundError:
+            continue
+    return owned & listening
+
+
+def _process_gone(pid):
+    """Whether ``pid`` has exited (reaped, or a zombie awaiting its reaper)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            # The state letter follows the parenthesised command name.
+            return stat.read().rpartition(")")[2].split()[0] in ("Z", "X")
+    except FileNotFoundError:
+        return True
+
+
+def _await_gone(pids, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if all(_process_gone(pid) for pid in pids):
+            return
+        time.sleep(0.02)
+    alive = [pid for pid in pids if not _process_gone(pid)]
+    assert not alive, f"workers {alive} still running {timeout:g}s later"
+
+
+_KILLED_COORDINATOR = """
+import os, signal, sys, time
+from repro.execution.executors import DistributedExecutor
+
+executor = DistributedExecutor(max_workers=2)
+executor.start()
+if sys.argv[1] == "heal":
+    os.kill(executor.worker_pids()["w0"], signal.SIGKILL)
+    while "w0" in executor.worker_pids():
+        time.sleep(0.01)
+    executor.start()  # respawns w2, which inherits a copy of w1's socket
+print(" ".join(str(pid) for pid in executor.worker_pids().values()), flush=True)
+time.sleep(60)
+"""
+
+
+class TestSocketPairWorkers:
+    @linux_only
+    def test_local_fleet_coordinator_holds_no_listening_socket(self):
+        before = _listening_socket_inodes()
+        executor = DistributedExecutor(max_workers=2)
+        try:
+            executor.start()
+            assert len(executor.worker_pids()) == 2
+            assert _listening_socket_inodes() - before == set()
+        finally:
+            executor.shutdown()
+
+    @linux_only
+    def test_dropped_worker_exits_while_a_sibling_holds_its_socket(self):
+        """The respawned ``w2`` is forked holding a copy of the coordinator's
+        end of ``w1``'s socket pair; dropping ``w1`` must still reach it."""
+        executor = DistributedExecutor(max_workers=2)
+        try:
+            executor.start()
+            os.kill(executor.worker_pids()["w0"], signal.SIGKILL)
+            _await_worker_count(executor, 1)
+            executor.start()
+            assert sorted(executor.worker_pids()) == ["w1", "w2"]
+            w1 = executor._workers["w1"]
+            executor._worker_failed(w1)
+            _await_gone([w1.pid])
+        finally:
+            executor.shutdown()
+
+    @linux_only
+    @pytest.mark.parametrize("mode", ["plain", "heal"])
+    def test_workers_exit_when_their_coordinator_is_killed(self, mode):
+        import subprocess
+        from pathlib import Path
+
+        import repro
+
+        src_dir = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src_dir, env.get("PYTHONPATH")) if p
+        )
+        coordinator = subprocess.Popen(
+            [sys.executable, "-c", _KILLED_COORDINATOR, mode],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            pids = [int(pid) for pid in coordinator.stdout.readline().split()]
+            assert len(pids) == 2
+        finally:
+            coordinator.kill()
+            coordinator.wait(timeout=10)
+            coordinator.stdout.close()
+        _await_gone(pids)
+
+    def test_spawn_start_method_runs_a_chain(self, monkeypatch):
+        """Socket ends travel to a ``spawn``-started worker as Process args."""
+        from repro.workloads.synthetic import LatencyOperator
+
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: spawn)
+        executor = DistributedExecutor(max_workers=1)
+        try:
+            executor.start()
+            chain = [(f"n{index}", LatencyOperator(offset=1.0)) for index in range(3)]
+            executor.submit_payload("n0", _task_payload(*chain, inputs=[1.0]))
+            key, outcome, error = executor.next_completion()
+            executor.finish_run()
+        finally:
+            executor.shutdown()
+        assert (key, error) == ("n0", None)
+        assert [value for value, _seconds in outcome] == [2.0, 3.0, 4.0]
+
+
+# ---------------------------------------------------------------------------
 # System-owned executors for name-configured strategies
 # ---------------------------------------------------------------------------
 def _pool_alive(executor) -> bool:
@@ -1079,7 +1226,7 @@ def _pool_alive(executor) -> bool:
     if executor.name == "inline":
         return True
     if executor.name == "distributed":
-        return executor.address is not None
+        return bool(executor.worker_pids())
     return executor._pool is not None
 
 
@@ -1139,7 +1286,7 @@ class TestAutoPooling:
             # a different worker count is a real reconfiguration
             system.configure_executor("distributed", max_workers=2)
             assert system.executor is not owned
-            assert owned.address is None  # old pool shut down
+            assert owned.worker_pids() == {}  # old pool shut down
         finally:
             system.close_executor()
 
@@ -1148,19 +1295,19 @@ class TestAutoPooling:
         system.configure_executor("distributed", max_workers=1)
         run_lifecycle(system, "census", n_iterations=1, scale=0.25)
         owned = system.executor
-        assert owned.address is not None
+        assert owned.worker_pids()
         system.configure_executor("inline")
         assert system.executor is not owned
-        assert owned.address is None  # the distributed pool was shut down
+        assert owned.worker_pids() == {}  # the distributed pool was shut down
 
     def test_context_manager_closes_owned_pool(self):
         with HelixSystem.opt(cost_model=SimulatedCostModel(), seed=0) as system:
             system.configure_executor("distributed", max_workers=1)
             run_lifecycle(system, "census", n_iterations=1, scale=0.25)
             owned = system.executor
-            assert owned.address is not None
+            assert owned.worker_pids()
         assert system.executor is owned
-        assert owned.address is None
+        assert owned.worker_pids() == {}
 
     def test_instance_configured_executor_stays_caller_owned(self):
         executor = DistributedExecutor(max_workers=1)
@@ -1170,7 +1317,7 @@ class TestAutoPooling:
                 run_lifecycle(system, "census", n_iterations=1, scale=0.25)
                 assert system.executor is executor
             # leaving the system must not shut down the caller's pool
-            assert executor.address is not None
+            assert executor.worker_pids()
         finally:
             executor.shutdown()
 
@@ -1522,7 +1669,7 @@ def _scripted_worker(worker_id="p0", fetch_timeout=5.0):
         fetch_timeout=fetch_timeout,
     )
     thread = threading.Thread(
-        target=lambda: server._serve_connection(worker_side), daemon=True
+        target=lambda: server.serve(worker_side), daemon=True
     )
     thread.start()
     return server, coordinator, thread
@@ -1740,20 +1887,13 @@ class TestReviewRegressions:
         ``BaseException``-and-continue handler pickled a Ctrl-C into a mere
         task error, leaving behind a worker that refused to die."""
 
-        # a real TCP pair: the worker loop sets TCP_NODELAY, which an
-        # AF_UNIX socketpair would reject
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-        coordinator = socket.create_connection(listener.getsockname())
-        worker_side, _ = listener.accept()
-        listener.close()
+        coordinator, worker_side = socket.socketpair()
         server = WorkerServer(worker_id="t0", heartbeat_interval=60.0)
         raised = {}
 
         def _serve():
             try:
-                server._serve_connection(worker_side)
+                server.serve(worker_side)
             except BaseException as exc:  # noqa: BLE001 - captured for assertion
                 raised["exc"] = exc
 

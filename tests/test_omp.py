@@ -150,17 +150,6 @@ class TestStreamingPolicy:
         assert not decision.materialize
         assert "budget" in decision.reason
 
-    def test_custom_factor(self, diamond_dag):
-        lenient = StreamingMaterializationPolicy(factor=0.5)
-        decision = lenient.decide(
-            "a", 0.6, load_estimate=1.0, size_bytes=10, budget_remaining=None
-        )
-        assert decision.materialize
-
-    def test_factor_must_be_positive(self):
-        with pytest.raises(OptimizationError):
-            StreamingMaterializationPolicy(factor=0.0)
-
 
 class TestExtremePolicies:
     def test_always_materializes_within_budget(self, diamond_dag):

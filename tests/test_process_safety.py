@@ -124,7 +124,7 @@ class TestSharedExecutorInstance:
             assert len(executor.worker_pids()) == 2  # survived both iterations
         finally:
             executor.shutdown()
-        assert executor.address is None and executor.worker_pids() == {}
+        assert executor.worker_pids() == {}
 
 
 class TestProcessLifecycleEquivalence:
